@@ -144,7 +144,10 @@ def cmd_evaluate(args) -> int:
     if args.drop_fraction > 0.0:
         if not args.confidence:
             raise ConfigError("--drop-fraction needs --confidence")
-        conf = np.loadtxt(args.confidence, dtype=np.float64, ndmin=1)
+        try:
+            conf = np.loadtxt(args.confidence, dtype=np.float64, ndmin=1)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read confidence file {args.confidence!r}: {exc}") from exc
         if conf.shape != true.shape:
             raise ConfigError("confidence file length mismatch")
         retained, filtered = metrics.filter_unsure(conf, pred, true, args.drop_fraction, c)

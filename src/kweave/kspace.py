@@ -2,9 +2,11 @@
 
 A pair (i, j) of training instances becomes a p-dimensional example whose
 coordinates are the p base-kernel values for that pair, labeled +1 when the
-instances share a class and -1 otherwise. z vectors are never materialized
-up front; they are gathered from the bank's Gram entries on demand, which
-bounds memory by the Grams themselves regardless of pair count.
+instances share a class and -1 otherwise. The z vectors are stored once,
+pair-major, in one C-contiguous (n(n+1)/2, p) float64 matrix: that is
+n(n+1)/2 * p * 8 bytes, built once per bank and shared by every subset
+(balancing, the lambda train/validation split), which copy only index
+arrays. A minibatch is then a gather of contiguous rows.
 """
 
 from __future__ import annotations
@@ -25,27 +27,32 @@ class KBatch:
 
 
 class KExampleSet:
-    """Labeled instance pairs backed by a (p, n, n) stack of Gram values.
+    """Labeled instance pairs indexing rows of a shared pair-major matrix.
 
-    pairs[k] = (i, j) with i <= j; z_k[l] = K_l[i, j]; t_k = +1 iff the
-    two instances share a class (diagonal pairs are always +1).
+    stack is (m, p); rows[k] is the stack row of the k-th pair of this set,
+    every stack row in order when rows is None. pairs[k] = (i, j) with
+    i <= j; z_k[l] = K_l[i, j]; t_k = +1 iff the two instances share a
+    class (diagonal pairs are always +1).
     """
 
-    def __init__(self, pairs: np.ndarray, t: np.ndarray, stack: np.ndarray):
+    def __init__(self, pairs: np.ndarray, t: np.ndarray, stack: np.ndarray, rows=None):
         self.pairs = np.asarray(pairs, dtype=np.int64)
         self.t = np.asarray(t, dtype=np.int8)
         self.stack = stack
+        self.rows = np.arange(len(self.pairs)) if rows is None else np.asarray(rows, np.int64)
         if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
             raise ValueError("pairs must be (m, 2)")
-        if self.t.shape != (self.pairs.shape[0],):
-            raise ValueError("labels length does not match pair count")
+        if self.t.shape != (self.pairs.shape[0],) or self.rows.shape != self.t.shape:
+            raise ValueError("labels or rows length does not match pair count")
+        if self.stack.ndim != 2:
+            raise ValueError("stack must be (m, p)")
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
 
     @property
     def p(self) -> int:
-        return self.stack.shape[0]
+        return self.stack.shape[1]
 
     @property
     def n_pos(self) -> int:
@@ -57,31 +64,23 @@ class KExampleSet:
 
     def z_rows(self, positions) -> np.ndarray:
         """Gather z vectors for the given pair positions: (len, p)."""
-        pos = np.asarray(positions, dtype=np.int64)
-        ii = self.pairs[pos, 0]
-        jj = self.pairs[pos, 1]
-        return self.stack[:, ii, jj].T
+        return self.stack[self.rows[np.asarray(positions, dtype=np.int64)]]
 
     def scores(self, mu: np.ndarray) -> np.ndarray:
-        """mu . z for every pair in the set, without materializing z rows."""
-        ii = self.pairs[:, 0]
-        jj = self.pairs[:, 1]
-        mu = np.asarray(mu, dtype=np.float64)
-        out = np.zeros(len(self), dtype=np.float64)
-        for l in np.flatnonzero(mu):
-            out += mu[l] * self.stack[l, ii, jj]
-        return out
+        """mu . z for every pair in the set: one GEMV over the shared matrix."""
+        return (self.stack @ np.asarray(mu, dtype=np.float64))[self.rows]
 
     def subset(self, positions) -> "KExampleSet":
         pos = np.asarray(positions, dtype=np.int64)
-        return KExampleSet(self.pairs[pos], self.t[pos], self.stack)
+        return KExampleSet(self.pairs[pos], self.t[pos], self.stack, self.rows[pos])
 
 
 def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
-    """Enumerate all pairs i <= j over the training instances.
+    """Enumerate all pairs i <= j and pack their z vectors pair-major.
 
-    The bank must be centered/standardized and share the ordering of
-    train_labels.
+    The matrix is filled one kernel column at a time from the bank's
+    Grams, so no (p, n, n) stack is made. The bank must be
+    centered/standardized and share the ordering of train_labels.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
     n = labels.shape[0]
@@ -90,9 +89,11 @@ def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
     if any(g.state != CENTERED for g in bank.train_grams):
         raise ValueError("bank Grams must be centered_standardized")
     ii, jj = np.triu_indices(n)
-    pairs = np.stack([ii, jj], axis=1)
+    stack = np.empty((ii.size, bank.p), dtype=np.float64)
+    for l, gram in enumerate(bank.train_grams):
+        stack[:, l] = gram.values[ii, jj]
     t = np.where(labels[ii] == labels[jj], 1, -1).astype(np.int8)
-    return KExampleSet(pairs=pairs, t=t, stack=bank.stacked())
+    return KExampleSet(pairs=np.stack([ii, jj], axis=1), t=t, stack=stack)
 
 
 def balance(kset: KExampleSet, seed: int) -> KExampleSet:

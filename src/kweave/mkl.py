@@ -44,15 +44,12 @@ class MklConfig:
 
     lam: regularization strength (must be > 0).
     num_steps: subgradient steps; 10**3 suits small datasets, 10**5 large.
-    average_tail: return the average of the second-half iterates instead of
-    the final one (off by default; the final iterate is the standard output).
     """
 
     lam: float
     batch_size: int = 100
     num_steps: int = 1000
     seed: int = 0
-    average_tail: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -121,9 +118,6 @@ def pegasos_train(kset: KExampleSet, config: MklConfig, on_step=None) -> MklMode
     lam = config.lam
     rng = np.random.default_rng(config.seed)
     mu = np.zeros(kset.p, dtype=np.float64)
-    tail_from = config.num_steps // 2 + 1
-    tail_sum = np.zeros_like(mu)
-    tail_count = 0
 
     for k in range(1, config.num_steps + 1):
         batch = sample_batch(kset, config.batch_size, rng)
@@ -138,14 +132,9 @@ def pegasos_train(kset: KExampleSet, config: MklConfig, on_step=None) -> MklMode
         np.maximum(mu, 0.0, out=mu)
         if not np.all(np.isfinite(mu)):
             raise DivergedError(k)
-        if config.average_tail and k >= tail_from:
-            tail_sum += mu
-            tail_count += 1
         if on_step is not None:
             on_step(k, mu)
 
-    if config.average_tail and tail_count:
-        mu = np.maximum(tail_sum / tail_count, 0.0)
     return MklModel(
         mu=mu,
         chosen_lambda=lam,
@@ -189,7 +178,7 @@ def _split_kset(kset: KExampleSet, val_fraction: float, seed: int):
     return kset.subset(perm[n_val:]), kset.subset(perm[:n_val])
 
 
-def _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps, average_tail):
+def _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps):
     """Fit one model per grid value on an 80/20 split of the K-examples.
 
     Returns (train_kset, val_kset, results); each result is a dict with the
@@ -203,13 +192,7 @@ def _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps, average_t
 
     def fit(item):
         idx, lam = item
-        cfg = MklConfig(
-            lam=lam,
-            batch_size=batch_size,
-            num_steps=num_steps,
-            seed=seed ^ idx,
-            average_tail=average_tail,
-        )
+        cfg = MklConfig(lam=lam, batch_size=batch_size, num_steps=num_steps, seed=seed ^ idx)
         try:
             model = pegasos_train(train_k, cfg)
         except (DivergedError, ValueError) as exc:
@@ -229,7 +212,6 @@ def select_lambda(
     val_fraction: float = 0.2,
     batch_size: int = 100,
     num_steps: int = 1000,
-    average_tail: bool = False,
 ):
     """Pick lam by exact hinge loss on a held-out 20% of the K-examples.
 
@@ -239,9 +221,7 @@ def select_lambda(
     """
     if grid is None:
         grid = default_lambda_grid()
-    _, _, results = _train_grid(
-        kset, grid, seed, val_fraction, batch_size, num_steps, average_tail
-    )
+    _, _, results = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
     best_lam, best_hinge = None, None
     for r in results:
         if r["val_hinge"] is None:
@@ -269,9 +249,7 @@ def lambda_sweep_report(
     it to the full combine-and-classify stage). K-accuracy is sign agreement
     of mu.z with t on the validation K-split (a zero score counts as +1).
     """
-    _, val_k, results = _train_grid(
-        kset, grid, seed, val_fraction, batch_size, num_steps, average_tail=False
-    )
+    _, val_k, results = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
     records = []
     for r in results:
         if r["model"] is None:

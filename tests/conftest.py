@@ -71,23 +71,12 @@ def alignment_grid_max(M, a, n_grid=200):
 
 
 def synth_kset(Z, t) -> KExampleSet:
-    """A K-example set with prescribed z vectors, for solver tests.
+    """A K-example set whose stack is exactly Z, for solver tests.
 
-    Each row of Z becomes the Gram entry of its own off-diagonal pair, so
-    z_rows reproduces Z exactly while staying a legitimate KExampleSet.
+    Row r stands for its own off-diagonal pair (2r, 2r + 1).
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    t = np.asarray(t)
-    m, p = Z.shape
-    n = 2 * m
-    stack = np.zeros((p, n, n))
-    pairs = np.empty((m, 2), dtype=np.int64)
-    for r in range(m):
-        i, j = 2 * r, 2 * r + 1
-        pairs[r] = (i, j)
-        for l in range(p):
-            stack[l, i, j] = stack[l, j, i] = Z[r, l]
-    return KExampleSet(pairs=pairs, t=t, stack=stack)
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    return KExampleSet(np.arange(2 * len(Z)).reshape(-1, 2), t, Z)
 
 
 @pytest.fixture

@@ -156,6 +156,22 @@ class TestEvaluate:
         assert code == 1
         assert "confidence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, "0.1\nhigh\n"], ids=["missing", "malformed"])
+    def test_bad_confidence_file_is_usage_error(self, tmp_path, capsys, content):
+        true = tmp_path / "t.txt"
+        true.write_text("0\n1\n")
+        conf = tmp_path / "conf.txt"
+        if content is not None:
+            conf.write_text(content)
+        code = main(
+            [
+                "evaluate", "--true", str(true), "--pred", str(true),
+                "--drop-fraction", "0.5", "--confidence", str(conf),
+            ]
+        )
+        assert code == 1
+        assert "confidence file" in capsys.readouterr().err
+
     def test_length_mismatch(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

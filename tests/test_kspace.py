@@ -5,6 +5,7 @@ import pytest
 
 from kweave.kernels import CENTERED, GramMatrix, KernelBank, KernelSpec
 from kweave.kspace import balance, dump_tsv, make_kexamples, sample_batch
+from kweave.mkl import _split_kset
 
 from conftest import centered_bank_for, make_blobs
 
@@ -73,6 +74,29 @@ class TestMakeKexamples:
         mu = np.array([0.3, 0.0, 1.7])
         expected = kset.z_rows(np.arange(len(kset))) @ mu
         np.testing.assert_allclose(kset.scores(mu), expected, atol=1e-12)
+
+
+class TestSharedLayout:
+    """One pair-major matrix per bank; subsets copy index arrays, never rows."""
+
+    def test_stack_is_pair_major_and_contiguous(self):
+        n, p = 7, 3
+        kset = make_kexamples(np.array([0, 1] * 3 + [0]), tiny_bank(n, p=p))
+        assert kset.stack.shape == (n * (n + 1) // 2, p)
+        assert kset.stack.dtype == np.float64
+        assert kset.stack.flags.c_contiguous
+
+    def test_balance_shares_stack(self):
+        kset = make_kexamples(np.array([0] * 6 + [1] * 3), tiny_bank(9))
+        bal = balance(kset, seed=0)
+        assert len(bal) < len(kset)
+        assert bal.stack is kset.stack
+
+    def test_lambda_split_halves_share_stack(self):
+        kset = make_kexamples(np.array([0] * 6 + [1] * 3), tiny_bank(9))
+        train, val = _split_kset(kset, 0.2, seed=0)
+        assert train.stack is kset.stack and val.stack is kset.stack
+        np.testing.assert_array_equal(np.sort(np.concatenate([train.rows, val.rows])), kset.rows)
 
 
 class TestBalance:
