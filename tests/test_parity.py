@@ -1,15 +1,18 @@
 """Offline numeric parity gate for the two-stage pipeline.
 
-The UCI reproductions skip without network access, so this pins one small
-synthetic tsmkl run on the per-feature bank (p = 13 + 13 * 4 = 65) to the
-values the pipeline produced before any K-space or solver rewrite. A change
-to the numerics must keep the chosen lambda, the chosen C and the accuracy
-exactly, and every kernel weight within 1e-12.
+The UCI reproductions skip without network access, so this pins small
+synthetic runs to the values the pipeline produced before any K-space,
+solver or pipeline rewrite: one tsmkl split on the per-feature bank
+(p = 13 + 13 * 4 = 65), one split of each baseline on the uci_full bank
+(p = 13), and a three-value lambda sweep. A change to the numerics must keep
+the chosen lambda, C and kernel and every accuracy exactly, and every kernel
+weight and K-space hinge within 1e-12.
 """
 
 import numpy as np
+import pytest
 
-from kweave.experiment import ExperimentConfig, run_experiment
+from kweave.experiment import ExperimentConfig, run_experiment, run_lambda_sweep
 
 from conftest import make_blobs
 
@@ -48,3 +51,60 @@ def test_tsmkl_per_feature_parity():
     assert record["chosen_C"] == 0.1
     assert record["metrics"]["accuracy"] == 0.875
     np.testing.assert_allclose(record["mu"], EXPECTED_MU, rtol=0.0, atol=1e-12)
+
+
+def _blobs_config(**overrides):
+    kwargs = dict(
+        dataset_path="blobs.csv",  # unread: the dataset is passed in
+        n_splits=1,
+        base_seed=7,
+        output_dir="unused",
+    )
+    kwargs.update(overrides)
+    return ExperimentConfig(**kwargs)
+
+
+_ALIGN_MU = [0.0] * 13
+_ALIGN_MU[8], _ALIGN_MU[10], _ALIGN_MU[12] = (
+    0.9776171112444225, 0.12788661693481984, 0.16706225489642246,
+)
+
+
+@pytest.mark.parametrize(
+    "method, overrides, chosen_C, chosen_kernel, mu",
+    [
+        ("average", {}, 10.0, None, [1.0 / 13] * 13),
+        ("target_align", {}, 1.0, None, _ALIGN_MU),
+        # a three-value C grid keeps best_kernel's 13 x |grid| x folds CV fits fast
+        ("best_kernel", {"c_grid": [0.1, 1.0, 10.0]}, 1.0, 8, np.eye(13)[8]),
+    ],
+)
+def test_baseline_parity(method, overrides, chosen_C, chosen_kernel, mu):
+    data = make_blobs(n_per_class=20, d=4, gap=1.5, seed=3)
+    record = run_experiment(_blobs_config(method=method, **overrides), dataset=data).per_split[0]
+    assert "error" not in record
+    assert record["chosen_C"] == chosen_C
+    assert record["metrics"]["accuracy"] == 0.875
+    assert record.get("chosen_kernel") == chosen_kernel
+    np.testing.assert_allclose(record["mu"], mu, rtol=0.0, atol=1e-12)
+
+
+def test_lambda_sweep_parity():
+    data = make_blobs(n_per_class=20, d=4, gap=1.5, seed=3)
+    config = _blobs_config(
+        method="tsmkl",
+        mkl_num_steps=200,
+        lambda_grid=[1.0, 0.0625, 0.00390625],
+        c_grid=[0.1, 1.0, 10.0],
+    )
+    records = run_lambda_sweep(config, dataset=data)["records"]
+    assert [r["lambda"] for r in records] == [1.0, 0.0625, 0.00390625]
+    np.testing.assert_allclose(
+        [r["k_hinge"] for r in records],
+        [0.912446705097023, 0.8469278440456806, 0.8790515306356825],
+        rtol=0.0, atol=1e-12,
+    )
+    assert [r["k_accuracy"] for r in records] == [
+        0.6568627450980392, 0.6666666666666666, 0.6372549019607843,
+    ]
+    assert [r["data_accuracy"] for r in records] == [0.875, 0.875, 0.875]
