@@ -19,7 +19,6 @@ import numpy as np
 
 from .kernels import CENTERED, KernelBank
 from .svm import DEFAULT_C_GRID, select_C
-from .util import parallel_map
 
 logger = logging.getLogger(__name__)
 
@@ -171,7 +170,7 @@ def best_kernel(
         accs = [r["cv_accuracy"] for r in records if r["cv_accuracy"] is not None]
         return max(accs), None
 
-    results = parallel_map(score_one, bank.train_grams)
+    results = [score_one(gram) for gram in bank.train_grams]
     best_idx, best_acc = None, -np.inf
     for idx, (acc, err) in enumerate(results):
         if acc is None:

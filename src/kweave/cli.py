@@ -16,13 +16,10 @@ import sys
 import numpy as np
 
 from . import experiment, metrics, svm
-from .data import FeatureScaler, kfold_plan, load_dataset
-from .kernels import build_kernel_bank, center_bank, combine, save_bank
-from .util import THREADS_ENV
+from .data import kfold_plan, load_dataset
+from .kernels import RECIPES, combine, save_bank
 
 logger = logging.getLogger(__name__)
-
-_METHOD_NAMES = {"tsmkl", "target-align", "average", "best-kernel"}
 
 
 class ConfigError(Exception):
@@ -39,7 +36,7 @@ def _load_data(path: str, fmt: str):
 def _load_config(path: str) -> experiment.ExperimentConfig:
     try:
         return experiment.load_config(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # TypeError: a value of the wrong type
         raise ConfigError(f"bad config {path!r}: {exc}") from exc
 
 
@@ -49,15 +46,9 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _prepared_bank(dataset, recipe: str):
-    scaler = FeatureScaler.fit(dataset.instances)
-    bank, dropped = center_bank(build_kernel_bank(scaler.apply(dataset.instances), recipe))
-    return bank, dropped
-
-
 def cmd_kernels_build(args) -> int:
     dataset = _load_data(args.data, args.format)
-    bank, dropped = _prepared_bank(dataset, args.recipe)
+    _, _, bank, dropped = experiment.prepare_train(dataset.instances, args.recipe)
     os.makedirs(args.out, exist_ok=True)
     save_bank(bank, args.out, text=args.text)
     print(f"wrote {bank.p} centered kernels (n={bank.n}, dropped={len(dropped)}) to {args.out}")
@@ -94,7 +85,7 @@ def cmd_learn(args) -> int:
 
 def cmd_svm_train(args) -> int:
     dataset = _load_data(args.data, args.format)
-    bank, _ = _prepared_bank(dataset, args.recipe)
+    _, _, bank, _ = experiment.prepare_train(dataset.instances, args.recipe)
     if args.weights:
         try:
             with open(args.weights, encoding="utf-8") as fh:
@@ -109,10 +100,7 @@ def cmd_svm_train(args) -> int:
         mu = np.full(bank.p, 1.0 / bank.p)
     combined = combine(bank.train_grams, mu)
     folds = kfold_plan(dataset.n, args.folds, args.seed)
-    best_C, records = svm.select_C(
-        combined, dataset.labels, folds, n_classes=dataset.n_classes
-    )
-    ovr = svm.ovr_train(combined, dataset.labels, best_C, n_classes=dataset.n_classes)
+    best_C, records, ovr, _ = svm.fit(combined, dataset.labels, folds, n_classes=dataset.n_classes)
     payload = {
         "chosen_C": best_C,
         "cv_records": records,
@@ -199,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kweave",
         description="Two-stage multiple kernel learning over precomputed Gram banks.",
-        epilog=f"Set {THREADS_ENV} to cap worker threads (default 1).",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command")
@@ -207,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_data_args(p):
         p.add_argument("--data", required=True, help="dataset file")
         p.add_argument("--format", default="csv", choices=["csv", "sparse_svm"])
-        p.add_argument("--recipe", default="uci_full")
+        p.add_argument("--recipe", default="uci_full", choices=RECIPES)
 
     p = sub.add_parser("kernels", help="kernel bank operations")
     ksub = p.add_subparsers(dest="subcommand")
@@ -219,7 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="learn kernel weights on a full dataset")
     add_data_args(p)
-    p.add_argument("--method", required=True, choices=sorted(_METHOD_NAMES))
+    p.add_argument(
+        "--method", required=True,
+        choices=sorted(m.replace("_", "-") for m in experiment.METHODS),
+    )
     p.add_argument("--out", required=True, help="weights JSON path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=None, help="subgradient steps (default: auto)")

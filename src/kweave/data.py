@@ -71,10 +71,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def decoded_labels(self) -> list[str]:
-        """Map encoded ids back to the source label strings."""
-        return [self.class_names[i] for i in self.labels]
-
     def subset(self, indices) -> "Dataset":
         """Row subset keeping the global label encoding."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -235,26 +231,6 @@ class SplitPlan:
             raise ValueError("split has an empty side")
         if np.intersect1d(self.train_indices, self.test_indices).size > 0:
             raise ValueError("train and test overlap")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "kind": {"name": self.kind, **self.params},
-            "train": [int(i) for i in self.train_indices],
-            "test": [int(i) for i in self.test_indices],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SplitPlan":
-        kind = dict(obj["kind"])
-        name = kind.pop("name")
-        return cls(
-            seed=obj["seed"],
-            train_indices=np.array(obj["train"], dtype=np.int64),
-            test_indices=np.array(obj["test"], dtype=np.int64),
-            kind=name,
-            params=kind,
-        )
 
 
 def _round_half_up(x: float) -> int:

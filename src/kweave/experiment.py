@@ -23,6 +23,7 @@ import numpy as np
 from . import baselines, metrics, mkl, svm
 from .data import Dataset, FeatureScaler, holdout_split, kfold_plan, load_dataset
 from .kernels import (
+    RECIPES,
     build_kernel_bank,
     center_bank,
     center_standardize_apply,
@@ -31,7 +32,7 @@ from .kernels import (
     compute_cross_gram,
 )
 from .kspace import balance, make_kexamples
-from .util import derive_seed, parallel_map
+from .util import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +68,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        if self.kernel_recipe not in RECIPES:
+            raise ValueError(
+                f"unknown kernel recipe {self.kernel_recipe!r}, expected one of {RECIPES}"
+            )
         if self.n_splits < 1:
             raise ValueError("n_splits must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -75,10 +80,16 @@ class ExperimentConfig:
             raise ValueError("drop_fraction must be in [0, 1)")
         if self.svm_folds < 2:
             raise ValueError("svm_folds must be >= 2")
+        if self.mkl_num_steps is not None and self.mkl_num_steps < 1:
+            raise ValueError("mkl_num_steps must be >= 1")
         if self.mkl_batch_size < 1:
             raise ValueError("mkl_batch_size must be >= 1")
+        if self.lambda_grid is not None:
+            mkl._validate_grid(self.lambda_grid)
         if not self.c_grid:
             raise ValueError("c_grid must be non-empty")
+        if any(c <= 0 for c in self.c_grid):
+            raise ValueError("c_grid entries must be positive")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -170,6 +181,31 @@ class WeightsResult:
     details: dict
 
 
+def prepare_train(train_X, recipe: str):
+    """Fit the scaler on the train rows, build the recipe's bank and center it.
+
+    Returns (scaler, scaled_train, centered bank, dropped kernel indices).
+    The raw bank is not kept past centering.
+    """
+    scaler = FeatureScaler.fit(train_X)
+    Xs = scaler.apply(train_X)
+    bank, dropped = center_bank(build_kernel_bank(Xs, recipe))
+    return scaler, Xs, bank, dropped
+
+
+def cross_blocks(scaler: FeatureScaler, scaled_train, bank, test_X) -> list:
+    """Test x train cross Grams, centered with the train-side statistics."""
+    Xt = scaler.apply(test_X)
+    return [
+        center_standardize_apply(compute_cross_gram(spec, Xt, scaled_train), gram.center_stats)
+        for spec, gram in zip(bank.specs, bank.train_grams)
+    ]
+
+
+def _balanced_kset(train_y, bank, seed: int):
+    return balance(make_kexamples(train_y, bank), derive_seed(seed, _SEED_BALANCE))
+
+
 def learn_weights(train_X, train_y, config: ExperimentConfig, seed: int) -> WeightsResult:
     """Scale, build and center the bank, and learn weights from train rows only.
 
@@ -177,16 +213,12 @@ def learn_weights(train_X, train_y, config: ExperimentConfig, seed: int) -> Weig
     and reuses the returned scaler and centering statistics on the test side.
     """
     train_y = np.asarray(train_y, dtype=np.int64)
-    scaler = FeatureScaler.fit(train_X)
-    Xs = scaler.apply(train_X)
-    raw_bank = build_kernel_bank(Xs, config.kernel_recipe)
-    bank, dropped = center_bank(raw_bank)
+    scaler, Xs, bank, dropped = prepare_train(train_X, config.kernel_recipe)
     details: dict = {}
 
     if config.method == "tsmkl":
         steps = _mkl_steps(config, len(train_y))
-        kset = make_kexamples(train_y, bank)
-        bal = balance(kset, derive_seed(seed, _SEED_BALANCE))
+        bal = _balanced_kset(train_y, bank, seed)
         lam, lam_records = mkl.select_lambda(
             bal,
             grid=config.lambda_grid,
@@ -259,13 +291,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
 
         stage = "kernel_build"
         t0 = time.perf_counter()
-        Xt = res.scaler.apply(test.instances)
-        crosses = [
-            center_standardize_apply(
-                compute_cross_gram(spec, Xt, res.scaled_train), gram.center_stats
-            )
-            for spec, gram in zip(res.bank.specs, res.bank.train_grams)
-        ]
+        crosses = cross_blocks(res.scaler, res.scaled_train, res.bank, test.instances)
         combined = combine(res.bank.train_grams, res.mu)
         combined_cross = combine_cross(crosses, res.mu)
         timings["kernel_build"] = time.perf_counter() - t0
@@ -273,16 +299,11 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
         stage = "svm"
         t0 = time.perf_counter()
         folds = kfold_plan(train.n, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS))
-        best_C, _ = svm.select_C(
+        best_C, _, ovr, retried = svm.fit(
             combined, train.labels, folds, grid=config.c_grid, n_classes=dataset.n_classes
         )
-        ovr = svm.ovr_train(combined, train.labels, best_C, n_classes=dataset.n_classes)
-        if any(not m.converged for m in ovr.models):
-            logger.warning("split %d: SMO non-convergence, retrying with jitter", split_index)
+        if retried:
             record["svm_jitter_retry"] = True
-            ovr = svm.ovr_train(
-                combined, train.labels, best_C, n_classes=dataset.n_classes, jitter=1e-10
-            )
         record["chosen_C"] = float(best_C)
         timings["svm"] = time.perf_counter() - t0
 
@@ -373,9 +394,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     t_start = time.perf_counter()
     if dataset is None:
         dataset = load_dataset(config.dataset_path, config.dataset_format)
-    per_split = parallel_map(
-        lambda i: _run_split(dataset, config, i), list(range(config.n_splits))
-    )
+    per_split = [_run_split(dataset, config, i) for i in range(config.n_splits)]
     aggregate = aggregate_records(per_split)
     cfg_dict = config.to_dict()
     hashes = {
@@ -408,17 +427,9 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     train = dataset.subset(plan.train_indices)
     test = dataset.subset(plan.test_indices)
 
-    scaler = FeatureScaler.fit(train.instances)
-    Xs = scaler.apply(train.instances)
-    Xt = scaler.apply(test.instances)
-    raw_bank = build_kernel_bank(Xs, config.kernel_recipe)
-    bank, _ = center_bank(raw_bank)
-    crosses = [
-        center_standardize_apply(compute_cross_gram(spec, Xt, Xs), gram.center_stats)
-        for spec, gram in zip(bank.specs, bank.train_grams)
-    ]
-    kset = make_kexamples(train.labels, bank)
-    bal = balance(kset, derive_seed(seed, _SEED_BALANCE))
+    scaler, Xs, bank, _ = prepare_train(train.instances, config.kernel_recipe)
+    crosses = cross_blocks(scaler, Xs, bank, test.instances)
+    bal = _balanced_kset(train.labels, bank, seed)
     steps = _mkl_steps(config, train.n)
 
     def evaluator(model):
@@ -426,14 +437,11 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
             return None
         try:
             combined = combine(bank.train_grams, model.mu)
-            combined_cross = combine_cross(crosses, model.mu)
             folds = kfold_plan(train.n, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS))
-            best_C, _ = svm.select_C(
-                combined, train.labels, folds, grid=config.c_grid,
-                n_classes=dataset.n_classes,
+            _, _, ovr, _ = svm.fit(
+                combined, train.labels, folds, grid=config.c_grid, n_classes=dataset.n_classes
             )
-            ovr = svm.ovr_train(combined, train.labels, best_C, n_classes=dataset.n_classes)
-            pred = ovr.predict(combined_cross)
+            pred = ovr.predict(combine_cross(crosses, model.mu))
             return float(np.mean(pred == test.labels))
         except (ValueError, RuntimeError) as exc:
             logger.warning("sweep evaluator failed: %s", exc)

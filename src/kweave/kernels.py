@@ -27,6 +27,7 @@ CENTERED = "centered_standardized"
 
 _GAUSSIAN_GAMMAS = [2.0**k for k in range(-10, -1)]  # 2^-10 .. 2^-2
 _POLY_DEGREES = [2, 3, 4]
+RECIPES = ("uci_full", "uci_full_plus_per_feature")
 
 
 class KernelError(ValueError):
@@ -251,6 +252,8 @@ def bank_specs(d: int, recipe: str) -> list[KernelSpec]:
     (9 gaussians with gamma 2^-10..2^-2, polynomials of degree 2/3/4, one
     linear); "uci_full_plus_per_feature" appends the same template per
     feature for 13d + 13 total."""
+    if recipe not in RECIPES:
+        raise KernelError(f"unknown bank recipe {recipe!r}")
     if d < 1:
         raise KernelError("d must be >= 1")
 
@@ -264,13 +267,10 @@ def bank_specs(d: int, recipe: str) -> list[KernelSpec]:
         return specs
 
     specs = template(None)
-    if recipe == "uci_full":
-        return specs
     if recipe == "uci_full_plus_per_feature":
         for j in range(d):
             specs.extend(template(j))
-        return specs
-    raise KernelError(f"unknown bank recipe {recipe!r}")
+    return specs
 
 
 def build_kernel_bank(

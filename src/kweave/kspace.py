@@ -127,11 +127,3 @@ def sample_batch(kset: KExampleSet, batch_size: int, rng) -> KBatch:
         raise ValueError("cannot sample from an empty K-example set")
     idx = rng.integers(0, len(kset), size=batch_size)
     return KBatch(z=kset.z_rows(idx), t=kset.t[idx].astype(np.float64))
-
-
-def dump_tsv(kset: KExampleSet, path) -> None:
-    """Debug dump of pairs and labels (not the z vectors)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i\tj\tt\n")
-        for (i, j), t in zip(kset.pairs, kset.t):
-            fh.write(f"{i}\t{j}\t{t:+d}\n")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kspace import KExampleSet, sample_batch
-from .util import parallel_map
 
 logger = logging.getLogger(__name__)
 
@@ -72,29 +71,6 @@ class MklModel:
     @property
     def collapsed(self) -> bool:
         return not np.any(self.mu > 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": [float(v) for v in self.mu],
-            "chosen_lambda": float(self.chosen_lambda),
-            "final_train_hinge": float(self.final_train_hinge),
-            "validation_hinge": None
-            if self.validation_hinge is None
-            else float(self.validation_hinge),
-            "steps_run": int(self.steps_run),
-            "seed": int(self.seed),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MklModel":
-        return cls(
-            mu=np.array(obj["mu"], dtype=np.float64),
-            chosen_lambda=obj["chosen_lambda"],
-            final_train_hinge=obj["final_train_hinge"],
-            validation_hinge=obj.get("validation_hinge"),
-            steps_run=obj["steps_run"],
-            seed=obj["seed"],
-        )
 
 
 def hinge_loss(mu: np.ndarray, kset: KExampleSet) -> float:
@@ -181,17 +157,16 @@ def _split_kset(kset: KExampleSet, val_fraction: float, seed: int):
 def _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps):
     """Fit one model per grid value on an 80/20 split of the K-examples.
 
-    Returns (train_kset, val_kset, results); each result is a dict with the
-    model and its exact validation hinge, or an error string for values
-    where the solver failed (skipped with a warning).
+    Returns (val_kset, results); each result is a dict with the model and
+    its exact validation hinge, or an error string for values where the
+    solver failed (skipped with a warning).
     """
     grid = _validate_grid(grid)
     if len(kset) < 5:
         raise ValueError(f"need at least 5 K-examples to select lambda, got {len(kset)}")
     train_k, val_k = _split_kset(kset, val_fraction, seed)
 
-    def fit(item):
-        idx, lam = item
+    def fit(idx, lam):
         cfg = MklConfig(lam=lam, batch_size=batch_size, num_steps=num_steps, seed=seed ^ idx)
         try:
             model = pegasos_train(train_k, cfg)
@@ -201,8 +176,7 @@ def _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps):
         model.validation_hinge = hinge_loss(model.mu, val_k)
         return {"lambda": lam, "model": model, "val_hinge": model.validation_hinge, "error": None}
 
-    results = parallel_map(fit, enumerate(grid))
-    return train_k, val_k, results
+    return val_k, [fit(idx, lam) for idx, lam in enumerate(grid)]
 
 
 def select_lambda(
@@ -221,7 +195,7 @@ def select_lambda(
     """
     if grid is None:
         grid = default_lambda_grid()
-    _, _, results = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
+    _, results = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
     best_lam, best_hinge = None, None
     for r in results:
         if r["val_hinge"] is None:
@@ -249,7 +223,7 @@ def lambda_sweep_report(
     it to the full combine-and-classify stage). K-accuracy is sign agreement
     of mu.z with t on the validation K-split (a zero score counts as +1).
     """
-    _, val_k, results = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
+    val_k, results = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
     records = []
     for r in results:
         if r["model"] is None:

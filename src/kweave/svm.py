@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import CrossGram, GramMatrix
-from .util import parallel_map
 
 logger = logging.getLogger(__name__)
 
@@ -284,7 +283,7 @@ def select_C(
             accs.append(float(np.mean(pred == labels[te])))
         return float(np.mean(accs)) if accs else None
 
-    cv = parallel_map(run_one, grid)
+    cv = [run_one(C) for C in grid]
     records = [{"C": Cv, "cv_accuracy": acc} for Cv, acc in zip(grid, cv)]
     scored = [(Cv, acc) for Cv, acc in zip(grid, cv) if acc is not None]
     if not scored:
@@ -292,3 +291,19 @@ def select_C(
     best_acc = max(acc for _, acc in scored)
     best_C = min(Cv for Cv, acc in scored if acc == best_acc)
     return best_C, records
+
+
+def fit(gram, labels, folds, grid=DEFAULT_C_GRID, n_classes: int | None = None):
+    """Select C by k-fold CV, then train one-vs-rest on all rows at that C.
+
+    If any binary fit misses the tolerance, the final training is redone
+    once with a 1e-10 diagonal jitter. Returns (best C, per-C records,
+    OvrModel, retried).
+    """
+    best_C, records = select_C(gram, labels, folds, grid=grid, n_classes=n_classes)
+    ovr = ovr_train(gram, labels, best_C, n_classes=n_classes)
+    retried = any(not m.converged for m in ovr.models)
+    if retried:
+        logger.warning("SMO non-convergence at C=%g, retrying with jitter", best_C)
+        ovr = ovr_train(gram, labels, best_C, n_classes=n_classes, jitter=1e-10)
+    return best_C, records, ovr, retried

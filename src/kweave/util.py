@@ -1,38 +1,8 @@
-"""Shared plumbing: worker-count control and deterministic seed derivation."""
+"""Shared plumbing: deterministic seed derivation."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-THREADS_ENV = "KWEAVE_THREADS"
-
-
-def max_workers() -> int:
-    """Worker count for parallelizable stages; KWEAVE_THREADS caps it.
-
-    Defaults to 1 (sequential) so runs are reproducible byte for byte
-    without thread-count bookkeeping; results are index-keyed either way.
-    """
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map preserving input order, threaded when KWEAVE_THREADS > 1."""
-    items = list(items)
-    workers = min(max_workers(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def derive_seed(base: int, *path: int) -> int:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kweave.svm as svm
 from kweave.data import Dataset, load_dataset
 from kweave.kernels import build_kernel_bank, center_bank
 from kweave.kspace import KExampleSet
@@ -28,6 +29,24 @@ def make_blobs(n_per_class=20, d=5, gap=2.0, seed=0, n_classes=2) -> Dataset:
         class_names=tuple(f"c{c}" for c in range(n_classes)),
         instance_ids=tuple(str(i) for i in range(X.shape[0])),
     )
+
+
+def force_nonconvergence(monkeypatch):
+    """Make every SMO fit without jitter report non-convergence.
+
+    Returns the list of jitter values, one per smo_train call.
+    """
+    real = svm.smo_train
+    jitters = []
+
+    def unconverged_without_jitter(gram, y, C, **kwargs):
+        model = real(gram, y, C, **kwargs)
+        jitters.append(kwargs.get("jitter", 0.0))
+        model.converged = jitters[-1] > 0.0
+        return model
+
+    monkeypatch.setattr(svm, "smo_train", unconverged_without_jitter)
+    return jitters
 
 
 def centered_bank_for(dataset: Dataset, recipe: str = "uci_full"):

@@ -79,6 +79,15 @@ class TestLearn:
         )
         assert code == 1
 
+    def test_zero_steps_is_config_error(self, tmp_path, toy_csv):
+        code = main(
+            [
+                "learn", "--data", toy_csv, "--method", "tsmkl",
+                "--out", str(tmp_path / "w.json"), "--steps", "0",
+            ]
+        )
+        assert code == 1
+
     def test_unknown_method_rejected_by_parser(self, tmp_path, toy_csv):
         code = main(
             ["learn", "--data", toy_csv, "--method", "boosting", "--out", "w.json"]
@@ -206,6 +215,21 @@ class TestExperimentRun:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dataset": {"path": toy_csv}, "svm": {"C": 3}}))
         assert main(["experiment", "run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mkl": {"num_steps": 0}},
+            {"mkl": {"lambda_grid": [0.0625, 1.0]}},
+            {"svm": {"c_grid": [-1.0]}},
+            {"kernels": {"recipe": "everything"}},
+            {"splits": {"count": "2"}},
+        ],
+    )
+    def test_invalid_config_value_exits_one(self, tmp_path, toy_csv, capsys, overrides):
+        cfg = write_config(tmp_path, toy_csv, **overrides)
+        assert main(["experiment", "run", "--config", cfg]) == 1
+        assert "bad config" in capsys.readouterr().err
 
     def test_runtime_failure_exits_two(self, tmp_path, toy_csv, capsys):
         # structurally valid config that must fail at run time: more CV

@@ -22,7 +22,7 @@ from kweave.experiment import (
     strip_timing_fields,
 )
 
-from conftest import make_blobs
+from conftest import force_nonconvergence, make_blobs
 
 
 def write_toy_csv(path, n_per_class=16, d=3, gap=4.0, seed=0):
@@ -95,6 +95,14 @@ class TestConfig:
             ExperimentConfig(mkl_batch_size=0, **base)
         with pytest.raises(ValueError, match="c_grid"):
             ExperimentConfig(c_grid=[], **base)
+        with pytest.raises(ValueError, match="c_grid"):
+            ExperimentConfig(c_grid=[-1.0], **base)
+        with pytest.raises(ValueError, match="mkl_num_steps"):
+            ExperimentConfig(mkl_num_steps=0, **base)
+        with pytest.raises(ValueError, match="descending"):
+            ExperimentConfig(lambda_grid=[0.1, 1.0], **base)
+        with pytest.raises(ValueError, match="recipe"):
+            ExperimentConfig(kernel_recipe="everything", **base)
 
     def test_step_preset(self, toy_csv):
         auto = fast_config(toy_csv, mkl_num_steps=None)
@@ -196,6 +204,14 @@ class TestRunExperiment:
         assert first["stage"] == "kernel_learning"
         assert report.aggregate["n_succeeded"] == 2
         assert report.aggregate["n_splits"] == 3
+
+    def test_jitter_retry_recorded(self, toy_csv, monkeypatch):
+        clean = run_experiment(fast_config(toy_csv, n_splits=1)).per_split[0]
+        assert "svm_jitter_retry" not in clean
+        jitters = force_nonconvergence(monkeypatch)
+        rec = run_experiment(fast_config(toy_csv, n_splits=1)).per_split[0]
+        assert rec["svm_jitter_retry"] is True
+        assert jitters[-2:] == [1e-10, 1e-10]
 
     def test_all_splits_failing_raises(self, toy_csv, monkeypatch):
         def broken(X, y, config, seed):

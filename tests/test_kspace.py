@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kweave.kernels import CENTERED, GramMatrix, KernelBank, KernelSpec
-from kweave.kspace import balance, dump_tsv, make_kexamples, sample_batch
+from kweave.kspace import balance, make_kexamples, sample_batch
 from kweave.mkl import _split_kset
 
 from conftest import centered_bank_for, make_blobs
@@ -174,15 +174,6 @@ class TestSampleBatch:
         kset = make_kexamples(np.array([0, 1]), tiny_bank(2)).subset([])
         with pytest.raises(ValueError, match="empty"):
             sample_batch(kset, 10, np.random.default_rng(0))
-
-
-def test_dump_tsv(tmp_path):
-    kset = make_kexamples(np.array([0, 1]), tiny_bank(2))
-    path = tmp_path / "pairs.tsv"
-    dump_tsv(kset, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i\tj\tt"
-    assert lines[1:] == ["0\t0\t+1", "0\t1\t-1", "1\t1\t+1"]
 
 
 def test_full_pipeline_labels_match_dataset():

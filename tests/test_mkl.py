@@ -312,19 +312,6 @@ class TestConcentrationBound:
 
 
 class TestModelSerialization:
-    def test_round_trip(self):
-        model = MklModel(
-            mu=np.array([0.5, 0.0, 1.25]),
-            chosen_lambda=0.25,
-            final_train_hinge=0.1,
-            validation_hinge=0.2,
-            steps_run=1000,
-            seed=42,
-        )
-        back = MklModel.from_dict(model.to_dict())
-        np.testing.assert_array_equal(back.mu, model.mu)
-        assert back.chosen_lambda == 0.25 and back.steps_run == 1000
-
     def test_collapse_flag(self):
         model = MklModel(
             mu=np.zeros(3), chosen_lambda=1.0, final_train_hinge=1.0,

@@ -14,10 +14,13 @@ from kweave.svm import (
     SvmModel,
     decision_values,
     dual_objective,
+    fit,
     ovr_train,
     select_C,
     smo_train,
 )
+
+from conftest import force_nonconvergence, make_blobs
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +440,17 @@ class TestSerialization:
         mdl = smo_train(K, y, C, max_iter=1)
         assert smo_train(K, y, C, max_iter=1).to_dict()["converged"] is False
         assert mdl.to_dict()["converged"] is False
+
+
+class TestFit:
+    def test_jitter_retry(self, monkeypatch):
+        jitters = force_nonconvergence(monkeypatch)
+        ds = make_blobs(n_per_class=12, d=3, gap=2.0, seed=4)
+        bank, _ = center_bank(build_kernel_bank(ds.instances, "uci_full"))
+        K, labels = combine(bank.train_grams, np.full(bank.p, 1.0 / bank.p)), ds.labels
+        folds = kfold_plan(len(labels), 3, seed=2)
+        best_C, _, ovr, retried = fit(K, labels, folds, grid=[0.1, 1.0], n_classes=2)
+        assert retried
+        # the final fits at jitter 0 failed, so the last two are the retry
+        assert jitters[-4:] == [0.0, 0.0, 1e-10, 1e-10]
+        assert all(m.converged and m.C == best_C for m in ovr.models)
