@@ -30,6 +30,17 @@ def _gram_values(gram) -> np.ndarray:
     return np.asarray(gram, dtype=np.float64)
 
 
+def _gradient(m: np.ndarray, ny: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """G = -y * m into out, with exact zeros as +0.0.
+
+    A gradient updated by additions from G = -1 never holds -0.0 (an exact
+    cancellation rounds to +0.0), so this is bitwise the G that smo_train
+    would hold had it updated G itself.
+    """
+    np.multiply(ny, m, out=out)
+    return np.add(out, 0.0, out=out)
+
+
 @dataclass
 class SvmModel:
     """Dual solution of one binary problem.
@@ -92,49 +103,70 @@ def smo_train(
     if jitter > 0:
         K = K + (jitter * float(np.mean(np.diag(K)))) * np.eye(n)
 
-    diag = np.ascontiguousarray(np.diag(K))
-    yK = y[:, None] * K  # yK[:, i] = y * K[:, i]
+    diag = np.diag(K).tolist()
+    # KT[i] is column i of K as a contiguous row (K need not be symmetric)
+    KT = np.ascontiguousarray(K.T)
+    yl = y.tolist()
     alpha = np.zeros(n, dtype=np.float64)
-    G = -np.ones(n, dtype=np.float64)  # gradient of the minimization dual
+    # The loop keeps m = -y * G, G the gradient of the minimization dual
+    # (G = -1 at alpha = 0, so m starts at y). Since y = +-1 and rounding to
+    # nearest commutes with negation, the update
+    #   m -= K[:, i] * (y_i da_i) + K[:, j] * (y_j da_j)
+    # gives the same bits as G += y K[:, i] (y_i da_i) + y K[:, j] (y_j da_j),
+    # up to the sign of exact zeros, which no comparison sees.
+    m = y.copy()
+    # Working-set masks as additive penalties: 0 where the coordinate may
+    # move up (low), -inf (+inf) where its bound blocks it, so selection is
+    # argmax(m + pen_up) and argmin(m + pen_low). A pair step changes the
+    # flags of i and j only, so they are updated there, with their counts.
     pos = y > 0
+    up = pos.tolist()  # at alpha = 0: up iff y > 0, low iff y < 0
+    low = (~pos).tolist()
+    pen_up = np.where(pos, 0.0, -np.inf)
+    pen_low = np.where(pos, np.inf, 0.0)
+    n_up = sum(up)
+    n_low = n - n_up
+    buf = np.empty(n, dtype=np.float64)
+    col_j = np.empty(n, dtype=np.float64)
+    G = np.empty(n, dtype=np.float64)
+    ny = -y
     trace: list[float] = []
 
     converged = False
     it = 0
     while it < max_iter:
-        m = -y * G
-        up = np.where(pos, alpha < C, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < C)
-        if not up.any() or not low.any():
+        if not n_up or not n_low:
             converged = True
             break
-        i = int(np.where(up, m, -np.inf).argmax())
-        j = int(np.where(low, m, np.inf).argmin())
-        if m[i] - m[j] <= tol:
+        i = int(np.add(m, pen_up, out=buf).argmax())
+        j = int(np.add(m, pen_low, out=buf).argmin())
+        mi, mj = m.item(i), m.item(j)
+        if mi - mj <= tol:
             converged = True
             break
 
-        quad = diag[i] + diag[j] - 2.0 * K[i, j]
-        delta = (m[i] - m[j]) / max(quad, _TAU)
+        yi, yj = yl[i], yl[j]
+        old_i, old_j = alpha.item(i), alpha.item(j)
+        quad = diag[i] + diag[j] - 2.0 * K.item(i, j)
+        delta = (mi - mj) / max(quad, _TAU)
         # box caps along the feasible direction (a_i += y_i d, a_j -= y_j d)
-        cap_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        cap_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        cap_i = (C - old_i) if yi > 0 else old_i
+        cap_j = old_j if yj > 0 else (C - old_j)
         delta = min(delta, cap_i, cap_j)
 
-        old_i, old_j = alpha[i], alpha[j]
-        s = y[i] * old_i + y[j] * old_j  # conserved by the pair update
+        s = yi * old_i + yj * old_j  # conserved by the pair update
         if cap_j <= cap_i and delta >= cap_j:
             # j hits its bound: land there exactly (a rounded near-bound value
             # would keep j selectable while leaving no room to move) and
             # recover i from the conserved sum
-            aj = 0.0 if y[j] > 0 else C
-            ai = y[i] * (s - y[j] * aj)
+            aj = 0.0 if yj > 0 else C
+            ai = yi * (s - yj * aj)
         elif delta >= cap_i:
-            ai = C if y[i] > 0 else 0.0
-            aj = y[j] * (s - y[i] * ai)
+            ai = C if yi > 0 else 0.0
+            aj = yj * (s - yi * ai)
         else:
-            ai = old_i + y[i] * delta
-            aj = old_j - y[j] * delta
+            ai = old_i + yi * delta
+            aj = old_j - yj * delta
         ai = min(max(ai, 0.0), C)
         aj = min(max(aj, 0.0), C)
         alpha[i], alpha[j] = ai, aj
@@ -144,22 +176,35 @@ def smo_train(
             # claiming the tolerance was reached
             logger.warning(
                 "SMO stalled at KKT gap %g (tol %g) after %d pair steps",
-                m[i] - m[j], tol, it,
+                mi - mj, tol, it,
             )
             break
-        G += yK[:, i] * (y[i] * dai) + yK[:, j] * (y[j] * daj)
+        np.multiply(KT[i], yi * dai, out=buf)
+        np.multiply(KT[j], yj * daj, out=col_j)
+        np.subtract(m, np.add(buf, col_j, out=buf), out=m)
+        for k, a in ((i, ai), (j, aj)):
+            below_c, above_0 = a < C, a > 0.0
+            k_up, k_low = (below_c, above_0) if yl[k] > 0 else (above_0, below_c)
+            if k_up != up[k]:
+                up[k] = k_up
+                pen_up[k] = 0.0 if k_up else -np.inf
+                n_up += 1 if k_up else -1
+            if k_low != low[k]:
+                low[k] = k_low
+                pen_low[k] = 0.0 if k_low else np.inf
+                n_low += 1 if k_low else -1
         it += 1
         if track_objective:
             # maximization value e^T a - 1/2 a^T Q a, via a^T Q a = a^T (G + e);
             # must be non-decreasing across pair updates
-            trace.append(float(-0.5 * (alpha @ G - alpha.sum())))
+            trace.append(float(-0.5 * (alpha @ _gradient(m, ny, G) - alpha.sum())))
     else:
         logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
 
     # bias: average of y_i - f(x_i) over free support vectors, else the
     # midpoint of the feasible interval from the bound KKT conditions
     eps = 1e-8 * C
-    v = -y * G
+    v = -y * _gradient(m, ny, G)
     free = (alpha > eps) & (alpha < C - eps)
     if free.any():
         bias = float(v[free].mean())
@@ -268,19 +313,21 @@ def select_C(
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1 if n_classes is None else n_classes
 
+    # each fold's train and test x train blocks, built once for every C
+    blocks = []
+    for plan in folds:
+        tr, te = plan.train_indices, plan.test_indices
+        blocks.append((plan, K[np.ix_(tr, tr)], labels[tr], K[np.ix_(te, tr)], labels[te]))
+
     def run_one(C: float):
         accs = []
-        for plan in folds:
-            tr, te = plan.train_indices, plan.test_indices
+        for plan, train_K, train_y, cross_K, test_y in blocks:
             try:
-                ovr = ovr_train(
-                    K[np.ix_(tr, tr)], labels[tr], C, n_classes=c, tol=tol, max_iter=max_iter
-                )
+                ovr = ovr_train(train_K, train_y, C, n_classes=c, tol=tol, max_iter=max_iter)
             except ValueError as exc:
                 logger.warning("C=%g fold %s skipped: %s", C, plan.params, exc)
                 continue
-            pred = ovr.predict(K[np.ix_(te, tr)])
-            accs.append(float(np.mean(pred == labels[te])))
+            accs.append(float(np.mean(ovr.predict(cross_K) == test_y)))
         return float(np.mean(accs)) if accs else None
 
     cv = [run_one(C) for C in grid]

@@ -264,6 +264,14 @@ class TestSmoTrain:
         assert np.all(mdl.alpha >= 0.0) and np.all(mdl.alpha <= C)
         assert abs(mdl.alpha @ y) <= 1e-6 * C * len(y)
 
+    def test_stall_flags_nonconvergence(self, caplog):
+        K, y, C = _stall_problem()
+        with caplog.at_level(logging.WARNING, logger="kweave.svm"):
+            mdl = smo_train(K, y, C, tol=0.0)
+        assert mdl.converged is False
+        assert mdl.iterations < max(20000, 200 * len(y))
+        assert any("stalled" in r.getMessage() for r in caplog.records)
+
     def test_semidefinite_gram_with_jitter(self):
         # rank-1 all-ones Gram: every pair has zero curvature
         K = np.ones((4, 4))
@@ -281,6 +289,187 @@ class TestSmoTrain:
             smo_train(K, np.ones(3), 1.0)
         with pytest.raises(ValueError, match="C"):
             smo_train(K, np.array([1.0, -1.0, 1.0]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# reference-equivalence gate: smo_train's pair-step loop as first written,
+# recomputing the gradient form and the working-set masks every step. The
+# incremental loop in smo_train must reproduce it bit for bit.
+
+_ref_logger = logging.getLogger("kweave.svm.reference")
+_REF_TAU = 1e-12
+
+
+def _reference_smo(K, y, C, tol=1e-3, max_iter=None, jitter=0.0, track_objective=False):
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = K.shape[0]
+    if max_iter is None:
+        max_iter = max(20000, 200 * n)
+    if jitter > 0:
+        K = K + (jitter * float(np.mean(np.diag(K)))) * np.eye(n)
+
+    diag = np.ascontiguousarray(np.diag(K))
+    yK = y[:, None] * K  # yK[:, i] = y * K[:, i]
+    alpha = np.zeros(n, dtype=np.float64)
+    G = -np.ones(n, dtype=np.float64)  # gradient of the minimization dual
+    pos = y > 0
+    trace = []
+
+    converged = False
+    it = 0
+    while it < max_iter:
+        m = -y * G
+        up = np.where(pos, alpha < C, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < C)
+        if not up.any() or not low.any():
+            converged = True
+            break
+        i = int(np.where(up, m, -np.inf).argmax())
+        j = int(np.where(low, m, np.inf).argmin())
+        if m[i] - m[j] <= tol:
+            converged = True
+            break
+
+        quad = diag[i] + diag[j] - 2.0 * K[i, j]
+        delta = (m[i] - m[j]) / max(quad, _REF_TAU)
+        cap_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        cap_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        delta = min(delta, cap_i, cap_j)
+
+        old_i, old_j = alpha[i], alpha[j]
+        s = y[i] * old_i + y[j] * old_j
+        if cap_j <= cap_i and delta >= cap_j:
+            aj = 0.0 if y[j] > 0 else C
+            ai = y[i] * (s - y[j] * aj)
+        elif delta >= cap_i:
+            ai = C if y[i] > 0 else 0.0
+            aj = y[j] * (s - y[i] * ai)
+        else:
+            ai = old_i + y[i] * delta
+            aj = old_j - y[j] * delta
+        ai = min(max(ai, 0.0), C)
+        aj = min(max(aj, 0.0), C)
+        alpha[i], alpha[j] = ai, aj
+        dai, daj = ai - old_i, aj - old_j
+        if dai == 0.0 and daj == 0.0:
+            _ref_logger.warning(
+                "SMO stalled at KKT gap %g (tol %g) after %d pair steps",
+                m[i] - m[j], tol, it,
+            )
+            break
+        G += yK[:, i] * (y[i] * dai) + yK[:, j] * (y[j] * daj)
+        it += 1
+        if track_objective:
+            trace.append(float(-0.5 * (alpha @ G - alpha.sum())))
+    else:
+        _ref_logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
+
+    eps = 1e-8 * C
+    v = -y * G
+    free = (alpha > eps) & (alpha < C - eps)
+    if free.any():
+        bias = float(v[free].mean())
+    else:
+        lower = (pos & (alpha <= eps)) | (~pos & (alpha >= C - eps))
+        upper = (pos & (alpha >= C - eps)) | (~pos & (alpha <= eps))
+        lo = v[lower].max() if lower.any() else -np.inf
+        hi = v[upper].min() if upper.any() else np.inf
+        if np.isinf(lo):
+            bias = float(hi)
+        elif np.isinf(hi):
+            bias = float(lo)
+        else:
+            bias = float((lo + hi) / 2.0)
+
+    return SvmModel(
+        alpha=alpha,
+        bias=bias,
+        signed_labels=y.astype(np.int64),
+        support_indices=np.flatnonzero(alpha > 0),
+        C=C,
+        converged=converged,
+        iterations=it,
+        objective_trace=trace,
+    )
+
+
+def _kernel_gram(kind, X):
+    if kind == "linear":
+        return X @ X.T
+    if kind == "rbf":
+        sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
+        return np.exp(-0.5 * sq)
+    return (X @ X.T / X.shape[1] + 1.0) ** 3
+
+
+def _signed_labels(rng, n):
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    return y
+
+
+def _stall_problem():
+    """12-point linear Gram where tol=0 stalls after 99 pair steps."""
+    X = np.random.default_rng(2).normal(size=(12, 2))
+    y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    return X @ X.T, y, 10.0
+
+
+def assert_same_model(got, ref):
+    assert got.alpha.tobytes() == ref.alpha.tobytes()
+    assert repr(got.bias) == repr(ref.bias)
+    assert got.iterations == ref.iterations
+    assert got.converged == ref.converged
+    np.testing.assert_array_equal(got.support_indices, ref.support_indices)
+    assert got.objective_trace == ref.objective_trace
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("C", DEFAULT_C_GRID)
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
+    def test_seeded_grams(self, kind, C):
+        rng = np.random.default_rng(int(C * 100) + len(kind))
+        for n, opts in [
+            (3, {}),
+            (160, {}),
+            (int(rng.integers(4, 160)), {"track_objective": True}),
+            (int(rng.integers(4, 160)), {"jitter": 1e-10}),
+            (int(rng.integers(4, 160)), {"max_iter": int(rng.integers(1, 60))}),
+        ]:
+            K = _kernel_gram(kind, rng.normal(size=(n, int(rng.integers(1, 6)))))
+            y = _signed_labels(rng, n)
+            assert_same_model(smo_train(K, y, C, **opts), _reference_smo(K, y, C, **opts))
+
+    def test_tol_zero_stall(self):
+        K, y, C = _stall_problem()
+        for opts in ({"tol": 0.0}, {"tol": 0.0, "track_objective": True}):
+            assert_same_model(smo_train(K, y, C, **opts), _reference_smo(K, y, C, **opts))
+
+    def test_integer_grams_with_exact_zeros(self):
+        # cancellations to exactly 0.0 in the gradient; the bias must keep
+        # the reference's sign of zero (this first case gives -0.0)
+        K = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+        y = np.array([1.0, -1.0, 1.0])
+        assert repr(_reference_smo(K, y, 0.5).bias) == "-0.0"
+        assert_same_model(smo_train(K, y, 0.5), _reference_smo(K, y, 0.5))
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            X = rng.integers(-1, 2, size=(n, int(rng.integers(1, 4)))).astype(float)
+            K = X @ X.T + np.eye(n) * float(rng.integers(0, 2))
+            y = _signed_labels(rng, n)
+            C = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+            got = smo_train(K, y, C, track_objective=True)
+            assert_same_model(got, _reference_smo(K, y, C, track_objective=True))
+
+    def test_asymmetric_raw_array(self):
+        # column reads must come from K[:, i], not K[i, :]
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(30, 30))
+        K = A @ A.T + 0.1 * A
+        y = _signed_labels(rng, 30)
+        assert_same_model(smo_train(K, y, 3.0), _reference_smo(K, y, 3.0))
 
 
 class TestDecisionValues:
