@@ -299,12 +299,13 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
         stage = "svm"
         t0 = time.perf_counter()
         folds = kfold_plan(train.n, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS))
-        best_C, _, ovr, retried = svm.fit(
+        best_C, cv_records, ovr, retried = svm.fit(
             combined, train.labels, folds, grid=config.c_grid, n_classes=dataset.n_classes
         )
         if retried:
             record["svm_jitter_retry"] = True
         record["chosen_C"] = float(best_C)
+        record["cv_records"] = cv_records
         timings["svm"] = time.perf_counter() - t0
 
         stage = "evaluation"

@@ -7,6 +7,13 @@ Solves the standard dual
 
 by repeatedly optimizing the maximal-KKT-violating pair analytically.
 Multiclass is one-vs-rest with argmax over per-class decision values.
+
+C is chosen by k-fold cross-validation. select_C walks the C grid in
+ascending order for each fold and seeds every fit after the first with
+the previous C's duals, unchanged ("alpha seeding", DeCoste & Wagstaff,
+KDD 2000). The seed stays feasible, since 0 <= a <= C_prev < C and
+y^T a = 0 still hold, and where no dual reached its bound it is already
+optimal at the larger C. Final fits start cold from a = 0.
 """
 
 from __future__ import annotations
@@ -81,6 +88,7 @@ def smo_train(
     max_iter: int | None = None,
     jitter: float = 0.0,
     track_objective: bool = False,
+    alpha0=None,
 ) -> SvmModel:
     """Maximize the dual over a precomputed Gram.
 
@@ -88,6 +96,16 @@ def smo_train(
     max_iter returns a model flagged non-converged instead of raising.
     jitter > 0 adds jitter * mean(diag) to the diagonal, a rescue for
     combined kernels that are numerically semi-definite.
+
+    alpha0 starts the loop from given duals instead of a = 0. It must be
+    finite, of length n and inside [0, C]; it must also satisfy
+    y^T alpha0 = 0 (not checked: a seed off the hyperplane makes the
+    result infeasible). The duals of the same problem at a smaller C meet
+    all of this.
+
+    At tol = 0 the loop can cycle among pairs with moves at machine
+    precision and run to max_iter: the stall check catches only a step
+    that moves nothing.
     """
     K = _gram_values(gram)
     y = np.asarray(y, dtype=np.float64)
@@ -98,8 +116,22 @@ def smo_train(
         raise ValueError("both classes required to train an SVM")
     if C <= 0:
         raise ValueError("C must be positive")
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
     if max_iter is None:
         max_iter = max(20000, 200 * n)
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if alpha0 is None:
+        alpha = np.zeros(n, dtype=np.float64)
+    else:
+        alpha = np.array(alpha0, dtype=np.float64)
+        if alpha.shape != (n,):
+            raise ValueError("alpha0 does not match Gram dimension")
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("alpha0 must be finite")
+        if np.any(alpha < 0.0) or np.any(alpha > C):
+            raise ValueError("alpha0 must lie in [0, C]")
     if jitter > 0:
         K = K + (jitter * float(np.mean(np.diag(K)))) * np.eye(n)
 
@@ -107,25 +139,25 @@ def smo_train(
     # KT[i] is column i of K as a contiguous row (K need not be symmetric)
     KT = np.ascontiguousarray(K.T)
     yl = y.tolist()
-    alpha = np.zeros(n, dtype=np.float64)
-    # The loop keeps m = -y * G, G the gradient of the minimization dual
-    # (G = -1 at alpha = 0, so m starts at y). Since y = +-1 and rounding to
-    # nearest commutes with negation, the update
+    # The loop keeps m = -y * G, G = y * K(a * y) - 1 the gradient of the
+    # minimization dual, so m = y - K(a * y) (m = y at a = 0). Since y = +-1
+    # and rounding to nearest commutes with negation, the update
     #   m -= K[:, i] * (y_i da_i) + K[:, j] * (y_j da_j)
     # gives the same bits as G += y K[:, i] (y_i da_i) + y K[:, j] (y_j da_j),
     # up to the sign of exact zeros, which no comparison sees.
-    m = y.copy()
+    m = y.copy() if alpha0 is None else y - K @ (alpha * y)
     # Working-set masks as additive penalties: 0 where the coordinate may
     # move up (low), -inf (+inf) where its bound blocks it, so selection is
     # argmax(m + pen_up) and argmin(m + pen_low). A pair step changes the
     # flags of i and j only, so they are updated there, with their counts.
     pos = y > 0
-    up = pos.tolist()  # at alpha = 0: up iff y > 0, low iff y < 0
-    low = (~pos).tolist()
-    pen_up = np.where(pos, 0.0, -np.inf)
-    pen_low = np.where(pos, np.inf, 0.0)
-    n_up = sum(up)
-    n_low = n - n_up
+    below_c, above_0 = alpha < C, alpha > 0.0
+    up_mask = np.where(pos, below_c, above_0)
+    low_mask = np.where(pos, above_0, below_c)
+    up, low = up_mask.tolist(), low_mask.tolist()
+    pen_up = np.where(up_mask, 0.0, -np.inf)
+    pen_low = np.where(low_mask, 0.0, np.inf)
+    n_up, n_low = sum(up), sum(low)
     buf = np.empty(n, dtype=np.float64)
     col_j = np.empty(n, dtype=np.float64)
     G = np.empty(n, dtype=np.float64)
@@ -275,9 +307,13 @@ class OvrModel:
 
 def ovr_train(
     gram, labels, C: float, n_classes: int | None = None, tol: float = 1e-3,
-    max_iter: int | None = None, jitter: float = 0.0,
+    max_iter: int | None = None, jitter: float = 0.0, alpha0=None,
 ) -> OvrModel:
-    """Train class-k-vs-rest models over a shared Gram."""
+    """Train class-k-vs-rest models over a shared Gram.
+
+    alpha0, if given, holds one starting dual vector per class (see
+    smo_train).
+    """
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1 if n_classes is None else n_classes
     if c < 2:
@@ -287,7 +323,10 @@ def ovr_train(
         yk = np.where(labels == k, 1.0, -1.0)
         if not np.any(labels == k):
             raise ValueError(f"class {k} absent from training data")
-        models.append(smo_train(gram, yk, C, tol=tol, max_iter=max_iter, jitter=jitter))
+        seed = None if alpha0 is None else alpha0[k]
+        models.append(
+            smo_train(gram, yk, C, tol=tol, max_iter=max_iter, jitter=jitter, alpha0=seed)
+        )
     return OvrModel(models=models, n_classes=c)
 
 
@@ -302,6 +341,11 @@ def select_C(
 ):
     """Mean k-fold CV accuracy per C; returns (best C, per-C records).
 
+    Each fold walks the distinct C values in ascending order, and every fit
+    after the first starts from the previous C's duals. Records follow the
+    caller's grid order; each holds the C, its mean CV accuracy and
+    smo_iterations, the pair steps summed over folds and classes.
+
     Folds whose training side loses a class (or otherwise fail) are skipped
     with a warning; a C with no surviving folds scores None. Ties break
     toward the smaller C.
@@ -313,25 +357,30 @@ def select_C(
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1 if n_classes is None else n_classes
 
-    # each fold's train and test x train blocks, built once for every C
-    blocks = []
+    ascending = sorted(set(grid))
+    accs: dict = {C: [] for C in ascending}
+    steps = dict.fromkeys(ascending, 0)
     for plan in folds:
         tr, te = plan.train_indices, plan.test_indices
-        blocks.append((plan, K[np.ix_(tr, tr)], labels[tr], K[np.ix_(te, tr)], labels[te]))
-
-    def run_one(C: float):
-        accs = []
-        for plan, train_K, train_y, cross_K, test_y in blocks:
+        train_K, train_y = K[np.ix_(tr, tr)], labels[tr]
+        cross_K, test_y = K[np.ix_(te, tr)], labels[te]
+        seed = None
+        for C in ascending:
             try:
-                ovr = ovr_train(train_K, train_y, C, n_classes=c, tol=tol, max_iter=max_iter)
+                ovr = ovr_train(
+                    train_K, train_y, C, n_classes=c, tol=tol, max_iter=max_iter, alpha0=seed
+                )
             except ValueError as exc:
                 logger.warning("C=%g fold %s skipped: %s", C, plan.params, exc)
                 continue
-            accs.append(float(np.mean(ovr.predict(cross_K) == test_y)))
-        return float(np.mean(accs)) if accs else None
+            seed = [mdl.alpha for mdl in ovr.models]
+            steps[C] += sum(mdl.iterations for mdl in ovr.models)
+            accs[C].append(float(np.mean(ovr.predict(cross_K) == test_y)))
 
-    cv = [run_one(C) for C in grid]
-    records = [{"C": Cv, "cv_accuracy": acc} for Cv, acc in zip(grid, cv)]
+    cv = [float(np.mean(accs[C])) if accs[C] else None for C in grid]
+    records = [
+        {"C": Cv, "cv_accuracy": acc, "smo_iterations": steps[Cv]} for Cv, acc in zip(grid, cv)
+    ]
     scored = [(Cv, acc) for Cv, acc in zip(grid, cv) if acc is not None]
     if not scored:
         raise RuntimeError("every C failed cross-validation")

@@ -153,6 +153,9 @@ class TestRunExperiment:
                 "split", "kernel_learning", "kernel_build", "svm", "evaluation",
             }
             assert rec["chosen_C"] in cfg.c_grid
+            assert [r["C"] for r in rec["cv_records"]] == cfg.c_grid
+            steps = [r["smo_iterations"] for r in rec["cv_records"]]
+            assert all(isinstance(k, int) and k >= 0 for k in steps) and steps[0] > 0
             assert 0.0 <= rec["metrics"]["accuracy"] <= 1.0
         assert report.aggregate["n_succeeded"] == 2
         assert set(report.artifact_hashes) == {"dataset_sha256", "config_sha256"}

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from kweave import svm
 from kweave.data import kfold_plan
 from kweave.kernels import build_kernel_bank, center_bank, combine
 from kweave.svm import (
@@ -290,6 +291,22 @@ class TestSmoTrain:
         with pytest.raises(ValueError, match="C"):
             smo_train(K, np.array([1.0, -1.0, 1.0]), 0.0)
 
+    @pytest.mark.parametrize(
+        "opts, match",
+        [
+            ({"alpha0": np.zeros(2)}, "alpha0 does not match"),
+            ({"alpha0": np.array([0.5, np.nan, 0.5])}, "finite"),
+            ({"alpha0": np.array([0.5, np.inf, 0.5])}, "finite"),
+            ({"alpha0": np.array([-0.1, 0.0, 0.1])}, r"\[0, C\]"),
+            ({"alpha0": np.array([1.5, 0.0, 1.5])}, r"\[0, C\]"),
+            ({"tol": -1e-3}, "tol"),
+            ({"max_iter": 0}, "max_iter"),
+        ],
+    )
+    def test_option_validation(self, opts, match):
+        with pytest.raises(ValueError, match=match):
+            smo_train(np.eye(3), np.array([1.0, -1.0, 1.0]), 1.0, **opts)
+
 
 # ---------------------------------------------------------------------------
 # reference-equivalence gate: smo_train's pair-step loop as first written,
@@ -472,6 +489,54 @@ class TestReferenceEquivalence:
         assert_same_model(smo_train(K, y, 3.0), _reference_smo(K, y, 3.0))
 
 
+def _separated_problem(kind, seed, n=60):
+    """Gram over 3-d points whose first feature is shifted by 2y."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    y = _signed_labels(rng, n)
+    X[:, 0] += 2.0 * y
+    return _kernel_gram(kind, X), y
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("C", DEFAULT_C_GRID)
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
+    def test_zero_seed_is_the_cold_fit(self, kind, C):
+        rng = np.random.default_rng(int(C * 100) + len(kind))
+        for n, opts in [(3, {}), (80, {"track_objective": True}), (50, {"jitter": 1e-10})]:
+            K = _kernel_gram(kind, rng.normal(size=(n, 2)))
+            y = _signed_labels(rng, n)
+            assert_same_model(smo_train(K, y, C, alpha0=np.zeros(n), **opts), smo_train(K, y, C, **opts))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
+    def test_ascending_walk_matches_cold_fits(self, kind, seed):
+        # tol 1e-6: tight enough that two tol-optimal points share their
+        # dual objective to 1e-6 relative
+        tol = 1e-6
+        K, y = _separated_problem(kind, seed)
+        prev = None
+        for C in DEFAULT_C_GRID:
+            cold = smo_train(K, y, C, tol=tol)
+            warm = smo_train(K, y, C, tol=tol, alpha0=prev)
+            assert cold.converged and warm.converged
+            assert kkt_gap(K, y, warm.alpha, C) <= tol
+            assert warm.alpha.min() >= 0.0 and warm.alpha.max() <= C
+            assert abs(y @ warm.alpha) <= 1e-9
+            assert dual_objective(K, warm) == pytest.approx(dual_objective(K, cold), rel=1e-6)
+            prev = warm.alpha
+
+    def test_unbounded_solution_needs_no_steps_at_larger_C(self):
+        K, labels = separable_linear_gram()
+        y = np.where(labels == 1, 1.0, -1.0)
+        mdl = smo_train(K, y, 100.0)
+        assert mdl.converged and mdl.iterations > 0
+        assert mdl.alpha.max() < 100.0  # no dual at its bound
+        warm = smo_train(K, y, 1000.0, alpha0=mdl.alpha)
+        assert warm.converged and warm.iterations == 0
+        assert warm.alpha.tobytes() == mdl.alpha.tobytes()
+
+
 class TestDecisionValues:
     def test_dimension_mismatch(self):
         mdl = smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0)
@@ -555,6 +620,15 @@ def overlapping_gram(seed=7, n=40):
     return K, y
 
 
+def separable_linear_gram(seed=5, n=24):
+    """Linear Gram of two classes 6 apart along the first feature."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat([0, 1], n // 2)
+    X = rng.normal(0.0, 1.0, (n, 3))
+    X[:, 0] += 6.0 * y
+    return X @ X.T, y
+
+
 class TestSelectC:
     def test_singleton_grid(self):
         K, y = overlapping_gram()
@@ -587,6 +661,38 @@ class TestSelectC:
         for C in (1.0, 10.0, 100.0, 1000.0):
             assert by_C[C] == 1.0
         assert best == min(c for c, a in by_C.items() if a == 1.0)
+
+    def test_unsorted_grid_same_records_in_caller_order(self):
+        K, y = overlapping_gram()
+        folds = kfold_plan(40, 4, seed=3)
+        best, records = select_C(K, y, folds)
+        grid = [10.0, 0.01, 1000.0, 1.0, 100.0, 0.1]
+        best_u, records_u = select_C(K, y, folds, grid=grid)
+        by_C = {r["C"]: r for r in records}
+        assert records_u == [by_C[C] for C in grid]
+        assert best_u == best
+
+    def test_unsorted_grid_ties_go_to_smaller_C(self):
+        K, y = separable_linear_gram()
+        best, records = select_C(K, y, kfold_plan(24, 4, seed=2), grid=[1000.0, 10.0, 1.0, 100.0])
+        perfect = [r["C"] for r in records if r["cv_accuracy"] == 1.0]
+        assert len(perfect) > 1
+        assert best == min(perfect)
+
+    def test_records_sum_pair_steps_over_folds_and_classes(self, monkeypatch):
+        K, y = overlapping_gram()
+        steps: dict = {}
+        real = svm.smo_train
+
+        def counting(gram, yk, C, **kwargs):
+            model = real(gram, yk, C, **kwargs)
+            steps[C] = steps.get(C, 0) + model.iterations
+            return model
+
+        monkeypatch.setattr(svm, "smo_train", counting)
+        _, records = select_C(K, y, kfold_plan(40, 4, seed=3))
+        assert {r["C"]: r["smo_iterations"] for r in records} == steps
+        assert sum(steps.values()) > 0
 
     def test_empty_grid(self):
         K, y = overlapping_gram()
