@@ -17,7 +17,7 @@ import numpy as np
 
 from . import experiment, metrics, svm
 from .data import kfold_plan, load_dataset
-from .kernels import RECIPES, combine, save_bank
+from .kernels import RECIPES, check_weights, combine, save_bank
 
 logger = logging.getLogger(__name__)
 
@@ -83,22 +83,21 @@ def cmd_learn(args) -> int:
     return 0
 
 
+def _read_weights(path: str, p: int) -> np.ndarray:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return check_weights(p, json.load(fh)["mu"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # KernelError is a ValueError
+        raise ConfigError(f"bad weights {path!r}: {exc}") from exc
+
+
 def cmd_svm_train(args) -> int:
+    if args.folds < 2:
+        raise ConfigError(f"--folds must be >= 2, got {args.folds}")
     dataset = _load_data(args.data, args.format)
     _, _, bank, _ = experiment.prepare_train(dataset.instances, args.recipe)
-    if args.weights:
-        try:
-            with open(args.weights, encoding="utf-8") as fh:
-                mu = np.asarray(json.load(fh)["mu"], dtype=np.float64)
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot read weights {args.weights!r}: {exc}") from exc
-        if mu.shape != (bank.p,):
-            raise ConfigError(
-                f"weight vector has {mu.size} entries, bank has {bank.p} kernels"
-            )
-    else:
-        mu = np.full(bank.p, 1.0 / bank.p)
-    combined = combine(bank.train_grams, mu)
+    mu = _read_weights(args.weights, bank.p) if args.weights else np.full(bank.p, 1.0 / bank.p)
+    combined = combine(bank, mu)
     folds = kfold_plan(dataset.n, args.folds, args.seed)
     best_C, records, ovr, _ = svm.fit(combined, dataset.labels, folds, n_classes=dataset.n_classes)
     payload = {

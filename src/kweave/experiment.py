@@ -197,8 +197,8 @@ def cross_blocks(scaler: FeatureScaler, scaled_train, bank, test_X) -> list:
     """Test x train cross Grams, centered with the train-side statistics."""
     Xt = scaler.apply(test_X)
     return [
-        center_standardize_apply(compute_cross_gram(spec, Xt, scaled_train), gram.center_stats)
-        for spec, gram in zip(bank.specs, bank.train_grams)
+        center_standardize_apply(compute_cross_gram(spec, Xt, scaled_train), stats)
+        for spec, stats in zip(bank.specs, bank.stats)
     ]
 
 
@@ -292,7 +292,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
         stage = "kernel_build"
         t0 = time.perf_counter()
         crosses = cross_blocks(res.scaler, res.scaled_train, res.bank, test.instances)
-        combined = combine(res.bank.train_grams, res.mu)
+        combined = combine(res.bank, res.mu)
         combined_cross = combine_cross(crosses, res.mu)
         timings["kernel_build"] = time.perf_counter() - t0
 
@@ -437,7 +437,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
         if model.collapsed:
             return None
         try:
-            combined = combine(bank.train_grams, model.mu)
+            combined = combine(bank, model.mu)
             folds = kfold_plan(train.n, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS))
             _, _, ovr, _ = svm.fit(
                 combined, train.labels, folds, grid=config.c_grid, n_classes=dataset.n_classes

@@ -1,11 +1,15 @@
-"""Base-kernel evaluation, Gram construction, centering, and combination.
+"""Base-kernel evaluation, bank building, centering, and combination.
 
-A Gram matrix can be in one of two states:
-
-  raw                    -- plain kernel evaluations k(x_i, x_j)
-  centered_standardized  -- double-centered (zero feature-space mean) and
-                            scaled so trace/n = 1 (unit average feature-space
-                            variance).
+build_kernel_bank evaluates a recipe's raw Grams k(x_i, x_j) into a
+short-lived RawBank. center_bank double-centers each one (zero
+feature-space mean), scales it to trace/n = 1 (unit average feature-space
+variance) and keeps its upper triangle as one column of the KernelBank's
+pair-major matrix Z, of shape (n(n+1)/2, p): row r holds the p kernel
+values of the r-th pair (i <= j) of pair_indices(n). Z is the centered
+bank's only train-side store, n(n+1)/2 * p * 8 bytes, owned by the bank;
+the K-space reads it in place. Dense (n, n) Grams are rebuilt from it
+only by combine, the best_kernel baseline (one kernel at a time), target
+alignment and `kweave kernels build`.
 
 Centering statistics are recorded at fit time on the training Gram and are
 reused to transform test-vs-train cross blocks consistently.
@@ -15,15 +19,11 @@ from __future__ import annotations
 
 import json
 import logging
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-RAW = "raw"
-CENTERED = "centered_standardized"
 
 _GAUSSIAN_GAMMAS = [2.0**k for k in range(-10, -1)]  # 2^-10 .. 2^-2
 _POLY_DEGREES = [2, 3, 4]
@@ -88,16 +88,6 @@ class KernelSpec:
             out["feature_index"] = self.feature_index
         return out
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "KernelSpec":
-        return cls(
-            family=obj["family"],
-            gamma=obj.get("gamma"),
-            degree=obj.get("degree"),
-            offset=obj.get("offset"),
-            feature_index=obj.get("feature_index"),
-        )
-
 
 @dataclass
 class CenterStats:
@@ -114,74 +104,14 @@ class CenterStats:
             "scale": float(self.scale),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CenterStats":
-        return cls(
-            row_means=np.array(obj["row_means"], dtype=np.float64),
-            grand_mean=float(obj["grand_mean"]),
-            scale=float(obj["scale"]),
-        )
-
 
 @dataclass
-class GramMatrix:
-    """Dense symmetric n x n kernel matrix."""
-
-    values: np.ndarray
-    state: str = RAW
-    center_stats: CenterStats | None = None
-
-    def __post_init__(self):
-        V = np.asarray(self.values, dtype=np.float64)
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise KernelError(f"Gram matrix must be square, got shape {V.shape}")
-        asym = float(np.max(np.abs(V - V.T))) if V.size else 0.0
-        if asym > 1e-8 * max(1.0, float(np.max(np.abs(V)))):
-            raise KernelError(f"Gram matrix is not symmetric (max asymmetry {asym:g})")
-        # store the exactly-symmetric part so the 1e-12 symmetry invariant holds
-        self.values = (V + V.T) / 2.0
-        if self.state not in (RAW, CENTERED):
-            raise KernelError(f"unknown Gram state {self.state!r}")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
-class CrossGram:
-    """Dense m x n kernel block: test rows against train columns."""
-
-    values: np.ndarray
-    state: str = RAW
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise KernelError("CrossGram must be 2-d")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-@dataclass
-class KernelBank:
-    """p base kernels evaluated on one shared instance ordering."""
+class RawBank:
+    """Raw (n, n) Grams of one recipe, in spec order; center_bank consumes it."""
 
     specs: list[KernelSpec]
-    train_grams: list[GramMatrix]
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.specs) < 1:
-            raise KernelError("kernel bank needs p >= 1 kernels")
-        if len(self.specs) != len(self.train_grams):
-            raise KernelError("specs and grams length mismatch")
-        n = self.train_grams[0].n
-        for g in self.train_grams:
-            if g.n != n:
-                raise KernelError("bank Grams have inconsistent dimensions")
+    grams: list[np.ndarray]
+    meta: dict
 
     @property
     def p(self) -> int:
@@ -189,11 +119,54 @@ class KernelBank:
 
     @property
     def n(self) -> int:
-        return self.train_grams[0].n
+        return self.grams[0].shape[0]
 
-    def stacked(self) -> np.ndarray:
-        """(p, n, n) array of all Gram values (copies)."""
-        return np.stack([g.values for g in self.train_grams])
+
+@dataclass
+class KernelBank:
+    """Centered bank: p kernels over one instance ordering, stored pair-major.
+
+    Z[r, l] is centered kernel l at the r-th pair (i <= j) of
+    pair_indices(n), and stats[l] holds kernel l's centering statistics.
+    """
+
+    specs: list[KernelSpec]
+    Z: np.ndarray
+    n: int
+    stats: list[CenterStats]
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        p = len(self.specs)
+        if p < 1:
+            raise KernelError("kernel bank needs p >= 1 kernels")
+        if self.Z.shape != (self.n * (self.n + 1) // 2, p) or len(self.stats) != p:
+            raise KernelError(
+                f"bank store {self.Z.shape} with {len(self.stats)} stats is inconsistent "
+                f"with n={self.n}, p={p}"
+            )
+
+    @property
+    def p(self) -> int:
+        return len(self.specs)
+
+    def gram(self, l: int) -> np.ndarray:
+        """Dense symmetric (n, n) Gram of kernel l, rebuilt from Z."""
+        return _symmetric(self.n, self.Z[:, l])
+
+
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every pair i <= j of n instances, in the row order of Z."""
+    return np.triu_indices(n)
+
+
+def _symmetric(n: int, upper: np.ndarray) -> np.ndarray:
+    """Scatter pair values in row order of Z into a symmetric (n, n) array."""
+    ii, jj = pair_indices(n)
+    out = np.empty((n, n), dtype=np.float64)
+    out[ii, jj] = upper
+    out[jj, ii] = upper
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +200,7 @@ def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return V
 
 
-def compute_gram(spec: KernelSpec, train_features: np.ndarray) -> GramMatrix:
+def compute_gram(spec: KernelSpec, train_features: np.ndarray) -> np.ndarray:
     """Raw Gram of one base kernel over the training instances."""
     X = _scoped(train_features, spec)
     if not np.all(np.isfinite(X)):
@@ -235,16 +208,14 @@ def compute_gram(spec: KernelSpec, train_features: np.ndarray) -> GramMatrix:
     V = _kernel_block(spec, X, X)
     if spec.family == "gaussian":
         np.fill_diagonal(V, 1.0)  # zero self-distance, exact
-    return GramMatrix(values=V, state=RAW)
+    return V
 
 
 def compute_cross_gram(
     spec: KernelSpec, test_features: np.ndarray, train_features: np.ndarray
-) -> CrossGram:
+) -> np.ndarray:
     """Raw test x train kernel block for one base kernel."""
-    A = _scoped(test_features, spec)
-    B = _scoped(train_features, spec)
-    return CrossGram(values=_kernel_block(spec, A, B), state=RAW)
+    return _kernel_block(spec, _scoped(test_features, spec), _scoped(train_features, spec))
 
 
 def bank_specs(d: int, recipe: str) -> list[KernelSpec]:
@@ -275,32 +246,31 @@ def bank_specs(d: int, recipe: str) -> list[KernelSpec]:
 
 def build_kernel_bank(
     features: np.ndarray, recipe: str, meta: dict | None = None
-) -> KernelBank:
+) -> RawBank:
     """Evaluate a full recipe of raw Grams over the given feature matrix."""
     X = np.asarray(features, dtype=np.float64)
     specs = bank_specs(X.shape[1], recipe)
-    grams = [compute_gram(s, X) for s in specs]
     bank_meta = {"recipe": recipe}
     if meta:
         bank_meta.update(meta)
-    return KernelBank(specs=specs, train_grams=grams, meta=bank_meta)
+    return RawBank(specs=specs, grams=[compute_gram(s, X) for s in specs], meta=bank_meta)
 
 
 # ---------------------------------------------------------------------------
 # centering / standardization
 
 
-def center_standardize_fit(gram: GramMatrix) -> GramMatrix:
-    """Double-center a raw Gram and scale to trace/n = 1.
+def center_standardize_fit(gram: np.ndarray) -> tuple[np.ndarray, CenterStats]:
+    """Double-center a raw Gram and scale it to trace/n = 1.
 
-    K_c = H K H with H = I - 11^T/n, then K_c / s with s = trace(K_c)/n.
-    The raw row means, grand mean, and s are recorded for test-side reuse.
-    Raises DegenerateKernelError when the centered kernel vanishes
-    (constant feature map); callers drop such kernels from the bank.
+    K is first symmetrized as (K + K^T)/2; then K_c = H K H with
+    H = I - 11^T/n, and K_c / s with s = trace(K_c)/n, symmetrized again.
+    Returns that dense Gram and the raw row means, grand mean and s for
+    test-side reuse. Raises DegenerateKernelError when the centered kernel
+    vanishes (constant feature map); callers drop such kernels from the bank.
     """
-    if gram.state != RAW:
-        raise KernelError("center_standardize_fit expects a raw Gram")
-    K = gram.values
+    K = np.asarray(gram, dtype=np.float64)
+    K = (K + K.T) / 2.0
     n = K.shape[0]
     rm = K.mean(axis=1)
     gm = float(K.mean())
@@ -310,57 +280,65 @@ def center_standardize_fit(gram: GramMatrix) -> GramMatrix:
         raise DegenerateKernelError(
             f"degenerate kernel: centered trace/n = {s:g} (constant feature map)"
         )
-    stats = CenterStats(row_means=rm, grand_mean=gm, scale=s)
-    return GramMatrix(values=Kc / s, state=CENTERED, center_stats=stats)
+    Kc = Kc / s
+    return (Kc + Kc.T) / 2.0, CenterStats(row_means=rm, grand_mean=gm, scale=s)
 
 
-def center_standardize_apply(raw_cross: CrossGram, stats: CenterStats) -> CrossGram:
+def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.ndarray:
     """Center/standardize a raw test x train block with train statistics.
 
     K_c[a, i] = (K(t_a, x_i) - mean_j K(t_a, x_j) - row_mean_i + grand_mean) / s
     """
-    if raw_cross.state != RAW:
-        raise KernelError("center_standardize_apply expects a raw cross block")
-    V = raw_cross.values
+    V = np.asarray(raw_cross, dtype=np.float64)
     if V.shape[1] != stats.row_means.shape[0]:
         raise KernelError(
             f"cross block has {V.shape[1]} train columns, stats expect {stats.row_means.shape[0]}"
         )
     test_means = V.mean(axis=1)
-    out = (V - test_means[:, None] - stats.row_means[None, :] + stats.grand_mean) / stats.scale
-    return CrossGram(values=out, state=CENTERED)
+    return (V - test_means[:, None] - stats.row_means[None, :] + stats.grand_mean) / stats.scale
 
 
-def center_bank(bank: KernelBank) -> tuple[KernelBank, list[int]]:
-    """Center/standardize every Gram of a raw bank, dropping degenerates.
+def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
+    """Center/standardize every raw Gram into one pair-major store, dropping degenerates.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
     banks on near-constant columns would otherwise abort whole runs.
     """
-    specs, grams, dropped = [], [], []
-    for i, (spec, g) in enumerate(zip(bank.specs, bank.train_grams)):
+    n = bank.n
+    ii, jj = pair_indices(n)
+    Z = np.empty((ii.size, bank.p), dtype=np.float64)
+    specs, stats, dropped = [], [], []
+    for i, (spec, raw) in enumerate(zip(bank.specs, bank.grams)):
         try:
-            grams.append(center_standardize_fit(g))
-            specs.append(spec)
+            centered, st = center_standardize_fit(raw)
         except DegenerateKernelError as exc:
             logger.warning("dropping kernel %d (%s): %s", i, spec.label(), exc)
             dropped.append(i)
+            continue
+        Z[:, len(specs)] = centered[ii, jj]
+        specs.append(spec)
+        stats.append(st)
     if not specs:
         raise DegenerateKernelError("every kernel in the bank is degenerate")
+    if dropped:
+        Z = np.ascontiguousarray(Z[:, : len(specs)])
     meta = dict(bank.meta)
     meta["dropped_kernels"] = dropped
-    return KernelBank(specs=specs, train_grams=grams, meta=meta), dropped
+    return KernelBank(specs=specs, Z=Z, n=n, stats=stats, meta=meta), dropped
 
 
 # ---------------------------------------------------------------------------
 # combination
 
 
-def _check_weights(p: int, weights: np.ndarray) -> np.ndarray:
+def check_weights(p: int, weights) -> np.ndarray:
+    """The weights as a float64 (p,) vector: finite, non-negative, not all zero."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (p,):
         raise KernelError(f"expected {p} weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise KernelError("non-finite kernel weight")
     if np.any(w < 0):
         raise KernelError("negative kernel weight")
     if not np.any(w > 0):
@@ -368,39 +346,35 @@ def _check_weights(p: int, weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def combine(grams: list[GramMatrix], weights) -> GramMatrix:
-    """Weighted sum of Grams sharing one dimension and state."""
-    w = _check_weights(len(grams), weights)
-    state = grams[0].state
-    n = grams[0].n
-    acc = np.zeros((n, n), dtype=np.float64)
-    for wl, g in zip(w, grams):
-        if g.n != n or g.state != state:
-            raise KernelError("combine inputs must share dimension and state")
-        if wl > 0:
-            acc += wl * g.values
-    return GramMatrix(values=acc, state=state)
+def combine(bank: KernelBank, weights) -> np.ndarray:
+    """Dense (n, n) Gram sum_l w_l K_l of a centered bank.
+
+    The sum runs over the pair-major store in l order, skipping zero
+    weights, and is scattered into the symmetric array once.
+    """
+    w = check_weights(bank.p, weights)
+    acc = np.zeros(bank.Z.shape[0], dtype=np.float64)
+    for l in np.flatnonzero(w > 0):
+        acc += w[l] * bank.Z[:, l]
+    return _symmetric(bank.n, acc)
 
 
-def combine_cross(crosses: list[CrossGram], weights) -> CrossGram:
+def combine_cross(crosses: list[np.ndarray], weights) -> np.ndarray:
     """Weighted sum of cross blocks; companion of combine for test rows."""
-    w = _check_weights(len(crosses), weights)
-    state = crosses[0].state
-    shape = crosses[0].shape
-    acc = np.zeros(shape, dtype=np.float64)
+    w = check_weights(len(crosses), weights)
+    acc = np.zeros(crosses[0].shape, dtype=np.float64)
     for wl, c in zip(w, crosses):
-        if c.shape != shape or c.state != state:
-            raise KernelError("combine inputs must share dimensions and state")
         if wl > 0:
-            acc += wl * c.values
-    return CrossGram(values=acc, state=state)
+            acc += wl * c
+    return acc
 
 
 # ---------------------------------------------------------------------------
-# persistence: meta.json + one little-endian float64 file per kernel
+# persistence: meta.json + one little-endian float64 (or TSV) file per kernel
 
 
 def save_bank(bank: KernelBank, directory, text: bool = False) -> None:
+    """Write meta.json and each kernel's dense Gram, k{l}.f64 or k{l}.tsv."""
     from pathlib import Path
 
     out = Path(directory)
@@ -408,47 +382,17 @@ def save_bank(bank: KernelBank, directory, text: bool = False) -> None:
     meta = {
         "n": bank.n,
         "p": bank.p,
-        "state": bank.train_grams[0].state,
+        "state": "centered_standardized",
         "text": bool(text),
         "specs": [s.to_dict() for s in bank.specs],
-        "center_stats": [
-            g.center_stats.to_dict() if g.center_stats is not None else None
-            for g in bank.train_grams
-        ],
+        "center_stats": [st.to_dict() for st in bank.stats],
         "meta": bank.meta,
     }
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
-    for i, g in enumerate(bank.train_grams):
+    for l in range(bank.p):
         if text:
-            np.savetxt(out / f"k{i}.tsv", g.values, delimiter="\t")
+            np.savetxt(out / f"k{l}.tsv", bank.gram(l), delimiter="\t")
         else:
-            with open(out / f"k{i}.f64", "wb") as fh:
-                fh.write(g.values.astype("<f8").tobytes(order="C"))
-
-
-def load_bank(directory) -> KernelBank:
-    from pathlib import Path
-
-    src = Path(directory)
-    with open(src / "meta.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    n, p = meta["n"], meta["p"]
-    state = meta["state"]
-    specs = [KernelSpec.from_dict(s) for s in meta["specs"]]
-    stats_list = meta.get("center_stats") or [None] * p
-    grams = []
-    for i in range(p):
-        if meta.get("text"):
-            V = np.loadtxt(src / f"k{i}.tsv", delimiter="\t", ndmin=2)
-            if V.size != n * n:
-                raise KernelError(f"k{i}.tsv holds {V.size} values, expected {n*n}")
-        else:
-            blob = (src / f"k{i}.f64").read_bytes()
-            count = len(blob) // struct.calcsize("<d")
-            if count != n * n or len(blob) % struct.calcsize("<d"):
-                raise KernelError(f"k{i}.f64 holds {count} values, expected {n*n}")
-            V = np.frombuffer(blob, dtype="<f8").reshape(n, n)
-        stats = CenterStats.from_dict(stats_list[i]) if stats_list[i] else None
-        grams.append(GramMatrix(values=V.copy(), state=state, center_stats=stats))
-    return KernelBank(specs=specs, train_grams=grams, meta=meta.get("meta", {}))
+            with open(out / f"k{l}.f64", "wb") as fh:
+                fh.write(bank.gram(l).astype("<f8").tobytes(order="C"))

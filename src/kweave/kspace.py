@@ -2,11 +2,12 @@
 
 A pair (i, j) of training instances becomes a p-dimensional example whose
 coordinates are the p base-kernel values for that pair, labeled +1 when the
-instances share a class and -1 otherwise. The z vectors are stored once,
-pair-major, in one C-contiguous (n(n+1)/2, p) float64 matrix: that is
-n(n+1)/2 * p * 8 bytes, built once per bank and shared by every subset
-(balancing, the lambda train/validation split), which copy only index
-arrays. A minibatch is then a gather of contiguous rows.
+instances share a class and -1 otherwise. The z vectors are the centered
+bank's own pair-major store, bank.Z: one C-contiguous (n(n+1)/2, p)
+float64 matrix of n(n+1)/2 * p * 8 bytes, owned by the bank. The K-space
+adds only labels and index arrays to it, and every subset (balancing, the
+lambda train/validation split) shares it too, copying only index arrays.
+A minibatch is then a gather of contiguous rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import CENTERED, KernelBank
+from .kernels import KernelBank, pair_indices
 
 
 @dataclass
@@ -76,24 +77,18 @@ class KExampleSet:
 
 
 def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
-    """Enumerate all pairs i <= j and pack their z vectors pair-major.
+    """Label all pairs i <= j of a centered bank's instances.
 
-    The matrix is filled one kernel column at a time from the bank's
-    Grams, so no (p, n, n) stack is made. The bank must be
-    centered/standardized and share the ordering of train_labels.
+    The z vectors are bank.Z itself, not a copy, and the pairs are its
+    rows in order. The bank must share the ordering of train_labels.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
     n = labels.shape[0]
     if bank.n != n:
         raise ValueError(f"bank Grams are {bank.n} x {bank.n}, labels have length {n}")
-    if any(g.state != CENTERED for g in bank.train_grams):
-        raise ValueError("bank Grams must be centered_standardized")
-    ii, jj = np.triu_indices(n)
-    stack = np.empty((ii.size, bank.p), dtype=np.float64)
-    for l, gram in enumerate(bank.train_grams):
-        stack[:, l] = gram.values[ii, jj]
+    ii, jj = pair_indices(n)
     t = np.where(labels[ii] == labels[jj], 1, -1).astype(np.int8)
-    return KExampleSet(pairs=np.stack([ii, jj], axis=1), t=t, stack=stack)
+    return KExampleSet(pairs=np.stack([ii, jj], axis=1), t=t, stack=bank.Z)
 
 
 def balance(kset: KExampleSet, seed: int) -> KExampleSet:

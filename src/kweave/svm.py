@@ -23,18 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import CrossGram, GramMatrix
-
 logger = logging.getLogger(__name__)
 
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _TAU = 1e-12  # curvature floor for the pair subproblem
-
-
-def _gram_values(gram) -> np.ndarray:
-    if isinstance(gram, (GramMatrix, CrossGram)):
-        return gram.values
-    return np.asarray(gram, dtype=np.float64)
 
 
 def _gradient(m: np.ndarray, ny: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -107,7 +99,7 @@ def smo_train(
     precision and run to max_iter: the stall check catches only a step
     that moves nothing.
     """
-    K = _gram_values(gram)
+    K = np.asarray(gram, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):
@@ -266,14 +258,14 @@ def smo_train(
 
 def dual_objective(gram, model: SvmModel) -> float:
     """e^T a - 1/2 a^T Q a for a trained model (maximization convention)."""
-    K = _gram_values(gram)
+    K = np.asarray(gram, dtype=np.float64)
     ay = model.alpha * model.signed_labels
     return float(model.alpha.sum() - 0.5 * ay @ K @ ay)
 
 
 def decision_values(model: SvmModel, cross) -> np.ndarray:
     """f(x) = sum_i alpha_i y_i K(x, x_i) + bias for each test row."""
-    V = _gram_values(cross)
+    V = np.asarray(cross, dtype=np.float64)
     if V.shape[1] != model.alpha.shape[0]:
         raise ValueError(
             f"cross block has {V.shape[1]} columns, model expects {model.alpha.shape[0]}"
@@ -353,7 +345,7 @@ def select_C(
     grid = [float(c) for c in grid]
     if not grid:
         raise ValueError("empty C grid")
-    K = _gram_values(gram)
+    K = np.asarray(gram, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1 if n_classes is None else n_classes
 

@@ -7,7 +7,14 @@ import pytest
 
 import kweave.svm as svm
 from kweave.data import Dataset, load_dataset
-from kweave.kernels import build_kernel_bank, center_bank
+from kweave.kernels import (
+    CenterStats,
+    KernelBank,
+    KernelSpec,
+    build_kernel_bank,
+    center_bank,
+    pair_indices,
+)
 from kweave.kspace import KExampleSet
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -52,6 +59,35 @@ def force_nonconvergence(monkeypatch):
 def centered_bank_for(dataset: Dataset, recipe: str = "uci_full"):
     bank, _ = center_bank(build_kernel_bank(dataset.instances, recipe))
     return bank
+
+
+def bank_of(grams) -> KernelBank:
+    """A centered bank of linear-kernel specs whose kernels are exactly the given Grams.
+
+    Each Gram is symmetrized as (G + G^T)/2 and its upper triangle becomes
+    one column of Z, as center_bank stores it; the centering statistics are
+    the identity (zero means, unit scale).
+    """
+    grams = [np.asarray(G, dtype=np.float64) for G in grams]
+    n = grams[0].shape[0]
+    ii, jj = pair_indices(n)
+    Z = np.stack([((G + G.T) / 2.0)[ii, jj] for G in grams], axis=1)
+    stats = [CenterStats(row_means=np.zeros(n), grand_mean=0.0, scale=1.0) for _ in grams]
+    return KernelBank(specs=[KernelSpec("linear")] * len(grams), Z=Z, n=n, stats=stats)
+
+
+def dense_centering(raw) -> np.ndarray:
+    """Reference centering of one raw Gram as a dense (n, n) array.
+
+    Symmetrize, double-center, scale to trace/n = 1, symmetrize: the
+    arithmetic center_bank applies, written out without the bank.
+    """
+    K = np.asarray(raw, dtype=np.float64)
+    K = (K + K.T) / 2.0
+    rm = K.mean(axis=1)
+    Kc = K - rm[:, None] - rm[None, :] + float(K.mean())
+    Kc = Kc / (float(np.trace(Kc)) / K.shape[0])
+    return (Kc + Kc.T) / 2.0
 
 
 def alignment_grid_max(M, a, n_grid=200):

@@ -14,12 +14,12 @@ import pytest
 from kweave import mkl
 from kweave.baselines import alignment_problem_from_bank, maximize_alignment, target_align
 from kweave.experiment import ExperimentConfig, run_experiment, run_lambda_sweep, strip_timing_fields
-from kweave.kernels import CENTERED, GramMatrix, KernelBank, KernelSpec, center_standardize_fit, compute_gram
+from kweave.kernels import KernelSpec, center_standardize_fit, compute_gram
 from kweave.kspace import make_kexamples
 from kweave.mkl import BoundInputs, MklConfig, concentration_bound, pegasos_train
 from kweave.svm import decision_values, smo_train
 
-from conftest import DATA_DIR, alignment_grid_max, centered_bank_for, make_blobs, synth_kset
+from conftest import DATA_DIR, alignment_grid_max, bank_of, centered_bank_for, make_blobs, synth_kset
 from test_baselines import random_problem
 from test_experiment import write_toy_csv
 from test_mkl import objective as kspace_objective
@@ -116,8 +116,8 @@ def test_alignment_oracle():
         for _ in range(3):
             A = rng.normal(0.0, 1.0, (data.instances.shape[0], 4))
             A[:, 0] += np.where(data.labels == 0, -1.0, 1.0)
-            grams.append(GramMatrix(A @ A.T, state=CENTERED))
-        bank = KernelBank([KernelSpec("linear")] * 3, grams)
+            grams.append(A @ A.T)
+        bank = bank_of(grams)
         mu = target_align(bank, data.labels, seed=seed)
         prob = alignment_problem_from_bank(bank, data.labels)
         grid_val, _ = alignment_grid_max(prob.M, prob.a, n_grid=600)
@@ -169,8 +169,7 @@ def test_preprocessing_invariants():
         X = rng.normal(0.0, rng.uniform(0.5, 3.0), (n, d))
         spec = random_kernel_spec(rng)
         raw = compute_gram(spec, X)
-        cen = center_standardize_fit(raw)
-        V = cen.values
+        V, _ = center_standardize_fit(raw)
         scale = max(1.0, float(np.abs(V).max()))
         # symmetry
         assert float(np.abs(V - V.T).max()) <= 1e-12 * scale
@@ -183,15 +182,13 @@ def test_preprocessing_invariants():
         assert abs(float(np.trace(V)) / n - 1.0) <= 1e-12
         # positive scaling of the raw kernel must not change the result
         for c in (1e-6, 3.0, 1e6):
-            scaled = center_standardize_fit(GramMatrix(c * raw.values))
-            np.testing.assert_allclose(scaled.values, V, atol=1e-12 * scale)
+            scaled, _ = center_standardize_fit(c * raw)
+            np.testing.assert_allclose(scaled, V, atol=1e-12 * scale)
 
 
 def test_kspace_counting_law():
     for n in range(1, 201):
-        bank = KernelBank(
-            [KernelSpec("linear")], [GramMatrix(np.eye(n), state=CENTERED)]
-        )
+        bank = bank_of([np.eye(n)])
         labels = np.arange(n) % 2
         kset = make_kexamples(labels, bank)
         assert len(kset) == n * (n + 1) // 2

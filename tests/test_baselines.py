@@ -16,10 +16,10 @@ from kweave.baselines import (
     uniform_weights,
 )
 from kweave.data import kfold_plan
-from kweave.kernels import CENTERED, GramMatrix, KernelBank, KernelSpec, build_kernel_bank
+from kweave.kernels import build_kernel_bank
 from kweave.svm import select_C
 
-from conftest import alignment_grid_max, centered_bank_for, make_blobs
+from conftest import alignment_grid_max, bank_of, centered_bank_for, make_blobs
 
 
 def random_problem(p: int, seed: int) -> AlignmentProblem:
@@ -89,27 +89,18 @@ class TestProblemFromBank:
     def test_matches_explicit_frobenius_sums(self):
         rng = np.random.default_rng(3)
         n, p = 5, 3
-        grams = [
-            GramMatrix(
-                (lambda A: A @ A.T)(rng.normal(0.0, 1.0, (n, n))), state=CENTERED
-            )
-            for _ in range(p)
-        ]
-        bank = KernelBank([KernelSpec("linear")] * p, grams)
+        grams = [(lambda A: A @ A.T)(rng.normal(0.0, 1.0, (n, n))) for _ in range(p)]
+        bank = bank_of(grams)
         y = np.array([0, 1, 0, 1, 1])
         prob = alignment_problem_from_bank(bank, y)
         T = np.where(y[:, None] == y[None, :], 1.0, -1.0)
         for k in range(p):
-            assert prob.a[k] == pytest.approx(np.sum(grams[k].values * T))
+            assert prob.a[k] == pytest.approx(np.sum(grams[k] * T))
             for l in range(p):
-                assert prob.M[k, l] == pytest.approx(
-                    np.sum(grams[k].values * grams[l].values)
-                )
+                assert prob.M[k, l] == pytest.approx(np.sum(grams[k] * grams[l]))
 
     def test_label_length_checked(self):
-        bank = KernelBank(
-            [KernelSpec("linear")], [GramMatrix(np.eye(4), state=CENTERED)]
-        )
+        bank = bank_of([np.eye(4)])
         with pytest.raises(ValueError, match="labels"):
             alignment_problem_from_bank(bank, np.zeros(3, dtype=int))
 
@@ -163,8 +154,7 @@ class TestMaximizeAlignment:
 def antitarget_bank(y):
     """Bank whose every kernel anti-correlates with the label structure."""
     T = np.where(np.asarray(y)[:, None] == np.asarray(y)[None, :], 1.0, -1.0)
-    grams = [GramMatrix(-T, state=CENTERED), GramMatrix(-2.0 * T, state=CENTERED)]
-    return KernelBank([KernelSpec("linear"), KernelSpec("linear")], grams)
+    return bank_of([-T, -2.0 * T])
 
 
 class TestTargetAlign:
@@ -179,14 +169,15 @@ class TestTargetAlign:
     def test_single_kernel_gives_unit_weight(self):
         y = np.array([0, 0, 1, 1])
         T = np.where(y[:, None] == y[None, :], 1.0, -1.0)
-        bank = KernelBank([KernelSpec("linear")], [GramMatrix(T, state=CENTERED)])
+        bank = bank_of([T])
         mu = target_align(bank, y, seed=0)
         np.testing.assert_allclose(mu, [1.0], atol=1e-12)
 
     def test_requires_centered_bank(self):
         data = make_blobs(n_per_class=4, d=2, seed=1)
         raw = build_kernel_bank(data.instances, "uci_full")
-        with pytest.raises(ValueError, match="centered"):
+        # a raw bank has no pair-major store to rebuild Grams from
+        with pytest.raises(AttributeError, match="gram"):
             target_align(raw, data.labels)
 
     def test_requires_two_classes(self):
@@ -218,16 +209,14 @@ def labeled_bank(informative_index=1, n=20, seed=0):
     y = np.repeat([0, 1], n // 2)
     s = np.where(y == 0, -1.0, 1.0)
     good = np.outer(s, s) + 1e-6 * np.eye(n)
-    grams, specs = [], []
+    grams = []
     for idx in range(3):
         if idx == informative_index:
-            K = good
+            grams.append(good)
         else:
             A = rng.normal(0.0, 1.0, (n, n))
-            K = A @ A.T
-        grams.append(GramMatrix(K, state=CENTERED))
-        specs.append(KernelSpec("linear"))
-    return KernelBank(specs, grams), y
+            grams.append(A @ A.T)
+    return bank_of(grams), y
 
 
 class TestBestKernel:
@@ -244,20 +233,14 @@ class TestBestKernel:
         y = np.repeat([0, 1], 5)
         s = np.where(y == 0, -1.0, 1.0)
         K = np.outer(s, s) + 1e-6 * np.eye(10)
-        bank = KernelBank(
-            [KernelSpec("linear")] * 2,
-            [GramMatrix(K, state=CENTERED), GramMatrix(K.copy(), state=CENTERED)],
-        )
+        bank = bank_of([K, K.copy()])
         idx, _ = best_kernel(bank, y, kfold_plan(10, 5, seed=0))
         assert idx == 0
 
     def test_single_kernel(self):
         y = np.repeat([0, 1], 5)
         s = np.where(y == 0, -1.0, 1.0)
-        bank = KernelBank(
-            [KernelSpec("linear")],
-            [GramMatrix(np.outer(s, s) + 1e-6 * np.eye(10), state=CENTERED)],
-        )
+        bank = bank_of([np.outer(s, s) + 1e-6 * np.eye(10)])
         idx, mu = best_kernel(bank, y, kfold_plan(10, 5, seed=0))
         assert idx == 0
         np.testing.assert_array_equal(mu, [1.0])
@@ -265,10 +248,10 @@ class TestBestKernel:
     def test_failed_kernel_skipped_with_warning(self, monkeypatch, caplog):
         bank, y = labeled_bank(informative_index=1)
         folds = kfold_plan(bank.n, 4, seed=7)
-        bad = bank.train_grams[1]  # knock out the would-be winner
+        bad = bank.gram(1)  # knock out the would-be winner
 
         def flaky(gram, *args, **kwargs):
-            if gram is bad:
+            if np.array_equal(gram, bad):
                 raise RuntimeError("synthetic failure")
             return select_C(gram, *args, **kwargs)
 

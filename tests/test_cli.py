@@ -124,6 +124,36 @@ class TestSvmTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "case", ["negative", "all_zero", "nan", "top_level_list"]
+    )
+    def test_invalid_weights_are_config_errors(self, tmp_path, toy_csv, capsys, case):
+        weights = tmp_path / "w.json"
+        assert main(["learn", "--data", toy_csv, "--method", "average", "--out", str(weights)]) == 0
+        mu = json.loads(weights.read_text())["mu"]
+        if case == "negative":
+            mu[0] = -1.0
+        elif case == "all_zero":
+            mu = [0.0] * len(mu)
+        elif case == "nan":
+            mu[0] = float("nan")
+        payload = mu if case == "top_level_list" else {"mu": mu}
+        weights.write_text(json.dumps(payload))  # NaN is written as the NaN literal
+        model = tmp_path / "m.json"
+        code = main(
+            ["svm", "train", "--data", toy_csv, "--weights", str(weights), "--out", str(model)]
+        )
+        assert code == 1
+        assert "bad weights" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_one_fold_is_config_error(self, tmp_path, toy_csv, capsys):
+        model = tmp_path / "m.json"
+        code = main(["svm", "train", "--data", toy_csv, "--folds", "1", "--out", str(model)])
+        assert code == 1
+        assert "--folds" in capsys.readouterr().err
+        assert not model.exists()
+
 
 class TestEvaluate:
     def test_hand_metrics(self, tmp_path, capsys):

@@ -1,14 +1,13 @@
-"""Base kernels, bank recipes, centering/standardization, combination, I/O."""
+"""Base kernels, bank recipes, centering/standardization, the pair-major store,
+combination, and bank files."""
+
+import json
 
 import numpy as np
 import pytest
 
 from kweave.kernels import (
-    CENTERED,
-    RAW,
-    CrossGram,
     DegenerateKernelError,
-    GramMatrix,
     KernelBank,
     KernelError,
     KernelSpec,
@@ -21,39 +20,40 @@ from kweave.kernels import (
     combine_cross,
     compute_cross_gram,
     compute_gram,
-    load_bank,
     save_bank,
 )
+
+from conftest import bank_of, dense_centering
 
 
 class TestKernelEvaluation:
     def test_gaussian_hand_value(self):
         X = np.array([[0.0], [2.0]])
         g = compute_gram(KernelSpec("gaussian", gamma=0.25), X)
-        np.testing.assert_allclose(g.values[0, 1], np.exp(-1.0), rtol=1e-15)
+        np.testing.assert_allclose(g[0, 1], np.exp(-1.0), rtol=1e-15)
 
     def test_gaussian_diagonal_exactly_one(self):
         rng = np.random.default_rng(0)
         X = rng.normal(0, 50, (20, 4))  # large scale stresses the sq-dist path
         g = compute_gram(KernelSpec("gaussian", gamma=2.0**-4), X)
-        np.testing.assert_array_equal(np.diag(g.values), np.ones(20))
+        np.testing.assert_array_equal(np.diag(g), np.ones(20))
 
     def test_polynomial_hand_value(self):
         X = np.array([[1.0, 2.0], [0.0, 1.0]])
         g = compute_gram(KernelSpec("polynomial", degree=2, offset=1.0), X)
         # (x . x' + 1)^2 with x.x' = 2 -> 9
-        assert g.values[0, 1] == 9.0
+        assert g[0, 1] == 9.0
 
     def test_linear_is_dot_product(self):
         rng = np.random.default_rng(1)
         X = rng.normal(0, 1, (6, 3))
         g = compute_gram(KernelSpec("linear"), X)
-        np.testing.assert_allclose(g.values, X @ X.T, atol=1e-14)
+        np.testing.assert_allclose(g, X @ X.T, atol=1e-14)
 
     def test_per_feature_scoping(self):
         X = np.array([[1.0, 5.0], [2.0, -1.0]])
         g = compute_gram(KernelSpec("linear", feature_index=1), X)
-        np.testing.assert_allclose(g.values, np.outer(X[:, 1], X[:, 1]))
+        np.testing.assert_allclose(g, np.outer(X[:, 1], X[:, 1]))
 
     def test_feature_index_out_of_range(self):
         with pytest.raises(KernelError, match="feature_index"):
@@ -64,8 +64,8 @@ class TestKernelEvaluation:
         A, B = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, (6, 3))
         spec = KernelSpec("gaussian", gamma=0.1)
         cross = compute_cross_gram(spec, A, B)
-        joint = compute_gram(spec, np.vstack([B, A])).values
-        np.testing.assert_allclose(cross.values, joint[6:, :6], atol=1e-12)
+        joint = compute_gram(spec, np.vstack([B, A]))
+        np.testing.assert_allclose(cross, joint[6:, :6], atol=1e-12)
 
 
 class TestBankRecipes:
@@ -90,7 +90,7 @@ class TestBankRecipes:
     def test_build_bank_shares_ordering(self, toy_dataset):
         bank = build_kernel_bank(toy_dataset.instances, "uci_full")
         assert bank.p == 13 and bank.n == toy_dataset.n
-        assert bank.stacked().shape == (13, 40, 40)
+        assert all(G.shape == (40, 40) for G in bank.grams)
 
 
 class TestCentering:
@@ -100,28 +100,26 @@ class TestCentering:
 
     def test_rows_sum_to_zero_and_trace_normalized(self):
         g = compute_gram(KernelSpec("gaussian", gamma=0.5), self.X)
-        c = center_standardize_fit(g)
-        np.testing.assert_allclose(c.values.sum(axis=0), 0.0, atol=1e-9)
-        assert abs(np.trace(c.values) / c.n - 1.0) < 1e-12
-        assert c.state == CENTERED
+        c, _ = center_standardize_fit(g)
+        np.testing.assert_allclose(c.sum(axis=0), 0.0, atol=1e-9)
+        assert abs(np.trace(c) / c.shape[0] - 1.0) < 1e-12
 
     def test_psd_preserved(self):
         g = compute_gram(KernelSpec("polynomial", degree=3, offset=1.0), self.X)
-        c = center_standardize_fit(g)
-        eigs = np.linalg.eigvalsh(c.values)
+        c, _ = center_standardize_fit(g)
+        eigs = np.linalg.eigvalsh(c)
         assert eigs.min() >= -1e-8 * max(1.0, eigs.max())
 
     def test_positive_scaling_invariance(self):
         g = compute_gram(KernelSpec("linear"), self.X)
-        c1 = center_standardize_fit(g)
+        c1, _ = center_standardize_fit(g)
         for factor in (1e-6, 3.0, 1e6):
-            c2 = center_standardize_fit(GramMatrix(g.values * factor, state=RAW))
-            np.testing.assert_allclose(c2.values, c1.values, rtol=1e-12, atol=1e-12)
+            c2, _ = center_standardize_fit(g * factor)
+            np.testing.assert_allclose(c2, c1, rtol=1e-12, atol=1e-12)
 
     def test_degenerate_kernel_raises(self):
-        ones = GramMatrix(np.ones((6, 6)), state=RAW)  # constant feature map
         with pytest.raises(DegenerateKernelError):
-            center_standardize_fit(ones)
+            center_standardize_fit(np.ones((6, 6)))  # constant feature map
 
     def test_center_bank_drops_degenerates(self, caplog):
         X = np.column_stack([np.arange(8.0), np.zeros(8)])  # column 1 constant
@@ -143,26 +141,65 @@ class TestCentering:
 
     def test_apply_on_train_rows_reproduces_centered_gram(self):
         spec = KernelSpec("gaussian", gamma=0.25)
-        g = compute_gram(spec, self.X)
-        c = center_standardize_fit(g)
+        c, stats = center_standardize_fit(compute_gram(spec, self.X))
         cross = compute_cross_gram(spec, self.X, self.X)  # "test" rows = train rows
-        out = center_standardize_apply(cross, c.center_stats)
-        np.testing.assert_allclose(out.values, c.values, atol=1e-12)
-        assert out.state == CENTERED
+        np.testing.assert_allclose(center_standardize_apply(cross, stats), c, atol=1e-12)
 
     def test_apply_matches_feature_space_centering_for_linear(self):
         # independent oracle: center the features, then take dot products
         rng = np.random.default_rng(3)
         Xtr, Xte = rng.normal(1.0, 2.0, (12, 3)), rng.normal(1.0, 2.0, (5, 3))
-        g = compute_gram(KernelSpec("linear"), Xtr)
-        c = center_standardize_fit(g)
-        cross = center_standardize_apply(compute_cross_gram(KernelSpec("linear"), Xte, Xtr),
-                                         c.center_stats)
+        c, stats = center_standardize_fit(compute_gram(KernelSpec("linear"), Xtr))
+        cross = center_standardize_apply(compute_cross_gram(KernelSpec("linear"), Xte, Xtr), stats)
         Ztr = Xtr - Xtr.mean(axis=0)
         scale = np.trace(Ztr @ Ztr.T) / Xtr.shape[0]
         expected = (Xte - Xtr.mean(axis=0)) @ Ztr.T / scale
-        np.testing.assert_allclose(cross.values, expected, atol=1e-10)
-        np.testing.assert_allclose(c.values, Ztr @ Ztr.T / scale, atol=1e-10)
+        np.testing.assert_allclose(cross, expected, atol=1e-10)
+        np.testing.assert_allclose(c, Ztr @ Ztr.T / scale, atol=1e-10)
+
+
+class TestPairMajorStore:
+    """The centered bank keeps one (n(n+1)/2, p) matrix and nothing else."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        # column 2 is constant, so its per-feature kernels are dropped
+        self.X = np.column_stack([rng.normal(0, 1, (11, 2)), np.ones(11)])
+        self.bank, self.dropped = center_bank(
+            build_kernel_bank(self.X, "uci_full_plus_per_feature")
+        )
+
+    def test_store_shape_and_layout(self):
+        n, p = self.bank.n, self.bank.p
+        assert self.dropped and p == 13 * 4 - len(self.dropped)
+        assert self.bank.Z.shape == (n * (n + 1) // 2, p)
+        assert self.bank.Z.dtype == np.float64 and self.bank.Z.flags.c_contiguous
+        assert len(self.bank.stats) == p
+
+    def test_gram_is_dense_centering_bit_for_bit(self):
+        ii, jj = np.triu_indices(self.bank.n)
+        for l, spec in enumerate(self.bank.specs):
+            expected = dense_centering(compute_gram(spec, self.X))
+            G = self.bank.gram(l)
+            np.testing.assert_array_equal(G, expected)
+            np.testing.assert_array_equal(self.bank.Z[:, l], expected[ii, jj])
+
+    def test_stats_are_the_raw_gram_statistics(self):
+        for spec, stats in zip(self.bank.specs, self.bank.stats):
+            _, expected = center_standardize_fit(compute_gram(spec, self.X))
+            np.testing.assert_array_equal(stats.row_means, expected.row_means)
+            assert (stats.grand_mean, stats.scale) == (expected.grand_mean, expected.scale)
+
+    def test_combine_is_dense_sequential_sum_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            w = rng.random(self.bank.p) * (rng.random(self.bank.p) < 0.6)
+            w[0] = 0.5  # at least one positive weight
+            expected = np.zeros((self.bank.n, self.bank.n))
+            for l, wl in enumerate(w):
+                if wl > 0:
+                    expected += wl * self.bank.gram(l)
+            np.testing.assert_array_equal(combine(self.bank, w), expected)
 
 
 class TestCombination:
@@ -174,89 +211,72 @@ class TestCombination:
     def test_weighted_sum_exact(self):
         w = np.zeros(13)
         w[0], w[4] = 0.5, 2.0
-        out = combine(self.bank.train_grams, w)
-        expected = 0.5 * self.bank.train_grams[0].values + 2.0 * self.bank.train_grams[4].values
-        np.testing.assert_allclose(out.values, expected, atol=1e-12)
-        assert out.state == CENTERED
+        out = combine(self.bank, w)
+        expected = 0.5 * self.bank.gram(0) + 2.0 * self.bank.gram(4)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_uniform_combination_of_identical_grams_is_identity(self):
-        g = self.bank.train_grams[0]
-        out = combine([g, g, g, g], np.full(4, 0.25))
-        np.testing.assert_allclose(out.values, g.values, atol=1e-15)
+        g = self.bank.gram(0)
+        out = combine(bank_of([g, g, g, g]), np.full(4, 0.25))
+        np.testing.assert_allclose(out, g, atol=1e-15)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(KernelError, match="negative"):
-            combine(self.bank.train_grams, -np.ones(13))
+            combine(self.bank, -np.ones(13))
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(KernelError, match="zero"):
-            combine(self.bank.train_grams, np.zeros(13))
+            combine(self.bank, np.zeros(13))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        w = np.ones(13)
+        w[3] = bad
+        with pytest.raises(KernelError, match="non-finite"):
+            combine(self.bank, w)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(KernelError):
-            combine(self.bank.train_grams, np.ones(5))
+            combine(self.bank, np.ones(5))
 
     def test_combine_cross(self):
-        crosses = [CrossGram(np.full((2, 10), float(i)), state=CENTERED) for i in range(3)]
+        crosses = [np.full((2, 10), float(i)) for i in range(3)]
         out = combine_cross(crosses, np.array([1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.values, np.full((2, 10), 1.0 * 0 + 2.0 * 2))
+        np.testing.assert_array_equal(out, np.full((2, 10), 1.0 * 0 + 2.0 * 2))
 
     def test_combination_stays_psd(self):
         rng = np.random.default_rng(0)
         w = rng.random(13)
-        out = combine(self.bank.train_grams, w)
-        eigs = np.linalg.eigvalsh(out.values)
+        out = combine(self.bank, w)
+        eigs = np.linalg.eigvalsh(out)
         assert eigs.min() >= -1e-8 * max(1.0, eigs.max())
 
 
 class TestBankIO:
+    """`kweave kernels build` files: meta.json plus one dense Gram per kernel."""
+
     def test_binary_round_trip(self, tmp_path, toy_dataset):
         bank, _ = center_bank(build_kernel_bank(toy_dataset.instances, "uci_full"))
         save_bank(bank, tmp_path / "bank")
-        back = load_bank(tmp_path / "bank")
-        assert back.p == bank.p and back.n == bank.n
-        for a, b in zip(bank.train_grams, back.train_grams):
-            np.testing.assert_array_equal(a.values, b.values)
-            assert b.state == CENTERED
-            np.testing.assert_allclose(
-                b.center_stats.row_means, a.center_stats.row_means, rtol=0, atol=0
-            )
-        assert [s.label() for s in back.specs] == [s.label() for s in bank.specs]
+        meta = json.loads((tmp_path / "bank" / "meta.json").read_text())
+        assert (meta["n"], meta["p"], meta["text"]) == (bank.n, bank.p, False)
+        assert meta["state"] == "centered_standardized"
+        assert [KernelSpec(**s) for s in meta["specs"]] == bank.specs
+        for l, stats in enumerate(meta["center_stats"]):
+            assert stats["row_means"] == bank.stats[l].row_means.tolist()
+            V = np.fromfile(tmp_path / "bank" / f"k{l}.f64", dtype="<f8")
+            np.testing.assert_array_equal(V.reshape(bank.n, bank.n), bank.gram(l))
 
     def test_text_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        X = rng.normal(0, 1, (6, 2))
-        bank = build_kernel_bank(X, "uci_full")
+        bank, _ = center_bank(build_kernel_bank(rng.normal(0, 1, (6, 2)), "uci_full"))
         save_bank(bank, tmp_path / "bank", text=True)
-        back = load_bank(tmp_path / "bank")
-        for a, b in zip(bank.train_grams, back.train_grams):
-            np.testing.assert_array_equal(a.values, b.values)
-
-    def test_truncated_file_detected(self, tmp_path):
-        rng = np.random.default_rng(4)
-        bank = build_kernel_bank(rng.normal(0, 1, (5, 2)), "uci_full")
-        save_bank(bank, tmp_path / "bank")
-        blob = (tmp_path / "bank" / "k0.f64").read_bytes()
-        (tmp_path / "bank" / "k0.f64").write_bytes(blob[:-8])
-        with pytest.raises(KernelError, match="expected"):
-            load_bank(tmp_path / "bank")
+        for l in range(bank.p):
+            V = np.loadtxt(tmp_path / "bank" / f"k{l}.tsv", delimiter="\t")
+            np.testing.assert_array_equal(V, bank.gram(l))
 
 
 class TestGramValidation:
-    def test_asymmetric_rejected(self):
-        V = np.array([[1.0, 0.5], [0.1, 1.0]])
-        with pytest.raises(KernelError, match="symmetric"):
-            GramMatrix(V)
-
-    def test_tiny_asymmetry_symmetrized(self):
-        V = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
-        g = GramMatrix(V)
-        np.testing.assert_array_equal(g.values, g.values.T)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(KernelError, match="square"):
-            GramMatrix(np.ones((2, 3)))
-
     def test_spec_validation(self):
         with pytest.raises(KernelError):
             KernelSpec("gaussian")  # gamma required
@@ -267,10 +287,11 @@ class TestGramValidation:
 
     def test_spec_round_trip(self):
         spec = KernelSpec("polynomial", degree=3, offset=1.0, feature_index=2)
-        assert KernelSpec.from_dict(spec.to_dict()) == spec
+        assert KernelSpec(**spec.to_dict()) == spec
 
     def test_bank_dimension_mismatch(self):
-        g1 = GramMatrix(np.eye(3))
-        g2 = GramMatrix(np.eye(4))
+        bank = bank_of([np.eye(3), np.eye(3)])
         with pytest.raises(KernelError, match="inconsistent"):
-            KernelBank([KernelSpec("linear"), KernelSpec("linear")], [g1, g2])
+            KernelBank(bank.specs, bank.Z, 4, bank.stats)
+        with pytest.raises(KernelError, match="inconsistent"):
+            KernelBank(bank.specs, bank.Z[:, :1], 3, bank.stats)

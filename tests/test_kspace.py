@@ -3,21 +3,21 @@
 import numpy as np
 import pytest
 
-from kweave.kernels import CENTERED, GramMatrix, KernelBank, KernelSpec
+from kweave.kernels import KernelBank, build_kernel_bank, center_bank, compute_gram
 from kweave.kspace import balance, make_kexamples, sample_batch
 from kweave.mkl import _split_kset
 
-from conftest import centered_bank_for, make_blobs
+from conftest import bank_of, centered_bank_for, dense_centering, make_blobs
 
 
 def tiny_bank(n: int, p: int = 2, seed: int = 0) -> KernelBank:
-    """Synthetic centered-state bank; contents are arbitrary symmetric values."""
+    """Synthetic centered bank; contents are arbitrary symmetric values."""
     rng = np.random.default_rng(seed)
     grams = []
     for _ in range(p):
         A = rng.normal(0, 1, (n, max(1, n // 2 + 1)))
-        grams.append(GramMatrix(A @ A.T, state=CENTERED))
-    return KernelBank([KernelSpec("linear") for _ in range(p)], grams)
+        grams.append(A @ A.T)
+    return bank_of(grams)
 
 
 class TestMakeKexamples:
@@ -50,18 +50,23 @@ class TestMakeKexamples:
         assert np.all(kset.t[diag] == 1)
 
     def test_z_values_are_exact_gram_entries(self):
-        bank = tiny_bank(5, p=3, seed=9)
+        X = np.random.default_rng(9).normal(0, 1, (5, 2))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
         kset = make_kexamples(np.array([0, 0, 1, 1, 0]), bank)
         Z = kset.z_rows(np.arange(len(kset)))
+        dense = [dense_centering(compute_gram(spec, X)) for spec in bank.specs]
         for r, (i, j) in enumerate(kset.pairs):
-            for l in range(3):
-                assert Z[r, l] == bank.train_grams[l].values[i, j]  # bit-for-bit
+            for l in range(bank.p):
+                assert Z[r, l] == dense[l][i, j]  # bit-for-bit
+
+    def test_stack_is_the_bank_store(self, toy_bank, toy_dataset):
+        kset = make_kexamples(toy_dataset.labels, toy_bank)
+        assert kset.stack is toy_bank.Z
 
     def test_raw_bank_rejected(self, toy_dataset):
-        from kweave.kernels import build_kernel_bank
-
+        # a raw bank has no pair-major store: only center_bank makes one
         raw = build_kernel_bank(toy_dataset.instances, "uci_full")
-        with pytest.raises(ValueError, match="centered"):
+        with pytest.raises(AttributeError, match="Z"):
             make_kexamples(toy_dataset.labels, raw)
 
     def test_dimension_mismatch(self):

@@ -655,7 +655,7 @@ class TestSelectC:
         X = rng.normal(0.0, 1.0, (n, 3))
         X[:, 0] += 6.0 * y
         bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
-        K = combine(bank.train_grams, np.full(bank.p, 1.0 / bank.p)).values
+        K = combine(bank, np.full(bank.p, 1.0 / bank.p))
         best, records = select_C(K, y, kfold_plan(n, 4, seed=2))
         by_C = {r["C"]: r["cv_accuracy"] for r in records}
         for C in (1.0, 10.0, 100.0, 1000.0):
@@ -742,7 +742,7 @@ class TestFit:
         jitters = force_nonconvergence(monkeypatch)
         ds = make_blobs(n_per_class=12, d=3, gap=2.0, seed=4)
         bank, _ = center_bank(build_kernel_bank(ds.instances, "uci_full"))
-        K, labels = combine(bank.train_grams, np.full(bank.p, 1.0 / bank.p)), ds.labels
+        K, labels = combine(bank, np.full(bank.p, 1.0 / bank.p)), ds.labels
         folds = kfold_plan(len(labels), 3, seed=2)
         best_C, _, ovr, retried = fit(K, labels, folds, grid=[0.1, 1.0], n_classes=2)
         assert retried
