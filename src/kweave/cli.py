@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -40,10 +41,16 @@ def _load_config(path: str) -> experiment.ExperimentConfig:
         raise ConfigError(f"bad config {path!r}: {exc}") from exc
 
 
+def _load_run(args):
+    """The config of `experiment run` / `report sweep`, with --out applied, and its dataset."""
+    config = _load_config(args.config)
+    if args.out:
+        config.output_dir = args.out
+    return config, _load_data(config.dataset_path, config.dataset_format)
+
+
 def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def cmd_kernels_build(args) -> int:
@@ -56,6 +63,8 @@ def cmd_kernels_build(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     dataset = _load_data(args.data, args.format)
     method = args.method.replace("-", "_")
     try:
@@ -69,17 +78,18 @@ def cmd_learn(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    res = experiment.learn_weights(dataset.instances, dataset.labels, config, args.seed)
+    _, _, bank, dropped = experiment.prepare_train(dataset.instances, args.recipe)
+    mu, details = experiment.learn_weights(bank, dataset.labels, config, args.seed)
     payload = {
         "method": method,
-        "mu": [float(v) for v in res.mu],
-        "p": len(res.mu),
-        "dropped_kernels": [int(i) for i in res.dropped],
+        "mu": [float(v) for v in mu],
+        "p": len(mu),
+        "dropped_kernels": [int(i) for i in dropped],
         "seed": args.seed,
-        **res.details,
+        **details,
     }
     _write_json(payload, args.out)
-    print(f"{method}: {int(np.count_nonzero(res.mu))}/{len(res.mu)} nonzero weights -> {args.out}")
+    print(f"{method}: {int(np.count_nonzero(mu))}/{len(mu)} nonzero weights -> {args.out}")
     return 0
 
 
@@ -94,6 +104,8 @@ def _read_weights(path: str, p: int) -> np.ndarray:
 def cmd_svm_train(args) -> int:
     if args.folds < 2:
         raise ConfigError(f"--folds must be >= 2, got {args.folds}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     dataset = _load_data(args.data, args.format)
     _, _, bank, _ = experiment.prepare_train(dataset.instances, args.recipe)
     mu = _read_weights(args.weights, bank.p) if args.weights else np.full(bank.p, 1.0 / bank.p)
@@ -121,11 +133,18 @@ def _read_label_file(path: str) -> np.ndarray:
 
 
 def cmd_evaluate(args) -> int:
+    if not 0.0 <= args.drop_fraction < 1.0:
+        raise ConfigError(f"--drop-fraction must be in [0, 1), got {args.drop_fraction}")
     true = _read_label_file(args.true)
     pred = _read_label_file(args.pred)
     if true.shape != pred.shape:
         raise ConfigError("true/pred label files differ in length")
-    c = args.classes if args.classes else int(max(true.max(), pred.max())) + 1
+    if true.size == 0:
+        raise ConfigError("label files are empty")
+    lo, hi = int(min(true.min(), pred.min())), int(max(true.max(), pred.max()))
+    c = args.classes if args.classes else hi + 1
+    if lo < 0 or hi >= c:
+        raise ConfigError(f"label ids must be in [0, {c}), got {lo}..{hi}")
     report = metrics.evaluate(true, pred, c)
     out = {"metrics": report.to_dict(include_confusion=True)}
     if args.drop_fraction > 0.0:
@@ -140,27 +159,23 @@ def cmd_evaluate(args) -> int:
         retained, filtered = metrics.filter_unsure(conf, pred, true, args.drop_fraction, c)
         out["filtered_metrics"] = filtered.to_dict()
         out["retained"] = [int(i) for i in retained]
-    text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_json(out, args.out)
     else:
-        print(text)
+        print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_experiment_run(args) -> int:
-    config = _load_config(args.config)
-    if args.out:
-        config.output_dir = args.out
-    report = experiment.run_experiment(config)
+    config, dataset = _load_run(args)
+    report = experiment.run_experiment(config, dataset=dataset)
     os.makedirs(config.output_dir, exist_ok=True)
     json_path = os.path.join(config.output_dir, "report.json")
-    md_path = os.path.join(config.output_dir, "report.md")
-    experiment.emit_report(report, "json", json_path)
-    experiment.emit_report(report, "markdown_table", md_path)
+    table = experiment.render_markdown_table(report)
+    _write_json(report.to_dict(), json_path)
+    Path(config.output_dir, "report.md").write_text(table, encoding="utf-8")
     acc = report.aggregate["accuracy"]
-    print(experiment.render_markdown_table(report), end="")
+    print(table, end="")
     print(
         f"{config.method}: accuracy {100 * acc['mean']:.2f}({100 * acc['std']:.2f}) "
         f"over {report.aggregate['n_succeeded']}/{report.aggregate['n_splits']} splits "
@@ -170,13 +185,11 @@ def cmd_experiment_run(args) -> int:
 
 
 def cmd_report_sweep(args) -> int:
-    config = _load_config(args.config)
-    if args.out:
-        config.output_dir = args.out
-    sweep = experiment.run_lambda_sweep(config)
+    config, dataset = _load_run(args)
+    sweep = experiment.run_lambda_sweep(config, dataset=dataset)
     os.makedirs(config.output_dir, exist_ok=True)
     tsv_path = os.path.join(config.output_dir, "sweep.tsv")
-    experiment.emit_report(sweep, "tsv_sweep", tsv_path)
+    Path(tsv_path).write_text(experiment.render_sweep_tsv(sweep), encoding="utf-8")
     _write_json(sweep, os.path.join(config.output_dir, "sweep.json"))
     print(f"{len(sweep['records'])} sweep records -> {tsv_path}")
     return 0

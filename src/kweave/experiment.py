@@ -16,7 +16,8 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("n_splits must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if not 0.0 <= self.drop_fraction < 1.0:
             raise ValueError("drop_fraction must be in [0, 1)")
         if self.svm_folds < 2:
@@ -94,68 +97,52 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         """Nested JSON config, erroring on unknown keys so typos surface."""
-        obj = dict(obj)
-
-        def section(name):
-            sec = obj.pop(name, {})
-            if not isinstance(sec, dict):
-                raise ValueError(f"config section {name!r} must be an object")
-            return dict(sec)
-
-        ds = section("dataset")
-        kcfg = section("kernels")
-        splits = section("splits")
-        mcfg = section("mkl")
-        scfg = section("svm")
-        metcfg = section("metrics")
+        rest = {None: dict(obj)}
+        for section, _, _ in _CONFIG_SCHEMA:
+            if section is not None and section not in rest:
+                sec = rest[None].pop(section, {})
+                if not isinstance(sec, dict):
+                    raise ValueError(f"config section {section!r} must be an object")
+                rest[section] = dict(sec)
         kwargs = {
-            "dataset_path": ds.pop("path", None),
-            "dataset_format": ds.pop("format", "csv"),
-            "kernel_recipe": kcfg.pop("recipe", "uci_full"),
-            "method": obj.pop("method", "tsmkl"),
-            "n_splits": splits.pop("count", 10),
-            "train_fraction": splits.pop("train_fraction", 0.8),
-            "base_seed": splits.pop("base_seed", 0),
-            "stratified": splits.pop("stratified", True),
-            "mkl_num_steps": mcfg.pop("num_steps", None),
-            "mkl_batch_size": mcfg.pop("batch_size", 100),
-            "lambda_grid": mcfg.pop("lambda_grid", None),
-            "c_grid": scfg.pop("c_grid", list(svm.DEFAULT_C_GRID)),
-            "svm_folds": scfg.pop("folds", 4),
-            "drop_fraction": metcfg.pop("drop_fraction", 0.0),
-            "output_dir": obj.pop("output_dir", "out"),
+            name: rest[section].pop(key)
+            for section, key, name in _CONFIG_SCHEMA
+            if key in rest[section]
         }
-        if kwargs["dataset_path"] is None:
+        if kwargs.get("dataset_path") is None:
             raise ValueError("config requires dataset.path")
-        leftovers = {
-            "top-level": obj, "dataset": ds, "kernels": kcfg, "splits": splits,
-            "mkl": mcfg, "svm": scfg, "metrics": metcfg,
-        }
-        for where, sec in leftovers.items():
+        for section, sec in rest.items():
             if sec:
-                raise ValueError(f"unknown config keys in {where}: {sorted(sec)}")
+                raise ValueError(f"unknown config keys in {section or 'top-level'}: {sorted(sec)}")
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": {"path": self.dataset_path, "format": self.dataset_format},
-            "kernels": {"recipe": self.kernel_recipe},
-            "method": self.method,
-            "splits": {
-                "count": self.n_splits,
-                "train_fraction": self.train_fraction,
-                "base_seed": self.base_seed,
-                "stratified": self.stratified,
-            },
-            "mkl": {
-                "num_steps": self.mkl_num_steps,
-                "batch_size": self.mkl_batch_size,
-                "lambda_grid": self.lambda_grid,
-            },
-            "svm": {"c_grid": list(self.c_grid), "folds": self.svm_folds},
-            "metrics": {"drop_fraction": self.drop_fraction},
-            "output_dir": self.output_dir,
-        }
+        flat = asdict(self)
+        out: dict = {}
+        for section, key, name in _CONFIG_SCHEMA:
+            (out.setdefault(section, {}) if section else out)[key] = flat[name]
+        return out
+
+
+# (JSON section or None for top level, JSON key, ExperimentConfig field), in
+# the order sections are checked and written; defaults live on the dataclass.
+_CONFIG_SCHEMA = (
+    ("dataset", "path", "dataset_path"),
+    ("dataset", "format", "dataset_format"),
+    ("kernels", "recipe", "kernel_recipe"),
+    (None, "method", "method"),
+    ("splits", "count", "n_splits"),
+    ("splits", "train_fraction", "train_fraction"),
+    ("splits", "base_seed", "base_seed"),
+    ("splits", "stratified", "stratified"),
+    ("mkl", "num_steps", "mkl_num_steps"),
+    ("mkl", "batch_size", "mkl_batch_size"),
+    ("mkl", "lambda_grid", "lambda_grid"),
+    ("svm", "c_grid", "c_grid"),
+    ("svm", "folds", "svm_folds"),
+    ("metrics", "drop_fraction", "drop_fraction"),
+    (None, "output_dir", "output_dir"),
+)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -167,18 +154,6 @@ def _mkl_steps(config: ExperimentConfig, n_train: int) -> int:
     if config.mkl_num_steps is not None:
         return config.mkl_num_steps
     return 1000 if n_train < 1000 else 100000
-
-
-@dataclass
-class WeightsResult:
-    """Output of the train-side pipeline: scaler, centered bank, weights."""
-
-    mu: np.ndarray
-    bank: object
-    scaler: FeatureScaler
-    scaled_train: np.ndarray
-    dropped: list
-    details: dict
 
 
 def prepare_train(train_X, recipe: str):
@@ -206,14 +181,13 @@ def _balanced_kset(train_y, bank, seed: int):
     return balance(make_kexamples(train_y, bank), derive_seed(seed, _SEED_BALANCE))
 
 
-def learn_weights(train_X, train_y, config: ExperimentConfig, seed: int) -> WeightsResult:
-    """Scale, build and center the bank, and learn weights from train rows only.
+def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
+    """Learn the config's kernel weights on a centered train-side bank.
 
-    Nothing here may see test rows; run_experiment feeds it the train split
-    and reuses the returned scaler and centering statistics on the test side.
+    Returns (mu, details). The bank must come from prepare_train on train
+    rows only; nothing here may see test rows.
     """
     train_y = np.asarray(train_y, dtype=np.int64)
-    scaler, Xs, bank, dropped = prepare_train(train_X, config.kernel_recipe)
     details: dict = {}
 
     if config.method == "tsmkl":
@@ -253,10 +227,20 @@ def learn_weights(train_X, train_y, config: ExperimentConfig, seed: int) -> Weig
         details = {"chosen_kernel": idx, "kernel_label": bank.specs[idx].label()}
     else:  # unreachable after config validation
         raise ValueError(config.method)
+    return mu, details
 
-    return WeightsResult(
-        mu=mu, bank=bank, scaler=scaler, scaled_train=Xs, dropped=dropped, details=details
-    )
+
+def _holdout(dataset: Dataset, config: ExperimentConfig, seed: int):
+    """The (train, test) datasets of one random split."""
+    plan = holdout_split(dataset, config.train_fraction, seed, config.stratified)
+    return dataset.subset(plan.train_indices), dataset.subset(plan.test_indices)
+
+
+def _fit_svm(bank, mu, train: Dataset, config: ExperimentConfig, seed: int, n_classes: int):
+    """Combine the bank with mu, pick C by CV and fit; returns svm.fit's tuple."""
+    combined = combine(bank, mu)
+    folds = kfold_plan(train.n, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS))
+    return svm.fit(combined, train.labels, folds, grid=config.c_grid, n_classes=n_classes)
 
 
 def _mu_summary(mu: np.ndarray) -> dict:
@@ -267,64 +251,65 @@ def _mu_summary(mu: np.ndarray) -> dict:
     }
 
 
+@dataclass
+class _StageClock:
+    """Wall time per named stage; `current` names the stage last entered."""
+
+    timings: dict = field(default_factory=dict)
+    current: str | None = None
+
+    @contextmanager
+    def stage(self, name: str):
+        self.current = name
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
+
+
 def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> dict:
     seed = config.base_seed + split_index
     record: dict = {"split_index": split_index, "seed": seed}
-    timings: dict = {}
-    stage = "split"
+    clock = _StageClock()
     try:
-        t0 = time.perf_counter()
-        plan = holdout_split(dataset, config.train_fraction, seed, config.stratified)
-        train = dataset.subset(plan.train_indices)
-        test = dataset.subset(plan.test_indices)
-        record["n_train"], record["n_test"] = train.n, test.n
-        timings["split"] = time.perf_counter() - t0
+        with clock.stage("split"):
+            train, test = _holdout(dataset, config, seed)
+            record["n_train"], record["n_test"] = train.n, test.n
 
-        stage = "kernel_learning"
-        t0 = time.perf_counter()
-        res = learn_weights(train.instances, train.labels, config, seed)
-        timings["kernel_learning"] = time.perf_counter() - t0
-        record["mu"] = [float(v) for v in res.mu]
-        record["mu_summary"] = _mu_summary(res.mu)
-        record["dropped_kernels"] = [int(i) for i in res.dropped]
-        record.update({k: v for k, v in res.details.items() if k != "lambda_records"})
+        with clock.stage("kernel_learning"):
+            scaler, Xs, bank, dropped = prepare_train(train.instances, config.kernel_recipe)
+            mu, details = learn_weights(bank, train.labels, config, seed)
+        record["mu"] = [float(v) for v in mu]
+        record["mu_summary"] = _mu_summary(mu)
+        record["dropped_kernels"] = [int(i) for i in dropped]
+        record.update({k: v for k, v in details.items() if k != "lambda_records"})
 
-        stage = "kernel_build"
-        t0 = time.perf_counter()
-        crosses = cross_blocks(res.scaler, res.scaled_train, res.bank, test.instances)
-        combined = combine(res.bank, res.mu)
-        combined_cross = combine_cross(crosses, res.mu)
-        timings["kernel_build"] = time.perf_counter() - t0
+        with clock.stage("kernel_build"):
+            crosses = cross_blocks(scaler, Xs, bank, test.instances)
 
-        stage = "svm"
-        t0 = time.perf_counter()
-        folds = kfold_plan(train.n, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS))
-        best_C, cv_records, ovr, retried = svm.fit(
-            combined, train.labels, folds, grid=config.c_grid, n_classes=dataset.n_classes
-        )
+        with clock.stage("svm"):
+            best_C, cv_records, ovr, retried = _fit_svm(
+                bank, mu, train, config, seed, dataset.n_classes
+            )
         if retried:
             record["svm_jitter_retry"] = True
         record["chosen_C"] = float(best_C)
         record["cv_records"] = cv_records
-        timings["svm"] = time.perf_counter() - t0
 
-        stage = "evaluation"
-        t0 = time.perf_counter()
-        D = ovr.decision_matrix(combined_cross)
-        pred = D.argmax(axis=1)
-        record["metrics"] = metrics.evaluate(test.labels, pred, dataset.n_classes).to_dict()
-        if config.drop_fraction > 0.0:
-            conf = metrics.margin_confidence(D)
-            _, filtered = metrics.filter_unsure(
-                conf, pred, test.labels, config.drop_fraction, dataset.n_classes
-            )
-            record["filtered_metrics"] = filtered.to_dict()
-        timings["evaluation"] = time.perf_counter() - t0
+        with clock.stage("evaluation"):
+            D = ovr.decision_matrix(combine_cross(crosses, mu))
+            pred = D.argmax(axis=1)
+            record["metrics"] = metrics.evaluate(test.labels, pred, dataset.n_classes).to_dict()
+            if config.drop_fraction > 0.0:
+                conf = metrics.margin_confidence(D)
+                _, filtered = metrics.filter_unsure(
+                    conf, pred, test.labels, config.drop_fraction, dataset.n_classes
+                )
+                record["filtered_metrics"] = filtered.to_dict()
     except Exception as exc:  # per-split isolation: one bad split must not kill the run
-        logger.warning("split %d failed at stage %s: %s", split_index, stage, exc)
+        logger.warning("split %d failed at stage %s: %s", split_index, clock.current, exc)
         record["error"] = f"{type(exc).__name__}: {exc}"
-        record["stage"] = stage
-    record["timings"] = timings
+        record["stage"] = clock.current
+    record["timings"] = clock.timings
     return record
 
 
@@ -358,25 +343,7 @@ class ExperimentReport:
     total_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "per_split": self.per_split,
-            "aggregate": self.aggregate,
-            "artifact_hashes": self.artifact_hashes,
-            "created_at": self.created_at,
-            "total_seconds": self.total_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentReport":
-        return cls(
-            config=obj["config"],
-            per_split=obj["per_split"],
-            aggregate=obj["aggregate"],
-            artifact_hashes=obj["artifact_hashes"],
-            created_at=obj["created_at"],
-            total_seconds=obj["total_seconds"],
-        )
+        return asdict(self)
 
 
 def _dataset_sha256(config: ExperimentConfig, dataset: Dataset) -> str:
@@ -424,24 +391,16 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     if dataset is None:
         dataset = load_dataset(config.dataset_path, config.dataset_format)
     seed = config.base_seed
-    plan = holdout_split(dataset, config.train_fraction, seed, config.stratified)
-    train = dataset.subset(plan.train_indices)
-    test = dataset.subset(plan.test_indices)
-
+    train, test = _holdout(dataset, config, seed)
     scaler, Xs, bank, _ = prepare_train(train.instances, config.kernel_recipe)
     crosses = cross_blocks(scaler, Xs, bank, test.instances)
     bal = _balanced_kset(train.labels, bank, seed)
-    steps = _mkl_steps(config, train.n)
 
     def evaluator(model):
         if model.collapsed:
             return None
         try:
-            combined = combine(bank, model.mu)
-            folds = kfold_plan(train.n, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS))
-            _, _, ovr, _ = svm.fit(
-                combined, train.labels, folds, grid=config.c_grid, n_classes=dataset.n_classes
-            )
+            _, _, ovr, _ = _fit_svm(bank, model.mu, train, config, seed, dataset.n_classes)
             pred = ovr.predict(combine_cross(crosses, model.mu))
             return float(np.mean(pred == test.labels))
         except (ValueError, RuntimeError) as exc:
@@ -451,7 +410,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     grid = config.lambda_grid if config.lambda_grid is not None else mkl.default_lambda_grid()
     records = mkl.lambda_sweep_report(
         bal, grid, evaluator, seed=derive_seed(seed, _SEED_LAMBDA),
-        batch_size=config.mkl_batch_size, num_steps=steps,
+        batch_size=config.mkl_batch_size, num_steps=_mkl_steps(config, train.n),
     )
     return {
         "config": config.to_dict(),
@@ -463,7 +422,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# report rendering
 
 _TIMING_KEYS = ("timings", "created_at", "total_seconds")
 
@@ -481,27 +440,21 @@ def _pct_cell(stat: dict) -> str:
     return f"{100.0 * stat['mean']:.2f}({100.0 * stat['std']:.2f})"
 
 
-def render_markdown_table(reports) -> str:
-    """One row per report, Table-style mean(std) percent cells."""
-    if isinstance(reports, ExperimentReport):
-        reports = [reports]
-    lines = [
-        "| Method | Accuracy | Mean per-class | Macro F1 | Mean MCC | Splits |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for rep in reports:
-        agg = rep.aggregate
-        lines.append(
-            "| {m} | {acc} | {mpc} | {f1} | {mcc} | {k} |".format(
-                m=rep.config["method"],
-                acc=_pct_cell(agg["accuracy"]),
-                mpc=_pct_cell(agg["mean_per_class_accuracy"]),
-                f1=_pct_cell(agg["macro_f1"]),
-                mcc=_pct_cell(agg["mean_mcc"]),
-                k=agg["n_succeeded"],
-            )
-        )
-    return "\n".join(lines) + "\n"
+def render_markdown_table(report: ExperimentReport) -> str:
+    """The report's Table-style row of mean(std) percent cells, under a header."""
+    agg = report.aggregate
+    row = "| {m} | {acc} | {mpc} | {f1} | {mcc} | {k} |".format(
+        m=report.config["method"],
+        acc=_pct_cell(agg["accuracy"]),
+        mpc=_pct_cell(agg["mean_per_class_accuracy"]),
+        f1=_pct_cell(agg["macro_f1"]),
+        mcc=_pct_cell(agg["mean_mcc"]),
+        k=agg["n_succeeded"],
+    )
+    return (
+        "| Method | Accuracy | Mean per-class | Macro F1 | Mean MCC | Splits |\n"
+        f"| --- | --- | --- | --- | --- | --- |\n{row}\n"
+    )
 
 
 def render_sweep_tsv(sweep: dict) -> str:
@@ -513,19 +466,3 @@ def render_sweep_tsv(sweep: dict) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def emit_report(report, fmt: str, path) -> None:
-    """Write a report artifact: json, markdown_table, or tsv_sweep."""
-    if fmt == "json":
-        payload = report.to_dict() if isinstance(report, ExperimentReport) else report
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "markdown_table":
-        text = render_markdown_table(report)
-    elif fmt == "tsv_sweep":
-        if not isinstance(report, dict) or "records" not in report:
-            raise ValueError("tsv_sweep needs a lambda-sweep report")
-        text = render_sweep_tsv(report)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -88,6 +88,18 @@ class TestLearn:
         )
         assert code == 1
 
+    def test_negative_seed_is_config_error(self, tmp_path, toy_csv, capsys):
+        out = tmp_path / "w.json"
+        code = main(
+            [
+                "learn", "--data", toy_csv, "--method", "tsmkl", "--steps", "20",
+                "--out", str(out), "--seed", "-1",
+            ]
+        )
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_rejected_by_parser(self, tmp_path, toy_csv):
         code = main(
             ["learn", "--data", toy_csv, "--method", "boosting", "--out", "w.json"]
@@ -145,6 +157,13 @@ class TestSvmTrain:
         )
         assert code == 1
         assert "bad weights" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, toy_csv, capsys):
+        model = tmp_path / "m.json"
+        code = main(["svm", "train", "--data", toy_csv, "--seed", "-1", "--out", str(model)])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
         assert not model.exists()
 
     def test_one_fold_is_config_error(self, tmp_path, toy_csv, capsys):
@@ -211,6 +230,26 @@ class TestEvaluate:
         assert code == 1
         assert "confidence file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "true, pred, extra",
+        [
+            ("0\n1\n", "0\n1\n", ["--classes", "1"]),
+            ("0\n1\n", "0\n-1\n", []),
+            ("", "", []),
+            ("0\n1\n", "0\n1\n", ["--drop-fraction", "1.5"]),
+            ("0\n1\n", "0\n1\n", ["--drop-fraction", "-0.1"]),
+        ],
+        ids=["classes_too_few", "negative_label", "empty", "drop_above_one", "drop_negative"],
+    )
+    def test_bad_input_is_config_error(self, tmp_path, capsys, true, pred, extra):
+        t, p, conf = tmp_path / "t.txt", tmp_path / "p.txt", tmp_path / "conf.txt"
+        t.write_text(true)
+        p.write_text(pred)
+        conf.write_text("0.5\n0.7\n")
+        args = ["evaluate", "--true", str(t), "--pred", str(p), "--confidence", str(conf)]
+        assert main(args + extra) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_length_mismatch(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -254,12 +293,23 @@ class TestExperimentRun:
             {"svm": {"c_grid": [-1.0]}},
             {"kernels": {"recipe": "everything"}},
             {"splits": {"count": "2"}},
+            {"splits": {"count": 2, "base_seed": -3}},
         ],
     )
     def test_invalid_config_value_exits_one(self, tmp_path, toy_csv, capsys, overrides):
         cfg = write_config(tmp_path, toy_csv, **overrides)
         assert main(["experiment", "run", "--config", cfg]) == 1
         assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
+    @pytest.mark.parametrize(
+        "dataset", [{"path": "missing.csv"}, {"format": "arff"}], ids=["missing", "bad_format"]
+    )
+    def test_bad_dataset_exits_one(self, tmp_path, toy_csv, capsys, command, dataset):
+        cfg = write_config(tmp_path, toy_csv, method="tsmkl", dataset={"path": toy_csv, **dataset})
+        assert main(command + ["--config", cfg]) == 1
+        assert "cannot load dataset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_two(self, tmp_path, toy_csv, capsys):
         # structurally valid config that must fail at run time: more CV

@@ -13,8 +13,8 @@ from kweave.experiment import (
     ExperimentReport,
     _mkl_steps,
     aggregate_records,
-    emit_report,
     learn_weights,
+    prepare_train,
     render_markdown_table,
     render_sweep_tsv,
     run_experiment,
@@ -87,6 +87,8 @@ class TestConfig:
             ExperimentConfig(n_splits=0, **base)
         with pytest.raises(ValueError, match="train_fraction"):
             ExperimentConfig(train_fraction=1.0, **base)
+        with pytest.raises(ValueError, match="base_seed"):
+            ExperimentConfig(base_seed=-3, **base)
         with pytest.raises(ValueError, match="drop_fraction"):
             ExperimentConfig(drop_fraction=1.0, **base)
         with pytest.raises(ValueError, match="svm_folds"):
@@ -111,32 +113,39 @@ class TestConfig:
         assert _mkl_steps(fast_config(toy_csv, mkl_num_steps=42), 5000) == 42
 
 
+def prepared_bank(toy_csv):
+    data = load_dataset(toy_csv)
+    _, _, bank, _ = prepare_train(data.instances, "uci_full")
+    return data, bank
+
+
 class TestLearnWeights:
     def test_average_is_uniform(self, toy_csv):
         data = load_dataset(toy_csv)
-        cfg = fast_config(toy_csv)
-        res = learn_weights(data.instances, data.labels, cfg, seed=0)
-        np.testing.assert_array_equal(res.mu, np.full(res.bank.p, 1.0 / res.bank.p))
-        np.testing.assert_array_equal(res.scaled_train, res.scaler.apply(data.instances))
+        scaler, Xs, bank, _ = prepare_train(data.instances, "uci_full")
+        np.testing.assert_array_equal(Xs, scaler.apply(data.instances))
+        mu, details = learn_weights(bank, data.labels, fast_config(toy_csv), seed=0)
+        np.testing.assert_array_equal(mu, np.full(bank.p, 1.0 / bank.p))
+        assert details == {}
 
     def test_tsmkl_details(self, toy_csv):
-        data = load_dataset(toy_csv)
+        data, bank = prepared_bank(toy_csv)
         cfg = fast_config(toy_csv, method="tsmkl")
-        res = learn_weights(data.instances, data.labels, cfg, seed=3)
-        assert np.all(res.mu >= 0.0)
-        assert res.details["chosen_lambda"] in cfg.lambda_grid
-        assert res.details["num_steps"] == 150
-        assert res.details["n_kexamples"] % 2 == 0  # balanced set
-        assert len(res.details["lambda_records"]) == len(cfg.lambda_grid)
+        mu, details = learn_weights(bank, data.labels, cfg, seed=3)
+        assert np.all(mu >= 0.0)
+        assert details["chosen_lambda"] in cfg.lambda_grid
+        assert details["num_steps"] == 150
+        assert details["n_kexamples"] % 2 == 0  # balanced set
+        assert len(details["lambda_records"]) == len(cfg.lambda_grid)
 
     def test_best_kernel_details(self, toy_csv):
-        data = load_dataset(toy_csv)
+        data, bank = prepared_bank(toy_csv)
         cfg = fast_config(toy_csv, method="best_kernel")
-        res = learn_weights(data.instances, data.labels, cfg, seed=1)
-        idx = res.details["chosen_kernel"]
-        assert res.mu[idx] == 1.0
-        assert np.count_nonzero(res.mu) == 1
-        assert res.details["kernel_label"] == res.bank.specs[idx].label()
+        mu, details = learn_weights(bank, data.labels, cfg, seed=1)
+        idx = details["chosen_kernel"]
+        assert mu[idx] == 1.0
+        assert np.count_nonzero(mu) == 1
+        assert details["kernel_label"] == bank.specs[idx].label()
 
 
 class TestRunExperiment:
@@ -188,25 +197,43 @@ class TestRunExperiment:
         data = load_dataset(toy_csv)
         plan = holdout_split(data, cfg.train_fraction, rec["seed"], cfg.stratified)
         train = data.subset(plan.train_indices)
-        res = learn_weights(train.instances, train.labels, cfg, rec["seed"])
-        assert rec["mu"] == [float(v) for v in res.mu]
+        _, _, bank, _ = prepare_train(train.instances, cfg.kernel_recipe)
+        mu, _ = learn_weights(bank, train.labels, cfg, rec["seed"])
+        assert rec["mu"] == [float(v) for v in mu]
 
-    def test_failed_split_isolated(self, toy_csv, monkeypatch, caplog):
+    def test_failed_split_isolated(self, toy_csv, monkeypatch):
+        # one function per stage, each called once per split; failing its
+        # first call must fail split 0 only, at that stage
+        targets = {
+            "split": "_holdout",
+            "kernel_learning": "learn_weights",
+            "kernel_build": "cross_blocks",
+            "svm": "_fit_svm",
+            "evaluation": "combine_cross",
+        }
         cfg = fast_config(toy_csv, n_splits=3)
-        real = experiment.learn_weights
+        stages = list(targets)
+        for stage, name in targets.items():
+            real = getattr(experiment, name)
+            calls = []
 
-        def flaky(X, y, config, seed):
-            if seed == cfg.base_seed:  # first split only
-                raise RuntimeError("synthetic failure")
-            return real(X, y, config, seed)
+            def flaky(*args, real=real, calls=calls):
+                calls.append(args)
+                if len(calls) == 1:
+                    raise RuntimeError("synthetic failure")
+                return real(*args)
 
-        monkeypatch.setattr(experiment, "learn_weights", flaky)
-        report = run_experiment(cfg)
-        first = report.per_split[0]
-        assert first["error"] == "RuntimeError: synthetic failure"
-        assert first["stage"] == "kernel_learning"
-        assert report.aggregate["n_succeeded"] == 2
-        assert report.aggregate["n_splits"] == 3
+            with monkeypatch.context() as mp:
+                mp.setattr(experiment, name, flaky)
+                report = run_experiment(cfg)
+            first = report.per_split[0]
+            assert first["error"] == "RuntimeError: synthetic failure"
+            assert first["stage"] == stage
+            assert list(first["timings"]) == stages[: stages.index(stage)]
+            assert len(calls) == 3
+            assert all("error" not in r and "stage" not in r for r in report.per_split[1:])
+            assert report.aggregate["n_succeeded"] == 2
+            assert report.aggregate["n_splits"] == 3
 
     def test_jitter_retry_recorded(self, toy_csv, monkeypatch):
         clean = run_experiment(fast_config(toy_csv, n_splits=1)).per_split[0]
@@ -217,7 +244,7 @@ class TestRunExperiment:
         assert jitters[-2:] == [1e-10, 1e-10]
 
     def test_all_splits_failing_raises(self, toy_csv, monkeypatch):
-        def broken(X, y, config, seed):
+        def broken(bank, y, config, seed):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(experiment, "learn_weights", broken)
@@ -291,20 +318,11 @@ class TestReports:
         assert "86.42(4.00)" in lines[2]
         assert "| tsmkl |" in lines[2]
 
-    def test_emit_json_round_trip(self, tmp_path, toy_csv):
+    def test_report_to_dict_round_trip(self, toy_csv):
         report = run_experiment(fast_config(toy_csv, n_splits=1))
-        path = tmp_path / "report.json"
-        emit_report(report, "json", path)
-        loaded = ExperimentReport.from_dict(json.loads(path.read_text()))
-        assert loaded.to_dict() == report.to_dict()
-
-    def test_emit_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown report format"):
-            emit_report(fake_report(), "yaml", tmp_path / "x")
-
-    def test_tsv_needs_sweep(self, tmp_path):
-        with pytest.raises(ValueError, match="lambda-sweep"):
-            emit_report(fake_report(), "tsv_sweep", tmp_path / "x")
+        payload = report.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert ExperimentReport(**payload) == report
 
     def test_sweep_tsv_rendering(self):
         sweep = {
