@@ -281,7 +281,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
         record["mu"] = [float(v) for v in mu]
         record["mu_summary"] = _mu_summary(mu)
         record["dropped_kernels"] = [int(i) for i in dropped]
-        record.update({k: v for k, v in details.items() if k != "lambda_records"})
+        record.update(details)
 
         with clock.stage("kernel_build"):
             crosses = cross_blocks(scaler, Xs, bank, test.instances)
@@ -294,6 +294,10 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
             record["svm_jitter_retry"] = True
         record["chosen_C"] = float(best_C)
         record["cv_records"] = cv_records
+        record["final_fit"] = [
+            {"class": c, "iterations": m.iterations, "converged": m.converged}
+            for c, m in enumerate(ovr.models)
+        ]
 
         with clock.stage("evaluation"):
             D = ovr.decision_matrix(combine_cross(crosses, mu))

@@ -1,15 +1,18 @@
 """Base-kernel evaluation, bank building, centering, and combination.
 
-build_kernel_bank evaluates a recipe's raw Grams k(x_i, x_j) into a
-short-lived RawBank. center_bank double-centers each one (zero
+build_kernel_bank checks the features and pairs them with a recipe's
+specs in a RawBank; it evaluates nothing. center_bank then takes one spec
+at a time: it evaluates the raw Gram k(x_i, x_j), double-centers it (zero
 feature-space mean), scales it to trace/n = 1 (unit average feature-space
-variance) and keeps its upper triangle as one column of the KernelBank's
-pair-major matrix Z, of shape (n(n+1)/2, p): row r holds the p kernel
-values of the r-th pair (i <= j) of pair_indices(n). Z is the centered
-bank's only train-side store, n(n+1)/2 * p * 8 bytes, owned by the bank;
-the K-space reads it in place. Dense (n, n) Grams are rebuilt from it
-only by combine, the best_kernel baseline (one kernel at a time), target
-alignment and `kweave kernels build`.
+variance), keeps its upper triangle as one column of the KernelBank's
+pair-major matrix Z and drops the Gram. Z has shape (n(n+1)/2, p): row r
+holds the p kernel values of the r-th pair (i <= j) of pair_indices(n).
+It is the centered bank's only train-side store, n(n+1)/2 * p * 8 bytes,
+owned by the bank; the K-space reads it in place. No more than one raw
+Gram is alive at a time, so the train-side peak is Z plus a few (n, n)
+temporaries. Dense (n, n) Grams are rebuilt from Z only by combine, the
+best_kernel baseline (one kernel at a time), target alignment and
+`kweave kernels build`.
 
 Centering statistics are recorded at fit time on the training Gram and are
 reused to transform test-vs-train cross blocks consistently.
@@ -28,6 +31,8 @@ logger = logging.getLogger(__name__)
 _GAUSSIAN_GAMMAS = [2.0**k for k in range(-10, -1)]  # 2^-10 .. 2^-2
 _POLY_DEGREES = [2, 3, 4]
 RECIPES = ("uci_full", "uci_full_plus_per_feature")
+# kernels staged per block copy into the pair-major store (see center_bank)
+_STAGE_ROWS = 32
 
 
 class KernelError(ValueError):
@@ -107,10 +112,13 @@ class CenterStats:
 
 @dataclass
 class RawBank:
-    """Raw (n, n) Grams of one recipe, in spec order; center_bank consumes it."""
+    """A recipe's specs over one checked feature matrix; center_bank consumes it.
+
+    No Gram is held: each is evaluated when it is read.
+    """
 
     specs: list[KernelSpec]
-    grams: list[np.ndarray]
+    features: np.ndarray
     meta: dict
 
     @property
@@ -119,7 +127,12 @@ class RawBank:
 
     @property
     def n(self) -> int:
-        return self.grams[0].shape[0]
+        return self.features.shape[0]
+
+    @property
+    def grams(self):
+        """The raw (n, n) Grams in spec order, evaluated one at a time."""
+        return (compute_gram(spec, self.features) for spec in self.specs)
 
 
 @dataclass
@@ -247,13 +260,19 @@ def bank_specs(d: int, recipe: str) -> list[KernelSpec]:
 def build_kernel_bank(
     features: np.ndarray, recipe: str, meta: dict | None = None
 ) -> RawBank:
-    """Evaluate a full recipe of raw Grams over the given feature matrix."""
+    """A recipe's raw bank over the given feature matrix, evaluated lazily.
+
+    Non-finite features raise here; a kernel whose values overflow raises
+    when center_bank evaluates it.
+    """
     X = np.asarray(features, dtype=np.float64)
     specs = bank_specs(X.shape[1], recipe)
+    if not np.all(np.isfinite(X)):
+        raise KernelError("non-finite feature values")
     bank_meta = {"recipe": recipe}
     if meta:
         bank_meta.update(meta)
-    return RawBank(specs=specs, grams=[compute_gram(s, X) for s in specs], meta=bank_meta)
+    return RawBank(specs=specs, features=X, meta=bank_meta)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +318,13 @@ def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.nd
 
 
 def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
-    """Center/standardize every raw Gram into one pair-major store, dropping degenerates.
+    """Evaluate and center/standardize each raw Gram into one pair-major store,
+    dropping degenerates.
+
+    One Gram is alive at a time. Its upper triangle is taken with one
+    flat-index take into a row of a (_STAGE_ROWS, n(n+1)/2) staging block,
+    and a full block is copied into Z's columns at once, so Z is never
+    written one strided column at a time.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
@@ -307,7 +332,10 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
     """
     n = bank.n
     ii, jj = pair_indices(n)
-    Z = np.empty((ii.size, bank.p), dtype=np.float64)
+    flat = ii * n + jj
+    Z = np.empty((flat.size, bank.p), dtype=np.float64)
+    rows = min(_STAGE_ROWS, bank.p)
+    stage = np.empty((rows, flat.size), dtype=np.float64)
     specs, stats, dropped = [], [], []
     for i, (spec, raw) in enumerate(zip(bank.specs, bank.grams)):
         try:
@@ -316,9 +344,15 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
             logger.warning("dropping kernel %d (%s): %s", i, spec.label(), exc)
             dropped.append(i)
             continue
-        Z[:, len(specs)] = centered[ii, jj]
+        # the indices are in range; "clip" skips the buffered bounds check
+        np.take(centered, flat, out=stage[len(specs) % rows], mode="clip")
+        del raw, centered  # free this Gram before the next one is evaluated
         specs.append(spec)
         stats.append(st)
+        if len(specs) % rows == 0:
+            Z[:, len(specs) - rows : len(specs)] = stage.T
+    tail = len(specs) % rows
+    Z[:, len(specs) - tail : len(specs)] = stage[:tail].T
     if not specs:
         raise DegenerateKernelError("every kernel in the bank is degenerate")
     if dropped:

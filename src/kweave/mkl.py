@@ -189,8 +189,10 @@ def select_lambda(
 ):
     """Pick lam by exact hinge loss on a held-out 20% of the K-examples.
 
-    Returns (chosen_lambda, records) where records hold the per-lambda
-    validation hinge. Ties break toward the larger lam (the grid is
+    Returns (chosen_lambda, records). Each record holds the lambda, its
+    validation hinge, the steps run, whether the weights collapsed to zero,
+    and the final train hinge; a lambda whose fit failed has None in all
+    but the lambda. Ties break toward the larger lam (the grid is
     descending, so the first minimum wins).
     """
     if grid is None:
@@ -204,7 +206,18 @@ def select_lambda(
             best_lam, best_hinge = r["lambda"], r["val_hinge"]
     if best_lam is None:
         raise MklError("every lambda in the grid failed")
-    records = [{"lambda": r["lambda"], "val_hinge": r["val_hinge"]} for r in results]
+    records = []
+    for r in results:
+        model = r["model"]
+        records.append(
+            {
+                "lambda": r["lambda"],
+                "val_hinge": r["val_hinge"],
+                "steps": None if model is None else model.steps_run,
+                "collapsed": None if model is None else model.collapsed,
+                "final_train_hinge": None if model is None else model.final_train_hinge,
+            }
+        )
     return best_lam, records
 
 

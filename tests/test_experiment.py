@@ -137,6 +137,11 @@ class TestLearnWeights:
         assert details["num_steps"] == 150
         assert details["n_kexamples"] % 2 == 0  # balanced set
         assert len(details["lambda_records"]) == len(cfg.lambda_grid)
+        for r in details["lambda_records"]:
+            assert r["lambda"] in cfg.lambda_grid and isinstance(r["val_hinge"], float)
+            assert r["steps"] == 150 and isinstance(r["steps"], int)
+            assert isinstance(r["collapsed"], bool)
+            assert isinstance(r["final_train_hinge"], float) and r["final_train_hinge"] >= 0.0
 
     def test_best_kernel_details(self, toy_csv):
         data, bank = prepared_bank(toy_csv)
@@ -168,6 +173,18 @@ class TestRunExperiment:
             assert 0.0 <= rec["metrics"]["accuracy"] <= 1.0
         assert report.aggregate["n_succeeded"] == 2
         assert set(report.artifact_hashes) == {"dataset_sha256", "config_sha256"}
+
+    def test_report_records_lambdas_and_final_fit(self, toy_csv):
+        cfg = fast_config(toy_csv, method="tsmkl")
+        report = json.loads(json.dumps(run_experiment(cfg).to_dict()))
+        assert len(report["per_split"]) == 2
+        for rec in report["per_split"]:
+            assert [r["lambda"] for r in rec["lambda_records"]] == cfg.lambda_grid
+            assert all(r["steps"] == 150 for r in rec["lambda_records"])
+            assert [f["class"] for f in rec["final_fit"]] == [0, 1]
+            for f in rec["final_fit"]:
+                assert isinstance(f["iterations"], int) and f["iterations"] > 0
+                assert f["converged"] is True
 
     def test_aggregate_recomputes(self, toy_csv):
         report = run_experiment(fast_config(toy_csv, n_splits=3))
@@ -242,6 +259,8 @@ class TestRunExperiment:
         rec = run_experiment(fast_config(toy_csv, n_splits=1)).per_split[0]
         assert rec["svm_jitter_retry"] is True
         assert jitters[-2:] == [1e-10, 1e-10]
+        # final_fit describes the jittered refit that was kept
+        assert [f["converged"] for f in rec["final_fit"]] == [True, True]
 
     def test_all_splits_failing_raises(self, toy_csv, monkeypatch):
         def broken(bank, y, config, seed):

@@ -2,11 +2,13 @@
 combination, and bank files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kweave.kernels import (
+    _STAGE_ROWS,
     DegenerateKernelError,
     KernelBank,
     KernelError,
@@ -200,6 +202,41 @@ class TestPairMajorStore:
                 if wl > 0:
                     expected += wl * self.bank.gram(l)
             np.testing.assert_array_equal(combine(self.bank, w), expected)
+
+
+class TestStreamedCentering:
+    """The raw bank is lazy: center_bank evaluates one Gram at a time."""
+
+    def test_peak_memory_is_store_plus_one_gram(self):
+        n, d = 80, 10
+        X = np.random.default_rng(9).normal(0, 1, (n, d))
+        tracemalloc.start()
+        try:
+            bank, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bank.p == 13 * d + 13 and not dropped
+        stage = min(_STAGE_ROWS, bank.p) * bank.Z.shape[0] * 8
+        # Evaluating and centering one Gram makes about a dozen (n, n)
+        # temporaries. Holding every raw Gram (p * n^2 * 8 = 7.3 MB here, on
+        # top of Z's 3.7 MB) is far over this bound.
+        assert peak < bank.Z.nbytes + stage + 16 * n * n * 8
+
+    def test_non_finite_features_raise_at_build(self):
+        X = np.random.default_rng(2).normal(0, 1, (6, 3))
+        X[4, 1] = np.nan
+        with pytest.raises(KernelError, match="non-finite feature"):
+            build_kernel_bank(X, "uci_full")
+
+    def test_overflowing_kernel_raises_at_centering(self):
+        # (x.x' + 1)^4 overflows at |x| ~ 1e50; degrees 2 and 3 stay finite
+        X = np.random.default_rng(3).normal(0, 1e50, (6, 3))
+        raw = build_kernel_bank(X, "uci_full")  # evaluates nothing yet
+        with np.errstate(over="ignore"), pytest.raises(
+            KernelError, match=r"poly\(degree=4.*non-finite"
+        ):
+            center_bank(raw)
 
 
 class TestCombination:

@@ -250,6 +250,11 @@ class TestSelectLambda:
         assert lam == 1.0
         failed = [r for r in records if r["val_hinge"] is None]
         assert len(failed) == 1
+        assert failed[0] == {
+            "lambda": 1e-300, "val_hinge": None, "steps": None,
+            "collapsed": None, "final_train_hinge": None,
+        }
+        assert records[0]["steps"] == 100 and records[0]["collapsed"] is False
         assert any("skip" in r.message or "failed" in r.message for r in caplog.records)
 
 
