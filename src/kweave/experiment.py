@@ -1,10 +1,11 @@
 """End-to-end experiment protocol: random splits, per-split weight learning,
 SVM training with CV-selected C, evaluation, and Table-style aggregation.
 
-Per split: (1) train/test split, (2) feature scaling fit on train, (3) kernel
-bank on train plus centered cross blocks for test, (4) method-specific kernel
-weights, (5) Gram combination, (6) C selection and one-vs-rest training,
-(7) prediction and metrics, (8) per-stage wall-clock accounting. Everything
+Per split: (1) train/test split, (2) feature scaling fit on train, (3) the
+centered kernel bank on train, (4) method-specific kernel weights, (5) the
+test rows' combined cross Gram, summed one centered cross block at a time,
+(6) Gram combination, C selection and one-vs-rest training, (7) prediction
+and metrics, (8) per-stage wall-clock accounting. Everything
 randomized is seeded from base_seed + split_index, so reports are
 reproducible byte for byte apart from timing fields.
 """
@@ -168,13 +169,18 @@ def prepare_train(train_X, recipe: str):
     return scaler, Xs, bank, dropped
 
 
-def cross_blocks(scaler: FeatureScaler, scaled_train, bank, test_X) -> list:
-    """Test x train cross Grams, centered with the train-side statistics."""
+def cross_blocks(scaler: FeatureScaler, scaled_train, bank, test_X):
+    """Test x train cross Grams, centered with the train-side statistics.
+
+    The test rows are scaled now; the blocks are evaluated lazily, one per
+    kept kernel in bank order, so combine_cross can sum them holding one at
+    a time.
+    """
     Xt = scaler.apply(test_X)
-    return [
+    return (
         center_standardize_apply(compute_cross_gram(spec, Xt, scaled_train), stats)
         for spec, stats in zip(bank.specs, bank.stats)
-    ]
+    )
 
 
 def _balanced_kset(train_y, bank, seed: int):
@@ -284,7 +290,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
         record.update(details)
 
         with clock.stage("kernel_build"):
-            crosses = cross_blocks(scaler, Xs, bank, test.instances)
+            cross = combine_cross(cross_blocks(scaler, Xs, bank, test.instances), mu)
 
         with clock.stage("svm"):
             best_C, cv_records, ovr, retried = _fit_svm(
@@ -300,7 +306,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
         ]
 
         with clock.stage("evaluation"):
-            D = ovr.decision_matrix(combine_cross(crosses, mu))
+            D = ovr.decision_matrix(cross)
             pred = D.argmax(axis=1)
             record["metrics"] = metrics.evaluate(test.labels, pred, dataset.n_classes).to_dict()
             if config.drop_fraction > 0.0:
@@ -397,7 +403,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     seed = config.base_seed
     train, test = _holdout(dataset, config, seed)
     scaler, Xs, bank, _ = prepare_train(train.instances, config.kernel_recipe)
-    crosses = cross_blocks(scaler, Xs, bank, test.instances)
+    crosses = list(cross_blocks(scaler, Xs, bank, test.instances))  # reused per lambda
     bal = _balanced_kset(train.labels, bank, seed)
 
     def evaluator(model):

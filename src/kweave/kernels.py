@@ -33,6 +33,8 @@ _POLY_DEGREES = [2, 3, 4]
 RECIPES = ("uci_full", "uci_full_plus_per_feature")
 # kernels staged per block copy into the pair-major store (see center_bank)
 _STAGE_ROWS = 32
+# elements moved per chunk when center_bank compacts away dropped kernels
+_COMPACT_ELEMS = 1 << 16
 
 
 class KernelError(ValueError):
@@ -341,7 +343,8 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
         try:
             centered, st = center_standardize_fit(raw)
         except DegenerateKernelError as exc:
-            logger.warning("dropping kernel %d (%s): %s", i, spec.label(), exc)
+            # log the message only: a kept record must not pin the traceback's Grams
+            logger.warning("dropping kernel %d (%s): %s", i, spec.label(), str(exc))
             dropped.append(i)
             continue
         # the indices are in range; "clip" skips the buffered bounds check
@@ -353,13 +356,32 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
             Z[:, len(specs) - rows : len(specs)] = stage.T
     tail = len(specs) % rows
     Z[:, len(specs) - tail : len(specs)] = stage[:tail].T
+    del stage
     if not specs:
         raise DegenerateKernelError("every kernel in the bank is degenerate")
     if dropped:
-        Z = np.ascontiguousarray(Z[:, : len(specs)])
+        _compact_columns(Z, len(specs))
     meta = dict(bank.meta)
     meta["dropped_kernels"] = dropped
     return KernelBank(specs=specs, Z=Z, n=n, stats=stats, meta=meta), dropped
+
+
+def _compact_columns(Z: np.ndarray, k: int) -> None:
+    """Shrink the owning C-ordered (rows, p) array Z to its first k columns in place.
+
+    Row r moves from flat offset r*p to r*k. Rows are moved in order, a
+    chunk at a time, so no write lands on a row not yet read; numpy buffers
+    the overlap inside a chunk. The buffer is then resized, so a second
+    store is never allocated.
+    """
+    rows, p = Z.shape
+    flat = Z.reshape(-1)
+    chunk = max(1, _COMPACT_ELEMS // k)
+    for a in range(0, rows, chunk):
+        b = min(a + chunk, rows)
+        flat[a * k : b * k].reshape(b - a, k)[...] = Z[a:b, :k]
+    del flat  # resize needs no other view of the buffer
+    Z.resize((rows, k), refcheck=False)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +415,29 @@ def combine(bank: KernelBank, weights) -> np.ndarray:
     return _symmetric(bank.n, acc)
 
 
-def combine_cross(crosses: list[np.ndarray], weights) -> np.ndarray:
-    """Weighted sum of cross blocks; companion of combine for test rows."""
-    w = check_weights(len(crosses), weights)
-    acc = np.zeros(crosses[0].shape, dtype=np.float64)
-    for wl, c in zip(w, crosses):
-        if wl > 0:
-            acc += wl * c
+def combine_cross(crosses, weights) -> np.ndarray:
+    """Weighted sum of cross blocks; companion of combine for test rows.
+
+    crosses may be any iterable, a generator included: blocks are read one
+    at a time in l order, so only the running sum and the current block need
+    be alive. There must be one block per weight, all of one shape.
+    """
+    w = check_weights(np.size(weights), weights)
+    acc = None
+    count = 0
+    for c in crosses:
+        if count == w.size:
+            raise KernelError(f"more than {w.size} cross blocks for {w.size} weights")
+        if acc is None:
+            acc = np.zeros(c.shape, dtype=np.float64)
+        elif c.shape != acc.shape:
+            raise KernelError(f"cross block {count} has shape {c.shape}, expected {acc.shape}")
+        if w[count] > 0:
+            acc += w[count] * c
+        count += 1
+        del c  # drop this block before the next one is produced
+    if count != w.size:
+        raise KernelError(f"{count} cross blocks for {w.size} weights")
     return acc
 
 

@@ -2,17 +2,20 @@
 aggregation, determinism, and report rendering."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import kweave.experiment as experiment
+import kweave.metrics as metrics
 from kweave.data import holdout_split, load_dataset
 from kweave.experiment import (
     ExperimentConfig,
     ExperimentReport,
     _mkl_steps,
     aggregate_records,
+    cross_blocks,
     learn_weights,
     prepare_train,
     render_markdown_table,
@@ -21,6 +24,7 @@ from kweave.experiment import (
     run_lambda_sweep,
     strip_timing_fields,
 )
+from kweave.kernels import combine_cross
 
 from conftest import force_nonconvergence, make_blobs
 
@@ -153,6 +157,41 @@ class TestLearnWeights:
         assert details["kernel_label"] == bank.specs[idx].label()
 
 
+class TestCrossStage:
+    """The test side sums the centered cross blocks one at a time."""
+
+    @staticmethod
+    def per_feature_split(n_train=80, n_test=50, d=10):
+        rng = np.random.default_rng(4)
+        scaler, Xs, bank, dropped = prepare_train(
+            rng.normal(0, 1, (n_train, d)), "uci_full_plus_per_feature"
+        )
+        assert bank.p == 13 * d + 13 and not dropped
+        return scaler, Xs, bank, rng.normal(0, 1, (n_test, d))
+
+    def test_streamed_equals_list(self):
+        scaler, Xs, bank, Xt = self.per_feature_split(n_train=20, n_test=7, d=3)
+        mu = np.random.default_rng(0).random(bank.p) * (np.arange(bank.p) % 3 > 0)
+        blocks = list(cross_blocks(scaler, Xs, bank, Xt))
+        assert len(blocks) == bank.p and blocks[0].shape == (7, 20)
+        streamed = combine_cross(cross_blocks(scaler, Xs, bank, Xt), mu)
+        np.testing.assert_array_equal(streamed, combine_cross(blocks, mu))
+
+    def test_peak_memory_is_a_few_blocks(self):
+        scaler, Xs, bank, Xt = self.per_feature_split()
+        mu = np.full(bank.p, 1.0 / bank.p)
+        tracemalloc.start()
+        try:
+            cross = combine_cross(cross_blocks(scaler, Xs, bank, Xt), mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Evaluating and centering one Gaussian block makes about four block
+        # temporaries. Holding every block (p * 32 KB = 4.6 MB here) is far
+        # over this bound.
+        assert peak < cross.nbytes + 8 * cross.nbytes
+
+
 class TestRunExperiment:
     def test_average_toy_run(self, toy_csv):
         cfg = fast_config(toy_csv)
@@ -222,16 +261,16 @@ class TestRunExperiment:
         # one function per stage, each called once per split; failing its
         # first call must fail split 0 only, at that stage
         targets = {
-            "split": "_holdout",
-            "kernel_learning": "learn_weights",
-            "kernel_build": "cross_blocks",
-            "svm": "_fit_svm",
-            "evaluation": "combine_cross",
+            "split": (experiment, "_holdout"),
+            "kernel_learning": (experiment, "learn_weights"),
+            "kernel_build": (experiment, "cross_blocks"),
+            "svm": (experiment, "_fit_svm"),
+            "evaluation": (metrics, "evaluate"),
         }
         cfg = fast_config(toy_csv, n_splits=3)
         stages = list(targets)
-        for stage, name in targets.items():
-            real = getattr(experiment, name)
+        for stage, (holder, name) in targets.items():
+            real = getattr(holder, name)
             calls = []
 
             def flaky(*args, real=real, calls=calls):
@@ -241,7 +280,7 @@ class TestRunExperiment:
                 return real(*args)
 
             with monkeypatch.context() as mp:
-                mp.setattr(experiment, name, flaky)
+                mp.setattr(holder, name, flaky)
                 report = run_experiment(cfg)
             first = report.per_split[0]
             assert first["error"] == "RuntimeError: synthetic failure"
@@ -251,6 +290,18 @@ class TestRunExperiment:
             assert all("error" not in r and "stage" not in r for r in report.per_split[1:])
             assert report.aggregate["n_succeeded"] == 2
             assert report.aggregate["n_splits"] == 3
+
+    def test_all_zero_weights_fail_at_kernel_build(self, toy_csv, monkeypatch):
+        # the test-side combination is the first use of mu, so it is what rejects it
+        def zero_weights(bank, y, config, seed):
+            return np.zeros(bank.p), {}
+
+        monkeypatch.setattr(experiment, "learn_weights", zero_weights)
+        cfg = fast_config(toy_csv, n_splits=1)
+        rec = experiment._run_split(load_dataset(toy_csv), cfg, 0)
+        assert rec["error"] == "KernelError: all-zero kernel weight vector"
+        assert rec["stage"] == "kernel_build"
+        assert list(rec["timings"]) == ["split", "kernel_learning"]
 
     def test_jitter_retry_recorded(self, toy_csv, monkeypatch):
         clean = run_experiment(fast_config(toy_csv, n_splits=1)).per_split[0]

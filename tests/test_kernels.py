@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kweave.kernels as kernels
 from kweave.kernels import (
     _STAGE_ROWS,
     DegenerateKernelError,
@@ -223,6 +224,36 @@ class TestStreamedCentering:
         # top of Z's 3.7 MB) is far over this bound.
         assert peak < bank.Z.nbytes + stage + 16 * n * n * 8
 
+    def test_peak_memory_with_dropped_kernels_is_one_store(self):
+        # one constant column: its 13 per-feature kernels are dropped, and
+        # the store is compacted in place rather than copied
+        n, d = 80, 10
+        X = np.random.default_rng(9).normal(0, 1, (n, d))
+        X[:, 4] = 1.0
+        raw = build_kernel_bank(X, "uci_full_plus_per_feature")
+        tracemalloc.start()
+        try:
+            bank, dropped = center_bank(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dropped) == 13 and bank.p == raw.p - 13
+        full_store = bank.Z.shape[0] * raw.p * 8  # allocated before any drop is known
+        stage = min(_STAGE_ROWS, raw.p) * bank.Z.shape[0] * 8
+        # the no-drop bound; a second (compacted) store would add 3.4 MB
+        assert peak < full_store + stage + 16 * n * n * 8
+        assert bank.Z.flags.c_contiguous and bank.Z.flags.owndata
+
+    @pytest.mark.parametrize("elems", [1, 7, 100, 1 << 16])
+    def test_compaction_is_the_leading_columns(self, monkeypatch, elems):
+        rng = np.random.default_rng(elems)
+        Z = rng.normal(0, 1, (53, 11))
+        expected = Z[:, :4].copy()
+        monkeypatch.setattr(kernels, "_COMPACT_ELEMS", elems)
+        kernels._compact_columns(Z, 4)
+        assert Z.shape == (53, 4) and Z.flags.c_contiguous and Z.flags.owndata
+        np.testing.assert_array_equal(Z, expected)
+
     def test_non_finite_features_raise_at_build(self):
         X = np.random.default_rng(2).normal(0, 1, (6, 3))
         X[4, 1] = np.nan
@@ -280,6 +311,46 @@ class TestCombination:
         crosses = [np.full((2, 10), float(i)) for i in range(3)]
         out = combine_cross(crosses, np.array([1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out, np.full((2, 10), 1.0 * 0 + 2.0 * 2))
+
+    def test_combine_cross_generator_equals_list(self):
+        rng = np.random.default_rng(3)
+        crosses = [rng.normal(0, 1, (4, 10)) for _ in range(6)]
+        w = np.array([0.3, 0.0, 1.7, 0.25, 0.0, 2.0])
+        from_list = combine_cross(crosses, w)
+        np.testing.assert_array_equal(combine_cross((c for c in crosses), w), from_list)
+        np.testing.assert_array_equal(combine_cross(iter(crosses), w), from_list)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_combine_cross_count_mismatch_rejected(self, count):
+        crosses = (np.ones((2, 10)) for _ in range(count))
+        with pytest.raises(KernelError, match="cross blocks for 3 weights"):
+            combine_cross(crosses, np.ones(3))
+
+    def test_combine_cross_shape_mismatch_rejected(self):
+        # a (1, n) block would otherwise broadcast into the (2, n) sum
+        crosses = [np.ones((2, 10)), np.ones((1, 10)), np.ones((2, 10))]
+        with pytest.raises(KernelError, match=r"block 1 has shape \(1, 10\)"):
+            combine_cross(iter(crosses), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "w, match",
+        [
+            ([1.0, np.nan, 1.0], "non-finite"),
+            ([1.0, -0.5, 1.0], "negative"),
+            ([0.0, 0.0, 0.0], "all-zero"),
+        ],
+    )
+    def test_combine_cross_weight_checks(self, w, match):
+        produced = []
+
+        def blocks():
+            for i in range(3):
+                produced.append(i)
+                yield np.ones((2, 10))
+
+        with pytest.raises(KernelError, match=match):
+            combine_cross(blocks(), np.array(w))
+        assert produced == []  # weights are checked before any block is evaluated
 
     def test_combination_stays_psd(self):
         rng = np.random.default_rng(0)
