@@ -301,7 +301,10 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
         record["chosen_C"] = float(best_C)
         record["cv_records"] = cv_records
         record["final_fit"] = [
-            {"class": c, "iterations": m.iterations, "converged": m.converged}
+            {
+                "class": c, "iterations": m.iterations, "converged": m.converged,
+                "kkt_gap": m.kkt_gap,
+            }
             for c, m in enumerate(ovr.models)
         ]
 

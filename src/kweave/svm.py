@@ -13,7 +13,16 @@ ascending order for each fold and seeds every fit after the first with
 the previous C's duals, unchanged ("alpha seeding", DeCoste & Wagstaff,
 KDD 2000). The seed stays feasible, since 0 <= a <= C_prev < C and
 y^T a = 0 still hold, and where no dual reached its bound it is already
-optimal at the larger C. Final fits start cold from a = 0.
+optimal at the larger C.
+
+With two classes, class 1 vs rest mirrors class 0 vs rest: y1 = -y0 and Q
+is unchanged, so the optimal duals are the same. ovr_train therefore
+seeds the class-1 fit with class 0's duals whenever class 0 converged,
+in select_C (in place of the previous C's class-1 duals) and in the final
+fit alike. That fit rebuilds its gradient from K, checks the KKT gap,
+which the mirrored duals meet up to rounding, and computes its own bias,
+normally after no pair step. Every other final fit starts cold from
+a = 0.
 """
 
 from __future__ import annotations
@@ -47,6 +56,9 @@ class SvmModel:
     alpha is dense length-n in [0, C]; support_indices are the positions
     with alpha > 0. signed_labels are the +-1 training labels the duals
     refer to. converged is False when the iteration cap was hit first.
+    kkt_gap is the maximal KKT violation at exit: the largest m = -y * G
+    over the up set minus the smallest over the low set, 0.0 when either
+    set is empty.
     """
 
     alpha: np.ndarray
@@ -56,6 +68,7 @@ class SvmModel:
     C: float
     converged: bool = True
     iterations: int = 0
+    kkt_gap: float = 0.0
     objective_trace: list = field(default_factory=list)
 
     def to_dict(self, instance_ids=None) -> dict:
@@ -225,6 +238,10 @@ def smo_train(
     else:
         logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
 
+    gap = 0.0
+    if n_up and n_low:
+        gap = float(np.add(m, pen_up, out=buf).max() - np.add(m, pen_low, out=buf).min())
+
     # bias: average of y_i - f(x_i) over free support vectors, else the
     # midpoint of the feasible interval from the bound KKT conditions
     eps = 1e-8 * C
@@ -252,6 +269,7 @@ def smo_train(
         C=C,
         converged=converged,
         iterations=it,
+        kkt_gap=gap,
         objective_trace=trace,
     )
 
@@ -304,7 +322,10 @@ def ovr_train(
     """Train class-k-vs-rest models over a shared Gram.
 
     alpha0, if given, holds one starting dual vector per class (see
-    smo_train).
+    smo_train). With two classes, a converged class-0 fit seeds class 1
+    with its own duals instead: they are optimal for the mirrored problem
+    (y1 = -y0, same Q), so that fit normally only checks them against tol.
+    A capped or stalled class 0 leaves class 1 to the caller's seed.
     """
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1 if n_classes is None else n_classes
@@ -315,7 +336,10 @@ def ovr_train(
         yk = np.where(labels == k, 1.0, -1.0)
         if not np.any(labels == k):
             raise ValueError(f"class {k} absent from training data")
-        seed = None if alpha0 is None else alpha0[k]
+        if k == 1 and c == 2 and models[0].converged:
+            seed = models[0].alpha
+        else:
+            seed = None if alpha0 is None else alpha0[k]
         models.append(
             smo_train(gram, yk, C, tol=tol, max_iter=max_iter, jitter=jitter, alpha0=seed)
         )
@@ -334,7 +358,8 @@ def select_C(
     """Mean k-fold CV accuracy per C; returns (best C, per-C records).
 
     Each fold walks the distinct C values in ascending order, and every fit
-    after the first starts from the previous C's duals. Records follow the
+    after the first starts from the previous C's duals (with two classes,
+    class 1 starts from class 0's; see ovr_train). Records follow the
     caller's grid order; each holds the C, its mean CV accuracy and
     smo_iterations, the pair steps summed over folds and classes.
 

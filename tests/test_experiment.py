@@ -221,9 +221,13 @@ class TestRunExperiment:
             assert [r["lambda"] for r in rec["lambda_records"]] == cfg.lambda_grid
             assert all(r["steps"] == 150 for r in rec["lambda_records"])
             assert [f["class"] for f in rec["final_fit"]] == [0, 1]
+            first, second = rec["final_fit"]
+            assert isinstance(first["iterations"], int) and first["iterations"] > 0
+            assert first["converged"] is True
+            # class 1 starts from class 0's duals, which already solve it
+            assert second["iterations"] == 0 and second["converged"] is True
             for f in rec["final_fit"]:
-                assert isinstance(f["iterations"], int) and f["iterations"] > 0
-                assert f["converged"] is True
+                assert isinstance(f["kkt_gap"], float) and f["kkt_gap"] <= 1e-3
 
     def test_aggregate_recomputes(self, toy_csv):
         report = run_experiment(fast_config(toy_csv, n_splits=3))

@@ -223,6 +223,24 @@ class TestSmoTrain:
             assert mdl.converged
             assert kkt_gap(K, y, mdl.alpha, C) <= 1e-5 + 1e-12
 
+    def test_reported_kkt_gap_matches_recomputed(self):
+        # at convergence and at the iteration cap the model's gap is the
+        # solver's own m at exit, equal to the gap recomputed from K
+        for seed in range(4):
+            K, y, C, _ = random_dual_problem(seed)
+            done, capped = smo_train(K, y, C), smo_train(K, y, C, max_iter=1)
+            assert done.converged and done.kkt_gap <= 1e-3
+            assert not capped.converged and capped.kkt_gap > 1e-3
+            for mdl in (done, capped):
+                assert mdl.kkt_gap == pytest.approx(kkt_gap(K, y, mdl.alpha, C), abs=1e-12)
+
+    def test_kkt_gap_zero_with_an_empty_working_set(self):
+        # a feasible a never empties a set; this seed (off the hyperplane,
+        # which smo_train does not check) puts every dual where it cannot
+        # move up, so the loop returns at once
+        mdl = smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0, alpha0=np.array([1.0, 0.0]))
+        assert mdl.converged and mdl.iterations == 0 and mdl.kkt_gap == 0.0
+
     def test_margin_support_vectors(self):
         K, y, C, _ = random_dual_problem(1)
         mdl = smo_train(K, y, C, tol=1e-8)
@@ -629,6 +647,63 @@ def separable_linear_gram(seed=5, n=24):
     return X @ X.T, y
 
 
+def jittered_gram():
+    """Averaged uci_full Gram of 24 blob rows, for fits with jitter 1e-10."""
+    ds = make_blobs(n_per_class=12, d=3, gap=2.0, seed=4)
+    bank, _ = center_bank(build_kernel_bank(ds.instances, "uci_full"))
+    return combine(bank, np.full(bank.p, 1.0 / bank.p)), ds.labels
+
+
+def _binary_problem(name):
+    if name == "separable":
+        return (*separable_linear_gram(), 0.0)
+    if name == "overlapping":
+        return (*overlapping_gram(), 0.0)
+    return (*jittered_gram(), 1e-10)
+
+
+class TestBinaryMirror:
+    """Two-class one-vs-rest: class 1 starts from class 0's duals."""
+
+    @pytest.mark.parametrize("C", DEFAULT_C_GRID)
+    @pytest.mark.parametrize("name", ["separable", "overlapping", "jittered"])
+    def test_seeded_class_one_mirrors_class_zero(self, name, C):
+        K, labels, jitter = _binary_problem(name)
+        m0, m1 = ovr_train(K, labels, C, jitter=jitter).models
+        cold = [
+            smo_train(K, np.where(labels == k, 1.0, -1.0), C, jitter=jitter) for k in (0, 1)
+        ]
+        assert_same_model(m0, cold[0])
+        if m0.converged:
+            assert m1.alpha.tobytes() == m0.alpha.tobytes()
+            assert m1.iterations == 0 and m1.converged and m1.kkt_gap <= 1e-3
+            assert abs(m1.bias + m0.bias) <= 1e-12
+        else:
+            # overlapping at C=1000 hits the cap: class 1 runs cold
+            assert_same_model(m1, cold[1])
+        d0, d1 = decision_values(m0, K), decision_values(m1, K)
+        np.testing.assert_allclose(d1, -d0, rtol=0.0, atol=1e-12)
+        seeded = OvrModel(models=[m0, m1], n_classes=2)
+        np.testing.assert_array_equal(
+            seeded.predict(K), OvrModel(models=cold, n_classes=2).predict(K)
+        )
+
+    def test_capped_class_zero_leaves_class_one_cold(self):
+        K, labels = overlapping_gram()
+        m0, m1 = ovr_train(K, labels, 1.0, max_iter=5).models
+        assert not m0.converged and m0.iterations == 5
+        assert_same_model(m1, smo_train(K, np.where(labels == 1, 1.0, -1.0), 1.0, max_iter=5))
+        # the cold class-1 fit is the bitwise mirror of class 0
+        assert m1.alpha.tobytes() == m0.alpha.tobytes()
+        assert m1.bias == -m0.bias and m1.kkt_gap == m0.kkt_gap
+
+    def test_three_classes_are_cold_per_class_fits(self):
+        K, labels = three_blob_gram()
+        ovr = ovr_train(K, labels, 10.0)
+        for k, mdl in enumerate(ovr.models):
+            assert_same_model(mdl, smo_train(K, np.where(labels == k, 1.0, -1.0), 10.0))
+
+
 class TestSelectC:
     def test_singleton_grid(self):
         K, y = overlapping_gram()
@@ -740,9 +815,7 @@ class TestSerialization:
 class TestFit:
     def test_jitter_retry(self, monkeypatch):
         jitters = force_nonconvergence(monkeypatch)
-        ds = make_blobs(n_per_class=12, d=3, gap=2.0, seed=4)
-        bank, _ = center_bank(build_kernel_bank(ds.instances, "uci_full"))
-        K, labels = combine(bank, np.full(bank.p, 1.0 / bank.p)), ds.labels
+        K, labels = jittered_gram()
         folds = kfold_plan(len(labels), 3, seed=2)
         best_C, _, ovr, retried = fit(K, labels, folds, grid=[0.1, 1.0], n_classes=2)
         assert retried
