@@ -9,7 +9,8 @@ pair-major matrix Z and drops the Gram. Z has shape (n(n+1)/2, p): row r
 holds the p kernel values of the r-th pair (i <= j) of pair_indices(n).
 It is the centered bank's only train-side store, n(n+1)/2 * p * 8 bytes,
 owned by the bank; the K-space reads it in place. No more than one raw
-Gram is alive at a time, so the train-side peak is Z plus a few (n, n)
+Gram is alive at a time, beside the X @ X.T and squared distances its
+feature scope shares, so the train-side peak is Z plus a few (n, n)
 temporaries. Dense (n, n) Grams are rebuilt from Z only by combine, the
 best_kernel baseline (one kernel at a time), target alignment and
 `kweave kernels build`.
@@ -133,8 +134,25 @@ class RawBank:
 
     @property
     def grams(self):
-        """The raw (n, n) Grams in spec order, evaluated one at a time."""
-        return (compute_gram(spec, self.features) for spec in self.specs)
+        """The raw (n, n) Grams in spec order, evaluated one at a time.
+
+        Each feature scope's X @ X.T, and its squared distances when a
+        Gaussian needs them, are computed once and shared by the scope's
+        run of consecutive specs; every Gram equals compute_gram's. A
+        linear Gram is the shared X @ X.T itself, so it must not be
+        modified.
+        """
+        scope, dots, sq = object(), None, None
+        for spec in self.specs:
+            if spec.feature_index != scope:
+                X = _scoped(self.features, spec)
+                scope, dots, sq = spec.feature_index, X @ X.T, None
+            if spec.family == "gaussian" and sq is None:
+                sq = _sq_dists(X, X, dots)
+            V = _from_products(spec, dots, sq)
+            if spec.family == "gaussian":
+                np.fill_diagonal(V, 1.0)  # zero self-distance, exact
+            yield V
 
 
 @dataclass
@@ -199,20 +217,34 @@ def _scoped(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return X[:, spec.feature_index : spec.feature_index + 1]
 
 
-def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Evaluate k(a_i, b_j) for all rows; A is (m, d), B is (n, d)."""
-    dots = A @ B.T
+def _sq_dists(A: np.ndarray, B: np.ndarray, dots: np.ndarray) -> np.ndarray:
+    """||a_i - b_j||^2 from dots = A @ B.T, clipped at 0."""
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * dots
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _from_products(spec: KernelSpec, dots: np.ndarray, sq) -> np.ndarray:
+    """k(a_i, b_j) from dots = A @ B.T and, for a Gaussian, sq = _sq_dists(A, B, dots).
+
+    A linear kernel returns dots itself; every other family a new array.
+    """
     if spec.family == "linear":
         V = dots
     elif spec.family == "polynomial":
         V = (dots + spec.offset) ** spec.degree
     else:  # gaussian
-        sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * dots
-        np.maximum(sq, 0.0, out=sq)
         V = np.exp(-spec.gamma * sq)
     if not np.all(np.isfinite(V)):
         raise KernelError(f"kernel {spec.label()} produced non-finite values")
     return V
+
+
+def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Evaluate k(a_i, b_j) for all rows; A is (m, d), B is (n, d)."""
+    dots = A @ B.T
+    sq = _sq_dists(A, B, dots) if spec.family == "gaussian" else None
+    return _from_products(spec, dots, sq)
 
 
 def compute_gram(spec: KernelSpec, train_features: np.ndarray) -> np.ndarray:
@@ -291,18 +323,25 @@ def center_standardize_fit(gram: np.ndarray) -> tuple[np.ndarray, CenterStats]:
     vanishes (constant feature map); callers drop such kernels from the bank.
     """
     K = np.asarray(gram, dtype=np.float64)
-    K = (K + K.T) / 2.0
-    n = K.shape[0]
-    rm = K.mean(axis=1)
-    gm = float(K.mean())
-    Kc = K - rm[:, None] - rm[None, :] + gm
+    # the same operations in the same order as ((K + K^T)/2 - rm - rm^T + gm) / s,
+    # done in place on one new array, so at most two (n, n) temporaries are alive
+    Kc = K + K.T
+    Kc /= 2.0
+    n = Kc.shape[0]
+    rm = Kc.mean(axis=1)
+    gm = float(Kc.mean())
+    Kc -= rm[:, None]
+    Kc -= rm[None, :]
+    Kc += gm
     s = float(np.trace(Kc)) / n
     if s <= 1e-12:
         raise DegenerateKernelError(
             f"degenerate kernel: centered trace/n = {s:g} (constant feature map)"
         )
-    Kc = Kc / s
-    return (Kc + Kc.T) / 2.0, CenterStats(row_means=rm, grand_mean=gm, scale=s)
+    Kc /= s
+    out = Kc + Kc.T
+    out /= 2.0
+    return out, CenterStats(row_means=rm, grand_mean=gm, scale=s)
 
 
 def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.ndarray:

@@ -7,7 +7,8 @@ bank's own pair-major store, bank.Z: one C-contiguous (n(n+1)/2, p)
 float64 matrix of n(n+1)/2 * p * 8 bytes, owned by the bank. The K-space
 adds only labels and index arrays to it, and every subset (balancing, the
 lambda train/validation split) shares it too, copying only index arrays.
-A minibatch is then a gather of contiguous rows.
+A minibatch is then a gather of contiguous rows, into a caller's buffer
+when one is given.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from .kernels import KernelBank, pair_indices
 
 @dataclass
 class KBatch:
-    """A gathered minibatch: z is (batch, p), t is a +-1 vector."""
+    """A gathered minibatch: z is (batch, p), t is a +-1 vector.
+
+    z may be the buffer the caller passed to sample_batch; the next call
+    with that buffer overwrites it.
+    """
 
     z: np.ndarray
     t: np.ndarray
@@ -47,6 +52,10 @@ class KExampleSet:
             raise ValueError("labels or rows length does not match pair count")
         if self.stack.ndim != 2:
             raise ValueError("stack must be (m, p)")
+        # gathers use mode="clip", which would clamp a bad row, not raise; with
+        # rows None this refuses a stack shorter than the pair count
+        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= self.stack.shape[0]):
+            raise ValueError(f"rows must lie in [0, {self.stack.shape[0]})")
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
@@ -63,9 +72,13 @@ class KExampleSet:
     def n_neg(self) -> int:
         return int(np.sum(self.t < 0))
 
-    def z_rows(self, positions) -> np.ndarray:
-        """Gather z vectors for the given pair positions: (len, p)."""
-        return self.stack[self.rows[np.asarray(positions, dtype=np.int64)]]
+    def z_rows(self, positions, out=None) -> np.ndarray:
+        """Gather z vectors for the given pair positions: (len, p), into out if given."""
+        rows = self.rows[np.asarray(positions, dtype=np.int64)]
+        if out is None:
+            return self.stack[rows]
+        # rows were range-checked at construction; "clip" skips the buffered bounds check
+        return np.take(self.stack, rows, axis=0, out=out, mode="clip")
 
     def scores(self, mu: np.ndarray) -> np.ndarray:
         """mu . z for every pair in the set: one GEMV over the shared matrix."""
@@ -116,9 +129,13 @@ def balance(kset: KExampleSet, seed: int) -> KExampleSet:
     return kset.subset(np.flatnonzero(mask))
 
 
-def sample_batch(kset: KExampleSet, batch_size: int, rng) -> KBatch:
-    """Draw batch_size pairs uniformly with replacement and gather z rows."""
+def sample_batch(kset: KExampleSet, batch_size: int, rng, out=None) -> KBatch:
+    """Draw batch_size pairs uniformly with replacement and gather z rows.
+
+    out, when given, is a (batch_size, p) float64 buffer the rows are
+    gathered into; the batch's z is then that buffer.
+    """
     if len(kset) == 0:
         raise ValueError("cannot sample from an empty K-example set")
     idx = rng.integers(0, len(kset), size=batch_size)
-    return KBatch(z=kset.z_rows(idx), t=kset.t[idx].astype(np.float64))
+    return KBatch(z=kset.z_rows(idx, out=out), t=kset.t[idx].astype(np.float64))

@@ -91,20 +91,28 @@ def pegasos_train(kset: KExampleSet, config: MklConfig, on_step=None) -> MklMode
         raise ValueError("empty K-example set")
     if kset.n_pos == 0 or kset.n_neg == 0:
         raise ValueError("K-example set must contain both K-classes")
-    lam = config.lam
+    lam, B = config.lam, config.batch_size
     rng = np.random.default_rng(config.seed)
     mu = np.zeros(kset.p, dtype=np.float64)
+    # one fit's step buffers: each batch is gathered into zbuf, and the update
+    # masks non-violators to weight 0 instead of copying the violating rows
+    zbuf = np.empty((B, kset.p), dtype=np.float64)
+    s = np.empty(B, dtype=np.float64)
+    w = np.empty(B, dtype=np.float64)
+    viol = np.empty(B, dtype=bool)
 
     for k in range(1, config.num_steps + 1):
-        batch = sample_batch(kset, config.batch_size, rng)
+        batch = sample_batch(kset, B, rng, out=zbuf)
         # overflow here is handled by the explicit finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            margins = batch.t * (batch.z @ mu)
-            viol = margins < 1.0
+            np.dot(batch.z, mu, out=s)
+            s *= batch.t
+            np.less(s, 1.0, out=viol)
             # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z
             mu *= 1.0 - 1.0 / k
             if np.any(viol):
-                mu += (batch.t[viol] @ batch.z[viol]) / (lam * k * config.batch_size)
+                np.multiply(batch.t, viol, out=w)
+                mu += (w @ batch.z) / (lam * k * B)
         np.maximum(mu, 0.0, out=mu)
         if not np.all(np.isfinite(mu)):
             raise DivergedError(k)

@@ -95,6 +95,25 @@ class TestBankRecipes:
         assert bank.p == 13 and bank.n == toy_dataset.n
         assert all(G.shape == (40, 40) for G in bank.grams)
 
+    @pytest.mark.parametrize("recipe", ["uci_full", "uci_full_plus_per_feature"])
+    def test_scope_shared_grams_equal_compute_gram(self, recipe):
+        # one X @ X.T and one squared-distance matrix per feature scope
+        # give every Gram bit for bit
+        X = np.random.default_rng(21).normal(0, 1.5, (30, 4))
+        bank = build_kernel_bank(X, recipe)
+        grams = list(bank.grams)
+        assert len(grams) == bank.p
+        for spec, G in zip(bank.specs, grams):
+            np.testing.assert_array_equal(G, compute_gram(spec, X), err_msg=spec.label())
+
+    def test_scope_shared_grams_in_any_spec_order(self):
+        X = np.random.default_rng(22).normal(0, 1, (12, 3))
+        specs = bank_specs(3, "uci_full_plus_per_feature")
+        specs = [specs[k] for k in np.random.default_rng(3).permutation(len(specs))]
+        bank = kernels.RawBank(specs=specs, features=X, meta={})
+        for spec, G in zip(specs, bank.grams):
+            np.testing.assert_array_equal(G, compute_gram(spec, X), err_msg=spec.label())
+
 
 class TestCentering:
     def setup_method(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kweave.kernels import KernelBank, build_kernel_bank, center_bank, compute_gram
-from kweave.kspace import balance, make_kexamples, sample_batch
+from kweave.kspace import KExampleSet, balance, make_kexamples, sample_batch
 from kweave.mkl import _split_kset
 
 from conftest import bank_of, centered_bank_for, dense_centering, make_blobs
@@ -179,6 +179,46 @@ class TestSampleBatch:
         kset = make_kexamples(np.array([0, 1]), tiny_bank(2)).subset([])
         with pytest.raises(ValueError, match="empty"):
             sample_batch(kset, 10, np.random.default_rng(0))
+
+    def test_buffered_gather_fills_the_buffer(self):
+        kset = make_kexamples(np.array([0, 0, 1, 1, 0]), tiny_bank(5, p=3)).subset(
+            [14, 2, 9, 0, 7, 11]
+        )
+        out = np.full((40, 3), np.nan)
+        buffered = sample_batch(kset, 40, np.random.default_rng(5), out=out)
+        plain = sample_batch(kset, 40, np.random.default_rng(5))
+        assert np.shares_memory(buffered.z, out)
+        np.testing.assert_array_equal(buffered.z, plain.z)
+        np.testing.assert_array_equal(buffered.t, plain.t)
+        # the next call overwrites the same buffer
+        again = sample_batch(kset, 40, np.random.default_rng(6), out=out)
+        assert again.z is buffered.z
+        np.testing.assert_array_equal(
+            again.z, sample_batch(kset, 40, np.random.default_rng(6)).z
+        )
+
+
+class TestRowsRange:
+    """Gathers clip indices, so a bad row must be refused when the set is built."""
+
+    def test_row_past_the_stack_rejected(self):
+        stack = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="rows"):
+            KExampleSet(np.zeros((2, 2)), np.array([1, -1]), stack, rows=[1, 4])
+
+    def test_negative_row_rejected(self):
+        stack = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="rows"):
+            KExampleSet(np.zeros((2, 2)), np.array([1, -1]), stack, rows=[-1, 2])
+
+    def test_stack_shorter_than_pairs_rejected(self):
+        with pytest.raises(ValueError, match=r"rows must lie in \[0, 3\)"):
+            KExampleSet(np.zeros((4, 2)), np.array([1, -1, 1, -1]), np.zeros((3, 2)))
+
+    def test_in_range_rows_accepted(self):
+        kset = KExampleSet(np.zeros((2, 2)), np.array([1, -1]), np.eye(4)[:, :2], rows=[3, 0])
+        np.testing.assert_array_equal(kset.z_rows([0, 1]), [[0.0, 0.0], [1.0, 0.0]])
+        assert len(kset.subset([])) == 0
 
 
 def test_full_pipeline_labels_match_dataset():

@@ -92,7 +92,85 @@ def test_oracle_hinge_free_case():
 # pegasos
 
 
+def reference_pegasos(Z, t, lam, batch_size, num_steps, seed):
+    """The solver's steps with a compacted-violator update, on plain arrays.
+
+    Draws the same batches as pegasos_train, gathers each with fancy
+    indexing, and sums only the violating rows. Returns mu, or raises
+    DivergedError at the first non-finite iterate.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    mu = np.zeros(Z.shape[1])
+    for k in range(1, num_steps + 1):
+        idx = rng.integers(0, len(t), size=batch_size)
+        z, tb = Z[idx], t[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            viol = tb * (z @ mu) < 1.0
+            mu *= 1.0 - 1.0 / k
+            if np.any(viol):
+                mu += (tb[viol] @ z[viol]) / (lam * k * batch_size)
+        np.maximum(mu, 0.0, out=mu)
+        if not np.all(np.isfinite(mu)):
+            raise DivergedError(k)
+    return mu
+
+
 class TestPegasos:
+    @pytest.mark.parametrize(
+        "m, p, batch_size, lam, scale",
+        [
+            (40, 5, 16, 0.1, 1.0),
+            (40, 1, 16, 0.05, 1.0),  # p = 1
+            (25, 3, 1, 0.2, 1.0),  # batch_size = 1
+            (60, 8, 100, 0.01, 2.0),
+            (30, 4, 20, 1e4, 1.0),  # mu stays tiny: every batch all-violating
+        ],
+    )
+    def test_masked_update_matches_compacted_reference(self, m, p, batch_size, lam, scale):
+        rng = np.random.default_rng(m * 100 + p)
+        Z = rng.normal(0, scale, (m, p))
+        t = np.where(rng.random(m) < 0.5, 1, -1)
+        t[:2] = [1, -1]
+        cfg = MklConfig(lam=lam, batch_size=batch_size, num_steps=400, seed=m + p)
+        want = reference_pegasos(Z, t, lam, batch_size, cfg.num_steps, cfg.seed)
+        got = pegasos_train(synth_kset(Z, t), cfg)
+        np.testing.assert_allclose(got.mu, want, rtol=0, atol=1e-12)
+
+    def test_all_violating_batches_match_reference(self):
+        # margins t mu.z are <= 0 < 1 on every pair for every mu >= 0
+        rng = np.random.default_rng(31)
+        Z = np.abs(rng.normal(0, 1, (20, 3)))
+        t = np.array([1, -1] * 10)
+        Z[t > 0] *= -1.0
+        seen = []
+        cfg = MklConfig(lam=0.3, batch_size=10, num_steps=200, seed=4)
+        got = pegasos_train(synth_kset(Z, t), cfg, on_step=lambda k, mu: seen.append(mu.copy()))
+        want = reference_pegasos(Z, t, 0.3, 10, 200, 4)
+        assert not np.any(seen[-1] > 0)  # every update projects back to 0
+        np.testing.assert_allclose(got.mu, want, rtol=0, atol=1e-12)
+
+    def test_batches_without_violators_match_reference(self):
+        # every pair has t z >= 1 on its only coordinate: once mu >= 1 no
+        # batch violates, and mu decays by (1 - 1/k) alone
+        Z = np.array([[2.0], [-3.0], [1.5], [-1.0]])
+        t = np.array([1, -1, 1, -1])
+        cfg = MklConfig(lam=1e-3, batch_size=3, num_steps=300, seed=8)
+        got = pegasos_train(synth_kset(Z, t), cfg)
+        want = reference_pegasos(Z, t, 1e-3, 3, 300, 8)
+        assert got.mu[0] >= 1.0
+        np.testing.assert_allclose(got.mu, want, rtol=0, atol=1e-12)
+
+    def test_divergence_step_matches_reference(self):
+        Z = np.full((4, 1), 1e200)
+        t = np.array([1, -1, 1, -1])
+        with pytest.raises(DivergedError) as want:
+            reference_pegasos(Z, t, 1e-150, 100, 50, 0)
+        with pytest.raises(DivergedError) as got:
+            pegasos_train(synth_kset(Z, t), MklConfig(lam=1e-150, num_steps=50, seed=0))
+        assert got.value.step == want.value.step
+
     def test_two_example_set_matches_oracle(self):
         Z = np.array([[1.0, 1.0], [-1.0, -1.0]])
         t = np.array([1, -1])
