@@ -74,10 +74,8 @@ class KExampleSet:
 
     def z_rows(self, positions, out=None) -> np.ndarray:
         """Gather z vectors for the given pair positions: (len, p), into out if given."""
+        # rows were range-checked at construction; "clip" skips the per-call bounds check
         rows = self.rows[np.asarray(positions, dtype=np.int64)]
-        if out is None:
-            return self.stack[rows]
-        # rows were range-checked at construction; "clip" skips the buffered bounds check
         return np.take(self.stack, rows, axis=0, out=out, mode="clip")
 
     def scores(self, mu: np.ndarray) -> np.ndarray:
