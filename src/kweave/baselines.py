@@ -5,9 +5,19 @@ the combined Gram and the ideal label Gram,
 
     max_{mu >= 0, ||mu||_2 = 1}  mu^T a / sqrt(mu^T M mu),
 
-with M[k,l] = <K_k, K_l>_F and a[l] = <K_l, T>_F. For two classes T is the
-outer product of signed labels; with more classes T keeps the same +-1
-same-class/different-class structure.
+with M[k,l] = <K_k, K_l>_F and a[l] = <K_l, T>_F, where T[i,j] is +1 when
+instances i and j share a class and -1 otherwise (for any number of
+classes). Cortes, Mohri & Rostamizadeh (JMLR 13, 2012) reduce it to the
+convex QP
+
+    min_{v >= 0}  v^T M v - 2 v^T a,   mu* = v* / ||v*||,
+
+which maximize_alignment solves exactly. In K-space terms the QP is
+non-negative least squares of the pair labels t on the pair rows of the
+bank's store Z: a symmetric Gram holds each pair i < j twice and each
+diagonal pair once, so with pair weights w = 2 off the diagonal and 1 on
+it, M = Z^T diag(w) Z = 2 Z^T Z - Z_d^T Z_d (Z_d the diagonal-pair rows)
+and a = Z^T (w * t). No dense Gram is built.
 """
 
 from __future__ import annotations
@@ -17,10 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelBank
+from .kernels import KernelBank, pair_indices
 from .svm import DEFAULT_C_GRID, select_C
 
 logger = logging.getLogger(__name__)
+
+# KKT tolerance of the alignment QP, relative to max |a|
+_ALIGN_KKT_TOL = 1e-9
 
 
 @dataclass
@@ -53,83 +66,62 @@ class AlignmentProblem:
 
 
 def alignment_problem_from_bank(bank: KernelBank, train_labels) -> AlignmentProblem:
-    """(M, a) as Frobenius products over the dense Grams, rebuilt from Z.
-
-    The dense (p, n^2) array lives only for this call. The same sums taken
-    in pair space (2 Z^T Z minus the diagonal pairs' share) agree to about
-    1e-15 relative, but maximize_alignment amplifies that rounding: on
-    small synthetic banks it moved mu by up to 1e-2. So the products keep
-    the summation order of the dense layout.
-    """
+    """(M, a) as pair-weighted sums over the rows of bank.Z (module docstring)."""
     labels = np.asarray(train_labels)
-    n = bank.n
-    if labels.shape != (n,):
+    if labels.shape != (bank.n,):
         raise ValueError("labels do not match bank dimension")
-    flat = np.empty((bank.p, n * n), dtype=np.float64)
-    for l in range(bank.p):
-        flat[l] = bank.gram(l).ravel()
-    target = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
-    return AlignmentProblem(M=flat @ flat.T, a=flat @ target.ravel())
+    ii, jj = pair_indices(bank.n)
+    diag = ii == jj
+    wt = np.where(labels[ii] == labels[jj], 2.0, -2.0)
+    wt[diag] /= 2.0
+    Z, Zd = bank.Z, bank.Z[diag]
+    return AlignmentProblem(M=2.0 * (Z.T @ Z) - Zd.T @ Zd, a=Z.T @ wt)
 
 
-def maximize_alignment(
-    problem: AlignmentProblem,
-    restarts: int = 10,
-    steps: int = 500,
-    seed: int = 0,
-):
-    """Projected gradient ascent with unit-sphere renormalization.
+def maximize_alignment(problem: AlignmentProblem):
+    """Exact maximizer through the QP min_{v >= 0} v^T M v - 2 v^T a.
 
-    Returns (mu, objective) for the best iterate over all restarts, or
-    (None, best) when no restart found a positive objective.
+    Lawson-Hanson active set: free the bound coordinate with the largest
+    a - Mv, solve M s = a on the free set, and while s has a negative free
+    entry, step from v toward s until the first free entry reaches 0,
+    set it to exactly 0 and bind it. Returns (mu, objective) with
+    mu = v* / ||v*||, or (None, -inf) when v* = 0, which holds exactly when
+    every a[l] <= 0: then no direction aligns positively. Raises
+    RuntimeError when the loop bound is reached or the result fails KKT.
     """
     M, a, p = problem.M, problem.a, problem.p
-    rng = np.random.default_rng(seed)
-    best_mu, best_obj = None, -np.inf
-    for _ in range(restarts):
-        mu = rng.random(p)
-        nrm = np.linalg.norm(mu)
-        if nrm <= 0.0:
-            continue
-        mu /= nrm
-        obj = problem.objective(mu)
-        if obj > best_obj:
-            best_mu, best_obj = mu.copy(), obj
-        eta = 1.0
-        for _ in range(steps):
-            quad = float(mu @ M @ mu)
-            if quad <= 0.0:
+    tol = _ALIGN_KKT_TOL * float(np.abs(a).max())
+    v = np.zeros(p)
+    free = np.zeros(p, dtype=bool)
+    for _ in range(3 * p):
+        resid = np.where(free, -np.inf, a - M @ v)
+        j = int(np.argmax(resid))
+        if resid[j] <= tol:
+            break
+        free[j] = True
+        while True:
+            s = np.zeros(p)
+            s[free] = np.linalg.solve(M[np.ix_(free, free)], a[free])
+            blocked = np.flatnonzero(free & (s < 0.0))
+            if blocked.size == 0:
                 break
-            s = np.sqrt(quad)
-            grad = a / s - (float(mu @ a) / (s * quad)) * (M @ mu)
-            cand = np.maximum(mu + eta * grad, 0.0)
-            nrm = np.linalg.norm(cand)
-            if nrm <= 0.0:
-                eta *= 0.5
-                continue
-            cand /= nrm
-            cobj = problem.objective(cand)
-            # accept only ascent steps; otherwise shrink the step and retry
-            if cobj > obj:
-                mu, obj = cand, cobj
-                eta *= 1.2
-                if obj > best_obj:
-                    best_mu, best_obj = mu.copy(), obj
-            else:
-                eta *= 0.5
-    if best_obj <= 0.0:
-        return None, best_obj
-    return best_mu, best_obj
+            steps = v[blocked] / (v[blocked] - s[blocked])
+            k = int(np.argmin(steps))
+            v += steps[k] * (s - v)
+            v[blocked[k]] = 0.0
+            free &= v > 0.0
+        v = s
+    resid = a - M @ v
+    if np.any(v < 0.0) or resid.max() > tol or np.any(np.abs(resid[v > 0.0]) > tol):
+        raise RuntimeError("alignment QP failed its KKT conditions")
+    if not np.any(v > 0.0):
+        return None, -np.inf
+    mu = v / np.linalg.norm(v)
+    return mu, problem.objective(mu)
 
 
-def target_align(
-    bank: KernelBank,
-    train_labels,
-    restarts: int = 10,
-    steps: int = 500,
-    seed: int = 0,
-) -> np.ndarray:
-    """Kernel weights maximizing alignment with the label Gram.
+def target_align(bank: KernelBank, train_labels) -> np.ndarray:
+    """Unit-norm kernel weights maximizing alignment with the label Gram.
 
     Falls back to uniform weights (with a warning) when no direction has
     positive alignment, which needs every a[l] <= 0.
@@ -138,14 +130,14 @@ def target_align(
     if np.unique(labels).size < 2:
         raise ValueError("need at least two classes for target alignment")
     problem = alignment_problem_from_bank(bank, labels)
-    mu, obj = maximize_alignment(problem, restarts=restarts, steps=steps, seed=seed)
+    mu, _ = maximize_alignment(problem)
     if mu is None:
         logger.warning(
-            "no positively aligned direction (best objective %g); using uniform weights",
-            obj,
+            "no positively aligned direction (max a[l] = %g); using uniform weights",
+            problem.a.max(),
         )
         return uniform_weights(bank.p)
-    return mu / np.linalg.norm(mu)
+    return mu
 
 
 def uniform_weights(p: int) -> np.ndarray:

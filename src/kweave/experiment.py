@@ -45,7 +45,6 @@ _SEED_BALANCE = 1
 _SEED_LAMBDA = 2
 _SEED_FINAL = 3
 _SEED_BESTK = 4
-_SEED_ALIGN = 5
 _SEED_SVM_FOLDS = 6
 
 
@@ -224,7 +223,7 @@ def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
             "lambda_records": lam_records,
         }
     elif config.method == "target_align":
-        mu = baselines.target_align(bank, train_y, seed=derive_seed(seed, _SEED_ALIGN))
+        mu = baselines.target_align(bank, train_y)
     elif config.method == "average":
         mu = baselines.uniform_weights(bank.p)
     elif config.method == "best_kernel":

@@ -12,8 +12,8 @@ owned by the bank; the K-space reads it in place. No more than one raw
 Gram is alive at a time, beside the X @ X.T and squared distances its
 feature scope shares, so the train-side peak is Z plus a few (n, n)
 temporaries. Dense (n, n) Grams are rebuilt from Z only by combine, the
-best_kernel baseline (one kernel at a time), target alignment and
-`kweave kernels build`.
+best_kernel baseline (one kernel at a time) and `kweave kernels build`;
+target alignment reads Z directly.
 
 Centering statistics are recorded at fit time on the training Gram and are
 reused to transform test-vs-train cross blocks consistently.

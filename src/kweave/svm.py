@@ -316,7 +316,7 @@ class OvrModel:
 
 
 def ovr_train(
-    gram, labels, C: float, n_classes: int | None = None, tol: float = 1e-3,
+    gram, labels, C: float, n_classes: int | None = None,
     max_iter: int | None = None, jitter: float = 0.0, alpha0=None,
 ) -> OvrModel:
     """Train class-k-vs-rest models over a shared Gram.
@@ -340,9 +340,7 @@ def ovr_train(
             seed = models[0].alpha
         else:
             seed = None if alpha0 is None else alpha0[k]
-        models.append(
-            smo_train(gram, yk, C, tol=tol, max_iter=max_iter, jitter=jitter, alpha0=seed)
-        )
+        models.append(smo_train(gram, yk, C, max_iter=max_iter, jitter=jitter, alpha0=seed))
     return OvrModel(models=models, n_classes=c)
 
 
@@ -352,8 +350,6 @@ def select_C(
     folds,
     grid=DEFAULT_C_GRID,
     n_classes: int | None = None,
-    tol: float = 1e-3,
-    max_iter: int | None = None,
 ):
     """Mean k-fold CV accuracy per C; returns (best C, per-C records).
 
@@ -384,9 +380,7 @@ def select_C(
         seed = None
         for C in ascending:
             try:
-                ovr = ovr_train(
-                    train_K, train_y, C, n_classes=c, tol=tol, max_iter=max_iter, alpha0=seed
-                )
+                ovr = ovr_train(train_K, train_y, C, n_classes=c, alpha0=seed)
             except ValueError as exc:
                 logger.warning("C=%g fold %s skipped: %s", C, plan.params, exc)
                 continue

@@ -93,7 +93,7 @@ def dense_centering(raw) -> np.ndarray:
 def alignment_grid_max(M, a, n_grid=200):
     """Dense-grid maximum of mu.a / sqrt(mu' M mu) over the nonneg unit sphere.
 
-    Brute-force oracle for p <= 3, independent of the ascent code: p = 2 walks
+    Brute-force oracle for p <= 3, independent of the QP solver: p = 2 walks
     one angle over the quarter circle, p = 3 walks two angles over the octant.
     Returns (best value, best direction).
     """

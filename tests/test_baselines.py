@@ -32,9 +32,13 @@ def random_problem(p: int, seed: int) -> AlignmentProblem:
     return AlignmentProblem(M=M, a=a)
 
 
+# the data of tests/test_parity.py; its per-feature bank has p = 65
+PARITY_BLOBS = make_blobs(n_per_class=20, d=4, gap=1.5, seed=3)
+
+
 class TestGridOracle:
     # the oracle itself is checked against closed-form maxima before it is
-    # trusted to judge the ascent code
+    # trusted to judge the alignment solver
 
     def test_interior_maximum(self):
         # M = I with a >= 0: sphere max is ||a|| at a / ||a||
@@ -113,7 +117,7 @@ class TestMaximizeAlignment:
             (np.eye(3), np.array([1.0, 2.0, 2.0]), 3.0),
         ]:
             prob = AlignmentProblem(M=M, a=a)
-            mu, obj = maximize_alignment(prob, seed=0)
+            mu, obj = maximize_alignment(prob)
             assert mu is not None
             assert abs(obj - expect) < 1e-3
             # the reported objective belongs to the reported point
@@ -121,7 +125,7 @@ class TestMaximizeAlignment:
 
     def test_boundary_solution(self):
         prob = AlignmentProblem(np.eye(2), np.array([3.0, -1.0]))
-        mu, _ = maximize_alignment(prob, seed=1)
+        mu, _ = maximize_alignment(prob)
         np.testing.assert_allclose(mu, [1.0, 0.0], atol=2e-3)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -130,23 +134,40 @@ class TestMaximizeAlignment:
         prob = random_problem(p, seed)
         grid_val, _ = alignment_grid_max(prob.M, prob.a)
         assert grid_val > 0.0
-        mu, obj = maximize_alignment(prob, seed=seed)
+        mu, obj = maximize_alignment(prob)
         assert mu is not None
         assert abs(obj - grid_val) <= 1e-3
+        # the QP is exact, so no grid point may beat it
+        assert obj >= grid_val - 1e-12
         assert np.all(mu >= 0.0)
         assert abs(np.linalg.norm(mu) - 1.0) < 1e-9
 
-    def test_deterministic(self):
-        prob = random_problem(3, 5)
-        mu1, obj1 = maximize_alignment(prob, seed=11)
-        mu2, obj2 = maximize_alignment(prob, seed=11)
-        np.testing.assert_array_equal(mu1, mu2)
-        assert obj1 == obj2
+    @pytest.mark.parametrize("case", [*range(12), "blobs_p65"])
+    def test_kkt(self, case):
+        if case == "blobs_p65":
+            bank = centered_bank_for(PARITY_BLOBS, "uci_full_plus_per_feature")
+            assert bank.p == 65
+            prob = alignment_problem_from_bank(bank, PARITY_BLOBS.labels)
+        else:
+            prob = random_problem(2 + case % 2, case)
+        # QP min_{v >= 0} v'Mv - 2v'a: its minimizer on mu's ray is v = c mu
+        # with c = mu'a / mu'M mu; KKT at v is v >= 0, a - Mv <= 0, and
+        # a - Mv = 0 wherever v > 0
+        mu, _ = maximize_alignment(prob)
+        v = mu * (float(mu @ prob.a) / float(mu @ prob.M @ mu))
+        resid = prob.a - prob.M @ v
+        tol = 1e-8 * np.abs(prob.a).max()
+        assert np.all(v >= 0.0)
+        assert resid.max() <= tol
+        assert np.abs(resid[v > 0.0]).max() <= tol
+
+    def test_indefinite_problem_raises(self):
+        # with M = -I the QP is unbounded below, so no point satisfies KKT
+        with pytest.raises(RuntimeError, match="KKT"):
+            maximize_alignment(AlignmentProblem(-np.eye(2), np.ones(2)))
 
     def test_no_positive_direction_returns_none(self):
-        mu, obj = maximize_alignment(
-            AlignmentProblem(np.eye(2), np.array([-3.0, -1.0])), seed=0
-        )
+        mu, obj = maximize_alignment(AlignmentProblem(np.eye(2), np.array([-3.0, -1.0])))
         assert mu is None
         assert obj <= 0.0
 
@@ -161,7 +182,7 @@ class TestTargetAlign:
     def test_unit_norm_nonnegative(self):
         data = make_blobs(n_per_class=12, d=3, gap=3.0, seed=0)
         bank = centered_bank_for(data)
-        mu = target_align(bank, data.labels, seed=0)
+        mu = target_align(bank, data.labels)
         assert mu.shape == (bank.p,)
         assert np.all(mu >= 0.0)
         assert np.linalg.norm(mu) == pytest.approx(1.0, abs=1e-9)
@@ -170,14 +191,14 @@ class TestTargetAlign:
         y = np.array([0, 0, 1, 1])
         T = np.where(y[:, None] == y[None, :], 1.0, -1.0)
         bank = bank_of([T])
-        mu = target_align(bank, y, seed=0)
+        mu = target_align(bank, y)
         np.testing.assert_allclose(mu, [1.0], atol=1e-12)
 
     def test_requires_centered_bank(self):
         data = make_blobs(n_per_class=4, d=2, seed=1)
         raw = build_kernel_bank(data.instances, "uci_full")
-        # a raw bank has no pair-major store to rebuild Grams from
-        with pytest.raises(AttributeError, match="gram"):
+        # a raw bank has no pair-major store to read (M, a) from
+        with pytest.raises(AttributeError, match="attribute 'Z'"):
             target_align(raw, data.labels)
 
     def test_requires_two_classes(self):
@@ -189,7 +210,7 @@ class TestTargetAlign:
         y = np.array([0, 0, 1, 1])
         bank = antitarget_bank(y)
         with caplog.at_level(logging.WARNING, logger="kweave.baselines"):
-            mu = target_align(bank, y, seed=0)
+            mu = target_align(bank, y)
         np.testing.assert_array_equal(mu, uniform_weights(2))
         assert any("uniform" in r.getMessage() for r in caplog.records)
 
