@@ -5,7 +5,8 @@ Per split: (1) train/test split, (2) feature scaling fit on train, (3) the
 centered kernel bank on train, (4) method-specific kernel weights, (5) the
 test rows' combined cross Gram, summed one centered cross block at a time,
 (6) Gram combination, C selection and one-vs-rest training, (7) prediction
-and metrics, (8) per-stage wall-clock accounting. Everything
+and metrics, (8) per-stage wall-clock accounting and the process's peak
+RSS so far. Everything
 randomized is seeded from base_seed + split_index, so reports are
 reproducible byte for byte apart from timing fields.
 """
@@ -16,6 +17,8 @@ import datetime as _dt
 import hashlib
 import json
 import logging
+import resource
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -271,6 +274,12 @@ class _StageClock:
         self.timings[name] = time.perf_counter() - t0
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)  # bytes vs KB
+
+
 def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> dict:
     seed = config.base_seed + split_index
     record: dict = {"split_index": split_index, "seed": seed}
@@ -321,7 +330,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
         logger.warning("split %d failed at stage %s: %s", split_index, clock.current, exc)
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["stage"] = clock.current
-    record["timings"] = clock.timings
+    record["timings"] = {**clock.timings, "peak_rss_mb": _peak_rss_mb()}
     return record
 
 

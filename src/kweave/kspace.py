@@ -7,8 +7,10 @@ bank's own pair-major store, bank.Z: one C-contiguous (n(n+1)/2, p)
 float64 matrix of n(n+1)/2 * p * 8 bytes, owned by the bank. The K-space
 adds only labels and index arrays to it, and every subset (balancing, the
 lambda train/validation split) shares it too, copying only index arrays.
-A minibatch is then a gather of contiguous rows, into a caller's buffer
-when one is given.
+A minibatch is a gather of contiguous rows at positions the caller drew,
+into a caller's buffer when one is given. The sets over one stack also
+share one cached score vector, stack @ mu for the last mu scored, so the
+train and validation hinges of one weight vector cost one GEMV.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .kernels import KernelBank, pair_indices
 
 @dataclass
 class KBatch:
-    """A gathered minibatch: z is (batch, p), t is a +-1 vector.
+    """A gathered minibatch: z is (batch, p), t is the int8 +-1 labels.
 
     z may be the buffer the caller passed to sample_batch; the next call
     with that buffer overwrites it.
@@ -38,13 +40,16 @@ class KExampleSet:
     stack is (m, p); rows[k] is the stack row of the k-th pair of this set,
     every stack row in order when rows is None. pairs[k] = (i, j) with
     i <= j; z_k[l] = K_l[i, j]; t_k = +1 iff the two instances share a
-    class (diagonal pairs are always +1).
+    class (diagonal pairs are always +1). The stack is read-only: subsets
+    share the score cache of the set they came from, which assumes its
+    values never change.
     """
 
     def __init__(self, pairs: np.ndarray, t: np.ndarray, stack: np.ndarray, rows=None):
         self.pairs = np.asarray(pairs, dtype=np.int64)
         self.t = np.asarray(t, dtype=np.int8)
         self.stack = stack
+        self._score_cache = [None, None]  # [mu bytes, stack @ mu], shared with subsets
         self.rows = np.arange(len(self.pairs)) if rows is None else np.asarray(rows, np.int64)
         if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
             raise ValueError("pairs must be (m, 2)")
@@ -79,12 +84,24 @@ class KExampleSet:
         return np.take(self.stack, rows, axis=0, out=out, mode="clip")
 
     def scores(self, mu: np.ndarray) -> np.ndarray:
-        """mu . z for every pair in the set: one GEMV over the shared matrix."""
-        return (self.stack @ np.asarray(mu, dtype=np.float64))[self.rows]
+        """mu . z for every pair in the set.
+
+        One GEMV over the shared matrix, reused by every set over the stack
+        while mu's values stay the same (compared bitwise, so a mu changed
+        in place misses).
+        """
+        mu = np.asarray(mu, dtype=np.float64)
+        key = mu.tobytes()
+        cache = self._score_cache
+        if cache[0] != key:
+            cache[:] = [key, self.stack @ mu]
+        return cache[1][self.rows]
 
     def subset(self, positions) -> "KExampleSet":
         pos = np.asarray(positions, dtype=np.int64)
-        return KExampleSet(self.pairs[pos], self.t[pos], self.stack, self.rows[pos])
+        sub = KExampleSet(self.pairs[pos], self.t[pos], self.stack, self.rows[pos])
+        sub._score_cache = self._score_cache
+        return sub
 
 
 def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
@@ -127,13 +144,13 @@ def balance(kset: KExampleSet, seed: int) -> KExampleSet:
     return kset.subset(np.flatnonzero(mask))
 
 
-def sample_batch(kset: KExampleSet, batch_size: int, rng, out=None) -> KBatch:
-    """Draw batch_size pairs uniformly with replacement and gather z rows.
+def sample_batch(kset: KExampleSet, positions, out=None) -> KBatch:
+    """Gather the z rows and labels of a minibatch at the given pair positions.
 
-    out, when given, is a (batch_size, p) float64 buffer the rows are
-    gathered into; the batch's z is then that buffer.
+    The caller draws the positions (pegasos_train draws a block of steps'
+    worth in one call). out, when given, is a (len(positions), p) float64
+    buffer the rows are gathered into; the batch's z is then that buffer.
     """
     if len(kset) == 0:
         raise ValueError("cannot sample from an empty K-example set")
-    idx = rng.integers(0, len(kset), size=batch_size)
-    return KBatch(z=kset.z_rows(idx, out=out), t=kset.t[idx].astype(np.float64))
+    return KBatch(z=kset.z_rows(positions, out=out), t=kset.t[positions])

@@ -73,6 +73,13 @@ class MklModel:
         return not np.any(self.mu > 0)
 
 
+# Steps whose batch positions are drawn in one rng call. PCG64 keeps the
+# spare 32-bit half of a draw across calls, so a (steps, B) draw yields the
+# same positions as one size-B draw per step, while a long fit never holds
+# a (num_steps, B) index array.
+DRAW_BLOCK = 1024
+
+
 def hinge_loss(mu: np.ndarray, kset: KExampleSet) -> float:
     """Exact mean hinge loss of the weight vector over the whole set."""
     if len(kset) == 0:
@@ -97,27 +104,33 @@ def pegasos_train(kset: KExampleSet, config: MklConfig, on_step=None) -> MklMode
     # one fit's step buffers: each batch is gathered into zbuf, and the update
     # masks non-violators to weight 0 instead of copying the violating rows
     zbuf = np.empty((B, kset.p), dtype=np.float64)
+    g = np.empty(kset.p, dtype=np.float64)
     s = np.empty(B, dtype=np.float64)
     w = np.empty(B, dtype=np.float64)
     viol = np.empty(B, dtype=bool)
 
-    for k in range(1, config.num_steps + 1):
-        batch = sample_batch(kset, B, rng, out=zbuf)
-        # overflow here is handled by the explicit finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.dot(batch.z, mu, out=s)
-            s *= batch.t
-            np.less(s, 1.0, out=viol)
-            # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z
-            mu *= 1.0 - 1.0 / k
-            if np.any(viol):
-                np.multiply(batch.t, viol, out=w)
-                mu += (w @ batch.z) / (lam * k * B)
-        np.maximum(mu, 0.0, out=mu)
-        if not np.all(np.isfinite(mu)):
-            raise DivergedError(k)
-        if on_step is not None:
-            on_step(k, mu)
+    # overflow is handled by the explicit finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, config.num_steps + 1, DRAW_BLOCK):
+            steps = min(DRAW_BLOCK, config.num_steps + 1 - first)
+            block = rng.integers(0, len(kset), size=(steps, B))
+            for k, positions in enumerate(block, first):
+                batch = sample_batch(kset, positions, zbuf)
+                np.dot(batch.z, mu, out=s)
+                s *= batch.t
+                np.less(s, 1.0, out=viol)
+                # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z
+                mu *= 1.0 - 1.0 / k
+                if viol.any():
+                    np.multiply(batch.t, viol, out=w)
+                    np.dot(w, batch.z, out=g)
+                    g /= lam * k * B
+                    mu += g
+                np.maximum(mu, 0.0, out=mu)
+                if not np.isfinite(mu).all():
+                    raise DivergedError(k)
+                if on_step is not None:
+                    on_step(k, mu)
 
     return MklModel(
         mu=mu,

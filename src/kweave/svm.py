@@ -356,8 +356,11 @@ def select_C(
     Each fold walks the distinct C values in ascending order, and every fit
     after the first starts from the previous C's duals (with two classes,
     class 1 starts from class 0's; see ovr_train). Records follow the
-    caller's grid order; each holds the C, its mean CV accuracy and
-    smo_iterations, the pair steps summed over folds and classes.
+    caller's grid order; each holds the C, its mean CV accuracy,
+    smo_iterations, the pair steps summed over folds and classes, and
+    nonconverged, the number of those binary fits that stopped short of
+    tol at the iteration cap or a stall (their accuracy still counts
+    toward the C's score).
 
     Folds whose training side loses a class (or otherwise fail) are skipped
     with a warning; a C with no surviving folds scores None. Ties break
@@ -373,6 +376,7 @@ def select_C(
     ascending = sorted(set(grid))
     accs: dict = {C: [] for C in ascending}
     steps = dict.fromkeys(ascending, 0)
+    capped = dict.fromkeys(ascending, 0)
     for plan in folds:
         tr, te = plan.train_indices, plan.test_indices
         train_K, train_y = K[np.ix_(tr, tr)], labels[tr]
@@ -386,11 +390,13 @@ def select_C(
                 continue
             seed = [mdl.alpha for mdl in ovr.models]
             steps[C] += sum(mdl.iterations for mdl in ovr.models)
+            capped[C] += sum(not mdl.converged for mdl in ovr.models)
             accs[C].append(float(np.mean(ovr.predict(cross_K) == test_y)))
 
     cv = [float(np.mean(accs[C])) if accs[C] else None for C in grid]
     records = [
-        {"C": Cv, "cv_accuracy": acc, "smo_iterations": steps[Cv]} for Cv, acc in zip(grid, cv)
+        {"C": Cv, "cv_accuracy": acc, "smo_iterations": steps[Cv], "nonconverged": capped[Cv]}
+        for Cv, acc in zip(grid, cv)
     ]
     scored = [(Cv, acc) for Cv, acc in zip(grid, cv) if acc is not None]
     if not scored:

@@ -203,8 +203,9 @@ class TestRunExperiment:
             p = len(rec["mu"])
             np.testing.assert_allclose(rec["mu"], np.full(p, 1.0 / p))
             assert set(rec["timings"]) == {
-                "split", "kernel_learning", "kernel_build", "svm", "evaluation",
+                "split", "kernel_learning", "kernel_build", "svm", "evaluation", "peak_rss_mb",
             }
+            assert rec["timings"]["peak_rss_mb"] > 0
             assert rec["chosen_C"] in cfg.c_grid
             assert [r["C"] for r in rec["cv_records"]] == cfg.c_grid
             steps = [r["smo_iterations"] for r in rec["cv_records"]]
@@ -289,7 +290,7 @@ class TestRunExperiment:
             first = report.per_split[0]
             assert first["error"] == "RuntimeError: synthetic failure"
             assert first["stage"] == stage
-            assert list(first["timings"]) == stages[: stages.index(stage)]
+            assert list(first["timings"]) == stages[: stages.index(stage)] + ["peak_rss_mb"]
             assert len(calls) == 3
             assert all("error" not in r and "stage" not in r for r in report.per_split[1:])
             assert report.aggregate["n_succeeded"] == 2
@@ -305,7 +306,7 @@ class TestRunExperiment:
         rec = experiment._run_split(load_dataset(toy_csv), cfg, 0)
         assert rec["error"] == "KernelError: all-zero kernel weight vector"
         assert rec["stage"] == "kernel_build"
-        assert list(rec["timings"]) == ["split", "kernel_learning"]
+        assert list(rec["timings"]) == ["split", "kernel_learning", "peak_rss_mb"]
 
     def test_jitter_retry_recorded(self, toy_csv, monkeypatch):
         clean = run_experiment(fast_config(toy_csv, n_splits=1)).per_split[0]

@@ -147,55 +147,88 @@ class TestBalance:
 
 
 class TestSampleBatch:
-    def test_gather_is_exact_with_stub_generator(self):
+    def test_gather_is_exact(self):
         bank = tiny_bank(4, p=2, seed=3)
         kset = make_kexamples(np.array([0, 0, 1, 1]), bank)
-
-        class Sequential:
-            def integers(self, lo, hi, size):
-                return np.arange(size) % (hi - lo)
-
-        batch = sample_batch(kset, len(kset), Sequential())
-        np.testing.assert_array_equal(batch.z, kset.z_rows(np.arange(len(kset))))
-        np.testing.assert_array_equal(batch.t, kset.t.astype(np.float64))
+        positions = np.arange(len(kset))[::-1]
+        batch = sample_batch(kset, positions)
+        np.testing.assert_array_equal(batch.z, kset.stack[kset.rows[positions]])
+        np.testing.assert_array_equal(batch.t, kset.t[positions])
 
     def test_with_replacement_semantics(self):
         kset = make_kexamples(np.array([0, 0, 1, 1]), tiny_bank(4)).subset(range(10))
-        batch = sample_batch(kset, 100, np.random.default_rng(0))
+        positions = np.random.default_rng(0).integers(0, len(kset), size=100)
+        batch = sample_batch(kset, positions)
         assert batch.z.shape == (100, 2) and batch.t.shape == (100,)
-        assert set(np.unique(batch.t)) <= {-1.0, 1.0}
+        assert set(np.unique(batch.t)) <= {-1, 1}
+        assert len(np.unique(positions)) < len(positions)  # some pairs drawn twice
+        np.testing.assert_array_equal(batch.z, kset.z_rows(positions))
+        np.testing.assert_array_equal(batch.t, kset.t[positions])
 
     def test_empirical_frequencies_near_uniform(self):
         # chi-square style check: each of 10 pairs expected 10^4 times over 10^5 draws
         kset = make_kexamples(np.array([0, 0, 1, 1]), tiny_bank(4))
         assert len(kset) == 10
         rng = np.random.default_rng(123)
-        draws = rng.integers(0, len(kset), size=100_000)  # same path sample_batch uses
-        counts = np.bincount(draws, minlength=10)
+        # the block draw pegasos_train makes: (steps, batch) positions in one call
+        draws = rng.integers(0, len(kset), size=(1000, 100))
+        counts = np.bincount(draws.ravel(), minlength=10)
         sigma = np.sqrt(100_000 * 0.1 * 0.9)
         assert np.all(np.abs(counts - 10_000) <= 3 * sigma)
 
     def test_empty_set_errors(self):
         kset = make_kexamples(np.array([0, 1]), tiny_bank(2)).subset([])
         with pytest.raises(ValueError, match="empty"):
-            sample_batch(kset, 10, np.random.default_rng(0))
+            sample_batch(kset, np.zeros(10, dtype=np.int64))
 
     def test_buffered_gather_fills_the_buffer(self):
         kset = make_kexamples(np.array([0, 0, 1, 1, 0]), tiny_bank(5, p=3)).subset(
             [14, 2, 9, 0, 7, 11]
         )
         out = np.full((40, 3), np.nan)
-        buffered = sample_batch(kset, 40, np.random.default_rng(5), out=out)
-        plain = sample_batch(kset, 40, np.random.default_rng(5))
+        positions = np.random.default_rng(5).integers(0, len(kset), size=40)
+        buffered = sample_batch(kset, positions, out=out)
+        plain = sample_batch(kset, positions)
         assert np.shares_memory(buffered.z, out)
         np.testing.assert_array_equal(buffered.z, plain.z)
         np.testing.assert_array_equal(buffered.t, plain.t)
         # the next call overwrites the same buffer
-        again = sample_batch(kset, 40, np.random.default_rng(6), out=out)
+        others = np.random.default_rng(6).integers(0, len(kset), size=40)
+        again = sample_batch(kset, others, out=out)
         assert again.z is buffered.z
-        np.testing.assert_array_equal(
-            again.z, sample_batch(kset, 40, np.random.default_rng(6)).z
-        )
+        np.testing.assert_array_equal(again.z, sample_batch(kset, others).z)
+
+
+class TestScoreCache:
+    """Sets over one stack share one cached stack @ mu."""
+
+    def test_subsets_share_one_product_and_stay_exact(self):
+        labels = np.array([0, 1, 0, 1, 1, 0, 0])
+        kset = make_kexamples(labels, tiny_bank(7, p=4, seed=2))
+        a, b = kset.subset([3, 0, 17, 9, 5]), kset.subset([1, 2, 20, 11])
+        assert a._score_cache is b._score_cache
+        mu = np.array([0.4, 0.0, 1.3, 0.7])
+        np.testing.assert_array_equal(a.scores(mu), (kset.stack @ mu)[a.rows])
+        full = a._score_cache[1]
+        np.testing.assert_array_equal(b.scores(mu), (kset.stack @ mu)[b.rows])
+        assert b._score_cache[1] is full  # the second set reused the product
+        a.scores(mu)[:] = 0.0  # a returned vector is the caller's own
+        np.testing.assert_array_equal(a.scores(mu), (kset.stack @ mu)[a.rows])
+
+        mu[2] = 0.1  # changed in place: the cached product must not be reused
+        np.testing.assert_array_equal(a.scores(mu), (kset.stack @ mu)[a.rows])
+        np.testing.assert_array_equal(b.scores(mu), (kset.stack @ mu)[b.rows])
+
+        other = np.array([2.0, 0.5, 0.0, 0.25])
+        np.testing.assert_array_equal(b.scores(other), (kset.stack @ other)[b.rows])
+        np.testing.assert_array_equal(a.scores(other), (kset.stack @ other)[a.rows])
+
+    def test_separate_stacks_do_not_share(self):
+        k1 = make_kexamples(np.array([0, 1, 0]), tiny_bank(3, seed=0))
+        k2 = make_kexamples(np.array([0, 1, 0]), tiny_bank(3, seed=1))
+        mu = np.array([1.0, 0.5])
+        np.testing.assert_array_equal(k1.scores(mu), k1.stack @ mu)
+        np.testing.assert_array_equal(k2.scores(mu), k2.stack @ mu)
 
 
 class TestRowsRange:

@@ -6,10 +6,13 @@ iterative refinement over the non-negative orthant, written against plain
 (Z, t) arrays so it shares nothing with the implementation under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kweave.mkl import (
+    DRAW_BLOCK,
     BoundInputs,
     DivergedError,
     MklConfig,
@@ -170,6 +173,36 @@ class TestPegasos:
         with pytest.raises(DivergedError) as got:
             pegasos_train(synth_kset(Z, t), MklConfig(lam=1e-150, num_steps=50, seed=0))
         assert got.value.step == want.value.step
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 100])
+    def test_block_draws_match_per_step_draws_exactly(self, batch_size):
+        # integer z makes every violator sum exact in any order, so the masked
+        # and compacted updates agree bitwise and only the draws can differ;
+        # the fit spans one full block and a partial one
+        rng = np.random.default_rng(batch_size)
+        Z = rng.integers(-3, 4, (53, 4)).astype(np.float64)
+        t = np.where(rng.random(53) < 0.5, 1, -1)
+        t[:2] = [1, -1]
+        cfg = MklConfig(lam=0.05, batch_size=batch_size, num_steps=DRAW_BLOCK + 37, seed=6)
+        got = pegasos_train(synth_kset(Z, t), cfg)
+        want = reference_pegasos(Z, t, cfg.lam, batch_size, cfg.num_steps, cfg.seed)
+        assert np.any(want > 0)
+        np.testing.assert_array_equal(got.mu, want)
+
+    def test_long_fit_never_holds_all_draws(self):
+        rng = np.random.default_rng(12)
+        Z = rng.normal(0, 1, (40, 3))
+        t = np.array([1, -1] * 20)
+        kset = synth_kset(Z, t)
+        cfg = MklConfig(lam=0.1, batch_size=8, num_steps=20 * DRAW_BLOCK, seed=2)
+        all_draws = cfg.num_steps * cfg.batch_size * 8  # a (num_steps, B) int64 array
+        tracemalloc.start()
+        try:
+            pegasos_train(kset, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < all_draws / 4
 
     def test_two_example_set_matches_oracle(self):
         Z = np.array([[1.0, 1.0], [-1.0, -1.0]])

@@ -769,6 +769,26 @@ class TestSelectC:
         assert {r["C"]: r["smo_iterations"] for r in records} == steps
         assert sum(steps.values()) > 0
 
+    def test_records_count_capped_fits_per_C(self, monkeypatch):
+        K, y = overlapping_gram()
+        folds = kfold_plan(40, 4, seed=3)
+        _, clean = select_C(K, y, folds)
+        real = svm.smo_train
+
+        def capped_at_one(gram, yk, C, **kwargs):
+            if C == 1.0:
+                kwargs["max_iter"] = 1
+            return real(gram, yk, C, **kwargs)
+
+        monkeypatch.setattr(svm, "smo_train", capped_at_one)
+        _, records = select_C(K, y, folds)
+        counts = {r["C"]: r["nonconverged"] for r in records}
+        clean_counts = {r["C"]: r["nonconverged"] for r in clean}
+        assert clean_counts[1.0] == 0
+        assert counts[1.0] == 4 * 2  # every fold, both classes
+        # the smaller C run before the capped one and are untouched by it
+        assert [counts[C] for C in (0.01, 0.1)] == [clean_counts[C] for C in (0.01, 0.1)] == [0, 0]
+
     def test_empty_grid(self):
         K, y = overlapping_gram()
         with pytest.raises(ValueError, match="grid"):
