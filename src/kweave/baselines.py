@@ -146,13 +146,7 @@ def uniform_weights(p: int) -> np.ndarray:
     return np.full(p, 1.0 / p)
 
 
-def best_kernel(
-    bank: KernelBank,
-    train_labels,
-    folds,
-    c_grid=DEFAULT_C_GRID,
-    n_classes: int | None = None,
-):
+def best_kernel(bank: KernelBank, train_labels, folds, c_grid=DEFAULT_C_GRID):
     """Single kernel with the best CV accuracy (C selected per kernel).
 
     Returns (index, one-hot weights). Kernels whose CV fails entirely are
@@ -162,7 +156,7 @@ def best_kernel(
 
     def score_one(gram):
         try:
-            _, records = select_C(gram, labels, folds, grid=c_grid, n_classes=n_classes)
+            _, records = select_C(gram, labels, folds, grid=c_grid)
         except RuntimeError as exc:
             return None, str(exc)
         accs = [r["cv_accuracy"] for r in records if r["cv_accuracy"] is not None]

@@ -94,8 +94,8 @@ class ExperimentConfig:
             mkl._validate_grid(self.lambda_grid)
         if not self.c_grid:
             raise ValueError("c_grid must be non-empty")
-        if any(c <= 0 for c in self.c_grid):
-            raise ValueError("c_grid entries must be positive")
+        if not all(np.isfinite(c) and c > 0 for c in self.c_grid):
+            raise ValueError("c_grid entries must be positive and finite")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -209,13 +209,7 @@ def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
             num_steps=steps,
         )
         final = mkl.pegasos_train(
-            bal,
-            mkl.MklConfig(
-                lam=lam,
-                batch_size=config.mkl_batch_size,
-                num_steps=steps,
-                seed=derive_seed(seed, _SEED_FINAL),
-            ),
+            bal, lam, steps, config.mkl_batch_size, derive_seed(seed, _SEED_FINAL)
         )
         mu = final.mu
         details = {

@@ -291,9 +291,7 @@ def bank_specs(d: int, recipe: str) -> list[KernelSpec]:
     return specs
 
 
-def build_kernel_bank(
-    features: np.ndarray, recipe: str, meta: dict | None = None
-) -> RawBank:
+def build_kernel_bank(features: np.ndarray, recipe: str) -> RawBank:
     """A recipe's raw bank over the given feature matrix, evaluated lazily.
 
     Non-finite features raise here; a kernel whose values overflow raises
@@ -303,10 +301,7 @@ def build_kernel_bank(
     specs = bank_specs(X.shape[1], recipe)
     if not np.all(np.isfinite(X)):
         raise KernelError("non-finite feature values")
-    bank_meta = {"recipe": recipe}
-    if meta:
-        bank_meta.update(meta)
-    return RawBank(specs=specs, features=X, meta=bank_meta)
+    return RawBank(specs=specs, features=X, meta={"recipe": recipe})
 
 
 # ---------------------------------------------------------------------------

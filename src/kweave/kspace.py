@@ -5,8 +5,10 @@ coordinates are the p base-kernel values for that pair, labeled +1 when the
 instances share a class and -1 otherwise. The z vectors are the centered
 bank's own pair-major store, bank.Z: one C-contiguous (n(n+1)/2, p)
 float64 matrix of n(n+1)/2 * p * 8 bytes, owned by the bank. The K-space
-adds only labels and index arrays to it, and every subset (balancing, the
-lambda train/validation split) shares it too, copying only index arrays.
+adds only labels and row indices to it, and every subset (balancing, the
+lambda train/validation split) shares it too, copying only those arrays. A
+set stores no (i, j) pairs: for a bank's store, the pairs of its rows are
+pair_indices(n) indexed by rows.
 A minibatch is a gather of contiguous rows at positions the caller drew,
 into a caller's buffer when one is given. The sets over one stack also
 share one cached score vector, stack @ mu for the last mu scored, so the
@@ -38,23 +40,20 @@ class KExampleSet:
     """Labeled instance pairs indexing rows of a shared pair-major matrix.
 
     stack is (m, p); rows[k] is the stack row of the k-th pair of this set,
-    every stack row in order when rows is None. pairs[k] = (i, j) with
-    i <= j; z_k[l] = K_l[i, j]; t_k = +1 iff the two instances share a
-    class (diagonal pairs are always +1). The stack is read-only: subsets
-    share the score cache of the set they came from, which assumes its
-    values never change.
+    stack rows 0 .. len(t) - 1 in order when rows is None. For the pair
+    (i, j), i <= j, at stack row r: z[l] = K_l[i, j] = stack[r, l], and
+    t = +1 iff the two instances share a class (diagonal pairs are always
+    +1). The stack is read-only: subsets share the score cache of the set
+    they came from, which assumes its values never change.
     """
 
-    def __init__(self, pairs: np.ndarray, t: np.ndarray, stack: np.ndarray, rows=None):
-        self.pairs = np.asarray(pairs, dtype=np.int64)
+    def __init__(self, t: np.ndarray, stack: np.ndarray, rows=None):
         self.t = np.asarray(t, dtype=np.int8)
         self.stack = stack
         self._score_cache = [None, None]  # [mu bytes, stack @ mu], shared with subsets
-        self.rows = np.arange(len(self.pairs)) if rows is None else np.asarray(rows, np.int64)
-        if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
-            raise ValueError("pairs must be (m, 2)")
-        if self.t.shape != (self.pairs.shape[0],) or self.rows.shape != self.t.shape:
-            raise ValueError("labels or rows length does not match pair count")
+        self.rows = np.arange(len(self.t)) if rows is None else np.asarray(rows, np.int64)
+        if self.t.ndim != 1 or self.rows.shape != self.t.shape:
+            raise ValueError("labels must be 1-D, with one stack row each")
         if self.stack.ndim != 2:
             raise ValueError("stack must be (m, p)")
         # gathers use mode="clip", which would clamp a bad row, not raise; with
@@ -63,7 +62,7 @@ class KExampleSet:
             raise ValueError(f"rows must lie in [0, {self.stack.shape[0]})")
 
     def __len__(self) -> int:
-        return self.pairs.shape[0]
+        return self.t.shape[0]
 
     @property
     def p(self) -> int:
@@ -99,7 +98,7 @@ class KExampleSet:
 
     def subset(self, positions) -> "KExampleSet":
         pos = np.asarray(positions, dtype=np.int64)
-        sub = KExampleSet(self.pairs[pos], self.t[pos], self.stack, self.rows[pos])
+        sub = KExampleSet(self.t[pos], self.stack, self.rows[pos])
         sub._score_cache = self._score_cache
         return sub
 
@@ -107,8 +106,8 @@ class KExampleSet:
 def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
     """Label all pairs i <= j of a centered bank's instances.
 
-    The z vectors are bank.Z itself, not a copy, and the pairs are its
-    rows in order. The bank must share the ordering of train_labels.
+    The z vectors are bank.Z itself, not a copy, and the set's rows are
+    its rows in order. The bank must share the ordering of train_labels.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
     n = labels.shape[0]
@@ -116,7 +115,7 @@ def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
         raise ValueError(f"bank Grams are {bank.n} x {bank.n}, labels have length {n}")
     ii, jj = pair_indices(n)
     t = np.where(labels[ii] == labels[jj], 1, -1).astype(np.int8)
-    return KExampleSet(pairs=np.stack([ii, jj], axis=1), t=t, stack=bank.Z)
+    return KExampleSet(t=t, stack=bank.Z)
 
 
 def balance(kset: KExampleSet, seed: int) -> KExampleSet:

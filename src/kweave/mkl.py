@@ -10,6 +10,11 @@ g = lam*mu - (1/|B|) sum_{(z,t) in B, t mu.z < 1} t z, step with 1/(lam*k),
 and project onto the non-negative orthant. The regularizer lam is picked by
 hinge loss on a held-out 20% of the K-examples, independently of the
 downstream data classifier.
+
+pegasos_train(kset, lam, num_steps, batch_size, seed) runs one fit and
+returns an MklModel: the weights, their exact train hinge and the steps
+run. select_lambda and lambda_sweep_report read one list of per-lambda
+fits, each fit seeded with seed ^ (its grid index).
 """
 
 from __future__ import annotations
@@ -38,35 +43,12 @@ class DivergedError(MklError):
 
 
 @dataclass
-class MklConfig:
-    """Solver settings for one training run.
-
-    lam: regularization strength (must be > 0).
-    num_steps: subgradient steps; 10**3 suits small datasets, 10**5 large.
-    """
-
-    lam: float
-    batch_size: int = 100
-    num_steps: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if self.batch_size < 1 or self.num_steps < 1:
-            raise ValueError("batch_size and num_steps must be >= 1")
-
-
-@dataclass
 class MklModel:
-    """Learned non-negative kernel weights plus training provenance."""
+    """The non-negative kernel weights one Pegasos fit learned."""
 
     mu: np.ndarray
-    chosen_lambda: float
     final_train_hinge: float
-    validation_hinge: float | None
     steps_run: int
-    seed: int
 
     @property
     def collapsed(self) -> bool:
@@ -88,32 +70,40 @@ def hinge_loss(mu: np.ndarray, kset: KExampleSet) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - kset.t * s)))
 
 
-def pegasos_train(kset: KExampleSet, config: MklConfig, on_step=None) -> MklModel:
+def pegasos_train(
+    kset: KExampleSet, lam: float, num_steps: int = 1000, batch_size: int = 100,
+    seed: int = 0, on_step=None,
+) -> MklModel:
     """Run the projected stochastic subgradient solver from mu = 0.
 
-    on_step(k, mu), when given, observes every post-projection iterate
-    (used by tests to assert non-negativity along the whole trajectory).
+    lam is the regularization strength (positive and finite); num_steps of
+    10**3 suit small datasets, 10**5 large ones. on_step(k, mu), when given,
+    observes every post-projection iterate (used by tests to assert
+    non-negativity along the whole trajectory).
     """
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if batch_size < 1 or num_steps < 1:
+        raise ValueError("batch_size and num_steps must be >= 1")
     if len(kset) == 0:
         raise ValueError("empty K-example set")
     if kset.n_pos == 0 or kset.n_neg == 0:
         raise ValueError("K-example set must contain both K-classes")
-    lam, B = config.lam, config.batch_size
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     mu = np.zeros(kset.p, dtype=np.float64)
     # one fit's step buffers: each batch is gathered into zbuf, and the update
     # masks non-violators to weight 0 instead of copying the violating rows
-    zbuf = np.empty((B, kset.p), dtype=np.float64)
+    zbuf = np.empty((batch_size, kset.p), dtype=np.float64)
     g = np.empty(kset.p, dtype=np.float64)
-    s = np.empty(B, dtype=np.float64)
-    w = np.empty(B, dtype=np.float64)
-    viol = np.empty(B, dtype=bool)
+    s = np.empty(batch_size, dtype=np.float64)
+    w = np.empty(batch_size, dtype=np.float64)
+    viol = np.empty(batch_size, dtype=bool)
 
     # overflow is handled by the explicit finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(1, config.num_steps + 1, DRAW_BLOCK):
-            steps = min(DRAW_BLOCK, config.num_steps + 1 - first)
-            block = rng.integers(0, len(kset), size=(steps, B))
+        for first in range(1, num_steps + 1, DRAW_BLOCK):
+            steps = min(DRAW_BLOCK, num_steps + 1 - first)
+            block = rng.integers(0, len(kset), size=(steps, batch_size))
             for k, positions in enumerate(block, first):
                 batch = sample_batch(kset, positions, zbuf)
                 np.dot(batch.z, mu, out=s)
@@ -124,7 +114,7 @@ def pegasos_train(kset: KExampleSet, config: MklConfig, on_step=None) -> MklMode
                 if viol.any():
                     np.multiply(batch.t, viol, out=w)
                     np.dot(w, batch.z, out=g)
-                    g /= lam * k * B
+                    g /= lam * k * batch_size
                     mu += g
                 np.maximum(mu, 0.0, out=mu)
                 if not np.isfinite(mu).all():
@@ -132,14 +122,7 @@ def pegasos_train(kset: KExampleSet, config: MklConfig, on_step=None) -> MklMode
                 if on_step is not None:
                     on_step(k, mu)
 
-    return MklModel(
-        mu=mu,
-        chosen_lambda=lam,
-        final_train_hinge=hinge_loss(mu, kset),
-        validation_hinge=None,
-        steps_run=config.num_steps,
-        seed=config.seed,
-    )
+    return MklModel(mu=mu, final_train_hinge=hinge_loss(mu, kset), steps_run=num_steps)
 
 
 def default_lambda_grid() -> list[float]:
@@ -159,8 +142,8 @@ def _validate_grid(grid) -> list[float]:
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("empty lambda grid")
-    if any(g <= 0 for g in grid):
-        raise ValueError("lambda grid entries must be positive")
+    if not all(math.isfinite(g) and g > 0 for g in grid):
+        raise ValueError("lambda grid entries must be positive and finite")
     if any(a <= b for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly descending")
     return grid
@@ -178,26 +161,24 @@ def _split_kset(kset: KExampleSet, val_fraction: float, seed: int):
 def _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps):
     """Fit one model per grid value on an 80/20 split of the K-examples.
 
-    Returns (val_kset, results); each result is a dict with the model and
-    its exact validation hinge, or an error string for values where the
-    solver failed (skipped with a warning).
+    Returns (val_kset, fits): one (lam, model, val_hinge) per grid value, in
+    grid order, with the model's exact validation hinge; model and
+    val_hinge are None where the solver failed (logged as a warning).
     """
     grid = _validate_grid(grid)
     if len(kset) < 5:
         raise ValueError(f"need at least 5 K-examples to select lambda, got {len(kset)}")
     train_k, val_k = _split_kset(kset, val_fraction, seed)
-
-    def fit(idx, lam):
-        cfg = MklConfig(lam=lam, batch_size=batch_size, num_steps=num_steps, seed=seed ^ idx)
+    fits = []
+    for idx, lam in enumerate(grid):
         try:
-            model = pegasos_train(train_k, cfg)
+            model = pegasos_train(train_k, lam, num_steps, batch_size, seed ^ idx)
         except (DivergedError, ValueError) as exc:
             logger.warning("lambda=%g failed: %s", lam, exc)
-            return {"lambda": lam, "model": None, "val_hinge": None, "error": str(exc)}
-        model.validation_hinge = hinge_loss(model.mu, val_k)
-        return {"lambda": lam, "model": model, "val_hinge": model.validation_hinge, "error": None}
-
-    return val_k, [fit(idx, lam) for idx, lam in enumerate(grid)]
+            fits.append((lam, None, None))
+        else:
+            fits.append((lam, model, hinge_loss(model.mu, val_k)))
+    return val_k, fits
 
 
 def select_lambda(
@@ -218,28 +199,21 @@ def select_lambda(
     """
     if grid is None:
         grid = default_lambda_grid()
-    _, results = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
-    best_lam, best_hinge = None, None
-    for r in results:
-        if r["val_hinge"] is None:
-            continue
-        if best_hinge is None or r["val_hinge"] < best_hinge:
-            best_lam, best_hinge = r["lambda"], r["val_hinge"]
-    if best_lam is None:
+    _, fits = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
+    records = [
+        {
+            "lambda": lam,
+            "val_hinge": val_hinge,
+            "steps": None if model is None else model.steps_run,
+            "collapsed": None if model is None else model.collapsed,
+            "final_train_hinge": None if model is None else model.final_train_hinge,
+        }
+        for lam, model, val_hinge in fits
+    ]
+    fitted = [r for r in records if r["val_hinge"] is not None]
+    if not fitted:
         raise MklError("every lambda in the grid failed")
-    records = []
-    for r in results:
-        model = r["model"]
-        records.append(
-            {
-                "lambda": r["lambda"],
-                "val_hinge": r["val_hinge"],
-                "steps": None if model is None else model.steps_run,
-                "collapsed": None if model is None else model.collapsed,
-                "final_train_hinge": None if model is None else model.final_train_hinge,
-            }
-        )
-    return best_lam, records
+    return min(fitted, key=lambda r: r["val_hinge"])["lambda"], records
 
 
 def lambda_sweep_report(
@@ -257,19 +231,17 @@ def lambda_sweep_report(
     it to the full combine-and-classify stage). K-accuracy is sign agreement
     of mu.z with t on the validation K-split (a zero score counts as +1).
     """
-    val_k, results = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
+    val_k, fits = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
     records = []
-    for r in results:
-        if r["model"] is None:
+    for lam, model, val_hinge in fits:
+        if model is None:
             continue
-        model = r["model"]
-        s = val_k.scores(model.mu)
-        pred = np.where(s >= 0, 1, -1)
+        pred = np.where(val_k.scores(model.mu) >= 0, 1, -1)
         acc = evaluator(model)
         records.append(
             {
-                "lambda": r["lambda"],
-                "k_hinge": r["val_hinge"],
+                "lambda": lam,
+                "k_hinge": val_hinge,
                 "k_accuracy": float(np.mean(pred == val_k.t)),
                 "data_accuracy": None if acc is None else float(acc),
             }

@@ -119,8 +119,8 @@ def smo_train(
         raise ValueError("labels do not match Gram dimension")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes required to train an SVM")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be positive and finite, got {C}")
     if tol < 0:
         raise ValueError("tol must be non-negative")
     if max_iter is None:

@@ -126,12 +126,8 @@ def alignment_grid_max(M, a, n_grid=200):
 
 
 def synth_kset(Z, t) -> KExampleSet:
-    """A K-example set whose stack is exactly Z, for solver tests.
-
-    Row r stands for its own off-diagonal pair (2r, 2r + 1).
-    """
-    Z = np.ascontiguousarray(Z, dtype=np.float64)
-    return KExampleSet(np.arange(2 * len(Z)).reshape(-1, 2), t, Z)
+    """A K-example set whose stack is exactly Z, for solver tests."""
+    return KExampleSet(t, np.ascontiguousarray(Z, dtype=np.float64))
 
 
 @pytest.fixture

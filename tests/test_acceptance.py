@@ -16,7 +16,7 @@ from kweave.baselines import alignment_problem_from_bank, maximize_alignment, ta
 from kweave.experiment import ExperimentConfig, run_experiment, run_lambda_sweep, strip_timing_fields
 from kweave.kernels import KernelSpec, center_standardize_fit, compute_gram
 from kweave.kspace import make_kexamples
-from kweave.mkl import BoundInputs, MklConfig, concentration_bound, pegasos_train
+from kweave.mkl import BoundInputs, concentration_bound, pegasos_train
 from kweave.svm import decision_values, smo_train
 
 from conftest import DATA_DIR, alignment_grid_max, bank_of, centered_bank_for, make_blobs, synth_kset
@@ -97,9 +97,7 @@ def test_kspace_solver_oracle():
         if abs(t.sum()) == m:
             t[0] = -t[0]
         lam = float(rng.choice([0.5, 0.1, 0.02]))
-        model = pegasos_train(
-            synth_kset(Z, t), MklConfig(lam=lam, num_steps=20_000, seed=trial)
-        )
+        model = pegasos_train(synth_kset(Z, t), lam, num_steps=20_000, seed=trial)
         _, f_star = qp_oracle(Z, t.astype(float), lam)
         f_hat = kspace_objective(Z, t.astype(float), lam, model.mu)
         assert f_hat <= f_star * 1.01 + 1e-9, f"trial {trial}: {f_hat} vs {f_star}"

@@ -294,6 +294,10 @@ class TestExperimentRun:
             {"kernels": {"recipe": "everything"}},
             {"splits": {"count": "2"}},
             {"splits": {"count": 2, "base_seed": -3}},
+            {"svm": {"c_grid": [float("nan")]}},
+            {"svm": {"c_grid": [float("inf")]}},
+            {"svm": {"c_grid": [1.0, float("nan")]}},
+            {"mkl": {"lambda_grid": [float("inf"), 1.0]}},
         ],
     )
     def test_invalid_config_value_exits_one(self, tmp_path, toy_csv, capsys, overrides):

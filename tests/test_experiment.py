@@ -103,6 +103,12 @@ class TestConfig:
             ExperimentConfig(c_grid=[], **base)
         with pytest.raises(ValueError, match="c_grid"):
             ExperimentConfig(c_grid=[-1.0], **base)
+        for bad in ([float("nan")], [float("inf")], [1.0, float("nan")]):
+            with pytest.raises(ValueError, match="c_grid entries must be positive and finite"):
+                ExperimentConfig(c_grid=bad, **base)
+        for bad in ([float("inf"), 1.0], [1.0, float("nan")]):
+            with pytest.raises(ValueError, match="lambda grid entries must be positive and finite"):
+                ExperimentConfig(lambda_grid=bad, **base)
         with pytest.raises(ValueError, match="mkl_num_steps"):
             ExperimentConfig(mkl_num_steps=0, **base)
         with pytest.raises(ValueError, match="descending"):

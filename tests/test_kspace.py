@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kweave.kernels import KernelBank, build_kernel_bank, center_bank, compute_gram
+from kweave.kernels import KernelBank, build_kernel_bank, center_bank, compute_gram, pair_indices
 from kweave.kspace import KExampleSet, balance, make_kexamples, sample_batch
 from kweave.mkl import _split_kset
 
@@ -20,11 +20,17 @@ def tiny_bank(n: int, p: int = 2, seed: int = 0) -> KernelBank:
     return bank_of(grams)
 
 
+def pairs_of(kset: KExampleSet, n: int) -> np.ndarray:
+    """The (i, j) instance pairs of a set over an n-instance bank's store."""
+    ii, jj = pair_indices(n)
+    return np.stack([ii[kset.rows], jj[kset.rows]], axis=1)
+
+
 class TestMakeKexamples:
     def test_two_instance_enumeration(self):
         bank = tiny_bank(2)
         kset = make_kexamples(np.array([0, 1]), bank)
-        np.testing.assert_array_equal(kset.pairs, [[0, 0], [0, 1], [1, 1]])
+        np.testing.assert_array_equal(pairs_of(kset, 2), [[0, 0], [0, 1], [1, 1]])
         np.testing.assert_array_equal(kset.t, [1, -1, 1])
 
     def test_single_class_all_positive(self):
@@ -46,7 +52,8 @@ class TestMakeKexamples:
     def test_diagonal_pairs_always_positive(self):
         labels = np.array([0, 1, 0, 2])
         kset = make_kexamples(labels, tiny_bank(4, p=1))
-        diag = kset.pairs[:, 0] == kset.pairs[:, 1]
+        ii, jj = pairs_of(kset, 4).T
+        diag = ii == jj
         assert np.all(kset.t[diag] == 1)
 
     def test_z_values_are_exact_gram_entries(self):
@@ -55,7 +62,7 @@ class TestMakeKexamples:
         kset = make_kexamples(np.array([0, 0, 1, 1, 0]), bank)
         Z = kset.z_rows(np.arange(len(kset)))
         dense = [dense_centering(compute_gram(spec, X)) for spec in bank.specs]
-        for r, (i, j) in enumerate(kset.pairs):
+        for r, (i, j) in enumerate(pairs_of(kset, 5)):
             for l in range(bank.p):
                 assert Z[r, l] == dense[l][i, j]  # bit-for-bit
 
@@ -121,7 +128,7 @@ class TestBalance:
         labels = np.array([0] * 30 + [1] * 20)
         kset = make_kexamples(labels, tiny_bank(50))
         a, b = balance(kset, seed=7), balance(kset, seed=7)
-        np.testing.assert_array_equal(a.pairs, b.pairs)
+        np.testing.assert_array_equal(a.rows, b.rows)
         np.testing.assert_array_equal(a.t, b.t)
 
     def test_membership_only_never_relabeling(self):
@@ -129,15 +136,16 @@ class TestBalance:
         kset = make_kexamples(labels, tiny_bank(15))
         bal = balance(kset, seed=5)
         # every surviving (pair, label) appears identically in the source
-        src = {(i, j): t for (i, j), t in zip(map(tuple, kset.pairs), kset.t)}
-        for (i, j), t in zip(map(tuple, bal.pairs), bal.t):
+        src = {(i, j): t for (i, j), t in zip(map(tuple, pairs_of(kset, 15)), kset.t)}
+        for (i, j), t in zip(map(tuple, pairs_of(bal, 15)), bal.t):
             assert src[(i, j)] == t
 
     def test_order_preserved(self):
         labels = np.array([0] * 10 + [1] * 5)
         kset = make_kexamples(labels, tiny_bank(15))
         bal = balance(kset, seed=2)
-        keys = bal.pairs[:, 0] * 15 + bal.pairs[:, 1]
+        ii, jj = pairs_of(bal, 15).T
+        keys = ii * 15 + jj
         assert np.all(np.diff(keys) > 0)  # still in enumeration order
 
     def test_one_side_empty_errors(self):
@@ -237,28 +245,32 @@ class TestRowsRange:
     def test_row_past_the_stack_rejected(self):
         stack = np.zeros((4, 2))
         with pytest.raises(ValueError, match="rows"):
-            KExampleSet(np.zeros((2, 2)), np.array([1, -1]), stack, rows=[1, 4])
+            KExampleSet(np.array([1, -1]), stack, rows=[1, 4])
 
     def test_negative_row_rejected(self):
         stack = np.zeros((4, 2))
         with pytest.raises(ValueError, match="rows"):
-            KExampleSet(np.zeros((2, 2)), np.array([1, -1]), stack, rows=[-1, 2])
+            KExampleSet(np.array([1, -1]), stack, rows=[-1, 2])
 
     def test_stack_shorter_than_pairs_rejected(self):
         with pytest.raises(ValueError, match=r"rows must lie in \[0, 3\)"):
-            KExampleSet(np.zeros((4, 2)), np.array([1, -1, 1, -1]), np.zeros((3, 2)))
+            KExampleSet(np.array([1, -1, 1, -1]), np.zeros((3, 2)))
 
     def test_in_range_rows_accepted(self):
-        kset = KExampleSet(np.zeros((2, 2)), np.array([1, -1]), np.eye(4)[:, :2], rows=[3, 0])
+        kset = KExampleSet(np.array([1, -1]), np.eye(4)[:, :2], rows=[3, 0])
         np.testing.assert_array_equal(kset.z_rows([0, 1]), [[0.0, 0.0], [1.0, 0.0]])
         assert len(kset.subset([])) == 0
+
+    def test_rows_length_must_match_labels(self):
+        with pytest.raises(ValueError, match="one stack row each"):
+            KExampleSet(np.array([1, -1]), np.zeros((4, 2)), rows=[0, 1, 2])
 
 
 def test_full_pipeline_labels_match_dataset():
     ds = make_blobs(n_per_class=8, d=3, seed=5)
     bank = centered_bank_for(ds)
     kset = make_kexamples(ds.labels, bank)
-    ii, jj = kset.pairs[:, 0], kset.pairs[:, 1]
+    ii, jj = pairs_of(kset, ds.n).T
     np.testing.assert_array_equal(
         kset.t == 1, ds.labels[ii] == ds.labels[jj]
     )

@@ -15,7 +15,6 @@ from kweave.mkl import (
     DRAW_BLOCK,
     BoundInputs,
     DivergedError,
-    MklConfig,
     MklError,
     MklModel,
     concentration_bound,
@@ -136,9 +135,8 @@ class TestPegasos:
         Z = rng.normal(0, scale, (m, p))
         t = np.where(rng.random(m) < 0.5, 1, -1)
         t[:2] = [1, -1]
-        cfg = MklConfig(lam=lam, batch_size=batch_size, num_steps=400, seed=m + p)
-        want = reference_pegasos(Z, t, lam, batch_size, cfg.num_steps, cfg.seed)
-        got = pegasos_train(synth_kset(Z, t), cfg)
+        want = reference_pegasos(Z, t, lam, batch_size, 400, m + p)
+        got = pegasos_train(synth_kset(Z, t), lam, 400, batch_size, seed=m + p)
         np.testing.assert_allclose(got.mu, want, rtol=0, atol=1e-12)
 
     def test_all_violating_batches_match_reference(self):
@@ -148,8 +146,9 @@ class TestPegasos:
         t = np.array([1, -1] * 10)
         Z[t > 0] *= -1.0
         seen = []
-        cfg = MklConfig(lam=0.3, batch_size=10, num_steps=200, seed=4)
-        got = pegasos_train(synth_kset(Z, t), cfg, on_step=lambda k, mu: seen.append(mu.copy()))
+        got = pegasos_train(
+            synth_kset(Z, t), 0.3, 200, 10, seed=4, on_step=lambda k, mu: seen.append(mu.copy())
+        )
         want = reference_pegasos(Z, t, 0.3, 10, 200, 4)
         assert not np.any(seen[-1] > 0)  # every update projects back to 0
         np.testing.assert_allclose(got.mu, want, rtol=0, atol=1e-12)
@@ -159,8 +158,7 @@ class TestPegasos:
         # batch violates, and mu decays by (1 - 1/k) alone
         Z = np.array([[2.0], [-3.0], [1.5], [-1.0]])
         t = np.array([1, -1, 1, -1])
-        cfg = MklConfig(lam=1e-3, batch_size=3, num_steps=300, seed=8)
-        got = pegasos_train(synth_kset(Z, t), cfg)
+        got = pegasos_train(synth_kset(Z, t), 1e-3, 300, 3, seed=8)
         want = reference_pegasos(Z, t, 1e-3, 3, 300, 8)
         assert got.mu[0] >= 1.0
         np.testing.assert_allclose(got.mu, want, rtol=0, atol=1e-12)
@@ -171,7 +169,7 @@ class TestPegasos:
         with pytest.raises(DivergedError) as want:
             reference_pegasos(Z, t, 1e-150, 100, 50, 0)
         with pytest.raises(DivergedError) as got:
-            pegasos_train(synth_kset(Z, t), MklConfig(lam=1e-150, num_steps=50, seed=0))
+            pegasos_train(synth_kset(Z, t), 1e-150, num_steps=50, seed=0)
         assert got.value.step == want.value.step
 
     @pytest.mark.parametrize("batch_size", [1, 7, 100])
@@ -183,9 +181,8 @@ class TestPegasos:
         Z = rng.integers(-3, 4, (53, 4)).astype(np.float64)
         t = np.where(rng.random(53) < 0.5, 1, -1)
         t[:2] = [1, -1]
-        cfg = MklConfig(lam=0.05, batch_size=batch_size, num_steps=DRAW_BLOCK + 37, seed=6)
-        got = pegasos_train(synth_kset(Z, t), cfg)
-        want = reference_pegasos(Z, t, cfg.lam, batch_size, cfg.num_steps, cfg.seed)
+        got = pegasos_train(synth_kset(Z, t), 0.05, DRAW_BLOCK + 37, batch_size, seed=6)
+        want = reference_pegasos(Z, t, 0.05, batch_size, DRAW_BLOCK + 37, 6)
         assert np.any(want > 0)
         np.testing.assert_array_equal(got.mu, want)
 
@@ -194,11 +191,11 @@ class TestPegasos:
         Z = rng.normal(0, 1, (40, 3))
         t = np.array([1, -1] * 20)
         kset = synth_kset(Z, t)
-        cfg = MklConfig(lam=0.1, batch_size=8, num_steps=20 * DRAW_BLOCK, seed=2)
-        all_draws = cfg.num_steps * cfg.batch_size * 8  # a (num_steps, B) int64 array
+        num_steps, batch_size = 20 * DRAW_BLOCK, 8
+        all_draws = num_steps * batch_size * 8  # a (num_steps, B) int64 array
         tracemalloc.start()
         try:
-            pegasos_train(kset, cfg)
+            pegasos_train(kset, 0.1, num_steps, batch_size, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -208,7 +205,7 @@ class TestPegasos:
         Z = np.array([[1.0, 1.0], [-1.0, -1.0]])
         t = np.array([1, -1])
         kset = synth_kset(Z, t)
-        model = pegasos_train(kset, MklConfig(lam=0.01, num_steps=10_000, seed=0))
+        model = pegasos_train(kset, 0.01, num_steps=10_000, seed=0)
         np.testing.assert_allclose(model.mu, [0.5, 0.5], atol=0.1)
         _, f_star = qp_oracle(Z, t.astype(float), lam=0.01)
         f_hat = objective(Z, t.astype(float), 0.01, model.mu)
@@ -225,7 +222,7 @@ class TestPegasos:
                 t[0] = -t[0]
             lam = float(rng.choice([0.5, 0.1, 0.02]))
             kset = synth_kset(Z, t)
-            model = pegasos_train(kset, MklConfig(lam=lam, num_steps=20_000, seed=trial))
+            model = pegasos_train(kset, lam, num_steps=20_000, seed=trial)
             _, f_star = qp_oracle(Z, t.astype(float), lam)
             f_hat = objective(Z, t.astype(float), lam, model.mu)
             assert f_hat <= f_star * 1.01 + 1e-9, f"trial {trial}: {f_hat} vs {f_star}"
@@ -234,7 +231,7 @@ class TestPegasos:
         rng = np.random.default_rng(5)
         Z = rng.uniform(-1, 1, (20, 3))
         t = np.array([1, -1] * 10)
-        model = pegasos_train(synth_kset(Z, t), MklConfig(lam=1e6, num_steps=2000, seed=0))
+        model = pegasos_train(synth_kset(Z, t), 1e6, num_steps=2000, seed=0)
         assert np.linalg.norm(model.mu) <= 1e-3
 
     def test_projection_nonnegative_at_every_step(self):
@@ -245,7 +242,9 @@ class TestPegasos:
         seen = []
         pegasos_train(
             synth_kset(Z, t),
-            MklConfig(lam=0.05, num_steps=500, seed=1),
+            0.05,
+            num_steps=500,
+            seed=1,
             on_step=lambda k, mu: seen.append(mu.min()),
         )
         assert len(seen) == 500
@@ -255,30 +254,45 @@ class TestPegasos:
         rng = np.random.default_rng(9)
         Z = rng.normal(0, 1, (12, 2))
         t = np.array([1, -1] * 6)
-        cfg = MklConfig(lam=0.1, num_steps=300, seed=77)
-        a = pegasos_train(synth_kset(Z, t), cfg)
-        b = pegasos_train(synth_kset(Z, t), cfg)
+        a = pegasos_train(synth_kset(Z, t), 0.1, num_steps=300, seed=77)
+        b = pegasos_train(synth_kset(Z, t), 0.1, num_steps=300, seed=77)
         np.testing.assert_array_equal(a.mu, b.mu)
 
     def test_single_kclass_rejected(self):
         Z = np.ones((4, 2))
         kset = synth_kset(Z, np.ones(4, dtype=int))
         with pytest.raises(ValueError, match="K-classes"):
-            pegasos_train(kset, MklConfig(lam=0.1, num_steps=10, seed=0))
+            pegasos_train(kset, 0.1, num_steps=10, seed=0)
 
     def test_divergence_reported_with_step(self):
         Z = np.full((4, 1), 1e200)
         t = np.array([1, -1, 1, -1])
         with pytest.raises(DivergedError) as err:
-            pegasos_train(synth_kset(Z, t), MklConfig(lam=1e-150, num_steps=50, seed=0))
+            pegasos_train(synth_kset(Z, t), 1e-150, num_steps=50, seed=0)
         assert err.value.step >= 1
+
+    @pytest.mark.parametrize(
+        "lam, opts, match",
+        [
+            (0.0, {}, "lam must be positive and finite"),
+            (-1.0, {}, "lam must be positive and finite"),
+            (np.inf, {}, "lam must be positive and finite"),
+            (np.nan, {}, "lam must be positive and finite"),
+            (0.1, {"batch_size": 0}, "batch_size and num_steps must be >= 1"),
+            (0.1, {"num_steps": 0}, "batch_size and num_steps must be >= 1"),
+        ],
+    )
+    def test_argument_validation(self, lam, opts, match):
+        kset = synth_kset(np.ones((4, 2)), np.array([1, -1, 1, -1]))
+        with pytest.raises(ValueError, match=match):
+            pegasos_train(kset, lam, **opts)
 
     def test_final_hinge_is_exact(self):
         rng = np.random.default_rng(3)
         Z = rng.normal(0, 1, (15, 2))
         t = np.array([1, -1] * 7 + [1])
         kset = synth_kset(Z, t)
-        model = pegasos_train(kset, MklConfig(lam=0.2, num_steps=200, seed=0))
+        model = pegasos_train(kset, 0.2, num_steps=200, seed=0)
         assert model.final_train_hinge == pytest.approx(hinge_loss(model.mu, kset), abs=1e-15)
 
 
@@ -369,6 +383,52 @@ class TestSelectLambda:
         assert any("skip" in r.message or "failed" in r.message for r in caplog.records)
 
 
+def reference_select_lambda(Z, t, grid, seed, batch_size, num_steps, val_fraction=0.2):
+    """select_lambda on plain arrays: the same 80/20 split and seed ^ idx
+    streams, reference_pegasos per lambda, the exact validation hinge, and
+    the first minimum in grid order."""
+    Z, t = np.asarray(Z, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    n_val = max(1, int(np.floor(val_fraction * len(t) + 0.5)))
+    perm = np.random.default_rng(seed).permutation(len(t))
+    tr, va = perm[n_val:], perm[:n_val]
+
+    def hinge(mu, idx):
+        return float(np.mean(np.maximum(0.0, 1.0 - t[idx] * (Z[idx] @ mu))))
+
+    records = []
+    for idx, lam in enumerate(grid):
+        mu = reference_pegasos(Z[tr], t[tr], lam, batch_size, num_steps, seed ^ idx)
+        records.append({
+            "lambda": lam, "val_hinge": hinge(mu, va), "steps": num_steps,
+            "collapsed": not np.any(mu > 0), "final_train_hinge": hinge(mu, tr),
+        })
+    hinges = [r["val_hinge"] for r in records]
+    return grid[hinges.index(min(hinges))], records
+
+
+class TestSelectLambdaReference:
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_records_and_pick_match_plain_array_reference(self, seed):
+        # integer z keeps every violator sum exact, so each mu matches the
+        # reference bitwise and only the hinge means can round differently
+        rng = np.random.default_rng(40 + seed)
+        Z = rng.integers(-3, 4, (60, 4)).astype(np.float64)
+        t = np.where(Z[:, 0] + Z[:, 1] + rng.normal(0, 1.5, 60) > 0, 1, -1)
+        grid = default_lambda_grid()
+        lam, records = select_lambda(synth_kset(Z, t), grid, seed=seed, batch_size=10,
+                                     num_steps=200)
+        want_lam, want = reference_select_lambda(Z, t, grid, seed, 10, 200)
+        assert lam == want_lam
+        assert len({r["val_hinge"] for r in want}) > 2  # the pick is not a trivial tie
+        assert [set(r) for r in records] == [set(r) for r in want]
+        for got, ref in zip(records, want):
+            assert (got["lambda"], got["steps"], got["collapsed"]) == (
+                ref["lambda"], ref["steps"], ref["collapsed"]
+            )
+            for key in ("val_hinge", "final_train_hinge"):
+                assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12)
+
+
 class TestSweepReport:
     def test_singleton_grid_single_record(self):
         records = lambda_sweep_report(
@@ -429,8 +489,5 @@ class TestConcentrationBound:
 
 class TestModelSerialization:
     def test_collapse_flag(self):
-        model = MklModel(
-            mu=np.zeros(3), chosen_lambda=1.0, final_train_hinge=1.0,
-            validation_hinge=None, steps_run=10, seed=0,
-        )
+        model = MklModel(mu=np.zeros(3), final_train_hinge=1.0, steps_run=10)
         assert model.collapsed

@@ -308,6 +308,9 @@ class TestSmoTrain:
             smo_train(K, np.ones(3), 1.0)
         with pytest.raises(ValueError, match="C"):
             smo_train(K, np.array([1.0, -1.0, 1.0]), 0.0)
+        for C in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="C must be positive and finite"):
+                smo_train(K, np.array([1.0, -1.0, 1.0]), C)
 
     @pytest.mark.parametrize(
         "opts, match",
