@@ -17,7 +17,7 @@ non-negative least squares of the pair labels t on the pair rows of the
 bank's store Z: a symmetric Gram holds each pair i < j twice and each
 diagonal pair once, so with pair weights w = 2 off the diagonal and 1 on
 it, M = Z^T diag(w) Z = 2 Z^T Z - Z_d^T Z_d (Z_d the diagonal-pair rows)
-and a = Z^T (w * t). No dense Gram is built.
+and a = Z^T (w * t). No dense Gram is built, nor a float64 copy of Z.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ logger = logging.getLogger(__name__)
 
 # KKT tolerance of the alignment QP, relative to max |a|
 _ALIGN_KKT_TOL = 1e-9
+# elements of Z upcast to float64 per row block (1 MB) when (M, a) is built
+_ALIGN_BLOCK_ELEMS = 1 << 17
 
 
 @dataclass
@@ -74,8 +76,25 @@ def alignment_problem_from_bank(bank: KernelBank, train_labels) -> AlignmentProb
     diag = ii == jj
     wt = np.where(labels[ii] == labels[jj], 2.0, -2.0)
     wt[diag] /= 2.0
-    Z, Zd = bank.Z, bank.Z[diag]
-    return AlignmentProblem(M=2.0 * (Z.T @ Z) - Zd.T @ Zd, a=Z.T @ wt)
+    ZtZ, a = _gram_and_moment(bank.Z, wt)
+    Zd = bank.Z[diag].astype(np.float64)
+    return AlignmentProblem(M=2.0 * ZtZ - Zd.T @ Zd, a=a)
+
+
+def _gram_and_moment(Z: np.ndarray, v: np.ndarray):
+    """(Z^T Z, Z^T v) summed in float64 over blocks of Z's rows, each upcast
+    exactly into one reused buffer of at least p rows and about
+    _ALIGN_BLOCK_ELEMS elements."""
+    m, p = Z.shape
+    step = max(p, _ALIGN_BLOCK_ELEMS // p)
+    buf = np.empty((min(step, m), p))
+    ZtZ, prod, Ztv = np.zeros((p, p)), np.empty((p, p)), np.zeros(p)
+    for start in range(0, m, step):
+        B = buf[: min(step, m - start)]
+        B[...] = Z[start : start + step]
+        ZtZ += np.matmul(B.T, B, out=prod)
+        Ztv += v[start : start + step] @ B
+    return ZtZ, Ztv
 
 
 def maximize_alignment(problem: AlignmentProblem):

@@ -212,12 +212,17 @@ def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
             bal, lam, steps, config.mkl_batch_size, derive_seed(seed, _SEED_FINAL)
         )
         mu = final.mu
+        # F(0) = 1, so these fits ended provably worse than mu = 0
+        worse = sum(r["objective"] is not None and r["objective"] > 1.0 for r in lam_records)
+        logger.info("seed %d: lambda %g chosen; %d of %d lambdas have objective > 1",
+                    seed, lam, worse, len(lam_records))
         details = {
             "chosen_lambda": lam,
             "final_train_hinge": final.final_train_hinge,
             "num_steps": steps,
             "n_kexamples": len(bal),
             "lambda_records": lam_records,
+            "lambdas_worse_than_zero": worse,
         }
     elif config.method == "target_align":
         mu = baselines.target_align(bank, train_y)

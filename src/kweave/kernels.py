@@ -7,16 +7,22 @@ feature-space mean), scales it to trace/n = 1 (unit average feature-space
 variance), keeps its upper triangle as one column of the KernelBank's
 pair-major matrix Z and drops the Gram. Z has shape (n(n+1)/2, p): row r
 holds the p kernel values of the r-th pair (i <= j) of pair_indices(n).
-It is the centered bank's only train-side store, n(n+1)/2 * p * 8 bytes,
-owned by the bank; the K-space reads it in place. No more than one raw
-Gram is alive at a time, beside the X @ X.T and squared distances its
-feature scope shares, so the train-side peak is Z plus a few (n, n)
-temporaries. Dense (n, n) Grams are rebuilt from Z only by combine, the
-best_kernel baseline (one kernel at a time) and `kweave kernels build`;
-target alignment reads Z directly.
+It is the centered bank's only train-side store, float32 (n(n+1)/2 * p * 4
+bytes), owned by the bank; the K-space reads it in place. Evaluation,
+centering and its statistics run in float64 and only the store rounds, so
+the train Gram is the float32 rounding of the centered kernel: stage one's
+solver error (relative duality gap near 1e-2) dwarfs that rounding (6e-8),
+and its gathers are bandwidth bound. gram(l) and combine upcast to float64.
+No more than one raw Gram is alive at a time, beside the X @ X.T and
+squared distances its feature scope shares, so the train-side peak is Z
+plus a few (n, n) temporaries. Dense (n, n) Grams are rebuilt from Z only
+by combine, the best_kernel baseline (one kernel at a time) and `kweave
+kernels build`; target alignment reads Z directly, in float64-upcast row
+blocks.
 
 Centering statistics are recorded at fit time on the training Gram and are
-reused to transform test-vs-train cross blocks consistently.
+reused to transform test-vs-train cross blocks consistently; the cross
+blocks stay float64.
 """
 
 from __future__ import annotations
@@ -184,7 +190,7 @@ class KernelBank:
         return len(self.specs)
 
     def gram(self, l: int) -> np.ndarray:
-        """Dense symmetric (n, n) Gram of kernel l, rebuilt from Z."""
+        """Dense symmetric float64 (n, n) Gram of kernel l, rebuilt from Z."""
         return _symmetric(self.n, self.Z[:, l])
 
 
@@ -194,7 +200,8 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _symmetric(n: int, upper: np.ndarray) -> np.ndarray:
-    """Scatter pair values in row order of Z into a symmetric (n, n) array."""
+    """Scatter pair values in row order of Z into a symmetric float64 (n, n) array."""
+    upper = upper.astype(np.float64, copy=False)  # explicit, exact from float32
     ii, jj = pair_indices(n)
     out = np.empty((n, n), dtype=np.float64)
     out[ii, jj] = upper
@@ -357,10 +364,11 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
     """Evaluate and center/standardize each raw Gram into one pair-major store,
     dropping degenerates.
 
-    One Gram is alive at a time. Its upper triangle is taken with one
-    flat-index take into a row of a (_STAGE_ROWS, n(n+1)/2) staging block,
-    and a full block is copied into Z's columns at once, so Z is never
-    written one strided column at a time.
+    One Gram is alive at a time. It is centered in float64, its upper
+    triangle is taken with one flat-index take into a float64 row buffer,
+    and that row is rounded into a row of a float32 (_STAGE_ROWS, n(n+1)/2)
+    staging block; a full block is copied into Z's columns at once, so Z is
+    never written one strided column at a time.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
@@ -369,9 +377,10 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
     n = bank.n
     ii, jj = pair_indices(n)
     flat = ii * n + jj
-    Z = np.empty((flat.size, bank.p), dtype=np.float64)
+    Z = np.empty((flat.size, bank.p), dtype=np.float32)
     rows = min(_STAGE_ROWS, bank.p)
-    stage = np.empty((rows, flat.size), dtype=np.float64)
+    stage = np.empty((rows, flat.size), dtype=np.float32)
+    tri = np.empty(flat.size, dtype=np.float64)
     specs, stats, dropped = [], [], []
     for i, (spec, raw) in enumerate(zip(bank.specs, bank.grams)):
         try:
@@ -381,8 +390,11 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
             logger.warning("dropping kernel %d (%s): %s", i, spec.label(), str(exc))
             dropped.append(i)
             continue
-        # the indices are in range; "clip" skips the buffered bounds check
-        np.take(centered, flat, out=stage[len(specs) % rows], mode="clip")
+        # the indices are in range; "clip" skips the buffered bounds check. A
+        # take straight into the float32 stage would first copy the row's stale
+        # bits to a float64 temporary, which can warn on NaN patterns.
+        np.take(centered, flat, out=tri, mode="clip")
+        stage[len(specs) % rows] = tri  # rounds to float32
         del raw, centered  # free this Gram before the next one is evaluated
         specs.append(spec)
         stats.append(st)
@@ -390,7 +402,7 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
             Z[:, len(specs) - rows : len(specs)] = stage.T
     tail = len(specs) % rows
     Z[:, len(specs) - tail : len(specs)] = stage[:tail].T
-    del stage
+    del stage, tri
     if not specs:
         raise DegenerateKernelError("every kernel in the bank is degenerate")
     if dropped:
@@ -437,15 +449,16 @@ def check_weights(p: int, weights) -> np.ndarray:
 
 
 def combine(bank: KernelBank, weights) -> np.ndarray:
-    """Dense (n, n) Gram sum_l w_l K_l of a centered bank.
+    """Dense float64 (n, n) Gram sum_l w_l K_l of a centered bank.
 
     The sum runs over the pair-major store in l order, skipping zero
-    weights, and is scattered into the symmetric array once.
+    weights, and is scattered into the symmetric array once. Each product
+    is taken in float64 (dtype= on the ufunc) under any numpy promotion rules.
     """
     w = check_weights(bank.p, weights)
     acc = np.zeros(bank.Z.shape[0], dtype=np.float64)
     for l in np.flatnonzero(w > 0):
-        acc += w[l] * bank.Z[:, l]
+        acc += np.multiply(w[l], bank.Z[:, l], dtype=np.float64)
     return _symmetric(bank.n, acc)
 
 

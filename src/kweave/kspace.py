@@ -4,15 +4,16 @@ A pair (i, j) of training instances becomes a p-dimensional example whose
 coordinates are the p base-kernel values for that pair, labeled +1 when the
 instances share a class and -1 otherwise. The z vectors are the centered
 bank's own pair-major store, bank.Z: one C-contiguous (n(n+1)/2, p)
-float64 matrix of n(n+1)/2 * p * 8 bytes, owned by the bank. The K-space
+float32 matrix of n(n+1)/2 * p * 4 bytes, owned by the bank. The K-space
 adds only labels and row indices to it, and every subset (balancing, the
 lambda train/validation split) shares it too, copying only those arrays. A
 set stores no (i, j) pairs: for a bank's store, the pairs of its rows are
 pair_indices(n) indexed by rows.
 A minibatch is a gather of contiguous rows at positions the caller drew,
-into a caller's buffer when one is given. The sets over one stack also
-share one cached score vector, stack @ mu for the last mu scored, so the
-train and validation hinges of one weight vector cost one GEMV.
+into a caller's buffer of the stack's dtype when one is given. The sets
+over one stack also share one cached score vector, stack @ mu for the last
+mu scored, so the train and validation hinges of one weight vector cost
+one GEMV, run at the stack's dtype and kept as float64.
 """
 
 from __future__ import annotations
@@ -77,23 +78,25 @@ class KExampleSet:
         return int(np.sum(self.t < 0))
 
     def z_rows(self, positions, out=None) -> np.ndarray:
-        """Gather z vectors for the given pair positions: (len, p), into out if given."""
+        """Gather z vectors for the given pair positions: (len, p) of the stack's
+        dtype, into out if given."""
         # rows were range-checked at construction; "clip" skips the per-call bounds check
         rows = self.rows[np.asarray(positions, dtype=np.int64)]
         return np.take(self.stack, rows, axis=0, out=out, mode="clip")
 
     def scores(self, mu: np.ndarray) -> np.ndarray:
-        """mu . z for every pair in the set.
+        """mu . z for every pair in the set, as float64.
 
-        One GEMV over the shared matrix, reused by every set over the stack
-        while mu's values stay the same (compared bitwise, so a mu changed
-        in place misses).
+        One GEMV over the shared matrix, with mu cast explicitly to the
+        stack's dtype, reused by every set over the stack while mu's values
+        stay the same (compared bitwise, so a mu changed in place misses).
         """
         mu = np.asarray(mu, dtype=np.float64)
         key = mu.tobytes()
         cache = self._score_cache
         if cache[0] != key:
-            cache[:] = [key, self.stack @ mu]
+            scores = self.stack @ mu.astype(self.stack.dtype, copy=False)
+            cache[:] = [key, scores.astype(np.float64, copy=False)]
         return cache[1][self.rows]
 
     def subset(self, positions) -> "KExampleSet":
@@ -147,8 +150,9 @@ def sample_batch(kset: KExampleSet, positions, out=None) -> KBatch:
     """Gather the z rows and labels of a minibatch at the given pair positions.
 
     The caller draws the positions (pegasos_train draws a block of steps'
-    worth in one call). out, when given, is a (len(positions), p) float64
-    buffer the rows are gathered into; the batch's z is then that buffer.
+    worth in one call). out, when given, is a (len(positions), p) buffer of
+    the stack's dtype that the rows are gathered into; the batch's z is
+    then that buffer.
     """
     if len(kset) == 0:
         raise ValueError("cannot sample from an empty K-example set")

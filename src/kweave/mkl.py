@@ -13,8 +13,10 @@ downstream data classifier.
 
 pegasos_train(kset, lam, num_steps, batch_size, seed) runs one fit and
 returns an MklModel: the weights, their exact train hinge and the steps
-run. select_lambda and lambda_sweep_report read one list of per-lambda
-fits, each fit seeded with seed ^ (its grid index).
+run. The fit iterates at the stack's dtype (float32 for a centered
+bank's store) and returns float64 weights. select_lambda and
+lambda_sweep_report read one list of per-lambda fits, each fit seeded
+with seed ^ (its grid index).
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ class MklModel:
     def collapsed(self) -> bool:
         return not np.any(self.mu > 0)
 
+    def objective(self, lam: float) -> float:
+        """Train F(mu) = lam/2 ||mu||^2 + hinge; above F(0) = 1 is worse than mu = 0."""
+        return 0.5 * lam * float(self.mu @ self.mu) + self.final_train_hinge
+
 
 # Steps whose batch positions are drawn in one rng call. PCG64 keeps the
 # spare 32-bit half of a draw across calls, so a (steps, B) draw yields the
@@ -80,6 +86,10 @@ def pegasos_train(
     10**3 suit small datasets, 10**5 large ones. on_step(k, mu), when given,
     observes every post-projection iterate (used by tests to assert
     non-negativity along the whole trajectory).
+
+    mu and the step buffers have the stack's dtype and the step's scalars
+    are cast to it, so every step runs at that width under any numpy
+    promotion rules; the returned mu is float64.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam}")
@@ -90,17 +100,19 @@ def pegasos_train(
     if kset.n_pos == 0 or kset.n_neg == 0:
         raise ValueError("K-example set must contain both K-classes")
     rng = np.random.default_rng(seed)
-    mu = np.zeros(kset.p, dtype=np.float64)
+    dt = kset.stack.dtype.type
+    mu = np.zeros(kset.p, dtype=dt)
     # one fit's step buffers: each batch is gathered into zbuf, and the update
     # masks non-violators to weight 0 instead of copying the violating rows
-    zbuf = np.empty((batch_size, kset.p), dtype=np.float64)
-    g = np.empty(kset.p, dtype=np.float64)
-    s = np.empty(batch_size, dtype=np.float64)
-    w = np.empty(batch_size, dtype=np.float64)
+    zbuf = np.empty((batch_size, kset.p), dtype=dt)
+    g = np.empty(kset.p, dtype=dt)
+    s = np.empty(batch_size, dtype=dt)
+    w = np.empty(batch_size, dtype=dt)
     viol = np.empty(batch_size, dtype=bool)
 
-    # overflow is handled by the explicit finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, and a float32 step scale that underflows to 0, are handled by
+    # the explicit finiteness check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for first in range(1, num_steps + 1, DRAW_BLOCK):
             steps = min(DRAW_BLOCK, num_steps + 1 - first)
             block = rng.integers(0, len(kset), size=(steps, batch_size))
@@ -110,11 +122,11 @@ def pegasos_train(
                 s *= batch.t
                 np.less(s, 1.0, out=viol)
                 # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z
-                mu *= 1.0 - 1.0 / k
+                mu *= dt(1.0 - 1.0 / k)
                 if viol.any():
                     np.multiply(batch.t, viol, out=w)
                     np.dot(w, batch.z, out=g)
-                    g /= lam * k * batch_size
+                    g /= dt(lam * k * batch_size)
                     mu += g
                 np.maximum(mu, 0.0, out=mu)
                 if not np.isfinite(mu).all():
@@ -122,6 +134,7 @@ def pegasos_train(
                 if on_step is not None:
                     on_step(k, mu)
 
+    mu = mu.astype(np.float64, copy=False)
     return MklModel(mu=mu, final_train_hinge=hinge_loss(mu, kset), steps_run=num_steps)
 
 
@@ -193,8 +206,9 @@ def select_lambda(
 
     Returns (chosen_lambda, records). Each record holds the lambda, its
     validation hinge, the steps run, whether the weights collapsed to zero,
-    and the final train hinge; a lambda whose fit failed has None in all
-    but the lambda. Ties break toward the larger lam (the grid is
+    the final train hinge, and the train objective
+    lam/2 ||mu||^2 + final train hinge; a lambda whose fit failed has None
+    in all but the lambda. Ties break toward the larger lam (the grid is
     descending, so the first minimum wins).
     """
     if grid is None:
@@ -207,6 +221,7 @@ def select_lambda(
             "steps": None if model is None else model.steps_run,
             "collapsed": None if model is None else model.collapsed,
             "final_train_hinge": None if model is None else model.final_train_hinge,
+            "objective": None if model is None else model.objective(lam),
         }
         for lam, model, val_hinge in fits
     ]

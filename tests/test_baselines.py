@@ -2,6 +2,7 @@
 and best-single-kernel baselines."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,38 @@ class TestProblemFromBank:
             assert prob.a[k] == pytest.approx(np.sum(grams[k] * T))
             for l in range(p):
                 assert prob.M[k, l] == pytest.approx(np.sum(grams[k] * grams[l]))
+
+    @pytest.mark.parametrize("block_elems", [1, 500, 1 << 17])
+    def test_blocked_build_matches_float64_reference(self, monkeypatch, block_elems):
+        # the store is float32; (M, a) must be the float64 products of its
+        # upcast values, however the rows are blocked
+        data = make_blobs(n_per_class=9, d=3, gap=1.5, seed=4)
+        bank = centered_bank_for(data, "uci_full_plus_per_feature")
+        assert bank.Z.dtype == np.float32
+        monkeypatch.setattr(baselines, "_ALIGN_BLOCK_ELEMS", block_elems)
+        prob = alignment_problem_from_bank(bank, data.labels)
+        Z = bank.Z.astype(np.float64)
+        ii, jj = np.triu_indices(bank.n)
+        diag = ii == jj
+        t = np.where(data.labels[ii] == data.labels[jj], 1.0, -1.0)
+        w = np.where(diag, 1.0, 2.0)
+        M = 2.0 * (Z.T @ Z) - Z[diag].T @ Z[diag]
+        a = Z.T @ (w * t)
+        assert np.abs(prob.M - M).max() <= 1e-12 * np.abs(M).max()
+        assert np.abs(prob.a - a).max() <= 1e-12 * np.abs(a).max()
+
+    def test_blocked_build_holds_no_float64_copy_of_the_store(self):
+        data = make_blobs(n_per_class=40, d=10, seed=9)
+        bank = centered_bank_for(data, "uci_full_plus_per_feature")
+        tracemalloc.start()
+        try:
+            alignment_problem_from_bank(bank, data.labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bank.n == 80 and bank.p == 143
+        # one float64 upcast of Z would be Z.size * 8 bytes (3.7 MB here)
+        assert peak < bank.Z.size * 8 / 2
 
     def test_label_length_checked(self):
         bank = bank_of([np.eye(4)])

@@ -152,6 +152,20 @@ class TestLearnWeights:
             assert r["steps"] == 150 and isinstance(r["steps"], int)
             assert isinstance(r["collapsed"], bool)
             assert isinstance(r["final_train_hinge"], float) and r["final_train_hinge"] >= 0.0
+            assert isinstance(r["objective"], float) and r["objective"] >= r["final_train_hinge"]
+
+    def test_tsmkl_counts_lambdas_worse_than_zero(self, toy_csv, caplog):
+        data, bank = prepared_bank(toy_csv)
+        cfg = fast_config(toy_csv, method="tsmkl", lambda_grid=[1.0, 0.0625, 1e-8])
+        with caplog.at_level("INFO", logger="kweave.experiment"):
+            _, details = learn_weights(bank, data.labels, cfg, seed=3)
+        objectives = [r["objective"] for r in details["lambda_records"]]
+        # 150 steps cannot shrink the first step's mu ~ 1/lam back to a
+        # useful size at lam = 1e-8: its objective is far above F(0) = 1
+        assert objectives[-1] > 1.0
+        assert details["lambdas_worse_than_zero"] == sum(f > 1.0 for f in objectives)
+        want = f"{details['lambdas_worse_than_zero']} of 3 lambdas"
+        assert any(want in r.getMessage() for r in caplog.records)
 
     def test_best_kernel_details(self, toy_csv):
         data, bank = prepared_bank(toy_csv)

@@ -195,15 +195,18 @@ class TestPairMajorStore:
         n, p = self.bank.n, self.bank.p
         assert self.dropped and p == 13 * 4 - len(self.dropped)
         assert self.bank.Z.shape == (n * (n + 1) // 2, p)
-        assert self.bank.Z.dtype == np.float64 and self.bank.Z.flags.c_contiguous
+        assert self.bank.Z.dtype == np.float32 and self.bank.Z.flags.c_contiguous
         assert len(self.bank.stats) == p
 
     def test_gram_is_dense_centering_bit_for_bit(self):
+        # the store is the float32 rounding of the float64 centering, and
+        # gram(l) is that rounding upcast to float64
         ii, jj = np.triu_indices(self.bank.n)
         for l, spec in enumerate(self.bank.specs):
-            expected = dense_centering(compute_gram(spec, self.X))
+            expected = dense_centering(compute_gram(spec, self.X)).astype(np.float32)
             G = self.bank.gram(l)
-            np.testing.assert_array_equal(G, expected)
+            assert G.dtype == np.float64
+            np.testing.assert_array_equal(G, expected.astype(np.float64))
             np.testing.assert_array_equal(self.bank.Z[:, l], expected[ii, jj])
 
     def test_stats_are_the_raw_gram_statistics(self):
@@ -237,7 +240,7 @@ class TestStreamedCentering:
         finally:
             tracemalloc.stop()
         assert bank.p == 13 * d + 13 and not dropped
-        stage = min(_STAGE_ROWS, bank.p) * bank.Z.shape[0] * 8
+        stage = min(_STAGE_ROWS, bank.p) * bank.Z.shape[0] * bank.Z.itemsize
         # Evaluating and centering one Gram makes about a dozen (n, n)
         # temporaries. Holding every raw Gram (p * n^2 * 8 = 7.3 MB here, on
         # top of Z's 3.7 MB) is far over this bound.
@@ -257,8 +260,9 @@ class TestStreamedCentering:
         finally:
             tracemalloc.stop()
         assert len(dropped) == 13 and bank.p == raw.p - 13
-        full_store = bank.Z.shape[0] * raw.p * 8  # allocated before any drop is known
-        stage = min(_STAGE_ROWS, raw.p) * bank.Z.shape[0] * 8
+        # allocated before any drop is known
+        full_store = bank.Z.shape[0] * raw.p * bank.Z.itemsize
+        stage = min(_STAGE_ROWS, raw.p) * bank.Z.shape[0] * bank.Z.itemsize
         # the no-drop bound; a second (compacted) store would add 3.4 MB
         assert peak < full_store + stage + 16 * n * n * 8
         assert bank.Z.flags.c_contiguous and bank.Z.flags.owndata

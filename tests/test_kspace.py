@@ -61,7 +61,11 @@ class TestMakeKexamples:
         bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
         kset = make_kexamples(np.array([0, 0, 1, 1, 0]), bank)
         Z = kset.z_rows(np.arange(len(kset)))
-        dense = [dense_centering(compute_gram(spec, X)) for spec in bank.specs]
+        # the store is the float32 rounding of the float64 centering
+        dense = [
+            dense_centering(compute_gram(spec, X)).astype(np.float32) for spec in bank.specs
+        ]
+        assert Z.dtype == np.float32
         for r, (i, j) in enumerate(pairs_of(kset, 5)):
             for l in range(bank.p):
                 assert Z[r, l] == dense[l][i, j]  # bit-for-bit
@@ -92,10 +96,12 @@ class TestSharedLayout:
     """One pair-major matrix per bank; subsets copy index arrays, never rows."""
 
     def test_stack_is_pair_major_and_contiguous(self):
-        n, p = 7, 3
-        kset = make_kexamples(np.array([0, 1] * 3 + [0]), tiny_bank(n, p=p))
-        assert kset.stack.shape == (n * (n + 1) // 2, p)
-        assert kset.stack.dtype == np.float64
+        n = 7
+        X = np.random.default_rng(4).normal(0, 1, (n, 3))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        kset = make_kexamples(np.array([0, 1] * 3 + [0]), bank)
+        assert kset.stack.shape == (n * (n + 1) // 2, 13)
+        assert kset.stack.dtype == np.float32
         assert kset.stack.flags.c_contiguous
 
     def test_balance_shares_stack(self):
@@ -230,6 +236,33 @@ class TestScoreCache:
         other = np.array([2.0, 0.5, 0.0, 0.25])
         np.testing.assert_array_equal(b.scores(other), (kset.stack @ other)[b.rows])
         np.testing.assert_array_equal(a.scores(other), (kset.stack @ other)[a.rows])
+
+    def test_float32_stack_scores_at_its_dtype_and_shares(self):
+        X = np.random.default_rng(6).normal(0, 1, (9, 2))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        kset = make_kexamples(np.array([0, 1, 1, 0, 1, 0, 0, 1, 1]), bank)
+        stack = kset.stack
+        assert stack.dtype == np.float32
+        a, b = kset.subset([3, 0, 17, 9, 5, 40]), kset.subset([1, 2, 20, 11])
+        mu = np.random.default_rng(7).random(bank.p)
+        want = (stack @ mu.astype(np.float32)).astype(np.float64)
+        got = a.scores(mu)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want[a.rows])
+        full = a._score_cache[1]
+        np.testing.assert_array_equal(b.scores(mu), want[b.rows])
+        assert b._score_cache[1] is full  # the second set reused the product
+
+    def test_float32_gather_fills_a_float32_buffer(self):
+        X = np.random.default_rng(8).normal(0, 1, (6, 2))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        kset = make_kexamples(np.array([0, 1, 1, 0, 1, 0]), bank)
+        positions = np.random.default_rng(9).integers(0, len(kset), size=30)
+        out = np.empty((30, bank.p), dtype=kset.stack.dtype)
+        batch = sample_batch(kset, positions, out=out)
+        assert batch.z is out and out.dtype == np.float32
+        np.testing.assert_array_equal(batch.z, kset.stack[kset.rows[positions]])
+        assert sample_batch(kset, positions).z.dtype == np.float32
 
     def test_separate_stacks_do_not_share(self):
         k1 = make_kexamples(np.array([0, 1, 0]), tiny_bank(3, seed=0))

@@ -25,6 +25,8 @@ from kweave.mkl import (
     select_lambda,
 )
 
+from kweave.kspace import KExampleSet
+
 from conftest import synth_kset
 
 
@@ -227,6 +229,33 @@ class TestPegasos:
             f_hat = objective(Z, t.astype(float), lam, model.mu)
             assert f_hat <= f_star * 1.01 + 1e-9, f"trial {trial}: {f_hat} vs {f_star}"
 
+    def test_float32_stack_runs_at_float32_and_returns_float64(self):
+        rng = np.random.default_rng(17)
+        Z32 = rng.normal(0, 1, (80, 6)).astype(np.float32)
+        t = np.where(Z32[:, 0] + Z32[:, 1] + rng.normal(0, 0.5, 80) > 0, 1, -1)
+        seen = []
+
+        def watch(k, mu):
+            seen.append((mu.dtype, float(mu.min())))
+
+        got = pegasos_train(KExampleSet(t, Z32), 0.05, 500, 16, seed=3, on_step=watch)
+        want = pegasos_train(synth_kset(Z32.astype(np.float64), t), 0.05, 500, 16, seed=3)
+        assert got.mu.dtype == np.float64
+        assert len(seen) == 500
+        assert all(dt == np.float32 and low >= 0.0 for dt, low in seen)
+        assert np.any(want.mu > 0)
+        # the same draws on the same values: only float32 rounding differs
+        np.testing.assert_allclose(got.mu, want.mu, rtol=1e-5, atol=1e-6)
+        assert got.final_train_hinge == pytest.approx(want.final_train_hinge, abs=1e-6)
+
+    def test_float32_step_scale_underflow_is_divergence(self):
+        # lam * k * B = 1e-298 rounds to 0 in float32: the step is infinite
+        Z = np.array([[1.0, 1.0], [-1.0, -1.0]] * 2, dtype=np.float32)
+        t = np.array([1, -1, 1, -1])
+        with pytest.raises(DivergedError) as err:
+            pegasos_train(KExampleSet(t, Z), 1e-300, num_steps=50, batch_size=4, seed=0)
+        assert err.value.step == 1
+
     def test_huge_lambda_collapses_weights(self):
         rng = np.random.default_rng(5)
         Z = rng.uniform(-1, 1, (20, 3))
@@ -377,10 +406,24 @@ class TestSelectLambda:
         assert len(failed) == 1
         assert failed[0] == {
             "lambda": 1e-300, "val_hinge": None, "steps": None,
-            "collapsed": None, "final_train_hinge": None,
+            "collapsed": None, "final_train_hinge": None, "objective": None,
         }
         assert records[0]["steps"] == 100 and records[0]["collapsed"] is False
         assert any("skip" in r.message or "failed" in r.message for r in caplog.records)
+
+    def test_objective_flags_a_lambda_worse_than_zero(self):
+        # on this set t z = (1, 1) for every pair, so the first step sets
+        # mu = (1, 1)/lam, no later batch violates while 2/(lam k) >= 1, and
+        # mu decays to (1, 1)/(lam T): hinge 0 and F(mu) = 1/(lam T^2) = 1e4
+        # at lam = 1e-8, T = 100, far above F(0) = 1
+        num_steps = 100
+        _, records = select_lambda(separable_kset(), grid=[1.0, 1e-8], seed=0,
+                                   num_steps=num_steps)
+        small = records[1]
+        assert small["final_train_hinge"] == 0.0
+        assert small["objective"] == pytest.approx(1.0 / (1e-8 * num_steps**2), rel=1e-9)
+        assert records[0]["objective"] < 1.0
+        assert [r["objective"] > 1.0 for r in records] == [False, True]
 
 
 def reference_select_lambda(Z, t, grid, seed, batch_size, num_steps, val_fraction=0.2):
@@ -401,6 +444,7 @@ def reference_select_lambda(Z, t, grid, seed, batch_size, num_steps, val_fractio
         records.append({
             "lambda": lam, "val_hinge": hinge(mu, va), "steps": num_steps,
             "collapsed": not np.any(mu > 0), "final_train_hinge": hinge(mu, tr),
+            "objective": 0.5 * lam * float(mu @ mu) + hinge(mu, tr),
         })
     hinges = [r["val_hinge"] for r in records]
     return grid[hinges.index(min(hinges))], records
@@ -427,6 +471,7 @@ class TestSelectLambdaReference:
             )
             for key in ("val_hinge", "final_train_hinge"):
                 assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12)
+            assert got["objective"] == pytest.approx(ref["objective"], rel=1e-12, abs=1e-12)
 
 
 class TestSweepReport:
