@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Subcommands: `kernels build`, `learn`, `svm train`, `evaluate`,
-`experiment run`, `report sweep`. Exit codes: 0 success, 1 config or
-input error, 2 runtime failure.
+Subcommands: `learn`, `svm train`, `evaluate`, `experiment run`,
+`report sweep`. Exit codes: 0 success, 1 config or input error, 2 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import experiment, metrics, svm
 from .data import kfold_plan, load_dataset
-from .kernels import RECIPES, check_weights, combine, save_bank
+from .kernels import RECIPES, check_weights, combine
 
 logger = logging.getLogger(__name__)
 
@@ -51,15 +51,6 @@ def _load_run(args):
 
 def _write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def cmd_kernels_build(args) -> int:
-    dataset = _load_data(args.data, args.format)
-    _, _, bank, dropped = experiment.prepare_train(dataset.instances, args.recipe)
-    os.makedirs(args.out, exist_ok=True)
-    save_bank(bank, args.out, text=args.text)
-    print(f"wrote {bank.p} centered kernels (n={bank.n}, dropped={len(dropped)}) to {args.out}")
-    return 0
 
 
 def cmd_learn(args) -> int:
@@ -107,6 +98,8 @@ def cmd_svm_train(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     dataset = _load_data(args.data, args.format)
+    if args.folds > dataset.n:
+        raise ConfigError(f"--folds {args.folds} exceeds the {dataset.n} rows of {args.data!r}")
     _, _, bank, _ = experiment.prepare_train(dataset.instances, args.recipe)
     mu = _read_weights(args.weights, bank.p) if args.weights else np.full(bank.p, 1.0 / bank.p)
     combined = combine(bank, mu)
@@ -207,14 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="dataset file")
         p.add_argument("--format", default="csv", choices=["csv", "sparse_svm"])
         p.add_argument("--recipe", default="uci_full", choices=RECIPES)
-
-    p = sub.add_parser("kernels", help="kernel bank operations")
-    ksub = p.add_subparsers(dest="subcommand")
-    kb = ksub.add_parser("build", help="build and center a kernel bank")
-    add_data_args(kb)
-    kb.add_argument("--out", required=True, help="output directory")
-    kb.add_argument("--text", action="store_true", help="TSV matrices instead of binary")
-    kb.set_defaults(func=cmd_kernels_build)
 
     p = sub.add_parser("learn", help="learn kernel weights on a full dataset")
     add_data_args(p)

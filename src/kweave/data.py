@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class DatasetError(ValueError):
 class Dataset:
     """An in-memory dataset: feature matrix plus encoded labels.
 
-    instances: (n, d) float64 matrix, all values finite.
+    instances: (n, d) float64 matrix with d >= 1, all values finite.
     labels: (n,) integer class ids in 0..c-1; every id occurs at least once.
     class_names: the original label strings, indexed by class id.
     instance_ids: per-row identifiers (row numbers for file-loaded data).
@@ -43,6 +43,8 @@ class Dataset:
         n = self.instances.shape[0]
         if n < 2:
             raise DatasetError(f"need at least 2 instances, got {n}")
+        if self.d < 1:
+            raise DatasetError("need at least 1 feature column, got 0")
         if self.labels.shape != (n,):
             raise DatasetError("labels length does not match instance count")
         if len(self.instance_ids) != n:
@@ -212,17 +214,10 @@ def load_dataset(path: str, format: str = "csv") -> Dataset:
 
 @dataclass
 class SplitPlan:
-    """A deterministic train/test index split.
+    """A deterministic train/test index split: disjoint, sorted, both non-empty."""
 
-    kind is "holdout" (params: fraction) or "kfold" (params: k, fold_id).
-    train and test are disjoint, sorted, both non-empty.
-    """
-
-    seed: int
     train_indices: np.ndarray
     test_indices: np.ndarray
-    kind: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
@@ -276,13 +271,7 @@ def holdout_split(
         train = np.sort(perm[:n_train])
         test = np.sort(perm[n_train:])
 
-    return SplitPlan(
-        seed=seed,
-        train_indices=train,
-        test_indices=test,
-        kind="holdout",
-        params={"fraction": train_fraction, "stratified": stratified},
-    )
+    return SplitPlan(train_indices=train, test_indices=test)
 
 
 def kfold_plan(n: int, k: int, seed: int) -> list[SplitPlan]:
@@ -302,15 +291,7 @@ def kfold_plan(n: int, k: int, seed: int) -> list[SplitPlan]:
         start += size
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        plans.append(
-            SplitPlan(
-                seed=seed,
-                train_indices=np.sort(np.flatnonzero(mask)),
-                test_indices=np.sort(fold),
-                kind="kfold",
-                params={"k": k, "fold_id": f},
-            )
-        )
+        plans.append(SplitPlan(np.sort(np.flatnonzero(mask)), np.sort(fold)))
     return plans
 
 

@@ -16,9 +16,8 @@ and its gathers are bandwidth bound. gram(l) and combine upcast to float64.
 No more than one raw Gram is alive at a time, beside the X @ X.T and
 squared distances its feature scope shares, so the train-side peak is Z
 plus a few (n, n) temporaries. Dense (n, n) Grams are rebuilt from Z only
-by combine, the best_kernel baseline (one kernel at a time) and `kweave
-kernels build`; target alignment reads Z directly, in float64-upcast row
-blocks.
+by combine and the best_kernel baseline (one kernel at a time); target
+alignment reads Z directly, in float64-upcast row blocks.
 
 Centering statistics are recorded at fit time on the training Gram and are
 reused to transform test-vs-train cross blocks consistently; the cross
@@ -27,9 +26,8 @@ blocks stay float64.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,18 +88,6 @@ class KernelSpec:
             return f"poly(degree={self.degree},offset={self.offset:g})[{scope}]"
         return f"linear[{scope}]"
 
-    def to_dict(self) -> dict:
-        out = {"family": self.family}
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.degree is not None:
-            out["degree"] = self.degree
-        if self.offset is not None:
-            out["offset"] = self.offset
-        if self.feature_index is not None:
-            out["feature_index"] = self.feature_index
-        return out
-
 
 @dataclass
 class CenterStats:
@@ -110,13 +96,6 @@ class CenterStats:
     row_means: np.ndarray
     grand_mean: float
     scale: float
-
-    def to_dict(self) -> dict:
-        return {
-            "row_means": [float(v) for v in self.row_means],
-            "grand_mean": float(self.grand_mean),
-            "scale": float(self.scale),
-        }
 
 
 @dataclass
@@ -128,7 +107,6 @@ class RawBank:
 
     specs: list[KernelSpec]
     features: np.ndarray
-    meta: dict
 
     @property
     def p(self) -> int:
@@ -173,7 +151,6 @@ class KernelBank:
     Z: np.ndarray
     n: int
     stats: list[CenterStats]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         p = len(self.specs)
@@ -308,7 +285,7 @@ def build_kernel_bank(features: np.ndarray, recipe: str) -> RawBank:
     specs = bank_specs(X.shape[1], recipe)
     if not np.all(np.isfinite(X)):
         raise KernelError("non-finite feature values")
-    return RawBank(specs=specs, features=X, meta={"recipe": recipe})
+    return RawBank(specs=specs, features=X)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +384,7 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
         raise DegenerateKernelError("every kernel in the bank is degenerate")
     if dropped:
         _compact_columns(Z, len(specs))
-    meta = dict(bank.meta)
-    meta["dropped_kernels"] = dropped
-    return KernelBank(specs=specs, Z=Z, n=n, stats=stats, meta=meta), dropped
+    return KernelBank(specs=specs, Z=Z, n=n, stats=stats), dropped
 
 
 def _compact_columns(Z: np.ndarray, k: int) -> None:
@@ -486,32 +461,3 @@ def combine_cross(crosses, weights) -> np.ndarray:
     if count != w.size:
         raise KernelError(f"{count} cross blocks for {w.size} weights")
     return acc
-
-
-# ---------------------------------------------------------------------------
-# persistence: meta.json + one little-endian float64 (or TSV) file per kernel
-
-
-def save_bank(bank: KernelBank, directory, text: bool = False) -> None:
-    """Write meta.json and each kernel's dense Gram, k{l}.f64 or k{l}.tsv."""
-    from pathlib import Path
-
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "n": bank.n,
-        "p": bank.p,
-        "state": "centered_standardized",
-        "text": bool(text),
-        "specs": [s.to_dict() for s in bank.specs],
-        "center_stats": [st.to_dict() for st in bank.stats],
-        "meta": bank.meta,
-    }
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    for l in range(bank.p):
-        if text:
-            np.savetxt(out / f"k{l}.tsv", bank.gram(l), delimiter="\t")
-        else:
-            with open(out / f"k{l}.f64", "wb") as fh:
-                fh.write(bank.gram(l).astype("<f8").tobytes(order="C"))

@@ -262,34 +262,3 @@ def lambda_sweep_report(
             }
         )
     return records
-
-
-# ---------------------------------------------------------------------------
-# hinge-loss concentration diagnostic
-
-
-@dataclass
-class BoundInputs:
-    """Inputs to the finite-sample bound on the expected K-space hinge loss."""
-
-    gamma: float
-    R: float
-    delta: float
-    n: int
-    empirical_hinge: float
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.R <= 0:
-            raise ValueError("gamma and R must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.empirical_hinge < 0:
-            raise ValueError("empirical_hinge must be >= 0")
-
-
-def concentration_bound(b: BoundInputs) -> float:
-    """empirical_hinge + sqrt(2 (1 + R^2/gamma)^2 ln(1/delta) / n)."""
-    slack = math.sqrt(2.0 * (1.0 + b.R**2 / b.gamma) ** 2 * math.log(1.0 / b.delta) / b.n)
-    return b.empirical_hinge + slack

@@ -377,7 +377,7 @@ def select_C(
     accs: dict = {C: [] for C in ascending}
     steps = dict.fromkeys(ascending, 0)
     capped = dict.fromkeys(ascending, 0)
-    for plan in folds:
+    for f, plan in enumerate(folds):
         tr, te = plan.train_indices, plan.test_indices
         train_K, train_y = K[np.ix_(tr, tr)], labels[tr]
         cross_K, test_y = K[np.ix_(te, tr)], labels[te]
@@ -386,7 +386,7 @@ def select_C(
             try:
                 ovr = ovr_train(train_K, train_y, C, n_classes=c, alpha0=seed)
             except ValueError as exc:
-                logger.warning("C=%g fold %s skipped: %s", C, plan.params, exc)
+                logger.warning("C=%g fold %d skipped: %s", C, f, exc)
                 continue
             seed = [mdl.alpha for mdl in ovr.models]
             steps[C] += sum(mdl.iterations for mdl in ovr.models)

@@ -16,7 +16,7 @@ from kweave.baselines import alignment_problem_from_bank, maximize_alignment, ta
 from kweave.experiment import ExperimentConfig, run_experiment, run_lambda_sweep, strip_timing_fields
 from kweave.kernels import KernelSpec, center_standardize_fit, compute_gram
 from kweave.kspace import make_kexamples
-from kweave.mkl import BoundInputs, concentration_bound, pegasos_train
+from kweave.mkl import pegasos_train
 from kweave.svm import decision_values, smo_train
 
 from conftest import DATA_DIR, alignment_grid_max, bank_of, centered_bank_for, make_blobs, synth_kset
@@ -214,22 +214,6 @@ def test_hinge_accuracy_anticorrelation(sonar_dataset):
     rho = scipy_stats.spearmanr(hinges, accs).statistic
     print(f"\nsonar sweep: {len(pairs)} points, spearman(hinge, accuracy) = {rho:.3f}")
     assert rho < 0.0
-
-
-def test_concentration_bound_diagnostic():
-    slack = concentration_bound(
-        BoundInputs(gamma=1.0, R=1.0, delta=0.05, n=100, empirical_hinge=0.0)
-    )
-    assert abs(slack - 0.48960) <= 1e-4
-    # quadrupling n must halve the slack exactly
-    for n in (25, 100, 400):
-        s1 = concentration_bound(
-            BoundInputs(gamma=2.0, R=1.5, delta=0.1, n=n, empirical_hinge=0.0)
-        )
-        s2 = concentration_bound(
-            BoundInputs(gamma=2.0, R=1.5, delta=0.1, n=4 * n, empirical_hinge=0.0)
-        )
-        assert s1 == 2.0 * s2
 
 
 def test_report_determinism(tmp_path):

@@ -30,20 +30,6 @@ def write_config(tmp_path, toy_csv, **overrides):
     return str(path)
 
 
-class TestKernelsBuild:
-    def test_writes_bank(self, tmp_path, toy_csv, capsys):
-        out = tmp_path / "bank"
-        assert main(["kernels", "build", "--data", toy_csv, "--out", str(out)]) == 0
-        assert (out / "meta.json").exists()
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["p"] == 13
-        assert "13 centered kernels" in capsys.readouterr().out
-
-    def test_missing_data_is_config_error(self, tmp_path):
-        code = main(["kernels", "build", "--data", "nope.csv", "--out", str(tmp_path / "b")])
-        assert code == 1
-
-
 class TestLearn:
     def test_writes_weights(self, tmp_path, toy_csv, capsys):
         out = tmp_path / "w.json"
@@ -98,6 +84,21 @@ class TestLearn:
         )
         assert code == 1
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("csv", "label\na\nb\na\n"), ("sparse_svm", "a\nb\na\n")],
+        ids=["csv", "sparse_svm"],
+    )
+    def test_no_feature_column_is_config_error(self, tmp_path, capsys, fmt, text):
+        data = tmp_path / "bare.txt"
+        data.write_text(text)
+        out = tmp_path / "w.json"
+        code = main(["learn", "--data", str(data), "--format", fmt, "--method", "average",
+                     "--out", str(out)])
+        assert code == 1
+        assert "feature column" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_method_rejected_by_parser(self, tmp_path, toy_csv):
@@ -169,6 +170,15 @@ class TestSvmTrain:
     def test_one_fold_is_config_error(self, tmp_path, toy_csv, capsys):
         model = tmp_path / "m.json"
         code = main(["svm", "train", "--data", toy_csv, "--folds", "1", "--out", str(model)])
+        assert code == 1
+        assert "--folds" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_more_folds_than_rows_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "four.csv"
+        data.write_text("f,label\n0.0,a\n1.0,b\n2.0,a\n3.0,b\n")
+        model = tmp_path / "m.json"
+        code = main(["svm", "train", "--data", str(data), "--folds", "5", "--out", str(model)])
         assert code == 1
         assert "--folds" in capsys.readouterr().err
         assert not model.exists()
@@ -315,6 +325,15 @@ class TestExperimentRun:
         assert "cannot load dataset" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
+    def test_label_only_dataset_exits_one(self, tmp_path, toy_csv, capsys, command):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\na\nb\na\nb\n")
+        cfg = write_config(tmp_path, toy_csv, dataset={"path": str(data)})
+        assert main(command + ["--config", cfg]) == 1
+        assert "feature column" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_two(self, tmp_path, toy_csv, capsys):
         # structurally valid config that must fail at run time: more CV
         # folds than training rows, so every split errors out
@@ -342,7 +361,8 @@ class TestTopLevel:
         assert "usage:" in capsys.readouterr().out
 
     def test_bare_group_prints_help(self, capsys):
-        assert main(["kernels"]) == 1
+        assert main(["svm"]) == 1
+        assert "usage:" in capsys.readouterr().out
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1

@@ -64,6 +64,11 @@ class TestCsvLoading:
         path = write(tmp_path, "blank.csv", "f,label\n1,x\n\n2,y\n\n")
         assert load_dataset(path).n == 2
 
+    def test_label_only_rejected(self, tmp_path):
+        path = write(tmp_path, "labels.csv", "label\nx\ny\nx\n")
+        with pytest.raises(DatasetError, match="feature column"):
+            load_dataset(path)
+
     def test_unknown_format(self, tmp_path):
         path = write(tmp_path, "toy.csv", "f,label\n1,x\n2,y\n")
         with pytest.raises(DatasetError, match="format"):
@@ -98,6 +103,11 @@ class TestSparseLoading:
         path = write(tmp_path, "zrow.svm", "a 1:1.0\nb\n")
         ds = load_dataset(path, format="sparse_svm")
         np.testing.assert_allclose(ds.instances[1], [0.0])
+
+    def test_no_entries_at_all_rejected(self, tmp_path):
+        path = write(tmp_path, "bare.svm", "a\nb\na\n")
+        with pytest.raises(DatasetError, match="feature column"):
+            load_dataset(path, format="sparse_svm")
 
 
 class TestDatasetValidation:
@@ -184,11 +194,11 @@ class TestKfold:
 class TestSplitPlan:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            SplitPlan(0, [0, 1], [1, 2], "holdout")
+            SplitPlan([0, 1], [1, 2])
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            SplitPlan(0, [0, 1], [], "holdout")
+            SplitPlan([0, 1], [])
 
 
 class TestFeatureScaler:

@@ -1,7 +1,6 @@
 """Base kernels, bank recipes, centering/standardization, the pair-major store,
-combination, and bank files."""
+and combination."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -23,7 +22,6 @@ from kweave.kernels import (
     combine_cross,
     compute_cross_gram,
     compute_gram,
-    save_bank,
 )
 
 from conftest import bank_of, dense_centering
@@ -110,7 +108,7 @@ class TestBankRecipes:
         X = np.random.default_rng(22).normal(0, 1, (12, 3))
         specs = bank_specs(3, "uci_full_plus_per_feature")
         specs = [specs[k] for k in np.random.default_rng(3).permutation(len(specs))]
-        bank = kernels.RawBank(specs=specs, features=X, meta={})
+        bank = kernels.RawBank(specs=specs, features=X)
         for spec, G in zip(specs, bank.grams):
             np.testing.assert_array_equal(G, compute_gram(spec, X), err_msg=spec.label())
 
@@ -150,7 +148,9 @@ class TestCentering:
             centered, dropped = center_bank(bank)
         assert dropped, "constant column must produce dropped kernels"
         assert centered.p == bank.p - len(dropped)
-        assert centered.meta["dropped_kernels"] == dropped
+        kept = [i for i in range(bank.p) if i not in dropped]
+        assert centered.specs == [bank.specs[i] for i in kept]
+        assert len(centered.stats) == len(kept)
         assert any("dropping kernel" in r.message for r in caplog.records)
         # the gaussian on the constant feature is all-ones -> degenerate
         assert all(bank.specs[i].feature_index == 1 for i in dropped)
@@ -383,30 +383,6 @@ class TestCombination:
         assert eigs.min() >= -1e-8 * max(1.0, eigs.max())
 
 
-class TestBankIO:
-    """`kweave kernels build` files: meta.json plus one dense Gram per kernel."""
-
-    def test_binary_round_trip(self, tmp_path, toy_dataset):
-        bank, _ = center_bank(build_kernel_bank(toy_dataset.instances, "uci_full"))
-        save_bank(bank, tmp_path / "bank")
-        meta = json.loads((tmp_path / "bank" / "meta.json").read_text())
-        assert (meta["n"], meta["p"], meta["text"]) == (bank.n, bank.p, False)
-        assert meta["state"] == "centered_standardized"
-        assert [KernelSpec(**s) for s in meta["specs"]] == bank.specs
-        for l, stats in enumerate(meta["center_stats"]):
-            assert stats["row_means"] == bank.stats[l].row_means.tolist()
-            V = np.fromfile(tmp_path / "bank" / f"k{l}.f64", dtype="<f8")
-            np.testing.assert_array_equal(V.reshape(bank.n, bank.n), bank.gram(l))
-
-    def test_text_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        bank, _ = center_bank(build_kernel_bank(rng.normal(0, 1, (6, 2)), "uci_full"))
-        save_bank(bank, tmp_path / "bank", text=True)
-        for l in range(bank.p):
-            V = np.loadtxt(tmp_path / "bank" / f"k{l}.tsv", delimiter="\t")
-            np.testing.assert_array_equal(V, bank.gram(l))
-
-
 class TestGramValidation:
     def test_spec_validation(self):
         with pytest.raises(KernelError):
@@ -415,10 +391,6 @@ class TestGramValidation:
             KernelSpec("polynomial", degree=0, offset=1.0)
         with pytest.raises(KernelError):
             KernelSpec("sigmoid")
-
-    def test_spec_round_trip(self):
-        spec = KernelSpec("polynomial", degree=3, offset=1.0, feature_index=2)
-        assert KernelSpec(**spec.to_dict()) == spec
 
     def test_bank_dimension_mismatch(self):
         bank = bank_of([np.eye(3), np.eye(3)])

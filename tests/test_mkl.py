@@ -1,5 +1,4 @@
-"""Stochastic subgradient weight learning, lambda selection, and the
-hinge concentration diagnostic.
+"""Stochastic subgradient weight learning and lambda selection.
 
 The solver is checked against a brute-force oracle: grid search with
 iterative refinement over the non-negative orthant, written against plain
@@ -13,11 +12,9 @@ import pytest
 
 from kweave.mkl import (
     DRAW_BLOCK,
-    BoundInputs,
     DivergedError,
     MklError,
     MklModel,
-    concentration_bound,
     default_lambda_grid,
     hinge_loss,
     lambda_sweep_report,
@@ -496,40 +493,6 @@ class TestSweepReport:
             separable_kset(), [0.5], evaluator=lambda m: None, seed=0, num_steps=50
         )
         assert records[0]["data_accuracy"] is None
-
-
-class TestConcentrationBound:
-    def test_hand_computed_slack(self):
-        b = BoundInputs(gamma=1.0, R=1.0, delta=0.05, n=100, empirical_hinge=0.0)
-        assert concentration_bound(b) == pytest.approx(0.48960, abs=1e-4)
-
-    def test_delta_near_one_kills_slack(self):
-        b = BoundInputs(gamma=1.0, R=1.0, delta=1 - 1e-12, n=100, empirical_hinge=0.25)
-        assert concentration_bound(b) == pytest.approx(0.25, abs=1e-5)
-
-    def test_quadrupling_n_halves_slack_exactly(self):
-        for n in (25, 100, 400):
-            s1 = concentration_bound(BoundInputs(1.0, 1.0, 0.05, n, 0.0))
-            s2 = concentration_bound(BoundInputs(1.0, 1.0, 0.05, 4 * n, 0.0))
-            assert s1 == 2.0 * s2
-
-    def test_monotonicities(self):
-        base = dict(gamma=1.0, R=1.0, delta=0.1, n=50, empirical_hinge=0.2)
-
-        def val(**kw):
-            return concentration_bound(BoundInputs(**{**base, **kw}))
-
-        assert val(empirical_hinge=0.3) > val()
-        assert val(R=2.0) > val()
-        assert val(n=200) < val()
-        assert val(gamma=2.0) < val()
-        assert val(delta=0.5) < val()
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            BoundInputs(gamma=0.0, R=1.0, delta=0.1, n=10, empirical_hinge=0.0)
-        with pytest.raises(ValueError):
-            BoundInputs(gamma=1.0, R=1.0, delta=1.5, n=10, empirical_hinge=0.0)
 
 
 class TestModelSerialization:
