@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, metrics, svm
-from .data import kfold_plan, load_dataset
+from .data import holdout_split, kfold_plan, load_dataset
 from .kernels import RECIPES, check_weights, combine
 
 logger = logging.getLogger(__name__)
@@ -42,11 +42,22 @@ def _load_config(path: str) -> experiment.ExperimentConfig:
 
 
 def _load_run(args):
-    """The config of `experiment run` / `report sweep`, with --out applied, and its dataset."""
+    """The config of `experiment run` / `report sweep`, with --out applied, and its dataset.
+
+    svm.folds above the train rows of a split is a config error; the train
+    side has the same size at every seed.
+    """
     config = _load_config(args.config)
     if args.out:
         config.output_dir = args.out
-    return config, _load_data(config.dataset_path, config.dataset_format)
+    dataset = _load_data(config.dataset_path, config.dataset_format)
+    plan = holdout_split(dataset, config.train_fraction, config.base_seed, config.stratified)
+    if config.svm_folds > len(plan.train_indices):
+        raise ConfigError(
+            f"svm.folds {config.svm_folds} exceeds the {len(plan.train_indices)} train rows "
+            f"of a split of {config.dataset_path!r}"
+        )
+    return config, dataset
 
 
 def _write_json(obj, path) -> None:

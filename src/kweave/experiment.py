@@ -260,7 +260,7 @@ def _mu_summary(mu: np.ndarray) -> dict:
 
 @dataclass
 class _StageClock:
-    """Wall time per named stage; `current` names the stage last entered."""
+    """Wall time per named stage, a failed one too; `current` names the stage last entered."""
 
     timings: dict = field(default_factory=dict)
     current: str | None = None
@@ -269,8 +269,10 @@ class _StageClock:
     def stage(self, name: str):
         self.current = name
         t0 = time.perf_counter()
-        yield
-        self.timings[name] = time.perf_counter() - t0
+        try:
+            yield
+        finally:
+            self.timings[name] = time.perf_counter() - t0
 
 
 def _peak_rss_mb() -> float:

@@ -67,6 +67,9 @@ class MklModel:
 # a (num_steps, B) index array.
 DRAW_BLOCK = 1024
 
+# Share of the K-examples held out to pick lambda by validation hinge.
+VAL_FRACTION = 0.2
+
 
 def hinge_loss(mu: np.ndarray, kset: KExampleSet) -> float:
     """Exact mean hinge loss of the weight vector over the whole set."""
@@ -77,15 +80,14 @@ def hinge_loss(mu: np.ndarray, kset: KExampleSet) -> float:
 
 
 def pegasos_train(
-    kset: KExampleSet, lam: float, num_steps: int = 1000, batch_size: int = 100,
-    seed: int = 0, on_step=None,
+    kset: KExampleSet, lam: float, num_steps: int = 1000, batch_size: int = 100, seed: int = 0
 ) -> MklModel:
     """Run the projected stochastic subgradient solver from mu = 0.
 
     lam is the regularization strength (positive and finite); num_steps of
-    10**3 suit small datasets, 10**5 large ones. on_step(k, mu), when given,
-    observes every post-projection iterate (used by tests to assert
-    non-negativity along the whole trajectory).
+    10**3 suit small datasets, 10**5 large ones. A num_steps=k fit returns
+    the k-th iterate of any longer fit with the same seed, since the batch
+    draws do not depend on num_steps (see DRAW_BLOCK).
 
     mu and the step buffers have the stack's dtype and the step's scalars
     are cast to it, so every step runs at that width under any numpy
@@ -121,18 +123,16 @@ def pegasos_train(
                 np.dot(batch.z, mu, out=s)
                 s *= batch.t
                 np.less(s, 1.0, out=viol)
-                # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z
+                # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z;
+                # the mask zeroes the sum when no row violates
                 mu *= dt(1.0 - 1.0 / k)
-                if viol.any():
-                    np.multiply(batch.t, viol, out=w)
-                    np.dot(w, batch.z, out=g)
-                    g /= dt(lam * k * batch_size)
-                    mu += g
+                np.multiply(batch.t, viol, out=w)
+                np.dot(w, batch.z, out=g)
+                g /= dt(lam * k * batch_size)
+                mu += g
                 np.maximum(mu, 0.0, out=mu)
                 if not np.isfinite(mu).all():
                     raise DivergedError(k)
-                if on_step is not None:
-                    on_step(k, mu)
 
     mu = mu.astype(np.float64, copy=False)
     return MklModel(mu=mu, final_train_hinge=hinge_loss(mu, kset), steps_run=num_steps)
@@ -162,16 +162,15 @@ def _validate_grid(grid) -> list[float]:
     return grid
 
 
-def _split_kset(kset: KExampleSet, val_fraction: float, seed: int):
+def _split_kset(kset: KExampleSet, seed: int):
+    """(train, validation) subsets; at 5 or more K-examples neither is empty."""
     m = len(kset)
-    n_val = max(1, int(math.floor(val_fraction * m + 0.5)))
-    if n_val >= m:
-        raise ValueError("validation fraction leaves no training K-examples")
+    n_val = int(math.floor(VAL_FRACTION * m + 0.5))
     perm = np.random.default_rng(seed).permutation(m)
     return kset.subset(perm[n_val:]), kset.subset(perm[:n_val])
 
 
-def _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps):
+def _train_grid(kset, grid, seed, batch_size, num_steps):
     """Fit one model per grid value on an 80/20 split of the K-examples.
 
     Returns (val_kset, fits): one (lam, model, val_hinge) per grid value, in
@@ -181,7 +180,7 @@ def _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps):
     grid = _validate_grid(grid)
     if len(kset) < 5:
         raise ValueError(f"need at least 5 K-examples to select lambda, got {len(kset)}")
-    train_k, val_k = _split_kset(kset, val_fraction, seed)
+    train_k, val_k = _split_kset(kset, seed)
     fits = []
     for idx, lam in enumerate(grid):
         try:
@@ -198,7 +197,6 @@ def select_lambda(
     kset: KExampleSet,
     grid=None,
     seed: int = 0,
-    val_fraction: float = 0.2,
     batch_size: int = 100,
     num_steps: int = 1000,
 ):
@@ -213,7 +211,7 @@ def select_lambda(
     """
     if grid is None:
         grid = default_lambda_grid()
-    _, fits = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
+    _, fits = _train_grid(kset, grid, seed, batch_size, num_steps)
     records = [
         {
             "lambda": lam,
@@ -236,7 +234,6 @@ def lambda_sweep_report(
     grid,
     evaluator,
     seed: int = 0,
-    val_fraction: float = 0.2,
     batch_size: int = 100,
     num_steps: int = 1000,
 ) -> list[dict]:
@@ -246,7 +243,7 @@ def lambda_sweep_report(
     it to the full combine-and-classify stage). K-accuracy is sign agreement
     of mu.z with t on the validation K-split (a zero score counts as +1).
     """
-    val_k, fits = _train_grid(kset, grid, seed, val_fraction, batch_size, num_steps)
+    val_k, fits = _train_grid(kset, grid, seed, batch_size, num_steps)
     records = []
     for lam, model, val_hinge in fits:
         if model is None:

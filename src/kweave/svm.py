@@ -28,7 +28,7 @@ a = 0.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +36,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _TAU = 1e-12  # curvature floor for the pair subproblem
-
-
-def _gradient(m: np.ndarray, ny: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """G = -y * m into out, with exact zeros as +0.0.
-
-    A gradient updated by additions from G = -1 never holds -0.0 (an exact
-    cancellation rounds to +0.0), so this is bitwise the G that smo_train
-    would hold had it updated G itself.
-    """
-    np.multiply(ny, m, out=out)
-    return np.add(out, 0.0, out=out)
 
 
 @dataclass
@@ -69,7 +58,6 @@ class SvmModel:
     converged: bool = True
     iterations: int = 0
     kkt_gap: float = 0.0
-    objective_trace: list = field(default_factory=list)
 
     def to_dict(self, instance_ids=None) -> dict:
         sup = self.support_indices
@@ -92,13 +80,13 @@ def smo_train(
     tol: float = 1e-3,
     max_iter: int | None = None,
     jitter: float = 0.0,
-    track_objective: bool = False,
     alpha0=None,
 ) -> SvmModel:
     """Maximize the dual over a precomputed Gram.
 
     Converged once the maximal KKT violation drops to tol. Hitting
-    max_iter returns a model flagged non-converged instead of raising.
+    max_iter returns a model flagged non-converged instead of raising;
+    its duals are the max_iter-th iterate of the uncapped run.
     jitter > 0 adds jitter * mean(diag) to the diagonal, a rescue for
     combined kernels that are numerically semi-definite.
 
@@ -165,9 +153,6 @@ def smo_train(
     n_up, n_low = sum(up), sum(low)
     buf = np.empty(n, dtype=np.float64)
     col_j = np.empty(n, dtype=np.float64)
-    G = np.empty(n, dtype=np.float64)
-    ny = -y
-    trace: list[float] = []
 
     converged = False
     it = 0
@@ -231,10 +216,6 @@ def smo_train(
                 pen_low[k] = 0.0 if k_low else np.inf
                 n_low += 1 if k_low else -1
         it += 1
-        if track_objective:
-            # maximization value e^T a - 1/2 a^T Q a, via a^T Q a = a^T (G + e);
-            # must be non-decreasing across pair updates
-            trace.append(float(-0.5 * (alpha @ _gradient(m, ny, G) - alpha.sum())))
     else:
         logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
 
@@ -245,7 +226,10 @@ def smo_train(
     # bias: average of y_i - f(x_i) over free support vectors, else the
     # midpoint of the feasible interval from the bound KKT conditions
     eps = 1e-8 * C
-    v = -y * _gradient(m, ny, G)
+    # v = -y * G with G = -y * m; the + 0.0 turns -0.0 into +0.0, as a
+    # gradient updated by additions from G = -1 never holds -0.0, so v has
+    # the bits it would have had the loop updated G itself
+    v = -y * (-y * m + 0.0)
     free = (alpha > eps) & (alpha < C - eps)
     if free.any():
         bias = float(v[free].mean())
@@ -270,7 +254,6 @@ def smo_train(
         converged=converged,
         iterations=it,
         kkt_gap=gap,
-        objective_trace=trace,
     )
 
 
@@ -316,8 +299,7 @@ class OvrModel:
 
 
 def ovr_train(
-    gram, labels, C: float, n_classes: int | None = None,
-    max_iter: int | None = None, jitter: float = 0.0, alpha0=None,
+    gram, labels, C: float, n_classes: int | None = None, jitter: float = 0.0, alpha0=None,
 ) -> OvrModel:
     """Train class-k-vs-rest models over a shared Gram.
 
@@ -340,7 +322,7 @@ def ovr_train(
             seed = models[0].alpha
         else:
             seed = None if alpha0 is None else alpha0[k]
-        models.append(smo_train(gram, yk, C, max_iter=max_iter, jitter=jitter, alpha0=seed))
+        models.append(smo_train(gram, yk, C, jitter=jitter, alpha0=seed))
     return OvrModel(models=models, n_classes=c)
 
 

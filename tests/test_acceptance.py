@@ -17,14 +17,14 @@ from kweave.experiment import ExperimentConfig, run_experiment, run_lambda_sweep
 from kweave.kernels import KernelSpec, center_standardize_fit, compute_gram
 from kweave.kspace import make_kexamples
 from kweave.mkl import pegasos_train
-from kweave.svm import decision_values, smo_train
+from kweave.svm import decision_values, dual_objective, smo_train
 
 from conftest import DATA_DIR, alignment_grid_max, bank_of, centered_bank_for, make_blobs, synth_kset
 from test_baselines import random_problem
 from test_experiment import write_toy_csv
 from test_mkl import objective as kspace_objective
 from test_mkl import qp_oracle
-from test_svm import kkt_gap, oracle_bias, pgd_dual, random_dual_problem
+from test_svm import kkt_gap, objective_trace, oracle_bias, pgd_dual, random_dual_problem
 
 
 def run_uci(dataset, path, method, recipe="uci_full"):
@@ -137,7 +137,7 @@ def test_smo_oracle():
         K, y, C, cross = random_dual_problem(seed)
         a_star = pgd_dual(K, y, C)
         b_star = oracle_bias(K, y, a_star, C)
-        model = smo_train(K, y, C, track_objective=True)
+        model = smo_train(K, y, C)
         assert model.converged
         # decision agreement with the brute-force dual
         f_star = cross @ (a_star * y) + b_star
@@ -146,9 +146,10 @@ def test_smo_oracle():
         n = len(y)
         assert np.all(model.alpha >= 0.0) and np.all(model.alpha <= C)
         assert abs(model.alpha @ y) <= 1e-6 * C * n
-        # objective monotonicity on every problem
-        trace = np.array(model.objective_trace)
+        # objective monotonicity on every problem, over the max_iter prefixes
+        trace = objective_trace(K, y, C, model.iterations)
         assert np.all(np.diff(trace) >= -1e-9)
+        assert trace[-1] == dual_objective(K, model)
         assert kkt_gap(K, y, model.alpha, C) <= 1e-3 + 1e-12
 
 

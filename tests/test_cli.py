@@ -335,11 +335,21 @@ class TestExperimentRun:
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_two(self, tmp_path, toy_csv, capsys):
-        # structurally valid config that must fail at run time: more CV
-        # folds than training rows, so every split errors out
-        cfg = write_config(tmp_path, toy_csv, svm={"folds": 500})
+        # structurally valid config that must fail at run time: lambda * k * B
+        # underflows in the float32 step, so every lambda diverges at step 1
+        # and every split errors out
+        cfg = write_config(
+            tmp_path, toy_csv, method="tsmkl", mkl={"num_steps": 150, "lambda_grid": [1e-300]}
+        )
         assert main(["experiment", "run", "--config", cfg]) == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
+    def test_more_folds_than_train_rows_exits_one(self, tmp_path, toy_csv, capsys, command):
+        cfg = write_config(tmp_path, toy_csv, method="tsmkl", svm={"folds": 500})
+        assert main(command + ["--config", cfg]) == 1
+        assert "svm.folds 500 exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportSweep:

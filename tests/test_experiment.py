@@ -2,6 +2,7 @@
 aggregation, determinism, and report rendering."""
 
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -310,7 +311,7 @@ class TestRunExperiment:
             first = report.per_split[0]
             assert first["error"] == "RuntimeError: synthetic failure"
             assert first["stage"] == stage
-            assert list(first["timings"]) == stages[: stages.index(stage)] + ["peak_rss_mb"]
+            assert list(first["timings"]) == stages[: stages.index(stage) + 1] + ["peak_rss_mb"]
             assert len(calls) == 3
             assert all("error" not in r and "stage" not in r for r in report.per_split[1:])
             assert report.aggregate["n_succeeded"] == 2
@@ -326,7 +327,20 @@ class TestRunExperiment:
         rec = experiment._run_split(load_dataset(toy_csv), cfg, 0)
         assert rec["error"] == "KernelError: all-zero kernel weight vector"
         assert rec["stage"] == "kernel_build"
-        assert list(rec["timings"]) == ["split", "kernel_learning", "peak_rss_mb"]
+        assert list(rec["timings"]) == ["split", "kernel_learning", "kernel_build", "peak_rss_mb"]
+
+    def test_failed_stage_keeps_its_wall_time(self, toy_csv, monkeypatch):
+        def slow_failure(*args):
+            time.sleep(0.05)
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(experiment, "_fit_svm", slow_failure)
+        rec = experiment._run_split(load_dataset(toy_csv), fast_config(toy_csv, n_splits=1), 0)
+        assert rec["stage"] == "svm"
+        assert list(rec["timings"]) == [
+            "split", "kernel_learning", "kernel_build", "svm", "peak_rss_mb",
+        ]
+        assert rec["timings"]["svm"] >= 0.05
 
     def test_jitter_retry_recorded(self, toy_csv, monkeypatch):
         clean = run_experiment(fast_config(toy_csv, n_splits=1)).per_split[0]

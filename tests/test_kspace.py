@@ -112,7 +112,7 @@ class TestSharedLayout:
 
     def test_lambda_split_halves_share_stack(self):
         kset = make_kexamples(np.array([0] * 6 + [1] * 3), tiny_bank(9))
-        train, val = _split_kset(kset, 0.2, seed=0)
+        train, val = _split_kset(kset, seed=0)
         assert train.stack is kset.stack and val.stack is kset.stack
         np.testing.assert_array_equal(np.sort(np.concatenate([train.rows, val.rows])), kset.rows)
 

@@ -5,11 +5,13 @@ iterative refinement over the non-negative orthant, written against plain
 (Z, t) arrays so it shares nothing with the implementation under test.
 """
 
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from kweave import mkl
 from kweave.mkl import (
     DRAW_BLOCK,
     DivergedError,
@@ -144,12 +146,13 @@ class TestPegasos:
         Z = np.abs(rng.normal(0, 1, (20, 3)))
         t = np.array([1, -1] * 10)
         Z[t > 0] *= -1.0
-        seen = []
-        got = pegasos_train(
-            synth_kset(Z, t), 0.3, 200, 10, seed=4, on_step=lambda k, mu: seen.append(mu.copy())
-        )
+        kset = synth_kset(Z, t)
+        got = pegasos_train(kset, 0.3, 200, 10, seed=4)
         want = reference_pegasos(Z, t, 0.3, 10, 200, 4)
-        assert not np.any(seen[-1] > 0)  # every update projects back to 0
+        # every update projects back to 0: the k-step fits are the iterates
+        for k in range(1, 200):
+            assert not np.any(pegasos_train(kset, 0.3, k, 10, seed=4).mu > 0)
+        assert not np.any(got.mu > 0)
         np.testing.assert_allclose(got.mu, want, rtol=0, atol=1e-12)
 
     def test_batches_without_violators_match_reference(self):
@@ -184,6 +187,31 @@ class TestPegasos:
         want = reference_pegasos(Z, t, 0.05, batch_size, DRAW_BLOCK + 37, 6)
         assert np.any(want > 0)
         np.testing.assert_array_equal(got.mu, want)
+
+    @pytest.mark.parametrize("k", [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
+    def test_k_step_fit_is_the_kth_iterate_of_a_longer_fit(self, k, monkeypatch):
+        # the trajectory tests read the k-th iterate off a num_steps=k fit;
+        # here a spy on the batch gather reads a longer fit's own mu, which
+        # before step j + 1 is the j-th iterate
+        rng = np.random.default_rng(k)
+        Z = rng.normal(0, 1, (50, 4)).astype(np.float32)
+        t = np.where(rng.random(50) < 0.5, 1, -1)
+        t[:2] = [1, -1]
+        kset = KExampleSet(t, Z)
+        iterates = []
+        gather = mkl.sample_batch
+
+        def spy(kset, positions, out=None):
+            iterates.append(inspect.currentframe().f_back.f_locals["mu"].copy())
+            return gather(kset, positions, out)
+
+        monkeypatch.setattr(mkl, "sample_batch", spy)
+        pegasos_train(kset, 0.05, DRAW_BLOCK + 40, 8, seed=5)
+        monkeypatch.undo()
+        assert len(iterates) == DRAW_BLOCK + 40
+        got = pegasos_train(kset, 0.05, k, 8, seed=5).mu
+        assert np.any(got > 0)
+        assert got.tobytes() == iterates[k].astype(np.float64).tobytes()
 
     def test_long_fit_never_holds_all_draws(self):
         rng = np.random.default_rng(12)
@@ -230,17 +258,17 @@ class TestPegasos:
         rng = np.random.default_rng(17)
         Z32 = rng.normal(0, 1, (80, 6)).astype(np.float32)
         t = np.where(Z32[:, 0] + Z32[:, 1] + rng.normal(0, 0.5, 80) > 0, 1, -1)
-        seen = []
-
-        def watch(k, mu):
-            seen.append((mu.dtype, float(mu.min())))
-
-        got = pegasos_train(KExampleSet(t, Z32), 0.05, 500, 16, seed=3, on_step=watch)
+        kset = KExampleSet(t, Z32)
+        got = pegasos_train(kset, 0.05, 500, 16, seed=3)
         want = pegasos_train(synth_kset(Z32.astype(np.float64), t), 0.05, 500, 16, seed=3)
         assert got.mu.dtype == np.float64
-        assert len(seen) == 500
-        assert all(dt == np.float32 and low >= 0.0 for dt, low in seen)
+        # every iterate (the k-step fit) is non-negative and float32-exact
+        for k in range(1, 501):
+            mu = pegasos_train(kset, 0.05, k, 16, seed=3).mu
+            assert mu.min() >= 0.0
+            np.testing.assert_array_equal(mu.astype(np.float32).astype(np.float64), mu)
         assert np.any(want.mu > 0)
+        assert not np.array_equal(got.mu, want.mu)  # the float32 fit rounds at float32
         # the same draws on the same values: only float32 rounding differs
         np.testing.assert_allclose(got.mu, want.mu, rtol=1e-5, atol=1e-6)
         assert got.final_train_hinge == pytest.approx(want.final_train_hinge, abs=1e-6)
@@ -265,16 +293,10 @@ class TestPegasos:
         Z = rng.normal(0, 2, (30, 4))
         t = np.where(rng.random(30) < 0.5, 1, -1)
         t[:2] = [1, -1]
-        seen = []
-        pegasos_train(
-            synth_kset(Z, t),
-            0.05,
-            num_steps=500,
-            seed=1,
-            on_step=lambda k, mu: seen.append(mu.min()),
-        )
-        assert len(seen) == 500
-        assert min(seen) >= 0.0
+        kset = synth_kset(Z, t)
+        # the k-step fit is the k-th iterate of the 500-step one
+        lows = [pegasos_train(kset, 0.05, num_steps=k, seed=1).mu.min() for k in range(1, 501)]
+        assert min(lows) >= 0.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

@@ -2,6 +2,7 @@
 one-vs-rest training, C selection, and model serialization."""
 
 import logging
+from functools import partial
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ def random_dual_problem(seed):
     return K, y, C, cross
 
 
+def objective_trace(K, y, C, steps):
+    """The dual objective after each of the first `steps` pair steps.
+
+    Read off the max_iter=k fits, which hold the k-th duals of the
+    uncapped run.
+    """
+    return np.array(
+        [dual_objective(K, smo_train(K, y, C, max_iter=k)) for k in range(1, steps + 1)]
+    )
+
+
 def kkt_gap(K, y, alpha, C):
     """Recomputed maximal violating-pair gap, independent of the solver."""
     Q = np.outer(y, y) * np.asarray(K)
@@ -205,16 +217,12 @@ class TestSmoTrain:
 
     def test_objective_monotone(self):
         K, y, C, _ = random_dual_problem(3)
-        mdl = smo_train(K, y, C, track_objective=True)
-        trace = np.array(mdl.objective_trace)
-        assert len(trace) == mdl.iterations
+        mdl = smo_train(K, y, C)
+        trace = objective_trace(K, y, C, mdl.iterations)
+        assert len(trace) == mdl.iterations > 1
         assert np.all(np.diff(trace) >= -1e-9)
         # the trace ends at the true objective of the returned duals
-        assert trace[-1] == pytest.approx(dual_objective(K, mdl), abs=1e-9)
-
-    def test_trace_off_by_default(self):
-        K, y, C, _ = random_dual_problem(0)
-        assert smo_train(K, y, C).objective_trace == []
+        assert trace[-1] == dual_objective(K, mdl)
 
     def test_kkt_gap_at_convergence(self):
         for seed in range(4):
@@ -338,7 +346,7 @@ _ref_logger = logging.getLogger("kweave.svm.reference")
 _REF_TAU = 1e-12
 
 
-def _reference_smo(K, y, C, tol=1e-3, max_iter=None, jitter=0.0, track_objective=False):
+def _reference_smo(K, y, C, tol=1e-3, max_iter=None, jitter=0.0):
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
@@ -352,7 +360,6 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None, jitter=0.0, track_objective
     alpha = np.zeros(n, dtype=np.float64)
     G = -np.ones(n, dtype=np.float64)  # gradient of the minimization dual
     pos = y > 0
-    trace = []
 
     converged = False
     it = 0
@@ -398,8 +405,6 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None, jitter=0.0, track_objective
             break
         G += yK[:, i] * (y[i] * dai) + yK[:, j] * (y[j] * daj)
         it += 1
-        if track_objective:
-            trace.append(float(-0.5 * (alpha @ G - alpha.sum())))
     else:
         _ref_logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
 
@@ -428,7 +433,6 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None, jitter=0.0, track_objective
         C=C,
         converged=converged,
         iterations=it,
-        objective_trace=trace,
     )
 
 
@@ -460,7 +464,20 @@ def assert_same_model(got, ref):
     assert got.iterations == ref.iterations
     assert got.converged == ref.converged
     np.testing.assert_array_equal(got.support_indices, ref.support_indices)
-    assert got.objective_trace == ref.objective_trace
+
+
+def assert_same_trajectory(fit, ref):
+    """fit and ref agree bitwise uncapped and at max_iter prefixes.
+
+    Both take max_iter; a max_iter=k fit holds the k-th duals. A run of at
+    most 100 pair steps is compared at every step, a longer one at steps
+    1, 2 and a quarter of the way.
+    """
+    full = ref()
+    assert_same_model(fit(), full)
+    steps = full.iterations
+    for k in range(1, steps) if steps <= 100 else (1, 2, steps // 4):
+        assert_same_model(fit(max_iter=k), ref(max_iter=k))
 
 
 class TestReferenceEquivalence:
@@ -471,18 +488,23 @@ class TestReferenceEquivalence:
         for n, opts in [
             (3, {}),
             (160, {}),
-            (int(rng.integers(4, 160)), {"track_objective": True}),
+            (int(rng.integers(4, 160)), None),  # None: compare max_iter prefixes too
             (int(rng.integers(4, 160)), {"jitter": 1e-10}),
             (int(rng.integers(4, 160)), {"max_iter": int(rng.integers(1, 60))}),
         ]:
             K = _kernel_gram(kind, rng.normal(size=(n, int(rng.integers(1, 6)))))
             y = _signed_labels(rng, n)
-            assert_same_model(smo_train(K, y, C, **opts), _reference_smo(K, y, C, **opts))
+            fit, ref = partial(smo_train, K, y, C), partial(_reference_smo, K, y, C)
+            if opts is None:
+                assert_same_trajectory(fit, ref)
+            else:
+                assert_same_model(fit(**opts), ref(**opts))
 
     def test_tol_zero_stall(self):
         K, y, C = _stall_problem()
-        for opts in ({"tol": 0.0}, {"tol": 0.0, "track_objective": True}):
-            assert_same_model(smo_train(K, y, C, **opts), _reference_smo(K, y, C, **opts))
+        assert_same_trajectory(
+            partial(smo_train, K, y, C, tol=0.0), partial(_reference_smo, K, y, C, tol=0.0)
+        )
 
     def test_integer_grams_with_exact_zeros(self):
         # cancellations to exactly 0.0 in the gradient; the bias must keep
@@ -498,8 +520,7 @@ class TestReferenceEquivalence:
             K = X @ X.T + np.eye(n) * float(rng.integers(0, 2))
             y = _signed_labels(rng, n)
             C = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
-            got = smo_train(K, y, C, track_objective=True)
-            assert_same_model(got, _reference_smo(K, y, C, track_objective=True))
+            assert_same_trajectory(partial(smo_train, K, y, C), partial(_reference_smo, K, y, C))
 
     def test_asymmetric_raw_array(self):
         # column reads must come from K[:, i], not K[i, :]
@@ -524,10 +545,15 @@ class TestWarmStart:
     @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
     def test_zero_seed_is_the_cold_fit(self, kind, C):
         rng = np.random.default_rng(int(C * 100) + len(kind))
-        for n, opts in [(3, {}), (80, {"track_objective": True}), (50, {"jitter": 1e-10})]:
+        for n, opts in [(3, {}), (80, None), (50, {"jitter": 1e-10})]:
             K = _kernel_gram(kind, rng.normal(size=(n, 2)))
             y = _signed_labels(rng, n)
-            assert_same_model(smo_train(K, y, C, alpha0=np.zeros(n), **opts), smo_train(K, y, C, **opts))
+            cold = partial(smo_train, K, y, C)
+            seeded = partial(cold, alpha0=np.zeros(n))
+            if opts is None:  # compare max_iter prefixes too
+                assert_same_trajectory(seeded, cold)
+            else:
+                assert_same_model(seeded(**opts), cold(**opts))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
@@ -691,9 +717,10 @@ class TestBinaryMirror:
             seeded.predict(K), OvrModel(models=cold, n_classes=2).predict(K)
         )
 
-    def test_capped_class_zero_leaves_class_one_cold(self):
+    def test_capped_class_zero_leaves_class_one_cold(self, monkeypatch):
         K, labels = overlapping_gram()
-        m0, m1 = ovr_train(K, labels, 1.0, max_iter=5).models
+        monkeypatch.setattr(svm, "smo_train", partial(smo_train, max_iter=5))
+        m0, m1 = ovr_train(K, labels, 1.0).models
         assert not m0.converged and m0.iterations == 5
         assert_same_model(m1, smo_train(K, np.where(labels == 1, 1.0, -1.0), 1.0, max_iter=5))
         # the cold class-1 fit is the bitwise mirror of class 0
