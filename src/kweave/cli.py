@@ -44,14 +44,18 @@ def _load_config(path: str) -> experiment.ExperimentConfig:
 def _load_run(args):
     """The config of `experiment run` / `report sweep`, with --out applied, and its dataset.
 
-    svm.folds above the train rows of a split is a config error; the train
-    side has the same size at every seed.
+    A dataset the config's split cannot divide (a stratified split of a
+    one-row class) and svm.folds above the train rows of a split are config
+    errors; the train side has the same size at every seed.
     """
     config = _load_config(args.config)
     if args.out:
         config.output_dir = args.out
     dataset = _load_data(config.dataset_path, config.dataset_format)
-    plan = holdout_split(dataset, config.train_fraction, config.base_seed, config.stratified)
+    try:
+        plan = holdout_split(dataset, config.train_fraction, config.base_seed, config.stratified)
+    except ValueError as exc:
+        raise ConfigError(f"cannot split {config.dataset_path!r}: {exc}") from exc
     if config.svm_folds > len(plan.train_indices):
         raise ConfigError(
             f"svm.folds {config.svm_folds} exceeds the {len(plan.train_indices)} train rows "
@@ -80,6 +84,11 @@ def cmd_learn(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if method == "best_kernel" and config.svm_folds > dataset.n:
+        raise ConfigError(
+            f"best-kernel's {config.svm_folds}-fold CV exceeds the {dataset.n} rows "
+            f"of {args.data!r}"
+        )
     _, _, bank, dropped = experiment.prepare_train(dataset.instances, args.recipe)
     mu, details = experiment.learn_weights(bank, dataset.labels, config, args.seed)
     payload = {
@@ -120,10 +129,10 @@ def cmd_svm_train(args) -> int:
         "chosen_C": best_C,
         "cv_records": records,
         "class_names": list(dataset.class_names),
-        **ovr.to_dict(instance_ids=dataset.instance_ids),
+        **ovr.to_dict(),
     }
     _write_json(payload, args.out)
-    print(f"trained {ovr.n_classes}-class model, C={best_C:g} -> {args.out}")
+    print(f"trained {len(ovr.models)}-class model, C={best_C:g} -> {args.out}")
     return 0
 
 

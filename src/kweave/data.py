@@ -29,13 +29,11 @@ class Dataset:
     instances: (n, d) float64 matrix with d >= 1, all values finite.
     labels: (n,) integer class ids in 0..c-1; every id occurs at least once.
     class_names: the original label strings, indexed by class id.
-    instance_ids: per-row identifiers (row numbers for file-loaded data).
     """
 
     instances: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
-    instance_ids: tuple[str, ...]
 
     def __post_init__(self):
         self.instances = np.asarray(self.instances, dtype=np.float64)
@@ -47,8 +45,6 @@ class Dataset:
             raise DatasetError("need at least 1 feature column, got 0")
         if self.labels.shape != (n,):
             raise DatasetError("labels length does not match instance count")
-        if len(self.instance_ids) != n:
-            raise DatasetError("instance_ids length does not match instance count")
         if not np.all(np.isfinite(self.instances)):
             raise DatasetError("non-finite feature value in dataset")
         c = len(self.class_names)
@@ -76,12 +72,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Row subset keeping the global label encoding."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            instances=self.instances[idx],
-            labels=self.labels[idx],
-            class_names=self.class_names,
-            instance_ids=tuple(self.instance_ids[i] for i in idx),
-        )
+        return Dataset(self.instances[idx], self.labels[idx], self.class_names)
 
 
 def _encode_labels(raw: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -130,17 +121,7 @@ def _load_csv(path: str) -> Dataset:
             raw_labels.append(rec[label_col].strip())
             rows.append([_parse_float(rec[j], path, lineno) for j in feat_cols])
 
-    if len(rows) < 2:
-        raise DatasetError(f"{path}: fewer than 2 data rows")
-    labels, class_names = _encode_labels(raw_labels)
-    if len(class_names) < 2:
-        raise DatasetError(f"{path}: only one class present")
-    return Dataset(
-        instances=np.array(rows, dtype=np.float64),
-        labels=labels,
-        class_names=class_names,
-        instance_ids=tuple(str(i) for i in range(len(rows))),
-    )
+    return Dataset(np.array(rows, dtype=np.float64), *_encode_labels(raw_labels))
 
 
 def _load_sparse(path: str) -> Dataset:
@@ -177,21 +158,11 @@ def _load_sparse(path: str) -> Dataset:
                 d = max(d, idx)
             entries.append(row)
 
-    if len(entries) < 2:
-        raise DatasetError(f"{path}: fewer than 2 data rows")
-    labels, class_names = _encode_labels(raw_labels)
-    if len(class_names) < 2:
-        raise DatasetError(f"{path}: only one class present")
     X = np.zeros((len(entries), d), dtype=np.float64)
     for i, row in enumerate(entries):
         for idx, val in row:
             X[i, idx - 1] = val
-    return Dataset(
-        instances=X,
-        labels=labels,
-        class_names=class_names,
-        instance_ids=tuple(str(i) for i in range(len(entries))),
-    )
+    return Dataset(X, *_encode_labels(raw_labels))
 
 
 def load_dataset(path: str, format: str = "csv") -> Dataset:

@@ -406,8 +406,13 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
 def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -> dict:
     """One split, one model per lambda, downstream accuracy per model.
 
-    The records pair K-space validation hinge with test accuracy of the
-    combined-kernel SVM, the data behind the hinge-vs-accuracy diagnostic.
+    The records pair K-space quality with test accuracy of the
+    combined-kernel SVM, the data behind the hinge-vs-accuracy diagnostic:
+    one per lambda whose fit succeeded, in grid order. k_hinge is the
+    validation hinge of mkl.train_grid; k_accuracy is sign agreement of
+    mu.z with t on that validation K-split (a zero score counts as +1);
+    data_accuracy is None where the weights collapsed or the SVM stage
+    failed.
     """
     t_start = time.perf_counter()
     if dataset is None:
@@ -418,22 +423,32 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     crosses = list(cross_blocks(scaler, Xs, bank, test.instances))  # reused per lambda
     bal = _balanced_kset(train.labels, bank, seed)
 
-    def evaluator(model):
-        if model.collapsed:
-            return None
-        try:
-            _, _, ovr, _ = _fit_svm(bank, model.mu, train, config, seed, dataset.n_classes)
-            pred = ovr.predict(combine_cross(crosses, model.mu))
-            return float(np.mean(pred == test.labels))
-        except (ValueError, RuntimeError) as exc:
-            logger.warning("sweep evaluator failed: %s", exc)
-            return None
-
     grid = config.lambda_grid if config.lambda_grid is not None else mkl.default_lambda_grid()
-    records = mkl.lambda_sweep_report(
-        bal, grid, evaluator, seed=derive_seed(seed, _SEED_LAMBDA),
-        batch_size=config.mkl_batch_size, num_steps=_mkl_steps(config, train.n),
+    val_k, fits = mkl.train_grid(
+        bal, grid, derive_seed(seed, _SEED_LAMBDA), config.mkl_batch_size,
+        _mkl_steps(config, train.n),
     )
+    records = []
+    for lam, model, k_hinge in fits:
+        if model is None:
+            continue
+        k_pred = np.where(val_k.scores(model.mu) >= 0, 1, -1)
+        acc = None
+        if not model.collapsed:
+            try:
+                _, _, ovr, _ = _fit_svm(bank, model.mu, train, config, seed, dataset.n_classes)
+                pred = ovr.predict(combine_cross(crosses, model.mu))
+                acc = float(np.mean(pred == test.labels))
+            except (ValueError, RuntimeError) as exc:
+                logger.warning("lambda=%g: sweep SVM stage failed: %s", lam, exc)
+        records.append(
+            {
+                "lambda": lam,
+                "k_hinge": k_hinge,
+                "k_accuracy": float(np.mean(k_pred == val_k.t)),
+                "data_accuracy": acc,
+            }
+        )
     return {
         "config": config.to_dict(),
         "split": {"seed": seed, "n_train": train.n, "n_test": test.n},

@@ -8,25 +8,6 @@ import numpy as np
 
 
 @dataclass
-class ConfusionMatrix:
-    """counts[i, j] = instances of true class i predicted as class j."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        c = self.counts.shape[0]
-        if self.counts.ndim != 2 or self.counts.shape != (c, c):
-            raise ValueError("confusion matrix must be square")
-        if np.any(self.counts < 0):
-            raise ValueError("negative counts")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass
 class MetricsReport:
     accuracy: float
     mean_per_class_accuracy: float
@@ -35,7 +16,7 @@ class MetricsReport:
     macro_f1: float
     mean_mcc: float
     retained_fraction: float = 1.0
-    confusion: ConfusionMatrix | None = field(default=None, repr=False)
+    confusion: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self, include_confusion: bool = False) -> dict:
         out = {
@@ -48,11 +29,12 @@ class MetricsReport:
             "retained_fraction": self.retained_fraction,
         }
         if include_confusion and self.confusion is not None:
-            out["confusion"] = [[int(v) for v in row] for row in self.confusion.counts]
+            out["confusion"] = [[int(v) for v in row] for row in self.confusion]
         return out
 
 
-def confusion_matrix(true_labels, predicted_labels, c: int) -> ConfusionMatrix:
+def confusion_matrix(true_labels, predicted_labels, c: int) -> np.ndarray:
+    """(c, c) int64 counts: [i, j] = instances of true class i predicted as class j."""
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(predicted_labels, dtype=np.int64)
     if t.shape != p.shape or t.ndim != 1:
@@ -61,8 +43,7 @@ def confusion_matrix(true_labels, predicted_labels, c: int) -> ConfusionMatrix:
         raise ValueError("empty input")
     if t.min() < 0 or t.max() >= c or p.min() < 0 or p.max() >= c:
         raise ValueError("labels out of range")
-    counts = np.bincount(t * c + p, minlength=c * c).reshape(c, c)
-    return ConfusionMatrix(counts)
+    return np.bincount(t * c + p, minlength=c * c).reshape(c, c)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -76,7 +57,7 @@ def evaluate(true_labels, predicted_labels, c: int) -> MetricsReport:
     F1 and MCC rather than propagating NaN.
     """
     cm = confusion_matrix(true_labels, predicted_labels, c)
-    counts = cm.counts.astype(np.float64)
+    counts = cm.astype(np.float64)
     total = counts.sum()
     tp = np.diag(counts)
     row = counts.sum(axis=1)  # true-class supports

@@ -14,9 +14,10 @@ downstream data classifier.
 pegasos_train(kset, lam, num_steps, batch_size, seed) runs one fit and
 returns an MklModel: the weights, their exact train hinge and the steps
 run. The fit iterates at the stack's dtype (float32 for a centered
-bank's store) and returns float64 weights. select_lambda and
-lambda_sweep_report read one list of per-lambda fits, each fit seeded
-with seed ^ (its grid index).
+bank's store) and returns float64 weights. train_grid fits every lambda
+of a grid on one 80/20 split of the K-examples, each fit seeded with
+seed ^ (its grid index); select_lambda picks from that list, and the
+experiment layer's lambda sweep reads it too.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _split_kset(kset: KExampleSet, seed: int):
     return kset.subset(perm[n_val:]), kset.subset(perm[:n_val])
 
 
-def _train_grid(kset, grid, seed, batch_size, num_steps):
+def train_grid(kset, grid, seed, batch_size, num_steps):
     """Fit one model per grid value on an 80/20 split of the K-examples.
 
     Returns (val_kset, fits): one (lam, model, val_hinge) per grid value, in
@@ -211,7 +212,7 @@ def select_lambda(
     """
     if grid is None:
         grid = default_lambda_grid()
-    _, fits = _train_grid(kset, grid, seed, batch_size, num_steps)
+    _, fits = train_grid(kset, grid, seed, batch_size, num_steps)
     records = [
         {
             "lambda": lam,
@@ -227,35 +228,3 @@ def select_lambda(
     if not fitted:
         raise MklError("every lambda in the grid failed")
     return min(fitted, key=lambda r: r["val_hinge"])["lambda"], records
-
-
-def lambda_sweep_report(
-    kset: KExampleSet,
-    grid,
-    evaluator,
-    seed: int = 0,
-    batch_size: int = 100,
-    num_steps: int = 1000,
-) -> list[dict]:
-    """Per-lambda diagnostics pairing K-space quality with downstream accuracy.
-
-    evaluator maps an MklModel to a downstream test accuracy (the cli wires
-    it to the full combine-and-classify stage). K-accuracy is sign agreement
-    of mu.z with t on the validation K-split (a zero score counts as +1).
-    """
-    val_k, fits = _train_grid(kset, grid, seed, batch_size, num_steps)
-    records = []
-    for lam, model, val_hinge in fits:
-        if model is None:
-            continue
-        pred = np.where(val_k.scores(model.mu) >= 0, 1, -1)
-        acc = evaluator(model)
-        records.append(
-            {
-                "lambda": lam,
-                "k_hinge": val_hinge,
-                "k_accuracy": float(np.mean(pred == val_k.t)),
-                "data_accuracy": None if acc is None else float(acc),
-            }
-        )
-    return records

@@ -42,35 +42,30 @@ _TAU = 1e-12  # curvature floor for the pair subproblem
 class SvmModel:
     """Dual solution of one binary problem.
 
-    alpha is dense length-n in [0, C]; support_indices are the positions
-    with alpha > 0. signed_labels are the +-1 training labels the duals
-    refer to. converged is False when the iteration cap was hit first.
-    kkt_gap is the maximal KKT violation at exit: the largest m = -y * G
-    over the up set minus the smallest over the low set, 0.0 when either
-    set is empty.
+    alpha is dense length-n in [0, C]. signed_labels are the +-1 training
+    labels the duals refer to. converged is False when the iteration cap
+    was hit first. kkt_gap is the maximal KKT violation at exit: the
+    largest m = -y * G over the up set minus the smallest over the low
+    set, 0.0 when either set is empty.
     """
 
     alpha: np.ndarray
     bias: float
     signed_labels: np.ndarray
-    support_indices: np.ndarray
     C: float
     converged: bool = True
     iterations: int = 0
     kkt_gap: float = 0.0
 
-    def to_dict(self, instance_ids=None) -> dict:
-        sup = self.support_indices
-        out = {
-            "alpha": [[int(i), float(self.alpha[i])] for i in sup],
+    def to_dict(self) -> dict:
+        """alpha as [row, value] pairs of its support vectors (alpha > 0)."""
+        return {
+            "alpha": [[int(i), float(self.alpha[i])] for i in np.flatnonzero(self.alpha > 0)],
             "bias": float(self.bias),
             "C": float(self.C),
             "signed_labels": [int(v) for v in self.signed_labels],
             "converged": bool(self.converged),
         }
-        if instance_ids is not None:
-            out["instance_ids"] = list(instance_ids)
-        return out
 
 
 def smo_train(
@@ -249,7 +244,6 @@ def smo_train(
         alpha=alpha,
         bias=bias,
         signed_labels=y.astype(np.int64),
-        support_indices=np.flatnonzero(alpha > 0),
         C=C,
         converged=converged,
         iterations=it,
@@ -279,7 +273,6 @@ class OvrModel:
     """One binary SVM per class; prediction is argmax of decision values."""
 
     models: list[SvmModel]
-    n_classes: int
 
     def decision_matrix(self, cross) -> np.ndarray:
         return np.column_stack([decision_values(mdl, cross) for mdl in self.models])
@@ -288,13 +281,10 @@ class OvrModel:
         # np.argmax takes the first maximum: ties go to the lower class id
         return self.decision_matrix(cross).argmax(axis=1)
 
-    def to_dict(self, instance_ids=None) -> dict:
+    def to_dict(self) -> dict:
         return {
-            "n_classes": self.n_classes,
-            "models": [
-                {"class_id": k, **mdl.to_dict(instance_ids)}
-                for k, mdl in enumerate(self.models)
-            ],
+            "n_classes": len(self.models),
+            "models": [{"class_id": k, **mdl.to_dict()} for k, mdl in enumerate(self.models)],
         }
 
 
@@ -323,7 +313,7 @@ def ovr_train(
         else:
             seed = None if alpha0 is None else alpha0[k]
         models.append(smo_train(gram, yk, C, jitter=jitter, alpha0=seed))
-    return OvrModel(models=models, n_classes=c)
+    return OvrModel(models)
 
 
 def select_C(

@@ -34,7 +34,6 @@ def make_blobs(n_per_class=20, d=5, gap=2.0, seed=0, n_classes=2) -> Dataset:
         instances=X,
         labels=np.array(labels),
         class_names=tuple(f"c{c}" for c in range(n_classes)),
-        instance_ids=tuple(str(i) for i in range(X.shape[0])),
     )
 
 

@@ -101,6 +101,15 @@ class TestLearn:
         assert "feature column" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_best_kernel_with_fewer_rows_than_folds_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "three.csv"
+        data.write_text("f,label\n0.0,a\n1.0,b\n2.0,a\n")
+        out = tmp_path / "w.json"
+        code = main(["learn", "--data", str(data), "--method", "best-kernel", "--out", str(out)])
+        assert code == 1
+        assert "4-fold CV exceeds the 3 rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_rejected_by_parser(self, tmp_path, toy_csv):
         code = main(
             ["learn", "--data", toy_csv, "--method", "boosting", "--out", "w.json"]
@@ -332,6 +341,16 @@ class TestExperimentRun:
         cfg = write_config(tmp_path, toy_csv, dataset={"path": str(data)})
         assert main(command + ["--config", cfg]) == 1
         assert "feature column" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
+    def test_one_row_class_exits_one(self, tmp_path, toy_csv, capsys, command):
+        # a stratified split cannot divide a class of one row
+        data = tmp_path / "one-b.csv"
+        data.write_text("f,label\n0.0,a\n1.0,a\n2.0,a\n3.0,a\n4.0,b\n")
+        cfg = write_config(tmp_path, toy_csv, dataset={"path": str(data)})
+        assert main(command + ["--config", cfg]) == 1
+        assert "needs >= 2 members per class" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_two(self, tmp_path, toy_csv, capsys):

@@ -60,6 +60,11 @@ class TestCsvLoading:
         with pytest.raises(DatasetError, match="one class"):
             load_dataset(path)
 
+    def test_one_row_rejected(self, tmp_path):
+        path = write(tmp_path, "one.csv", "f,label\n1,x\n")
+        with pytest.raises(DatasetError, match="at least 2 instances"):
+            load_dataset(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "blank.csv", "f,label\n1,x\n\n2,y\n\n")
         assert load_dataset(path).n == 2
@@ -82,6 +87,11 @@ class TestSparseLoading:
         assert ds.d == 3
         np.testing.assert_allclose(ds.instances, [[0.5, 0, 2.0], [0, 1.0, 0]])
         assert ds.class_names == ("pos", "neg")
+
+    def test_one_row_rejected(self, tmp_path):
+        path = write(tmp_path, "one.svm", "a 1:1.0\n")
+        with pytest.raises(DatasetError, match="at least 2 instances"):
+            load_dataset(path, format="sparse_svm")
 
     def test_indices_are_one_based(self, tmp_path):
         path = write(tmp_path, "zero.svm", "a 0:1.0\nb 1:1.0\n")
@@ -113,17 +123,17 @@ class TestSparseLoading:
 class TestDatasetValidation:
     def test_nan_rejected(self):
         with pytest.raises(DatasetError, match="finite"):
-            Dataset(np.array([[1.0], [np.nan]]), [0, 1], ("a", "b"), ("0", "1"))
+            Dataset(np.array([[1.0], [np.nan]]), [0, 1], ("a", "b"))
 
     def test_all_classes_must_appear(self):
         with pytest.raises(DatasetError, match="no instances"):
-            Dataset(np.ones((2, 1)), [0, 0], ("a", "b"), ("0", "1"))
+            Dataset(np.ones((2, 1)), [0, 0], ("a", "b"))
 
     def test_subset_keeps_encoding(self, toy_dataset):
         sub = toy_dataset.subset([0, 1, 25])
         assert sub.class_names == toy_dataset.class_names
         np.testing.assert_array_equal(sub.labels, toy_dataset.labels[[0, 1, 25]])
-        assert sub.instance_ids == ("0", "1", "25")
+        np.testing.assert_array_equal(sub.instances, toy_dataset.instances[[0, 1, 25]])
 
 
 class TestHoldoutSplit:
@@ -226,4 +236,4 @@ def make_unbalanced(n0: int, n1: int) -> Dataset:
     rng = np.random.default_rng(42)
     X = rng.normal(0, 1, (n0 + n1, 3))
     y = np.array([0] * n0 + [1] * n1)
-    return Dataset(X, y, ("a", "b"), tuple(str(i) for i in range(n0 + n1)))
+    return Dataset(X, y, ("a", "b"))

@@ -468,3 +468,43 @@ class TestLambdaSweep:
         assert sweep["split"]["n_train"] + sweep["split"]["n_test"] == 32
         # at least one model must have produced a downstream accuracy
         assert any(rec["data_accuracy"] is not None for rec in sweep["records"])
+
+    def test_singleton_grid_reports_the_svm_stage_accuracy(self, toy_csv, monkeypatch):
+        # a stub SVM stage that predicts classes 0, 1, 0, 1, ... for the test rows
+        class Alternating:
+            def predict(self, cross):
+                return np.arange(cross.shape[0]) % 2
+
+        monkeypatch.setattr(experiment, "_fit_svm", lambda *args: (1.0, [], Alternating(), False))
+        cfg = fast_config(toy_csv, method="tsmkl", n_splits=1, lambda_grid=[0.5])
+        records = run_lambda_sweep(cfg)["records"]
+        assert len(records) == 1
+        assert set(records[0]) == {"lambda", "k_hinge", "k_accuracy", "data_accuracy"}
+        dataset = load_dataset(toy_csv)
+        plan = holdout_split(dataset, cfg.train_fraction, cfg.base_seed)
+        test_y = dataset.labels[plan.test_indices]
+        want = float(np.mean(test_y == np.arange(len(test_y)) % 2))
+        assert want != 0.5  # so swapped labels would score differently
+        assert records[0]["data_accuracy"] == want
+
+    def test_diverging_lambda_drops_its_record(self, toy_csv, caplog):
+        # lambda * k * B underflows in the float32 step, so 1e-300 diverges at step 1
+        cfg = fast_config(toy_csv, method="tsmkl", n_splits=1, lambda_grid=[1.0, 0.0625, 1e-300])
+        with caplog.at_level("WARNING", logger="kweave.mkl"):
+            records = run_lambda_sweep(cfg)["records"]
+        assert [r["lambda"] for r in records] == [1.0, 0.0625]
+        assert any("lambda=1e-300 failed" in r.getMessage() for r in caplog.records)
+
+    def test_svm_stage_failure_leaves_accuracy_none(self, toy_csv, monkeypatch, caplog):
+        def broken(*args):
+            raise ValueError("broken SVM stage")
+
+        monkeypatch.setattr(experiment, "_fit_svm", broken)
+        cfg = fast_config(toy_csv, method="tsmkl", n_splits=1)
+        with caplog.at_level("WARNING", logger="kweave.experiment"):
+            records = run_lambda_sweep(cfg)["records"]
+        assert [r["lambda"] for r in records] == cfg.lambda_grid
+        assert all(r["data_accuracy"] is None for r in records)
+        assert all(r["k_hinge"] is not None for r in records)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert any("broken SVM stage" in m for m in warnings)

@@ -19,7 +19,6 @@ from kweave.mkl import (
     MklModel,
     default_lambda_grid,
     hinge_loss,
-    lambda_sweep_report,
     pegasos_train,
     select_lambda,
 )
@@ -491,30 +490,6 @@ class TestSelectLambdaReference:
             for key in ("val_hinge", "final_train_hinge"):
                 assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12)
             assert got["objective"] == pytest.approx(ref["objective"], rel=1e-12, abs=1e-12)
-
-
-class TestSweepReport:
-    def test_singleton_grid_single_record(self):
-        records = lambda_sweep_report(
-            separable_kset(), [0.5], evaluator=lambda model: 0.9, seed=0, num_steps=100
-        )
-        assert len(records) == 1
-        rec = records[0]
-        assert set(rec) == {"lambda", "k_hinge", "k_accuracy", "data_accuracy"}
-        assert rec["data_accuracy"] == 0.9
-
-    def test_failures_shrink_record_count(self):
-        records = lambda_sweep_report(
-            separable_kset(scale=1e9), [1.0, 0.1, 1e-300],
-            evaluator=lambda m: 1.0, seed=0, num_steps=100,
-        )
-        assert len(records) == 2
-
-    def test_none_accuracy_passthrough(self):
-        records = lambda_sweep_report(
-            separable_kset(), [0.5], evaluator=lambda m: None, seed=0, num_steps=50
-        )
-        assert records[0]["data_accuracy"] is None
 
 
 class TestModelSerialization:

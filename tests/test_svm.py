@@ -429,7 +429,6 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None, jitter=0.0):
         alpha=alpha,
         bias=bias,
         signed_labels=y.astype(np.int64),
-        support_indices=np.flatnonzero(alpha > 0),
         C=C,
         converged=converged,
         iterations=it,
@@ -463,7 +462,6 @@ def assert_same_model(got, ref):
     assert repr(got.bias) == repr(ref.bias)
     assert got.iterations == ref.iterations
     assert got.converged == ref.converged
-    np.testing.assert_array_equal(got.support_indices, ref.support_indices)
 
 
 def assert_same_trajectory(fit, ref):
@@ -595,7 +593,6 @@ class TestDecisionValues:
             alpha=np.zeros(3),
             bias=0.7,
             signed_labels=np.array([1, -1, 1]),
-            support_indices=np.array([], dtype=np.int64),
             C=1.0,
         )
         np.testing.assert_array_equal(decision_values(mdl, np.eye(3)), [0.7] * 3)
@@ -631,10 +628,9 @@ class TestOvr:
             alpha=np.zeros(2),
             bias=0.3,
             signed_labels=np.array([1, -1]),
-            support_indices=np.array([], dtype=np.int64),
             C=1.0,
         )
-        ovr = OvrModel(models=[flat, flat], n_classes=2)
+        ovr = OvrModel(models=[flat, flat])
         np.testing.assert_array_equal(ovr.predict(np.eye(2)), [0, 0])
 
     def test_absent_class_raises(self):
@@ -646,8 +642,8 @@ class TestOvr:
     def test_to_dict_sparse_alpha(self):
         K, y = three_blob_gram(n_per=4)
         ovr = ovr_train(K, y, 1.0)
-        d = ovr.to_dict(instance_ids=[str(i) for i in range(len(y))])
-        assert d["n_classes"] == 3
+        d = ovr.to_dict()
+        assert d["n_classes"] == len(ovr.models) == 3
         assert [m["class_id"] for m in d["models"]] == [0, 1, 2]
         for m, mdl in zip(d["models"], ovr.models):
             dense = np.zeros(len(y))
@@ -655,7 +651,6 @@ class TestOvr:
                 dense[idx] = val
             np.testing.assert_array_equal(dense, mdl.alpha)
             assert m["bias"] == mdl.bias
-            assert m["instance_ids"] == [str(i) for i in range(len(y))]
 
 
 def overlapping_gram(seed=7, n=40):
@@ -712,10 +707,8 @@ class TestBinaryMirror:
             assert_same_model(m1, cold[1])
         d0, d1 = decision_values(m0, K), decision_values(m1, K)
         np.testing.assert_allclose(d1, -d0, rtol=0.0, atol=1e-12)
-        seeded = OvrModel(models=[m0, m1], n_classes=2)
-        np.testing.assert_array_equal(
-            seeded.predict(K), OvrModel(models=cold, n_classes=2).predict(K)
-        )
+        seeded = OvrModel(models=[m0, m1])
+        np.testing.assert_array_equal(seeded.predict(K), OvrModel(models=cold).predict(K))
 
     def test_capped_class_zero_leaves_class_one_cold(self, monkeypatch):
         K, labels = overlapping_gram()
