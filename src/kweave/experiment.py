@@ -35,6 +35,7 @@ from .kernels import (
     combine,
     combine_cross,
     compute_cross_gram,
+    scope_products,
 )
 from .kspace import balance, make_kexamples
 from .util import derive_seed
@@ -175,13 +176,13 @@ def cross_blocks(scaler: FeatureScaler, scaled_train, bank, test_X):
     """Test x train cross Grams, centered with the train-side statistics.
 
     The test rows are scaled now; the blocks are evaluated lazily, one per
-    kept kernel in bank order, so combine_cross can sum them holding one at
-    a time.
+    kept kernel in bank order and from products shared per feature scope,
+    so combine_cross can sum them holding one at a time.
     """
     Xt = scaler.apply(test_X)
     return (
-        center_standardize_apply(compute_cross_gram(spec, Xt, scaled_train), stats)
-        for spec, stats in zip(bank.specs, bank.stats)
+        center_standardize_apply(compute_cross_gram(spec, Xt, scaled_train, prods), stats)
+        for (spec, *prods), stats in zip(scope_products(bank.specs, Xt, scaled_train), bank.stats)
     )
 
 

@@ -2,26 +2,26 @@
 
 build_kernel_bank checks the features and pairs them with a recipe's
 specs in a RawBank; it evaluates nothing. center_bank then takes one spec
-at a time: it evaluates the raw Gram k(x_i, x_j), double-centers it (zero
-feature-space mean), scales it to trace/n = 1 (unit average feature-space
-variance), keeps its upper triangle as one column of the KernelBank's
-pair-major matrix Z and drops the Gram. Z has shape (n(n+1)/2, p): row r
-holds the p kernel values of the r-th pair (i <= j) of pair_indices(n).
-It is the centered bank's only train-side store, float32 (n(n+1)/2 * p * 4
-bytes), owned by the bank; the K-space reads it in place. Evaluation,
-centering and its statistics run in float64 and only the store rounds, so
-the train Gram is the float32 rounding of the centered kernel: stage one's
-solver error (relative duality gap near 1e-2) dwarfs that rounding (6e-8),
-and its gathers are bandwidth bound. gram(l) and combine upcast to float64.
-No more than one raw Gram is alive at a time, beside the X @ X.T and
-squared distances its feature scope shares, so the train-side peak is Z
-plus a few (n, n) temporaries. Dense (n, n) Grams are rebuilt from Z only
-by combine and the best_kernel baseline (one kernel at a time); target
-alignment reads Z directly, in float64-upcast row blocks.
+at a time: it evaluates the raw Gram K, centers it in feature space and
+scales it to trace/n = 1 with one formula, C = (K - (r_i + r_j) + g) / s
+(r the row means, g = mean(r), s = mean(diag K - 2r) + g), keeps its upper
+triangle as one column of the KernelBank's pair-major matrix Z and drops
+the Gram. Z has shape (n(n+1)/2, p): row r holds the p kernel values of
+the r-th pair (i <= j) of pair_indices(n). It is the centered bank's only
+train-side store, float32 (n(n+1)/2 * p * 4 bytes), owned by the bank; the
+K-space reads it in place. Evaluation, centering and its statistics run in
+float64 and only the store rounds: stage one's solver error (relative
+duality gap near 1e-2) dwarfs that rounding (6e-8), and its gathers are
+bandwidth bound. gram(l) and combine upcast to float64. Each feature
+scope's products (X @ X.T, squared distances) are computed once and shared
+by its kernels, on the train side and for the test x train cross blocks;
+one raw Gram is alive at a time, so the train-side peak is Z plus a few
+(n, n) arrays. Dense Grams are rebuilt from Z only by combine and the
+best_kernel baseline (one kernel at a time); target alignment reads Z
+directly, in float64-upcast row blocks.
 
-Centering statistics are recorded at fit time on the training Gram and are
-reused to transform test-vs-train cross blocks consistently; the cross
-blocks stay float64.
+The statistics (r, g, s) recorded on the training Gram center the cross
+blocks consistently; the cross blocks stay float64.
 """
 
 from __future__ import annotations
@@ -118,25 +118,16 @@ class RawBank:
 
     @property
     def grams(self):
-        """The raw (n, n) Grams in spec order, evaluated one at a time.
-
-        Each feature scope's X @ X.T, and its squared distances when a
-        Gaussian needs them, are computed once and shared by the scope's
-        run of consecutive specs; every Gram equals compute_gram's. A
-        linear Gram is the shared X @ X.T itself, so it must not be
-        modified.
-        """
-        scope, dots, sq = object(), None, None
-        for spec in self.specs:
+        """The raw (n, n) Grams in spec order, evaluated one at a time: each
+        equals compute_gram's, symmetrized as (G + G^T)/2 only when its scope's
+        shared X @ X.T (see scope_products) is not exactly symmetric. A linear
+        Gram is that X @ X.T itself, so it must not be modified."""
+        X, scope = self.features, object()
+        for spec, dots, sq in scope_products(self.specs, X, X):
             if spec.feature_index != scope:
-                X = _scoped(self.features, spec)
-                scope, dots, sq = spec.feature_index, X @ X.T, None
-            if spec.family == "gaussian" and sq is None:
-                sq = _sq_dists(X, X, dots)
+                scope, symmetric = spec.feature_index, np.array_equal(dots, dots.T)
             V = _from_products(spec, dots, sq)
-            if spec.family == "gaussian":
-                np.fill_diagonal(V, 1.0)  # zero self-distance, exact
-            yield V
+            yield V if symmetric else (V + V.T) / 2.0
 
 
 @dataclass
@@ -201,52 +192,56 @@ def _scoped(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return X[:, spec.feature_index : spec.feature_index + 1]
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray, dots: np.ndarray) -> np.ndarray:
-    """||a_i - b_j||^2 from dots = A @ B.T, clipped at 0."""
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * dots
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+def scope_products(specs, A, B):
+    """Yield (spec, A @ B.T, ||a_i - b_j||^2 or None) per spec, in order.
+
+    Both are on the spec's feature scope, computed once per run of specs on
+    one scope (the distances, clipped at 0, only if a Gaussian needs them).
+    With B A itself, their diagonal is exactly 0, a Gaussian's exactly 1.
+    """
+    scope, dots, sq = object(), None, None
+    for spec in specs:
+        if spec.feature_index != scope:
+            dots = sq = None  # free the last scope's products first
+            a, b = _scoped(A, spec), _scoped(B, spec)
+            scope, dots = spec.feature_index, a @ b.T
+        if spec.family == "gaussian" and sq is None:
+            sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+            sq -= 2.0 * dots
+            np.maximum(sq, 0.0, out=sq)
+            if A is B:
+                np.fill_diagonal(sq, 0.0)
+        yield spec, dots, sq
 
 
 def _from_products(spec: KernelSpec, dots: np.ndarray, sq) -> np.ndarray:
-    """k(a_i, b_j) from dots = A @ B.T and, for a Gaussian, sq = _sq_dists(A, B, dots).
-
-    A linear kernel returns dots itself; every other family a new array.
-    """
+    """k(a_i, b_j) from the products scope_products yields: dots itself for a
+    linear kernel, one new array for every other family."""
     if spec.family == "linear":
         V = dots
     elif spec.family == "polynomial":
-        V = (dots + spec.offset) ** spec.degree
+        V = dots + spec.offset
+        V **= spec.degree
     else:  # gaussian
-        V = np.exp(-spec.gamma * sq)
+        V = np.multiply(sq, -spec.gamma)
+        np.exp(V, out=V)
     if not np.all(np.isfinite(V)):
         raise KernelError(f"kernel {spec.label()} produced non-finite values")
     return V
 
 
-def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Evaluate k(a_i, b_j) for all rows; A is (m, d), B is (n, d)."""
-    dots = A @ B.T
-    sq = _sq_dists(A, B, dots) if spec.family == "gaussian" else None
-    return _from_products(spec, dots, sq)
-
-
 def compute_gram(spec: KernelSpec, train_features: np.ndarray) -> np.ndarray:
     """Raw Gram of one base kernel over the training instances."""
-    X = _scoped(train_features, spec)
-    if not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(_scoped(train_features, spec))):
         raise KernelError("non-finite feature values")
-    V = _kernel_block(spec, X, X)
-    if spec.family == "gaussian":
-        np.fill_diagonal(V, 1.0)  # zero self-distance, exact
-    return V
+    return compute_cross_gram(spec, train_features, train_features)
 
 
-def compute_cross_gram(
-    spec: KernelSpec, test_features: np.ndarray, train_features: np.ndarray
-) -> np.ndarray:
-    """Raw test x train kernel block for one base kernel."""
-    return _kernel_block(spec, _scoped(test_features, spec), _scoped(train_features, spec))
+def compute_cross_gram(spec, test_features, train_features, products=None) -> np.ndarray:
+    """Raw test x train block of one base kernel, from scope_products' products if given."""
+    if products is None:
+        _, *products = next(scope_products([spec], test_features, train_features))
+    return _from_products(spec, *products)
 
 
 def bank_specs(d: int, recipe: str) -> list[KernelSpec]:
@@ -292,35 +287,35 @@ def build_kernel_bank(features: np.ndarray, recipe: str) -> RawBank:
 # centering / standardization
 
 
-def center_standardize_fit(gram: np.ndarray) -> tuple[np.ndarray, CenterStats]:
-    """Double-center a raw Gram and scale it to trace/n = 1.
-
-    K is first symmetrized as (K + K^T)/2; then K_c = H K H with
-    H = I - 11^T/n, and K_c / s with s = trace(K_c)/n, symmetrized again.
-    Returns that dense Gram and the raw row means, grand mean and s for
-    test-side reuse. Raises DegenerateKernelError when the centered kernel
-    vanishes (constant feature map); callers drop such kernels from the bank.
-    """
-    K = np.asarray(gram, dtype=np.float64)
-    # the same operations in the same order as ((K + K^T)/2 - rm - rm^T + gm) / s,
-    # done in place on one new array, so at most two (n, n) temporaries are alive
-    Kc = K + K.T
-    Kc /= 2.0
-    n = Kc.shape[0]
-    rm = Kc.mean(axis=1)
-    gm = float(Kc.mean())
-    Kc -= rm[:, None]
-    Kc -= rm[None, :]
-    Kc += gm
-    s = float(np.trace(Kc)) / n
+def _center(K: np.ndarray) -> tuple[np.ndarray, CenterStats]:
+    """K - (r_i + r_j) + g, unscaled, and (r, g, s) of an exactly symmetric K."""
+    rm = K.mean(axis=1)
+    gm = float(rm.mean())
+    s = float(np.mean(K.diagonal() - 2.0 * rm)) + gm
     if s <= 1e-12:
         raise DegenerateKernelError(
             f"degenerate kernel: centered trace/n = {s:g} (constant feature map)"
         )
-    Kc /= s
-    out = Kc + Kc.T
-    out /= 2.0
-    return out, CenterStats(row_means=rm, grand_mean=gm, scale=s)
+    C = np.add(rm[:, None], rm)
+    np.subtract(K, C, out=C)
+    C += gm
+    return C, CenterStats(row_means=rm, grand_mean=gm, scale=s)
+
+
+def center_standardize_fit(gram: np.ndarray) -> tuple[np.ndarray, CenterStats]:
+    """Double-center a raw Gram and scale it to trace/n = 1, in one formula.
+
+    C = (K - (r_i + r_j) + g) / s, with K the Gram symmetrized as
+    (K + K^T)/2, r its row means, g = mean(r) and s = mean(diag K - 2r) + g
+    = trace(H K H)/n (H = I - 11^T/n). r_i + r_j commutes, so C is exactly
+    symmetric. Returns C and (r, g, s) for test-side reuse. Raises
+    DegenerateKernelError when the centered kernel vanishes (constant
+    feature map); callers drop such kernels from the bank.
+    """
+    K = np.asarray(gram, dtype=np.float64)
+    C, stats = _center((K + K.T) / 2.0)
+    C /= stats.scale
+    return C, stats
 
 
 def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.ndarray:
@@ -333,19 +328,23 @@ def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.nd
         raise KernelError(
             f"cross block has {V.shape[1]} train columns, stats expect {stats.row_means.shape[0]}"
         )
-    test_means = V.mean(axis=1)
-    return (V - test_means[:, None] - stats.row_means[None, :] + stats.grand_mean) / stats.scale
+    out = V - V.mean(axis=1)[:, None]  # the one new array, centered in place
+    out -= stats.row_means
+    out += stats.grand_mean
+    out /= stats.scale
+    return out
 
 
 def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
     """Evaluate and center/standardize each raw Gram into one pair-major store,
     dropping degenerates.
 
-    One Gram is alive at a time. It is centered in float64, its upper
-    triangle is taken with one flat-index take into a float64 row buffer,
-    and that row is rounded into a row of a float32 (_STAGE_ROWS, n(n+1)/2)
-    staging block; a full block is copied into Z's columns at once, so Z is
-    never written one strided column at a time.
+    One Gram is alive at a time, evaluated and centered in float64 with
+    center_standardize_fit's formula and bits (grams has symmetrized it if
+    need be). Its upper triangle is taken into a float64 row buffer and
+    divided by s straight into a row of a float32 (_STAGE_ROWS, n(n+1)/2)
+    staging block, which rounds it; a full block is copied into Z's columns
+    at once, never one strided column at a time.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
@@ -361,7 +360,7 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
     specs, stats, dropped = [], [], []
     for i, (spec, raw) in enumerate(zip(bank.specs, bank.grams)):
         try:
-            centered, st = center_standardize_fit(raw)
+            centered, st = _center(raw)
         except DegenerateKernelError as exc:
             # log the message only: a kept record must not pin the traceback's Grams
             logger.warning("dropping kernel %d (%s): %s", i, spec.label(), str(exc))
@@ -371,7 +370,7 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
         # take straight into the float32 stage would first copy the row's stale
         # bits to a float64 temporary, which can warn on NaN patterns.
         np.take(centered, flat, out=tri, mode="clip")
-        stage[len(specs) % rows] = tri  # rounds to float32
+        np.divide(tri, st.scale, out=stage[len(specs) % rows])  # rounds to float32
         del raw, centered  # free this Gram before the next one is evaluated
         specs.append(spec)
         stats.append(st)

@@ -68,8 +68,9 @@ class MklModel:
 # a (num_steps, B) index array.
 DRAW_BLOCK = 1024
 
-# Share of the K-examples held out to pick lambda by validation hinge.
-VAL_FRACTION = 0.2
+# Share of the K-examples held out to pick lambda by validation hinge, and
+# the fewest K-examples that leave both sides of that split non-empty.
+VAL_FRACTION, MIN_KEXAMPLES = 0.2, 5
 
 
 def hinge_loss(mu: np.ndarray, kset: KExampleSet) -> float:
@@ -90,9 +91,9 @@ def pegasos_train(
     the k-th iterate of any longer fit with the same seed, since the batch
     draws do not depend on num_steps (see DRAW_BLOCK).
 
-    mu and the step buffers have the stack's dtype and the step's scalars
-    are cast to it, so every step runs at that width under any numpy
-    promotion rules; the returned mu is float64.
+    mu, the step buffers and labels have the stack's dtype and the step's
+    scalars are cast to it, so every step runs at that width under any
+    numpy promotion rules; the returned mu is float64.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam}")
@@ -119,20 +120,21 @@ def pegasos_train(
         for first in range(1, num_steps + 1, DRAW_BLOCK):
             steps = min(DRAW_BLOCK, num_steps + 1 - first)
             block = rng.integers(0, len(kset), size=(steps, batch_size))
-            for k, positions in enumerate(block, first):
+            labels = kset.t[block].astype(dt)
+            for k, (positions, t) in enumerate(zip(block, labels), first):
                 batch = sample_batch(kset, positions, zbuf)
                 np.dot(batch.z, mu, out=s)
-                s *= batch.t
+                s *= t
                 np.less(s, 1.0, out=viol)
                 # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z;
                 # the mask zeroes the sum when no row violates
                 mu *= dt(1.0 - 1.0 / k)
-                np.multiply(batch.t, viol, out=w)
+                np.multiply(t, viol, out=w)
                 np.dot(w, batch.z, out=g)
                 g /= dt(lam * k * batch_size)
                 mu += g
                 np.maximum(mu, 0.0, out=mu)
-                if not np.isfinite(mu).all():
+                if not math.isfinite(mu.max()):  # mu >= 0, and max propagates NaN
                     raise DivergedError(k)
 
     mu = mu.astype(np.float64, copy=False)
@@ -164,7 +166,7 @@ def _validate_grid(grid) -> list[float]:
 
 
 def _split_kset(kset: KExampleSet, seed: int):
-    """(train, validation) subsets; at 5 or more K-examples neither is empty."""
+    """(train, validation) subsets; at MIN_KEXAMPLES or more neither is empty."""
     m = len(kset)
     n_val = int(math.floor(VAL_FRACTION * m + 0.5))
     perm = np.random.default_rng(seed).permutation(m)
@@ -179,8 +181,8 @@ def train_grid(kset, grid, seed, batch_size, num_steps):
     val_hinge are None where the solver failed (logged as a warning).
     """
     grid = _validate_grid(grid)
-    if len(kset) < 5:
-        raise ValueError(f"need at least 5 K-examples to select lambda, got {len(kset)}")
+    if len(kset) < MIN_KEXAMPLES:
+        raise ValueError(f"need at least {MIN_KEXAMPLES} K-examples, got {len(kset)}")
     train_k, val_k = _split_kset(kset, seed)
     fits = []
     for idx, lam in enumerate(grid):

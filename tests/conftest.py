@@ -78,15 +78,16 @@ def bank_of(grams) -> KernelBank:
 def dense_centering(raw) -> np.ndarray:
     """Reference centering of one raw Gram as a dense (n, n) array.
 
-    Symmetrize, double-center, scale to trace/n = 1, symmetrize: the
-    arithmetic center_bank applies, written out without the bank.
+    C = (K - (r_i + r_j) + g) / s with K symmetrized, r its row means,
+    g = mean(r) and s = mean(diag K - 2r) + g: the arithmetic center_bank
+    applies, written out without the bank.
     """
     K = np.asarray(raw, dtype=np.float64)
     K = (K + K.T) / 2.0
-    rm = K.mean(axis=1)
-    Kc = K - rm[:, None] - rm[None, :] + float(K.mean())
-    Kc = Kc / (float(np.trace(Kc)) / K.shape[0])
-    return (Kc + Kc.T) / 2.0
+    r = K.mean(axis=1)
+    g = float(r.mean())
+    s = float(np.mean(np.diag(K) - 2.0 * r)) + g
+    return (K - (r[:, None] + r[None, :]) + g) / s
 
 
 def alignment_grid_max(M, a, n_grid=200):

@@ -110,6 +110,16 @@ class TestLearn:
         assert "4-fold CV exceeds the 3 rows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tsmkl_with_too_few_kexamples_is_config_error(self, tmp_path, capsys):
+        # 3 rows (a, b, a): 4 same-class pairs and 2 others balance to 4 K-examples
+        data = tmp_path / "three.csv"
+        data.write_text("f,label\n1,a\n2,b\n3,a\n")
+        out = tmp_path / "w.json"
+        code = main(["learn", "--data", str(data), "--method", "tsmkl", "--out", str(out)])
+        assert code == 1
+        assert "needs 5 balanced K-examples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_rejected_by_parser(self, tmp_path, toy_csv):
         code = main(
             ["learn", "--data", toy_csv, "--method", "boosting", "--out", "w.json"]

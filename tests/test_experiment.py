@@ -25,7 +25,7 @@ from kweave.experiment import (
     run_lambda_sweep,
     strip_timing_fields,
 )
-from kweave.kernels import combine_cross
+from kweave.kernels import center_standardize_apply, combine_cross, compute_cross_gram
 
 from conftest import force_nonconvergence, make_blobs
 
@@ -197,6 +197,26 @@ class TestCrossStage:
         assert len(blocks) == bank.p and blocks[0].shape == (7, 20)
         streamed = combine_cross(cross_blocks(scaler, Xs, bank, Xt), mu)
         np.testing.assert_array_equal(streamed, combine_cross(blocks, mu))
+
+    @pytest.mark.parametrize(
+        "recipe,constant_column",
+        [("uci_full", None), ("uci_full_plus_per_feature", None), ("uci_full_plus_per_feature", 1)],
+    )
+    def test_shared_products_equal_per_kernel_blocks(self, recipe, constant_column):
+        # each feature scope's products are shared by its kernels; every block
+        # is still the per-kernel evaluation and centering, bit for bit
+        rng = np.random.default_rng(6)
+        X, X_test = rng.normal(0, 1, (25, 3)), rng.normal(0, 1, (8, 3))
+        if constant_column is not None:
+            X[:, constant_column] = 2.0
+        scaler, Xs, bank, dropped = prepare_train(X, recipe)
+        assert bool(dropped) == (constant_column is not None)
+        Xt = scaler.apply(X_test)
+        blocks = list(cross_blocks(scaler, Xs, bank, X_test))
+        assert len(blocks) == bank.p
+        for spec, stats, block in zip(bank.specs, bank.stats, blocks):
+            expected = center_standardize_apply(compute_cross_gram(spec, Xt, Xs), stats)
+            np.testing.assert_array_equal(block, expected, err_msg=spec.label())
 
     def test_peak_memory_is_a_few_blocks(self):
         scaler, Xs, bank, Xt = self.per_feature_split()

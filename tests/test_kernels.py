@@ -137,6 +137,16 @@ class TestCentering:
             c2, _ = center_standardize_fit(g * factor)
             np.testing.assert_allclose(c2, c1, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("skew", [0.0, 1e-3])
+    def test_centered_gram_is_exactly_symmetric(self, skew):
+        # r_i + r_j commutes, so C == C^T bit for bit, also for a raw Gram
+        # that is not symmetric (skew > 0) and is symmetrized first
+        g = compute_gram(KernelSpec("polynomial", degree=3, offset=1.0), self.X)
+        g = g + np.triu(np.full(g.shape, skew), 1)
+        assert np.array_equal(g, g.T) == (skew == 0.0)
+        c, _ = center_standardize_fit(g)
+        np.testing.assert_array_equal(c, c.T)
+
     def test_degenerate_kernel_raises(self):
         with pytest.raises(DegenerateKernelError):
             center_standardize_fit(np.ones((6, 6)))  # constant feature map
@@ -208,6 +218,46 @@ class TestPairMajorStore:
             assert G.dtype == np.float64
             np.testing.assert_array_equal(G, expected.astype(np.float64))
             np.testing.assert_array_equal(self.bank.Z[:, l], expected[ii, jj])
+
+    def test_symmetric_scope_gives_the_forced_symmetrization_bits(self, monkeypatch):
+        # every scope's X @ X.T here is exactly symmetric, so the (K + K^T)/2
+        # pass is skipped; forcing it changes no bit of Z or the statistics
+        checks = []
+
+        def never_equal(a, b):
+            checks.append(a.shape)
+            return False
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", never_equal)
+            forced, dropped = center_bank(build_kernel_bank(self.X, "uci_full_plus_per_feature"))
+        assert len(checks) == self.X.shape[1] + 1  # once per feature scope
+        assert forced.specs == self.bank.specs and dropped == self.dropped
+        np.testing.assert_array_equal(forced.Z, self.bank.Z)
+        for a, b in zip(forced.stats, self.bank.stats):
+            np.testing.assert_array_equal(a.row_means, b.row_means)
+            assert (a.grand_mean, a.scale) == (b.grand_mean, b.scale)
+
+    def test_asymmetric_scope_product_is_symmetrized(self, monkeypatch):
+        # a scope whose X @ X.T is not exactly symmetric has each Gram
+        # symmetrized before centering, as the dense reference does
+        real = kernels.scope_products
+
+        def skewed(specs, A, B):
+            last = skew = None
+            for spec, dots, sq in real(specs, A, B):
+                if dots is not last:
+                    last, skew = dots, dots + np.triu(np.full(dots.shape, 1e-3), 1)
+                yield spec, skew, sq
+
+        monkeypatch.setattr(kernels, "scope_products", skewed)
+        bank, _ = center_bank(build_kernel_bank(self.X, "uci_full"))
+        ii, jj = np.triu_indices(self.bank.n)
+        for l, (spec, dots, sq) in enumerate(skewed(bank.specs, self.X, self.X)):
+            raw = kernels._from_products(spec, dots, sq).copy()
+            assert spec.family == "gaussian" or not np.array_equal(raw, raw.T)
+            expected = dense_centering(raw).astype(np.float32)
+            np.testing.assert_array_equal(bank.Z[:, l], expected[ii, jj], err_msg=spec.label())
 
     def test_stats_are_the_raw_gram_statistics(self):
         for spec, stats in zip(self.bank.specs, self.bank.stats):
