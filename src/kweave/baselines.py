@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelBank, pair_indices
+from .kernels import KernelBank
 from .svm import DEFAULT_C_GRID, select_C
 
 logger = logging.getLogger(__name__)
@@ -72,7 +72,7 @@ def alignment_problem_from_bank(bank: KernelBank, train_labels) -> AlignmentProb
     labels = np.asarray(train_labels)
     if labels.shape != (bank.n,):
         raise ValueError("labels do not match bank dimension")
-    ii, jj = pair_indices(bank.n)
+    ii, jj = bank.pairs
     diag = ii == jj
     wt = np.where(labels[ii] == labels[jj], 2.0, -2.0)
     wt[diag] /= 2.0

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiment, metrics, mkl, svm
+from . import experiment, metrics, svm
 from .data import holdout_split, kfold_plan, load_dataset
 from .kernels import RECIPES, check_weights, combine
 
@@ -89,15 +89,13 @@ def cmd_learn(args) -> int:
             f"best-kernel's {config.svm_folds}-fold CV exceeds the {dataset.n} rows "
             f"of {args.data!r}"
         )
+    order = None
     if method == "tsmkl":
-        same = sum(c * (c + 1) // 2 for c in np.bincount(dataset.labels).tolist())  # same class
-        balanced = 2 * min(same, dataset.n * (dataset.n + 1) // 2 - same)
-        if balanced < mkl.MIN_KEXAMPLES:
-            raise ConfigError(
-                f"tsmkl needs {mkl.MIN_KEXAMPLES} balanced K-examples to select lambda; "
-                f"the {dataset.n} rows of {args.data!r} give {balanced}"
-            )
-    _, _, bank, dropped = experiment.prepare_train(dataset.instances, args.recipe)
+        try:
+            order = experiment.kspace_order(dataset.labels, args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"{args.data!r}: {exc}") from exc
+    _, _, bank, dropped = experiment.prepare_train(dataset.instances, args.recipe, order)
     mu, details = experiment.learn_weights(bank, dataset.labels, config, args.seed)
     payload = {
         "method": method,

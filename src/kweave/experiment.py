@@ -37,7 +37,7 @@ from .kernels import (
     compute_cross_gram,
     scope_products,
 )
-from .kspace import balance, make_kexamples
+from .kspace import balance, make_kexamples, plan_rows
 from .util import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -160,15 +160,29 @@ def _mkl_steps(config: ExperimentConfig, n_train: int) -> int:
     return 1000 if n_train < 1000 else 100000
 
 
-def prepare_train(train_X, recipe: str):
-    """Fit the scaler on the train rows, build the recipe's bank and center it.
+def kspace_order(train_y, seed: int) -> np.ndarray:
+    """tsmkl's bank row order (kspace.plan_rows) from a split's train labels and seed.
+
+    Raises ValueError, before any kernel is evaluated, below
+    mkl.MIN_KEXAMPLES balanced K-examples.
+    """
+    order, m = plan_rows(train_y, derive_seed(seed, _SEED_BALANCE), derive_seed(seed, _SEED_LAMBDA))
+    if m < mkl.MIN_KEXAMPLES:
+        raise ValueError(f"tsmkl needs {mkl.MIN_KEXAMPLES} balanced K-examples to select "
+                         f"lambda; {len(train_y)} train rows give {m}")
+    return order
+
+
+def prepare_train(train_X, recipe: str, order=None):
+    """Fit the scaler on the train rows, build the recipe's bank and center it
+    with its rows in the given order (None: natural pair order).
 
     Returns (scaler, scaled_train, centered bank, dropped kernel indices).
     The raw bank is not kept past centering.
     """
     scaler = FeatureScaler.fit(train_X)
     Xs = scaler.apply(train_X)
-    bank, dropped = center_bank(build_kernel_bank(Xs, recipe))
+    bank, dropped = center_bank(build_kernel_bank(Xs, recipe), order)
     return scaler, Xs, bank, dropped
 
 
@@ -186,22 +200,20 @@ def cross_blocks(scaler: FeatureScaler, scaled_train, bank, test_X):
     )
 
 
-def _balanced_kset(train_y, bank, seed: int):
-    return balance(make_kexamples(train_y, bank), derive_seed(seed, _SEED_BALANCE))
-
-
 def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
     """Learn the config's kernel weights on a centered train-side bank.
 
     Returns (mu, details). The bank must come from prepare_train on train
-    rows only; nothing here may see test rows.
+    rows only (for tsmkl, in kspace_order); nothing here may see test rows.
     """
     train_y = np.asarray(train_y, dtype=np.int64)
     details: dict = {}
 
     if config.method == "tsmkl":
+        if bank.order is None:
+            raise ValueError("tsmkl reads a bank stored in kspace_order's row order")
         steps = _mkl_steps(config, len(train_y))
-        bal = _balanced_kset(train_y, bank, seed)
+        bal = balance(make_kexamples(train_y, bank))
         lam, lam_records = mkl.select_lambda(
             bal,
             grid=config.lambda_grid,
@@ -292,7 +304,8 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> 
             record["n_train"], record["n_test"] = train.n, test.n
 
         with clock.stage("kernel_learning"):
-            scaler, Xs, bank, dropped = prepare_train(train.instances, config.kernel_recipe)
+            order = kspace_order(train.labels, seed) if config.method == "tsmkl" else None
+            scaler, Xs, bank, dropped = prepare_train(train.instances, config.kernel_recipe, order)
             mu, details = learn_weights(bank, train.labels, config, seed)
         record["mu"] = [float(v) for v in mu]
         record["mu_summary"] = _mu_summary(mu)
@@ -420,9 +433,11 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
         dataset = load_dataset(config.dataset_path, config.dataset_format)
     seed = config.base_seed
     train, test = _holdout(dataset, config, seed)
-    scaler, Xs, bank, _ = prepare_train(train.instances, config.kernel_recipe)
+    scaler, Xs, bank, _ = prepare_train(
+        train.instances, config.kernel_recipe, kspace_order(train.labels, seed)
+    )
     crosses = list(cross_blocks(scaler, Xs, bank, test.instances))  # reused per lambda
-    bal = _balanced_kset(train.labels, bank, seed)
+    bal = balance(make_kexamples(train.labels, bank))
 
     grid = config.lambda_grid if config.lambda_grid is not None else mkl.default_lambda_grid()
     val_k, fits = mkl.train_grid(

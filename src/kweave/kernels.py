@@ -4,24 +4,23 @@ build_kernel_bank checks the features and pairs them with a recipe's
 specs in a RawBank; it evaluates nothing. center_bank then takes one spec
 at a time: it evaluates the raw Gram K, centers it in feature space and
 scales it to trace/n = 1 with one formula, C = (K - (r_i + r_j) + g) / s
-(r the row means, g = mean(r), s = mean(diag K - 2r) + g), keeps its upper
+(r the row means, g = mean(r), s = mean(diag K - 2r) + g), writes its upper
 triangle as one column of the KernelBank's pair-major matrix Z and drops
 the Gram. Z has shape (n(n+1)/2, p): row r holds the p kernel values of
-the r-th pair (i <= j) of pair_indices(n). It is the centered bank's only
-train-side store, float32 (n(n+1)/2 * p * 4 bytes), owned by the bank; the
-K-space reads it in place. Evaluation, centering and its statistics run in
-float64 and only the store rounds: stage one's solver error (relative
-duality gap near 1e-2) dwarfs that rounding (6e-8), and its gathers are
-bandwidth bound. gram(l) and combine upcast to float64. Each feature
-scope's products (X @ X.T, squared distances) are computed once and shared
-by its kernels, on the train side and for the test x train cross blocks;
-one raw Gram is alive at a time, so the train-side peak is Z plus a few
-(n, n) arrays. Dense Grams are rebuilt from Z only by combine and the
-best_kernel baseline (one kernel at a time); target alignment reads Z
-directly, in float64-upcast row blocks.
-
-The statistics (r, g, s) recorded on the training Gram center the cross
-blocks consistently; the cross blocks stay float64.
+the r-th pair (i <= j) of bank.pairs, in pair_indices(n) order or, for
+tsmkl, in stage one's planned order (kspace.plan_rows), read in slices.
+Z is the centered bank's only train-side store, float32, owned by the
+bank; the K-space reads it in place. Evaluation, centering and its
+statistics run in float64 and only the store rounds: stage one's solver
+error (relative duality gap near 1e-2) dwarfs that rounding (6e-8), and its
+batch reads are bandwidth bound. gram(l) and combine upcast to float64.
+Each feature scope's products (X @ X.T, squared distances) are computed
+once and shared by its kernels, on the train side and for the test x train
+cross blocks; one raw Gram is alive at a time, so the train-side peak is Z
+plus a few (n, n) arrays. Dense Grams are rebuilt from Z only by combine
+and the best_kernel baseline (one kernel at a time); target alignment reads
+Z directly, in float64-upcast row blocks. The statistics (r, g, s) recorded
+on the training Gram center the float64 cross blocks consistently.
 """
 
 from __future__ import annotations
@@ -134,14 +133,16 @@ class RawBank:
 class KernelBank:
     """Centered bank: p kernels over one instance ordering, stored pair-major.
 
-    Z[r, l] is centered kernel l at the r-th pair (i <= j) of
-    pair_indices(n), and stats[l] holds kernel l's centering statistics.
+    Z[r, l] is centered kernel l at the r-th pair (i <= j) of pairs: of
+    pair_indices(n), permuted by order unless it is None. stats[l] holds
+    kernel l's centering statistics.
     """
 
     specs: list[KernelSpec]
     Z: np.ndarray
     n: int
     stats: list[CenterStats]
+    order: np.ndarray | None = None
 
     def __post_init__(self):
         p = len(self.specs)
@@ -157,24 +158,28 @@ class KernelBank:
     def p(self) -> int:
         return len(self.specs)
 
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of the pair at each row of Z."""
+        ii, jj = pair_indices(self.n)
+        return (ii, jj) if self.order is None else (ii[self.order], jj[self.order])
+
     def gram(self, l: int) -> np.ndarray:
         """Dense symmetric float64 (n, n) Gram of kernel l, rebuilt from Z."""
-        return _symmetric(self.n, self.Z[:, l])
+        return self._symmetric(self.Z[:, l])
+
+    def _symmetric(self, values: np.ndarray) -> np.ndarray:
+        """Scatter one value per row of Z into a symmetric float64 (n, n) array
+        (a float32 value is upcast exactly)."""
+        ii, jj = self.pairs
+        out = np.empty((self.n, self.n), dtype=np.float64)
+        out[ii, jj] = out[jj, ii] = values
+        return out
 
 
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every pair i <= j of n instances, in the row order of Z."""
+    """(i, j) of every pair i <= j of n instances, in the natural row order of Z."""
     return np.triu_indices(n)
-
-
-def _symmetric(n: int, upper: np.ndarray) -> np.ndarray:
-    """Scatter pair values in row order of Z into a symmetric float64 (n, n) array."""
-    upper = upper.astype(np.float64, copy=False)  # explicit, exact from float32
-    ii, jj = pair_indices(n)
-    out = np.empty((n, n), dtype=np.float64)
-    out[ii, jj] = upper
-    out[jj, ii] = upper
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +340,7 @@ def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.nd
     return out
 
 
-def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
+def center_bank(bank: RawBank, order=None) -> tuple[KernelBank, list[int]]:
     """Evaluate and center/standardize each raw Gram into one pair-major store,
     dropping degenerates.
 
@@ -344,15 +349,19 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
     need be). Its upper triangle is taken into a float64 row buffer and
     divided by s straight into a row of a float32 (_STAGE_ROWS, n(n+1)/2)
     staging block, which rounds it; a full block is copied into Z's columns
-    at once, never one strided column at a time.
+    at once, never one strided column at a time. A permutation order of
+    the pairs (kspace.plan_rows) writes the natural store's Z[order] in place.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
     banks on near-constant columns would otherwise abort whole runs.
     """
     n = bank.n
-    ii, jj = pair_indices(n)
-    flat = ii * n + jj
+    flat = np.ravel_multi_index(pair_indices(n), (n, n))
+    if order is not None:
+        if not np.array_equal(np.sort(order), np.arange(flat.size)):
+            raise KernelError(f"order must be a permutation of the {flat.size} pairs")
+        flat = flat[order]
     Z = np.empty((flat.size, bank.p), dtype=np.float32)
     rows = min(_STAGE_ROWS, bank.p)
     stage = np.empty((rows, flat.size), dtype=np.float32)
@@ -383,7 +392,7 @@ def center_bank(bank: RawBank) -> tuple[KernelBank, list[int]]:
         raise DegenerateKernelError("every kernel in the bank is degenerate")
     if dropped:
         _compact_columns(Z, len(specs))
-    return KernelBank(specs=specs, Z=Z, n=n, stats=stats), dropped
+    return KernelBank(specs=specs, Z=Z, n=n, stats=stats, order=order), dropped
 
 
 def _compact_columns(Z: np.ndarray, k: int) -> None:
@@ -433,7 +442,7 @@ def combine(bank: KernelBank, weights) -> np.ndarray:
     acc = np.zeros(bank.Z.shape[0], dtype=np.float64)
     for l in np.flatnonzero(w > 0):
         acc += np.multiply(w[l], bank.Z[:, l], dtype=np.float64)
-    return _symmetric(bank.n, acc)
+    return bank._symmetric(acc)
 
 
 def combine_cross(crosses, weights) -> np.ndarray:

@@ -1,19 +1,21 @@
-"""The pairwise K-space: one example per instance pair (i <= j).
+"""The pairwise K-space: one example per instance pair (i <= j), in stage one's row order.
 
 A pair (i, j) of training instances becomes a p-dimensional example whose
 coordinates are the p base-kernel values for that pair, labeled +1 when the
-instances share a class and -1 otherwise. The z vectors are the centered
-bank's own pair-major store, bank.Z: one C-contiguous (n(n+1)/2, p)
-float32 matrix of n(n+1)/2 * p * 4 bytes, owned by the bank. The K-space
-adds only labels and row indices to it, and every subset (balancing, the
-lambda train/validation split) shares it too, copying only those arrays. A
-set stores no (i, j) pairs: for a bank's store, the pairs of its rows are
-pair_indices(n) indexed by rows.
-A minibatch is a gather of contiguous rows at positions the caller drew,
-into a caller's buffer of the stack's dtype when one is given. The sets
-over one stack also share one cached score vector, stack @ mu for the last
-mu scored, so the train and validation hinges of one weight vector cost
-one GEMV, run at the stack's dtype and kept as float64.
+instances share a class and -1 otherwise. The z vectors are the rows of the
+centered bank's own pair-major float32 store, bank.Z, whose row r holds
+the r-th pair of bank.pairs; the K-space adds only labels, and every
+subset is a contiguous block of rows, a view.
+
+For tsmkl the row order is planned before centering, from the train labels
+and two seeds alone (plan_rows): the validation rows, then the lambda-train
+rows (together the balanced set, permuted once), then the rows balancing
+drops. Balancing and the lambda split make the same rng calls as they would
+to subset the natural pair order, so the sets are the same; they are now
+the leading blocks of the store. A Pegasos batch is B consecutive rows of a
+block from a seeded phase, cycling: shuffle-once SGD (Mishchenko, Khaled &
+Richtarik, NeurIPS 2020) rather than Pegasos's i.i.d. draws, read as a view;
+only a batch that wraps past the block's end is gathered.
 """
 
 from __future__ import annotations
@@ -27,43 +29,36 @@ from .kernels import KernelBank, pair_indices
 
 @dataclass
 class KBatch:
-    """A gathered minibatch: z is (batch, p), t is the int8 +-1 labels.
-
-    z may be the buffer the caller passed to sample_batch; the next call
-    with that buffer overwrites it.
-    """
+    """A minibatch of (batch, p) rows z and their +-1 labels t: views of the
+    set's rows, or for a batch that wraps past its end, gathered copies."""
 
     z: np.ndarray
     t: np.ndarray
 
 
 class KExampleSet:
-    """Labeled instance pairs indexing rows of a shared pair-major matrix.
+    """Labeled instance pairs: the rows of a pair-major matrix, in order.
 
-    stack is (m, p); rows[k] is the stack row of the k-th pair of this set,
-    stack rows 0 .. len(t) - 1 in order when rows is None. For the pair
-    (i, j), i <= j, at stack row r: z[l] = K_l[i, j] = stack[r, l], and
-    t = +1 iff the two instances share a class (diagonal pairs are always
-    +1). The stack is read-only: subsets share the score cache of the set
-    they came from, which assumes its values never change.
+    stack is (m, p) and t holds one +-1 label per row (int8 from
+    make_kexamples): for the pair (i, j), i <= j, at row r,
+    z[l] = K_l[i, j] = stack[r, l], and t[r] = +1 iff the two instances
+    share a class (diagonal pairs are always +1). kset[a:b] is the set of
+    rows a .. b - 1, a view of both arrays.
     """
 
-    def __init__(self, t: np.ndarray, stack: np.ndarray, rows=None):
-        self.t = np.asarray(t, dtype=np.int8)
+    def __init__(self, t: np.ndarray, stack: np.ndarray):
+        self.t = np.asarray(t)
         self.stack = stack
-        self._score_cache = [None, None]  # [mu bytes, stack @ mu], shared with subsets
-        self.rows = np.arange(len(self.t)) if rows is None else np.asarray(rows, np.int64)
-        if self.t.ndim != 1 or self.rows.shape != self.t.shape:
-            raise ValueError("labels must be 1-D, with one stack row each")
-        if self.stack.ndim != 2:
-            raise ValueError("stack must be (m, p)")
-        # gathers use mode="clip", which would clamp a bad row, not raise; with
-        # rows None this refuses a stack shorter than the pair count
-        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= self.stack.shape[0]):
-            raise ValueError(f"rows must lie in [0, {self.stack.shape[0]})")
+        if self.t.ndim != 1 or self.stack.ndim != 2 or self.stack.shape[0] != self.t.shape[0]:
+            raise ValueError("stack must be (m, p), with one label per row")
 
     def __len__(self) -> int:
         return self.t.shape[0]
+
+    def __getitem__(self, rows: slice) -> "KExampleSet":
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError("a K-example subset is a contiguous slice of rows")
+        return KExampleSet(self.t[rows], self.stack[rows])
 
     @property
     def p(self) -> int:
@@ -77,83 +72,78 @@ class KExampleSet:
     def n_neg(self) -> int:
         return int(np.sum(self.t < 0))
 
-    def z_rows(self, positions, out=None) -> np.ndarray:
-        """Gather z vectors for the given pair positions: (len, p) of the stack's
-        dtype, into out if given."""
-        # rows were range-checked at construction; "clip" skips the per-call bounds check
-        rows = self.rows[np.asarray(positions, dtype=np.int64)]
-        return np.take(self.stack, rows, axis=0, out=out, mode="clip")
-
     def scores(self, mu: np.ndarray) -> np.ndarray:
-        """mu . z for every pair in the set, as float64.
+        """mu . z for every pair in the set, as float64: one GEMV over its rows,
+        with mu cast explicitly to the stack's dtype."""
+        mu = np.asarray(mu, dtype=np.float64).astype(self.stack.dtype, copy=False)
+        return (self.stack @ mu).astype(np.float64, copy=False)
 
-        One GEMV over the shared matrix, with mu cast explicitly to the
-        stack's dtype, reused by every set over the stack while mu's values
-        stay the same (compared bitwise, so a mu changed in place misses).
-        """
-        mu = np.asarray(mu, dtype=np.float64)
-        key = mu.tobytes()
-        cache = self._score_cache
-        if cache[0] != key:
-            scores = self.stack @ mu.astype(self.stack.dtype, copy=False)
-            cache[:] = [key, scores.astype(np.float64, copy=False)]
-        return cache[1][self.rows]
 
-    def subset(self, positions) -> "KExampleSet":
-        pos = np.asarray(positions, dtype=np.int64)
-        sub = KExampleSet(self.t[pos], self.stack, self.rows[pos])
-        sub._score_cache = self._score_cache
-        return sub
+def plan_rows(train_labels, balance_seed: int, split_seed: int):
+    """(order, m): the pair of pair_indices(n) for each row, as center_bank
+    takes it, and the balanced K-example count. Rows 0 .. m - 1 are the
+    balanced set in rng(split_seed).permutation(m) order, with the majority
+    pairs kept by rng(balance_seed).choice; the dropped pairs follow in order.
+    """
+    labels = np.asarray(train_labels, dtype=np.int64)
+    ii, jj = pair_indices(labels.shape[0])
+    same = labels[ii] == labels[jj]
+    n_pos = int(np.count_nonzero(same))
+    n_neg = same.size - n_pos
+    m = 2 * min(n_pos, n_neg)
+    keep = np.ones(same.size, dtype=bool)
+    if n_pos != n_neg:
+        maj = np.flatnonzero(same if n_pos > n_neg else ~same)
+        keep[maj] = False
+        keep[np.random.default_rng(balance_seed).choice(maj, size=m // 2, replace=False)] = True
+    balanced = np.flatnonzero(keep)[np.random.default_rng(split_seed).permutation(m)]
+    return np.concatenate([balanced, np.flatnonzero(~keep)]), m
 
 
 def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
-    """Label all pairs i <= j of a centered bank's instances.
+    """Label all pairs i <= j of a centered bank's instances, in its row order.
 
-    The z vectors are bank.Z itself, not a copy, and the set's rows are
-    its rows in order. The bank must share the ordering of train_labels.
+    The z vectors are bank.Z itself, not a copy. The bank must share the
+    ordering of train_labels.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
     n = labels.shape[0]
     if bank.n != n:
         raise ValueError(f"bank Grams are {bank.n} x {bank.n}, labels have length {n}")
-    ii, jj = pair_indices(n)
+    ii, jj = bank.pairs
     t = np.where(labels[ii] == labels[jj], 1, -1).astype(np.int8)
     return KExampleSet(t=t, stack=bank.Z)
 
 
-def balance(kset: KExampleSet, seed: int) -> KExampleSet:
-    """Subsample the majority K-class down to the minority count.
+def balance(kset: KExampleSet) -> KExampleSet:
+    """The balanced set of a K-space in planned order (plan_rows): its leading
+    2 * min(n_pos, n_neg) rows, a view.
 
-    Without replacement, uniform, deterministic for a fixed seed; the
-    minority side is kept whole and the original pair order is preserved.
+    Raises ValueError when a K-class is empty, or when that block is not
+    balanced, i.e. the rows are not in planned order.
     """
     n_pos, n_neg = kset.n_pos, kset.n_neg
     if n_pos == 0 or n_neg == 0:
         raise ValueError(f"cannot balance: n_pos={n_pos}, n_neg={n_neg}")
-    if n_pos == n_neg:
-        return kset
-    rng = np.random.default_rng(seed)
-    if n_pos > n_neg:
-        maj = np.flatnonzero(kset.t > 0)
-        target = n_neg
-    else:
-        maj = np.flatnonzero(kset.t < 0)
-        target = n_pos
-    keep_maj = rng.choice(maj, size=target, replace=False)
-    mask = np.ones(len(kset), dtype=bool)
-    mask[maj] = False
-    mask[keep_maj] = True
-    return kset.subset(np.flatnonzero(mask))
+    bal = kset[: 2 * min(n_pos, n_neg)]
+    if bal.n_pos != bal.n_neg:
+        raise ValueError("cannot balance: the K-space rows are not in planned order")
+    return bal
 
 
-def sample_batch(kset: KExampleSet, positions, out=None) -> KBatch:
-    """Gather the z rows and labels of a minibatch at the given pair positions.
+def sample_batch(kset: KExampleSet, start: int, size: int, out=None) -> KBatch:
+    """The size consecutive rows from start, cycling past the end.
 
-    The caller draws the positions (pegasos_train draws a block of steps'
-    worth in one call). out, when given, is a (len(positions), p) buffer of
-    the stack's dtype that the rows are gathered into; the batch's z is
-    then that buffer.
+    A batch inside the set is a view of its rows; one that wraps is gathered,
+    into out when given: a (size, p) buffer of the stack's dtype.
     """
-    if len(kset) == 0:
+    m = len(kset)
+    if m == 0:
         raise ValueError("cannot sample from an empty K-example set")
-    return KBatch(z=kset.z_rows(positions, out=out), t=kset.t[positions])
+    if not 0 <= start < m:
+        raise ValueError(f"batch start {start} outside [0, {m})")
+    stop = start + size
+    if stop <= m:
+        return KBatch(kset.stack[start:stop], kset.t[start:stop])
+    rows = np.arange(start, stop)
+    return KBatch(np.take(kset.stack, rows, 0, out, "wrap"), np.take(kset.t, rows, mode="wrap"))

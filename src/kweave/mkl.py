@@ -5,19 +5,20 @@ The objective over a K-example set S is
     F(mu) = (lam/2) ||mu||^2 + (1/|S|) sum_{(z,t) in S} [1 - t mu.z]_+ ,
     mu >= 0 componentwise.
 
-Minimized Pegasos-style: at step k, draw a batch B, take the subgradient
+Minimized Pegasos-style: at step k, take a batch B, the subgradient
 g = lam*mu - (1/|B|) sum_{(z,t) in B, t mu.z < 1} t z, step with 1/(lam*k),
-and project onto the non-negative orthant. The regularizer lam is picked by
-hinge loss on a held-out 20% of the K-examples, independently of the
-downstream data classifier.
+and project onto the non-negative orthant. B is the |B| rows of S from
+(phase + (k - 1) |B|) mod |S| on, cycling, with the phase drawn from the
+fit's seed; S's rows are stored permuted once (kspace), so this is
+shuffle-once SGD, not Pegasos's i.i.d. draws. The regularizer lam is picked
+by hinge loss on a held-out 20% of the K-examples, the leading rows of the
+balanced set, independently of the downstream data classifier.
 
-pegasos_train(kset, lam, num_steps, batch_size, seed) runs one fit and
-returns an MklModel: the weights, their exact train hinge and the steps
-run. The fit iterates at the stack's dtype (float32 for a centered
-bank's store) and returns float64 weights. train_grid fits every lambda
-of a grid on one 80/20 split of the K-examples, each fit seeded with
-seed ^ (its grid index); select_lambda picks from that list, and the
-experiment layer's lambda sweep reads it too.
+pegasos_train runs one fit at the stack's dtype (float32 for a centered
+bank's store) and returns an MklModel: float64 weights, their exact train
+hinge and the steps run. train_grid fits every lambda of a grid on the
+lambda-train rows, each seeded with seed ^ (its grid index); select_lambda
+picks from that list, and the experiment layer's lambda sweep reads it too.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class MklModel:
         return 0.5 * lam * float(self.mu @ self.mu) + self.final_train_hinge
 
 
-# Steps whose batch positions are drawn in one rng call. PCG64 keeps the
-# spare 32-bit half of a draw across calls, so a (steps, B) draw yields the
-# same positions as one size-B draw per step, while a long fit never holds
-# a (num_steps, B) index array.
-DRAW_BLOCK = 1024
-
 # Share of the K-examples held out to pick lambda by validation hinge, and
 # the fewest K-examples that leave both sides of that split non-empty.
 VAL_FRACTION, MIN_KEXAMPLES = 0.2, 5
@@ -87,9 +82,9 @@ def pegasos_train(
     """Run the projected stochastic subgradient solver from mu = 0.
 
     lam is the regularization strength (positive and finite); num_steps of
-    10**3 suit small datasets, 10**5 large ones. A num_steps=k fit returns
-    the k-th iterate of any longer fit with the same seed, since the batch
-    draws do not depend on num_steps (see DRAW_BLOCK).
+    10**3 suit small datasets, 10**5 large ones. The batches cycle through
+    kset's rows from a phase drawn from seed, so a num_steps=k fit returns
+    the k-th iterate of any longer fit with the same seed.
 
     mu, the step buffers and labels have the stack's dtype and the step's
     scalars are cast to it, so every step runs at that width under any
@@ -103,11 +98,15 @@ def pegasos_train(
         raise ValueError("empty K-example set")
     if kset.n_pos == 0 or kset.n_neg == 0:
         raise ValueError("K-example set must contain both K-classes")
-    rng = np.random.default_rng(seed)
+    m = len(kset)
+    phase = int(np.random.default_rng(seed).integers(m))
     dt = kset.stack.dtype.type
+    # the same rows with labels of the stack's dtype: the step's ufuncs then
+    # run without a per-call cast from int8
+    rows = KExampleSet(kset.t.astype(dt), kset.stack)
     mu = np.zeros(kset.p, dtype=dt)
-    # one fit's step buffers: each batch is gathered into zbuf, and the update
-    # masks non-violators to weight 0 instead of copying the violating rows
+    # one fit's step buffers: zbuf takes a batch that wraps past the end, and
+    # the update masks non-violators to weight 0 instead of copying violators
     zbuf = np.empty((batch_size, kset.p), dtype=dt)
     g = np.empty(kset.p, dtype=dt)
     s = np.empty(batch_size, dtype=dt)
@@ -117,25 +116,21 @@ def pegasos_train(
     # overflow, and a float32 step scale that underflows to 0, are handled by
     # the explicit finiteness check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first in range(1, num_steps + 1, DRAW_BLOCK):
-            steps = min(DRAW_BLOCK, num_steps + 1 - first)
-            block = rng.integers(0, len(kset), size=(steps, batch_size))
-            labels = kset.t[block].astype(dt)
-            for k, (positions, t) in enumerate(zip(block, labels), first):
-                batch = sample_batch(kset, positions, zbuf)
-                np.dot(batch.z, mu, out=s)
-                s *= t
-                np.less(s, 1.0, out=viol)
-                # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z;
-                # the mask zeroes the sum when no row violates
-                mu *= dt(1.0 - 1.0 / k)
-                np.multiply(t, viol, out=w)
-                np.dot(w, batch.z, out=g)
-                g /= dt(lam * k * batch_size)
-                mu += g
-                np.maximum(mu, 0.0, out=mu)
-                if not math.isfinite(mu.max()):  # mu >= 0, and max propagates NaN
-                    raise DivergedError(k)
+        for k in range(1, num_steps + 1):
+            batch = sample_batch(rows, (phase + (k - 1) * batch_size) % m, batch_size, zbuf)
+            np.dot(batch.z, mu, out=s)
+            s *= batch.t
+            np.less(s, 1.0, out=viol)
+            # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z;
+            # the mask zeroes the sum when no row violates
+            mu *= dt(1.0 - 1.0 / k)
+            np.multiply(batch.t, viol, out=w)
+            np.dot(w, batch.z, out=g)
+            g /= dt(lam * k * batch_size)
+            mu += g
+            np.maximum(mu, 0.0, out=mu)
+            if not math.isfinite(mu.max()):  # mu >= 0, and max propagates NaN
+                raise DivergedError(k)
 
     mu = mu.astype(np.float64, copy=False)
     return MklModel(mu=mu, final_train_hinge=hinge_loss(mu, kset), steps_run=num_steps)
@@ -165,16 +160,16 @@ def _validate_grid(grid) -> list[float]:
     return grid
 
 
-def _split_kset(kset: KExampleSet, seed: int):
-    """(train, validation) subsets; at MIN_KEXAMPLES or more neither is empty."""
-    m = len(kset)
-    n_val = int(math.floor(VAL_FRACTION * m + 0.5))
-    perm = np.random.default_rng(seed).permutation(m)
-    return kset.subset(perm[n_val:]), kset.subset(perm[:n_val])
+def _split_kset(kset: KExampleSet):
+    """(train, validation) blocks of a balanced set in planned order: the
+    validation rows lead (kspace.plan_rows). At MIN_KEXAMPLES rows or more
+    neither is empty."""
+    n_val = int(math.floor(VAL_FRACTION * len(kset) + 0.5))
+    return kset[n_val:], kset[:n_val]
 
 
 def train_grid(kset, grid, seed, batch_size, num_steps):
-    """Fit one model per grid value on an 80/20 split of the K-examples.
+    """Fit one model per grid value on the 80% train block of the K-examples.
 
     Returns (val_kset, fits): one (lam, model, val_hinge) per grid value, in
     grid order, with the model's exact validation hinge; model and
@@ -183,7 +178,7 @@ def train_grid(kset, grid, seed, batch_size, num_steps):
     grid = _validate_grid(grid)
     if len(kset) < MIN_KEXAMPLES:
         raise ValueError(f"need at least {MIN_KEXAMPLES} K-examples, got {len(kset)}")
-    train_k, val_k = _split_kset(kset, seed)
+    train_k, val_k = _split_kset(kset)
     fits = []
     for idx, lam in enumerate(grid):
         try:

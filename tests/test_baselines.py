@@ -231,7 +231,7 @@ class TestTargetAlign:
         data = make_blobs(n_per_class=4, d=2, seed=1)
         raw = build_kernel_bank(data.instances, "uci_full")
         # a raw bank has no pair-major store to read (M, a) from
-        with pytest.raises(AttributeError, match="attribute 'Z'"):
+        with pytest.raises(AttributeError, match="attribute 'pairs'"):
             target_align(raw, data.labels)
 
     def test_requires_two_classes(self):

@@ -17,6 +17,7 @@ from kweave.experiment import (
     _mkl_steps,
     aggregate_records,
     cross_blocks,
+    kspace_order,
     learn_weights,
     prepare_train,
     render_markdown_table,
@@ -124,9 +125,11 @@ class TestConfig:
         assert _mkl_steps(fast_config(toy_csv, mkl_num_steps=42), 5000) == 42
 
 
-def prepared_bank(toy_csv):
+def prepared_bank(toy_csv, seed=None):
+    """The toy data and its centered bank, in tsmkl's row order for seed if given."""
     data = load_dataset(toy_csv)
-    _, _, bank, _ = prepare_train(data.instances, "uci_full")
+    order = None if seed is None else kspace_order(data.labels, seed)
+    _, _, bank, _ = prepare_train(data.instances, "uci_full", order)
     return data, bank
 
 
@@ -140,7 +143,7 @@ class TestLearnWeights:
         assert details == {}
 
     def test_tsmkl_details(self, toy_csv):
-        data, bank = prepared_bank(toy_csv)
+        data, bank = prepared_bank(toy_csv, seed=3)
         cfg = fast_config(toy_csv, method="tsmkl")
         mu, details = learn_weights(bank, data.labels, cfg, seed=3)
         assert np.all(mu >= 0.0)
@@ -156,7 +159,7 @@ class TestLearnWeights:
             assert isinstance(r["objective"], float) and r["objective"] >= r["final_train_hinge"]
 
     def test_tsmkl_counts_lambdas_worse_than_zero(self, toy_csv, caplog):
-        data, bank = prepared_bank(toy_csv)
+        data, bank = prepared_bank(toy_csv, seed=3)
         cfg = fast_config(toy_csv, method="tsmkl", lambda_grid=[1.0, 0.0625, 1e-8])
         with caplog.at_level("INFO", logger="kweave.experiment"):
             _, details = learn_weights(bank, data.labels, cfg, seed=3)
@@ -299,7 +302,8 @@ class TestRunExperiment:
         data = load_dataset(toy_csv)
         plan = holdout_split(data, cfg.train_fraction, rec["seed"], cfg.stratified)
         train = data.subset(plan.train_indices)
-        _, _, bank, _ = prepare_train(train.instances, cfg.kernel_recipe)
+        order = kspace_order(train.labels, rec["seed"])
+        _, _, bank, _ = prepare_train(train.instances, cfg.kernel_recipe, order)
         mu, _ = learn_weights(bank, train.labels, cfg, rec["seed"])
         assert rec["mu"] == [float(v) for v in mu]
 

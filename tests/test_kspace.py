@@ -1,11 +1,20 @@
-"""Pair enumeration, K-labels, balancing, and batch sampling."""
+"""Pair enumeration, K-labels, the planned row order, balancing, and batches."""
 
 import numpy as np
 import pytest
 
-from kweave.kernels import KernelBank, build_kernel_bank, center_bank, compute_gram, pair_indices
-from kweave.kspace import KExampleSet, balance, make_kexamples, sample_batch
-from kweave.mkl import _split_kset
+from kweave.baselines import alignment_problem_from_bank
+from kweave.kernels import (
+    KernelBank,
+    KernelError,
+    build_kernel_bank,
+    center_bank,
+    combine,
+    compute_gram,
+    pair_indices,
+)
+from kweave.kspace import KExampleSet, balance, make_kexamples, plan_rows, sample_batch
+from kweave.mkl import _split_kset, hinge_loss
 
 from conftest import bank_of, centered_bank_for, dense_centering, make_blobs
 
@@ -20,17 +29,48 @@ def tiny_bank(n: int, p: int = 2, seed: int = 0) -> KernelBank:
     return bank_of(grams)
 
 
-def pairs_of(kset: KExampleSet, n: int) -> np.ndarray:
-    """The (i, j) instance pairs of a set over an n-instance bank's store."""
-    ii, jj = pair_indices(n)
-    return np.stack([ii[kset.rows], jj[kset.rows]], axis=1)
+def planned_bank(labels, p: int = 2, seed: int = 0, balance_seed: int = 1, split_seed: int = 2):
+    """tiny_bank's store with its rows in plan_rows' order for these labels."""
+    natural = tiny_bank(len(labels), p, seed)
+    order, _ = plan_rows(labels, balance_seed, split_seed)
+    return KernelBank(natural.specs, np.ascontiguousarray(natural.Z[order]), natural.n,
+                      natural.stats, order)
+
+
+def pairs_of(kset: KExampleSet, bank: KernelBank) -> np.ndarray:
+    """The (i, j) instance pairs of a set's rows, which lead the bank's store."""
+    ii, jj = bank.pairs
+    return np.stack([ii, jj], axis=1)[: len(kset)]
+
+
+def reference_sets(labels, balance_seed: int, split_seed: int):
+    """Balancing and the lambda 80/20 split as subsets of the K-space in
+    natural pair order, in plain numpy: (balanced, lambda train, validation)
+    as pair indices into np.triu_indices(n), each in the order the subset
+    lists them."""
+    labels = np.asarray(labels)
+    ii, jj = np.triu_indices(len(labels))
+    t = np.where(labels[ii] == labels[jj], 1, -1)
+    n_pos, n_neg = int(np.sum(t > 0)), int(np.sum(t < 0))
+    balanced = np.arange(len(t))
+    if n_pos != n_neg:
+        maj = np.flatnonzero(t > 0) if n_pos > n_neg else np.flatnonzero(t < 0)
+        keep = np.random.default_rng(balance_seed).choice(maj, min(n_pos, n_neg), replace=False)
+        mask = np.ones(len(t), dtype=bool)
+        mask[maj] = False
+        mask[keep] = True
+        balanced = np.flatnonzero(mask)
+    m = len(balanced)
+    n_val = int(np.floor(0.2 * m + 0.5))
+    perm = np.random.default_rng(split_seed).permutation(m)
+    return balanced, balanced[perm[n_val:]], balanced[perm[:n_val]]
 
 
 class TestMakeKexamples:
     def test_two_instance_enumeration(self):
         bank = tiny_bank(2)
         kset = make_kexamples(np.array([0, 1]), bank)
-        np.testing.assert_array_equal(pairs_of(kset, 2), [[0, 0], [0, 1], [1, 1]])
+        np.testing.assert_array_equal(pairs_of(kset, bank), [[0, 0], [0, 1], [1, 1]])
         np.testing.assert_array_equal(kset.t, [1, -1, 1])
 
     def test_single_class_all_positive(self):
@@ -51,24 +91,28 @@ class TestMakeKexamples:
 
     def test_diagonal_pairs_always_positive(self):
         labels = np.array([0, 1, 0, 2])
-        kset = make_kexamples(labels, tiny_bank(4, p=1))
-        ii, jj = pairs_of(kset, 4).T
+        bank = planned_bank(labels, p=1)
+        kset = make_kexamples(labels, bank)
+        ii, jj = pairs_of(kset, bank).T
         diag = ii == jj
+        assert diag.sum() == 4
         assert np.all(kset.t[diag] == 1)
 
     def test_z_values_are_exact_gram_entries(self):
         X = np.random.default_rng(9).normal(0, 1, (5, 2))
-        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
-        kset = make_kexamples(np.array([0, 0, 1, 1, 0]), bank)
-        Z = kset.z_rows(np.arange(len(kset)))
+        labels = np.array([0, 0, 1, 1, 0])
+        order, _ = plan_rows(labels, 3, 4)
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), order)
+        kset = make_kexamples(labels, bank)
         # the store is the float32 rounding of the float64 centering
         dense = [
             dense_centering(compute_gram(spec, X)).astype(np.float32) for spec in bank.specs
         ]
-        assert Z.dtype == np.float32
-        for r, (i, j) in enumerate(pairs_of(kset, 5)):
+        assert kset.stack.dtype == np.float32
+        for r, (i, j) in enumerate(pairs_of(kset, bank)):
+            assert kset.t[r] == (1 if labels[i] == labels[j] else -1)
             for l in range(bank.p):
-                assert Z[r, l] == dense[l][i, j]  # bit-for-bit
+                assert kset.stack[r, l] == dense[l][i, j]  # bit-for-bit
 
     def test_stack_is_the_bank_store(self, toy_bank, toy_dataset):
         kset = make_kexamples(toy_dataset.labels, toy_bank)
@@ -77,7 +121,7 @@ class TestMakeKexamples:
     def test_raw_bank_rejected(self, toy_dataset):
         # a raw bank has no pair-major store: only center_bank makes one
         raw = build_kernel_bank(toy_dataset.instances, "uci_full")
-        with pytest.raises(AttributeError, match="Z"):
+        with pytest.raises(AttributeError, match="pairs"):
             make_kexamples(toy_dataset.labels, raw)
 
     def test_dimension_mismatch(self):
@@ -88,222 +132,334 @@ class TestMakeKexamples:
         bank = tiny_bank(6, p=3, seed=1)
         kset = make_kexamples(np.array([0, 1, 0, 1, 0, 1]), bank)
         mu = np.array([0.3, 0.0, 1.7])
-        expected = kset.z_rows(np.arange(len(kset))) @ mu
+        expected = np.array([kset.stack[r] @ mu for r in range(len(kset))])
         np.testing.assert_allclose(kset.scores(mu), expected, atol=1e-12)
 
 
 class TestSharedLayout:
-    """One pair-major matrix per bank; subsets copy index arrays, never rows."""
+    """One pair-major matrix per bank; subsets are contiguous views of its rows."""
 
     def test_stack_is_pair_major_and_contiguous(self):
         n = 7
         X = np.random.default_rng(4).normal(0, 1, (n, 3))
-        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
-        kset = make_kexamples(np.array([0, 1] * 3 + [0]), bank)
+        labels = np.array([0, 1] * 3 + [0])
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 0, 1)[0])
+        kset = make_kexamples(labels, bank)
         assert kset.stack.shape == (n * (n + 1) // 2, 13)
         assert kset.stack.dtype == np.float32
         assert kset.stack.flags.c_contiguous
 
     def test_balance_shares_stack(self):
-        kset = make_kexamples(np.array([0] * 6 + [1] * 3), tiny_bank(9))
-        bal = balance(kset, seed=0)
+        labels = np.array([0] * 6 + [1] * 3)
+        kset = make_kexamples(labels, planned_bank(labels))
+        bal = balance(kset)
         assert len(bal) < len(kset)
-        assert bal.stack is kset.stack
+        assert bal.stack.base is kset.stack and bal.stack.ctypes.data == kset.stack.ctypes.data
 
     def test_lambda_split_halves_share_stack(self):
-        kset = make_kexamples(np.array([0] * 6 + [1] * 3), tiny_bank(9))
-        train, val = _split_kset(kset, seed=0)
-        assert train.stack is kset.stack and val.stack is kset.stack
-        np.testing.assert_array_equal(np.sort(np.concatenate([train.rows, val.rows])), kset.rows)
+        labels = np.array([0] * 6 + [1] * 3)
+        bal = balance(make_kexamples(labels, planned_bank(labels)))
+        train, val = _split_kset(bal)
+        assert train.stack.base is bal.stack.base and val.stack.base is bal.stack.base
+        # validation leads and train follows: together, the balanced block
+        assert val.stack.ctypes.data == bal.stack.ctypes.data
+        assert train.stack.ctypes.data == bal.stack[len(val):].ctypes.data
+        assert len(train) + len(val) == len(bal)
+
+
+class TestPlannedLayout:
+    """The planned row order: the same sets as natural-order subsetting, stored permuted."""
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0] * 6 + [1] * 3,  # more same-class pairs
+            [0, 1, 0, 1, 2, 3, 2],  # more cross-class pairs
+            [0, 1, 2],  # already balanced: 3 diagonal pairs, 3 cross pairs
+            [0] * 9 + [1] * 8 + [2] * 5,
+        ],
+    )
+    @pytest.mark.parametrize("seeds", [(1, 2), (7, 7), (123, 4)])
+    def test_sets_equal_the_natural_order_reference(self, labels, seeds):
+        labels = np.asarray(labels)
+        bank = planned_bank(labels, seed=3, balance_seed=seeds[0], split_seed=seeds[1])
+        bal = balance(make_kexamples(labels, bank))
+        train, val = _split_kset(bal)
+        want_bal, want_train, want_val = reference_sets(labels, *seeds)
+        # rows hold the pairs of the natural-order subsets, in the order they list them
+        np.testing.assert_array_equal(bank.order[len(val) : len(bal)], want_train)
+        np.testing.assert_array_equal(bank.order[: len(val)], want_val)
+        np.testing.assert_array_equal(np.sort(bank.order[: len(bal)]), want_bal)
+        assert bal.n_pos == bal.n_neg == len(want_bal) // 2
+        assert len(train) == len(want_train) and len(val) == len(want_val)
+        # the rows balancing drops follow, in pair order
+        dropped = bank.order[len(bal):]
+        assert np.all(np.diff(dropped) > 0)
+        np.testing.assert_array_equal(
+            np.sort(bank.order), np.arange(len(labels) * (len(labels) + 1) // 2)
+        )
+
+    def test_plan_counts_the_balanced_kexamples(self):
+        for labels in ([0, 1, 0], [0, 1], [0] * 5, [0, 0, 1, 1, 2], list(range(6))):
+            ii, jj = pair_indices(len(labels))
+            same = int(np.sum(np.asarray(labels)[ii] == np.asarray(labels)[jj]))
+            _, m = plan_rows(labels, 0, 0)
+            assert m == 2 * min(same, len(ii) - same)
+
+    def test_ordered_store_is_the_natural_store_permuted(self):
+        rng = np.random.default_rng(21)
+        X = np.column_stack([rng.normal(0, 1, (9, 2)), np.ones(9)])  # drops kernels
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
+        order, _ = plan_rows(labels, 5, 6)
+        natural, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"))
+        ordered, dropped_o = center_bank(
+            build_kernel_bank(X, "uci_full_plus_per_feature"), order
+        )
+        assert dropped and dropped_o == dropped
+        assert ordered.Z.flags.c_contiguous and ordered.Z.flags.owndata
+        assert ordered.Z.tobytes() == natural.Z[order].tobytes()
+        ii, jj = pair_indices(9)
+        np.testing.assert_array_equal(ordered.pairs[0], ii[order])
+        np.testing.assert_array_equal(ordered.pairs[1], jj[order])
+        np.testing.assert_array_equal(natural.pairs[0], ii)
+        for a, b in zip(ordered.stats, natural.stats):
+            np.testing.assert_array_equal(a.row_means, b.row_means)
+            assert (a.grand_mean, a.scale) == (b.grand_mean, b.scale)
+
+    def test_gram_and_combine_read_the_recorded_pairs_bitwise(self):
+        X = np.random.default_rng(22).normal(0, 1, (10, 3))
+        labels = np.array([0, 1] * 5)
+        natural, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        ordered, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 1, 2)[0])
+        for l in range(natural.p):
+            assert ordered.gram(l).tobytes() == natural.gram(l).tobytes()
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            w = rng.random(natural.p) * (rng.random(natural.p) < 0.6)
+            w[1] = 0.25
+            assert combine(ordered, w).tobytes() == combine(natural, w).tobytes()
+
+    def test_alignment_pair_weights_follow_the_rows(self):
+        X = np.random.default_rng(23).normal(0, 1, (10, 3))
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
+        natural, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        ordered, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 1, 2)[0])
+        a = alignment_problem_from_bank(natural, labels)
+        b = alignment_problem_from_bank(ordered, labels)
+        # the same sums over the rows in another order
+        np.testing.assert_allclose(b.M, a.M, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(b.a, a.a, rtol=1e-12, atol=1e-12)
+
+    def test_order_must_be_a_permutation(self):
+        raw = build_kernel_bank(np.random.default_rng(0).normal(0, 1, (3, 2)), "uci_full")
+        with pytest.raises(KernelError, match="permutation of the 6 pairs"):
+            center_bank(raw, [0, 1, 2, 3, 4, 4])
 
 
 class TestBalance:
     def test_majority_subsampled_to_minority(self):
         labels = np.array([0] * 4 + [1] * 2)  # n_pos=13, n_neg=8
-        kset = make_kexamples(labels, tiny_bank(6))
-        bal = balance(kset, seed=0)
+        kset = make_kexamples(labels, planned_bank(labels))
+        bal = balance(kset)
         assert bal.n_pos == bal.n_neg == min(kset.n_pos, kset.n_neg)
 
     def test_already_balanced_is_identity(self):
-        labels = np.array([0, 1])  # 2 pos (diagonals), 1 neg -> not balanced; build balanced
-        kset = make_kexamples(labels, tiny_bank(2))
-        sub = kset.subset([0, 1])  # one pos, one neg
-        assert balance(sub, seed=3) is sub
+        labels = np.array([0, 1, 2])  # 3 diagonal pairs, 3 cross-class pairs
+        kset = make_kexamples(labels, planned_bank(labels))
+        bal = balance(kset)
+        assert len(bal) == len(kset) == 6
+        np.testing.assert_array_equal(bal.t, kset.t)
+        assert bal.stack.ctypes.data == kset.stack.ctypes.data
 
     def test_deterministic(self):
         labels = np.array([0] * 30 + [1] * 20)
-        kset = make_kexamples(labels, tiny_bank(50))
-        a, b = balance(kset, seed=7), balance(kset, seed=7)
-        np.testing.assert_array_equal(a.rows, b.rows)
-        np.testing.assert_array_equal(a.t, b.t)
+        a, b = plan_rows(labels, 7, 8), plan_rows(labels, 7, 8)
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1] == b[1]
+        assert not np.array_equal(plan_rows(labels, 9, 8)[0], a[0])
 
     def test_membership_only_never_relabeling(self):
         labels = np.array([0] * 10 + [1] * 5)
-        kset = make_kexamples(labels, tiny_bank(15))
-        bal = balance(kset, seed=5)
-        # every surviving (pair, label) appears identically in the source
-        src = {(i, j): t for (i, j), t in zip(map(tuple, pairs_of(kset, 15)), kset.t)}
-        for (i, j), t in zip(map(tuple, pairs_of(bal, 15)), bal.t):
-            assert src[(i, j)] == t
+        bank = planned_bank(labels, balance_seed=5)
+        bal = balance(make_kexamples(labels, bank))
+        # every surviving (pair, label) is the pair's own K-label
+        for (i, j), t in zip(map(tuple, pairs_of(bal, bank)), bal.t):
+            assert t == (1 if labels[i] == labels[j] else -1)
 
     def test_order_preserved(self):
+        # balance keeps the stored order: its rows are the leading rows, and
+        # the rows it leaves out are the ones balancing drops, in pair order
         labels = np.array([0] * 10 + [1] * 5)
-        kset = make_kexamples(labels, tiny_bank(15))
-        bal = balance(kset, seed=2)
-        ii, jj = pairs_of(bal, 15).T
-        keys = ii * 15 + jj
-        assert np.all(np.diff(keys) > 0)  # still in enumeration order
+        kset = make_kexamples(labels, planned_bank(labels, balance_seed=2))
+        bal = balance(kset)
+        np.testing.assert_array_equal(bal.t, kset.t[: len(bal)])
+        np.testing.assert_array_equal(bal.stack, kset.stack[: len(bal)])
+        assert np.all(kset.t[len(bal):] == 1)  # same-class pairs are the majority here
 
     def test_one_side_empty_errors(self):
         kset = make_kexamples(np.zeros(3, dtype=int), tiny_bank(3))
         with pytest.raises(ValueError, match="balance"):
-            balance(kset, seed=0)
+            balance(kset)
+
+    def test_natural_order_is_refused(self):
+        # in pair order, the first 2 * min(n_pos, n_neg) rows are not balanced
+        labels = np.array([0] * 6 + [1] * 3)
+        with pytest.raises(ValueError, match="planned order"):
+            balance(make_kexamples(labels, tiny_bank(9)))
 
 
 class TestSampleBatch:
     def test_gather_is_exact(self):
         bank = tiny_bank(4, p=2, seed=3)
         kset = make_kexamples(np.array([0, 0, 1, 1]), bank)
-        positions = np.arange(len(kset))[::-1]
-        batch = sample_batch(kset, positions)
-        np.testing.assert_array_equal(batch.z, kset.stack[kset.rows[positions]])
-        np.testing.assert_array_equal(batch.t, kset.t[positions])
+        for start, size in [(0, 10), (2, 5), (7, 6), (9, 1), (3, 25)]:
+            rows = [(start + i) % len(kset) for i in range(size)]
+            batch = sample_batch(kset, start, size)
+            np.testing.assert_array_equal(batch.z, kset.stack[rows])
+            np.testing.assert_array_equal(batch.t, kset.t[rows])
 
     def test_with_replacement_semantics(self):
-        kset = make_kexamples(np.array([0, 0, 1, 1]), tiny_bank(4)).subset(range(10))
-        positions = np.random.default_rng(0).integers(0, len(kset), size=100)
-        batch = sample_batch(kset, positions)
+        # a batch longer than the set cycles through it, repeating rows
+        kset = make_kexamples(np.array([0, 0, 1, 1]), tiny_bank(4))
+        batch = sample_batch(kset, 4, 100)
         assert batch.z.shape == (100, 2) and batch.t.shape == (100,)
         assert set(np.unique(batch.t)) <= {-1, 1}
-        assert len(np.unique(positions)) < len(positions)  # some pairs drawn twice
-        np.testing.assert_array_equal(batch.z, kset.z_rows(positions))
-        np.testing.assert_array_equal(batch.t, kset.t[positions])
+        for i in range(100):
+            np.testing.assert_array_equal(batch.z[i], kset.stack[(4 + i) % 10])
 
     def test_empirical_frequencies_near_uniform(self):
-        # chi-square style check: each of 10 pairs expected 10^4 times over 10^5 draws
+        # a fit's batches cycle through the set: over 1000 steps of 7 rows
+        # every one of the 10 rows is read 700 times
         kset = make_kexamples(np.array([0, 0, 1, 1]), tiny_bank(4))
         assert len(kset) == 10
-        rng = np.random.default_rng(123)
-        # the block draw pegasos_train makes: (steps, batch) positions in one call
-        draws = rng.integers(0, len(kset), size=(1000, 100))
-        counts = np.bincount(draws.ravel(), minlength=10)
-        sigma = np.sqrt(100_000 * 0.1 * 0.9)
-        assert np.all(np.abs(counts - 10_000) <= 3 * sigma)
+        counts = np.zeros(10, dtype=int)
+        for k in range(1000):
+            batch = sample_batch(kset, (3 + 7 * k) % 10, 7)
+            for z in batch.z:
+                counts[np.flatnonzero((kset.stack == z).all(axis=1))[0]] += 1
+        np.testing.assert_array_equal(counts, np.full(10, 700))
 
     def test_empty_set_errors(self):
-        kset = make_kexamples(np.array([0, 1]), tiny_bank(2)).subset([])
+        kset = make_kexamples(np.array([0, 1]), tiny_bank(2))[:0]
         with pytest.raises(ValueError, match="empty"):
-            sample_batch(kset, np.zeros(10, dtype=np.int64))
+            sample_batch(kset, 0, 10)
+
+    def test_batch_inside_the_set_is_a_view(self):
+        labels = np.array([0, 0, 1, 1, 0])
+        kset = make_kexamples(labels, planned_bank(labels, p=3))
+        out = np.full((4, 3), np.nan)
+        batch = sample_batch(kset, 6, 4, out=out)
+        assert np.shares_memory(batch.z, kset.stack) and not np.shares_memory(batch.z, out)
+        assert batch.z.ctypes.data == kset.stack[6:].ctypes.data
+        np.testing.assert_array_equal(batch.t, kset.t[6:10])
+        assert np.isnan(out).all()
 
     def test_buffered_gather_fills_the_buffer(self):
-        kset = make_kexamples(np.array([0, 0, 1, 1, 0]), tiny_bank(5, p=3)).subset(
-            [14, 2, 9, 0, 7, 11]
-        )
-        out = np.full((40, 3), np.nan)
-        positions = np.random.default_rng(5).integers(0, len(kset), size=40)
-        buffered = sample_batch(kset, positions, out=out)
-        plain = sample_batch(kset, positions)
-        assert np.shares_memory(buffered.z, out)
+        labels = np.array([0, 0, 1, 1, 0])
+        kset = make_kexamples(labels, planned_bank(labels, p=3))[2:8]
+        out = np.full((4, 3), np.nan)
+        buffered = sample_batch(kset, 4, 4, out=out)  # rows 4, 5, 0, 1 of the set
+        plain = sample_batch(kset, 4, 4)
+        assert buffered.z is out
         np.testing.assert_array_equal(buffered.z, plain.z)
-        np.testing.assert_array_equal(buffered.t, plain.t)
-        # the next call overwrites the same buffer
-        others = np.random.default_rng(6).integers(0, len(kset), size=40)
-        again = sample_batch(kset, others, out=out)
+        np.testing.assert_array_equal(buffered.z, kset.stack[[4, 5, 0, 1]])
+        np.testing.assert_array_equal(buffered.t, kset.t[[4, 5, 0, 1]])
+        # the next wrapping batch overwrites the same buffer
+        again = sample_batch(kset, 5, 4, out=out)
         assert again.z is buffered.z
-        np.testing.assert_array_equal(again.z, sample_batch(kset, others).z)
-
-
-class TestScoreCache:
-    """Sets over one stack share one cached stack @ mu."""
-
-    def test_subsets_share_one_product_and_stay_exact(self):
-        labels = np.array([0, 1, 0, 1, 1, 0, 0])
-        kset = make_kexamples(labels, tiny_bank(7, p=4, seed=2))
-        a, b = kset.subset([3, 0, 17, 9, 5]), kset.subset([1, 2, 20, 11])
-        assert a._score_cache is b._score_cache
-        mu = np.array([0.4, 0.0, 1.3, 0.7])
-        np.testing.assert_array_equal(a.scores(mu), (kset.stack @ mu)[a.rows])
-        full = a._score_cache[1]
-        np.testing.assert_array_equal(b.scores(mu), (kset.stack @ mu)[b.rows])
-        assert b._score_cache[1] is full  # the second set reused the product
-        a.scores(mu)[:] = 0.0  # a returned vector is the caller's own
-        np.testing.assert_array_equal(a.scores(mu), (kset.stack @ mu)[a.rows])
-
-        mu[2] = 0.1  # changed in place: the cached product must not be reused
-        np.testing.assert_array_equal(a.scores(mu), (kset.stack @ mu)[a.rows])
-        np.testing.assert_array_equal(b.scores(mu), (kset.stack @ mu)[b.rows])
-
-        other = np.array([2.0, 0.5, 0.0, 0.25])
-        np.testing.assert_array_equal(b.scores(other), (kset.stack @ other)[b.rows])
-        np.testing.assert_array_equal(a.scores(other), (kset.stack @ other)[a.rows])
-
-    def test_float32_stack_scores_at_its_dtype_and_shares(self):
-        X = np.random.default_rng(6).normal(0, 1, (9, 2))
-        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
-        kset = make_kexamples(np.array([0, 1, 1, 0, 1, 0, 0, 1, 1]), bank)
-        stack = kset.stack
-        assert stack.dtype == np.float32
-        a, b = kset.subset([3, 0, 17, 9, 5, 40]), kset.subset([1, 2, 20, 11])
-        mu = np.random.default_rng(7).random(bank.p)
-        want = (stack @ mu.astype(np.float32)).astype(np.float64)
-        got = a.scores(mu)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, want[a.rows])
-        full = a._score_cache[1]
-        np.testing.assert_array_equal(b.scores(mu), want[b.rows])
-        assert b._score_cache[1] is full  # the second set reused the product
+        np.testing.assert_array_equal(again.z, kset.stack[[5, 0, 1, 2]])
 
     def test_float32_gather_fills_a_float32_buffer(self):
         X = np.random.default_rng(8).normal(0, 1, (6, 2))
-        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
-        kset = make_kexamples(np.array([0, 1, 1, 0, 1, 0]), bank)
-        positions = np.random.default_rng(9).integers(0, len(kset), size=30)
+        labels = np.array([0, 1, 1, 0, 1, 0])
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 0, 1)[0])
+        kset = make_kexamples(labels, bank)
         out = np.empty((30, bank.p), dtype=kset.stack.dtype)
-        batch = sample_batch(kset, positions, out=out)
+        batch = sample_batch(kset, 15, 30, out=out)
         assert batch.z is out and out.dtype == np.float32
-        np.testing.assert_array_equal(batch.z, kset.stack[kset.rows[positions]])
-        assert sample_batch(kset, positions).z.dtype == np.float32
+        np.testing.assert_array_equal(batch.z, kset.stack[np.arange(15, 45) % len(kset)])
+        assert sample_batch(kset, 15, 30).z.dtype == np.float32
+        assert sample_batch(kset, 0, 3).z.dtype == np.float32
 
-    def test_separate_stacks_do_not_share(self):
-        k1 = make_kexamples(np.array([0, 1, 0]), tiny_bank(3, seed=0))
-        k2 = make_kexamples(np.array([0, 1, 0]), tiny_bank(3, seed=1))
-        mu = np.array([1.0, 0.5])
-        np.testing.assert_array_equal(k1.scores(mu), k1.stack @ mu)
-        np.testing.assert_array_equal(k2.scores(mu), k2.stack @ mu)
+
+class TestBlockScores:
+    """Each block scores its own rows: the train and validation hinges are two
+    GEMVs over adjacent blocks of the store."""
+
+    def test_train_and_validation_hinges_are_exact_over_their_blocks(self):
+        X = np.random.default_rng(6).normal(0, 1, (12, 2))
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0])
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 3, 4)[0])
+        bal = balance(make_kexamples(labels, bank))
+        train, val = _split_kset(bal)
+        mu = np.random.default_rng(7).random(bank.p)
+        mu32 = mu.astype(np.float32)
+        Z64 = bank.Z.astype(np.float64)
+        ii, jj = bank.pairs
+        t = np.where(labels[ii] == labels[jj], 1.0, -1.0)
+        for block, rows in ((val, slice(0, len(val))), (train, slice(len(val), len(bal)))):
+            got = block.scores(mu)
+            assert got.dtype == np.float64
+            # the GEMV runs at the store's width over exactly this block's rows
+            assert got.tobytes() == (bank.Z[rows] @ mu32).astype(np.float64).tobytes()
+            np.testing.assert_allclose(got, Z64[rows] @ mu32, rtol=1e-5, atol=1e-6)
+            want = np.mean(np.maximum(0.0, 1.0 - t[rows] * (Z64[rows] @ mu32)))
+            assert hinge_loss(mu, block) == pytest.approx(want, rel=1e-6, abs=1e-6)
+        # together the two blocks are the balanced set
+        whole = (len(val) * hinge_loss(mu, val) + len(train) * hinge_loss(mu, train)) / len(bal)
+        assert whole == pytest.approx(hinge_loss(mu, bal), rel=1e-6, abs=1e-6)
+
+    def test_float32_stack_scores_at_its_dtype(self):
+        X = np.random.default_rng(6).normal(0, 1, (9, 2))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        kset = make_kexamples(np.array([0, 1, 1, 0, 1, 0, 0, 1, 1]), bank)
+        assert kset.stack.dtype == np.float32
+        mu = np.random.default_rng(7).random(bank.p)
+        want = (kset.stack @ mu.astype(np.float32)).astype(np.float64)
+        got = kset.scores(mu)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(kset[3:17].scores(mu), (kset.stack[3:17] @
+                                      mu.astype(np.float32)).astype(np.float64))
 
 
 class TestRowsRange:
-    """Gathers clip indices, so a bad row must be refused when the set is built."""
+    """A set's rows are a range of its stack's rows; batches start inside it."""
 
     def test_row_past_the_stack_rejected(self):
-        stack = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="rows"):
-            KExampleSet(np.array([1, -1]), stack, rows=[1, 4])
+        kset = KExampleSet(np.array([1, -1, 1]), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            sample_batch(kset, 3, 2)
 
     def test_negative_row_rejected(self):
-        stack = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="rows"):
-            KExampleSet(np.array([1, -1]), stack, rows=[-1, 2])
+        kset = KExampleSet(np.array([1, -1, 1]), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            sample_batch(kset, -1, 2)
 
     def test_stack_shorter_than_pairs_rejected(self):
-        with pytest.raises(ValueError, match=r"rows must lie in \[0, 3\)"):
+        with pytest.raises(ValueError, match="one label per row"):
             KExampleSet(np.array([1, -1, 1, -1]), np.zeros((3, 2)))
 
     def test_in_range_rows_accepted(self):
-        kset = KExampleSet(np.array([1, -1]), np.eye(4)[:, :2], rows=[3, 0])
-        np.testing.assert_array_equal(kset.z_rows([0, 1]), [[0.0, 0.0], [1.0, 0.0]])
-        assert len(kset.subset([])) == 0
+        kset = KExampleSet(np.array([1, -1, 1, -1]), np.eye(4)[:, :2])
+        np.testing.assert_array_equal(kset[1:3].stack, [[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(kset[1:3].t, [-1, 1])
+        assert len(kset[4:]) == 0
+        with pytest.raises(TypeError, match="contiguous"):
+            kset[::2]
+        with pytest.raises(TypeError, match="contiguous"):
+            kset[[0, 2]]
 
     def test_rows_length_must_match_labels(self):
-        with pytest.raises(ValueError, match="one stack row each"):
-            KExampleSet(np.array([1, -1]), np.zeros((4, 2)), rows=[0, 1, 2])
+        with pytest.raises(ValueError, match="one label per row"):
+            KExampleSet(np.array([1, -1]), np.zeros((4, 2)))
 
 
 def test_full_pipeline_labels_match_dataset():
     ds = make_blobs(n_per_class=8, d=3, seed=5)
     bank = centered_bank_for(ds)
     kset = make_kexamples(ds.labels, bank)
-    ii, jj = pairs_of(kset, ds.n).T
+    ii, jj = pairs_of(kset, bank).T
     np.testing.assert_array_equal(
         kset.t == 1, ds.labels[ii] == ds.labels[jj]
     )

@@ -13,7 +13,6 @@ import pytest
 
 from kweave import mkl
 from kweave.mkl import (
-    DRAW_BLOCK,
     DivergedError,
     MklError,
     MklModel,
@@ -97,17 +96,22 @@ def test_oracle_hinge_free_case():
 def reference_pegasos(Z, t, lam, batch_size, num_steps, seed):
     """The solver's steps with a compacted-violator update, on plain arrays.
 
-    Draws the same batches as pegasos_train, gathers each with fancy
-    indexing, and sums only the violating rows. Returns mu, or raises
-    DivergedError at the first non-finite iterate.
+    Step k's batch is the batch_size rows from (phase + (k - 1) batch_size)
+    mod m on, cut as one slice of enough copies of the rows laid end to end,
+    so a batch that wraps past the end continues at row 0; the phase is
+    rng(seed).integers(m). Sums only the violating rows. Returns mu, or
+    raises DivergedError at the first non-finite iterate.
     """
     Z = np.asarray(Z, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    m = len(t)
+    phase = int(np.random.default_rng(seed).integers(m))
     mu = np.zeros(Z.shape[1])
     for k in range(1, num_steps + 1):
-        idx = rng.integers(0, len(t), size=batch_size)
-        z, tb = Z[idx], t[idx]
+        a = (phase + (k - 1) * batch_size) % m
+        copies = -(-(a + batch_size) // m)  # enough to hold rows a .. a + batch_size - 1
+        z = np.concatenate([Z] * copies)[a : a + batch_size]
+        tb = np.concatenate([t] * copies)[a : a + batch_size]
         with np.errstate(over="ignore", invalid="ignore"):
             viol = tb * (z @ mu) < 1.0
             mu *= 1.0 - 1.0 / k
@@ -165,8 +169,10 @@ class TestPegasos:
         np.testing.assert_allclose(got.mu, want, rtol=0, atol=1e-12)
 
     def test_divergence_step_matches_reference(self):
+        # three of every four rows in a cycled batch are +1, so the first
+        # step's sum of t z is about 5e201 and its 1/(lam k |B|) overflows
         Z = np.full((4, 1), 1e200)
-        t = np.array([1, -1, 1, -1])
+        t = np.array([1, -1, 1, 1])
         with pytest.raises(DivergedError) as want:
             reference_pegasos(Z, t, 1e-150, 100, 50, 0)
         with pytest.raises(DivergedError) as got:
@@ -176,18 +182,19 @@ class TestPegasos:
     @pytest.mark.parametrize("batch_size", [1, 7, 100])
     def test_block_draws_match_per_step_draws_exactly(self, batch_size):
         # integer z makes every violator sum exact in any order, so the masked
-        # and compacted updates agree bitwise and only the draws can differ;
-        # the fit spans one full block and a partial one
+        # and compacted updates agree bitwise and only the batches can differ:
+        # the solver's views and wrapped gathers against the reference's
+        # slices; 53 rows in batches of 7 or 100 wrap every few steps
         rng = np.random.default_rng(batch_size)
         Z = rng.integers(-3, 4, (53, 4)).astype(np.float64)
         t = np.where(rng.random(53) < 0.5, 1, -1)
         t[:2] = [1, -1]
-        got = pegasos_train(synth_kset(Z, t), 0.05, DRAW_BLOCK + 37, batch_size, seed=6)
-        want = reference_pegasos(Z, t, 0.05, batch_size, DRAW_BLOCK + 37, 6)
+        got = pegasos_train(synth_kset(Z, t), 0.05, 1061, batch_size, seed=6)
+        want = reference_pegasos(Z, t, 0.05, batch_size, 1061, 6)
         assert np.any(want > 0)
         np.testing.assert_array_equal(got.mu, want)
 
-    @pytest.mark.parametrize("k", [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
+    @pytest.mark.parametrize("k", [1023, 1024, 1025])
     def test_k_step_fit_is_the_kth_iterate_of_a_longer_fit(self, k, monkeypatch):
         # the trajectory tests read the k-th iterate off a num_steps=k fit;
         # here a spy on the batch gather reads a longer fit's own mu, which
@@ -197,17 +204,20 @@ class TestPegasos:
         t = np.where(rng.random(50) < 0.5, 1, -1)
         t[:2] = [1, -1]
         kset = KExampleSet(t, Z)
-        iterates = []
+        iterates, starts = [], []
         gather = mkl.sample_batch
 
-        def spy(kset, positions, out=None):
+        def spy(kset, start, size, out=None):
             iterates.append(inspect.currentframe().f_back.f_locals["mu"].copy())
-            return gather(kset, positions, out)
+            starts.append(start)
+            return gather(kset, start, size, out)
 
         monkeypatch.setattr(mkl, "sample_batch", spy)
-        pegasos_train(kset, 0.05, DRAW_BLOCK + 40, 8, seed=5)
+        pegasos_train(kset, 0.05, 1064, 8, seed=5)
         monkeypatch.undo()
-        assert len(iterates) == DRAW_BLOCK + 40
+        assert len(iterates) == 1064
+        # consecutive batches of 8 rows, cycling through the 50 rows
+        assert all(b == (a + 8) % 50 for a, b in zip(starts, starts[1:]))
         got = pegasos_train(kset, 0.05, k, 8, seed=5).mu
         assert np.any(got > 0)
         assert got.tobytes() == iterates[k].astype(np.float64).tobytes()
@@ -217,7 +227,7 @@ class TestPegasos:
         Z = rng.normal(0, 1, (40, 3))
         t = np.array([1, -1] * 20)
         kset = synth_kset(Z, t)
-        num_steps, batch_size = 20 * DRAW_BLOCK, 8
+        num_steps, batch_size = 20 * 1024, 8
         all_draws = num_steps * batch_size * 8  # a (num_steps, B) int64 array
         tracemalloc.start()
         try:
@@ -312,8 +322,10 @@ class TestPegasos:
             pegasos_train(kset, 0.1, num_steps=10, seed=0)
 
     def test_divergence_reported_with_step(self):
+        # three of every four rows in a cycled batch are +1, so the first
+        # step's sum of t z is about 5e201 and its 1/(lam k |B|) overflows
         Z = np.full((4, 1), 1e200)
-        t = np.array([1, -1, 1, -1])
+        t = np.array([1, -1, 1, 1])
         with pytest.raises(DivergedError) as err:
             pegasos_train(synth_kset(Z, t), 1e-150, num_steps=50, seed=0)
         assert err.value.step >= 1
@@ -445,13 +457,13 @@ class TestSelectLambda:
 
 
 def reference_select_lambda(Z, t, grid, seed, batch_size, num_steps, val_fraction=0.2):
-    """select_lambda on plain arrays: the same 80/20 split and seed ^ idx
-    streams, reference_pegasos per lambda, the exact validation hinge, and
-    the first minimum in grid order."""
+    """select_lambda on plain arrays: the same 80/20 split (the leading
+    fifth of the rows validates) and seed ^ idx streams, reference_pegasos
+    per lambda, the exact validation hinge, and the first minimum in grid
+    order."""
     Z, t = np.asarray(Z, dtype=np.float64), np.asarray(t, dtype=np.float64)
     n_val = max(1, int(np.floor(val_fraction * len(t) + 0.5)))
-    perm = np.random.default_rng(seed).permutation(len(t))
-    tr, va = perm[n_val:], perm[:n_val]
+    tr, va = np.arange(n_val, len(t)), np.arange(n_val)
 
     def hinge(mu, idx):
         return float(np.mean(np.maximum(0.0, 1.0 - t[idx] * (Z[idx] @ mu))))
