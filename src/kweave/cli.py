@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: `learn`, `svm train`, `evaluate`, `experiment run`,
-`report sweep`. Exit codes: 0 success, 1 config or input error, 2 runtime
-failure.
+`report sweep`. Exit codes: 0 success, 1 config or input error
+(experiment.InputError), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,51 +17,33 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, metrics, svm
-from .data import holdout_split, kfold_plan, load_dataset
+from .data import kfold_plan, load_dataset
+from .experiment import InputError
 from .kernels import RECIPES, check_weights, combine
 
 logger = logging.getLogger(__name__)
-
-
-class ConfigError(Exception):
-    """Bad arguments, config files, or input data; exits with code 1."""
 
 
 def _load_data(path: str, fmt: str):
     try:
         return load_dataset(path, fmt)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load dataset {path!r}: {exc}") from exc
+        raise InputError(f"cannot load dataset {path!r}: {exc}") from exc
 
 
 def _load_config(path: str) -> experiment.ExperimentConfig:
     try:
         return experiment.load_config(path)
     except (OSError, ValueError, TypeError) as exc:  # TypeError: a value of the wrong type
-        raise ConfigError(f"bad config {path!r}: {exc}") from exc
+        raise InputError(f"bad config {path!r}: {exc}") from exc
 
 
 def _load_run(args):
-    """The config of `experiment run` / `report sweep`, with --out applied, and its dataset.
-
-    A dataset the config's split cannot divide (a stratified split of a
-    one-row class) and svm.folds above the train rows of a split are config
-    errors; the train side has the same size at every seed.
-    """
+    """The config of `experiment run` / `report sweep`, with --out applied, and its dataset."""
     config = _load_config(args.config)
     if args.out:
         config.output_dir = args.out
-    dataset = _load_data(config.dataset_path, config.dataset_format)
-    try:
-        plan = holdout_split(dataset, config.train_fraction, config.base_seed, config.stratified)
-    except ValueError as exc:
-        raise ConfigError(f"cannot split {config.dataset_path!r}: {exc}") from exc
-    if config.svm_folds > len(plan.train_indices):
-        raise ConfigError(
-            f"svm.folds {config.svm_folds} exceeds the {len(plan.train_indices)} train rows "
-            f"of a split of {config.dataset_path!r}"
-        )
-    return config, dataset
+    return config, _load_data(config.dataset_path, config.dataset_format)
 
 
 def _write_json(obj, path) -> None:
@@ -70,32 +52,19 @@ def _write_json(obj, path) -> None:
 
 def cmd_learn(args) -> int:
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     dataset = _load_data(args.data, args.format)
     method = args.method.replace("-", "_")
-    try:
-        config = experiment.ExperimentConfig(
-            dataset_path=args.data,
-            dataset_format=args.format,
-            kernel_recipe=args.recipe,
-            method=method,
-            mkl_num_steps=args.steps,
-            mkl_batch_size=args.batch_size,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if method == "best_kernel" and config.svm_folds > dataset.n:
-        raise ConfigError(
-            f"best-kernel's {config.svm_folds}-fold CV exceeds the {dataset.n} rows "
-            f"of {args.data!r}"
-        )
-    order = None
-    if method == "tsmkl":
-        try:
-            order = experiment.kspace_order(dataset.labels, args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"{args.data!r}: {exc}") from exc
-    _, _, bank, dropped = experiment.prepare_train(dataset.instances, args.recipe, order)
+    config = experiment.ExperimentConfig(
+        dataset_path=args.data,
+        dataset_format=args.format,
+        kernel_recipe=args.recipe,
+        method=method,
+        mkl_num_steps=args.steps,
+        mkl_batch_size=args.batch_size,
+    )
+    experiment.check_method(method, dataset.labels, config.svm_folds)
+    _, _, bank, dropped = experiment.prepare_train(dataset, args.recipe, method, args.seed)
     mu, details = experiment.learn_weights(bank, dataset.labels, config, args.seed)
     payload = {
         "method": method,
@@ -115,18 +84,17 @@ def _read_weights(path: str, p: int) -> np.ndarray:
         with open(path, encoding="utf-8") as fh:
             return check_weights(p, json.load(fh)["mu"])
     except (OSError, ValueError, KeyError, TypeError) as exc:  # KernelError is a ValueError
-        raise ConfigError(f"bad weights {path!r}: {exc}") from exc
+        raise InputError(f"bad weights {path!r}: {exc}") from exc
 
 
 def cmd_svm_train(args) -> int:
     if args.folds < 2:
-        raise ConfigError(f"--folds must be >= 2, got {args.folds}")
+        raise InputError(f"--folds must be >= 2, got {args.folds}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     dataset = _load_data(args.data, args.format)
-    if args.folds > dataset.n:
-        raise ConfigError(f"--folds {args.folds} exceeds the {dataset.n} rows of {args.data!r}")
-    _, _, bank, _ = experiment.prepare_train(dataset.instances, args.recipe)
+    experiment.check_folds(args.folds, dataset.n, "--folds")
+    _, _, bank, _ = experiment.prepare_train(dataset, args.recipe)
     mu = _read_weights(args.weights, bank.p) if args.weights else np.full(bank.p, 1.0 / bank.p)
     combined = combine(bank, mu)
     folds = kfold_plan(dataset.n, args.folds, args.seed)
@@ -148,33 +116,33 @@ def _read_label_file(path: str) -> np.ndarray:
             values = [line.strip() for line in fh if line.strip()]
         return np.array([int(v) for v in values], dtype=np.int64)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read label file {path!r}: {exc}") from exc
+        raise InputError(f"cannot read label file {path!r}: {exc}") from exc
 
 
 def cmd_evaluate(args) -> int:
     if not 0.0 <= args.drop_fraction < 1.0:
-        raise ConfigError(f"--drop-fraction must be in [0, 1), got {args.drop_fraction}")
+        raise InputError(f"--drop-fraction must be in [0, 1), got {args.drop_fraction}")
     true = _read_label_file(args.true)
     pred = _read_label_file(args.pred)
     if true.shape != pred.shape:
-        raise ConfigError("true/pred label files differ in length")
+        raise InputError("true/pred label files differ in length")
     if true.size == 0:
-        raise ConfigError("label files are empty")
+        raise InputError("label files are empty")
     lo, hi = int(min(true.min(), pred.min())), int(max(true.max(), pred.max()))
     c = args.classes if args.classes else hi + 1
     if lo < 0 or hi >= c:
-        raise ConfigError(f"label ids must be in [0, {c}), got {lo}..{hi}")
+        raise InputError(f"label ids must be in [0, {c}), got {lo}..{hi}")
     report = metrics.evaluate(true, pred, c)
     out = {"metrics": report.to_dict(include_confusion=True)}
     if args.drop_fraction > 0.0:
         if not args.confidence:
-            raise ConfigError("--drop-fraction needs --confidence")
+            raise InputError("--drop-fraction needs --confidence")
         try:
             conf = np.loadtxt(args.confidence, dtype=np.float64, ndmin=1)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read confidence file {args.confidence!r}: {exc}") from exc
+            raise InputError(f"cannot read confidence file {args.confidence!r}: {exc}") from exc
         if conf.shape != true.shape:
-            raise ConfigError("confidence file length mismatch")
+            raise InputError("confidence file length mismatch")
         retained, filtered = metrics.filter_unsure(conf, pred, true, args.drop_fraction, c)
         out["filtered_metrics"] = filtered.to_dict()
         out["retained"] = [int(i) for i in retained]
@@ -258,19 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("experiment", help="experiment pipelines")
-    esub = p.add_subparsers(dest="subcommand")
-    er = esub.add_parser("run", help="run a config end to end")
-    er.add_argument("--config", required=True, help="experiment config JSON")
-    er.add_argument("--out", help="override the config's output directory")
-    er.set_defaults(func=cmd_experiment_run)
-
-    p = sub.add_parser("report", help="report utilities")
-    rsub = p.add_subparsers(dest="subcommand")
-    rs = rsub.add_parser("sweep", help="lambda sweep diagnostics on one split")
-    rs.add_argument("--config", required=True, help="experiment config JSON")
-    rs.add_argument("--out", help="override the config's output directory")
-    rs.set_defaults(func=cmd_report_sweep)
+    for group, group_help, name, name_help, func in (
+        ("experiment", "experiment pipelines", "run", "run a config end to end",
+         cmd_experiment_run),
+        ("report", "report utilities", "sweep", "lambda sweep diagnostics on one split",
+         cmd_report_sweep),
+    ):
+        p = sub.add_parser(group, help=group_help).add_subparsers(dest="subcommand")
+        p = p.add_parser(name, help=name_help)
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--out", help="override the config's output directory")
+        p.set_defaults(func=func)
 
     return parser
 
@@ -291,7 +257,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything past config validation is a runtime failure

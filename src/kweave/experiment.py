@@ -1,14 +1,14 @@
 """End-to-end experiment protocol: random splits, per-split weight learning,
 SVM training with CV-selected C, evaluation, and Table-style aggregation.
 
-Per split: (1) train/test split, (2) feature scaling fit on train, (3) the
-centered kernel bank on train, (4) method-specific kernel weights, (5) the
-test rows' combined cross Gram, summed one centered cross block at a time,
-(6) Gram combination, C selection and one-vs-rest training, (7) prediction
-and metrics, (8) per-stage wall-clock accounting and the process's peak
-RSS so far. Everything
-randomized is seeded from base_seed + split_index, so reports are
-reproducible byte for byte apart from timing fields.
+Every split's holdout is drawn and checked first (plan_splits). Per split:
+(1) train/test subsets, (2) feature scaling fit on train, (3) the centered
+kernel bank on train, (4) method-specific kernel weights, (5) the test
+rows' combined cross Gram, summed one centered cross block at a time, (6)
+Gram combination, C selection and one-vs-rest training, (7) prediction and
+metrics, (8) per-stage wall-clock accounting and the process's peak RSS so
+far. Everything randomized is seeded from base_seed + split_index, so
+reports are reproducible byte for byte apart from timing fields.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import baselines, metrics, mkl, svm
-from .data import Dataset, FeatureScaler, holdout_split, kfold_plan, load_dataset
+from .data import Dataset, FeatureScaler, SplitPlan, holdout_split, kfold_plan, load_dataset
 from .kernels import (
     RECIPES,
     build_kernel_bank,
@@ -52,6 +52,10 @@ _SEED_BESTK = 4
 _SEED_SVM_FOLDS = 6
 
 
+class InputError(ValueError):
+    """Arguments, config or data the program cannot use; the CLI exits 1."""
+
+
 @dataclass
 class ExperimentConfig:
     dataset_path: str
@@ -72,31 +76,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+            raise InputError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.kernel_recipe not in RECIPES:
-            raise ValueError(
+            raise InputError(
                 f"unknown kernel recipe {self.kernel_recipe!r}, expected one of {RECIPES}"
             )
         if self.n_splits < 1:
-            raise ValueError("n_splits must be >= 1")
+            raise InputError("n_splits must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
+            raise InputError("train_fraction must be in (0, 1)")
         if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
+            raise InputError("base_seed must be >= 0")
         if not 0.0 <= self.drop_fraction < 1.0:
-            raise ValueError("drop_fraction must be in [0, 1)")
+            raise InputError("drop_fraction must be in [0, 1)")
         if self.svm_folds < 2:
-            raise ValueError("svm_folds must be >= 2")
+            raise InputError("svm_folds must be >= 2")
         if self.mkl_num_steps is not None and self.mkl_num_steps < 1:
-            raise ValueError("mkl_num_steps must be >= 1")
+            raise InputError("mkl_num_steps must be >= 1")
         if self.mkl_batch_size < 1:
-            raise ValueError("mkl_batch_size must be >= 1")
+            raise InputError("mkl_batch_size must be >= 1")
         if self.lambda_grid is not None:
             mkl._validate_grid(self.lambda_grid)
         if not self.c_grid:
-            raise ValueError("c_grid must be non-empty")
+            raise InputError("c_grid must be non-empty")
         if not all(np.isfinite(c) and c > 0 for c in self.c_grid):
-            raise ValueError("c_grid entries must be positive and finite")
+            raise InputError("c_grid entries must be positive and finite")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -160,28 +164,18 @@ def _mkl_steps(config: ExperimentConfig, n_train: int) -> int:
     return 1000 if n_train < 1000 else 100000
 
 
-def kspace_order(train_y, seed: int) -> np.ndarray:
-    """tsmkl's bank row order (kspace.plan_rows) from a split's train labels and seed.
-
-    Raises ValueError, before any kernel is evaluated, below
-    mkl.MIN_KEXAMPLES balanced K-examples.
-    """
-    order, m = plan_rows(train_y, derive_seed(seed, _SEED_BALANCE), derive_seed(seed, _SEED_LAMBDA))
-    if m < mkl.MIN_KEXAMPLES:
-        raise ValueError(f"tsmkl needs {mkl.MIN_KEXAMPLES} balanced K-examples to select "
-                         f"lambda; {len(train_y)} train rows give {m}")
-    return order
-
-
-def prepare_train(train_X, recipe: str, order=None):
-    """Fit the scaler on the train rows, build the recipe's bank and center it
-    with its rows in the given order (None: natural pair order).
+def prepare_train(train: Dataset, recipe: str, method: str | None = None, seed: int = 0):
+    """Fit the scaler on the train rows, build the recipe's bank and center it,
+    for tsmkl with its rows in stage one's planned order for the seed
+    (kspace.plan_rows), else in natural pair order.
 
     Returns (scaler, scaled_train, centered bank, dropped kernel indices).
     The raw bank is not kept past centering.
     """
-    scaler = FeatureScaler.fit(train_X)
-    Xs = scaler.apply(train_X)
+    seeds = derive_seed(seed, _SEED_BALANCE), derive_seed(seed, _SEED_LAMBDA)
+    order = plan_rows(train.labels, *seeds)[0] if method == "tsmkl" else None
+    scaler = FeatureScaler.fit(train.instances)
+    Xs = scaler.apply(train.instances)
     bank, dropped = center_bank(build_kernel_bank(Xs, recipe), order)
     return scaler, Xs, bank, dropped
 
@@ -204,22 +198,18 @@ def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
     """Learn the config's kernel weights on a centered train-side bank.
 
     Returns (mu, details). The bank must come from prepare_train on train
-    rows only (for tsmkl, in kspace_order); nothing here may see test rows.
+    rows only, with the same method and seed; nothing here may see test rows.
     """
     train_y = np.asarray(train_y, dtype=np.int64)
     details: dict = {}
 
     if config.method == "tsmkl":
         if bank.order is None:
-            raise ValueError("tsmkl reads a bank stored in kspace_order's row order")
+            raise ValueError("tsmkl reads a bank stored in stage one's planned row order")
         steps = _mkl_steps(config, len(train_y))
         bal = balance(make_kexamples(train_y, bank))
         lam, lam_records = mkl.select_lambda(
-            bal,
-            grid=config.lambda_grid,
-            seed=derive_seed(seed, _SEED_LAMBDA),
-            batch_size=config.mkl_batch_size,
-            num_steps=steps,
+            bal, config.lambda_grid, derive_seed(seed, _SEED_LAMBDA), config.mkl_batch_size, steps
         )
         final = mkl.pegasos_train(
             bal, lam, steps, config.mkl_batch_size, derive_seed(seed, _SEED_FINAL)
@@ -241,18 +231,59 @@ def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
         mu = baselines.target_align(bank, train_y)
     elif config.method == "average":
         mu = baselines.uniform_weights(bank.p)
-    elif config.method == "best_kernel":
+    else:  # best_kernel, the last of METHODS
         folds = kfold_plan(len(train_y), config.svm_folds, derive_seed(seed, _SEED_BESTK))
         idx, mu = baselines.best_kernel(bank, train_y, folds, c_grid=config.c_grid)
         details = {"chosen_kernel": idx, "kernel_label": bank.specs[idx].label()}
-    else:  # unreachable after config validation
-        raise ValueError(config.method)
     return mu, details
 
 
-def _holdout(dataset: Dataset, config: ExperimentConfig, seed: int):
-    """The (train, test) datasets of one random split."""
-    plan = holdout_split(dataset, config.train_fraction, seed, config.stratified)
+def check_folds(folds: int, n_rows: int, name: str) -> None:
+    if folds > n_rows:
+        raise InputError(f"{name} {folds} exceeds the {n_rows} train rows")
+
+
+def check_method(method: str, train_y, svm_folds: int) -> None:
+    """What a method needs from its train rows: best_kernel's CV folds, and
+    tsmkl's mkl.MIN_KEXAMPLES balanced K-examples (kspace.plan_rows's m,
+    twice the smaller of the same-class and cross-class pair counts)."""
+    if method == "best_kernel":
+        check_folds(svm_folds, len(train_y), "best_kernel's svm.folds")
+    elif method == "tsmkl":
+        n, counts = len(train_y), np.bincount(train_y)
+        same = int(np.sum(counts * (counts + 1) // 2))
+        m = 2 * min(same, n * (n + 1) // 2 - same)
+        if m < mkl.MIN_KEXAMPLES:
+            raise InputError(f"tsmkl needs {mkl.MIN_KEXAMPLES} balanced K-examples to select "
+                             f"lambda; {n} train rows give {m}")
+
+
+def plan_splits(dataset: Dataset, config: ExperimentConfig, n_splits: int, method: str) -> list:
+    """Each split's holdout, drawn once and checked before any split runs:
+    each side holds every class, and the train rows suffice for svm.folds
+    and the method. Raises InputError naming the first split that fails.
+    CV folds that lose a class are not foreseen; they fail at run time."""
+    plans = []
+    for seed in range(config.base_seed, config.base_seed + n_splits):
+        try:
+            plan = holdout_split(dataset, config.train_fraction, seed, config.stratified)
+            for side, rows in (("train", plan.train_indices), ("test", plan.test_indices)):
+                missing = np.setdiff1d(np.arange(dataset.n_classes), dataset.labels[rows])
+                if missing.size:
+                    name = dataset.class_names[missing[0]]
+                    raise InputError(f"the {side} side has no rows of class {name!r}")
+            train_y = dataset.labels[plan.train_indices]
+            check_folds(config.svm_folds, len(train_y), "svm.folds")
+            check_method(method, train_y, config.svm_folds)
+        except ValueError as exc:  # holdout_split's own refusals too
+            i = seed - config.base_seed
+            raise InputError(f"split {i} (seed {seed}) of {config.dataset_path!r}: {exc}") from exc
+        plans.append(plan)
+    return plans
+
+
+def _holdout(dataset: Dataset, plan: SplitPlan):
+    """The (train, test) datasets of a planned split."""
     return dataset.subset(plan.train_indices), dataset.subset(plan.test_indices)
 
 
@@ -294,18 +325,19 @@ def _peak_rss_mb() -> float:
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)  # bytes vs KB
 
 
-def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int) -> dict:
+def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, plan) -> dict:
     seed = config.base_seed + split_index
     record: dict = {"split_index": split_index, "seed": seed}
     clock = _StageClock()
     try:
         with clock.stage("split"):
-            train, test = _holdout(dataset, config, seed)
+            train, test = _holdout(dataset, plan)
             record["n_train"], record["n_test"] = train.n, test.n
 
         with clock.stage("kernel_learning"):
-            order = kspace_order(train.labels, seed) if config.method == "tsmkl" else None
-            scaler, Xs, bank, dropped = prepare_train(train.instances, config.kernel_recipe, order)
+            scaler, Xs, bank, dropped = prepare_train(
+                train, config.kernel_recipe, config.method, seed
+            )
             mu, details = learn_weights(bank, train.labels, config, seed)
         record["mu"] = [float(v) for v in mu]
         record["mu_summary"] = _mu_summary(mu)
@@ -398,7 +430,8 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     t_start = time.perf_counter()
     if dataset is None:
         dataset = load_dataset(config.dataset_path, config.dataset_format)
-    per_split = [_run_split(dataset, config, i) for i in range(config.n_splits)]
+    plans = plan_splits(dataset, config, config.n_splits, config.method)
+    per_split = [_run_split(dataset, config, i, plan) for i, plan in enumerate(plans)]
     aggregate = aggregate_records(per_split)
     cfg_dict = config.to_dict()
     hashes = {
@@ -426,22 +459,20 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     validation hinge of mkl.train_grid; k_accuracy is sign agreement of
     mu.z with t on that validation K-split (a zero score counts as +1);
     data_accuracy is None where the weights collapsed or the SVM stage
-    failed.
+    failed. Its split is run_experiment's split 0, planned for tsmkl.
     """
     t_start = time.perf_counter()
     if dataset is None:
         dataset = load_dataset(config.dataset_path, config.dataset_format)
     seed = config.base_seed
-    train, test = _holdout(dataset, config, seed)
-    scaler, Xs, bank, _ = prepare_train(
-        train.instances, config.kernel_recipe, kspace_order(train.labels, seed)
-    )
+    (plan,) = plan_splits(dataset, config, 1, "tsmkl")
+    train, test = _holdout(dataset, plan)
+    scaler, Xs, bank, _ = prepare_train(train, config.kernel_recipe, "tsmkl", seed)
     crosses = list(cross_blocks(scaler, Xs, bank, test.instances))  # reused per lambda
     bal = balance(make_kexamples(train.labels, bank))
 
-    grid = config.lambda_grid if config.lambda_grid is not None else mkl.default_lambda_grid()
     val_k, fits = mkl.train_grid(
-        bal, grid, derive_seed(seed, _SEED_LAMBDA), config.mkl_batch_size,
+        bal, config.lambda_grid, derive_seed(seed, _SEED_LAMBDA), config.mkl_batch_size,
         _mkl_steps(config, train.n),
     )
     records = []

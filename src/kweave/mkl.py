@@ -169,13 +169,14 @@ def _split_kset(kset: KExampleSet):
 
 
 def train_grid(kset, grid, seed, batch_size, num_steps):
-    """Fit one model per grid value on the 80% train block of the K-examples.
+    """Fit one model per grid value (None: default_lambda_grid) on the 80%
+    train block of the K-examples.
 
     Returns (val_kset, fits): one (lam, model, val_hinge) per grid value, in
     grid order, with the model's exact validation hinge; model and
     val_hinge are None where the solver failed (logged as a warning).
     """
-    grid = _validate_grid(grid)
+    grid = _validate_grid(default_lambda_grid() if grid is None else grid)
     if len(kset) < MIN_KEXAMPLES:
         raise ValueError(f"need at least {MIN_KEXAMPLES} K-examples, got {len(kset)}")
     train_k, val_k = _split_kset(kset)
@@ -207,8 +208,6 @@ def select_lambda(
     in all but the lambda. Ties break toward the larger lam (the grid is
     descending, so the first minimum wins).
     """
-    if grid is None:
-        grid = default_lambda_grid()
     _, fits = train_grid(kset, grid, seed, batch_size, num_steps)
     records = [
         {

@@ -101,25 +101,6 @@ class TestLearn:
         assert "feature column" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_best_kernel_with_fewer_rows_than_folds_is_config_error(self, tmp_path, capsys):
-        data = tmp_path / "three.csv"
-        data.write_text("f,label\n0.0,a\n1.0,b\n2.0,a\n")
-        out = tmp_path / "w.json"
-        code = main(["learn", "--data", str(data), "--method", "best-kernel", "--out", str(out)])
-        assert code == 1
-        assert "4-fold CV exceeds the 3 rows" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_tsmkl_with_too_few_kexamples_is_config_error(self, tmp_path, capsys):
-        # 3 rows (a, b, a): 4 same-class pairs and 2 others balance to 4 K-examples
-        data = tmp_path / "three.csv"
-        data.write_text("f,label\n1,a\n2,b\n3,a\n")
-        out = tmp_path / "w.json"
-        code = main(["learn", "--data", str(data), "--method", "tsmkl", "--out", str(out)])
-        assert code == 1
-        assert "needs 5 balanced K-examples" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_unknown_method_rejected_by_parser(self, tmp_path, toy_csv):
         code = main(
             ["learn", "--data", toy_csv, "--method", "boosting", "--out", "w.json"]
@@ -192,16 +173,6 @@ class TestSvmTrain:
         assert code == 1
         assert "--folds" in capsys.readouterr().err
         assert not model.exists()
-
-    def test_more_folds_than_rows_is_config_error(self, tmp_path, capsys):
-        data = tmp_path / "four.csv"
-        data.write_text("f,label\n0.0,a\n1.0,b\n2.0,a\n3.0,b\n")
-        model = tmp_path / "m.json"
-        code = main(["svm", "train", "--data", str(data), "--folds", "5", "--out", str(model)])
-        assert code == 1
-        assert "--folds" in capsys.readouterr().err
-        assert not model.exists()
-
 
 class TestEvaluate:
     def test_hand_metrics(self, tmp_path, capsys):
@@ -373,14 +344,6 @@ class TestExperimentRun:
         assert main(["experiment", "run", "--config", cfg]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
-    def test_more_folds_than_train_rows_exits_one(self, tmp_path, toy_csv, capsys, command):
-        cfg = write_config(tmp_path, toy_csv, method="tsmkl", svm={"folds": 500})
-        assert main(command + ["--config", cfg]) == 1
-        assert "svm.folds 500 exceeds" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-
 class TestReportSweep:
     def test_writes_tsv_and_json(self, tmp_path, toy_csv, capsys):
         cfg = write_config(tmp_path, toy_csv, method="tsmkl")
@@ -409,3 +372,159 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "kweave" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# The exit-code table: minimal input files x command -> code and a message
+# substring, with no output written by a failing command. Paths are relative
+# to the case's own directory. README's exit-code list follows these rows.
+
+EIGHT = "f,label\n0.1,a\n0.9,b\n0.3,a\n1.4,b\n0.2,a\n1.1,b\n0.5,a\n1.6,b\n"
+THREE = "f,label\n0,a\n1,b\n2,a\n"  # 4 same-class pairs, 2 others: 4 K-examples
+FOUR = "f,label\n0,a\n1,b\n2,a\n3,b\n"  # a stratified 80% keeps one row per class
+TWELVE = "f,label\n" + "".join(f"{i},a\n" for i in range(9)) + "9,b\n10,b\n11,b\n"
+LEARN = ["learn", "--data", "data.csv", "--out", "w.json", "--method"]
+SVM = ["svm", "train", "--data", "data.csv", "--out", "m.json"]
+EVALUATE = ["evaluate", "--true", "t.txt", "--pred", "p.txt", "--out", "e.json"]
+RUN_COMMANDS = {"run": ["experiment", "run"], "sweep": ["report", "sweep"]}
+
+
+def data(text=EIGHT, **extra):
+    return {"data.csv": text, **extra}
+
+
+def run_config(text=EIGHT, **overrides):
+    config = {
+        "dataset": {"path": "data.csv"},
+        "method": "average",
+        "splits": {"count": 2},
+        "mkl": {"num_steps": 50, "lambda_grid": [1.0, 0.0625]},
+        "output_dir": "out",
+    }
+    config.update(overrides)
+    return data(text, **{"config.json": json.dumps(config)})
+
+
+def weights(mu):
+    return data(**{"w.json": json.dumps(mu)})
+
+
+def labels(true, pred, conf="0.5\n0.7\n"):
+    files = {"t.txt": true, "p.txt": pred}
+    return files if conf is None else {**files, "c.txt": conf}
+
+
+INVALID_CONFIG_VALUES = [
+    {"mkl": {"num_steps": 0}},
+    {"mkl": {"lambda_grid": [0.0625, 1.0]}},
+    {"svm": {"c_grid": [-1.0]}},
+    {"kernels": {"recipe": "everything"}},
+    {"splits": {"count": "2"}},
+    {"splits": {"count": 2, "base_seed": -3}},
+    {"svm": {"c_grid": [float("nan")]}},
+    {"svm": {"c_grid": [float("inf")]}},
+    {"svm": {"c_grid": [1.0, float("nan")]}},
+    {"mkl": {"lambda_grid": [float("inf"), 1.0]}},
+]
+
+# (id, files, argv, exit code, substring of stdout + stderr)
+EXIT_CASES = [
+    ("help", {}, ["--help"], 0, "kweave"),
+    ("no-command", {}, [], 1, "usage:"),
+    ("bare-group", {}, ["svm"], 1, "usage:"),
+    ("unknown-command", {}, ["frobnicate"], 1, "invalid choice"),
+    ("learn-average-3-rows", data(THREE), LEARN + ["average"], 0, "nonzero weights"),
+    ("learn-unknown-method", data(), LEARN + ["boosting"], 1, "invalid choice"),
+    ("learn-batch-size-0", data(), LEARN + ["average", "--batch-size", "0"], 1,
+     "mkl_batch_size must be >= 1"),
+    ("learn-steps-0", data(), LEARN + ["tsmkl", "--steps", "0"], 1, "mkl_num_steps must be >= 1"),
+    ("learn-negative-seed", data(), LEARN + ["tsmkl", "--seed", "-1"], 1, "--seed must be >= 0"),
+    ("learn-no-feature-csv", data("label\na\nb\na\nb\n"), LEARN + ["average"], 1,
+     "feature column"),
+    ("learn-no-feature-sparse", data("a\nb\na\n"), LEARN + ["average", "--format", "sparse_svm"],
+     1, "feature column"),
+    ("learn-best-kernel-3-rows", data(THREE), LEARN + ["best-kernel"], 1,
+     "best_kernel's svm.folds 4 exceeds the 3 train rows"),
+    ("learn-tsmkl-3-rows", data(THREE), LEARN + ["tsmkl"], 1,
+     "tsmkl needs 5 balanced K-examples to select lambda; 3 train rows give 4"),
+    ("svm-one-fold", data(), SVM + ["--folds", "1"], 1, "--folds must be >= 2"),
+    ("svm-negative-seed", data(), SVM + ["--seed", "-1"], 1, "--seed must be >= 0"),
+    ("svm-folds-over-rows", data(FOUR), SVM + ["--folds", "5"], 1,
+     "--folds 5 exceeds the 4 train rows"),
+    ("svm-weights-length", weights({"mu": [1.0, 2.0]}), SVM + ["--weights", "w.json"], 1,
+     "bad weights"),
+    ("svm-weights-negative", weights({"mu": [-1.0] + [1.0] * 12}), SVM + ["--weights", "w.json"],
+     1, "bad weights"),
+    ("svm-weights-all-zero", weights({"mu": [0.0] * 13}), SVM + ["--weights", "w.json"], 1,
+     "bad weights"),
+    ("svm-weights-nan", weights({"mu": [float("nan")] + [1.0] * 12}),
+     SVM + ["--weights", "w.json"], 1, "bad weights"),
+    ("svm-weights-list", weights([1.0] * 13), SVM + ["--weights", "w.json"], 1, "bad weights"),
+    ("evaluate-drop-without-confidence", labels("0\n1\n", "0\n1\n"),
+     EVALUATE + ["--drop-fraction", "0.5"], 1, "--drop-fraction needs --confidence"),
+    ("evaluate-confidence-missing", labels("0\n1\n", "0\n1\n", None),
+     EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1, "confidence file"),
+    ("evaluate-confidence-malformed", labels("0\n1\n", "0\n1\n", "0.1\nhigh\n"),
+     EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1, "confidence file"),
+    ("evaluate-classes-too-few", labels("0\n1\n", "0\n1\n"), EVALUATE + ["--classes", "1"], 1,
+     "label ids must be in [0, 1)"),
+    ("evaluate-negative-label", labels("0\n1\n", "0\n-1\n"), EVALUATE, 1,
+     "label ids must be in [0, 2)"),
+    ("evaluate-empty", labels("", ""), EVALUATE, 1, "label files are empty"),
+    ("evaluate-drop-above-one", labels("0\n1\n", "0\n1\n"),
+     EVALUATE + ["--drop-fraction", "1.5", "--confidence", "c.txt"], 1, "--drop-fraction must be"),
+    ("evaluate-drop-negative", labels("0\n1\n", "0\n1\n"),
+     EVALUATE + ["--drop-fraction", "-0.1", "--confidence", "c.txt"], 1, "--drop-fraction must be"),
+    ("evaluate-length-mismatch", labels("0\n1\n", "0\n"), EVALUATE, 1, "differ in length"),
+    ("run-missing-config", {}, ["experiment", "run", "--config", "config.json"], 1, "bad config"),
+    ("run-unknown-config-key", run_config(svm={"C": 3}), ["experiment", "run", "--config",
+     "config.json"], 1, "unknown config keys in svm"),
+    *(
+        (f"run-invalid-config-{i}", run_config(**overrides),
+         ["experiment", "run", "--config", "config.json"], 1, "bad config")
+        for i, overrides in enumerate(INVALID_CONFIG_VALUES)
+    ),
+    # lambda * k * B underflows in the float32 step: every lambda, so every split, fails
+    ("run-all-splits-fail", run_config(method="tsmkl", mkl={"lambda_grid": [1e-300]}),
+     ["experiment", "run", "--config", "config.json"], 2, "runtime failure"),
+    ("run-empty-side", run_config("f,label\n0,a\n1,b\n", splits={"stratified": False}),
+     ["experiment", "run", "--config", "config.json"], 1,
+     "split 0 (seed 0) of 'data.csv': train_fraction 0.8 yields an empty side for n=2"),
+    *(
+        (f"{name}-{case}", files, command + ["--config", "config.json"], 1, message)
+        for name, command in RUN_COMMANDS.items()
+        for case, files, message in [
+            ("missing-dataset", run_config(dataset={"path": "no-such.csv"}),
+             "cannot load dataset 'no-such.csv'"),
+            ("bad-format", run_config(dataset={"path": "data.csv", "format": "arff"}),
+             "unknown format 'arff'"),
+            ("no-feature-column", run_config("label\na\nb\na\nb\n"), "feature column"),
+            # a stratified split cannot divide a class of one row
+            ("one-row-class", run_config("f,label\n0,a\n1,a\n2,a\n3,a\n4,b\n"),
+             "split 0 (seed 0) of 'data.csv': stratified split needs >= 2 members per class"),
+            ("svm-folds-over-train-rows", run_config(method="tsmkl", svm={"folds": 500}),
+             "split 0 (seed 0) of 'data.csv': svm.folds 500 exceeds the 6 train rows"),
+            ("tsmkl-4-rows", run_config(FOUR, method="tsmkl", svm={"folds": 2}),
+             "split 0 (seed 0) of 'data.csv': tsmkl needs 5 balanced K-examples to select "
+             "lambda; 2 train rows give 2"),
+            # 10 train rows of 12 at random: split 0 draws two a rows to test
+            ("unstratified-loses-class", run_config(
+                TWELVE, splits={"count": 10, "stratified": False}, svm={"folds": 2}),
+             "split 0 (seed 0) of 'data.csv': the test side has no rows of class 'b'"),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, message", [c[1:] for c in EXIT_CASES], ids=[c[0] for c in EXIT_CASES]
+)
+def test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    written = {p.name for p in tmp_path.iterdir()} - set(files)
+    assert written == ({argv[argv.index("--out") + 1]} if code == 0 and "--out" in argv else set())

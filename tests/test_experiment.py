@@ -10,14 +10,13 @@ import pytest
 
 import kweave.experiment as experiment
 import kweave.metrics as metrics
-from kweave.data import holdout_split, load_dataset
+from kweave.data import Dataset, holdout_split, load_dataset
 from kweave.experiment import (
     ExperimentConfig,
     ExperimentReport,
     _mkl_steps,
     aggregate_records,
     cross_blocks,
-    kspace_order,
     learn_weights,
     prepare_train,
     render_markdown_table,
@@ -27,6 +26,7 @@ from kweave.experiment import (
     strip_timing_fields,
 )
 from kweave.kernels import center_standardize_apply, combine_cross, compute_cross_gram
+from kweave.kspace import plan_rows
 
 from conftest import force_nonconvergence, make_blobs
 
@@ -128,15 +128,14 @@ class TestConfig:
 def prepared_bank(toy_csv, seed=None):
     """The toy data and its centered bank, in tsmkl's row order for seed if given."""
     data = load_dataset(toy_csv)
-    order = None if seed is None else kspace_order(data.labels, seed)
-    _, _, bank, _ = prepare_train(data.instances, "uci_full", order)
+    _, _, bank, _ = prepare_train(data, "uci_full", *(() if seed is None else ("tsmkl", seed)))
     return data, bank
 
 
 class TestLearnWeights:
     def test_average_is_uniform(self, toy_csv):
         data = load_dataset(toy_csv)
-        scaler, Xs, bank, _ = prepare_train(data.instances, "uci_full")
+        scaler, Xs, bank, _ = prepare_train(data, "uci_full")
         np.testing.assert_array_equal(Xs, scaler.apply(data.instances))
         mu, details = learn_weights(bank, data.labels, fast_config(toy_csv), seed=0)
         np.testing.assert_array_equal(mu, np.full(bank.p, 1.0 / bank.p))
@@ -181,6 +180,11 @@ class TestLearnWeights:
         assert details["kernel_label"] == bank.specs[idx].label()
 
 
+def two_class(X):
+    """X as a dataset whose rows alternate between two classes."""
+    return Dataset(X, np.arange(len(X)) % 2, ("a", "b"))
+
+
 class TestCrossStage:
     """The test side sums the centered cross blocks one at a time."""
 
@@ -188,7 +192,7 @@ class TestCrossStage:
     def per_feature_split(n_train=80, n_test=50, d=10):
         rng = np.random.default_rng(4)
         scaler, Xs, bank, dropped = prepare_train(
-            rng.normal(0, 1, (n_train, d)), "uci_full_plus_per_feature"
+            two_class(rng.normal(0, 1, (n_train, d))), "uci_full_plus_per_feature"
         )
         assert bank.p == 13 * d + 13 and not dropped
         return scaler, Xs, bank, rng.normal(0, 1, (n_test, d))
@@ -212,7 +216,7 @@ class TestCrossStage:
         X, X_test = rng.normal(0, 1, (25, 3)), rng.normal(0, 1, (8, 3))
         if constant_column is not None:
             X[:, constant_column] = 2.0
-        scaler, Xs, bank, dropped = prepare_train(X, recipe)
+        scaler, Xs, bank, dropped = prepare_train(two_class(X), recipe)
         assert bool(dropped) == (constant_column is not None)
         Xt = scaler.apply(X_test)
         blocks = list(cross_blocks(scaler, Xs, bank, X_test))
@@ -302,8 +306,7 @@ class TestRunExperiment:
         data = load_dataset(toy_csv)
         plan = holdout_split(data, cfg.train_fraction, rec["seed"], cfg.stratified)
         train = data.subset(plan.train_indices)
-        order = kspace_order(train.labels, rec["seed"])
-        _, _, bank, _ = prepare_train(train.instances, cfg.kernel_recipe, order)
+        _, _, bank, _ = prepare_train(train, cfg.kernel_recipe, "tsmkl", rec["seed"])
         mu, _ = learn_weights(bank, train.labels, cfg, rec["seed"])
         assert rec["mu"] == [float(v) for v in mu]
 
@@ -348,7 +351,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "learn_weights", zero_weights)
         cfg = fast_config(toy_csv, n_splits=1)
-        rec = experiment._run_split(load_dataset(toy_csv), cfg, 0)
+        data = load_dataset(toy_csv)
+        (plan,) = experiment.plan_splits(data, cfg, 1, cfg.method)
+        rec = experiment._run_split(data, cfg, 0, plan)
         assert rec["error"] == "KernelError: all-zero kernel weight vector"
         assert rec["stage"] == "kernel_build"
         assert list(rec["timings"]) == ["split", "kernel_learning", "kernel_build", "peak_rss_mb"]
@@ -359,7 +364,9 @@ class TestRunExperiment:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(experiment, "_fit_svm", slow_failure)
-        rec = experiment._run_split(load_dataset(toy_csv), fast_config(toy_csv, n_splits=1), 0)
+        data, cfg = load_dataset(toy_csv), fast_config(toy_csv, n_splits=1)
+        (plan,) = experiment.plan_splits(data, cfg, 1, cfg.method)
+        rec = experiment._run_split(data, cfg, 0, plan)
         assert rec["stage"] == "svm"
         assert list(rec["timings"]) == [
             "split", "kernel_learning", "kernel_build", "svm", "peak_rss_mb",
@@ -389,6 +396,63 @@ class TestRunExperiment:
         for rec in report.per_split:
             assert rec["filtered_metrics"]["retained_fraction"] == pytest.approx(0.8, abs=0.1)
         assert "filtered_accuracy" in report.aggregate
+
+
+class TestPlanSplits:
+    """Every split is drawn and checked once, before any split runs."""
+
+    @staticmethod
+    def twelve_rows():
+        # 9 a and 3 b: 10 random train rows leave 2 test rows, often both a
+        return Dataset(np.arange(12.0)[:, None], [0] * 9 + [1] * 3, ("a", "b"))
+
+    def test_a_late_failing_split_stops_the_run_before_any_work(self, monkeypatch):
+        # seed 4 holds out one row of each class, seed 5 two a rows
+        calls = []
+        monkeypatch.setattr(experiment, "prepare_train", lambda *args: calls.append(args))
+        cfg = ExperimentConfig(dataset_path="twelve.csv", method="average", n_splits=2,
+                               base_seed=4, stratified=False, svm_folds=2)
+        with pytest.raises(experiment.InputError, match=r"split 1 \(seed 5\) of 'twelve.csv': "
+                           "the test side has no rows of class 'b'"):
+            run_experiment(cfg, dataset=self.twelve_rows())
+        assert calls == []
+
+    def test_sweep_plans_its_split_for_tsmkl(self):
+        # a stratified 80% of a, b, a, b trains on one row per class: enough
+        # for 2 CV folds, but its 3 pairs balance to 2 K-examples
+        data = Dataset(np.arange(4.0)[:, None], [0, 1, 0, 1], ("a", "b"))
+        cfg = ExperimentConfig(dataset_path="four.csv", method="average", svm_folds=2)
+        assert len(experiment.plan_splits(data, cfg, 1, "average")) == 1
+        with pytest.raises(experiment.InputError, match="split 0 .*2 train rows give 2$"):
+            run_lambda_sweep(cfg, dataset=data)
+
+    def test_holdout_drawn_once_per_split(self, toy_csv, monkeypatch):
+        seeds = []
+
+        def counted(dataset, fraction, seed, stratified):
+            seeds.append(seed)
+            return holdout_split(dataset, fraction, seed, stratified)
+
+        monkeypatch.setattr(experiment, "holdout_split", counted)
+        run_experiment(fast_config(toy_csv, n_splits=3, base_seed=7))
+        assert seeds == [7, 8, 9]
+
+    def test_kexample_count_is_plan_rows_m(self, monkeypatch):
+        # with an unreachable minimum the check reports every label vector's count
+        monkeypatch.setattr(experiment.mkl, "MIN_KEXAMPLES", 10**9)
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            y = rng.integers(0, rng.integers(2, 5), size=rng.integers(2, 15))
+            _, m = plan_rows(y, 0, 1)
+            with pytest.raises(experiment.InputError, match=f"{len(y)} train rows give {m}$"):
+                experiment.check_method("tsmkl", y, 4)
+
+    def test_method_needs(self):
+        experiment.check_method("average", [0, 1, 0], 4)  # no CV folds, no K-examples
+        experiment.check_method("target_align", [0, 1, 0], 4)
+        with pytest.raises(experiment.InputError, match="best_kernel's svm.folds 4 exceeds the 3"):
+            experiment.check_method("best_kernel", [0, 1, 0], 4)
+        experiment.check_method("best_kernel", [0, 1, 0], 3)
 
 
 class TestAggregateRecords:
