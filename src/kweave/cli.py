@@ -64,7 +64,7 @@ def cmd_learn(args) -> int:
         mkl_batch_size=args.batch_size,
     )
     experiment.check_method(method, dataset.labels, config.svm_folds)
-    _, _, bank, dropped = experiment.prepare_train(dataset, args.recipe, method, args.seed)
+    _, _, bank, dropped = experiment.prepare_train(dataset, args.recipe, args.seed)
     mu, details = experiment.learn_weights(bank, dataset.labels, config, args.seed)
     payload = {
         "method": method,
@@ -94,7 +94,7 @@ def cmd_svm_train(args) -> int:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     dataset = _load_data(args.data, args.format)
     experiment.check_folds(args.folds, dataset.n, "--folds")
-    _, _, bank, _ = experiment.prepare_train(dataset, args.recipe)
+    _, _, bank, _ = experiment.prepare_train(dataset, args.recipe, args.seed)
     mu = _read_weights(args.weights, bank.p) if args.weights else np.full(bank.p, 1.0 / bank.p)
     combined = combine(bank, mu)
     folds = kfold_plan(dataset.n, args.folds, args.seed)

@@ -3,9 +3,10 @@ SVM training with CV-selected C, evaluation, and Table-style aggregation.
 
 Every split's holdout is drawn and checked first (plan_splits). Per split:
 (1) train/test subsets, (2) feature scaling fit on train, (3) the centered
-kernel bank on train, (4) method-specific kernel weights, (5) the test
-rows' combined cross Gram, summed one centered cross block at a time, (6)
-Gram combination, C selection and one-vs-rest training, (7) prediction and
+kernel bank on train, its rows in stage one's planned order whatever the
+method, (4) method-specific kernel weights, (5) the test rows' combined
+cross Gram, summed one centered cross block at a time, (6) Gram
+combination, C selection and one-vs-rest training, (7) prediction and
 metrics, (8) per-stage wall-clock accounting and the process's peak RSS so
 far. Everything randomized is seeded from base_seed + split_index, so
 reports are reproducible byte for byte apart from timing fields.
@@ -164,19 +165,17 @@ def _mkl_steps(config: ExperimentConfig, n_train: int) -> int:
     return 1000 if n_train < 1000 else 100000
 
 
-def prepare_train(train: Dataset, recipe: str, method: str | None = None, seed: int = 0):
+def prepare_train(train: Dataset, recipe: str, seed: int = 0):
     """Fit the scaler on the train rows, build the recipe's bank and center it,
-    for tsmkl with its rows in stage one's planned order for the seed
-    (kspace.plan_rows), else in natural pair order.
+    with its rows in stage one's planned order for the seed (kspace.plan_rows).
 
     Returns (scaler, scaled_train, centered bank, dropped kernel indices).
     The raw bank is not kept past centering.
     """
-    seeds = derive_seed(seed, _SEED_BALANCE), derive_seed(seed, _SEED_LAMBDA)
-    order = plan_rows(train.labels, *seeds)[0] if method == "tsmkl" else None
     scaler = FeatureScaler.fit(train.instances)
     Xs = scaler.apply(train.instances)
-    bank, dropped = center_bank(build_kernel_bank(Xs, recipe), order)
+    seeds = derive_seed(seed, _SEED_BALANCE), derive_seed(seed, _SEED_LAMBDA)
+    bank, dropped = center_bank(build_kernel_bank(Xs, recipe), plan_rows(train.labels, *seeds)[0])
     return scaler, Xs, bank, dropped
 
 
@@ -198,14 +197,12 @@ def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
     """Learn the config's kernel weights on a centered train-side bank.
 
     Returns (mu, details). The bank must come from prepare_train on train
-    rows only, with the same method and seed; nothing here may see test rows.
+    rows only, with the same seed; nothing here may see test rows.
     """
     train_y = np.asarray(train_y, dtype=np.int64)
     details: dict = {}
 
     if config.method == "tsmkl":
-        if bank.order is None:
-            raise ValueError("tsmkl reads a bank stored in stage one's planned row order")
         steps = _mkl_steps(config, len(train_y))
         bal = balance(make_kexamples(train_y, bank))
         lam, lam_records = mkl.select_lambda(
@@ -258,10 +255,10 @@ def check_method(method: str, train_y, svm_folds: int) -> None:
                              f"lambda; {n} train rows give {m}")
 
 
-def plan_splits(dataset: Dataset, config: ExperimentConfig, n_splits: int, method: str) -> list:
+def plan_splits(dataset: Dataset, config: ExperimentConfig, n_splits: int) -> list:
     """Each split's holdout, drawn once and checked before any split runs:
     each side holds every class, and the train rows suffice for svm.folds
-    and the method. Raises InputError naming the first split that fails.
+    and the config's method. Raises InputError naming the first split that fails.
     CV folds that lose a class are not foreseen; they fail at run time."""
     plans = []
     for seed in range(config.base_seed, config.base_seed + n_splits):
@@ -274,7 +271,7 @@ def plan_splits(dataset: Dataset, config: ExperimentConfig, n_splits: int, metho
                     raise InputError(f"the {side} side has no rows of class {name!r}")
             train_y = dataset.labels[plan.train_indices]
             check_folds(config.svm_folds, len(train_y), "svm.folds")
-            check_method(method, train_y, config.svm_folds)
+            check_method(config.method, train_y, config.svm_folds)
         except ValueError as exc:  # holdout_split's own refusals too
             i = seed - config.base_seed
             raise InputError(f"split {i} (seed {seed}) of {config.dataset_path!r}: {exc}") from exc
@@ -335,9 +332,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
             record["n_train"], record["n_test"] = train.n, test.n
 
         with clock.stage("kernel_learning"):
-            scaler, Xs, bank, dropped = prepare_train(
-                train, config.kernel_recipe, config.method, seed
-            )
+            scaler, Xs, bank, dropped = prepare_train(train, config.kernel_recipe, seed)
             mu, details = learn_weights(bank, train.labels, config, seed)
         record["mu"] = [float(v) for v in mu]
         record["mu_summary"] = _mu_summary(mu)
@@ -430,7 +425,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset | None = None) -> 
     t_start = time.perf_counter()
     if dataset is None:
         dataset = load_dataset(config.dataset_path, config.dataset_format)
-    plans = plan_splits(dataset, config, config.n_splits, config.method)
+    plans = plan_splits(dataset, config, config.n_splits)
     per_split = [_run_split(dataset, config, i, plan) for i, plan in enumerate(plans)]
     aggregate = aggregate_records(per_split)
     cfg_dict = config.to_dict()
@@ -459,15 +454,18 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     validation hinge of mkl.train_grid; k_accuracy is sign agreement of
     mu.z with t on that validation K-split (a zero score counts as +1);
     data_accuracy is None where the weights collapsed or the SVM stage
-    failed. Its split is run_experiment's split 0, planned for tsmkl.
+    failed. Its split is run_experiment's split 0. Only tsmkl has a lambda
+    grid, so a config of any other method raises InputError.
     """
+    if config.method != "tsmkl":
+        raise InputError(f"the lambda sweep runs tsmkl; the config's method is {config.method!r}")
     t_start = time.perf_counter()
     if dataset is None:
         dataset = load_dataset(config.dataset_path, config.dataset_format)
     seed = config.base_seed
-    (plan,) = plan_splits(dataset, config, 1, "tsmkl")
+    (plan,) = plan_splits(dataset, config, 1)
     train, test = _holdout(dataset, plan)
-    scaler, Xs, bank, _ = prepare_train(train, config.kernel_recipe, "tsmkl", seed)
+    scaler, Xs, bank, _ = prepare_train(train, config.kernel_recipe, seed)
     crosses = list(cross_blocks(scaler, Xs, bank, test.instances))  # reused per lambda
     bal = balance(make_kexamples(train.labels, bank))
 

@@ -7,13 +7,13 @@ scales it to trace/n = 1 with one formula, C = (K - (r_i + r_j) + g) / s
 (r the row means, g = mean(r), s = mean(diag K - 2r) + g), writes its upper
 triangle as one column of the KernelBank's pair-major matrix Z and drops
 the Gram. Z has shape (n(n+1)/2, p): row r holds the p kernel values of
-the r-th pair (i <= j) of bank.pairs, in pair_indices(n) order or, for
-tsmkl, in stage one's planned order (kspace.plan_rows), read in slices.
-Z is the centered bank's only train-side store, float32, owned by the
-bank; the K-space reads it in place. Evaluation, centering and its
-statistics run in float64 and only the store rounds: stage one's solver
-error (relative duality gap near 1e-2) dwarfs that rounding (6e-8), and its
-batch reads are bandwidth bound. gram(l) and combine upcast to float64.
+the r-th pair (i <= j) of bank.pairs, in stage one's planned order
+(kspace.plan_rows), read in slices. Z is the centered bank's only
+train-side store, float32, owned by the bank; the K-space reads it in
+place. Evaluation, centering and its statistics run in float64 and only
+the store rounds: stage one's solver error (relative duality gap near
+1e-2) dwarfs that rounding (6e-8), and its batch reads are bandwidth
+bound. gram(l) and combine upcast to float64 and scatter by bank.pairs.
 Each feature scope's products (X @ X.T, squared distances) are computed
 once and shared by its kernels, on the train side and for the test x train
 cross blocks; one raw Gram is alive at a time, so the train-side peak is Z
@@ -133,16 +133,16 @@ class RawBank:
 class KernelBank:
     """Centered bank: p kernels over one instance ordering, stored pair-major.
 
-    Z[r, l] is centered kernel l at the r-th pair (i <= j) of pairs: of
-    pair_indices(n), permuted by order unless it is None. stats[l] holds
-    kernel l's centering statistics.
+    Z[r, l] is centered kernel l at the r-th pair (i <= j) of pairs: pair
+    order[r] of pair_indices(n), order being a permutation of them.
+    stats[l] holds kernel l's centering statistics.
     """
 
     specs: list[KernelSpec]
     Z: np.ndarray
     n: int
     stats: list[CenterStats]
-    order: np.ndarray | None = None
+    order: np.ndarray
 
     def __post_init__(self):
         p = len(self.specs)
@@ -162,7 +162,7 @@ class KernelBank:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(i, j) of the pair at each row of Z."""
         ii, jj = pair_indices(self.n)
-        return (ii, jj) if self.order is None else (ii[self.order], jj[self.order])
+        return ii[self.order], jj[self.order]
 
     def gram(self, l: int) -> np.ndarray:
         """Dense symmetric float64 (n, n) Gram of kernel l, rebuilt from Z."""
@@ -178,7 +178,7 @@ class KernelBank:
 
 
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every pair i <= j of n instances, in the natural row order of Z."""
+    """(i, j) of every pair i <= j of n instances, in row-major order."""
     return np.triu_indices(n)
 
 
@@ -340,7 +340,7 @@ def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.nd
     return out
 
 
-def center_bank(bank: RawBank, order=None) -> tuple[KernelBank, list[int]]:
+def center_bank(bank: RawBank, order=slice(None)) -> tuple[KernelBank, list[int]]:
     """Evaluate and center/standardize each raw Gram into one pair-major store,
     dropping degenerates.
 
@@ -349,8 +349,8 @@ def center_bank(bank: RawBank, order=None) -> tuple[KernelBank, list[int]]:
     need be). Its upper triangle is taken into a float64 row buffer and
     divided by s straight into a row of a float32 (_STAGE_ROWS, n(n+1)/2)
     staging block, which rounds it; a full block is copied into Z's columns
-    at once, never one strided column at a time. A permutation order of
-    the pairs (kspace.plan_rows) writes the natural store's Z[order] in place.
+    at once, never one strided column at a time. Row r of Z holds pair
+    order[r] of pair_indices(n); order (kspace.plan_rows) defaults to the identity.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
@@ -358,10 +358,10 @@ def center_bank(bank: RawBank, order=None) -> tuple[KernelBank, list[int]]:
     """
     n = bank.n
     flat = np.ravel_multi_index(pair_indices(n), (n, n))
-    if order is not None:
-        if not np.array_equal(np.sort(order), np.arange(flat.size)):
-            raise KernelError(f"order must be a permutation of the {flat.size} pairs")
-        flat = flat[order]
+    order = np.arange(flat.size)[order]  # indexing checks the range
+    if not np.unique(order).size == order.size == flat.size:
+        raise KernelError(f"order must be a permutation of the {flat.size} pairs")
+    flat = flat[order]
     Z = np.empty((flat.size, bank.p), dtype=np.float32)
     rows = min(_STAGE_ROWS, bank.p)
     stage = np.empty((rows, flat.size), dtype=np.float32)

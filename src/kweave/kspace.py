@@ -7,15 +7,15 @@ centered bank's own pair-major float32 store, bank.Z, whose row r holds
 the r-th pair of bank.pairs; the K-space adds only labels, and every
 subset is a contiguous block of rows, a view.
 
-For tsmkl the row order is planned before centering, from the train labels
-and two seeds alone (plan_rows): the validation rows, then the lambda-train
-rows (together the balanced set, permuted once), then the rows balancing
-drops. Balancing and the lambda split make the same rng calls as they would
-to subset the natural pair order, so the sets are the same; they are now
-the leading blocks of the store. A Pegasos batch is B consecutive rows of a
-block from a seeded phase, cycling: shuffle-once SGD (Mishchenko, Khaled &
-Richtarik, NeurIPS 2020) rather than Pegasos's i.i.d. draws, read as a view;
-only a batch that wraps past the block's end is gathered.
+The row order is planned before centering, whatever the method, from the
+train labels and two seeds alone (plan_rows): the validation rows, then the
+lambda-train rows (together the balanced set, permuted once), then the rows
+balancing drops. Balancing and the lambda split make the same rng calls as
+they would to subset pair_indices' order, so the sets are the same; they
+are the leading blocks of the store. A Pegasos batch is B consecutive rows
+of a block from a seeded phase, cycling: shuffle-once SGD (Mishchenko,
+Khaled & Richtarik, NeurIPS 2020) rather than Pegasos's i.i.d. draws, read
+as a view; only a batch that wraps past the block's end is gathered.
 """
 
 from __future__ import annotations

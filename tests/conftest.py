@@ -64,15 +64,16 @@ def bank_of(grams) -> KernelBank:
     """A centered bank of linear-kernel specs whose kernels are exactly the given Grams.
 
     Each Gram is symmetrized as (G + G^T)/2 and its upper triangle becomes
-    one column of Z, as center_bank stores it; the centering statistics are
-    the identity (zero means, unit scale).
+    one column of Z, in pair_indices' order (the identity order); the
+    centering statistics are the identity (zero means, unit scale).
     """
     grams = [np.asarray(G, dtype=np.float64) for G in grams]
     n = grams[0].shape[0]
     ii, jj = pair_indices(n)
     Z = np.stack([((G + G.T) / 2.0)[ii, jj] for G in grams], axis=1)
     stats = [CenterStats(row_means=np.zeros(n), grand_mean=0.0, scale=1.0) for _ in grams]
-    return KernelBank(specs=[KernelSpec("linear")] * len(grams), Z=Z, n=n, stats=stats)
+    return KernelBank(specs=[KernelSpec("linear")] * len(grams), Z=Z, n=n, stats=stats,
+                      order=np.arange(ii.size))
 
 
 def dense_centering(raw) -> np.ndarray:

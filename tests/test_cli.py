@@ -276,15 +276,6 @@ class TestExperimentRun:
         assert main(["experiment", "run", "--config", cfg, "--out", str(other)]) == 0
         assert (other / "report.json").exists()
 
-    def test_missing_config(self, capsys):
-        assert main(["experiment", "run", "--config", "missing.json"]) == 1
-        assert "bad config" in capsys.readouterr().err
-
-    def test_unknown_config_key(self, tmp_path, toy_csv):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dataset": {"path": toy_csv}, "svm": {"C": 3}}))
-        assert main(["experiment", "run", "--config", str(path)]) == 1
-
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -324,16 +315,6 @@ class TestExperimentRun:
         assert "feature column" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
-    def test_one_row_class_exits_one(self, tmp_path, toy_csv, capsys, command):
-        # a stratified split cannot divide a class of one row
-        data = tmp_path / "one-b.csv"
-        data.write_text("f,label\n0.0,a\n1.0,a\n2.0,a\n3.0,a\n4.0,b\n")
-        cfg = write_config(tmp_path, toy_csv, dataset={"path": str(data)})
-        assert main(command + ["--config", cfg]) == 1
-        assert "needs >= 2 members per class" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_runtime_failure_exits_two(self, tmp_path, toy_csv, capsys):
         # structurally valid config that must fail at run time: lambda * k * B
         # underflows in the float32 step, so every lambda diverges at step 1
@@ -355,23 +336,6 @@ class TestReportSweep:
         sweep = json.loads((out / "sweep.json").read_text())
         assert len(sweep["records"]) == 2
         assert "2 sweep records" in capsys.readouterr().out
-
-
-class TestTopLevel:
-    def test_no_command_prints_help(self, capsys):
-        assert main([]) == 1
-        assert "usage:" in capsys.readouterr().out
-
-    def test_bare_group_prints_help(self, capsys):
-        assert main(["svm"]) == 1
-        assert "usage:" in capsys.readouterr().out
-
-    def test_unknown_command(self):
-        assert main(["frobnicate"]) == 1
-
-    def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        assert "kweave" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +464,7 @@ EXIT_CASES = [
              "unknown format 'arff'"),
             ("no-feature-column", run_config("label\na\nb\na\nb\n"), "feature column"),
             # a stratified split cannot divide a class of one row
-            ("one-row-class", run_config("f,label\n0,a\n1,a\n2,a\n3,a\n4,b\n"),
+            ("one-row-class", run_config("f,label\n0,a\n1,a\n2,a\n3,a\n4,b\n", method="tsmkl"),
              "split 0 (seed 0) of 'data.csv': stratified split needs >= 2 members per class"),
             ("svm-folds-over-train-rows", run_config(method="tsmkl", svm={"folds": 500}),
              "split 0 (seed 0) of 'data.csv': svm.folds 500 exceeds the 6 train rows"),
@@ -509,10 +473,14 @@ EXIT_CASES = [
              "lambda; 2 train rows give 2"),
             # 10 train rows of 12 at random: split 0 draws two a rows to test
             ("unstratified-loses-class", run_config(
-                TWELVE, splits={"count": 10, "stratified": False}, svm={"folds": 2}),
+                TWELVE, method="tsmkl", splits={"count": 10, "stratified": False},
+                svm={"folds": 2}),
              "split 0 (seed 0) of 'data.csv': the test side has no rows of class 'b'"),
         ]
     ),
+    # only tsmkl has a lambda grid to sweep
+    ("sweep-non-tsmkl-method", run_config(), ["report", "sweep", "--config", "config.json"], 1,
+     "the lambda sweep runs tsmkl; the config's method is 'average'"),
 ]
 
 

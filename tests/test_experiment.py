@@ -125,10 +125,10 @@ class TestConfig:
         assert _mkl_steps(fast_config(toy_csv, mkl_num_steps=42), 5000) == 42
 
 
-def prepared_bank(toy_csv, seed=None):
-    """The toy data and its centered bank, in tsmkl's row order for seed if given."""
+def prepared_bank(toy_csv, seed=0):
+    """The toy data and its centered bank, in stage one's row order for seed."""
     data = load_dataset(toy_csv)
-    _, _, bank, _ = prepare_train(data, "uci_full", *(() if seed is None else ("tsmkl", seed)))
+    _, _, bank, _ = prepare_train(data, "uci_full", seed)
     return data, bank
 
 
@@ -306,9 +306,40 @@ class TestRunExperiment:
         data = load_dataset(toy_csv)
         plan = holdout_split(data, cfg.train_fraction, rec["seed"], cfg.stratified)
         train = data.subset(plan.train_indices)
-        _, _, bank, _ = prepare_train(train, cfg.kernel_recipe, "tsmkl", rec["seed"])
+        _, _, bank, _ = prepare_train(train, cfg.kernel_recipe, rec["seed"])
         mu, _ = learn_weights(bank, train.labels, cfg, rec["seed"])
         assert rec["mu"] == [float(v) for v in mu]
+
+    def test_row_order_leaves_the_other_methods_unchanged(self, toy_csv, monkeypatch):
+        # combine and gram(l) scatter by the recorded pairs, so average's and
+        # best_kernel's records are exact in any row order; target alignment's
+        # (M, a) sums run in row order, so only its mu moves, by rounding
+        data = load_dataset(toy_csv)
+
+        def records(identity):
+            out = {}
+            with monkeypatch.context() as m:
+                if identity:
+                    m.setattr(experiment, "plan_rows",
+                              lambda y, *seeds: (np.arange(len(y) * (len(y) + 1) // 2), None))
+                for method in ("average", "best_kernel", "target_align"):
+                    cfg = fast_config(toy_csv, method=method, n_splits=1)
+                    (plan,) = experiment.plan_splits(data, cfg, 1)
+                    rec = experiment._run_split(data, cfg, 0, plan)
+                    assert "error" not in rec
+                    out[method] = strip_timing_fields(rec)
+            return out
+
+        natural, planned = records(identity=True), records(identity=False)
+        assert planned["average"] == natural["average"]
+        assert planned["best_kernel"] == natural["best_kernel"]
+        a, b = natural["target_align"], planned["target_align"]
+        np.testing.assert_allclose(b["mu"], a["mu"], rtol=0.0, atol=1e-11)
+        assert b["chosen_C"] == a["chosen_C"]
+        assert [r["cv_accuracy"] for r in b["cv_records"]] == [
+            r["cv_accuracy"] for r in a["cv_records"]
+        ]
+        assert b["metrics"] == a["metrics"]
 
     def test_failed_split_isolated(self, toy_csv, monkeypatch):
         # one function per stage, each called once per split; failing its
@@ -352,7 +383,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "learn_weights", zero_weights)
         cfg = fast_config(toy_csv, n_splits=1)
         data = load_dataset(toy_csv)
-        (plan,) = experiment.plan_splits(data, cfg, 1, cfg.method)
+        (plan,) = experiment.plan_splits(data, cfg, 1)
         rec = experiment._run_split(data, cfg, 0, plan)
         assert rec["error"] == "KernelError: all-zero kernel weight vector"
         assert rec["stage"] == "kernel_build"
@@ -365,7 +396,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "_fit_svm", slow_failure)
         data, cfg = load_dataset(toy_csv), fast_config(toy_csv, n_splits=1)
-        (plan,) = experiment.plan_splits(data, cfg, 1, cfg.method)
+        (plan,) = experiment.plan_splits(data, cfg, 1)
         rec = experiment._run_split(data, cfg, 0, plan)
         assert rec["stage"] == "svm"
         assert list(rec["timings"]) == [
@@ -417,12 +448,19 @@ class TestPlanSplits:
             run_experiment(cfg, dataset=self.twelve_rows())
         assert calls == []
 
-    def test_sweep_plans_its_split_for_tsmkl(self):
-        # a stratified 80% of a, b, a, b trains on one row per class: enough
-        # for 2 CV folds, but its 3 pairs balance to 2 K-examples
+    def test_sweep_plans_its_split_for_tsmkl(self, monkeypatch):
+        # only tsmkl has a lambda grid: another method is refused before planning
         data = Dataset(np.arange(4.0)[:, None], [0, 1, 0, 1], ("a", "b"))
         cfg = ExperimentConfig(dataset_path="four.csv", method="average", svm_folds=2)
-        assert len(experiment.plan_splits(data, cfg, 1, "average")) == 1
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "plan_splits", lambda *args: pytest.fail("planned"))
+            with pytest.raises(experiment.InputError,
+                               match="runs tsmkl; the config's method is 'average'$"):
+                run_lambda_sweep(cfg, dataset=data)
+        # a stratified 80% of a, b, a, b trains on one row per class: enough
+        # for 2 CV folds, but its 3 pairs balance to 2 K-examples
+        assert len(experiment.plan_splits(data, cfg, 1)) == 1
+        cfg = ExperimentConfig(dataset_path="four.csv", method="tsmkl", svm_folds=2)
         with pytest.raises(experiment.InputError, match="split 0 .*2 train rows give 2$"):
             run_lambda_sweep(cfg, dataset=data)
 

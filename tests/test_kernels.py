@@ -445,6 +445,6 @@ class TestGramValidation:
     def test_bank_dimension_mismatch(self):
         bank = bank_of([np.eye(3), np.eye(3)])
         with pytest.raises(KernelError, match="inconsistent"):
-            KernelBank(bank.specs, bank.Z, 4, bank.stats)
+            KernelBank(bank.specs, bank.Z, 4, bank.stats, bank.order)
         with pytest.raises(KernelError, match="inconsistent"):
-            KernelBank(bank.specs, bank.Z[:, :1], 3, bank.stats)
+            KernelBank(bank.specs, bank.Z[:, :1], 3, bank.stats, bank.order)
