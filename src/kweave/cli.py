@@ -94,10 +94,16 @@ def cmd_svm_train(args) -> int:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     dataset = _load_data(args.data, args.format)
     experiment.check_folds(args.folds, dataset.n, "--folds")
+    folds = kfold_plan(dataset.n, args.folds, args.seed)
+    # a fold whose train side loses a class is skipped; with none left, no C can be scored
+    if not any(
+        np.unique(dataset.labels[f.train_indices]).size == dataset.n_classes for f in folds
+    ):
+        raise InputError(f"no fold of --folds {args.folds} (seed {args.seed}) holds every "
+                         "class on its train side")
     _, _, bank, _ = experiment.prepare_train(dataset, args.recipe, args.seed)
     mu = _read_weights(args.weights, bank.p) if args.weights else np.full(bank.p, 1.0 / bank.p)
     combined = combine(bank, mu)
-    folds = kfold_plan(dataset.n, args.folds, args.seed)
     best_C, records, ovr, _ = svm.fit(combined, dataset.labels, folds, n_classes=dataset.n_classes)
     payload = {
         "chosen_C": best_C,

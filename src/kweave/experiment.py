@@ -39,7 +39,6 @@ from .kernels import (
     scope_products,
 )
 from .kspace import balance, make_kexamples, plan_rows
-from .util import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +50,12 @@ _SEED_LAMBDA = 2
 _SEED_FINAL = 3
 _SEED_BESTK = 4
 _SEED_SVM_FOLDS = 6
+
+
+def derive_seed(base: int, *path: int) -> int:
+    """Deterministic u64 stream seed for a (base, stage...) path."""
+    ss = np.random.SeedSequence(entropy=int(base), spawn_key=tuple(int(x) for x in path))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 class InputError(ValueError):

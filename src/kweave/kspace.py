@@ -131,11 +131,10 @@ def balance(kset: KExampleSet) -> KExampleSet:
     return bal
 
 
-def sample_batch(kset: KExampleSet, start: int, size: int, out=None) -> KBatch:
+def sample_batch(kset: KExampleSet, start: int, size: int) -> KBatch:
     """The size consecutive rows from start, cycling past the end.
 
-    A batch inside the set is a view of its rows; one that wraps is gathered,
-    into out when given: a (size, p) buffer of the stack's dtype.
+    A batch inside the set is a view of its rows; one that wraps is gathered.
     """
     m = len(kset)
     if m == 0:
@@ -146,4 +145,4 @@ def sample_batch(kset: KExampleSet, start: int, size: int, out=None) -> KBatch:
     if stop <= m:
         return KBatch(kset.stack[start:stop], kset.t[start:stop])
     rows = np.arange(start, stop)
-    return KBatch(np.take(kset.stack, rows, 0, out, "wrap"), np.take(kset.t, rows, mode="wrap"))
+    return KBatch(np.take(kset.stack, rows, 0, mode="wrap"), np.take(kset.t, rows, mode="wrap"))

@@ -105,9 +105,8 @@ def pegasos_train(
     # run without a per-call cast from int8
     rows = KExampleSet(kset.t.astype(dt), kset.stack)
     mu = np.zeros(kset.p, dtype=dt)
-    # one fit's step buffers: zbuf takes a batch that wraps past the end, and
-    # the update masks non-violators to weight 0 instead of copying violators
-    zbuf = np.empty((batch_size, kset.p), dtype=dt)
+    # one fit's step buffers; the update masks non-violators to weight 0
+    # instead of copying violators
     g = np.empty(kset.p, dtype=dt)
     s = np.empty(batch_size, dtype=dt)
     w = np.empty(batch_size, dtype=dt)
@@ -117,7 +116,7 @@ def pegasos_train(
     # the explicit finiteness check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, num_steps + 1):
-            batch = sample_batch(rows, (phase + (k - 1) * batch_size) % m, batch_size, zbuf)
+            batch = sample_batch(rows, (phase + (k - 1) * batch_size) % m, batch_size)
             np.dot(batch.z, mu, out=s)
             s *= batch.t
             np.less(s, 1.0, out=viol)

@@ -56,57 +56,6 @@ class TestLearn:
         assert payload["chosen_lambda"] > 0
         assert len(payload["lambda_records"]) == 17  # default grid
 
-    def test_bad_batch_size_is_config_error(self, tmp_path, toy_csv):
-        code = main(
-            [
-                "learn", "--data", toy_csv, "--method", "average",
-                "--out", str(tmp_path / "w.json"), "--batch-size", "0",
-            ]
-        )
-        assert code == 1
-
-    def test_zero_steps_is_config_error(self, tmp_path, toy_csv):
-        code = main(
-            [
-                "learn", "--data", toy_csv, "--method", "tsmkl",
-                "--out", str(tmp_path / "w.json"), "--steps", "0",
-            ]
-        )
-        assert code == 1
-
-    def test_negative_seed_is_config_error(self, tmp_path, toy_csv, capsys):
-        out = tmp_path / "w.json"
-        code = main(
-            [
-                "learn", "--data", toy_csv, "--method", "tsmkl", "--steps", "20",
-                "--out", str(out), "--seed", "-1",
-            ]
-        )
-        assert code == 1
-        assert "--seed" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "fmt, text",
-        [("csv", "label\na\nb\na\n"), ("sparse_svm", "a\nb\na\n")],
-        ids=["csv", "sparse_svm"],
-    )
-    def test_no_feature_column_is_config_error(self, tmp_path, capsys, fmt, text):
-        data = tmp_path / "bare.txt"
-        data.write_text(text)
-        out = tmp_path / "w.json"
-        code = main(["learn", "--data", str(data), "--format", fmt, "--method", "average",
-                     "--out", str(out)])
-        assert code == 1
-        assert "feature column" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unknown_method_rejected_by_parser(self, tmp_path, toy_csv):
-        code = main(
-            ["learn", "--data", toy_csv, "--method", "boosting", "--out", "w.json"]
-        )
-        assert code == 1
-
 
 class TestSvmTrain:
     def test_with_learned_weights(self, tmp_path, toy_csv):
@@ -415,6 +364,12 @@ EXIT_CASES = [
     ("svm-negative-seed", data(), SVM + ["--seed", "-1"], 1, "--seed must be >= 0"),
     ("svm-folds-over-rows", data(FOUR), SVM + ["--folds", "5"], 1,
      "--folds 5 exceeds the 4 train rows"),
+    # 3 rows in 2 folds: one train side is a single row; at seed 0 the other is a, a
+    ("svm-no-fold-holds-every-class", data(THREE), SVM + ["--folds", "2"], 1,
+     "no fold of --folds 2 (seed 0) holds every class on its train side"),
+    # at seed 1 the two-row train side is a, b: the one-row fold is skipped
+    ("svm-some-folds-lose-a-class", data(THREE), SVM + ["--folds", "2", "--seed", "1"], 0,
+     "trained 2-class model"),
     ("svm-weights-length", weights({"mu": [1.0, 2.0]}), SVM + ["--weights", "w.json"], 1,
      "bad weights"),
     ("svm-weights-negative", weights({"mu": [-1.0] + [1.0] * 12}), SVM + ["--weights", "w.json"],
@@ -425,21 +380,26 @@ EXIT_CASES = [
      SVM + ["--weights", "w.json"], 1, "bad weights"),
     ("svm-weights-list", weights([1.0] * 13), SVM + ["--weights", "w.json"], 1, "bad weights"),
     ("evaluate-drop-without-confidence", labels("0\n1\n", "0\n1\n"),
-     EVALUATE + ["--drop-fraction", "0.5"], 1, "--drop-fraction needs --confidence"),
+     EVALUATE + ["--drop-fraction", "0.5"], 1, "error: --drop-fraction needs --confidence"),
     ("evaluate-confidence-missing", labels("0\n1\n", "0\n1\n", None),
-     EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1, "confidence file"),
+     EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1,
+     "error: cannot read confidence file"),
     ("evaluate-confidence-malformed", labels("0\n1\n", "0\n1\n", "0.1\nhigh\n"),
-     EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1, "confidence file"),
+     EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1,
+     "error: cannot read confidence file"),
     ("evaluate-classes-too-few", labels("0\n1\n", "0\n1\n"), EVALUATE + ["--classes", "1"], 1,
-     "label ids must be in [0, 1)"),
+     "error: label ids must be in [0, 1)"),
     ("evaluate-negative-label", labels("0\n1\n", "0\n-1\n"), EVALUATE, 1,
-     "label ids must be in [0, 2)"),
-    ("evaluate-empty", labels("", ""), EVALUATE, 1, "label files are empty"),
+     "error: label ids must be in [0, 2)"),
+    ("evaluate-empty", labels("", ""), EVALUATE, 1, "error: label files are empty"),
     ("evaluate-drop-above-one", labels("0\n1\n", "0\n1\n"),
-     EVALUATE + ["--drop-fraction", "1.5", "--confidence", "c.txt"], 1, "--drop-fraction must be"),
+     EVALUATE + ["--drop-fraction", "1.5", "--confidence", "c.txt"], 1,
+     "error: --drop-fraction must be"),
     ("evaluate-drop-negative", labels("0\n1\n", "0\n1\n"),
-     EVALUATE + ["--drop-fraction", "-0.1", "--confidence", "c.txt"], 1, "--drop-fraction must be"),
-    ("evaluate-length-mismatch", labels("0\n1\n", "0\n"), EVALUATE, 1, "differ in length"),
+     EVALUATE + ["--drop-fraction", "-0.1", "--confidence", "c.txt"], 1,
+     "error: --drop-fraction must be"),
+    ("evaluate-length-mismatch", labels("0\n1\n", "0\n"), EVALUATE, 1,
+     "error: true/pred label files differ in length"),
     ("run-missing-config", {}, ["experiment", "run", "--config", "config.json"], 1, "bad config"),
     ("run-unknown-config-key", run_config(svm={"C": 3}), ["experiment", "run", "--config",
      "config.json"], 1, "unknown config keys in svm"),
@@ -461,7 +421,7 @@ EXIT_CASES = [
             ("missing-dataset", run_config(dataset={"path": "no-such.csv"}),
              "cannot load dataset 'no-such.csv'"),
             ("bad-format", run_config(dataset={"path": "data.csv", "format": "arff"}),
-             "unknown format 'arff'"),
+             "cannot load dataset 'data.csv': unknown format 'arff'"),
             ("no-feature-column", run_config("label\na\nb\na\nb\n"), "feature column"),
             # a stratified split cannot divide a class of one row
             ("one-row-class", run_config("f,label\n0,a\n1,a\n2,a\n3,a\n4,b\n", method="tsmkl"),

@@ -347,39 +347,26 @@ class TestSampleBatch:
     def test_batch_inside_the_set_is_a_view(self):
         labels = np.array([0, 0, 1, 1, 0])
         kset = make_kexamples(labels, planned_bank(labels, p=3))
-        out = np.full((4, 3), np.nan)
-        batch = sample_batch(kset, 6, 4, out=out)
-        assert np.shares_memory(batch.z, kset.stack) and not np.shares_memory(batch.z, out)
+        batch = sample_batch(kset, 6, 4)
         assert batch.z.ctypes.data == kset.stack[6:].ctypes.data
         np.testing.assert_array_equal(batch.t, kset.t[6:10])
-        assert np.isnan(out).all()
 
-    def test_buffered_gather_fills_the_buffer(self):
-        labels = np.array([0, 0, 1, 1, 0])
-        kset = make_kexamples(labels, planned_bank(labels, p=3))[2:8]
-        out = np.full((4, 3), np.nan)
-        buffered = sample_batch(kset, 4, 4, out=out)  # rows 4, 5, 0, 1 of the set
-        plain = sample_batch(kset, 4, 4)
-        assert buffered.z is out
-        np.testing.assert_array_equal(buffered.z, plain.z)
-        np.testing.assert_array_equal(buffered.z, kset.stack[[4, 5, 0, 1]])
-        np.testing.assert_array_equal(buffered.t, kset.t[[4, 5, 0, 1]])
-        # the next wrapping batch overwrites the same buffer
-        again = sample_batch(kset, 5, 4, out=out)
-        assert again.z is buffered.z
-        np.testing.assert_array_equal(again.z, kset.stack[[5, 0, 1, 2]])
-
-    def test_float32_gather_fills_a_float32_buffer(self):
+    def test_wrapped_batch_is_a_float32_gather(self):
         X = np.random.default_rng(8).normal(0, 1, (6, 2))
         labels = np.array([0, 1, 1, 0, 1, 0])
         bank, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 0, 1)[0])
         kset = make_kexamples(labels, bank)
-        out = np.empty((30, bank.p), dtype=kset.stack.dtype)
-        batch = sample_batch(kset, 15, 30, out=out)
-        assert batch.z is out and out.dtype == np.float32
-        np.testing.assert_array_equal(batch.z, kset.stack[np.arange(15, 45) % len(kset)])
-        assert sample_batch(kset, 15, 30).z.dtype == np.float32
+        batch = sample_batch(kset, 15, 30)  # wraps past the end of the 21 rows twice
+        assert batch.z.dtype == np.float32 and not np.shares_memory(batch.z, kset.stack)
+        rows = np.arange(15, 45) % len(kset)
+        np.testing.assert_array_equal(batch.z, kset.stack[rows])
+        np.testing.assert_array_equal(batch.t, kset.t[rows])
         assert sample_batch(kset, 0, 3).z.dtype == np.float32
+        # a subset wraps within its own rows
+        sub = kset[2:8]
+        batch = sample_batch(sub, 4, 4)
+        np.testing.assert_array_equal(batch.z, sub.stack[[4, 5, 0, 1]])
+        np.testing.assert_array_equal(batch.t, sub.t[[4, 5, 0, 1]])
 
 
 class TestBlockScores:

@@ -207,10 +207,10 @@ class TestPegasos:
         iterates, starts = [], []
         gather = mkl.sample_batch
 
-        def spy(kset, start, size, out=None):
+        def spy(kset, start, size):
             iterates.append(inspect.currentframe().f_back.f_locals["mu"].copy())
             starts.append(start)
-            return gather(kset, start, size, out)
+            return gather(kset, start, size)
 
         monkeypatch.setattr(mkl, "sample_batch", spy)
         pegasos_train(kset, 0.05, 1064, 8, seed=5)
