@@ -79,11 +79,15 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _read_weights(path: str, p: int) -> np.ndarray:
+def _read_weights(path: str) -> np.ndarray:
+    """The `mu` list of a weights file: finite, non-negative, not all zero."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return check_weights(p, json.load(fh)["mu"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # KernelError is a ValueError
+            payload = json.load(fh)
+        if not (isinstance(payload, dict) and isinstance(payload.get("mu"), list)):
+            raise ValueError("expected a JSON object with a 'mu' list")
+        return check_weights(len(payload["mu"]), payload["mu"])
+    except (OSError, ValueError, TypeError) as exc:  # KernelError is a ValueError
         raise InputError(f"bad weights {path!r}: {exc}") from exc
 
 
@@ -101,10 +105,15 @@ def cmd_svm_train(args) -> int:
     ):
         raise InputError(f"no fold of --folds {args.folds} (seed {args.seed}) holds every "
                          "class on its train side")
+    mu = _read_weights(args.weights) if args.weights else None
     _, _, bank, _ = experiment.prepare_train(dataset, args.recipe, args.seed)
-    mu = _read_weights(args.weights, bank.p) if args.weights else np.full(bank.p, 1.0 / bank.p)
+    if mu is None:
+        mu = np.full(bank.p, 1.0 / bank.p)
+    if mu.size != bank.p:  # dropped kernels set p, so only the centered bank knows it
+        raise InputError(f"bad weights {args.weights!r}: expected {bank.p} weights "
+                         f"(one per kept kernel), got {mu.size}")
     combined = combine(bank, mu)
-    best_C, records, ovr, _ = svm.fit(combined, dataset.labels, folds, n_classes=dataset.n_classes)
+    best_C, records, ovr = svm.fit(combined, dataset.labels, folds, n_classes=dataset.n_classes)
     payload = {
         "chosen_C": best_C,
         "cv_records": records,

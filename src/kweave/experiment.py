@@ -348,11 +348,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
             cross = combine_cross(cross_blocks(scaler, Xs, bank, test.instances), mu)
 
         with clock.stage("svm"):
-            best_C, cv_records, ovr, retried = _fit_svm(
-                bank, mu, train, config, seed, dataset.n_classes
-            )
-        if retried:
-            record["svm_jitter_retry"] = True
+            best_C, cv_records, ovr = _fit_svm(bank, mu, train, config, seed, dataset.n_classes)
         record["chosen_C"] = float(best_C)
         record["cv_records"] = cv_records
         record["final_fit"] = [
@@ -486,7 +482,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
         acc = None
         if not model.collapsed:
             try:
-                _, _, ovr, _ = _fit_svm(bank, model.mu, train, config, seed, dataset.n_classes)
+                _, _, ovr = _fit_svm(bank, model.mu, train, config, seed, dataset.n_classes)
                 pred = ovr.predict(combine_cross(crosses, model.mu))
                 acc = float(np.mean(pred == test.labels))
             except (ValueError, RuntimeError) as exc:

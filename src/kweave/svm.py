@@ -74,7 +74,6 @@ def smo_train(
     C: float,
     tol: float = 1e-3,
     max_iter: int | None = None,
-    jitter: float = 0.0,
     alpha0=None,
 ) -> SvmModel:
     """Maximize the dual over a precomputed Gram.
@@ -82,8 +81,6 @@ def smo_train(
     Converged once the maximal KKT violation drops to tol. Hitting
     max_iter returns a model flagged non-converged instead of raising;
     its duals are the max_iter-th iterate of the uncapped run.
-    jitter > 0 adds jitter * mean(diag) to the diagonal, a rescue for
-    combined kernels that are numerically semi-definite.
 
     alpha0 starts the loop from given duals instead of a = 0. It must be
     finite, of length n and inside [0, C]; it must also satisfy
@@ -120,8 +117,6 @@ def smo_train(
             raise ValueError("alpha0 must be finite")
         if np.any(alpha < 0.0) or np.any(alpha > C):
             raise ValueError("alpha0 must lie in [0, C]")
-    if jitter > 0:
-        K = K + (jitter * float(np.mean(np.diag(K)))) * np.eye(n)
 
     diag = np.diag(K).tolist()
     # KT[i] is column i of K as a contiguous row (K need not be symmetric)
@@ -288,9 +283,7 @@ class OvrModel:
         }
 
 
-def ovr_train(
-    gram, labels, C: float, n_classes: int | None = None, jitter: float = 0.0, alpha0=None,
-) -> OvrModel:
+def ovr_train(gram, labels, C: float, n_classes: int | None = None, alpha0=None) -> OvrModel:
     """Train class-k-vs-rest models over a shared Gram.
 
     alpha0, if given, holds one starting dual vector per class (see
@@ -312,7 +305,7 @@ def ovr_train(
             seed = models[0].alpha
         else:
             seed = None if alpha0 is None else alpha0[k]
-        models.append(smo_train(gram, yk, C, jitter=jitter, alpha0=seed))
+        models.append(smo_train(gram, yk, C, alpha0=seed))
     return OvrModel(models)
 
 
@@ -381,14 +374,8 @@ def select_C(
 def fit(gram, labels, folds, grid=DEFAULT_C_GRID, n_classes: int | None = None):
     """Select C by k-fold CV, then train one-vs-rest on all rows at that C.
 
-    If any binary fit misses the tolerance, the final training is redone
-    once with a 1e-10 diagonal jitter. Returns (best C, per-C records,
-    OvrModel, retried).
+    Returns (best C, per-C records, OvrModel). A binary fit that hits the
+    iteration cap is kept as it ended, flagged non-converged.
     """
     best_C, records = select_C(gram, labels, folds, grid=grid, n_classes=n_classes)
-    ovr = ovr_train(gram, labels, best_C, n_classes=n_classes)
-    retried = any(not m.converged for m in ovr.models)
-    if retried:
-        logger.warning("SMO non-convergence at C=%g, retrying with jitter", best_C)
-        ovr = ovr_train(gram, labels, best_C, n_classes=n_classes, jitter=1e-10)
-    return best_C, records, ovr, retried
+    return best_C, records, ovr_train(gram, labels, best_C, n_classes=n_classes)

@@ -38,21 +38,21 @@ def make_blobs(n_per_class=20, d=5, gap=2.0, seed=0, n_classes=2) -> Dataset:
 
 
 def force_nonconvergence(monkeypatch):
-    """Make every SMO fit without jitter report non-convergence.
+    """Make every SMO fit report non-convergence.
 
-    Returns the list of jitter values, one per smo_train call.
+    Returns the list of models, one per smo_train call.
     """
     real = svm.smo_train
-    jitters = []
+    models = []
 
-    def unconverged_without_jitter(gram, y, C, **kwargs):
+    def unconverged(gram, y, C, **kwargs):
         model = real(gram, y, C, **kwargs)
-        jitters.append(kwargs.get("jitter", 0.0))
-        model.converged = jitters[-1] > 0.0
+        model.converged = False
+        models.append(model)
         return model
 
-    monkeypatch.setattr(svm, "smo_train", unconverged_without_jitter)
-    return jitters
+    monkeypatch.setattr(svm, "smo_train", unconverged)
+    return models
 
 
 def centered_bank_for(dataset: Dataset, recipe: str = "uci_full"):

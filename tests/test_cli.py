@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import kweave.experiment as experiment
 from kweave.cli import main
 
 from test_experiment import write_toy_csv
@@ -75,17 +76,6 @@ class TestSvmTrain:
         assert len(payload["models"]) == 2
         assert payload["class_names"] == ["c0", "c1"]
 
-    def test_weight_length_mismatch(self, tmp_path, toy_csv):
-        weights = tmp_path / "w.json"
-        weights.write_text(json.dumps({"mu": [1.0, 2.0]}))
-        code = main(
-            [
-                "svm", "train", "--data", toy_csv,
-                "--weights", str(weights), "--out", str(tmp_path / "m.json"),
-            ]
-        )
-        assert code == 1
-
     @pytest.mark.parametrize(
         "case", ["negative", "all_zero", "nan", "top_level_list"]
     )
@@ -109,19 +99,6 @@ class TestSvmTrain:
         assert "bad weights" in capsys.readouterr().err
         assert not model.exists()
 
-    def test_negative_seed_is_config_error(self, tmp_path, toy_csv, capsys):
-        model = tmp_path / "m.json"
-        code = main(["svm", "train", "--data", toy_csv, "--seed", "-1", "--out", str(model)])
-        assert code == 1
-        assert "--seed" in capsys.readouterr().err
-        assert not model.exists()
-
-    def test_one_fold_is_config_error(self, tmp_path, toy_csv, capsys):
-        model = tmp_path / "m.json"
-        code = main(["svm", "train", "--data", toy_csv, "--folds", "1", "--out", str(model)])
-        assert code == 1
-        assert "--folds" in capsys.readouterr().err
-        assert not model.exists()
 
 class TestEvaluate:
     def test_hand_metrics(self, tmp_path, capsys):
@@ -371,14 +348,15 @@ EXIT_CASES = [
     ("svm-some-folds-lose-a-class", data(THREE), SVM + ["--folds", "2", "--seed", "1"], 0,
      "trained 2-class model"),
     ("svm-weights-length", weights({"mu": [1.0, 2.0]}), SVM + ["--weights", "w.json"], 1,
-     "bad weights"),
+     "bad weights 'w.json': expected 13 weights (one per kept kernel), got 2"),
     ("svm-weights-negative", weights({"mu": [-1.0] + [1.0] * 12}), SVM + ["--weights", "w.json"],
-     1, "bad weights"),
+     1, "bad weights 'w.json': negative kernel weight"),
     ("svm-weights-all-zero", weights({"mu": [0.0] * 13}), SVM + ["--weights", "w.json"], 1,
-     "bad weights"),
+     "bad weights 'w.json': all-zero kernel weight vector"),
     ("svm-weights-nan", weights({"mu": [float("nan")] + [1.0] * 12}),
-     SVM + ["--weights", "w.json"], 1, "bad weights"),
-    ("svm-weights-list", weights([1.0] * 13), SVM + ["--weights", "w.json"], 1, "bad weights"),
+     SVM + ["--weights", "w.json"], 1, "bad weights 'w.json': non-finite kernel weight"),
+    ("svm-weights-list", weights([1.0] * 13), SVM + ["--weights", "w.json"], 1,
+     "bad weights 'w.json': expected a JSON object with a 'mu' list"),
     ("evaluate-drop-without-confidence", labels("0\n1\n", "0\n1\n"),
      EVALUATE + ["--drop-fraction", "0.5"], 1, "error: --drop-fraction needs --confidence"),
     ("evaluate-confidence-missing", labels("0\n1\n", "0\n1\n", None),
@@ -456,3 +434,14 @@ def test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message):
     assert message in captured.out + captured.err
     written = {p.name for p in tmp_path.iterdir()} - set(files)
     assert written == ({argv[argv.index("--out") + 1]} if code == 0 and "--out" in argv else set())
+
+
+@pytest.mark.parametrize("case", ["negative", "all-zero", "nan", "list"])
+def test_weights_are_checked_before_the_bank(tmp_path, monkeypatch, capsys, case):
+    files, argv, code, message = next(c[1:] for c in EXIT_CASES if c[0] == f"svm-weights-{case}")
+
+    def no_bank(*args):
+        raise AssertionError("the bank was built")
+
+    monkeypatch.setattr(experiment, "prepare_train", no_bank)
+    test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message)

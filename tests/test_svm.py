@@ -303,8 +303,8 @@ class TestSmoTrain:
         # rank-1 all-ones Gram: every pair has zero curvature
         K = np.ones((4, 4))
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        for jit in (0.0, 1e-10):
-            mdl = smo_train(K, y, 1.0, jitter=jit)
+        for gram in (K, ridged(K)):
+            mdl = smo_train(gram, y, 1.0)
             assert np.all(mdl.alpha >= 0.0) and np.all(mdl.alpha <= 1.0)
             assert abs(mdl.alpha @ y) <= 1e-6 * 4
 
@@ -346,14 +346,12 @@ _ref_logger = logging.getLogger("kweave.svm.reference")
 _REF_TAU = 1e-12
 
 
-def _reference_smo(K, y, C, tol=1e-3, max_iter=None, jitter=0.0):
+def _reference_smo(K, y, C, tol=1e-3, max_iter=None):
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if max_iter is None:
         max_iter = max(20000, 200 * n)
-    if jitter > 0:
-        K = K + (jitter * float(np.mean(np.diag(K)))) * np.eye(n)
 
     diag = np.ascontiguousarray(np.diag(K))
     yK = y[:, None] * K  # yK[:, i] = y * K[:, i]
@@ -444,6 +442,11 @@ def _kernel_gram(kind, X):
     return (X @ X.T / X.shape[1] + 1.0) ** 3
 
 
+def ridged(K):
+    """K + 1e-10 mean(diag K) I, a Gram with a tiny ridge on its diagonal."""
+    return K + (1e-10 * float(np.mean(np.diag(K)))) * np.eye(len(K))
+
+
 def _signed_labels(rng, n):
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     y[:2] = 1.0, -1.0
@@ -487,10 +490,12 @@ class TestReferenceEquivalence:
             (3, {}),
             (160, {}),
             (int(rng.integers(4, 160)), None),  # None: compare max_iter prefixes too
-            (int(rng.integers(4, 160)), {"jitter": 1e-10}),
+            (int(rng.integers(4, 160)), "ridged"),
             (int(rng.integers(4, 160)), {"max_iter": int(rng.integers(1, 60))}),
         ]:
             K = _kernel_gram(kind, rng.normal(size=(n, int(rng.integers(1, 6)))))
+            if opts == "ridged":
+                K, opts = ridged(K), {}
             y = _signed_labels(rng, n)
             fit, ref = partial(smo_train, K, y, C), partial(_reference_smo, K, y, C)
             if opts is None:
@@ -543,8 +548,10 @@ class TestWarmStart:
     @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
     def test_zero_seed_is_the_cold_fit(self, kind, C):
         rng = np.random.default_rng(int(C * 100) + len(kind))
-        for n, opts in [(3, {}), (80, None), (50, {"jitter": 1e-10})]:
+        for n, opts in [(3, {}), (80, None), (50, "ridged")]:
             K = _kernel_gram(kind, rng.normal(size=(n, 2)))
+            if opts == "ridged":
+                K, opts = ridged(K), {}
             y = _signed_labels(rng, n)
             cold = partial(smo_train, K, y, C)
             seeded = partial(cold, alpha0=np.zeros(n))
@@ -671,8 +678,8 @@ def separable_linear_gram(seed=5, n=24):
     return X @ X.T, y
 
 
-def jittered_gram():
-    """Averaged uci_full Gram of 24 blob rows, for fits with jitter 1e-10."""
+def averaged_gram():
+    """Averaged uci_full Gram of 24 blob rows."""
     ds = make_blobs(n_per_class=12, d=3, gap=2.0, seed=4)
     bank, _ = center_bank(build_kernel_bank(ds.instances, "uci_full"))
     return combine(bank, np.full(bank.p, 1.0 / bank.p)), ds.labels
@@ -680,10 +687,11 @@ def jittered_gram():
 
 def _binary_problem(name):
     if name == "separable":
-        return (*separable_linear_gram(), 0.0)
+        return separable_linear_gram()
     if name == "overlapping":
-        return (*overlapping_gram(), 0.0)
-    return (*jittered_gram(), 1e-10)
+        return overlapping_gram()
+    K, labels = averaged_gram()
+    return ridged(K), labels
 
 
 class TestBinaryMirror:
@@ -692,11 +700,9 @@ class TestBinaryMirror:
     @pytest.mark.parametrize("C", DEFAULT_C_GRID)
     @pytest.mark.parametrize("name", ["separable", "overlapping", "jittered"])
     def test_seeded_class_one_mirrors_class_zero(self, name, C):
-        K, labels, jitter = _binary_problem(name)
-        m0, m1 = ovr_train(K, labels, C, jitter=jitter).models
-        cold = [
-            smo_train(K, np.where(labels == k, 1.0, -1.0), C, jitter=jitter) for k in (0, 1)
-        ]
+        K, labels = _binary_problem(name)
+        m0, m1 = ovr_train(K, labels, C).models
+        cold = [smo_train(K, np.where(labels == k, 1.0, -1.0), C) for k in (0, 1)]
         assert_same_model(m0, cold[0])
         if m0.converged:
             assert m1.alpha.tobytes() == m0.alpha.tobytes()
@@ -856,12 +862,12 @@ class TestSerialization:
 
 
 class TestFit:
-    def test_jitter_retry(self, monkeypatch):
-        jitters = force_nonconvergence(monkeypatch)
-        K, labels = jittered_gram()
+    def test_capped_final_fit_is_kept(self, monkeypatch):
+        models = force_nonconvergence(monkeypatch)
+        K, labels = averaged_gram()
         folds = kfold_plan(len(labels), 3, seed=2)
-        best_C, _, ovr, retried = fit(K, labels, folds, grid=[0.1, 1.0], n_classes=2)
-        assert retried
-        # the final fits at jitter 0 failed, so the last two are the retry
-        assert jitters[-4:] == [0.0, 0.0, 1e-10, 1e-10]
-        assert all(m.converged and m.C == best_C for m in ovr.models)
+        best_C, _, ovr = fit(K, labels, folds, grid=[0.1, 1.0], n_classes=2)
+        # CV fits every class on every fold at every C; then one final fit per class
+        assert len(models) == 3 * 2 * 2 + 2
+        assert ovr.models[0] is models[-2] and ovr.models[1] is models[-1]
+        assert all(not m.converged and m.C == best_C for m in ovr.models)
