@@ -162,7 +162,7 @@ def target_align(bank: KernelBank, train_labels) -> np.ndarray:
 def uniform_weights(p: int) -> np.ndarray:
     if p < 1:
         raise ValueError("p must be at least 1")
-    return np.full(p, 1.0 / p)
+    return np.ones(p) / p
 
 
 def best_kernel(bank: KernelBank, train_labels, folds, c_grid=DEFAULT_C_GRID):
@@ -172,21 +172,14 @@ def best_kernel(bank: KernelBank, train_labels, folds, c_grid=DEFAULT_C_GRID):
     skipped with a warning; ties go to the lower index.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
-
-    def score_one(gram):
-        try:
-            _, records = select_C(gram, labels, folds, grid=c_grid)
-        except RuntimeError as exc:
-            return None, str(exc)
-        accs = [r["cv_accuracy"] for r in records if r["cv_accuracy"] is not None]
-        return max(accs), None
-
-    results = [score_one(bank.gram(l)) for l in range(bank.p)]
     best_idx, best_acc = None, -np.inf
-    for idx, (acc, err) in enumerate(results):
-        if acc is None:
-            logger.warning("kernel %d skipped during selection: %s", idx, err)
+    for idx in range(bank.p):
+        try:
+            _, records = select_C(bank.gram(idx), labels, folds, grid=c_grid)
+        except RuntimeError as exc:
+            logger.warning("kernel %d skipped during selection: %s", idx, exc)
             continue
+        acc = max(r["cv_accuracy"] for r in records if r["cv_accuracy"] is not None)
         if acc > best_acc:
             best_idx, best_acc = idx, acc
     if best_idx is None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiment, metrics, svm
+from . import baselines, experiment, metrics, svm
 from .data import kfold_plan, load_dataset
 from .experiment import InputError
 from .kernels import RECIPES, check_weights, combine
@@ -108,7 +108,7 @@ def cmd_svm_train(args) -> int:
     mu = _read_weights(args.weights) if args.weights else None
     _, _, bank, _ = experiment.prepare_train(dataset, args.recipe, args.seed)
     if mu is None:
-        mu = np.full(bank.p, 1.0 / bank.p)
+        mu = baselines.uniform_weights(bank.p)
     if mu.size != bank.p:  # dropped kernels set p, so only the centered bank knows it
         raise InputError(f"bad weights {args.weights!r}: expected {bank.p} weights "
                          f"(one per kept kernel), got {mu.size}")
@@ -158,6 +158,8 @@ def cmd_evaluate(args) -> int:
             raise InputError(f"cannot read confidence file {args.confidence!r}: {exc}") from exc
         if conf.shape != true.shape:
             raise InputError("confidence file length mismatch")
+        if not np.all(np.isfinite(conf)):  # argsort would rank a NaN as the most confident
+            raise InputError(f"confidence file {args.confidence!r} holds a non-finite value")
         retained, filtered = metrics.filter_unsure(conf, pred, true, args.drop_fraction, c)
         out["filtered_metrics"] = filtered.to_dict()
         out["retained"] = [int(i) for i in retained]

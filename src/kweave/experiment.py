@@ -38,7 +38,7 @@ from .kernels import (
     compute_cross_gram,
     scope_products,
 )
-from .kspace import balance, make_kexamples, plan_rows
+from .kspace import balance, make_kexamples, pair_counts, plan_rows
 
 logger = logging.getLogger(__name__)
 
@@ -110,7 +110,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        """Nested JSON config, erroring on unknown keys so typos surface."""
+        """Nested JSON config, erroring on unknown keys so typos surface and on
+        values of a type their field's annotation does not admit."""
         rest = {None: dict(obj)}
         for section, _, _ in _CONFIG_SCHEMA:
             if section is not None and section not in rest:
@@ -118,11 +119,18 @@ class ExperimentConfig:
                 if not isinstance(sec, dict):
                     raise ValueError(f"config section {section!r} must be an object")
                 rest[section] = dict(sec)
-        kwargs = {
-            name: rest[section].pop(key)
-            for section, key, name in _CONFIG_SCHEMA
-            if key in rest[section]
-        }
+        kwargs = {}
+        for section, key, name in _CONFIG_SCHEMA:
+            if key in rest[section]:
+                value = kwargs[name] = rest[section].pop(key)
+                # the annotations are strings such as "int | None"; a JSON
+                # integer fills a float field, and a bool only a bool field
+                kind, hint = type(value).__name__, cls.__annotations__[name]
+                if kind not in hint.replace("None", "NoneType").split(" | ") and not (
+                    kind == "int" and "float" in hint
+                ):
+                    raise ValueError(f"config value {key!r} in {section or 'top-level'} must be "
+                                     f"{hint}, got {value!r}")
         if kwargs.get("dataset_path") is None:
             raise ValueError("config requires dataset.path")
         for section, sec in rest.items():
@@ -252,12 +260,10 @@ def check_method(method: str, train_y, svm_folds: int) -> None:
     if method == "best_kernel":
         check_folds(svm_folds, len(train_y), "best_kernel's svm.folds")
     elif method == "tsmkl":
-        n, counts = len(train_y), np.bincount(train_y)
-        same = int(np.sum(counts * (counts + 1) // 2))
-        m = 2 * min(same, n * (n + 1) // 2 - same)
+        m = 2 * min(pair_counts(train_y))
         if m < mkl.MIN_KEXAMPLES:
             raise InputError(f"tsmkl needs {mkl.MIN_KEXAMPLES} balanced K-examples to select "
-                             f"lambda; {n} train rows give {m}")
+                             f"lambda; {len(train_y)} train rows give {m}")
 
 
 def plan_splits(dataset: Dataset, config: ExperimentConfig, n_splits: int) -> list:

@@ -79,6 +79,15 @@ class KExampleSet:
         return (self.stack @ mu).astype(np.float64, copy=False)
 
 
+def pair_counts(labels) -> tuple[int, int]:
+    """(same, cross): the pairs i <= j of the labeled instances that share a
+    class (the +1 K-examples) and those that do not, from the class counts."""
+    counts = np.unique(labels, return_counts=True)[1]
+    n = int(counts.sum())
+    same = int(np.sum(counts * (counts + 1) // 2))
+    return same, n * (n + 1) // 2 - same
+
+
 def plan_rows(train_labels, balance_seed: int, split_seed: int):
     """(order, m): the pair of pair_indices(n) for each row, as center_bank
     takes it, and the balanced K-example count. Rows 0 .. m - 1 are the
@@ -88,8 +97,7 @@ def plan_rows(train_labels, balance_seed: int, split_seed: int):
     labels = np.asarray(train_labels, dtype=np.int64)
     ii, jj = pair_indices(labels.shape[0])
     same = labels[ii] == labels[jj]
-    n_pos = int(np.count_nonzero(same))
-    n_neg = same.size - n_pos
+    n_pos, n_neg = pair_counts(labels)
     m = 2 * min(n_pos, n_neg)
     keep = np.ones(same.size, dtype=bool)
     if n_pos != n_neg:

@@ -86,9 +86,10 @@ def pegasos_train(
     kset's rows from a phase drawn from seed, so a num_steps=k fit returns
     the k-th iterate of any longer fit with the same seed.
 
-    mu, the step buffers and labels have the stack's dtype and the step's
-    scalars are cast to it, so every step runs at that width under any
-    numpy promotion rules; the returned mu is float64.
+    mu and the step buffers have the stack's dtype and the step's scalars
+    are cast to it; the +-1 labels are read as stored (int8), and int8 times
+    float32 is float32 under either numpy promotion rule, so every step runs
+    at the stack's width. The returned mu is float64.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam}")
@@ -101,9 +102,6 @@ def pegasos_train(
     m = len(kset)
     phase = int(np.random.default_rng(seed).integers(m))
     dt = kset.stack.dtype.type
-    # the same rows with labels of the stack's dtype: the step's ufuncs then
-    # run without a per-call cast from int8
-    rows = KExampleSet(kset.t.astype(dt), kset.stack)
     mu = np.zeros(kset.p, dtype=dt)
     # one fit's step buffers; the update masks non-violators to weight 0
     # instead of copying violators
@@ -116,7 +114,7 @@ def pegasos_train(
     # the explicit finiteness check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, num_steps + 1):
-            batch = sample_batch(rows, (phase + (k - 1) * batch_size) % m, batch_size)
+            batch = sample_batch(kset, (phase + (k - 1) * batch_size) % m, batch_size)
             np.dot(batch.z, mu, out=s)
             s *= batch.t
             np.less(s, 1.0, out=viol)
@@ -136,16 +134,8 @@ def pegasos_train(
 
 
 def default_lambda_grid() -> list[float]:
-    """100, 100/4, 100/16, ... truncated at the 1e-8 floor (17 values)."""
-    grid = []
-    k = 0
-    while True:
-        v = 100.0 / 4.0**k
-        if v < 1e-8:
-            break
-        grid.append(v)
-        k += 1
-    return grid
+    """100, 100/4, 100/16, ..., 100/4**16: the 17 values down to the 1e-8 floor."""
+    return [100.0 / 4.0**k for k in range(17)]
 
 
 def _validate_grid(grid) -> list[float]:

@@ -131,31 +131,6 @@ class TestEvaluate:
         assert payload["retained"] == [1, 2, 3]
         assert payload["filtered_metrics"]["accuracy"] == 1.0
 
-    def test_drop_needs_confidence(self, tmp_path, capsys):
-        true = tmp_path / "t.txt"
-        true.write_text("0\n1\n")
-        code = main(
-            ["evaluate", "--true", str(true), "--pred", str(true), "--drop-fraction", "0.5"]
-        )
-        assert code == 1
-        assert "confidence" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("content", [None, "0.1\nhigh\n"], ids=["missing", "malformed"])
-    def test_bad_confidence_file_is_usage_error(self, tmp_path, capsys, content):
-        true = tmp_path / "t.txt"
-        true.write_text("0\n1\n")
-        conf = tmp_path / "conf.txt"
-        if content is not None:
-            conf.write_text(content)
-        code = main(
-            [
-                "evaluate", "--true", str(true), "--pred", str(true),
-                "--drop-fraction", "0.5", "--confidence", str(conf),
-            ]
-        )
-        assert code == 1
-        assert "confidence file" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "true, pred, extra",
         [
@@ -175,13 +150,6 @@ class TestEvaluate:
         args = ["evaluate", "--true", str(t), "--pred", str(p), "--confidence", str(conf)]
         assert main(args + extra) == 1
         assert capsys.readouterr().err.startswith("error: ")
-
-    def test_length_mismatch(self, tmp_path):
-        a = tmp_path / "a.txt"
-        b = tmp_path / "b.txt"
-        a.write_text("0\n1\n")
-        b.write_text("0\n")
-        assert main(["evaluate", "--true", str(a), "--pred", str(b)]) == 1
 
 
 class TestExperimentRun:
@@ -241,15 +209,6 @@ class TestExperimentRun:
         assert "feature column" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_runtime_failure_exits_two(self, tmp_path, toy_csv, capsys):
-        # structurally valid config that must fail at run time: lambda * k * B
-        # underflows in the float32 step, so every lambda diverges at step 1
-        # and every split errors out
-        cfg = write_config(
-            tmp_path, toy_csv, method="tsmkl", mkl={"num_steps": 150, "lambda_grid": [1e-300]}
-        )
-        assert main(["experiment", "run", "--config", cfg]) == 2
-        assert "runtime failure" in capsys.readouterr().err
 
 class TestReportSweep:
     def test_writes_tsv_and_json(self, tmp_path, toy_csv, capsys):
@@ -378,6 +337,17 @@ EXIT_CASES = [
      "error: --drop-fraction must be"),
     ("evaluate-length-mismatch", labels("0\n1\n", "0\n"), EVALUATE, 1,
      "error: true/pred label files differ in length"),
+    ("evaluate-label-file-missing", {"t.txt": "0\n1\n"}, EVALUATE, 1,
+     "error: cannot read label file 'p.txt'"),
+    ("evaluate-label-not-integer", labels("0\n1\n", "0\nb\n"), EVALUATE, 1,
+     "error: cannot read label file 'p.txt'"),
+    ("evaluate-confidence-length-mismatch", labels("0\n1\n", "0\n1\n", "0.5\n"),
+     EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1,
+     "error: confidence file length mismatch"),
+    # argsort puts a NaN last, so it would rank as the most confident row
+    ("evaluate-confidence-nan", labels("0\n1\n1\n0\n", "0\n1\n1\n1\n", "nan\n0.5\n0.2\n0.1\n"),
+     EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1,
+     "error: confidence file 'c.txt' holds a non-finite value"),
     ("run-missing-config", {}, ["experiment", "run", "--config", "config.json"], 1, "bad config"),
     ("run-unknown-config-key", run_config(svm={"C": 3}), ["experiment", "run", "--config",
      "config.json"], 1, "unknown config keys in svm"),
@@ -385,6 +355,18 @@ EXIT_CASES = [
         (f"run-invalid-config-{i}", run_config(**overrides),
          ["experiment", "run", "--config", "config.json"], 1, "bad config")
         for i, overrides in enumerate(INVALID_CONFIG_VALUES)
+    ),
+    # a value of the wrong JSON type is refused before any split runs; 1e3 is not rounded
+    *(
+        (f"run-{case}", run_config(**overrides), ["experiment", "run", "--config", "config.json"],
+         1, f"bad config 'config.json': config value {message}")
+        for case, overrides, message in [
+            ("svm-folds-float", {"svm": {"folds": 2.5}}, "'folds' in svm must be int, got 2.5"),
+            ("stratified-string", {"splits": {"stratified": "no"}},
+             "'stratified' in splits must be bool, got 'no'"),
+            ("dataset-path-int", {"dataset": {"path": 0}}, "'path' in dataset must be str, got 0"),
+            ("output-dir-int", {"output_dir": 5}, "'output_dir' in top-level must be str, got 5"),
+        ]
     ),
     # lambda * k * B underflows in the float32 step: every lambda, so every split, fails
     ("run-all-splits-fail", run_config(method="tsmkl", mkl={"lambda_grid": [1e-300]}),
@@ -404,6 +386,9 @@ EXIT_CASES = [
             # a stratified split cannot divide a class of one row
             ("one-row-class", run_config("f,label\n0,a\n1,a\n2,a\n3,a\n4,b\n", method="tsmkl"),
              "split 0 (seed 0) of 'data.csv': stratified split needs >= 2 members per class"),
+            ("num-steps-float", run_config(method="tsmkl", mkl={"num_steps": 1e3}),
+             "bad config 'config.json': config value 'num_steps' in mkl must be int | None, "
+             "got 1000.0"),
             ("svm-folds-over-train-rows", run_config(method="tsmkl", svm={"folds": 500}),
              "split 0 (seed 0) of 'data.csv': svm.folds 500 exceeds the 6 train rows"),
             ("tsmkl-4-rows", run_config(FOUR, method="tsmkl", svm={"folds": 2}),
