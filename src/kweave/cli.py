@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, experiment, metrics, svm
-from .data import kfold_plan, load_dataset
+from .data import load_dataset
 from .experiment import InputError
 from .kernels import RECIPES, check_weights, combine
 
@@ -63,9 +63,9 @@ def cmd_learn(args) -> int:
         mkl_num_steps=args.steps,
         mkl_batch_size=args.batch_size,
     )
-    experiment.check_method(method, dataset.labels, config.svm_folds)
+    folds = experiment.check_method(method, dataset.labels, config.svm_folds, args.seed)
     _, _, bank, dropped = experiment.prepare_train(dataset, args.recipe, args.seed)
-    mu, details = experiment.learn_weights(bank, dataset.labels, config, args.seed)
+    mu, details = experiment.learn_weights(bank, dataset.labels, config, args.seed, folds)
     payload = {
         "method": method,
         "mu": [float(v) for v in mu],
@@ -97,14 +97,7 @@ def cmd_svm_train(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     dataset = _load_data(args.data, args.format)
-    experiment.check_folds(args.folds, dataset.n, "--folds")
-    folds = kfold_plan(dataset.n, args.folds, args.seed)
-    # a fold whose train side loses a class is skipped; with none left, no C can be scored
-    if not any(
-        np.unique(dataset.labels[f.train_indices]).size == dataset.n_classes for f in folds
-    ):
-        raise InputError(f"no fold of --folds {args.folds} (seed {args.seed}) holds every "
-                         "class on its train side")
+    folds = experiment.draw_folds(dataset.labels, args.folds, args.seed, "--folds")
     mu = _read_weights(args.weights) if args.weights else None
     _, _, bank, _ = experiment.prepare_train(dataset, args.recipe, args.seed)
     if mu is None:

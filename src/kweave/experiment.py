@@ -1,12 +1,12 @@
 """End-to-end experiment protocol: random splits, per-split weight learning,
 SVM training with CV-selected C, evaluation, and Table-style aggregation.
 
-Every split's holdout is drawn and checked first (plan_splits). Per split:
-(1) train/test subsets, (2) feature scaling fit on train, (3) the centered
-kernel bank on train, its rows in stage one's planned order whatever the
-method, (4) method-specific kernel weights, (5) the test rows' combined
-cross Gram, summed one centered cross block at a time, (6) Gram
-combination, C selection and one-vs-rest training, (7) prediction and
+Every split's holdout and CV folds are drawn and checked first (plan_splits).
+Per split: (1) train/test subsets, (2) feature scaling fit on train, (3) the
+centered kernel bank on train, its rows in stage one's planned order whatever
+the method, (4) method-specific kernel weights, (5) the test rows' combined
+cross Gram, summed one centered cross block at a time, (6) Gram combination,
+C selection on the planned folds and one-vs-rest training, (7) prediction and
 metrics, (8) per-stage wall-clock accounting and the process's peak RSS so
 far. Everything randomized is seeded from base_seed + split_index, so
 reports are reproducible byte for byte apart from timing fields.
@@ -123,9 +123,11 @@ class ExperimentConfig:
         for section, key, name in _CONFIG_SCHEMA:
             if key in rest[section]:
                 value = kwargs[name] = rest[section].pop(key)
-                # the annotations are strings such as "int | None"; a JSON
-                # integer fills a float field, and a bool only a bool field
+                # the annotations are strings such as "int | None"; a JSON integer fills
+                # a float field, a bool only a bool field, and a list holds only numbers
                 kind, hint = type(value).__name__, cls.__annotations__[name]
+                if kind == "list" and any(type(v) not in (int, float) for v in value):
+                    hint = "a list of numbers"
                 if kind not in hint.replace("None", "NoneType").split(" | ") and not (
                     kind == "int" and "float" in hint
                 ):
@@ -206,11 +208,12 @@ def cross_blocks(scaler: FeatureScaler, scaled_train, bank, test_X):
     )
 
 
-def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
+def learn_weights(bank, train_y, config: ExperimentConfig, seed: int, folds=None):
     """Learn the config's kernel weights on a centered train-side bank.
 
     Returns (mu, details). The bank must come from prepare_train on train
-    rows only, with the same seed; nothing here may see test rows.
+    rows only, with the same seed; nothing here may see test rows. best_kernel
+    picks its kernel by CV on folds, the ones check_method returned.
     """
     train_y = np.asarray(train_y, dtype=np.int64)
     details: dict = {}
@@ -242,35 +245,44 @@ def learn_weights(bank, train_y, config: ExperimentConfig, seed: int):
     elif config.method == "average":
         mu = baselines.uniform_weights(bank.p)
     else:  # best_kernel, the last of METHODS
-        folds = kfold_plan(len(train_y), config.svm_folds, derive_seed(seed, _SEED_BESTK))
         idx, mu = baselines.best_kernel(bank, train_y, folds, c_grid=config.c_grid)
         details = {"chosen_kernel": idx, "kernel_label": bank.specs[idx].label()}
     return mu, details
 
 
-def check_folds(folds: int, n_rows: int, name: str) -> None:
-    if folds > n_rows:
-        raise InputError(f"{name} {folds} exceeds the {n_rows} train rows")
+def draw_folds(labels, k: int, seed: int, name: str) -> list:
+    """The k CV folds of these rows for the seed (data.kfold_plan); InputError
+    when k exceeds the rows or no fold's train side holds every class (select_C
+    skips a fold that loses a class as long as another keeps them all)."""
+    labels = np.asarray(labels)
+    if k > len(labels):
+        raise InputError(f"{name} {k} exceeds the {len(labels)} train rows")
+    folds = kfold_plan(len(labels), k, seed)
+    n_classes = np.unique(labels).size
+    if not any(np.unique(labels[f.train_indices]).size == n_classes for f in folds):
+        raise InputError(f"no fold of {name} {k} holds every class on its train side")
+    return folds
 
 
-def check_method(method: str, train_y, svm_folds: int) -> None:
-    """What a method needs from its train rows: best_kernel's CV folds, and
-    tsmkl's mkl.MIN_KEXAMPLES balanced K-examples (kspace.plan_rows's m,
-    twice the smaller of the same-class and cross-class pair counts)."""
-    if method == "best_kernel":
-        check_folds(svm_folds, len(train_y), "best_kernel's svm.folds")
-    elif method == "tsmkl":
+def check_method(method: str, train_y, svm_folds: int, seed: int):
+    """What a method needs from its train rows: tsmkl's mkl.MIN_KEXAMPLES balanced
+    K-examples (kspace.plan_rows's m, twice the smaller pair count), and
+    best_kernel's CV folds, which it returns (None for the other methods)."""
+    if method == "tsmkl":
         m = 2 * min(pair_counts(train_y))
         if m < mkl.MIN_KEXAMPLES:
             raise InputError(f"tsmkl needs {mkl.MIN_KEXAMPLES} balanced K-examples to select "
                              f"lambda; {len(train_y)} train rows give {m}")
+    elif method == "best_kernel":
+        return draw_folds(train_y, svm_folds, derive_seed(seed, _SEED_BESTK),
+                          "best_kernel's svm.folds")
 
 
 def plan_splits(dataset: Dataset, config: ExperimentConfig, n_splits: int) -> list:
-    """Each split's holdout, drawn once and checked before any split runs:
-    each side holds every class, and the train rows suffice for svm.folds
-    and the config's method. Raises InputError naming the first split that fails.
-    CV folds that lose a class are not foreseen; they fail at run time."""
+    """Each split's (holdout, svm.folds folds, best_kernel's folds or None),
+    drawn once and checked before any split runs: each side holds every class,
+    the train rows suffice for the method, and some fold keeps every class on
+    its train side. Raises InputError naming the first split that fails."""
     plans = []
     for seed in range(config.base_seed, config.base_seed + n_splits):
         try:
@@ -281,12 +293,13 @@ def plan_splits(dataset: Dataset, config: ExperimentConfig, n_splits: int) -> li
                     name = dataset.class_names[missing[0]]
                     raise InputError(f"the {side} side has no rows of class {name!r}")
             train_y = dataset.labels[plan.train_indices]
-            check_folds(config.svm_folds, len(train_y), "svm.folds")
-            check_method(config.method, train_y, config.svm_folds)
+            bestk_folds = check_method(config.method, train_y, config.svm_folds, seed)
+            folds = draw_folds(train_y, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS),
+                               "svm.folds")
         except ValueError as exc:  # holdout_split's own refusals too
             i = seed - config.base_seed
             raise InputError(f"split {i} (seed {seed}) of {config.dataset_path!r}: {exc}") from exc
-        plans.append(plan)
+        plans.append((plan, folds, bestk_folds))
     return plans
 
 
@@ -295,11 +308,9 @@ def _holdout(dataset: Dataset, plan: SplitPlan):
     return dataset.subset(plan.train_indices), dataset.subset(plan.test_indices)
 
 
-def _fit_svm(bank, mu, train: Dataset, config: ExperimentConfig, seed: int, n_classes: int):
-    """Combine the bank with mu, pick C by CV and fit; returns svm.fit's tuple."""
-    combined = combine(bank, mu)
-    folds = kfold_plan(train.n, config.svm_folds, derive_seed(seed, _SEED_SVM_FOLDS))
-    return svm.fit(combined, train.labels, folds, grid=config.c_grid, n_classes=n_classes)
+def _fit_svm(bank, mu, train: Dataset, folds, config: ExperimentConfig, n_classes: int):
+    """Combine the bank with mu, pick C by CV on folds and fit; returns svm.fit's tuple."""
+    return svm.fit(combine(bank, mu), train.labels, folds, grid=config.c_grid, n_classes=n_classes)
 
 
 def _mu_summary(mu: np.ndarray) -> dict:
@@ -337,14 +348,15 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
     seed = config.base_seed + split_index
     record: dict = {"split_index": split_index, "seed": seed}
     clock = _StageClock()
+    holdout, folds, bestk_folds = plan
     try:
         with clock.stage("split"):
-            train, test = _holdout(dataset, plan)
+            train, test = _holdout(dataset, holdout)
             record["n_train"], record["n_test"] = train.n, test.n
 
         with clock.stage("kernel_learning"):
             scaler, Xs, bank, dropped = prepare_train(train, config.kernel_recipe, seed)
-            mu, details = learn_weights(bank, train.labels, config, seed)
+            mu, details = learn_weights(bank, train.labels, config, seed, bestk_folds)
         record["mu"] = [float(v) for v in mu]
         record["mu_summary"] = _mu_summary(mu)
         record["dropped_kernels"] = [int(i) for i in dropped]
@@ -354,7 +366,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
             cross = combine_cross(cross_blocks(scaler, Xs, bank, test.instances), mu)
 
         with clock.stage("svm"):
-            best_C, cv_records, ovr = _fit_svm(bank, mu, train, config, seed, dataset.n_classes)
+            best_C, cv_records, ovr = _fit_svm(bank, mu, train, folds, config, dataset.n_classes)
         record["chosen_C"] = float(best_C)
         record["cv_records"] = cv_records
         record["final_fit"] = [
@@ -470,7 +482,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     if dataset is None:
         dataset = load_dataset(config.dataset_path, config.dataset_format)
     seed = config.base_seed
-    (plan,) = plan_splits(dataset, config, 1)
+    ((plan, folds, _),) = plan_splits(dataset, config, 1)
     train, test = _holdout(dataset, plan)
     scaler, Xs, bank, _ = prepare_train(train, config.kernel_recipe, seed)
     crosses = list(cross_blocks(scaler, Xs, bank, test.instances))  # reused per lambda
@@ -488,7 +500,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
         acc = None
         if not model.collapsed:
             try:
-                _, _, ovr = _fit_svm(bank, model.mu, train, config, seed, dataset.n_classes)
+                _, _, ovr = _fit_svm(bank, model.mu, train, folds, config, dataset.n_classes)
                 pred = ovr.predict(combine_cross(crosses, model.mu))
                 acc = float(np.mean(pred == test.labels))
             except (ValueError, RuntimeError) as exc:

@@ -76,29 +76,6 @@ class TestSvmTrain:
         assert len(payload["models"]) == 2
         assert payload["class_names"] == ["c0", "c1"]
 
-    @pytest.mark.parametrize(
-        "case", ["negative", "all_zero", "nan", "top_level_list"]
-    )
-    def test_invalid_weights_are_config_errors(self, tmp_path, toy_csv, capsys, case):
-        weights = tmp_path / "w.json"
-        assert main(["learn", "--data", toy_csv, "--method", "average", "--out", str(weights)]) == 0
-        mu = json.loads(weights.read_text())["mu"]
-        if case == "negative":
-            mu[0] = -1.0
-        elif case == "all_zero":
-            mu = [0.0] * len(mu)
-        elif case == "nan":
-            mu[0] = float("nan")
-        payload = mu if case == "top_level_list" else {"mu": mu}
-        weights.write_text(json.dumps(payload))  # NaN is written as the NaN literal
-        model = tmp_path / "m.json"
-        code = main(
-            ["svm", "train", "--data", toy_csv, "--weights", str(weights), "--out", str(model)]
-        )
-        assert code == 1
-        assert "bad weights" in capsys.readouterr().err
-        assert not model.exists()
-
 
 class TestEvaluate:
     def test_hand_metrics(self, tmp_path, capsys):
@@ -191,16 +168,6 @@ class TestExperimentRun:
         assert "bad config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
-    @pytest.mark.parametrize(
-        "dataset", [{"path": "missing.csv"}, {"format": "arff"}], ids=["missing", "bad_format"]
-    )
-    def test_bad_dataset_exits_one(self, tmp_path, toy_csv, capsys, command, dataset):
-        cfg = write_config(tmp_path, toy_csv, method="tsmkl", dataset={"path": toy_csv, **dataset})
-        assert main(command + ["--config", cfg]) == 1
-        assert "cannot load dataset" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
     def test_label_only_dataset_exits_one(self, tmp_path, toy_csv, capsys, command):
         data = tmp_path / "labels.csv"
         data.write_text("label\na\nb\na\nb\n")
@@ -231,6 +198,7 @@ class TestReportSweep:
 EIGHT = "f,label\n0.1,a\n0.9,b\n0.3,a\n1.4,b\n0.2,a\n1.1,b\n0.5,a\n1.6,b\n"
 THREE = "f,label\n0,a\n1,b\n2,a\n"  # 4 same-class pairs, 2 others: 4 K-examples
 FOUR = "f,label\n0,a\n1,b\n2,a\n3,b\n"  # a stratified 80% keeps one row per class
+SIX = "f,label\n0,a\n1,a\n2,a\n5,b\n6,b\n7,b\n"
 TWELVE = "f,label\n" + "".join(f"{i},a\n" for i in range(9)) + "9,b\n10,b\n11,b\n"
 LEARN = ["learn", "--data", "data.csv", "--out", "w.json", "--method"]
 SVM = ["svm", "train", "--data", "data.csv", "--out", "m.json"]
@@ -302,7 +270,7 @@ EXIT_CASES = [
      "--folds 5 exceeds the 4 train rows"),
     # 3 rows in 2 folds: one train side is a single row; at seed 0 the other is a, a
     ("svm-no-fold-holds-every-class", data(THREE), SVM + ["--folds", "2"], 1,
-     "no fold of --folds 2 (seed 0) holds every class on its train side"),
+     "no fold of --folds 2 holds every class on its train side"),
     # at seed 1 the two-row train side is a, b: the one-row fold is skipped
     ("svm-some-folds-lose-a-class", data(THREE), SVM + ["--folds", "2", "--seed", "1"], 0,
      "trained 2-class model"),
@@ -366,6 +334,13 @@ EXIT_CASES = [
              "'stratified' in splits must be bool, got 'no'"),
             ("dataset-path-int", {"dataset": {"path": 0}}, "'path' in dataset must be str, got 0"),
             ("output-dir-int", {"output_dir": 5}, "'output_dir' in top-level must be str, got 5"),
+            # a list holds JSON numbers only: true is not C = 1, nor "10" the number 10
+            ("c-grid-bool", {"svm": {"c_grid": [True]}},
+             "'c_grid' in svm must be a list of numbers, got [True]"),
+            ("lambda-grid-string", {"mkl": {"lambda_grid": ["1", "0.5"]}},
+             "'lambda_grid' in mkl must be a list of numbers, got ['1', '0.5']"),
+            ("c-grid-string", {"svm": {"c_grid": ["10"]}},
+             "'c_grid' in svm must be a list of numbers, got ['10']"),
         ]
     ),
     # lambda * k * B underflows in the float32 step: every lambda, so every split, fails
@@ -399,8 +374,18 @@ EXIT_CASES = [
                 TWELVE, method="tsmkl", splits={"count": 10, "stratified": False},
                 svm={"folds": 2}),
              "split 0 (seed 0) of 'data.csv': the test side has no rows of class 'b'"),
+            # 2 a and 2 b train rows: at seed 1 both CV folds of 2 train on one class
+            ("cv-folds-lose-every-class", run_config(
+                SIX, method="tsmkl", splits={"count": 1, "base_seed": 1}, svm={"folds": 2}),
+             "split 0 (seed 1) of 'data.csv': no fold of svm.folds 2 holds every class on its "
+             "train side"),
         ]
     ),
+    ("run-best-kernel-folds-lose-every-class", run_config(
+        SIX, method="best_kernel", splits={"count": 1, "base_seed": 1}, svm={"folds": 2}),
+     ["experiment", "run", "--config", "config.json"], 1,
+     "split 0 (seed 1) of 'data.csv': no fold of best_kernel's svm.folds 2 holds every class "
+     "on its train side"),
     # only tsmkl has a lambda grid to sweep
     ("sweep-non-tsmkl-method", run_config(), ["report", "sweep", "--config", "config.json"], 1,
      "the lambda sweep runs tsmkl; the config's method is 'average'"),
@@ -429,4 +414,14 @@ def test_weights_are_checked_before_the_bank(tmp_path, monkeypatch, capsys, case
         raise AssertionError("the bank was built")
 
     monkeypatch.setattr(experiment, "prepare_train", no_bank)
+    test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message)
+
+
+@pytest.mark.parametrize("row", ["run-cv-folds-lose-every-class",
+                                 "sweep-cv-folds-lose-every-class",
+                                 "run-best-kernel-folds-lose-every-class"])
+def test_cv_folds_are_checked_before_the_bank(tmp_path, monkeypatch, capsys, row):
+    # pytest.fail is no Exception, so neither the split isolation nor main can absorb it
+    files, argv, code, message = next(c[1:] for c in EXIT_CASES if c[0] == row)
+    monkeypatch.setattr(experiment, "prepare_train", lambda *args: pytest.fail("bank built"))
     test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message)

@@ -10,7 +10,7 @@ import pytest
 
 import kweave.experiment as experiment
 import kweave.metrics as metrics
-from kweave.data import Dataset, holdout_split, load_dataset
+from kweave.data import Dataset, holdout_split, kfold_plan, load_dataset
 from kweave.experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -173,7 +173,8 @@ class TestLearnWeights:
     def test_best_kernel_details(self, toy_csv):
         data, bank = prepared_bank(toy_csv)
         cfg = fast_config(toy_csv, method="best_kernel")
-        mu, details = learn_weights(bank, data.labels, cfg, seed=1)
+        folds = experiment.check_method("best_kernel", data.labels, cfg.svm_folds, 1)
+        mu, details = learn_weights(bank, data.labels, cfg, 1, folds)
         idx = details["chosen_kernel"]
         assert mu[idx] == 1.0
         assert np.count_nonzero(mu) == 1
@@ -377,7 +378,7 @@ class TestRunExperiment:
 
     def test_all_zero_weights_fail_at_kernel_build(self, toy_csv, monkeypatch):
         # the test-side combination is the first use of mu, so it is what rejects it
-        def zero_weights(bank, y, config, seed):
+        def zero_weights(bank, y, config, seed, folds):
             return np.zeros(bank.p), {}
 
         monkeypatch.setattr(experiment, "learn_weights", zero_weights)
@@ -411,7 +412,7 @@ class TestRunExperiment:
         assert "svm_jitter_retry" not in rec
 
     def test_all_splits_failing_raises(self, toy_csv, monkeypatch):
-        def broken(bank, y, config, seed):
+        def broken(bank, y, config, seed, folds):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(experiment, "learn_weights", broken)
@@ -453,9 +454,11 @@ class TestPlanSplits:
             with pytest.raises(experiment.InputError,
                                match="runs tsmkl; the config's method is 'average'$"):
                 run_lambda_sweep(cfg, dataset=data)
-        # a stratified 80% of a, b, a, b trains on one row per class: enough
-        # for 2 CV folds, but its 3 pairs balance to 2 K-examples
-        assert len(experiment.plan_splits(data, cfg, 1)) == 1
+        # a stratified 80% of a, b, a, b trains on one row per class: each of
+        # 2 CV folds trains on one row, and its 3 pairs balance to 2 K-examples
+        with pytest.raises(experiment.InputError, match="split 0 .*no fold of svm.folds 2 "
+                           "holds every class on its train side$"):
+            experiment.plan_splits(data, cfg, 1)
         cfg = ExperimentConfig(dataset_path="four.csv", method="tsmkl", svm_folds=2)
         with pytest.raises(experiment.InputError, match="split 0 .*2 train rows give 2$"):
             run_lambda_sweep(cfg, dataset=data)
@@ -471,6 +474,23 @@ class TestPlanSplits:
         run_experiment(fast_config(toy_csv, n_splits=3, base_seed=7))
         assert seeds == [7, 8, 9]
 
+    def test_cv_folds_drawn_once_per_split(self, toy_csv, monkeypatch):
+        # svm.folds' folds per split, best_kernel's too, and the sweep's once for every lambda
+        calls = []
+
+        def counted(n, k, seed):
+            calls.append(seed)
+            return kfold_plan(n, k, seed)
+
+        monkeypatch.setattr(experiment, "kfold_plan", counted)
+        for method, per_split in (("average", 1), ("tsmkl", 1), ("best_kernel", 2)):
+            calls.clear()
+            run_experiment(fast_config(toy_csv, method=method, n_splits=2))
+            assert len(calls) == 2 * per_split, method
+        calls.clear()
+        run_lambda_sweep(fast_config(toy_csv, method="tsmkl"))  # a 2-value lambda grid
+        assert len(calls) == 1
+
     def test_kexample_count_is_plan_rows_m(self, monkeypatch):
         # with an unreachable minimum the check reports every label vector's count
         monkeypatch.setattr(experiment.mkl, "MIN_KEXAMPLES", 10**9)
@@ -479,14 +499,14 @@ class TestPlanSplits:
             y = rng.integers(0, rng.integers(2, 5), size=rng.integers(2, 15))
             _, m = plan_rows(y, 0, 1)
             with pytest.raises(experiment.InputError, match=f"{len(y)} train rows give {m}$"):
-                experiment.check_method("tsmkl", y, 4)
+                experiment.check_method("tsmkl", y, 4, 0)
 
     def test_method_needs(self):
-        experiment.check_method("average", [0, 1, 0], 4)  # no CV folds, no K-examples
-        experiment.check_method("target_align", [0, 1, 0], 4)
+        experiment.check_method("average", [0, 1, 0], 4, 0)  # no CV folds, no K-examples
+        experiment.check_method("target_align", [0, 1, 0], 4, 0)
         with pytest.raises(experiment.InputError, match="best_kernel's svm.folds 4 exceeds the 3"):
-            experiment.check_method("best_kernel", [0, 1, 0], 4)
-        experiment.check_method("best_kernel", [0, 1, 0], 3)
+            experiment.check_method("best_kernel", [0, 1, 0], 4, 0)
+        experiment.check_method("best_kernel", [0, 1, 0], 3, 0)
 
 
 class TestAggregateRecords:
