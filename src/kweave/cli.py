@@ -34,8 +34,21 @@ def _load_data(path: str, fmt: str):
 def _load_config(path: str) -> experiment.ExperimentConfig:
     try:
         return experiment.load_config(path)
-    except (OSError, ValueError, TypeError) as exc:  # TypeError: a value of the wrong type
+    except (OSError, ValueError, TypeError) as exc:  # TypeError: a c_grid int past float range
         raise InputError(f"bad config {path!r}: {exc}") from exc
+
+
+def _check_out(path: str, directory: bool = False) -> None:
+    """Refuse an output path that cannot be written, before any work; creates nothing."""
+    target = Path(path)
+    if directory:  # the nearest existing path, the directory itself if it exists, must be one
+        nearest = next(p for p in (target, *target.parents) if p.exists())
+        if not nearest.is_dir():
+            raise InputError(f"cannot make directory {path!r}: "
+                             f"{str(nearest)!r} is not a directory")
+    elif target.is_dir() or not target.parent.is_dir():
+        what = "it is" if target.is_dir() else f"{str(target.parent)!r} is not"
+        raise InputError(f"cannot write file {path!r}: {what} a directory")
 
 
 def _load_run(args):
@@ -43,6 +56,7 @@ def _load_run(args):
     config = _load_config(args.config)
     if args.out:
         config.output_dir = args.out
+    _check_out(config.output_dir, directory=True)
     return config, _load_data(config.dataset_path, config.dataset_format)
 
 
@@ -53,6 +67,7 @@ def _write_json(obj, path) -> None:
 def cmd_learn(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    _check_out(args.out)
     dataset = _load_data(args.data, args.format)
     method = args.method.replace("-", "_")
     config = experiment.ExperimentConfig(
@@ -96,6 +111,7 @@ def cmd_svm_train(args) -> int:
         raise InputError(f"--folds must be >= 2, got {args.folds}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    _check_out(args.out)
     dataset = _load_data(args.data, args.format)
     folds = experiment.draw_folds(dataset.labels, args.folds, args.seed, "--folds")
     mu = _read_weights(args.weights) if args.weights else None
@@ -105,8 +121,7 @@ def cmd_svm_train(args) -> int:
     if mu.size != bank.p:  # dropped kernels set p, so only the centered bank knows it
         raise InputError(f"bad weights {args.weights!r}: expected {bank.p} weights "
                          f"(one per kept kernel), got {mu.size}")
-    combined = combine(bank, mu)
-    best_C, records, ovr = svm.fit(combined, dataset.labels, folds, n_classes=dataset.n_classes)
+    best_C, records, ovr = svm.fit(combine(bank, mu), dataset.labels, folds)
     payload = {
         "chosen_C": best_C,
         "cv_records": records,
@@ -130,6 +145,8 @@ def _read_label_file(path: str) -> np.ndarray:
 def cmd_evaluate(args) -> int:
     if not 0.0 <= args.drop_fraction < 1.0:
         raise InputError(f"--drop-fraction must be in [0, 1), got {args.drop_fraction}")
+    if args.out:
+        _check_out(args.out)
     true = _read_label_file(args.true)
     pred = _read_label_file(args.pred)
     if true.shape != pred.shape:
@@ -140,8 +157,8 @@ def cmd_evaluate(args) -> int:
     c = args.classes if args.classes else hi + 1
     if lo < 0 or hi >= c:
         raise InputError(f"label ids must be in [0, {c}), got {lo}..{hi}")
-    report = metrics.evaluate(true, pred, c)
-    out = {"metrics": report.to_dict(include_confusion=True)}
+    out = {"metrics": {**metrics.evaluate(true, pred, c),
+                       "confusion": metrics.confusion_matrix(true, pred, c).tolist()}}
     if args.drop_fraction > 0.0:
         if not args.confidence:
             raise InputError("--drop-fraction needs --confidence")
@@ -153,9 +170,9 @@ def cmd_evaluate(args) -> int:
             raise InputError("confidence file length mismatch")
         if not np.all(np.isfinite(conf)):  # argsort would rank a NaN as the most confident
             raise InputError(f"confidence file {args.confidence!r} holds a non-finite value")
-        retained, filtered = metrics.filter_unsure(conf, pred, true, args.drop_fraction, c)
-        out["filtered_metrics"] = filtered.to_dict()
-        out["retained"] = [int(i) for i in retained]
+        retained, out["filtered_metrics"] = metrics.filter_unsure(
+            conf, pred, true, args.drop_fraction, c)
+        out["retained"] = retained.tolist()
     if args.out:
         _write_json(out, args.out)
     else:

@@ -112,6 +112,8 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         """Nested JSON config, erroring on unknown keys so typos surface and on
         values of a type their field's annotation does not admit."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(obj).__name__}")
         rest = {None: dict(obj)}
         for section, _, _ in _CONFIG_SCHEMA:
             if section is not None and section not in rest:
@@ -308,9 +310,9 @@ def _holdout(dataset: Dataset, plan: SplitPlan):
     return dataset.subset(plan.train_indices), dataset.subset(plan.test_indices)
 
 
-def _fit_svm(bank, mu, train: Dataset, folds, config: ExperimentConfig, n_classes: int):
+def _fit_svm(bank, mu, train: Dataset, folds, config: ExperimentConfig):
     """Combine the bank with mu, pick C by CV on folds and fit; returns svm.fit's tuple."""
-    return svm.fit(combine(bank, mu), train.labels, folds, grid=config.c_grid, n_classes=n_classes)
+    return svm.fit(combine(bank, mu), train.labels, folds, grid=config.c_grid)
 
 
 def _mu_summary(mu: np.ndarray) -> dict:
@@ -366,7 +368,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
             cross = combine_cross(cross_blocks(scaler, Xs, bank, test.instances), mu)
 
         with clock.stage("svm"):
-            best_C, cv_records, ovr = _fit_svm(bank, mu, train, folds, config, dataset.n_classes)
+            best_C, cv_records, ovr = _fit_svm(bank, mu, train, folds, config)
         record["chosen_C"] = float(best_C)
         record["cv_records"] = cv_records
         record["final_fit"] = [
@@ -380,13 +382,12 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
         with clock.stage("evaluation"):
             D = ovr.decision_matrix(cross)
             pred = D.argmax(axis=1)
-            record["metrics"] = metrics.evaluate(test.labels, pred, dataset.n_classes).to_dict()
+            record["metrics"] = metrics.evaluate(test.labels, pred, dataset.n_classes)
             if config.drop_fraction > 0.0:
                 conf = metrics.margin_confidence(D)
-                _, filtered = metrics.filter_unsure(
+                _, record["filtered_metrics"] = metrics.filter_unsure(
                     conf, pred, test.labels, config.drop_fraction, dataset.n_classes
                 )
-                record["filtered_metrics"] = filtered.to_dict()
     except Exception as exc:  # per-split isolation: one bad split must not kill the run
         logger.warning("split %d failed at stage %s: %s", split_index, clock.current, exc)
         record["error"] = f"{type(exc).__name__}: {exc}"
@@ -500,7 +501,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
         acc = None
         if not model.collapsed:
             try:
-                _, _, ovr = _fit_svm(bank, model.mu, train, folds, config, dataset.n_classes)
+                _, _, ovr = _fit_svm(bank, model.mu, train, folds, config)
                 pred = ovr.predict(combine_cross(crosses, model.mu))
                 acc = float(np.mean(pred == test.labels))
             except (ValueError, RuntimeError) as exc:

@@ -2,35 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-
-@dataclass
-class MetricsReport:
-    accuracy: float
-    mean_per_class_accuracy: float
-    f1_per_class: np.ndarray
-    mcc_per_class: np.ndarray
-    macro_f1: float
-    mean_mcc: float
-    retained_fraction: float = 1.0
-    confusion: np.ndarray | None = field(default=None, repr=False)
-
-    def to_dict(self, include_confusion: bool = False) -> dict:
-        out = {
-            "accuracy": self.accuracy,
-            "mean_per_class_accuracy": self.mean_per_class_accuracy,
-            "f1_per_class": [float(v) for v in self.f1_per_class],
-            "mcc_per_class": [float(v) for v in self.mcc_per_class],
-            "macro_f1": self.macro_f1,
-            "mean_mcc": self.mean_mcc,
-            "retained_fraction": self.retained_fraction,
-        }
-        if include_confusion and self.confusion is not None:
-            out["confusion"] = [[int(v) for v in row] for row in self.confusion]
-        return out
 
 
 def confusion_matrix(true_labels, predicted_labels, c: int) -> np.ndarray:
@@ -50,8 +22,9 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den != 0.0 else 0.0
 
 
-def evaluate(true_labels, predicted_labels, c: int) -> MetricsReport:
-    """Accuracy, mean per-class recall, per-class F1 and one-vs-rest MCC.
+def evaluate(true_labels, predicted_labels, c: int) -> dict:
+    """The reports' metrics dict: accuracy, mean per-class recall, per-class F1
+    and one-vs-rest MCC, and retained_fraction 1.0 (filter_unsure sets it).
 
     0/0 cases (a class absent from truth or predictions) score 0 for both
     F1 and MCC rather than propagating NaN.
@@ -78,15 +51,15 @@ def evaluate(true_labels, predicted_labels, c: int) -> MetricsReport:
         den = np.sqrt((TP + FP) * (TP + FN) * (TN + FP) * (TN + FN))
         mcc[k] = _safe_div(TP * TN - FP * FN, den)
 
-    return MetricsReport(
-        accuracy=float(tp.sum() / total),
-        mean_per_class_accuracy=float(recall.mean()),
-        f1_per_class=f1,
-        mcc_per_class=mcc,
-        macro_f1=float(f1.mean()),
-        mean_mcc=float(mcc.mean()),
-        confusion=cm,
-    )
+    return {
+        "accuracy": float(tp.sum() / total),
+        "mean_per_class_accuracy": float(recall.mean()),
+        "f1_per_class": f1.tolist(),
+        "mcc_per_class": mcc.tolist(),
+        "macro_f1": float(f1.mean()),
+        "mean_mcc": float(mcc.mean()),
+        "retained_fraction": 1.0,
+    }
 
 
 def margin_confidence(decision_matrix) -> np.ndarray:
@@ -102,7 +75,7 @@ def filter_unsure(confidences, predictions, true_labels, drop_fraction: float, c
     """Drop the floor(rho * m) least-confident predictions, then score the rest.
 
     Ties in confidence drop the lower index first (stable sort order).
-    Returns (retained indices ascending, MetricsReport on the retained set).
+    Returns (retained indices ascending, evaluate's dict on the retained set).
     """
     conf = np.asarray(confidences, dtype=np.float64)
     pred = np.asarray(predictions, dtype=np.int64)
@@ -118,5 +91,5 @@ def filter_unsure(confidences, predictions, true_labels, drop_fraction: float, c
     order = np.argsort(conf, kind="stable")
     retained = np.sort(order[n_drop:])
     report = evaluate(true[retained], pred[retained], c)
-    report.retained_fraction = 1.0 - n_drop / m
+    report["retained_fraction"] = 1.0 - n_drop / m
     return retained, report

@@ -309,13 +309,7 @@ def ovr_train(gram, labels, C: float, n_classes: int | None = None, alpha0=None)
     return OvrModel(models)
 
 
-def select_C(
-    gram,
-    labels,
-    folds,
-    grid=DEFAULT_C_GRID,
-    n_classes: int | None = None,
-):
+def select_C(gram, labels, folds, grid=DEFAULT_C_GRID):
     """Mean k-fold CV accuracy per C; returns (best C, per-C records).
 
     Each fold walks the distinct C values in ascending order, and every fit
@@ -336,7 +330,7 @@ def select_C(
         raise ValueError("empty C grid")
     K = np.asarray(gram, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    c = int(labels.max()) + 1 if n_classes is None else n_classes
+    c = int(labels.max()) + 1
 
     ascending = sorted(set(grid))
     accs: dict = {C: [] for C in ascending}
@@ -371,11 +365,11 @@ def select_C(
     return best_C, records
 
 
-def fit(gram, labels, folds, grid=DEFAULT_C_GRID, n_classes: int | None = None):
+def fit(gram, labels, folds, grid=DEFAULT_C_GRID):
     """Select C by k-fold CV, then train one-vs-rest on all rows at that C.
 
     Returns (best C, per-C records, OvrModel). A binary fit that hits the
     iteration cap is kept as it ended, flagged non-converged.
     """
-    best_C, records = select_C(gram, labels, folds, grid=grid, n_classes=n_classes)
-    return best_C, records, ovr_train(gram, labels, best_C, n_classes=n_classes)
+    best_C, records = select_C(gram, labels, folds, grid=grid)
+    return best_C, records, ovr_train(gram, labels, best_C)

@@ -108,26 +108,6 @@ class TestEvaluate:
         assert payload["retained"] == [1, 2, 3]
         assert payload["filtered_metrics"]["accuracy"] == 1.0
 
-    @pytest.mark.parametrize(
-        "true, pred, extra",
-        [
-            ("0\n1\n", "0\n1\n", ["--classes", "1"]),
-            ("0\n1\n", "0\n-1\n", []),
-            ("", "", []),
-            ("0\n1\n", "0\n1\n", ["--drop-fraction", "1.5"]),
-            ("0\n1\n", "0\n1\n", ["--drop-fraction", "-0.1"]),
-        ],
-        ids=["classes_too_few", "negative_label", "empty", "drop_above_one", "drop_negative"],
-    )
-    def test_bad_input_is_config_error(self, tmp_path, capsys, true, pred, extra):
-        t, p, conf = tmp_path / "t.txt", tmp_path / "p.txt", tmp_path / "conf.txt"
-        t.write_text(true)
-        p.write_text(pred)
-        conf.write_text("0.5\n0.7\n")
-        args = ["evaluate", "--true", str(t), "--pred", str(p), "--confidence", str(conf)]
-        assert main(args + extra) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
 
 class TestExperimentRun:
     def test_writes_report_artifacts(self, tmp_path, toy_csv, capsys):
@@ -166,15 +146,6 @@ class TestExperimentRun:
         cfg = write_config(tmp_path, toy_csv, **overrides)
         assert main(["experiment", "run", "--config", cfg]) == 1
         assert "bad config" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", [["experiment", "run"], ["report", "sweep"]])
-    def test_label_only_dataset_exits_one(self, tmp_path, toy_csv, capsys, command):
-        data = tmp_path / "labels.csv"
-        data.write_text("label\na\nb\na\nb\n")
-        cfg = write_config(tmp_path, toy_csv, dataset={"path": str(data)})
-        assert main(command + ["--config", cfg]) == 1
-        assert "feature column" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
 
 class TestReportSweep:
@@ -264,6 +235,9 @@ EXIT_CASES = [
      "best_kernel's svm.folds 4 exceeds the 3 train rows"),
     ("learn-tsmkl-3-rows", data(THREE), LEARN + ["tsmkl"], 1,
      "tsmkl needs 5 balanced K-examples to select lambda; 3 train rows give 4"),
+    # an output file's directory must exist, checked before the data is read; the last --out wins
+    ("learn-out-dir-missing", data(), LEARN + ["average", "--out", "missing/x.json"], 1,
+     "cannot write file 'missing/x.json': 'missing' is not a directory"),
     ("svm-one-fold", data(), SVM + ["--folds", "1"], 1, "--folds must be >= 2"),
     ("svm-negative-seed", data(), SVM + ["--seed", "-1"], 1, "--seed must be >= 0"),
     ("svm-folds-over-rows", data(FOUR), SVM + ["--folds", "5"], 1,
@@ -284,6 +258,11 @@ EXIT_CASES = [
      SVM + ["--weights", "w.json"], 1, "bad weights 'w.json': non-finite kernel weight"),
     ("svm-weights-list", weights([1.0] * 13), SVM + ["--weights", "w.json"], 1,
      "bad weights 'w.json': expected a JSON object with a 'mu' list"),
+    ("svm-out-dir-missing", data(), SVM + ["--out", "missing/x.json"], 1,
+     "cannot write file 'missing/x.json': 'missing' is not a directory"),
+    ("evaluate-out-dir-missing", labels("0\n1\n", "0\n1\n"),
+     EVALUATE + ["--out", "missing/x.json"], 1,
+     "cannot write file 'missing/x.json': 'missing' is not a directory"),
     ("evaluate-drop-without-confidence", labels("0\n1\n", "0\n1\n"),
      EVALUATE + ["--drop-fraction", "0.5"], 1, "error: --drop-fraction needs --confidence"),
     ("evaluate-confidence-missing", labels("0\n1\n", "0\n1\n", None),
@@ -317,6 +296,10 @@ EXIT_CASES = [
      EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1,
      "error: confidence file 'c.txt' holds a non-finite value"),
     ("run-missing-config", {}, ["experiment", "run", "--config", "config.json"], 1, "bad config"),
+    ("run-config-int", {"config.json": "5"}, ["experiment", "run", "--config", "config.json"], 1,
+     "bad config 'config.json': a config must be a JSON object, got int"),
+    ("run-config-list", {"config.json": "[]"}, ["experiment", "run", "--config", "config.json"],
+     1, "bad config 'config.json': a config must be a JSON object, got list"),
     ("run-unknown-config-key", run_config(svm={"C": 3}), ["experiment", "run", "--config",
      "config.json"], 1, "unknown config keys in svm"),
     *(
@@ -358,6 +341,9 @@ EXIT_CASES = [
             ("bad-format", run_config(dataset={"path": "data.csv", "format": "arff"}),
              "cannot load dataset 'data.csv': unknown format 'arff'"),
             ("no-feature-column", run_config("label\na\nb\na\nb\n"), "feature column"),
+            # an output directory that exists as a file is refused before the data is read
+            ("output-dir-is-a-file", run_config(method="tsmkl", output_dir="data.csv"),
+             "cannot make directory 'data.csv': 'data.csv' is not a directory"),
             # a stratified split cannot divide a class of one row
             ("one-row-class", run_config("f,label\n0,a\n1,a\n2,a\n3,a\n4,b\n", method="tsmkl"),
              "split 0 (seed 0) of 'data.csv': stratified split needs >= 2 members per class"),

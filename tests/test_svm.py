@@ -866,7 +866,7 @@ class TestFit:
         models = force_nonconvergence(monkeypatch)
         K, labels = averaged_gram()
         folds = kfold_plan(len(labels), 3, seed=2)
-        best_C, _, ovr = fit(K, labels, folds, grid=[0.1, 1.0], n_classes=2)
+        best_C, _, ovr = fit(K, labels, folds, grid=[0.1, 1.0])
         # CV fits every class on every fold at every C; then one final fit per class
         assert len(models) == 3 * 2 * 2 + 2
         assert ovr.models[0] is models[-2] and ovr.models[1] is models[-1]
