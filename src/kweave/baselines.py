@@ -12,18 +12,18 @@ convex QP
 
     min_{v >= 0}  v^T M v - 2 v^T a,   mu* = v* / ||v*||,
 
-which maximize_alignment solves exactly. In K-space terms the QP is
-non-negative least squares of the pair labels t on the pair rows of the
-bank's store Z: a symmetric Gram holds each pair i < j twice and each
-diagonal pair once, so with pair weights w = 2 off the diagonal and 1 on
-it, M = Z^T diag(w) Z = 2 Z^T Z - Z_d^T Z_d (Z_d the diagonal-pair rows)
-and a = Z^T (w * t). No dense Gram is built, nor a float64 copy of Z.
+which maximize_alignment(M, a) solves exactly on the float64 arrays M
+and a, returning mu*. In K-space terms the QP is non-negative least
+squares of the pair labels t on the pair rows of the bank's store Z: a
+symmetric Gram holds each pair i < j twice and each diagonal pair once,
+so with pair weights w = 2 off the diagonal and 1 on it,
+M = Z^T diag(w) Z = 2 Z^T Z - Z_d^T Z_d (Z_d the diagonal-pair rows) and
+a = Z^T (w * t). No dense Gram is built, nor a float64 copy of Z.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,37 +38,9 @@ _ALIGN_KKT_TOL = 1e-9
 _ALIGN_BLOCK_ELEMS = 1 << 17
 
 
-@dataclass
-class AlignmentProblem:
-    """The quadratic data of the alignment objective over explicit (M, a)."""
-
-    M: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        p = self.a.shape[0]
-        if p < 1 or self.M.shape != (p, p):
-            raise ValueError("M must be p x p matching a, p >= 1")
-        scale = max(1.0, float(np.abs(self.M).max()))
-        if np.abs(self.M - self.M.T).max() > 1e-8 * scale:
-            raise ValueError("M must be symmetric")
-        self.M = (self.M + self.M.T) / 2.0
-
-    @property
-    def p(self) -> int:
-        return self.a.shape[0]
-
-    def objective(self, mu: np.ndarray) -> float:
-        quad = float(mu @ self.M @ mu)
-        if quad <= 0.0:
-            return -np.inf
-        return float(mu @ self.a) / np.sqrt(quad)
-
-
-def alignment_problem_from_bank(bank: KernelBank, train_labels) -> AlignmentProblem:
-    """(M, a) as pair-weighted sums over the rows of bank.Z (module docstring)."""
+def alignment_problem_from_bank(bank: KernelBank, train_labels):
+    """The arrays (M, a), as pair-weighted sums over the rows of bank.Z (module
+    docstring). M is exactly symmetric: each of its terms is a product B^T B."""
     labels = np.asarray(train_labels)
     if labels.shape != (bank.n,):
         raise ValueError("labels do not match bank dimension")
@@ -78,7 +50,7 @@ def alignment_problem_from_bank(bank: KernelBank, train_labels) -> AlignmentProb
     wt[diag] /= 2.0
     ZtZ, a = _gram_and_moment(bank.Z, wt)
     Zd = bank.Z[diag].astype(np.float64)
-    return AlignmentProblem(M=2.0 * ZtZ - Zd.T @ Zd, a=a)
+    return 2.0 * ZtZ - Zd.T @ Zd, a
 
 
 def _gram_and_moment(Z: np.ndarray, v: np.ndarray):
@@ -97,18 +69,18 @@ def _gram_and_moment(Z: np.ndarray, v: np.ndarray):
     return ZtZ, Ztv
 
 
-def maximize_alignment(problem: AlignmentProblem):
+def maximize_alignment(M: np.ndarray, a: np.ndarray):
     """Exact maximizer through the QP min_{v >= 0} v^T M v - 2 v^T a.
 
     Lawson-Hanson active set: free the bound coordinate with the largest
     a - Mv, solve M s = a on the free set, and while s has a negative free
     entry, step from v toward s until the first free entry reaches 0,
-    set it to exactly 0 and bind it. Returns (mu, objective) with
-    mu = v* / ||v*||, or (None, -inf) when v* = 0, which holds exactly when
-    every a[l] <= 0: then no direction aligns positively. Raises
-    RuntimeError when the loop bound is reached or the result fails KKT.
+    set it to exactly 0 and bind it. Returns the unit-norm weights
+    mu = v* / ||v*||, or None when v* = 0, which holds exactly when every
+    a[l] <= 0: then no direction aligns positively. Raises RuntimeError
+    when the loop bound is reached or the result fails KKT.
     """
-    M, a, p = problem.M, problem.a, problem.p
+    p = a.shape[0]
     tol = _ALIGN_KKT_TOL * float(np.abs(a).max())
     v = np.zeros(p)
     free = np.zeros(p, dtype=bool)
@@ -134,9 +106,8 @@ def maximize_alignment(problem: AlignmentProblem):
     if np.any(v < 0.0) or resid.max() > tol or np.any(np.abs(resid[v > 0.0]) > tol):
         raise RuntimeError("alignment QP failed its KKT conditions")
     if not np.any(v > 0.0):
-        return None, -np.inf
-    mu = v / np.linalg.norm(v)
-    return mu, problem.objective(mu)
+        return None
+    return v / np.linalg.norm(v)
 
 
 def target_align(bank: KernelBank, train_labels) -> np.ndarray:
@@ -148,12 +119,11 @@ def target_align(bank: KernelBank, train_labels) -> np.ndarray:
     labels = np.asarray(train_labels)
     if np.unique(labels).size < 2:
         raise ValueError("need at least two classes for target alignment")
-    problem = alignment_problem_from_bank(bank, labels)
-    mu, _ = maximize_alignment(problem)
+    M, a = alignment_problem_from_bank(bank, labels)
+    mu = maximize_alignment(M, a)
     if mu is None:
         logger.warning(
-            "no positively aligned direction (max a[l] = %g); using uniform weights",
-            problem.a.max(),
+            "no positively aligned direction (max a[l] = %g); using uniform weights", a.max()
         )
         return uniform_weights(bank.p)
     return mu

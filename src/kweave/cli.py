@@ -34,7 +34,7 @@ def _load_data(path: str, fmt: str):
 def _load_config(path: str) -> experiment.ExperimentConfig:
     try:
         return experiment.load_config(path)
-    except (OSError, ValueError, TypeError) as exc:  # TypeError: a c_grid int past float range
+    except (OSError, ValueError) as exc:
         raise InputError(f"bad config {path!r}: {exc}") from exc
 
 

@@ -126,9 +126,11 @@ class ExperimentConfig:
             if key in rest[section]:
                 value = kwargs[name] = rest[section].pop(key)
                 # the annotations are strings such as "int | None"; a JSON integer fills
-                # a float field, a bool only a bool field, and a list holds only numbers
+                # a float field, a bool only a bool field, and a list holds only numbers,
+                # its integers within the float range
                 kind, hint = type(value).__name__, cls.__annotations__[name]
-                if kind == "list" and any(type(v) not in (int, float) for v in value):
+                if kind == "list" and any(type(v) not in (int, float) or (
+                        type(v) is int and abs(v) > sys.float_info.max) for v in value):
                     hint = "a list of numbers"
                 if kind not in hint.replace("None", "NoneType").split(" | ") and not (
                     kind == "int" and "float" in hint

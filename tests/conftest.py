@@ -126,6 +126,14 @@ def alignment_grid_max(M, a, n_grid=200):
     return float(vals[k]), U[:, k]
 
 
+def alignment_value(M, a, mu) -> float:
+    """The alignment objective mu.a / sqrt(mu' M mu), -inf when mu' M mu <= 0."""
+    quad = float(mu @ M @ mu)
+    if quad <= 0.0:
+        return -np.inf
+    return float(mu @ a) / np.sqrt(quad)
+
+
 def synth_kset(Z, t) -> KExampleSet:
     """A K-example set whose stack is exactly Z, for solver tests."""
     return KExampleSet(t, np.ascontiguousarray(Z, dtype=np.float64))

@@ -19,7 +19,15 @@ from kweave.kspace import make_kexamples
 from kweave.mkl import pegasos_train
 from kweave.svm import decision_values, dual_objective, smo_train
 
-from conftest import DATA_DIR, alignment_grid_max, bank_of, centered_bank_for, make_blobs, synth_kset
+from conftest import (
+    DATA_DIR,
+    alignment_grid_max,
+    alignment_value,
+    bank_of,
+    centered_bank_for,
+    make_blobs,
+    synth_kset,
+)
 from test_baselines import random_problem
 from test_experiment import write_toy_csv
 from test_mkl import objective as kspace_objective
@@ -117,16 +125,18 @@ def test_alignment_oracle():
             grams.append(A @ A.T)
         bank = bank_of(grams)
         mu = target_align(bank, data.labels)
-        prob = alignment_problem_from_bank(bank, data.labels)
-        grid_val, _ = alignment_grid_max(prob.M, prob.a, n_grid=600)
-        assert abs(prob.objective(mu) - grid_val) <= 1e-3
-        assert prob.objective(mu) >= grid_val - 1e-12
+        M, a = alignment_problem_from_bank(bank, data.labels)
+        grid_val, _ = alignment_grid_max(M, a, n_grid=600)
+        obj = alignment_value(M, a, mu)
+        assert abs(obj - grid_val) <= 1e-3
+        assert obj >= grid_val - 1e-12
     # problem-level: random well-conditioned instances, p in {2, 3}
     for seed in range(10):
-        prob = random_problem(2 + seed % 2, seed)
-        grid_val, _ = alignment_grid_max(prob.M, prob.a, n_grid=400)
-        mu, obj = maximize_alignment(prob)
+        M, a = random_problem(2 + seed % 2, seed)
+        grid_val, _ = alignment_grid_max(M, a, n_grid=400)
+        mu = maximize_alignment(M, a)
         assert mu is not None
+        obj = alignment_value(M, a, mu)
         assert abs(obj - grid_val) <= 1e-3
         assert obj >= grid_val - 1e-12
     assert time.time() - t0 < 60.0

@@ -9,7 +9,6 @@ import pytest
 
 import kweave.baselines as baselines
 from kweave.baselines import (
-    AlignmentProblem,
     alignment_problem_from_bank,
     best_kernel,
     maximize_alignment,
@@ -20,17 +19,17 @@ from kweave.data import kfold_plan
 from kweave.kernels import build_kernel_bank
 from kweave.svm import select_C
 
-from conftest import alignment_grid_max, bank_of, centered_bank_for, make_blobs
+from conftest import alignment_grid_max, alignment_value, bank_of, centered_bank_for, make_blobs
 
 
-def random_problem(p: int, seed: int) -> AlignmentProblem:
-    """Well-conditioned instance with at least one profitable coordinate."""
+def random_problem(p: int, seed: int):
+    """Well-conditioned (M, a) with at least one profitable coordinate."""
     rng = np.random.default_rng(seed)
     A = rng.normal(0.0, 1.0, (p + 2, p))
     M = A.T @ A + 0.5 * np.eye(p)
     a = rng.normal(0.0, 1.0, p)
     a[int(rng.integers(p))] = float(np.abs(a).max()) + 0.5
-    return AlignmentProblem(M=M, a=a)
+    return M, a
 
 
 # the data of tests/test_parity.py; its per-feature bank has p = 65
@@ -69,27 +68,6 @@ class TestGridOracle:
         np.testing.assert_array_equal(mu, [1.0])
 
 
-class TestAlignmentProblem:
-    def test_rejects_asymmetric_M(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            AlignmentProblem(M=np.array([[1.0, 2.0], [0.0, 1.0]]), a=np.ones(2))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            AlignmentProblem(M=np.eye(3), a=np.ones(2))
-
-    def test_nonpositive_quadratic_gives_minus_inf(self):
-        prob = AlignmentProblem(M=np.zeros((2, 2)), a=np.ones(2))
-        assert prob.objective(np.ones(2)) == -np.inf
-
-    def test_objective_scale_invariant(self):
-        prob = random_problem(3, 99)
-        mu = np.array([0.3, 1.2, 0.4])
-        base = prob.objective(mu)
-        for c in (1e-6, 0.5, 7.0, 1e6):
-            assert prob.objective(c * mu) == pytest.approx(base, rel=1e-10)
-
-
 class TestProblemFromBank:
     def test_matches_explicit_frobenius_sums(self):
         rng = np.random.default_rng(3)
@@ -97,12 +75,12 @@ class TestProblemFromBank:
         grams = [(lambda A: A @ A.T)(rng.normal(0.0, 1.0, (n, n))) for _ in range(p)]
         bank = bank_of(grams)
         y = np.array([0, 1, 0, 1, 1])
-        prob = alignment_problem_from_bank(bank, y)
+        M, a = alignment_problem_from_bank(bank, y)
         T = np.where(y[:, None] == y[None, :], 1.0, -1.0)
         for k in range(p):
-            assert prob.a[k] == pytest.approx(np.sum(grams[k] * T))
+            assert a[k] == pytest.approx(np.sum(grams[k] * T))
             for l in range(p):
-                assert prob.M[k, l] == pytest.approx(np.sum(grams[k] * grams[l]))
+                assert M[k, l] == pytest.approx(np.sum(grams[k] * grams[l]))
 
     @pytest.mark.parametrize("block_elems", [1, 500, 1 << 17])
     def test_blocked_build_matches_float64_reference(self, monkeypatch, block_elems):
@@ -112,7 +90,7 @@ class TestProblemFromBank:
         bank = centered_bank_for(data, "uci_full_plus_per_feature")
         assert bank.Z.dtype == np.float32
         monkeypatch.setattr(baselines, "_ALIGN_BLOCK_ELEMS", block_elems)
-        prob = alignment_problem_from_bank(bank, data.labels)
+        got_M, got_a = alignment_problem_from_bank(bank, data.labels)
         Z = bank.Z.astype(np.float64)
         ii, jj = np.triu_indices(bank.n)
         diag = ii == jj
@@ -120,8 +98,10 @@ class TestProblemFromBank:
         w = np.where(diag, 1.0, 2.0)
         M = 2.0 * (Z.T @ Z) - Z[diag].T @ Z[diag]
         a = Z.T @ (w * t)
-        assert np.abs(prob.M - M).max() <= 1e-12 * np.abs(M).max()
-        assert np.abs(prob.a - a).max() <= 1e-12 * np.abs(a).max()
+        assert np.abs(got_M - M).max() <= 1e-12 * np.abs(M).max()
+        assert np.abs(got_a - a).max() <= 1e-12 * np.abs(a).max()
+        # every term of M is a product B^T B, so no symmetrizing is needed
+        assert np.array_equal(got_M, got_M.T)
 
     def test_blocked_build_holds_no_float64_copy_of_the_store(self):
         data = make_blobs(n_per_class=40, d=10, seed=9)
@@ -149,26 +129,23 @@ class TestMaximizeAlignment:
             (np.eye(2), np.array([3.0, -1.0]), 3.0),
             (np.eye(3), np.array([1.0, 2.0, 2.0]), 3.0),
         ]:
-            prob = AlignmentProblem(M=M, a=a)
-            mu, obj = maximize_alignment(prob)
+            mu = maximize_alignment(M, a)
             assert mu is not None
-            assert abs(obj - expect) < 1e-3
-            # the reported objective belongs to the reported point
-            assert obj == pytest.approx(prob.objective(mu), rel=1e-12)
+            assert abs(alignment_value(M, a, mu) - expect) < 1e-3
 
     def test_boundary_solution(self):
-        prob = AlignmentProblem(np.eye(2), np.array([3.0, -1.0]))
-        mu, _ = maximize_alignment(prob)
+        mu = maximize_alignment(np.eye(2), np.array([3.0, -1.0]))
         np.testing.assert_allclose(mu, [1.0, 0.0], atol=2e-3)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_grid_oracle(self, seed):
         p = 2 + seed % 2
-        prob = random_problem(p, seed)
-        grid_val, _ = alignment_grid_max(prob.M, prob.a)
+        M, a = random_problem(p, seed)
+        grid_val, _ = alignment_grid_max(M, a)
         assert grid_val > 0.0
-        mu, obj = maximize_alignment(prob)
+        mu = maximize_alignment(M, a)
         assert mu is not None
+        obj = alignment_value(M, a, mu)
         assert abs(obj - grid_val) <= 1e-3
         # the QP is exact, so no grid point may beat it
         assert obj >= grid_val - 1e-12
@@ -180,16 +157,16 @@ class TestMaximizeAlignment:
         if case == "blobs_p65":
             bank = centered_bank_for(PARITY_BLOBS, "uci_full_plus_per_feature")
             assert bank.p == 65
-            prob = alignment_problem_from_bank(bank, PARITY_BLOBS.labels)
+            M, a = alignment_problem_from_bank(bank, PARITY_BLOBS.labels)
         else:
-            prob = random_problem(2 + case % 2, case)
+            M, a = random_problem(2 + case % 2, case)
         # QP min_{v >= 0} v'Mv - 2v'a: its minimizer on mu's ray is v = c mu
         # with c = mu'a / mu'M mu; KKT at v is v >= 0, a - Mv <= 0, and
         # a - Mv = 0 wherever v > 0
-        mu, _ = maximize_alignment(prob)
-        v = mu * (float(mu @ prob.a) / float(mu @ prob.M @ mu))
-        resid = prob.a - prob.M @ v
-        tol = 1e-8 * np.abs(prob.a).max()
+        mu = maximize_alignment(M, a)
+        v = mu * (float(mu @ a) / float(mu @ M @ mu))
+        resid = a - M @ v
+        tol = 1e-8 * np.abs(a).max()
         assert np.all(v >= 0.0)
         assert resid.max() <= tol
         assert np.abs(resid[v > 0.0]).max() <= tol
@@ -197,12 +174,10 @@ class TestMaximizeAlignment:
     def test_indefinite_problem_raises(self):
         # with M = -I the QP is unbounded below, so no point satisfies KKT
         with pytest.raises(RuntimeError, match="KKT"):
-            maximize_alignment(AlignmentProblem(-np.eye(2), np.ones(2)))
+            maximize_alignment(-np.eye(2), np.ones(2))
 
     def test_no_positive_direction_returns_none(self):
-        mu, obj = maximize_alignment(AlignmentProblem(np.eye(2), np.array([-3.0, -1.0])))
-        assert mu is None
-        assert obj <= 0.0
+        assert maximize_alignment(np.eye(2), np.array([-3.0, -1.0])) is None
 
 
 def antitarget_bank(y):

@@ -244,11 +244,11 @@ class TestPlannedLayout:
         labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
         natural, _ = center_bank(build_kernel_bank(X, "uci_full"))
         ordered, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 1, 2)[0])
-        a = alignment_problem_from_bank(natural, labels)
-        b = alignment_problem_from_bank(ordered, labels)
+        M_nat, a_nat = alignment_problem_from_bank(natural, labels)
+        M_ord, a_ord = alignment_problem_from_bank(ordered, labels)
         # the same sums over the rows in another order
-        np.testing.assert_allclose(b.M, a.M, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(b.a, a.a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(M_ord, M_nat, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(a_ord, a_nat, rtol=1e-12, atol=1e-12)
 
     def test_order_must_be_a_permutation(self):
         raw = build_kernel_bank(np.random.default_rng(0).normal(0, 1, (3, 2)), "uci_full")
