@@ -1,10 +1,11 @@
 """Dataset ingestion, label encoding, and deterministic split generation.
 
-Supported on-disk formats:
-  * CSV: UTF-8, header row, a column named ``label`` (any position),
+Supported on-disk formats, UTF-8 with or without a leading byte-order mark:
+  * CSV: header row, a column named ``label`` (any position),
     every other column parsed as float64.
   * sparse: one instance per line, ``<label> <idx>:<val> ...`` with
-    1-based strictly increasing indices (libsvm style).
+    1-based strictly increasing indices (libsvm style); a line whose
+    first token holds ``:`` has no label and is refused.
 
 Labels are re-encoded to dense 0..c-1 ids in order of first appearance.
 """
@@ -97,7 +98,7 @@ def _parse_float(text: str, path: str, lineno: int) -> float:
 
 
 def _load_csv(path: str) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -126,16 +127,18 @@ def _load_csv(path: str) -> Dataset:
 
 def _load_sparse(path: str) -> Dataset:
     raw_labels: list[str] = []
-    entries: list[list[tuple[int, float]]] = []
-    d = 0
-    with open(path, encoding="utf-8") as fh:
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                continue
+            if ":" in parts[0]:
+                raise DatasetError(f"{path}:{lineno}: missing label before the entry {parts[0]!r}")
+            row = len(raw_labels)
             raw_labels.append(parts[0])
-            row: list[tuple[int, float]] = []
             prev = 0
             for tok in parts[1:]:
                 if ":" not in tok:
@@ -154,14 +157,13 @@ def _load_sparse(path: str) -> Dataset:
                         f"{path}:{lineno}: indices not strictly increasing at {idx}"
                     )
                 prev = idx
-                row.append((idx, _parse_float(val_s, path, lineno)))
-                d = max(d, idx)
-            entries.append(row)
+                rows.append(row)
+                cols.append(idx - 1)
+                vals.append(_parse_float(val_s, path, lineno))
 
-    X = np.zeros((len(entries), d), dtype=np.float64)
-    for i, row in enumerate(entries):
-        for idx, val in row:
-            X[i, idx - 1] = val
+    # indices strictly increase within a line, so no entry is written twice
+    X = np.zeros((len(raw_labels), max(cols, default=-1) + 1), dtype=np.float64)
+    X[rows, cols] = vals
     return Dataset(X, *_encode_labels(raw_labels))
 
 
@@ -252,18 +254,9 @@ def kfold_plan(n: int, k: int, seed: int) -> list[SplitPlan]:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base, extra = divmod(n, k)
-    plans = []
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        fold = perm[start : start + size]
-        start += size
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        plans.append(SplitPlan(np.sort(np.flatnonzero(mask)), np.sort(fold)))
-    return plans
+    # array_split gives the first n % k folds one row more
+    folds = np.array_split(rng.permutation(n), k)
+    return [SplitPlan(np.setdiff1d(np.arange(n), fold), np.sort(fold)) for fold in folds]
 
 
 # ---------------------------------------------------------------------------

@@ -325,21 +325,14 @@ def _mu_summary(mu: np.ndarray) -> dict:
     }
 
 
-@dataclass
-class _StageClock:
-    """Wall time per named stage, a failed one too; `current` names the stage last entered."""
-
-    timings: dict = field(default_factory=dict)
-    current: str | None = None
-
-    @contextmanager
-    def stage(self, name: str):
-        self.current = name
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timings[name] = time.perf_counter() - t0
+@contextmanager
+def _timed(timings: dict, name: str):
+    """Time the block into timings[name], also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - t0
 
 
 def _peak_rss_mb() -> float:
@@ -351,14 +344,14 @@ def _peak_rss_mb() -> float:
 def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, plan) -> dict:
     seed = config.base_seed + split_index
     record: dict = {"split_index": split_index, "seed": seed}
-    clock = _StageClock()
+    timings: dict = {}
     holdout, folds, bestk_folds = plan
     try:
-        with clock.stage("split"):
+        with _timed(timings, "split"):
             train, test = _holdout(dataset, holdout)
             record["n_train"], record["n_test"] = train.n, test.n
 
-        with clock.stage("kernel_learning"):
+        with _timed(timings, "kernel_learning"):
             scaler, Xs, bank, dropped = prepare_train(train, config.kernel_recipe, seed)
             mu, details = learn_weights(bank, train.labels, config, seed, bestk_folds)
         record["mu"] = [float(v) for v in mu]
@@ -366,10 +359,10 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
         record["dropped_kernels"] = [int(i) for i in dropped]
         record.update(details)
 
-        with clock.stage("kernel_build"):
+        with _timed(timings, "kernel_build"):
             cross = combine_cross(cross_blocks(scaler, Xs, bank, test.instances), mu)
 
-        with clock.stage("svm"):
+        with _timed(timings, "svm"):
             best_C, cv_records, ovr = _fit_svm(bank, mu, train, folds, config)
         record["chosen_C"] = float(best_C)
         record["cv_records"] = cv_records
@@ -381,7 +374,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
             for c, m in enumerate(ovr.models)
         ]
 
-        with clock.stage("evaluation"):
+        with _timed(timings, "evaluation"):
             D = ovr.decision_matrix(cross)
             pred = D.argmax(axis=1)
             record["metrics"] = metrics.evaluate(test.labels, pred, dataset.n_classes)
@@ -391,10 +384,11 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
                     conf, pred, test.labels, config.drop_fraction, dataset.n_classes
                 )
     except Exception as exc:  # per-split isolation: one bad split must not kill the run
-        logger.warning("split %d failed at stage %s: %s", split_index, clock.current, exc)
+        # a stage's time is written when it ends, so the one that raised is the last key
+        record["stage"] = next(reversed(timings))
+        logger.warning("split %d failed at stage %s: %s", split_index, record["stage"], exc)
         record["error"] = f"{type(exc).__name__}: {exc}"
-        record["stage"] = clock.current
-    record["timings"] = {**clock.timings, "peak_rss_mb": _peak_rss_mb()}
+    record["timings"] = {**timings, "peak_rss_mb": _peak_rss_mb()}
     return record
 
 

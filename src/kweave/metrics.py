@@ -18,10 +18,6 @@ def confusion_matrix(true_labels, predicted_labels, c: int) -> np.ndarray:
     return np.bincount(t * c + p, minlength=c * c).reshape(c, c)
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den != 0.0 else 0.0
-
-
 def evaluate(true_labels, predicted_labels, c: int) -> dict:
     """The reports' metrics dict: accuracy, mean per-class recall, per-class F1
     and one-vs-rest MCC, and retained_fraction 1.0 (filter_unsure sets it).
@@ -36,20 +32,16 @@ def evaluate(true_labels, predicted_labels, c: int) -> dict:
     row = counts.sum(axis=1)  # true-class supports
     col = counts.sum(axis=0)  # predicted-class counts
 
-    recall = np.array([_safe_div(tp[k], row[k]) for k in range(c)])
-    precision = np.array([_safe_div(tp[k], col[k]) for k in range(c)])
-    f1 = np.array(
-        [_safe_div(2.0 * precision[k] * recall[k], precision[k] + recall[k]) for k in range(c)]
-    )
+    recall = np.divide(tp, row, out=np.zeros(c), where=row != 0)
+    precision = np.divide(tp, col, out=np.zeros(c), where=col != 0)
+    pr = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr, out=np.zeros(c), where=pr != 0)
 
-    mcc = np.empty(c)
-    for k in range(c):
-        TP = tp[k]
-        FP = col[k] - TP
-        FN = row[k] - TP
-        TN = total - TP - FP - FN
-        den = np.sqrt((TP + FP) * (TP + FN) * (TN + FP) * (TN + FN))
-        mcc[k] = _safe_div(TP * TN - FP * FN, den)
+    fp = col - tp
+    fn = row - tp
+    tn = total - tp - fp - fn
+    den = np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
+    mcc = np.divide(tp * tn - fp * fn, den, out=np.zeros(c), where=den != 0)
 
     return {
         "accuracy": float(tp.sum() / total),

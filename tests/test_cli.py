@@ -127,23 +127,6 @@ class TestExperimentRun:
         assert main(["experiment", "run", "--config", cfg, "--out", str(other)]) == 0
         assert (other / "report.json").exists()
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"mkl": {"num_steps": 0}},
-            {"mkl": {"lambda_grid": [0.0625, 1.0]}},
-            {"svm": {"c_grid": [-1.0]}},
-            {"kernels": {"recipe": "everything"}},
-            {"splits": {"count": "2"}},
-            {"splits": {"count": 2, "base_seed": -3}},
-            {"svm": {"c_grid": [float("nan")]}},
-        ],
-    )
-    def test_invalid_config_value_exits_one(self, tmp_path, toy_csv, capsys, overrides):
-        cfg = write_config(tmp_path, toy_csv, **overrides)
-        assert main(["experiment", "run", "--config", cfg]) == 1
-        assert "bad config" in capsys.readouterr().err
-
 
 class TestReportSweep:
     def test_writes_tsv_and_json(self, tmp_path, toy_csv, capsys):
@@ -228,6 +211,9 @@ EXIT_CASES = [
      "feature column"),
     ("learn-no-feature-sparse", data("a\nb\na\n"), LEARN + ["average", "--format", "sparse_svm"],
      1, "feature column"),
+    # a line's first token is its label, so an entry there would be taken for one
+    ("learn-sparse-missing-label", data("1:0.5 2:0.3\n2:0.1 3:0.9\n1:0.2 2:0.4\n"),
+     LEARN + ["average", "--format", "sparse_svm"], 1, "data.csv:1: missing label"),
     ("learn-best-kernel-3-rows", data(THREE), LEARN + ["best-kernel"], 1,
      "best_kernel's svm.folds 4 exceeds the 3 train rows"),
     ("learn-tsmkl-3-rows", data(THREE), LEARN + ["tsmkl"], 1,

@@ -119,6 +119,30 @@ class TestSparseLoading:
         with pytest.raises(DatasetError, match="feature column"):
             load_dataset(path, format="sparse_svm")
 
+    def test_line_without_label_rejected(self, tmp_path):
+        # the first entry would otherwise become the class name and lose its value
+        path = write(tmp_path, "nolabel.svm", "1:0.5 2:0.3\n2:0.1 3:0.9\n1:0.2 2:0.4\n")
+        with pytest.raises(DatasetError, match=r"nolabel\.svm:1: missing label"):
+            load_dataset(path, format="sparse_svm")
+
+
+@pytest.mark.parametrize(
+    "format, text",
+    [
+        ("csv", "label,f\npos,1.0\nneg,2.0\npos,3.0\nneg,4.0\n"),
+        ("sparse_svm", "pos 1:1.0\nneg 1:2.0\npos 1:3.0\nneg 1:4.0\n"),
+    ],
+    ids=["csv", "sparse_svm"],
+)
+def test_byte_order_mark_is_ignored(tmp_path, format, text):
+    # the mark must not stick to the first header name or the first label
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    ds = load_dataset(str(path), format=format)
+    assert ds.class_names == ("pos", "neg")
+    np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
+    np.testing.assert_array_equal(ds.instances, [[1.0], [2.0], [3.0], [4.0]])
+
 
 class TestDatasetValidation:
     def test_nan_rejected(self):
@@ -177,8 +201,9 @@ class TestHoldoutSplit:
 class TestKfold:
     def test_sizes_differ_by_at_most_one(self):
         plans = kfold_plan(10, 4, seed=0)
-        sizes = sorted(p.test_indices.size for p in plans)
-        assert sizes == [2, 2, 3, 3]
+        sizes = [p.test_indices.size for p in plans]
+        assert sorted(sizes) == [2, 2, 3, 3]
+        assert sizes == [3, 3, 2, 2]  # the first n % k folds are the larger ones
 
     def test_folds_partition_everything(self):
         plans = kfold_plan(11, 3, seed=5)
