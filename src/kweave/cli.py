@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines, experiment, metrics, svm
 from .data import load_dataset
 from .experiment import InputError
-from .kernels import RECIPES, check_weights, combine
+from .kernels import RECIPES, KernelError, check_weights, combine
 
 logger = logging.getLogger(__name__)
 
@@ -95,12 +95,14 @@ def cmd_learn(args) -> int:
 
 
 def _read_weights(path: str) -> np.ndarray:
-    """The `mu` list of a weights file: finite, non-negative, not all zero."""
+    """The `mu` list of a weights file: numbers, finite, non-negative, not all zero."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if not (isinstance(payload, dict) and isinstance(payload.get("mu"), list)):
             raise ValueError("expected a JSON object with a 'mu' list")
+        if any(type(v) not in (int, float) for v in payload["mu"]):  # a bool is no number
+            raise ValueError("'mu' must hold only numbers")
         return check_weights(len(payload["mu"]), payload["mu"])
     except (OSError, ValueError, TypeError) as exc:  # KernelError is a ValueError
         raise InputError(f"bad weights {path!r}: {exc}") from exc
@@ -121,7 +123,11 @@ def cmd_svm_train(args) -> int:
     if mu.size != bank.p:  # dropped kernels set p, so only the centered bank knows it
         raise InputError(f"bad weights {args.weights!r}: expected {bank.p} weights "
                          f"(one per kept kernel), got {mu.size}")
-    best_C, records, ovr = svm.fit(combine(bank, mu), dataset.labels, folds)
+    try:
+        gram = combine(bank, mu)
+    except KernelError as exc:  # weights whose weighted sum leaves the float range
+        raise InputError(f"bad weights {args.weights!r}: {exc}") from exc
+    best_C, records, ovr = svm.fit(gram, dataset.labels, folds)
     payload = {
         "chosen_C": best_C,
         "cv_records": records,

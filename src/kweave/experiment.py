@@ -28,16 +28,7 @@ import numpy as np
 
 from . import baselines, metrics, mkl, svm
 from .data import Dataset, FeatureScaler, SplitPlan, holdout_split, kfold_plan, load_dataset
-from .kernels import (
-    RECIPES,
-    build_kernel_bank,
-    center_bank,
-    center_standardize_apply,
-    combine,
-    combine_cross,
-    compute_cross_gram,
-    scope_products,
-)
+from .kernels import RECIPES, build_kernel_bank, center_bank, combine, combine_cross
 from .kspace import balance, make_kexamples, pair_counts, plan_rows
 
 logger = logging.getLogger(__name__)
@@ -198,20 +189,6 @@ def prepare_train(train: Dataset, recipe: str, seed: int = 0):
     return scaler, Xs, bank, dropped
 
 
-def cross_blocks(scaler: FeatureScaler, scaled_train, bank, test_X):
-    """Test x train cross Grams, centered with the train-side statistics.
-
-    The test rows are scaled now; the blocks are evaluated lazily, one per
-    kept kernel in bank order and from products shared per feature scope,
-    so combine_cross can sum them holding one at a time.
-    """
-    Xt = scaler.apply(test_X)
-    return (
-        center_standardize_apply(compute_cross_gram(spec, Xt, scaled_train, prods), stats)
-        for (spec, *prods), stats in zip(scope_products(bank.specs, Xt, scaled_train), bank.stats)
-    )
-
-
 def learn_weights(bank, train_y, config: ExperimentConfig, seed: int, folds=None):
     """Learn the config's kernel weights on a centered train-side bank.
 
@@ -360,7 +337,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
         record.update(details)
 
         with _timed(timings, "kernel_build"):
-            cross = combine_cross(cross_blocks(scaler, Xs, bank, test.instances), mu)
+            cross = combine_cross(bank, mu, scaler.apply(test.instances), Xs)
 
         with _timed(timings, "svm"):
             best_C, cv_records, ovr = _fit_svm(bank, mu, train, folds, config)
@@ -482,13 +459,18 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     ((plan, folds, _),) = plan_splits(dataset, config, 1)
     train, test = _holdout(dataset, plan)
     scaler, Xs, bank, _ = prepare_train(train, config.kernel_recipe, seed)
-    crosses = list(cross_blocks(scaler, Xs, bank, test.instances))  # reused per lambda
     bal = balance(make_kexamples(train.labels, bank))
 
     val_k, fits = mkl.train_grid(
         bal, config.lambda_grid, derive_seed(seed, _SEED_LAMBDA), config.mkl_batch_size,
         _mkl_steps(config, train.n),
     )
+    # the test-side sums of the models that did not collapse, made in one pass and
+    # keyed by lambda (a grid is strictly descending, so no two fits share one)
+    live = {lam: model.mu for lam, model, _ in fits if model is not None and not model.collapsed}
+    crosses = {} if not live else dict(zip(
+        live, combine_cross(bank, list(live.values()), scaler.apply(test.instances), Xs)
+    ))
     records = []
     for lam, model, k_hinge in fits:
         if model is None:
@@ -498,7 +480,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
         if not model.collapsed:
             try:
                 _, _, ovr = _fit_svm(bank, model.mu, train, folds, config)
-                pred = ovr.predict(combine_cross(crosses, model.mu))
+                pred = ovr.predict(crosses[lam])
                 acc = float(np.mean(pred == test.labels))
             except (ValueError, RuntimeError) as exc:
                 logger.warning("lambda=%g: sweep SVM stage failed: %s", lam, exc)

@@ -20,7 +20,9 @@ cross blocks; one raw Gram is alive at a time, so the train-side peak is Z
 plus a few (n, n) arrays. Dense Grams are rebuilt from Z only by combine
 and the best_kernel baseline (one kernel at a time); target alignment reads
 Z directly, in float64-upcast row blocks. The statistics (r, g, s) recorded
-on the training Gram center the float64 cross blocks consistently.
+on the training Gram center the float64 cross blocks consistently:
+combine_cross evaluates, centers and sums them one block at a time, once
+for one weight vector or a stack of k, holding k sums and one block.
 """
 
 from __future__ import annotations
@@ -437,35 +439,35 @@ def combine(bank: KernelBank, weights) -> np.ndarray:
     The sum runs over the pair-major store in l order, skipping zero
     weights, and is scattered into the symmetric array once. Each product
     is taken in float64 (dtype= on the ufunc) under any numpy promotion rules.
+    Weights whose sum leaves the float range raise KernelError.
     """
     w = check_weights(bank.p, weights)
     acc = np.zeros(bank.Z.shape[0], dtype=np.float64)
-    for l in np.flatnonzero(w > 0):
-        acc += np.multiply(w[l], bank.Z[:, l], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in np.flatnonzero(w > 0):
+            acc += np.multiply(w[l], bank.Z[:, l], dtype=np.float64)
+    if not np.all(np.isfinite(acc)):
+        raise KernelError("the weighted sum of the Grams overflows")
     return bank._symmetric(acc)
 
 
-def combine_cross(crosses, weights) -> np.ndarray:
-    """Weighted sum of cross blocks; companion of combine for test rows.
+def combine_cross(bank: KernelBank, weights, test_features, train_features) -> np.ndarray:
+    """Weighted sum of the centered test x train cross blocks, combine's test-side companion.
 
-    crosses may be any iterable, a generator included: blocks are read one
-    at a time in l order, so only the running sum and the current block need
-    be alive. There must be one block per weight, all of one shape.
+    weights is one (p,) vector, giving a (t, n) array, or a (k, p) stack,
+    giving (k, t, n). Each kept kernel's block is evaluated once for all k
+    rows, from scope_products' shared products, centered with bank.stats
+    and added into every row's sum (acc[j] += W[j, l] * block, in l order,
+    zero weights skipped) before the next block is made: k sums and one
+    block are alive, and a row of a stack has the bits of its own call.
     """
-    w = check_weights(np.size(weights), weights)
-    acc = None
-    count = 0
-    for c in crosses:
-        if count == w.size:
-            raise KernelError(f"more than {w.size} cross blocks for {w.size} weights")
-        if acc is None:
-            acc = np.zeros(c.shape, dtype=np.float64)
-        elif c.shape != acc.shape:
-            raise KernelError(f"cross block {count} has shape {c.shape}, expected {acc.shape}")
-        if w[count] > 0:
-            acc += w[count] * c
-        count += 1
-        del c  # drop this block before the next one is produced
-    if count != w.size:
-        raise KernelError(f"{count} cross blocks for {w.size} weights")
-    return acc
+    W = np.array([check_weights(bank.p, w) for w in np.atleast_2d(weights)])
+    acc = np.zeros((len(W), len(test_features), bank.n), dtype=np.float64)
+    for l, (spec, *prods) in enumerate(scope_products(bank.specs, test_features, train_features)):
+        block = center_standardize_apply(
+            compute_cross_gram(spec, test_features, train_features, prods), bank.stats[l]
+        )
+        for j in np.flatnonzero(W[:, l] > 0):
+            acc[j] += W[j, l] * block
+        del block  # drop this block before the next one is made
+    return acc if np.ndim(weights) == 2 else acc[0]

@@ -241,6 +241,12 @@ EXIT_CASES = [
      SVM + ["--weights", "w.json"], 1, "bad weights 'w.json': non-finite kernel weight"),
     ("svm-weights-list", weights([1.0] * 13), SVM + ["--weights", "w.json"], 1,
      "bad weights 'w.json': expected a JSON object with a 'mu' list"),
+    ("svm-weights-string", weights({"mu": ["1.0"] * 13}), SVM + ["--weights", "w.json"], 1,
+     "bad weights 'w.json': 'mu' must hold only numbers"),
+    ("svm-weights-bool", weights({"mu": [True] * 13}), SVM + ["--weights", "w.json"], 1,
+     "bad weights 'w.json': 'mu' must hold only numbers"),
+    ("svm-weights-overflow", weights({"mu": [1e308] * 13}), SVM + ["--weights", "w.json"], 1,
+     "bad weights 'w.json': the weighted sum of the Grams overflows"),
     ("svm-out-dir-missing", data(), SVM + ["--out", "missing/x.json"], 1,
      "cannot write file 'missing/x.json': 'missing' is not a directory"),
     ("evaluate-out-dir-missing", labels("0\n1\n", "0\n1\n"),

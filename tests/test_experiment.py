@@ -1,6 +1,7 @@
 """Multi-split experiment protocol: config handling, per-split isolation,
 aggregation, determinism, and report rendering."""
 
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -10,13 +11,13 @@ import pytest
 
 import kweave.experiment as experiment
 import kweave.metrics as metrics
+import kweave.mkl as mkl
 from kweave.data import Dataset, holdout_split, kfold_plan, load_dataset
 from kweave.experiment import (
     ExperimentConfig,
     ExperimentReport,
     _mkl_steps,
     aggregate_records,
-    cross_blocks,
     learn_weights,
     prepare_train,
     render_markdown_table,
@@ -198,14 +199,6 @@ class TestCrossStage:
         assert bank.p == 13 * d + 13 and not dropped
         return scaler, Xs, bank, rng.normal(0, 1, (n_test, d))
 
-    def test_streamed_equals_list(self):
-        scaler, Xs, bank, Xt = self.per_feature_split(n_train=20, n_test=7, d=3)
-        mu = np.random.default_rng(0).random(bank.p) * (np.arange(bank.p) % 3 > 0)
-        blocks = list(cross_blocks(scaler, Xs, bank, Xt))
-        assert len(blocks) == bank.p and blocks[0].shape == (7, 20)
-        streamed = combine_cross(cross_blocks(scaler, Xs, bank, Xt), mu)
-        np.testing.assert_array_equal(streamed, combine_cross(blocks, mu))
-
     @pytest.mark.parametrize(
         "recipe,constant_column",
         [("uci_full", None), ("uci_full_plus_per_feature", None), ("uci_full_plus_per_feature", 1)],
@@ -220,8 +213,8 @@ class TestCrossStage:
         scaler, Xs, bank, dropped = prepare_train(two_class(X), recipe)
         assert bool(dropped) == (constant_column is not None)
         Xt = scaler.apply(X_test)
-        blocks = list(cross_blocks(scaler, Xs, bank, X_test))
-        assert len(blocks) == bank.p
+        blocks = combine_cross(bank, np.eye(bank.p), Xt, Xs)  # a one-hot row is its block
+        assert blocks.shape == (bank.p, 8, 25)
         for spec, stats, block in zip(bank.specs, bank.stats, blocks):
             expected = center_standardize_apply(compute_cross_gram(spec, Xt, Xs), stats)
             np.testing.assert_array_equal(block, expected, err_msg=spec.label())
@@ -231,7 +224,7 @@ class TestCrossStage:
         mu = np.full(bank.p, 1.0 / bank.p)
         tracemalloc.start()
         try:
-            cross = combine_cross(cross_blocks(scaler, Xs, bank, Xt), mu)
+            cross = combine_cross(bank, mu, scaler.apply(Xt), Xs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -348,7 +341,7 @@ class TestRunExperiment:
         targets = {
             "split": (experiment, "_holdout"),
             "kernel_learning": (experiment, "learn_weights"),
-            "kernel_build": (experiment, "cross_blocks"),
+            "kernel_build": (experiment, "combine_cross"),
             "svm": (experiment, "_fit_svm"),
             "evaluation": (metrics, "evaluate"),
         }
@@ -636,6 +629,24 @@ class TestLambdaSweep:
             records = run_lambda_sweep(cfg)["records"]
         assert [r["lambda"] for r in records] == [1.0, 0.0625]
         assert any("lambda=1e-300 failed" in r.getMessage() for r in caplog.records)
+
+    def test_collapsed_lambda_between_live_ones(self, tmp_path, monkeypatch):
+        # the live models' test-side sums come as one stack, one row per live lambda
+        cfg = fast_config(write_toy_csv(tmp_path / "toy.csv", gap=1.5), method="tsmkl",
+                          n_splits=1, lambda_grid=[1.0, 0.25, 0.0625],
+                          kernel_recipe="uci_full_plus_per_feature")
+        plain = run_lambda_sweep(cfg)["records"]
+        assert plain[0]["data_accuracy"] != plain[2]["data_accuracy"]  # so swapped rows show
+        real = mkl.pegasos_train
+
+        def collapse_quarter(kset, lam, *args):
+            model = real(kset, lam, *args)
+            return dataclasses.replace(model, mu=np.zeros_like(model.mu)) if lam == 0.25 else model
+
+        monkeypatch.setattr(mkl, "pegasos_train", collapse_quarter)
+        records = run_lambda_sweep(cfg)["records"]
+        assert records[1]["lambda"] == 0.25 and records[1]["data_accuracy"] is None
+        assert [records[0], records[2]] == [plain[0], plain[2]]
 
     def test_svm_stage_failure_leaves_accuracy_none(self, toy_csv, monkeypatch, caplog):
         def broken(*args):

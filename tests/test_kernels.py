@@ -346,8 +346,8 @@ class TestStreamedCentering:
 class TestCombination:
     def setup_method(self):
         rng = np.random.default_rng(11)
-        X = rng.normal(0, 1, (10, 3))
-        self.bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        self.X = rng.normal(0, 1, (10, 3))
+        self.bank, _ = center_bank(build_kernel_bank(self.X, "uci_full"))
 
     def test_weighted_sum_exact(self):
         w = np.zeros(13)
@@ -381,49 +381,41 @@ class TestCombination:
             combine(self.bank, np.ones(5))
 
     def test_combine_cross(self):
-        crosses = [np.full((2, 10), float(i)) for i in range(3)]
-        out = combine_cross(crosses, np.array([1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out, np.full((2, 10), 1.0 * 0 + 2.0 * 2))
+        Xt = np.random.default_rng(5).normal(0, 1, (4, 3))
+        w = np.zeros(13)
+        w[0], w[4], w[12] = 0.5, 2.0, 1.25
+        expected = np.zeros((4, 10))
+        for l in np.flatnonzero(w):  # per-kernel reference blocks, summed in l order
+            raw = compute_cross_gram(self.bank.specs[l], Xt, self.X)
+            expected += w[l] * center_standardize_apply(raw, self.bank.stats[l])
+        np.testing.assert_array_equal(combine_cross(self.bank, w, Xt, self.X), expected)
 
-    def test_combine_cross_generator_equals_list(self):
+    def test_combine_cross_stack_equals_one_call_per_row(self):
         rng = np.random.default_rng(3)
-        crosses = [rng.normal(0, 1, (4, 10)) for _ in range(6)]
-        w = np.array([0.3, 0.0, 1.7, 0.25, 0.0, 2.0])
-        from_list = combine_cross(crosses, w)
-        np.testing.assert_array_equal(combine_cross((c for c in crosses), w), from_list)
-        np.testing.assert_array_equal(combine_cross(iter(crosses), w), from_list)
-
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_combine_cross_count_mismatch_rejected(self, count):
-        crosses = (np.ones((2, 10)) for _ in range(count))
-        with pytest.raises(KernelError, match="cross blocks for 3 weights"):
-            combine_cross(crosses, np.ones(3))
-
-    def test_combine_cross_shape_mismatch_rejected(self):
-        # a (1, n) block would otherwise broadcast into the (2, n) sum
-        crosses = [np.ones((2, 10)), np.ones((1, 10)), np.ones((2, 10))]
-        with pytest.raises(KernelError, match=r"block 1 has shape \(1, 10\)"):
-            combine_cross(iter(crosses), np.ones(3))
+        Xt = rng.normal(0, 1, (4, 3))
+        W = rng.random((3, 13)) * (rng.random((3, 13)) > 0.4)
+        stacked = combine_cross(self.bank, W, Xt, self.X)
+        assert stacked.shape == (3, 4, 10)
+        for w, out in zip(W, stacked):
+            np.testing.assert_array_equal(out, combine_cross(self.bank, w, Xt, self.X))
 
     @pytest.mark.parametrize(
         "w, match",
         [
-            ([1.0, np.nan, 1.0], "non-finite"),
-            ([1.0, -0.5, 1.0], "negative"),
-            ([0.0, 0.0, 0.0], "all-zero"),
+            ([1.0, np.nan] + [1.0] * 11, "non-finite"),
+            ([1.0, -0.5] + [1.0] * 11, "negative"),
+            ([0.0] * 13, "all-zero"),
+            ([1.0] * 3, "expected 13 weights"),
         ],
     )
-    def test_combine_cross_weight_checks(self, w, match):
-        produced = []
+    def test_combine_cross_weight_checks(self, monkeypatch, w, match):
+        def no_block(*args):
+            raise AssertionError("a cross block was evaluated")
 
-        def blocks():
-            for i in range(3):
-                produced.append(i)
-                yield np.ones((2, 10))
-
+        # weights are checked before any block is evaluated
+        monkeypatch.setattr(kernels, "compute_cross_gram", no_block)
         with pytest.raises(KernelError, match=match):
-            combine_cross(blocks(), np.array(w))
-        assert produced == []  # weights are checked before any block is evaluated
+            combine_cross(self.bank, np.array(w), np.ones((2, 3)), self.X)
 
     def test_combination_stays_psd(self):
         rng = np.random.default_rng(0)
