@@ -101,7 +101,7 @@ def _read_weights(path: str) -> np.ndarray:
             payload = json.load(fh)
         if not (isinstance(payload, dict) and isinstance(payload.get("mu"), list)):
             raise ValueError("expected a JSON object with a 'mu' list")
-        if any(type(v) not in (int, float) for v in payload["mu"]):  # a bool is no number
+        if not all(map(experiment.is_json_number, payload["mu"])):
             raise ValueError("'mu' must hold only numbers")
         return check_weights(len(payload["mu"]), payload["mu"])
     except (OSError, ValueError, TypeError) as exc:  # KernelError is a ValueError

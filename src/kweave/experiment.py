@@ -53,6 +53,11 @@ class InputError(ValueError):
     """Arguments, config or data the program cannot use; the CLI exits 1."""
 
 
+def is_json_number(value) -> bool:
+    """An int or a float within the float range; a bool is no number."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 @dataclass
 class ExperimentConfig:
     dataset_path: str
@@ -116,16 +121,16 @@ class ExperimentConfig:
         for section, key, name in _CONFIG_SCHEMA:
             if key in rest[section]:
                 value = kwargs[name] = rest[section].pop(key)
-                # the annotations are strings such as "int | None"; a JSON integer fills
-                # a float field, a bool only a bool field, and a list holds only numbers,
-                # its integers within the float range
+                # annotations are strings such as "int | None"; an int fills a float field,
+                # a bool only a bool field, and every int or list entry is_json_number
                 kind, hint = type(value).__name__, cls.__annotations__[name]
-                if kind == "list" and any(type(v) not in (int, float) or (
-                        type(v) is int and abs(v) > sys.float_info.max) for v in value):
-                    hint = "a list of numbers"
-                if kind not in hint.replace("None", "NoneType").split(" | ") and not (
-                    kind == "int" and "float" in hint
-                ):
+                ok = kind in hint.replace("None", "NoneType").split(" | ") or (
+                    kind == "int" and "float" in hint)
+                numbers = value if kind == "list" else [value] if kind == "int" else []
+                if not all(map(is_json_number, numbers)):
+                    ok, hint = False, ("a list of numbers" if kind == "list"
+                                       else "a number within the float range")
+                if not ok:
                     raise ValueError(f"config value {key!r} in {section or 'top-level'} must be "
                                      f"{hint}, got {value!r}")
         if kwargs.get("dataset_path") is None:

@@ -103,12 +103,11 @@ def pegasos_train(
     phase = int(np.random.default_rng(seed).integers(m))
     dt = kset.stack.dtype.type
     mu = np.zeros(kset.p, dtype=dt)
-    # one fit's step buffers; the update masks non-violators to weight 0
+    # one fit's step buffers; the update gives non-violators weight 0
     # instead of copying violators
     g = np.empty(kset.p, dtype=dt)
     s = np.empty(batch_size, dtype=dt)
     w = np.empty(batch_size, dtype=dt)
-    viol = np.empty(batch_size, dtype=bool)
 
     # overflow, and a float32 step scale that underflows to 0, are handled by
     # the explicit finiteness check
@@ -117,11 +116,11 @@ def pegasos_train(
             batch = sample_batch(kset, (phase + (k - 1) * batch_size) % m, batch_size)
             np.dot(batch.z, mu, out=s)
             s *= batch.t
-            np.less(s, 1.0, out=viol)
             # mu <- (1 - 1/k) mu + (1/(lam k |B|)) sum of violating t*z;
-            # the mask zeroes the sum when no row violates
+            # w = t * [s < 1] zeroes the sum when no row violates
+            np.less(s, 1.0, out=w)
+            w *= batch.t
             mu *= dt(1.0 - 1.0 / k)
-            np.multiply(batch.t, viol, out=w)
             np.dot(w, batch.z, out=g)
             g /= dt(lam * k * batch_size)
             mu += g

@@ -123,16 +123,17 @@ def smo_train(
     KT = np.ascontiguousarray(K.T)
     yl = y.tolist()
     # The loop keeps m = -y * G, G = y * K(a * y) - 1 the gradient of the
-    # minimization dual, so m = y - K(a * y) (m = y at a = 0). Since y = +-1
-    # and rounding to nearest commutes with negation, the update
+    # minimization dual, so m = y - K(a * y) (K 0 = +-0 keeps m = y at a = 0).
+    # Since y = +-1 and rounding to nearest commutes with negation, the update
     #   m -= K[:, i] * (y_i da_i) + K[:, j] * (y_j da_j)
     # gives the same bits as G += y K[:, i] (y_i da_i) + y K[:, j] (y_j da_j),
     # up to the sign of exact zeros, which no comparison sees.
-    m = y.copy() if alpha0 is None else y - K @ (alpha * y)
+    m = y - K @ (alpha * y)
     # Working-set masks as additive penalties: 0 where the coordinate may
     # move up (low), -inf (+inf) where its bound blocks it, so selection is
-    # argmax(m + pen_up) and argmin(m + pen_low). A pair step changes the
-    # flags of i and j only, so they are updated there, with their counts.
+    # argmax(m + pen_up) and argmin(m + pen_low); an empty set (only a seed
+    # off y^T a = 0 empties one) reads -inf (+inf) and ends the loop at the
+    # tol test. A pair step changes the flags of i and j only.
     pos = y > 0
     below_c, above_0 = alpha < C, alpha > 0.0
     up_mask = np.where(pos, below_c, above_0)
@@ -140,19 +141,16 @@ def smo_train(
     up, low = up_mask.tolist(), low_mask.tolist()
     pen_up = np.where(up_mask, 0.0, -np.inf)
     pen_low = np.where(low_mask, 0.0, np.inf)
-    n_up, n_low = sum(up), sum(low)
     buf = np.empty(n, dtype=np.float64)
     col_j = np.empty(n, dtype=np.float64)
 
     converged = False
     it = 0
     while it < max_iter:
-        if not n_up or not n_low:
-            converged = True
-            break
         i = int(np.add(m, pen_up, out=buf).argmax())
+        mi = buf.item(i)
         j = int(np.add(m, pen_low, out=buf).argmin())
-        mi, mj = m.item(i), m.item(j)
+        mj = buf.item(j)
         if mi - mj <= tol:
             converged = True
             break
@@ -200,18 +198,15 @@ def smo_train(
             if k_up != up[k]:
                 up[k] = k_up
                 pen_up[k] = 0.0 if k_up else -np.inf
-                n_up += 1 if k_up else -1
             if k_low != low[k]:
                 low[k] = k_low
                 pen_low[k] = 0.0 if k_low else np.inf
-                n_low += 1 if k_low else -1
         it += 1
     else:
         logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
 
-    gap = 0.0
-    if n_up and n_low:
-        gap = float(np.add(m, pen_up, out=buf).max() - np.add(m, pen_low, out=buf).min())
+    gap = np.add(m, pen_up, out=buf).max() - np.add(m, pen_low, out=buf).min()
+    gap = float(gap) if np.isfinite(gap) else 0.0
 
     # bias: average of y_i - f(x_i) over free support vectors, else the
     # midpoint of the feasible interval from the bound KKT conditions

@@ -247,6 +247,9 @@ EXIT_CASES = [
      "bad weights 'w.json': 'mu' must hold only numbers"),
     ("svm-weights-overflow", weights({"mu": [1e308] * 13}), SVM + ["--weights", "w.json"], 1,
      "bad weights 'w.json': the weighted sum of the Grams overflows"),
+    # a JSON integer past the float range is no number a weight can hold
+    ("svm-weights-huge-int", weights({"mu": [10**400] * 13}), SVM + ["--weights", "w.json"], 1,
+     "bad weights 'w.json': 'mu' must hold only numbers"),
     ("svm-out-dir-missing", data(), SVM + ["--out", "missing/x.json"], 1,
      "cannot write file 'missing/x.json': 'missing' is not a directory"),
     ("evaluate-out-dir-missing", labels("0\n1\n", "0\n1\n"),
@@ -318,6 +321,11 @@ EXIT_CASES = [
     # lambda * k * B underflows in the float32 step: every lambda, so every split, fails
     ("run-all-splits-fail", run_config(method="tsmkl", mkl={"lambda_grid": [1e-300]}),
      ["experiment", "run", "--config", "config.json"], 2, "runtime failure"),
+    # refused before the splits are planned, which would not end
+    ("splits-count-huge-int", run_config(splits={"count": 10**400}),
+     ["experiment", "run", "--config", "config.json"], 1,
+     "bad config 'config.json': config value 'count' in splits must be a number within the "
+     "float range"),
     ("run-empty-side", run_config("f,label\n0,a\n1,b\n", splits={"stratified": False}),
      ["experiment", "run", "--config", "config.json"], 1,
      "split 0 (seed 0) of 'data.csv': train_fraction 0.8 yields an empty side for n=2"),
@@ -387,7 +395,7 @@ def test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message):
     assert written == ({argv[argv.index("--out") + 1]} if code == 0 and "--out" in argv else set())
 
 
-@pytest.mark.parametrize("case", ["negative", "all-zero", "nan", "list"])
+@pytest.mark.parametrize("case", ["negative", "all-zero", "nan", "list", "huge-int"])
 def test_weights_are_checked_before_the_bank(tmp_path, monkeypatch, capsys, case):
     files, argv, code, message = next(c[1:] for c in EXIT_CASES if c[0] == f"svm-weights-{case}")
 

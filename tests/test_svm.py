@@ -243,11 +243,13 @@ class TestSmoTrain:
                 assert mdl.kkt_gap == pytest.approx(kkt_gap(K, y, mdl.alpha, C), abs=1e-12)
 
     def test_kkt_gap_zero_with_an_empty_working_set(self):
-        # a feasible a never empties a set; this seed (off the hyperplane,
-        # which smo_train does not check) puts every dual where it cannot
-        # move up, so the loop returns at once
-        mdl = smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0, alpha0=np.array([1.0, 0.0]))
-        assert mdl.converged and mdl.iterations == 0 and mdl.kkt_gap == 0.0
+        # a feasible a never empties a set; these seeds (off the hyperplane,
+        # which smo_train does not check) put every dual where it cannot
+        # move up (the up set is empty, -inf), then where it cannot move
+        # down (the low set, +inf), so the loop returns at once
+        for seed in ([1.0, 0.0], [0.0, 1.0]):
+            mdl = smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0, alpha0=np.array(seed))
+            assert mdl.converged and mdl.iterations == 0 and mdl.kkt_gap == 0.0, seed
 
     def test_margin_support_vectors(self):
         K, y, C, _ = random_dual_problem(1)
