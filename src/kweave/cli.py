@@ -79,7 +79,7 @@ def cmd_learn(args) -> int:
         mkl_batch_size=args.batch_size,
     )
     folds = experiment.check_method(method, dataset.labels, config.svm_folds, args.seed)
-    _, _, bank, dropped = experiment.prepare_train(dataset, args.recipe, args.seed)
+    _, bank, dropped = experiment.prepare_train(dataset, args.recipe, args.seed)
     mu, details = experiment.learn_weights(bank, dataset.labels, config, args.seed, folds)
     payload = {
         "method": method,
@@ -117,7 +117,7 @@ def cmd_svm_train(args) -> int:
     dataset = _load_data(args.data, args.format)
     folds = experiment.draw_folds(dataset.labels, args.folds, args.seed, "--folds")
     mu = _read_weights(args.weights) if args.weights else None
-    _, _, bank, _ = experiment.prepare_train(dataset, args.recipe, args.seed)
+    _, bank, _ = experiment.prepare_train(dataset, args.recipe, args.seed)
     if mu is None:
         mu = baselines.uniform_weights(bank.p)
     if mu.size != bank.p:  # dropped kernels set p, so only the centered bank knows it
@@ -163,11 +163,9 @@ def cmd_evaluate(args) -> int:
     c = args.classes if args.classes else hi + 1
     if lo < 0 or hi >= c:
         raise InputError(f"label ids must be in [0, {c}), got {lo}..{hi}")
-    out = {"metrics": {**metrics.evaluate(true, pred, c),
-                       "confusion": metrics.confusion_matrix(true, pred, c).tolist()}}
-    if args.drop_fraction > 0.0:
-        if not args.confidence:
-            raise InputError("--drop-fraction needs --confidence")
+    if args.drop_fraction > 0.0 and not args.confidence:
+        raise InputError("--drop-fraction needs --confidence")
+    if args.confidence:  # checked whether or not it is used
         try:
             conf = np.loadtxt(args.confidence, dtype=np.float64, ndmin=1)
         except (OSError, ValueError) as exc:
@@ -176,6 +174,9 @@ def cmd_evaluate(args) -> int:
             raise InputError("confidence file length mismatch")
         if not np.all(np.isfinite(conf)):  # argsort would rank a NaN as the most confident
             raise InputError(f"confidence file {args.confidence!r} holds a non-finite value")
+    out = {"metrics": {**metrics.evaluate(true, pred, c),
+                       "confusion": metrics.confusion_matrix(true, pred, c).tolist()}}
+    if args.drop_fraction > 0.0:
         retained, out["filtered_metrics"] = metrics.filter_unsure(
             conf, pred, true, args.drop_fraction, c)
         out["retained"] = retained.tolist()

@@ -23,6 +23,9 @@ class DatasetError(ValueError):
     """Malformed dataset file or degenerate dataset contents."""
 
 
+CONSTANT_STD = 1e-12  # the std at or below which a feature column counts as constant
+
+
 @dataclass
 class Dataset:
     """An in-memory dataset: feature matrix plus encoded labels.
@@ -168,17 +171,14 @@ def _load_sparse(path: str) -> Dataset:
 
 
 def load_dataset(path: str, format: str = "csv") -> Dataset:
-    """Load a dataset from disk.
-
-    Args:
-        path: file to read.
-        format: "csv" or "sparse_svm".
-    """
-    if format == "csv":
-        return _load_csv(path)
-    if format == "sparse_svm":
-        return _load_sparse(path)
-    raise DatasetError(f"unknown format {format!r}")
+    """Load a "csv" or "sparse_svm" dataset file, refusing one on which no
+    feature column varies: every kernel of its bank would be degenerate."""
+    if format not in ("csv", "sparse_svm"):
+        raise DatasetError(f"unknown format {format!r}")
+    dataset = _load_csv(path) if format == "csv" else _load_sparse(path)
+    if not np.any(dataset.instances.std(axis=0) > CONSTANT_STD):
+        raise DatasetError(f"no feature column varies (every std <= {CONSTANT_STD:g})")
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ class FeatureScaler:
         X = np.asarray(X, dtype=np.float64)
         mean = X.mean(axis=0)
         std = X.std(axis=0)
-        scale = np.where(std > 1e-12, std, 1.0)
+        scale = np.where(std > CONSTANT_STD, std, 1.0)
         return cls(mean=mean, scale=scale)
 
     def apply(self, X: np.ndarray) -> np.ndarray:

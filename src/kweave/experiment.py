@@ -184,14 +184,14 @@ def prepare_train(train: Dataset, recipe: str, seed: int = 0):
     """Fit the scaler on the train rows, build the recipe's bank and center it,
     with its rows in stage one's planned order for the seed (kspace.plan_rows).
 
-    Returns (scaler, scaled_train, centered bank, dropped kernel indices).
-    The raw bank is not kept past centering.
+    Returns (scaler, centered bank, dropped kernel indices); the bank keeps
+    the scaled train rows (bank.features) for the test side.
     """
     scaler = FeatureScaler.fit(train.instances)
     Xs = scaler.apply(train.instances)
     seeds = derive_seed(seed, _SEED_BALANCE), derive_seed(seed, _SEED_LAMBDA)
     bank, dropped = center_bank(build_kernel_bank(Xs, recipe), plan_rows(train.labels, *seeds)[0])
-    return scaler, Xs, bank, dropped
+    return scaler, bank, dropped
 
 
 def learn_weights(bank, train_y, config: ExperimentConfig, seed: int, folds=None):
@@ -334,7 +334,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
             record["n_train"], record["n_test"] = train.n, test.n
 
         with _timed(timings, "kernel_learning"):
-            scaler, Xs, bank, dropped = prepare_train(train, config.kernel_recipe, seed)
+            scaler, bank, dropped = prepare_train(train, config.kernel_recipe, seed)
             mu, details = learn_weights(bank, train.labels, config, seed, bestk_folds)
         record["mu"] = [float(v) for v in mu]
         record["mu_summary"] = _mu_summary(mu)
@@ -342,7 +342,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
         record.update(details)
 
         with _timed(timings, "kernel_build"):
-            cross = combine_cross(bank, mu, scaler.apply(test.instances), Xs)
+            cross = combine_cross(bank, mu, scaler.apply(test.instances))
 
         with _timed(timings, "svm"):
             best_C, cv_records, ovr = _fit_svm(bank, mu, train, folds, config)
@@ -463,7 +463,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     seed = config.base_seed
     ((plan, folds, _),) = plan_splits(dataset, config, 1)
     train, test = _holdout(dataset, plan)
-    scaler, Xs, bank, _ = prepare_train(train, config.kernel_recipe, seed)
+    scaler, bank, _ = prepare_train(train, config.kernel_recipe, seed)
     bal = balance(make_kexamples(train.labels, bank))
 
     val_k, fits = mkl.train_grid(
@@ -474,7 +474,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
     # keyed by lambda (a grid is strictly descending, so no two fits share one)
     live = {lam: model.mu for lam, model, _ in fits if model is not None and not model.collapsed}
     crosses = {} if not live else dict(zip(
-        live, combine_cross(bank, list(live.values()), scaler.apply(test.instances), Xs)
+        live, combine_cross(bank, list(live.values()), scaler.apply(test.instances))
     ))
     records = []
     for lam, model, k_hinge in fits:

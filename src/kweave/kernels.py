@@ -7,13 +7,13 @@ scales it to trace/n = 1 with one formula, C = (K - (r_i + r_j) + g) / s
 (r the row means, g = mean(r), s = mean(diag K - 2r) + g), writes its upper
 triangle as one column of the KernelBank's pair-major matrix Z and drops
 the Gram. Z has shape (n(n+1)/2, p): row r holds the p kernel values of
-the r-th pair (i <= j) of bank.pairs, in stage one's planned order
-(kspace.plan_rows), read in slices. Z is the centered bank's only
-train-side store, float32, owned by the bank; the K-space reads it in
-place. Evaluation, centering and its statistics run in float64 and only
-the store rounds: stage one's solver error (relative duality gap near
-1e-2) dwarfs that rounding (6e-8), and its batch reads are bandwidth
-bound. gram(l) and combine upcast to float64 and scatter by bank.pairs.
+the pair (i <= j) bank.pairs records at r, in stage one's planned order
+(kspace.plan_rows), read in slices. The bank is the one train-side record:
+float32 Z, owned by the bank and read in place by the K-space, the pairs,
+the statistics and the train rows the kernels ran on (bank.features).
+Evaluation, centering and its statistics run in float64 and only the store
+rounds: stage one's solver error (relative duality gap near 1e-2) dwarfs
+that rounding (6e-8), and its batch reads are bandwidth bound. gram(l) and combine upcast to float64 and scatter by bank.pairs.
 Each feature scope's products (X @ X.T, squared distances) are computed
 once and shared by its kernels, on the train side and for the test x train
 cross blocks; one raw Gram is alive at a time, so the train-side peak is Z
@@ -21,8 +21,9 @@ plus a few (n, n) arrays. Dense Grams are rebuilt from Z only by combine
 and the best_kernel baseline (one kernel at a time); target alignment reads
 Z directly, in float64-upcast row blocks. The statistics (r, g, s) recorded
 on the training Gram center the float64 cross blocks consistently:
-combine_cross evaluates, centers and sums them one block at a time, once
-for one weight vector or a stack of k, holding k sums and one block.
+combine_cross evaluates them on bank.features, centers and sums them one
+block at a time, for one weight vector or a stack of k, holding k sums and
+one block.
 """
 
 from __future__ import annotations
@@ -133,18 +134,18 @@ class RawBank:
 
 @dataclass
 class KernelBank:
-    """Centered bank: p kernels over one instance ordering, stored pair-major.
+    """Centered bank: p kernels over the train rows features, stored pair-major.
 
-    Z[r, l] is centered kernel l at the r-th pair (i <= j) of pairs: pair
-    order[r] of pair_indices(n), order being a permutation of them.
-    stats[l] holds kernel l's centering statistics.
+    Z[r, l] is centered kernel l at the pair pairs[0][r] <= pairs[1][r] of
+    the rows of features, which the test side is scored against. stats[l]
+    holds kernel l's centering statistics.
     """
 
     specs: list[KernelSpec]
+    features: np.ndarray
     Z: np.ndarray
-    n: int
     stats: list[CenterStats]
-    order: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         p = len(self.specs)
@@ -161,10 +162,8 @@ class KernelBank:
         return len(self.specs)
 
     @property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) of the pair at each row of Z."""
-        ii, jj = pair_indices(self.n)
-        return ii[self.order], jj[self.order]
+    def n(self) -> int:
+        return self.features.shape[0]
 
     def gram(self, l: int) -> np.ndarray:
         """Dense symmetric float64 (n, n) Gram of kernel l, rebuilt from Z."""
@@ -177,11 +176,6 @@ class KernelBank:
         out = np.empty((self.n, self.n), dtype=np.float64)
         out[ii, jj] = out[jj, ii] = values
         return out
-
-
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every pair i <= j of n instances, in row-major order."""
-    return np.triu_indices(n)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +346,20 @@ def center_bank(bank: RawBank, order=slice(None)) -> tuple[KernelBank, list[int]
     divided by s straight into a row of a float32 (_STAGE_ROWS, n(n+1)/2)
     staging block, which rounds it; a full block is copied into Z's columns
     at once, never one strided column at a time. Row r of Z holds pair
-    order[r] of pair_indices(n); order (kspace.plan_rows) defaults to the identity.
+    order[r] of np.triu_indices(n), kept as bank.pairs with the raw bank's
+    features; order (kspace.plan_rows) defaults to the identity.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
     banks on near-constant columns would otherwise abort whole runs.
     """
     n = bank.n
-    flat = np.ravel_multi_index(pair_indices(n), (n, n))
-    order = np.arange(flat.size)[order]  # indexing checks the range
-    if not np.unique(order).size == order.size == flat.size:
-        raise KernelError(f"order must be a permutation of the {flat.size} pairs")
-    flat = flat[order]
+    ii, jj = np.triu_indices(n)
+    order = np.arange(ii.size)[order]  # indexing checks the range
+    if not np.unique(order).size == order.size == ii.size:
+        raise KernelError(f"order must be a permutation of the {ii.size} pairs")
+    ii, jj = ii[order], jj[order]
+    flat = np.ravel_multi_index((ii, jj), (n, n))
     Z = np.empty((flat.size, bank.p), dtype=np.float32)
     rows = min(_STAGE_ROWS, bank.p)
     stage = np.empty((rows, flat.size), dtype=np.float32)
@@ -394,7 +390,7 @@ def center_bank(bank: RawBank, order=slice(None)) -> tuple[KernelBank, list[int]
         raise DegenerateKernelError("every kernel in the bank is degenerate")
     if dropped:
         _compact_columns(Z, len(specs))
-    return KernelBank(specs=specs, Z=Z, n=n, stats=stats, order=order), dropped
+    return KernelBank(specs, bank.features, Z, stats, (ii, jj)), dropped
 
 
 def _compact_columns(Z: np.ndarray, k: int) -> None:
@@ -451,7 +447,7 @@ def combine(bank: KernelBank, weights) -> np.ndarray:
     return bank._symmetric(acc)
 
 
-def combine_cross(bank: KernelBank, weights, test_features, train_features) -> np.ndarray:
+def combine_cross(bank: KernelBank, weights, test_features) -> np.ndarray:
     """Weighted sum of the centered test x train cross blocks, combine's test-side companion.
 
     weights is one (p,) vector, giving a (t, n) array, or a (k, p) stack,
@@ -463,9 +459,9 @@ def combine_cross(bank: KernelBank, weights, test_features, train_features) -> n
     """
     W = np.array([check_weights(bank.p, w) for w in np.atleast_2d(weights)])
     acc = np.zeros((len(W), len(test_features), bank.n), dtype=np.float64)
-    for l, (spec, *prods) in enumerate(scope_products(bank.specs, test_features, train_features)):
+    for l, (spec, *prods) in enumerate(scope_products(bank.specs, test_features, bank.features)):
         block = center_standardize_apply(
-            compute_cross_gram(spec, test_features, train_features, prods), bank.stats[l]
+            compute_cross_gram(spec, test_features, bank.features, prods), bank.stats[l]
         )
         for j in np.flatnonzero(W[:, l] > 0):
             acc[j] += W[j, l] * block

@@ -4,14 +4,14 @@ A pair (i, j) of training instances becomes a p-dimensional example whose
 coordinates are the p base-kernel values for that pair, labeled +1 when the
 instances share a class and -1 otherwise. The z vectors are the rows of the
 centered bank's own pair-major float32 store, bank.Z, whose row r holds
-the r-th pair of bank.pairs; the K-space adds only labels, and every
+the pair bank.pairs records at r; the K-space adds only labels, and every
 subset is a contiguous block of rows, a view.
 
 The row order is planned before centering, whatever the method, from the
 train labels and two seeds alone (plan_rows): the validation rows, then the
 lambda-train rows (together the balanced set, permuted once), then the rows
 balancing drops. Balancing and the lambda split make the same rng calls as
-they would to subset pair_indices' order, so the sets are the same; they
+they would to subset np.triu_indices' order, so the sets are the same; they
 are the leading blocks of the store. A Pegasos batch is B consecutive rows
 of a block from a seeded phase, cycling: shuffle-once SGD (Mishchenko,
 Khaled & Richtarik, NeurIPS 2020) rather than Pegasos's i.i.d. draws, read
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelBank, pair_indices
+from .kernels import KernelBank
 
 
 @dataclass
@@ -89,13 +89,13 @@ def pair_counts(labels) -> tuple[int, int]:
 
 
 def plan_rows(train_labels, balance_seed: int, split_seed: int):
-    """(order, m): the pair of pair_indices(n) for each row, as center_bank
+    """(order, m): the pair of np.triu_indices(n) for each row, as center_bank
     takes it, and the balanced K-example count. Rows 0 .. m - 1 are the
     balanced set in rng(split_seed).permutation(m) order, with the majority
     pairs kept by rng(balance_seed).choice; the dropped pairs follow in order.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
-    ii, jj = pair_indices(labels.shape[0])
+    ii, jj = np.triu_indices(labels.shape[0])
     same = labels[ii] == labels[jj]
     n_pos, n_neg = pair_counts(labels)
     m = 2 * min(n_pos, n_neg)

@@ -163,6 +163,7 @@ def train_grid(kset, grid, seed, batch_size, num_steps):
     Returns (val_kset, fits): one (lam, model, val_hinge) per grid value, in
     grid order, with the model's exact validation hinge; model and
     val_hinge are None where the solver failed (logged as a warning).
+    Raises MklError when every value failed.
     """
     grid = _validate_grid(default_lambda_grid() if grid is None else grid)
     if len(kset) < MIN_KEXAMPLES:
@@ -177,6 +178,8 @@ def train_grid(kset, grid, seed, batch_size, num_steps):
             fits.append((lam, None, None))
         else:
             fits.append((lam, model, hinge_loss(model.mu, val_k)))
+    if all(model is None for _, model, _ in fits):
+        raise MklError("every lambda in the grid failed")
     return val_k, fits
 
 
@@ -209,6 +212,4 @@ def select_lambda(
         for lam, model, val_hinge in fits
     ]
     fitted = [r for r in records if r["val_hinge"] is not None]
-    if not fitted:
-        raise MklError("every lambda in the grid failed")
     return min(fitted, key=lambda r: r["val_hinge"])["lambda"], records

@@ -13,7 +13,6 @@ from kweave.kernels import (
     KernelSpec,
     build_kernel_bank,
     center_bank,
-    pair_indices,
 )
 from kweave.kspace import KExampleSet
 
@@ -64,16 +63,18 @@ def bank_of(grams) -> KernelBank:
     """A centered bank of linear-kernel specs whose kernels are exactly the given Grams.
 
     Each Gram is symmetrized as (G + G^T)/2 and its upper triangle becomes
-    one column of Z, in pair_indices' order (the identity order); the
-    centering statistics are the identity (zero means, unit scale).
+    one column of Z, its rows the pairs of np.triu_indices(n) in that order,
+    which the bank records; the centering statistics are the identity (zero
+    means, unit scale). No feature evaluates these Grams, so the bank's
+    features are n rows of no column.
     """
     grams = [np.asarray(G, dtype=np.float64) for G in grams]
     n = grams[0].shape[0]
-    ii, jj = pair_indices(n)
+    ii, jj = np.triu_indices(n)
     Z = np.stack([((G + G.T) / 2.0)[ii, jj] for G in grams], axis=1)
     stats = [CenterStats(row_means=np.zeros(n), grand_mean=0.0, scale=1.0) for _ in grams]
-    return KernelBank(specs=[KernelSpec("linear")] * len(grams), Z=Z, n=n, stats=stats,
-                      order=np.arange(ii.size))
+    return KernelBank(specs=[KernelSpec("linear")] * len(grams), features=np.empty((n, 0)),
+                      Z=Z, stats=stats, pairs=(ii, jj))
 
 
 def dense_centering(raw) -> np.ndarray:

@@ -151,6 +151,7 @@ THREE = "f,label\n0,a\n1,b\n2,a\n"  # 4 same-class pairs, 2 others: 4 K-examples
 FOUR = "f,label\n0,a\n1,b\n2,a\n3,b\n"  # a stratified 80% keeps one row per class
 SIX = "f,label\n0,a\n1,a\n2,a\n5,b\n6,b\n7,b\n"
 TWELVE = "f,label\n" + "".join(f"{i},a\n" for i in range(9)) + "9,b\n10,b\n11,b\n"
+CONSTANT = "f,g,label\n" + "1,2,a\n1,2,b\n" * 10  # no feature column varies
 LEARN = ["learn", "--data", "data.csv", "--out", "w.json", "--method"]
 SVM = ["svm", "train", "--data", "data.csv", "--out", "m.json"]
 EVALUATE = ["evaluate", "--true", "t.txt", "--pred", "p.txt", "--out", "e.json"]
@@ -211,6 +212,9 @@ EXIT_CASES = [
      "feature column"),
     ("learn-no-feature-sparse", data("a\nb\na\n"), LEARN + ["average", "--format", "sparse_svm"],
      1, "feature column"),
+    # every kernel of such a dataset's bank would be degenerate
+    ("learn-constant-features", data(CONSTANT), LEARN + ["average"], 1,
+     "cannot load dataset 'data.csv': no feature column varies (every std <= 1e-12)"),
     # a line's first token is its label, so an entry there would be taken for one
     ("learn-sparse-missing-label", data("1:0.5 2:0.3\n2:0.1 3:0.9\n1:0.2 2:0.4\n"),
      LEARN + ["average", "--format", "sparse_svm"], 1, "data.csv:1: missing label"),
@@ -250,6 +254,8 @@ EXIT_CASES = [
     # a JSON integer past the float range is no number a weight can hold
     ("svm-weights-huge-int", weights({"mu": [10**400] * 13}), SVM + ["--weights", "w.json"], 1,
      "bad weights 'w.json': 'mu' must hold only numbers"),
+    ("svm-constant-features", data(CONSTANT), SVM, 1,
+     "cannot load dataset 'data.csv': no feature column varies (every std <= 1e-12)"),
     ("svm-out-dir-missing", data(), SVM + ["--out", "missing/x.json"], 1,
      "cannot write file 'missing/x.json': 'missing' is not a directory"),
     ("evaluate-out-dir-missing", labels("0\n1\n", "0\n1\n"),
@@ -260,6 +266,9 @@ EXIT_CASES = [
     ("evaluate-confidence-missing", labels("0\n1\n", "0\n1\n", None),
      EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1,
      "error: cannot read confidence file"),
+    # a given confidence file is checked whether or not a drop fraction uses it
+    ("evaluate-confidence-missing-without-drop", labels("0\n1\n", "0\n1\n", None),
+     EVALUATE + ["--confidence", "c.txt"], 1, "error: cannot read confidence file 'c.txt'"),
     ("evaluate-confidence-malformed", labels("0\n1\n", "0\n1\n", "0.1\nhigh\n"),
      EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1,
      "error: cannot read confidence file"),
@@ -338,6 +347,8 @@ EXIT_CASES = [
             ("bad-format", run_config(dataset={"path": "data.csv", "format": "arff"}),
              "cannot load dataset 'data.csv': unknown format 'arff'"),
             ("no-feature-column", run_config("label\na\nb\na\nb\n"), "feature column"),
+            ("constant-features", run_config(CONSTANT, method="tsmkl"),
+             "cannot load dataset 'data.csv': no feature column varies (every std <= 1e-12)"),
             # an output directory that exists as a file is refused before the data is read
             ("output-dir-is-a-file", run_config(method="tsmkl", output_dir="data.csv"),
              "cannot make directory 'data.csv': 'data.csv' is not a directory"),
@@ -375,6 +386,10 @@ EXIT_CASES = [
      ["experiment", "run", "--config", "config.json"], 1,
      "split 0 (seed 1) of 'data.csv': no fold of best_kernel's svm.folds 2 holds every class "
      "on its train side"),
+    # the sweep fits every lambda of one split; with none fitted it writes nothing
+    ("sweep-all-lambdas-fail", run_config(method="tsmkl", mkl={"lambda_grid": [1e-300]}),
+     ["report", "sweep", "--config", "config.json"], 2,
+     "runtime failure: MklError: every lambda in the grid failed"),
     # only tsmkl has a lambda grid to sweep
     ("sweep-non-tsmkl-method", run_config(), ["report", "sweep", "--config", "config.json"], 1,
      "the lambda sweep runs tsmkl; the config's method is 'average'"),
@@ -386,13 +401,30 @@ EXIT_CASES = [
 )
 def test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message):
     monkeypatch.chdir(tmp_path)
+
+    def in_process(argv):
+        got = main(argv)
+        captured = capsys.readouterr()
+        return got, captured.out + captured.err
+
+    check_exit_row(tmp_path, files, argv, code, message, in_process)
+
+
+def check_exit_row(directory, files, argv, code, message, run):
+    """Check one EXIT_CASES row in an empty directory: write its files there,
+    call run(argv), which runs the command in that directory and returns
+    (exit code, stdout + stderr), and check the code, the message, that
+    nothing is written but a successful command's --out, and that every
+    input file is byte-unchanged. test_exit_code runs main in-process; CI
+    runs every row through the installed kweave script."""
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    assert message in captured.out + captured.err
-    written = {p.name for p in tmp_path.iterdir()} - set(files)
+        (directory / name).write_text(text)
+    inputs = {name: (directory / name).read_bytes() for name in files}
+    got, output = run(argv)
+    assert got == code and message in output, (got, output)
+    written = {p.name for p in directory.iterdir()} - set(files)
     assert written == ({argv[argv.index("--out") + 1]} if code == 0 and "--out" in argv else set())
+    assert {name: (directory / name).read_bytes() for name in files} == inputs
 
 
 @pytest.mark.parametrize("case", ["negative", "all-zero", "nan", "list", "huge-int"])

@@ -144,6 +144,22 @@ def test_byte_order_mark_is_ignored(tmp_path, format, text):
     np.testing.assert_array_equal(ds.instances, [[1.0], [2.0], [3.0], [4.0]])
 
 
+@pytest.mark.parametrize("spread, refused", [(0.0, True), (1e-13, True), (1.3e-11, False)])
+def test_a_dataset_on_which_no_column_varies_is_refused(tmp_path, spread, refused):
+    # FeatureScaler's constant-column bound: a column of std 1e-13 leaves every
+    # kernel degenerate, one of std 1.3e-11 is scaled to unit variance
+    rows = "".join(f"{1.0 + spread * (-1) ** i!r},2,{'ab'[i % 2]}\n" for i in range(20))
+    path = write(tmp_path, "c.csv", "f,g,label\n" + rows)
+    if refused:
+        with pytest.raises(DatasetError, match=r"no feature column varies \(every std <= 1e-12\)"):
+            load_dataset(path)
+    else:
+        assert load_dataset(path).instances[:, 0].std() > 1e-11
+    sparse = write(tmp_path, "c.svm", "a 1:1 2:5\nb 1:1 2:5\n" * 3)
+    with pytest.raises(DatasetError, match="no feature column varies"):
+        load_dataset(sparse, format="sparse_svm")
+
+
 class TestDatasetValidation:
     def test_nan_rejected(self):
         with pytest.raises(DatasetError, match="finite"):

@@ -129,15 +129,15 @@ class TestConfig:
 def prepared_bank(toy_csv, seed=0):
     """The toy data and its centered bank, in stage one's row order for seed."""
     data = load_dataset(toy_csv)
-    _, _, bank, _ = prepare_train(data, "uci_full", seed)
+    _, bank, _ = prepare_train(data, "uci_full", seed)
     return data, bank
 
 
 class TestLearnWeights:
     def test_average_is_uniform(self, toy_csv):
         data = load_dataset(toy_csv)
-        scaler, Xs, bank, _ = prepare_train(data, "uci_full")
-        np.testing.assert_array_equal(Xs, scaler.apply(data.instances))
+        scaler, bank, _ = prepare_train(data, "uci_full")
+        np.testing.assert_array_equal(bank.features, scaler.apply(data.instances))
         mu, details = learn_weights(bank, data.labels, fast_config(toy_csv), seed=0)
         np.testing.assert_array_equal(mu, np.full(bank.p, 1.0 / bank.p))
         assert details == {}
@@ -193,11 +193,11 @@ class TestCrossStage:
     @staticmethod
     def per_feature_split(n_train=80, n_test=50, d=10):
         rng = np.random.default_rng(4)
-        scaler, Xs, bank, dropped = prepare_train(
+        scaler, bank, dropped = prepare_train(
             two_class(rng.normal(0, 1, (n_train, d))), "uci_full_plus_per_feature"
         )
         assert bank.p == 13 * d + 13 and not dropped
-        return scaler, Xs, bank, rng.normal(0, 1, (n_test, d))
+        return scaler, bank, rng.normal(0, 1, (n_test, d))
 
     @pytest.mark.parametrize(
         "recipe,constant_column",
@@ -210,21 +210,21 @@ class TestCrossStage:
         X, X_test = rng.normal(0, 1, (25, 3)), rng.normal(0, 1, (8, 3))
         if constant_column is not None:
             X[:, constant_column] = 2.0
-        scaler, Xs, bank, dropped = prepare_train(two_class(X), recipe)
+        scaler, bank, dropped = prepare_train(two_class(X), recipe)
         assert bool(dropped) == (constant_column is not None)
-        Xt = scaler.apply(X_test)
-        blocks = combine_cross(bank, np.eye(bank.p), Xt, Xs)  # a one-hot row is its block
+        Xt, Xs = scaler.apply(X_test), scaler.apply(X)
+        blocks = combine_cross(bank, np.eye(bank.p), Xt)  # a one-hot row is its block
         assert blocks.shape == (bank.p, 8, 25)
         for spec, stats, block in zip(bank.specs, bank.stats, blocks):
             expected = center_standardize_apply(compute_cross_gram(spec, Xt, Xs), stats)
             np.testing.assert_array_equal(block, expected, err_msg=spec.label())
 
     def test_peak_memory_is_a_few_blocks(self):
-        scaler, Xs, bank, Xt = self.per_feature_split()
+        scaler, bank, Xt = self.per_feature_split()
         mu = np.full(bank.p, 1.0 / bank.p)
         tracemalloc.start()
         try:
-            cross = combine_cross(bank, mu, scaler.apply(Xt), Xs)
+            cross = combine_cross(bank, mu, scaler.apply(Xt))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -300,7 +300,7 @@ class TestRunExperiment:
         data = load_dataset(toy_csv)
         plan = holdout_split(data, cfg.train_fraction, rec["seed"], cfg.stratified)
         train = data.subset(plan.train_indices)
-        _, _, bank, _ = prepare_train(train, cfg.kernel_recipe, rec["seed"])
+        _, bank, _ = prepare_train(train, cfg.kernel_recipe, rec["seed"])
         mu, _ = learn_weights(bank, train.labels, cfg, rec["seed"])
         assert rec["mu"] == [float(v) for v in mu]
 

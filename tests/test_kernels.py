@@ -208,6 +208,13 @@ class TestPairMajorStore:
         assert self.bank.Z.dtype == np.float32 and self.bank.Z.flags.c_contiguous
         assert len(self.bank.stats) == p
 
+    def test_bank_keeps_the_raw_banks_features(self):
+        # the train rows the kernels were evaluated on, unchanged and uncopied
+        raw = build_kernel_bank(self.X, "uci_full_plus_per_feature")
+        bank, _ = center_bank(raw)
+        assert bank.features is raw.features and bank.n == raw.n == 11
+        np.testing.assert_array_equal(bank.features, self.X)
+
     def test_gram_is_dense_centering_bit_for_bit(self):
         # the store is the float32 rounding of the float64 centering, and
         # gram(l) is that rounding upcast to float64
@@ -388,16 +395,16 @@ class TestCombination:
         for l in np.flatnonzero(w):  # per-kernel reference blocks, summed in l order
             raw = compute_cross_gram(self.bank.specs[l], Xt, self.X)
             expected += w[l] * center_standardize_apply(raw, self.bank.stats[l])
-        np.testing.assert_array_equal(combine_cross(self.bank, w, Xt, self.X), expected)
+        np.testing.assert_array_equal(combine_cross(self.bank, w, Xt), expected)
 
     def test_combine_cross_stack_equals_one_call_per_row(self):
         rng = np.random.default_rng(3)
         Xt = rng.normal(0, 1, (4, 3))
         W = rng.random((3, 13)) * (rng.random((3, 13)) > 0.4)
-        stacked = combine_cross(self.bank, W, Xt, self.X)
+        stacked = combine_cross(self.bank, W, Xt)
         assert stacked.shape == (3, 4, 10)
         for w, out in zip(W, stacked):
-            np.testing.assert_array_equal(out, combine_cross(self.bank, w, Xt, self.X))
+            np.testing.assert_array_equal(out, combine_cross(self.bank, w, Xt))
 
     @pytest.mark.parametrize(
         "w, match",
@@ -415,7 +422,7 @@ class TestCombination:
         # weights are checked before any block is evaluated
         monkeypatch.setattr(kernels, "compute_cross_gram", no_block)
         with pytest.raises(KernelError, match=match):
-            combine_cross(self.bank, np.array(w), np.ones((2, 3)), self.X)
+            combine_cross(self.bank, np.array(w), np.ones((2, 3)))
 
     def test_combination_stays_psd(self):
         rng = np.random.default_rng(0)
@@ -437,6 +444,6 @@ class TestGramValidation:
     def test_bank_dimension_mismatch(self):
         bank = bank_of([np.eye(3), np.eye(3)])
         with pytest.raises(KernelError, match="inconsistent"):
-            KernelBank(bank.specs, bank.Z, 4, bank.stats, bank.order)
+            KernelBank(bank.specs, np.empty((4, 0)), bank.Z, bank.stats, bank.pairs)
         with pytest.raises(KernelError, match="inconsistent"):
-            KernelBank(bank.specs, bank.Z[:, :1], 3, bank.stats, bank.order)
+            KernelBank(bank.specs, bank.features, bank.Z[:, :1], bank.stats, bank.pairs)

@@ -11,7 +11,6 @@ from kweave.kernels import (
     center_bank,
     combine,
     compute_gram,
-    pair_indices,
 )
 from kweave.kspace import KExampleSet, balance, make_kexamples, plan_rows, sample_batch
 from kweave.mkl import _split_kset, hinge_loss
@@ -33,8 +32,9 @@ def planned_bank(labels, p: int = 2, seed: int = 0, balance_seed: int = 1, split
     """tiny_bank's store with its rows in plan_rows' order for these labels."""
     natural = tiny_bank(len(labels), p, seed)
     order, _ = plan_rows(labels, balance_seed, split_seed)
-    return KernelBank(natural.specs, np.ascontiguousarray(natural.Z[order]), natural.n,
-                      natural.stats, order)
+    ii, jj = natural.pairs
+    return KernelBank(natural.specs, natural.features, np.ascontiguousarray(natural.Z[order]),
+                      natural.stats, (ii[order], jj[order]))
 
 
 def pairs_of(kset: KExampleSet, bank: KernelBank) -> np.ndarray:
@@ -187,21 +187,21 @@ class TestPlannedLayout:
         train, val = _split_kset(bal)
         want_bal, want_train, want_val = reference_sets(labels, *seeds)
         # rows hold the pairs of the natural-order subsets, in the order they list them
-        np.testing.assert_array_equal(bank.order[len(val) : len(bal)], want_train)
-        np.testing.assert_array_equal(bank.order[: len(val)], want_val)
-        np.testing.assert_array_equal(np.sort(bank.order[: len(bal)]), want_bal)
+        tri = np.stack(np.triu_indices(len(labels)), axis=1)
+        pairs = np.stack(bank.pairs, axis=1)
+        np.testing.assert_array_equal(pairs[len(val) : len(bal)], tri[want_train])
+        np.testing.assert_array_equal(pairs[: len(val)], tri[want_val])
+        np.testing.assert_array_equal(np.unique(pairs[: len(bal)], axis=0), tri[want_bal])
         assert bal.n_pos == bal.n_neg == len(want_bal) // 2
         assert len(train) == len(want_train) and len(val) == len(want_val)
-        # the rows balancing drops follow, in pair order
-        dropped = bank.order[len(bal):]
-        assert np.all(np.diff(dropped) > 0)
-        np.testing.assert_array_equal(
-            np.sort(bank.order), np.arange(len(labels) * (len(labels) + 1) // 2)
-        )
+        # the rows balancing drops follow, in pair order: together, every pair once
+        dropped = pairs[len(bal):]
+        np.testing.assert_array_equal(np.unique(dropped, axis=0), dropped)
+        np.testing.assert_array_equal(np.unique(pairs, axis=0), tri)
 
     def test_plan_counts_the_balanced_kexamples(self):
         for labels in ([0, 1, 0], [0, 1], [0] * 5, [0, 0, 1, 1, 2], list(range(6))):
-            ii, jj = pair_indices(len(labels))
+            ii, jj = np.triu_indices(len(labels))
             same = int(np.sum(np.asarray(labels)[ii] == np.asarray(labels)[jj]))
             _, m = plan_rows(labels, 0, 0)
             assert m == 2 * min(same, len(ii) - same)
@@ -218,10 +218,11 @@ class TestPlannedLayout:
         assert dropped and dropped_o == dropped
         assert ordered.Z.flags.c_contiguous and ordered.Z.flags.owndata
         assert ordered.Z.tobytes() == natural.Z[order].tobytes()
-        ii, jj = pair_indices(9)
+        ii, jj = np.triu_indices(9)
         np.testing.assert_array_equal(ordered.pairs[0], ii[order])
         np.testing.assert_array_equal(ordered.pairs[1], jj[order])
         np.testing.assert_array_equal(natural.pairs[0], ii)
+        np.testing.assert_array_equal(natural.pairs[1], jj)
         for a, b in zip(ordered.stats, natural.stats):
             np.testing.assert_array_equal(a.row_means, b.row_means)
             assert (a.grand_mean, a.scale) == (b.grand_mean, b.scale)

@@ -441,6 +441,14 @@ class TestSelectLambda:
         assert records[0]["steps"] == 100 and records[0]["collapsed"] is False
         assert any("skip" in r.message or "failed" in r.message for r in caplog.records)
 
+    def test_every_lambda_failing_raises_in_train_grid(self):
+        # the lambda sweep reads train_grid directly, so it raises there, not
+        # only in select_lambda
+        kset = separable_kset(copies=5, scale=1e9)
+        for fit in (mkl.train_grid, select_lambda):
+            with pytest.raises(MklError, match="every lambda in the grid failed"):
+                fit(kset, [1e-300, 1e-301], 0, 100, 100)
+
     def test_objective_flags_a_lambda_worse_than_zero(self):
         # on this set t z = (1, 1) for every pair, so the first step sets
         # mu = (1, 1)/lam, no later batch violates while 2/(lam k) >= 1, and
