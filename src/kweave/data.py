@@ -172,11 +172,17 @@ def _load_sparse(path: str) -> Dataset:
 
 def load_dataset(path: str, format: str = "csv") -> Dataset:
     """Load a "csv" or "sparse_svm" dataset file, refusing one on which no
-    feature column varies: every kernel of its bank would be degenerate."""
+    feature column varies (every kernel of its bank would be degenerate) or
+    one whose column spread overflows (scaling would zero that column)."""
     if format not in ("csv", "sparse_svm"):
         raise DatasetError(f"unknown format {format!r}")
     dataset = _load_csv(path) if format == "csv" else _load_sparse(path)
-    if not np.any(dataset.instances.std(axis=0) > CONSTANT_STD):
+    with np.errstate(over="ignore"):
+        std = dataset.instances.std(axis=0)
+    overflow = np.flatnonzero(~np.isfinite(std))
+    if overflow.size:
+        raise DatasetError(f"the std of feature column {overflow[0]} (counting from 0) overflows")
+    if not np.any(std > CONSTANT_STD):
         raise DatasetError(f"no feature column varies (every std <= {CONSTANT_STD:g})")
     return dataset
 

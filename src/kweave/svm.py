@@ -5,7 +5,11 @@ Solves the standard dual
     min_a  1/2 a^T Q a - e^T a,   Q_ij = y_i y_j K_ij,
     s.t.   0 <= a_i <= C,  y^T a = 0,
 
-by repeatedly optimizing the maximal-KKT-violating pair analytically.
+by repeatedly optimizing the maximal-KKT-violating pair analytically
+(Fan, Chen & Lin, JMLR 6, 2005). The loop selects it from two arrays, u
+and l: m = -y * G (G the gradient) on the up (low) set, where y_t a_t can
+grow (shrink), and -inf (+inf) elsewhere. As C > 0, every t is in a set.
+
 Multiclass is one-vs-rest with argmax over per-class decision values.
 
 C is chosen by k-fold cross-validation. select_C walks the C grid in
@@ -122,35 +126,31 @@ def smo_train(
     # KT[i] is column i of K as a contiguous row (K need not be symmetric)
     KT = np.ascontiguousarray(K.T)
     yl = y.tolist()
-    # The loop keeps m = -y * G, G = y * K(a * y) - 1 the gradient of the
+    # The loop tracks m = -y * G, G = y * K(a * y) - 1 the gradient of the
     # minimization dual, so m = y - K(a * y) (K 0 = +-0 keeps m = y at a = 0).
     # Since y = +-1 and rounding to nearest commutes with negation, the update
     #   m -= K[:, i] * (y_i da_i) + K[:, j] * (y_j da_j)
     # gives the same bits as G += y K[:, i] (y_i da_i) + y K[:, j] (y_j da_j),
     # up to the sign of exact zeros, which no comparison sees.
-    m = y - K @ (alpha * y)
-    # Working-set masks as additive penalties: 0 where the coordinate may
-    # move up (low), -inf (+inf) where its bound blocks it, so selection is
-    # argmax(m + pen_up) and argmin(m + pen_low); an empty set (only a seed
-    # off y^T a = 0 empties one) reads -inf (+inf) and ends the loop at the
-    # tol test. A pair step changes the flags of i and j only.
+    # U = (u, l) holds m on the start's up (low) set and -inf (+inf) elsewhere;
+    # +-inf absorbs the update, and an empty set (only a seed off y^T a = 0
+    # empties one) ends the loop at the tol test. A step that moves i or j
+    # onto or off a bound rewrites its entries from whichever row holds its m.
     pos = y > 0
     below_c, above_0 = alpha < C, alpha > 0.0
-    up_mask = np.where(pos, below_c, above_0)
-    low_mask = np.where(pos, above_0, below_c)
-    up, low = up_mask.tolist(), low_mask.tolist()
-    pen_up = np.where(up_mask, 0.0, -np.inf)
-    pen_low = np.where(low_mask, 0.0, np.inf)
+    in_set = np.where(pos, [below_c, above_0], [above_0, below_c])
+    U = np.where(in_set, y - K @ (alpha * y), [[-np.inf], [np.inf]])
+    u, l = U
     buf = np.empty(n, dtype=np.float64)
     col_j = np.empty(n, dtype=np.float64)
 
     converged = False
     it = 0
     while it < max_iter:
-        i = int(np.add(m, pen_up, out=buf).argmax())
-        mi = buf.item(i)
-        j = int(np.add(m, pen_low, out=buf).argmin())
-        mj = buf.item(j)
+        i = int(u.argmax())
+        mi = u.item(i)
+        j = int(l.argmin())
+        mj = l.item(j)
         if mi - mj <= tol:
             converged = True
             break
@@ -191,21 +191,19 @@ def smo_train(
             break
         np.multiply(KT[i], yi * dai, out=buf)
         np.multiply(KT[j], yj * daj, out=col_j)
-        np.subtract(m, np.add(buf, col_j, out=buf), out=m)
-        for k, a in ((i, ai), (j, aj)):
-            below_c, above_0 = a < C, a > 0.0
-            k_up, k_low = (below_c, above_0) if yl[k] > 0 else (above_0, below_c)
-            if k_up != up[k]:
-                up[k] = k_up
-                pen_up[k] = 0.0 if k_up else -np.inf
-            if k_low != low[k]:
-                low[k] = k_low
-                pen_low[k] = 0.0 if k_low else np.inf
+        np.subtract(U, np.add(buf, col_j, out=buf), out=U)
+        for k, a, a_old in ((i, ai, old_i), (j, aj, old_j)):
+            if not (0.0 < a < C and 0.0 < a_old < C):
+                # read m_k before writing: 0 -> C moves k between the rows
+                mk = u.item(k) if u.item(k) > -np.inf else l.item(k)
+                k_up, k_low = (a < C, a > 0.0) if yl[k] > 0 else (a > 0.0, a < C)
+                u[k] = mk if k_up else -np.inf
+                l[k] = mk if k_low else np.inf
         it += 1
     else:
         logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
 
-    gap = np.add(m, pen_up, out=buf).max() - np.add(m, pen_low, out=buf).min()
+    gap = u.max() - l.min()
     gap = float(gap) if np.isfinite(gap) else 0.0
 
     # bias: average of y_i - f(x_i) over free support vectors, else the
@@ -214,6 +212,7 @@ def smo_train(
     # v = -y * G with G = -y * m; the + 0.0 turns -0.0 into +0.0, as a
     # gradient updated by additions from G = -1 never holds -0.0, so v has
     # the bits it would have had the loop updated G itself
+    m = np.where(u > -np.inf, u, l)
     v = -y * (-y * m + 0.0)
     free = (alpha > eps) & (alpha < C - eps)
     if free.any():

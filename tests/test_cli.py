@@ -152,6 +152,8 @@ FOUR = "f,label\n0,a\n1,b\n2,a\n3,b\n"  # a stratified 80% keeps one row per cla
 SIX = "f,label\n0,a\n1,a\n2,a\n5,b\n6,b\n7,b\n"
 TWELVE = "f,label\n" + "".join(f"{i},a\n" for i in range(9)) + "9,b\n10,b\n11,b\n"
 CONSTANT = "f,g,label\n" + "1,2,a\n1,2,b\n" * 10  # no feature column varies
+# the std of column f overflows, so scaling would map the column to +-0
+OVERFLOW = "f,g,label\n" + "".join(f"{(-1) ** i}e308,{i},{'ab'[i % 2]}\n" for i in range(20))
 LEARN = ["learn", "--data", "data.csv", "--out", "w.json", "--method"]
 SVM = ["svm", "train", "--data", "data.csv", "--out", "m.json"]
 EVALUATE = ["evaluate", "--true", "t.txt", "--pred", "p.txt", "--out", "e.json"]
@@ -215,6 +217,8 @@ EXIT_CASES = [
     # every kernel of such a dataset's bank would be degenerate
     ("learn-constant-features", data(CONSTANT), LEARN + ["average"], 1,
      "cannot load dataset 'data.csv': no feature column varies (every std <= 1e-12)"),
+    ("learn-overflowing-column", data(OVERFLOW), LEARN + ["average"], 1,
+     "cannot load dataset 'data.csv': the std of feature column 0 (counting from 0) overflows"),
     # a line's first token is its label, so an entry there would be taken for one
     ("learn-sparse-missing-label", data("1:0.5 2:0.3\n2:0.1 3:0.9\n1:0.2 2:0.4\n"),
      LEARN + ["average", "--format", "sparse_svm"], 1, "data.csv:1: missing label"),
@@ -349,6 +353,9 @@ EXIT_CASES = [
             ("no-feature-column", run_config("label\na\nb\na\nb\n"), "feature column"),
             ("constant-features", run_config(CONSTANT, method="tsmkl"),
              "cannot load dataset 'data.csv': no feature column varies (every std <= 1e-12)"),
+            ("overflowing-column", run_config(OVERFLOW, method="tsmkl"),
+             "cannot load dataset 'data.csv': the std of feature column 0 (counting from 0) "
+             "overflows"),
             # an output directory that exists as a file is refused before the data is read
             ("output-dir-is-a-file", run_config(method="tsmkl", output_dir="data.csv"),
              "cannot make directory 'data.csv': 'data.csv' is not a directory"),

@@ -348,7 +348,7 @@ _ref_logger = logging.getLogger("kweave.svm.reference")
 _REF_TAU = 1e-12
 
 
-def _reference_smo(K, y, C, tol=1e-3, max_iter=None):
+def _reference_smo(K, y, C, tol=1e-3, max_iter=None, alpha0=None):
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
@@ -357,8 +357,8 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None):
 
     diag = np.ascontiguousarray(np.diag(K))
     yK = y[:, None] * K  # yK[:, i] = y * K[:, i]
-    alpha = np.zeros(n, dtype=np.float64)
-    G = -np.ones(n, dtype=np.float64)  # gradient of the minimization dual
+    alpha = np.zeros(n) if alpha0 is None else np.array(alpha0, dtype=np.float64)
+    G = y * (K @ (alpha * y)) - 1.0  # gradient of the minimization dual
     pos = y > 0
 
     converged = False
@@ -504,6 +504,22 @@ class TestReferenceEquivalence:
                 assert_same_trajectory(fit, ref)
             else:
                 assert_same_model(fit(**opts), ref(**opts))
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
+    def test_ascending_seeded_walk(self, kind):
+        # select_C's walk: every C after the first starts from the previous
+        # C's duals, so the loop's sets start from a seed's bounds
+        rng = np.random.default_rng(len(kind))
+        problems = [_separated_problem(kind, len(kind))]
+        for n in (3, int(rng.integers(4, 60))):
+            K = _kernel_gram(kind, rng.normal(size=(n, int(rng.integers(1, 6)))))
+            problems.append((K, _signed_labels(rng, n)))
+        for K, y in problems:
+            seed = None
+            for C in DEFAULT_C_GRID:
+                fit = partial(smo_train, K, y, C, alpha0=seed)
+                assert_same_trajectory(fit, partial(_reference_smo, K, y, C, alpha0=seed))
+                seed = fit().alpha
 
     def test_tol_zero_stall(self):
         K, y, C = _stall_problem()
