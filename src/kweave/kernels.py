@@ -13,13 +13,18 @@ float32 Z, owned by the bank and read in place by the K-space, the pairs,
 the statistics and the train rows the kernels ran on (bank.features).
 Evaluation, centering and its statistics run in float64 and only the store
 rounds: stage one's solver error (relative duality gap near 1e-2) dwarfs
-that rounding (6e-8), and its batch reads are bandwidth bound. gram(l) and combine upcast to float64 and scatter by bank.pairs.
+that rounding (6e-8), and its batch reads are bandwidth bound. gram(l) and
+combine upcast to float64 and scatter by bank.pairs.
 Each feature scope's products (X @ X.T, squared distances) are computed
 once and shared by its kernels, on the train side and for the test x train
-cross blocks; one raw Gram is alive at a time, so the train-side peak is Z
-plus a few (n, n) arrays. Dense Grams are rebuilt from Z only by combine
-and the best_kernel baseline (one kernel at a time); target alignment reads
-Z directly, in float64-upcast row blocks. The statistics (r, g, s) recorded
+cross blocks. numpy computes X @ X.T on one buffer as a symmetric rank-k
+update, so every train-side Gram is exactly symmetric (a test pins this on
+both recipes). A polynomial Gram is the running product of dots + offset,
+degree - 1 multiplications. One raw Gram is alive at a time, so the
+train-side peak is Z, a staging block of _STAGE_BYTES (or one kernel's
+row, if larger) and a few (n, n) arrays. Dense Grams are rebuilt from Z
+only by combine and the best_kernel baseline (one kernel at a time);
+target alignment reads Z directly, in float64-upcast row blocks. The statistics (r, g, s) recorded
 on the training Gram center the float64 cross blocks consistently:
 combine_cross evaluates them on bank.features, centers and sums them one
 block at a time, for one weight vector or a stack of k, holding k sums and
@@ -38,8 +43,9 @@ logger = logging.getLogger(__name__)
 _GAUSSIAN_GAMMAS = [2.0**k for k in range(-10, -1)]  # 2^-10 .. 2^-2
 _POLY_DEGREES = [2, 3, 4]
 RECIPES = ("uci_full", "uci_full_plus_per_feature")
-# kernels staged per block copy into the pair-major store (see center_bank)
-_STAGE_ROWS = 32
+# bytes of float32 kernel rows staged per block copy into the pair-major
+# store (see center_bank): 32 rows at Sonar's 166-167 train rows
+_STAGE_BYTES = 1_800_000
 # elements moved per chunk when center_bank compacts away dropped kernels
 _COMPACT_ELEMS = 1 << 16
 
@@ -102,10 +108,7 @@ class CenterStats:
 
 @dataclass
 class RawBank:
-    """A recipe's specs over one checked feature matrix; center_bank consumes it.
-
-    No Gram is held: each is evaluated when it is read.
-    """
+    """A recipe's specs over one checked feature matrix; center_bank evaluates it."""
 
     specs: list[KernelSpec]
     features: np.ndarray
@@ -117,19 +120,6 @@ class RawBank:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def grams(self):
-        """The raw (n, n) Grams in spec order, evaluated one at a time: each
-        equals compute_gram's, symmetrized as (G + G^T)/2 only when its scope's
-        shared X @ X.T (see scope_products) is not exactly symmetric. A linear
-        Gram is that X @ X.T itself, so it must not be modified."""
-        X, scope = self.features, object()
-        for spec, dots, sq in scope_products(self.specs, X, X):
-            if spec.feature_index != scope:
-                scope, symmetric = spec.feature_index, np.array_equal(dots, dots.T)
-            V = _from_products(spec, dots, sq)
-            yield V if symmetric else (V + V.T) / 2.0
 
 
 @dataclass
@@ -217,12 +207,15 @@ def scope_products(specs, A, B):
 
 def _from_products(spec: KernelSpec, dots: np.ndarray, sq) -> np.ndarray:
     """k(a_i, b_j) from the products scope_products yields: dots itself for a
-    linear kernel, one new array for every other family."""
+    linear kernel, one new array for every other family. A polynomial is the
+    running product ((b b) b) ... of b = dots + offset, never libm's pow."""
     if spec.family == "linear":
         V = dots
     elif spec.family == "polynomial":
-        V = dots + spec.offset
-        V **= spec.degree
+        base = dots + spec.offset
+        V = base * base if spec.degree > 1 else base
+        for _ in range(spec.degree - 2):
+            V *= base
     else:  # gaussian
         V = np.multiply(sq, -spec.gamma)
         np.exp(V, out=V)
@@ -231,18 +224,9 @@ def _from_products(spec: KernelSpec, dots: np.ndarray, sq) -> np.ndarray:
     return V
 
 
-def compute_gram(spec: KernelSpec, train_features: np.ndarray) -> np.ndarray:
-    """Raw Gram of one base kernel over the training instances."""
-    if not np.all(np.isfinite(_scoped(train_features, spec))):
-        raise KernelError("non-finite feature values")
-    return compute_cross_gram(spec, train_features, train_features)
-
-
-def compute_cross_gram(spec, test_features, train_features, products=None) -> np.ndarray:
-    """Raw test x train block of one base kernel, from scope_products' products if given."""
-    if products is None:
-        _, *products = next(scope_products([spec], test_features, train_features))
-    return _from_products(spec, *products)
+def compute_cross_gram(spec: KernelSpec, dots: np.ndarray, sq) -> np.ndarray:
+    """Raw test x train block of one base kernel from scope_products' products."""
+    return _from_products(spec, dots, sq)
 
 
 def bank_specs(d: int, recipe: str) -> list[KernelSpec]:
@@ -303,22 +287,6 @@ def _center(K: np.ndarray) -> tuple[np.ndarray, CenterStats]:
     return C, CenterStats(row_means=rm, grand_mean=gm, scale=s)
 
 
-def center_standardize_fit(gram: np.ndarray) -> tuple[np.ndarray, CenterStats]:
-    """Double-center a raw Gram and scale it to trace/n = 1, in one formula.
-
-    C = (K - (r_i + r_j) + g) / s, with K the Gram symmetrized as
-    (K + K^T)/2, r its row means, g = mean(r) and s = mean(diag K - 2r) + g
-    = trace(H K H)/n (H = I - 11^T/n). r_i + r_j commutes, so C is exactly
-    symmetric. Returns C and (r, g, s) for test-side reuse. Raises
-    DegenerateKernelError when the centered kernel vanishes (constant
-    feature map); callers drop such kernels from the bank.
-    """
-    K = np.asarray(gram, dtype=np.float64)
-    C, stats = _center((K + K.T) / 2.0)
-    C /= stats.scale
-    return C, stats
-
-
 def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.ndarray:
     """Center/standardize a raw test x train block with train statistics.
 
@@ -340,14 +308,14 @@ def center_bank(bank: RawBank, order=slice(None)) -> tuple[KernelBank, list[int]
     """Evaluate and center/standardize each raw Gram into one pair-major store,
     dropping degenerates.
 
-    One Gram is alive at a time, evaluated and centered in float64 with
-    center_standardize_fit's formula and bits (grams has symmetrized it if
-    need be). Its upper triangle is taken into a float64 row buffer and
-    divided by s straight into a row of a float32 (_STAGE_ROWS, n(n+1)/2)
-    staging block, which rounds it; a full block is copied into Z's columns
-    at once, never one strided column at a time. Row r of Z holds pair
-    order[r] of np.triu_indices(n), kept as bank.pairs with the raw bank's
-    features; order (kspace.plan_rows) defaults to the identity.
+    One Gram is alive at a time, evaluated from its scope's shared products
+    (scope_products) and centered in float64. Its upper triangle is taken
+    into a float64 row buffer and divided by s straight into a row of a
+    float32 (rows, n(n+1)/2) staging block of _STAGE_BYTES (at least one
+    row), which rounds it; a full block is copied into Z's columns at once,
+    not one strided column at a time. Row r of Z holds pair order[r] of
+    np.triu_indices(n), kept as bank.pairs with the raw bank's features;
+    order (kspace.plan_rows) defaults to the identity.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
@@ -361,13 +329,14 @@ def center_bank(bank: RawBank, order=slice(None)) -> tuple[KernelBank, list[int]
     ii, jj = ii[order], jj[order]
     flat = np.ravel_multi_index((ii, jj), (n, n))
     Z = np.empty((flat.size, bank.p), dtype=np.float32)
-    rows = min(_STAGE_ROWS, bank.p)
+    rows = min(max(1, _STAGE_BYTES // (4 * flat.size)), bank.p)
     stage = np.empty((rows, flat.size), dtype=np.float32)
     tri = np.empty(flat.size, dtype=np.float64)
     specs, stats, dropped = [], [], []
-    for i, (spec, raw) in enumerate(zip(bank.specs, bank.grams)):
+    X = bank.features
+    for i, (spec, *prods) in enumerate(scope_products(bank.specs, X, X)):
         try:
-            centered, st = _center(raw)
+            centered, st = _center(_from_products(spec, *prods))
         except DegenerateKernelError as exc:
             # log the message only: a kept record must not pin the traceback's Grams
             logger.warning("dropping kernel %d (%s): %s", i, spec.label(), str(exc))
@@ -378,7 +347,8 @@ def center_bank(bank: RawBank, order=slice(None)) -> tuple[KernelBank, list[int]
         # bits to a float64 temporary, which can warn on NaN patterns.
         np.take(centered, flat, out=tri, mode="clip")
         np.divide(tri, st.scale, out=stage[len(specs) % rows])  # rounds to float32
-        del raw, centered  # free this Gram before the next one is evaluated
+        # free this Gram, and at a scope's end its products, before the next is made
+        del centered, prods
         specs.append(spec)
         stats.append(st)
         if len(specs) % rows == 0:
@@ -460,9 +430,7 @@ def combine_cross(bank: KernelBank, weights, test_features) -> np.ndarray:
     W = np.array([check_weights(bank.p, w) for w in np.atleast_2d(weights)])
     acc = np.zeros((len(W), len(test_features), bank.n), dtype=np.float64)
     for l, (spec, *prods) in enumerate(scope_products(bank.specs, test_features, bank.features)):
-        block = center_standardize_apply(
-            compute_cross_gram(spec, test_features, bank.features, prods), bank.stats[l]
-        )
+        block = center_standardize_apply(compute_cross_gram(spec, *prods), bank.stats[l])
         for j in np.flatnonzero(W[:, l] > 0):
             acc[j] += W[j, l] * block
         del block  # drop this block before the next one is made

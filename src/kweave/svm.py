@@ -240,23 +240,6 @@ def smo_train(
     )
 
 
-def dual_objective(gram, model: SvmModel) -> float:
-    """e^T a - 1/2 a^T Q a for a trained model (maximization convention)."""
-    K = np.asarray(gram, dtype=np.float64)
-    ay = model.alpha * model.signed_labels
-    return float(model.alpha.sum() - 0.5 * ay @ K @ ay)
-
-
-def decision_values(model: SvmModel, cross) -> np.ndarray:
-    """f(x) = sum_i alpha_i y_i K(x, x_i) + bias for each test row."""
-    V = np.asarray(cross, dtype=np.float64)
-    if V.shape[1] != model.alpha.shape[0]:
-        raise ValueError(
-            f"cross block has {V.shape[1]} columns, model expects {model.alpha.shape[0]}"
-        )
-    return V @ (model.alpha * model.signed_labels) + model.bias
-
-
 @dataclass
 class OvrModel:
     """One binary SVM per class; prediction is argmax of decision values."""
@@ -264,7 +247,12 @@ class OvrModel:
     models: list[SvmModel]
 
     def decision_matrix(self, cross) -> np.ndarray:
-        return np.column_stack([decision_values(mdl, cross) for mdl in self.models])
+        """f_k(x) = sum_i alpha_i y_i K(x, x_i) + bias of model k, one column per model."""
+        V = np.asarray(cross, dtype=np.float64)
+        n = self.models[0].alpha.shape[0]
+        if V.shape[1] != n:
+            raise ValueError(f"cross block has {V.shape[1]} columns, model expects {n}")
+        return np.column_stack([V @ (m.alpha * m.signed_labels) + m.bias for m in self.models])
 
     def predict(self, cross) -> np.ndarray:
         # np.argmax takes the first maximum: ties go to the lower class id

@@ -10,9 +10,14 @@ from kweave.data import Dataset, load_dataset
 from kweave.kernels import (
     CenterStats,
     KernelBank,
+    KernelError,
     KernelSpec,
+    _center,
+    _scoped,
     build_kernel_bank,
     center_bank,
+    compute_cross_gram,
+    scope_products,
 )
 from kweave.kspace import KExampleSet
 
@@ -90,6 +95,42 @@ def dense_centering(raw) -> np.ndarray:
     g = float(r.mean())
     s = float(np.mean(np.diag(K) - 2.0 * r)) + g
     return (K - (r[:, None] + r[None, :]) + g) / s
+
+
+def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
+    """Raw A x B block of one base kernel, evaluated on its own: its scope's
+    products are made for this spec alone."""
+    _, dots, sq = next(scope_products([spec], A, B))
+    return compute_cross_gram(spec, dots, sq)
+
+
+def compute_gram(spec: KernelSpec, train_features) -> np.ndarray:
+    """Raw Gram of one base kernel over the training instances, evaluated on its own."""
+    if not np.all(np.isfinite(_scoped(train_features, spec))):
+        raise KernelError("non-finite feature values")
+    return cross_gram(spec, train_features, train_features)
+
+
+def center_standardize_fit(gram):
+    """Double-center a raw Gram and scale it to trace/n = 1 with the program's
+    own _center: C = (K - (r_i + r_j) + g) / s, with K the Gram symmetrized as
+    (K + K^T)/2. Returns C and its statistics (r, g, s)."""
+    K = np.asarray(gram, dtype=np.float64)
+    C, stats = _center((K + K.T) / 2.0)
+    C /= stats.scale
+    return C, stats
+
+
+def dual_objective(gram, model: svm.SvmModel) -> float:
+    """e^T a - 1/2 a^T Q a for a trained model (maximization convention)."""
+    K = np.asarray(gram, dtype=np.float64)
+    ay = model.alpha * model.signed_labels
+    return float(model.alpha.sum() - 0.5 * ay @ K @ ay)
+
+
+def decision_values(model: svm.SvmModel, cross) -> np.ndarray:
+    """f(x) = sum_i alpha_i y_i K(x, x_i) + bias of one binary model, per test row."""
+    return svm.OvrModel([model]).decision_matrix(cross)[:, 0]
 
 
 def alignment_grid_max(M, a, n_grid=200):

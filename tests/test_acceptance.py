@@ -14,17 +14,21 @@ import pytest
 from kweave import mkl
 from kweave.baselines import alignment_problem_from_bank, maximize_alignment, target_align
 from kweave.experiment import ExperimentConfig, run_experiment, run_lambda_sweep, strip_timing_fields
-from kweave.kernels import KernelSpec, center_standardize_fit, compute_gram
+from kweave.kernels import KernelSpec
 from kweave.kspace import make_kexamples
 from kweave.mkl import pegasos_train
-from kweave.svm import decision_values, dual_objective, smo_train
+from kweave.svm import smo_train
 
 from conftest import (
     DATA_DIR,
     alignment_grid_max,
     alignment_value,
     bank_of,
+    center_standardize_fit,
     centered_bank_for,
+    compute_gram,
+    decision_values,
+    dual_objective,
     make_blobs,
     synth_kset,
 )

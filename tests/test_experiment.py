@@ -26,10 +26,10 @@ from kweave.experiment import (
     run_lambda_sweep,
     strip_timing_fields,
 )
-from kweave.kernels import center_standardize_apply, combine_cross, compute_cross_gram
+from kweave.kernels import center_standardize_apply, combine_cross
 from kweave.kspace import plan_rows
 
-from conftest import force_nonconvergence, make_blobs
+from conftest import cross_gram, force_nonconvergence, make_blobs
 
 
 def write_toy_csv(path, n_per_class=16, d=3, gap=4.0, seed=0):
@@ -216,7 +216,7 @@ class TestCrossStage:
         blocks = combine_cross(bank, np.eye(bank.p), Xt)  # a one-hot row is its block
         assert blocks.shape == (bank.p, 8, 25)
         for spec, stats, block in zip(bank.specs, bank.stats, blocks):
-            expected = center_standardize_apply(compute_cross_gram(spec, Xt, Xs), stats)
+            expected = center_standardize_apply(cross_gram(spec, Xt, Xs), stats)
             np.testing.assert_array_equal(block, expected, err_msg=spec.label())
 
     def test_peak_memory_is_a_few_blocks(self):

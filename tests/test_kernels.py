@@ -8,23 +8,33 @@ import pytest
 
 import kweave.kernels as kernels
 from kweave.kernels import (
-    _STAGE_ROWS,
     DegenerateKernelError,
     KernelBank,
     KernelError,
     KernelSpec,
+    _from_products,
     bank_specs,
     build_kernel_bank,
     center_bank,
     center_standardize_apply,
-    center_standardize_fit,
     combine,
     combine_cross,
-    compute_cross_gram,
-    compute_gram,
+    scope_products,
 )
 
-from conftest import bank_of, dense_centering
+from conftest import (
+    bank_of,
+    center_standardize_fit,
+    compute_gram,
+    cross_gram,
+    dense_centering,
+)
+
+
+def shared_grams(specs, X):
+    """Every spec's raw Gram on X, evaluated as center_bank does: one pass of
+    scope_products, its products shared by each scope's kernels."""
+    return [_from_products(*prods) for prods in scope_products(specs, X, X)]
 
 
 class TestKernelEvaluation:
@@ -64,7 +74,7 @@ class TestKernelEvaluation:
         rng = np.random.default_rng(2)
         A, B = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, (6, 3))
         spec = KernelSpec("gaussian", gamma=0.1)
-        cross = compute_cross_gram(spec, A, B)
+        cross = cross_gram(spec, A, B)
         joint = compute_gram(spec, np.vstack([B, A]))
         np.testing.assert_allclose(cross, joint[6:, :6], atol=1e-12)
 
@@ -91,7 +101,7 @@ class TestBankRecipes:
     def test_build_bank_shares_ordering(self, toy_dataset):
         bank = build_kernel_bank(toy_dataset.instances, "uci_full")
         assert bank.p == 13 and bank.n == toy_dataset.n
-        assert all(G.shape == (40, 40) for G in bank.grams)
+        assert all(G.shape == (40, 40) for G in shared_grams(bank.specs, bank.features))
 
     @pytest.mark.parametrize("recipe", ["uci_full", "uci_full_plus_per_feature"])
     def test_scope_shared_grams_equal_compute_gram(self, recipe):
@@ -99,7 +109,7 @@ class TestBankRecipes:
         # give every Gram bit for bit
         X = np.random.default_rng(21).normal(0, 1.5, (30, 4))
         bank = build_kernel_bank(X, recipe)
-        grams = list(bank.grams)
+        grams = shared_grams(bank.specs, bank.features)
         assert len(grams) == bank.p
         for spec, G in zip(bank.specs, grams):
             np.testing.assert_array_equal(G, compute_gram(spec, X), err_msg=spec.label())
@@ -108,9 +118,31 @@ class TestBankRecipes:
         X = np.random.default_rng(22).normal(0, 1, (12, 3))
         specs = bank_specs(3, "uci_full_plus_per_feature")
         specs = [specs[k] for k in np.random.default_rng(3).permutation(len(specs))]
-        bank = kernels.RawBank(specs=specs, features=X)
-        for spec, G in zip(specs, bank.grams):
+        for spec, G in zip(specs, shared_grams(specs, X)):
             np.testing.assert_array_equal(G, compute_gram(spec, X), err_msg=spec.label())
+
+    def test_polynomial_is_a_running_product(self):
+        # bases of both signs, zeros included: each entry is ((b b) b) ...,
+        # within 4 ULP of libm's pow, with pow's sign
+        x = np.concatenate([np.random.default_rng(8).normal(0, 2, 40), [0.0, 1.0, -1.0]])
+        X = x[:, None]
+        b = np.outer(x, x) + 1.0
+        assert (b < 0).any() and (b > 0).any() and (b == 0).any()
+        for degree in (1, 2, 3, 4, 5):
+            G = compute_gram(KernelSpec("polynomial", degree=degree, offset=1.0), X)
+            ref = np.power(b, degree)
+            if degree <= 2:
+                np.testing.assert_array_equal(G, ref)
+            assert np.all(np.abs(G - ref) <= 4 * np.spacing(np.abs(ref))), degree
+            np.testing.assert_array_equal(np.sign(G), np.sign(ref))
+            if degree % 2:
+                np.testing.assert_array_equal(np.sign(G), np.sign(b))
+
+    def test_overflowing_polynomial_raises(self):
+        # (x.x' + 1)^3 leaves the float range at |x| ~ 1e103, with either sign
+        X = np.array([[2e103], [-3e103], [1.0]])
+        with np.errstate(over="ignore"), pytest.raises(KernelError, match="non-finite"):
+            compute_gram(KernelSpec("polynomial", degree=3, offset=1.0), X)
 
 
 class TestCentering:
@@ -174,7 +206,7 @@ class TestCentering:
     def test_apply_on_train_rows_reproduces_centered_gram(self):
         spec = KernelSpec("gaussian", gamma=0.25)
         c, stats = center_standardize_fit(compute_gram(spec, self.X))
-        cross = compute_cross_gram(spec, self.X, self.X)  # "test" rows = train rows
+        cross = cross_gram(spec, self.X, self.X)  # "test" rows = train rows
         np.testing.assert_allclose(center_standardize_apply(cross, stats), c, atol=1e-12)
 
     def test_apply_matches_feature_space_centering_for_linear(self):
@@ -182,7 +214,7 @@ class TestCentering:
         rng = np.random.default_rng(3)
         Xtr, Xte = rng.normal(1.0, 2.0, (12, 3)), rng.normal(1.0, 2.0, (5, 3))
         c, stats = center_standardize_fit(compute_gram(KernelSpec("linear"), Xtr))
-        cross = center_standardize_apply(compute_cross_gram(KernelSpec("linear"), Xte, Xtr), stats)
+        cross = center_standardize_apply(cross_gram(KernelSpec("linear"), Xte, Xtr), stats)
         Ztr = Xtr - Xtr.mean(axis=0)
         scale = np.trace(Ztr @ Ztr.T) / Xtr.shape[0]
         expected = (Xte - Xtr.mean(axis=0)) @ Ztr.T / scale
@@ -226,45 +258,30 @@ class TestPairMajorStore:
             np.testing.assert_array_equal(G, expected.astype(np.float64))
             np.testing.assert_array_equal(self.bank.Z[:, l], expected[ii, jj])
 
-    def test_symmetric_scope_gives_the_forced_symmetrization_bits(self, monkeypatch):
-        # every scope's X @ X.T here is exactly symmetric, so the (K + K^T)/2
-        # pass is skipped; forcing it changes no bit of Z or the statistics
-        checks = []
+    @pytest.mark.parametrize("recipe", ["uci_full", "uci_full_plus_per_feature"])
+    @pytest.mark.parametrize("shape", [(11, 3), (57, 9), (130, 13), (300, 8)])
+    def test_every_scope_product_is_exactly_symmetric(self, monkeypatch, recipe, shape):
+        # center_bank centers each raw Gram as it comes, with no symmetrizing
+        # pass: its scope's X @ X.T (one buffer, a symmetric rank-k update, or
+        # a single-column view's outer product) and squared distances must be
+        # exactly symmetric, so every kernel made from them is. At 300 rows a
+        # general product (a copied right operand) is not, with OpenBLAS.
+        real, seen = kernels.scope_products, []
 
-        def never_equal(a, b):
-            checks.append(a.shape)
-            return False
-
-        with monkeypatch.context() as m:
-            m.setattr(np, "array_equal", never_equal)
-            forced, dropped = center_bank(build_kernel_bank(self.X, "uci_full_plus_per_feature"))
-        assert len(checks) == self.X.shape[1] + 1  # once per feature scope
-        assert forced.specs == self.bank.specs and dropped == self.dropped
-        np.testing.assert_array_equal(forced.Z, self.bank.Z)
-        for a, b in zip(forced.stats, self.bank.stats):
-            np.testing.assert_array_equal(a.row_means, b.row_means)
-            assert (a.grand_mean, a.scale) == (b.grand_mean, b.scale)
-
-    def test_asymmetric_scope_product_is_symmetrized(self, monkeypatch):
-        # a scope whose X @ X.T is not exactly symmetric has each Gram
-        # symmetrized before centering, as the dense reference does
-        real = kernels.scope_products
-
-        def skewed(specs, A, B):
-            last = skew = None
+        def spy(specs, A, B):
             for spec, dots, sq in real(specs, A, B):
-                if dots is not last:
-                    last, skew = dots, dots + np.triu(np.full(dots.shape, 1e-3), 1)
-                yield spec, skew, sq
+                seen.append((spec.feature_index, dots, sq))
+                yield spec, dots, sq
 
-        monkeypatch.setattr(kernels, "scope_products", skewed)
-        bank, _ = center_bank(build_kernel_bank(self.X, "uci_full"))
-        ii, jj = np.triu_indices(self.bank.n)
-        for l, (spec, dots, sq) in enumerate(skewed(bank.specs, self.X, self.X)):
-            raw = kernels._from_products(spec, dots, sq).copy()
-            assert spec.family == "gaussian" or not np.array_equal(raw, raw.T)
-            expected = dense_centering(raw).astype(np.float32)
-            np.testing.assert_array_equal(bank.Z[:, l], expected[ii, jj], err_msg=spec.label())
+        monkeypatch.setattr(kernels, "scope_products", spy)
+        X = np.random.default_rng(shape[0]).normal(0, 1.5, shape)
+        raw = build_kernel_bank(X, recipe)
+        center_bank(raw)
+        assert len(seen) == raw.p
+        assert {f for f, _, _ in seen} == {s.feature_index for s in raw.specs}
+        for _, dots, sq in seen:  # each scope opens with Gaussians, so sq is made
+            for product in (dots, sq):
+                np.testing.assert_array_equal(product, product.T)
 
     def test_stats_are_the_raw_gram_statistics(self):
         for spec, stats in zip(self.bank.specs, self.bank.stats):
@@ -297,7 +314,7 @@ class TestStreamedCentering:
         finally:
             tracemalloc.stop()
         assert bank.p == 13 * d + 13 and not dropped
-        stage = min(_STAGE_ROWS, bank.p) * bank.Z.shape[0] * bank.Z.itemsize
+        stage = max(kernels._STAGE_BYTES, bank.Z.shape[0] * bank.Z.itemsize)
         # Evaluating and centering one Gram makes about a dozen (n, n)
         # temporaries. Holding every raw Gram (p * n^2 * 8 = 7.3 MB here, on
         # top of Z's 3.7 MB) is far over this bound.
@@ -319,10 +336,24 @@ class TestStreamedCentering:
         assert len(dropped) == 13 and bank.p == raw.p - 13
         # allocated before any drop is known
         full_store = bank.Z.shape[0] * raw.p * bank.Z.itemsize
-        stage = min(_STAGE_ROWS, raw.p) * bank.Z.shape[0] * bank.Z.itemsize
+        stage = max(kernels._STAGE_BYTES, bank.Z.shape[0] * bank.Z.itemsize)
         # the no-drop bound; a second (compacted) store would add 3.4 MB
         assert peak < full_store + stage + 16 * n * n * 8
         assert bank.Z.flags.c_contiguous and bank.Z.flags.owndata
+
+    @pytest.mark.parametrize("budget", [1, 5 * 4 * 66])
+    def test_store_is_the_same_at_any_staging_budget(self, monkeypatch, budget):
+        # staging only moves values: 11 rows make 66 pairs, so the default
+        # budget stages all 39 kernels in one block, budget 1 one kernel per
+        # block, and 5 * 4 * 66 bytes five, the last block partial
+        X = np.random.default_rng(4).normal(0, 1, (11, 2))
+        X[:, 1] = 3.0  # its kernels are dropped, so the store is compacted too
+        raw = build_kernel_bank(X, "uci_full_plus_per_feature")
+        default, dropped = center_bank(raw)
+        monkeypatch.setattr(kernels, "_STAGE_BYTES", budget)
+        staged, staged_dropped = center_bank(raw)
+        assert len(dropped) == 13 and staged_dropped == dropped and staged.p == 26
+        assert staged.Z.tobytes() == default.Z.tobytes()
 
     @pytest.mark.parametrize("elems", [1, 7, 100, 1 << 16])
     def test_compaction_is_the_leading_columns(self, monkeypatch, elems):
@@ -393,7 +424,7 @@ class TestCombination:
         w[0], w[4], w[12] = 0.5, 2.0, 1.25
         expected = np.zeros((4, 10))
         for l in np.flatnonzero(w):  # per-kernel reference blocks, summed in l order
-            raw = compute_cross_gram(self.bank.specs[l], Xt, self.X)
+            raw = cross_gram(self.bank.specs[l], Xt, self.X)
             expected += w[l] * center_standardize_apply(raw, self.bank.stats[l])
         np.testing.assert_array_equal(combine_cross(self.bank, w, Xt), expected)
 

@@ -10,12 +10,11 @@ from kweave.kernels import (
     build_kernel_bank,
     center_bank,
     combine,
-    compute_gram,
 )
 from kweave.kspace import KExampleSet, balance, make_kexamples, plan_rows, sample_batch
 from kweave.mkl import _split_kset, hinge_loss
 
-from conftest import bank_of, centered_bank_for, dense_centering, make_blobs
+from conftest import bank_of, centered_bank_for, compute_gram, dense_centering, make_blobs
 
 
 def tiny_bank(n: int, p: int = 2, seed: int = 0) -> KernelBank:

@@ -14,15 +14,13 @@ from kweave.svm import (
     DEFAULT_C_GRID,
     OvrModel,
     SvmModel,
-    decision_values,
-    dual_objective,
     fit,
     ovr_train,
     select_C,
     smo_train,
 )
 
-from conftest import force_nonconvergence, make_blobs
+from conftest import decision_values, dual_objective, force_nonconvergence, make_blobs
 
 
 # ---------------------------------------------------------------------------
