@@ -136,7 +136,7 @@ def uniform_weights(p: int) -> np.ndarray:
 
 
 def best_kernel(bank: KernelBank, train_labels, folds, c_grid=DEFAULT_C_GRID):
-    """Single kernel with the best CV accuracy (C selected per kernel).
+    """Single kernel with the best CV accuracy at the C select_C chose for it.
 
     Returns (index, one-hot weights). Kernels whose CV fails entirely are
     skipped with a warning; ties go to the lower index.
@@ -145,11 +145,11 @@ def best_kernel(bank: KernelBank, train_labels, folds, c_grid=DEFAULT_C_GRID):
     best_idx, best_acc = None, -np.inf
     for idx in range(bank.p):
         try:
-            _, records = select_C(bank.gram(idx), labels, folds, grid=c_grid)
+            C, records = select_C(bank.gram(idx), labels, folds, grid=c_grid)
         except RuntimeError as exc:
             logger.warning("kernel %d skipped during selection: %s", idx, exc)
             continue
-        acc = max(r["cv_accuracy"] for r in records if r["cv_accuracy"] is not None)
+        acc = next(r["cv_accuracy"] for r in records if r["C"] == C)
         if acc > best_acc:
             best_idx, best_acc = idx, acc
     if best_idx is None:

@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise InputError("c_grid must be non-empty")
         if not all(np.isfinite(c) and c > 0 for c in self.c_grid):
             raise InputError("c_grid entries must be positive and finite")
+        if any(a >= b for a, b in zip(self.c_grid, self.c_grid[1:])):
+            raise InputError("c_grid must be strictly ascending")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -294,11 +296,6 @@ def _holdout(dataset: Dataset, plan: SplitPlan):
     return dataset.subset(plan.train_indices), dataset.subset(plan.test_indices)
 
 
-def _fit_svm(bank, mu, train: Dataset, folds, config: ExperimentConfig):
-    """Combine the bank with mu, pick C by CV on folds and fit; returns svm.fit's tuple."""
-    return svm.fit(combine(bank, mu), train.labels, folds, grid=config.c_grid)
-
-
 def _mu_summary(mu: np.ndarray) -> dict:
     top = np.argsort(mu)[::-1][:5]
     return {
@@ -345,7 +342,7 @@ def _run_split(dataset: Dataset, config: ExperimentConfig, split_index: int, pla
             cross = combine_cross(bank, mu, scaler.apply(test.instances))
 
         with _timed(timings, "svm"):
-            best_C, cv_records, ovr = _fit_svm(bank, mu, train, folds, config)
+            best_C, cv_records, ovr = svm.fit(combine(bank, mu), train.labels, folds, config.c_grid)
         record["chosen_C"] = float(best_C)
         record["cv_records"] = cv_records
         record["final_fit"] = [
@@ -484,7 +481,7 @@ def run_lambda_sweep(config: ExperimentConfig, dataset: Dataset | None = None) -
         acc = None
         if not model.collapsed:
             try:
-                _, _, ovr = _fit_svm(bank, model.mu, train, folds, config)
+                _, _, ovr = svm.fit(combine(bank, model.mu), train.labels, folds, config.c_grid)
                 pred = ovr.predict(crosses[lam])
                 acc = float(np.mean(pred == test.labels))
             except (ValueError, RuntimeError) as exc:

@@ -12,21 +12,23 @@ grow (shrink), and -inf (+inf) elsewhere. As C > 0, every t is in a set.
 
 Multiclass is one-vs-rest with argmax over per-class decision values.
 
-C is chosen by k-fold cross-validation. select_C walks the C grid in
-ascending order for each fold and seeds every fit after the first with
-the previous C's duals, unchanged ("alpha seeding", DeCoste & Wagstaff,
+C is chosen by k-fold cross-validation, in select_C alone. The C grid
+must be strictly ascending. select_C walks it C-major, C outside and the
+folds inside, and seeds each fold's fit after the first with that fold's
+duals at the previous C, unchanged ("alpha seeding", DeCoste & Wagstaff,
 KDD 2000). The seed stays feasible, since 0 <= a <= C_prev < C and
 y^T a = 0 still hold, and where no dual reached its bound it is already
-optimal at the larger C.
+optimal at the larger C. A C whose CV fits include one that stopped short
+of tol is not chosen while some C has none.
 
 With two classes, class 1 vs rest mirrors class 0 vs rest: y1 = -y0 and Q
 is unchanged, so the optimal duals are the same. ovr_train therefore
 seeds the class-1 fit with class 0's duals whenever class 0 converged,
-in select_C (in place of the previous C's class-1 duals) and in the final
-fit alike. That fit rebuilds its gradient from K, checks the KKT gap,
-which the mirrored duals meet up to rounding, and computes its own bias,
-normally after no pair step. Every other final fit starts cold from
-a = 0.
+in select_C (in place of the fold's class-1 duals at the previous C) and
+in the final fit alike. That fit rebuilds its gradient from K, checks the
+KKT gap, which the mirrored duals meet up to rounding, and computes its
+own bias, normally after no pair step. Every other final fit starts cold
+from a = 0.
 """
 
 from __future__ import annotations
@@ -269,10 +271,11 @@ def ovr_train(gram, labels, C: float, n_classes: int | None = None, alpha0=None)
     """Train class-k-vs-rest models over a shared Gram.
 
     alpha0, if given, holds one starting dual vector per class (see
-    smo_train). With two classes, a converged class-0 fit seeds class 1
-    with its own duals instead: they are optimal for the mirrored problem
-    (y1 = -y0, same Q), so that fit normally only checks them against tol.
-    A capped or stalled class 0 leaves class 1 to the caller's seed.
+    smo_train); select_C passes a fold's duals at the previous C. With two
+    classes, a converged class-0 fit seeds class 1 with its own duals
+    instead: they are optimal for the mirrored problem (y1 = -y0, same Q),
+    so that fit normally only checks them against tol. A capped or stalled
+    class 0 leaves class 1 to the caller's seed.
     """
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1 if n_classes is None else n_classes
@@ -292,59 +295,57 @@ def ovr_train(gram, labels, C: float, n_classes: int | None = None, alpha0=None)
 
 
 def select_C(gram, labels, folds, grid=DEFAULT_C_GRID):
-    """Mean k-fold CV accuracy per C; returns (best C, per-C records).
+    """Mean k-fold CV accuracy per C; returns (chosen C, per-C records).
 
-    Each fold walks the distinct C values in ascending order, and every fit
-    after the first starts from the previous C's duals (with two classes,
-    class 1 starts from class 0's; see ovr_train). Records follow the
-    caller's grid order; each holds the C, its mean CV accuracy,
+    grid must be strictly ascending. The walk is C-major: at each C in turn
+    every fold fits from its own previous duals (with two classes, class 1
+    starts from class 0's; see ovr_train), so each fold keeps one seed
+    chain. Records follow the grid; each holds the C, its mean CV accuracy,
     smo_iterations, the pair steps summed over folds and classes, and
-    nonconverged, the number of those binary fits that stopped short of
-    tol at the iteration cap or a stall (their accuracy still counts
-    toward the C's score).
+    nonconverged, the number of those binary fits that stopped short of tol
+    at the iteration cap or a stall.
 
     Folds whose training side loses a class (or otherwise fail) are skipped
-    with a warning; a C with no surviving folds scores None. Ties break
-    toward the smaller C.
+    with a warning and keep their seed; a C with no surviving folds scores
+    None. The chosen C has the highest CV accuracy among the scored C with
+    no unfinished fit, or among all scored C when none qualifies; ties go
+    to the smaller C.
     """
     grid = [float(c) for c in grid]
-    if not grid:
-        raise ValueError("empty C grid")
+    if not grid or not all(a < b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"C grid must be non-empty and strictly ascending, got {grid}")
     K = np.asarray(gram, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1
 
-    ascending = sorted(set(grid))
-    accs: dict = {C: [] for C in ascending}
-    steps = dict.fromkeys(ascending, 0)
-    capped = dict.fromkeys(ascending, 0)
-    for f, plan in enumerate(folds):
-        tr, te = plan.train_indices, plan.test_indices
-        train_K, train_y = K[np.ix_(tr, tr)], labels[tr]
-        cross_K, test_y = K[np.ix_(te, tr)], labels[te]
-        seed = None
-        for C in ascending:
+    blocks = [
+        (K[np.ix_(tr, tr)], labels[tr], K[np.ix_(te, tr)], labels[te])
+        for tr, te in ((plan.train_indices, plan.test_indices) for plan in folds)
+    ]
+    seeds = [None] * len(blocks)
+    records = []
+    for C in grid:
+        accs, steps, capped = [], 0, 0
+        for f, (train_K, train_y, cross_K, test_y) in enumerate(blocks):
             try:
-                ovr = ovr_train(train_K, train_y, C, n_classes=c, alpha0=seed)
+                ovr = ovr_train(train_K, train_y, C, n_classes=c, alpha0=seeds[f])
             except ValueError as exc:
                 logger.warning("C=%g fold %d skipped: %s", C, f, exc)
                 continue
-            seed = [mdl.alpha for mdl in ovr.models]
-            steps[C] += sum(mdl.iterations for mdl in ovr.models)
-            capped[C] += sum(not mdl.converged for mdl in ovr.models)
-            accs[C].append(float(np.mean(ovr.predict(cross_K) == test_y)))
+            seeds[f] = [mdl.alpha for mdl in ovr.models]
+            steps += sum(mdl.iterations for mdl in ovr.models)
+            capped += sum(not mdl.converged for mdl in ovr.models)
+            accs.append(float(np.mean(ovr.predict(cross_K) == test_y)))
+        cv = float(np.mean(accs)) if accs else None
+        records.append({"C": C, "cv_accuracy": cv, "smo_iterations": steps, "nonconverged": capped})
 
-    cv = [float(np.mean(accs[C])) if accs[C] else None for C in grid]
-    records = [
-        {"C": Cv, "cv_accuracy": acc, "smo_iterations": steps[Cv], "nonconverged": capped[Cv]}
-        for Cv, acc in zip(grid, cv)
-    ]
-    scored = [(Cv, acc) for Cv, acc in zip(grid, cv) if acc is not None]
+    scored = [r for r in records if r["cv_accuracy"] is not None]
     if not scored:
         raise RuntimeError("every C failed cross-validation")
-    best_acc = max(acc for _, acc in scored)
-    best_C = min(Cv for Cv, acc in scored if acc == best_acc)
-    return best_C, records
+    # max keeps the first of equal maxima: the smaller C
+    best = max([r for r in scored if r["nonconverged"] == 0] or scored,
+               key=lambda r: r["cv_accuracy"])
+    return best["C"], records
 
 
 def fit(gram, labels, folds, grid=DEFAULT_C_GRID):

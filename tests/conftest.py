@@ -41,6 +41,28 @@ def make_blobs(n_per_class=20, d=5, gap=2.0, seed=0, n_classes=2) -> Dataset:
     )
 
 
+def overlapping_gram(seed=7, n=40, gamma=1.0):
+    """1-d overlapping classes under an RBF of width gamma: C genuinely
+    changes CV accuracy here."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat([0, 1], n // 2)
+    x = np.where(y == 0, 0.0, 1.2) + rng.normal(0.0, 1.0, n)
+    K = np.exp(-gamma * (x[:, None] - x[None, :]) ** 2)
+    return K, y
+
+
+def cap_fits(monkeypatch, from_C):
+    """Stop every SMO fit at C >= from_C after one pair step (max_iter=1)."""
+    real = svm.smo_train
+
+    def capped(gram, y, C, **kwargs):
+        if C >= from_C:
+            kwargs["max_iter"] = 1
+        return real(gram, y, C, **kwargs)
+
+    monkeypatch.setattr(svm, "smo_train", capped)
+
+
 def force_nonconvergence(monkeypatch):
     """Make every SMO fit report non-convergence.
 

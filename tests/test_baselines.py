@@ -19,7 +19,15 @@ from kweave.data import kfold_plan
 from kweave.kernels import build_kernel_bank
 from kweave.svm import select_C
 
-from conftest import alignment_grid_max, alignment_value, bank_of, centered_bank_for, make_blobs
+from conftest import (
+    alignment_grid_max,
+    alignment_value,
+    bank_of,
+    cap_fits,
+    centered_bank_for,
+    make_blobs,
+    overlapping_gram,
+)
 
 
 def random_problem(p: int, seed: int):
@@ -273,6 +281,19 @@ class TestBestKernel:
         idx, mu = best_kernel(bank, y, kfold_plan(10, 5, seed=0))
         assert idx == 0
         np.testing.assert_array_equal(mu, [1.0])
+
+    def test_ranks_each_kernel_at_its_chosen_C(self, monkeypatch):
+        # two RBF widths on one feature; with the fits at C >= 100 capped, kernel 0's
+        # best CV accuracy is at a capped C, above kernel 1's chosen one, but kernel 0
+        # scores lower at its own chosen C
+        grams = [overlapping_gram(seed=4, gamma=g)[0] for g in (0.1, 0.3)]
+        y = overlapping_gram(seed=4)[1]
+        bank, folds = bank_of(grams), kfold_plan(40, 4, seed=3)
+        cap_fits(monkeypatch, 100.0)
+        chosen = [select_C(bank.gram(i), y, folds) for i in (0, 1)]
+        at = [next(r["cv_accuracy"] for r in recs if r["C"] == C) for C, recs in chosen]
+        assert at[0] < at[1] < max(r["cv_accuracy"] for r in chosen[0][1] if r["nonconverged"])
+        assert best_kernel(bank, y, folds)[0] == 1
 
     def test_failed_kernel_skipped_with_warning(self, monkeypatch, caplog):
         bank, y = labeled_bank(informative_index=1)

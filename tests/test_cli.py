@@ -196,6 +196,9 @@ INVALID_CONFIG_VALUES = [
     {"svm": {"c_grid": [float("inf")]}},
     {"svm": {"c_grid": [1.0, float("nan")]}},
     {"mkl": {"lambda_grid": [float("inf"), 1.0]}},
+    # a C grid must be strictly ascending, as a lambda grid must be strictly descending
+    {"svm": {"c_grid": [10.0, 1.0]}},
+    {"svm": {"c_grid": [1.0, 1.0]}},
 ]
 
 # (id, files, argv, exit code, substring of stdout + stderr)

@@ -12,6 +12,7 @@ import pytest
 import kweave.experiment as experiment
 import kweave.metrics as metrics
 import kweave.mkl as mkl
+import kweave.svm as svm
 from kweave.data import Dataset, holdout_split, kfold_plan, load_dataset
 from kweave.experiment import (
     ExperimentConfig,
@@ -116,6 +117,9 @@ class TestConfig:
             ExperimentConfig(mkl_num_steps=0, **base)
         with pytest.raises(ValueError, match="descending"):
             ExperimentConfig(lambda_grid=[0.1, 1.0], **base)
+        for bad in ([10.0, 1.0], [1.0, 1.0], [0.1, 10.0, 1.0]):
+            with pytest.raises(ValueError, match="c_grid must be strictly ascending"):
+                ExperimentConfig(c_grid=bad, **base)
         with pytest.raises(ValueError, match="recipe"):
             ExperimentConfig(kernel_recipe="everything", **base)
 
@@ -342,7 +346,7 @@ class TestRunExperiment:
             "split": (experiment, "_holdout"),
             "kernel_learning": (experiment, "learn_weights"),
             "kernel_build": (experiment, "combine_cross"),
-            "svm": (experiment, "_fit_svm"),
+            "svm": (svm, "fit"),
             "evaluation": (metrics, "evaluate"),
         }
         cfg = fast_config(toy_csv, n_splits=3)
@@ -388,7 +392,7 @@ class TestRunExperiment:
             time.sleep(0.05)
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(experiment, "_fit_svm", slow_failure)
+        monkeypatch.setattr(svm, "fit", slow_failure)
         data, cfg = load_dataset(toy_csv), fast_config(toy_csv, n_splits=1)
         (plan,) = experiment.plan_splits(data, cfg, 1)
         rec = experiment._run_split(data, cfg, 0, plan)
@@ -610,7 +614,7 @@ class TestLambdaSweep:
             def predict(self, cross):
                 return np.arange(cross.shape[0]) % 2
 
-        monkeypatch.setattr(experiment, "_fit_svm", lambda *args: (1.0, [], Alternating()))
+        monkeypatch.setattr(svm, "fit", lambda *args: (1.0, [], Alternating()))
         cfg = fast_config(toy_csv, method="tsmkl", n_splits=1, lambda_grid=[0.5])
         records = run_lambda_sweep(cfg)["records"]
         assert len(records) == 1
@@ -652,7 +656,7 @@ class TestLambdaSweep:
         def broken(*args):
             raise ValueError("broken SVM stage")
 
-        monkeypatch.setattr(experiment, "_fit_svm", broken)
+        monkeypatch.setattr(svm, "fit", broken)
         cfg = fast_config(toy_csv, method="tsmkl", n_splits=1)
         with caplog.at_level("WARNING", logger="kweave.experiment"):
             records = run_lambda_sweep(cfg)["records"]

@@ -20,7 +20,14 @@ from kweave.svm import (
     smo_train,
 )
 
-from conftest import decision_values, dual_objective, force_nonconvergence, make_blobs
+from conftest import (
+    cap_fits,
+    decision_values,
+    dual_objective,
+    force_nonconvergence,
+    make_blobs,
+    overlapping_gram,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -676,15 +683,6 @@ class TestOvr:
             assert m["bias"] == mdl.bias
 
 
-def overlapping_gram(seed=7, n=40):
-    """1-d overlapping classes: C genuinely changes CV accuracy here."""
-    rng = np.random.default_rng(seed)
-    y = np.repeat([0, 1], n // 2)
-    x = np.where(y == 0, 0.0, 1.2) + rng.normal(0.0, 1.0, n)
-    K = np.exp(-1.0 * (x[:, None] - x[None, :]) ** 2)
-    return K, y
-
-
 def separable_linear_gram(seed=5, n=24):
     """Linear Gram of two classes 6 apart along the first feature."""
     rng = np.random.default_rng(seed)
@@ -749,7 +747,80 @@ class TestBinaryMirror:
             assert_same_model(mdl, smo_train(K, np.where(labels == k, 1.0, -1.0), 10.0))
 
 
+# ---------------------------------------------------------------------------
+# reference for select_C: the fold-major walk it replaced. Each fold walks the
+# grid's distinct C values in ascending order from its own seed; records follow
+# the caller's grid order, every fit counts toward its C's score, capped or not,
+# and ties go to the smaller C. On a strictly ascending grid the C-major walk
+# must give the same records bit for bit.
+
+
+def _reference_select_C(gram, labels, folds, grid=DEFAULT_C_GRID):
+    grid = [float(c) for c in grid]
+    K = np.asarray(gram, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    c = int(labels.max()) + 1
+
+    ascending = sorted(set(grid))
+    accs: dict = {C: [] for C in ascending}
+    steps = dict.fromkeys(ascending, 0)
+    capped = dict.fromkeys(ascending, 0)
+    for plan in folds:
+        tr, te = plan.train_indices, plan.test_indices
+        train_K, train_y = K[np.ix_(tr, tr)], labels[tr]
+        cross_K, test_y = K[np.ix_(te, tr)], labels[te]
+        seed = None
+        for C in ascending:
+            try:
+                ovr = svm.ovr_train(train_K, train_y, C, n_classes=c, alpha0=seed)
+            except ValueError:
+                continue
+            seed = [mdl.alpha for mdl in ovr.models]
+            steps[C] += sum(mdl.iterations for mdl in ovr.models)
+            capped[C] += sum(not mdl.converged for mdl in ovr.models)
+            accs[C].append(float(np.mean(ovr.predict(cross_K) == test_y)))
+
+    cv = [float(np.mean(accs[C])) if accs[C] else None for C in grid]
+    records = [
+        {"C": Cv, "cv_accuracy": acc, "smo_iterations": steps[Cv], "nonconverged": capped[Cv]}
+        for Cv, acc in zip(grid, cv)
+    ]
+    scored = [(Cv, acc) for Cv, acc in zip(grid, cv) if acc is not None]
+    best_acc = max(acc for _, acc in scored)
+    return min(Cv for Cv, acc in scored if acc == best_acc), records
+
+
+def _select_C_problems(kind):
+    """(Gram, labels, folds): binary, three classes, and three classes whose
+    third has one row, so the fold that tests it trains without it. The
+    linear Gram gets a unit ridge: at rank 3 its fits at C >= 100 cap."""
+    rng = np.random.default_rng(10 + len(kind))
+    binary = np.repeat([0, 1], 18)
+    three = np.repeat([0, 1, 2], 12)
+    lone = np.where(np.arange(36) == 30, 2, np.minimum(np.arange(36) // 15, 1))
+    problems = []
+    for y in (binary, three, lone):
+        X = rng.normal(size=(36, 3))
+        X[:, 0] += 2.0 * y
+        K = _kernel_gram(kind, X) + (np.eye(36) if kind == "linear" else 0.0)
+        problems.append((K, y, kfold_plan(36, 4, seed=int(rng.integers(100)))))
+    return problems
+
+
 class TestSelectC:
+    @pytest.mark.parametrize("grid", [DEFAULT_C_GRID, (0.1, 10.0, 1000.0)])
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "poly"])
+    def test_c_major_walk_matches_fold_major_reference(self, kind, grid, caplog):
+        for K, y, folds in _select_C_problems(kind):
+            best, records = select_C(K, y, folds, grid=grid)
+            ref_best, ref_records = _reference_select_C(K, y, folds, grid=grid)
+            assert repr(records) == repr(ref_records)
+            # the reference ignores caps; with none, both rules choose alike
+            assert all(r["nonconverged"] == 0 for r in records)
+            assert repr(best) == repr(ref_best)
+        # the lone third-class row leaves one fold's train side without it
+        assert any("class 2 absent" in r.getMessage() for r in caplog.records)
+
     def test_singleton_grid(self):
         K, y = overlapping_gram()
         best, records = select_C(K, y, kfold_plan(40, 4, seed=3), grid=[0.5])
@@ -782,22 +853,39 @@ class TestSelectC:
             assert by_C[C] == 1.0
         assert best == min(c for c, a in by_C.items() if a == 1.0)
 
-    def test_unsorted_grid_same_records_in_caller_order(self):
+    def test_grid_not_strictly_ascending_refused(self):
         K, y = overlapping_gram()
         folds = kfold_plan(40, 4, seed=3)
-        best, records = select_C(K, y, folds)
-        grid = [10.0, 0.01, 1000.0, 1.0, 100.0, 0.1]
-        best_u, records_u = select_C(K, y, folds, grid=grid)
-        by_C = {r["C"]: r for r in records}
-        assert records_u == [by_C[C] for C in grid]
-        assert best_u == best
+        for grid in ([10.0, 1.0], [1.0, 1.0], [0.01, 1.0, 0.1], [1.0, float("nan")]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                select_C(K, y, folds, grid=grid)
 
-    def test_unsorted_grid_ties_go_to_smaller_C(self):
+    def test_ties_go_to_smaller_C(self):
         K, y = separable_linear_gram()
-        best, records = select_C(K, y, kfold_plan(24, 4, seed=2), grid=[1000.0, 10.0, 1.0, 100.0])
+        best, records = select_C(K, y, kfold_plan(24, 4, seed=2), grid=[1.0, 10.0, 100.0, 1000.0])
         perfect = [r["C"] for r in records if r["cv_accuracy"] == 1.0]
         assert len(perfect) > 1
         assert best == min(perfect)
+
+    def test_capped_large_C_gives_way_to_best_converged_C(self, monkeypatch):
+        K, y = overlapping_gram(seed=0, gamma=0.1)
+        folds = kfold_plan(40, 4, seed=3)
+        assert select_C(K, y, folds)[0] >= 100.0  # a large C wins while every fit converges
+        cap_fits(monkeypatch, 100.0)
+        best, records = select_C(K, y, folds)
+        assert [r["nonconverged"] > 0 for r in records] == [C >= 100.0 for C in DEFAULT_C_GRID]
+        converged = [r for r in records if r["nonconverged"] == 0]
+        top = max(r["cv_accuracy"] for r in converged)
+        assert best == min(r["C"] for r in converged if r["cv_accuracy"] == top)
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_every_C_capped_chooses_as_before(self, monkeypatch, seed):
+        K, y = overlapping_gram(seed=seed, gamma=0.1)
+        folds = kfold_plan(40, 4, seed=3)
+        cap_fits(monkeypatch, 0.0)
+        best, records = select_C(K, y, folds)
+        assert all(r["nonconverged"] > 0 for r in records)
+        assert (best, records) == _reference_select_C(K, y, folds)
 
     def test_records_sum_pair_steps_over_folds_and_classes(self, monkeypatch):
         K, y = overlapping_gram()
@@ -818,20 +906,13 @@ class TestSelectC:
         K, y = overlapping_gram()
         folds = kfold_plan(40, 4, seed=3)
         _, clean = select_C(K, y, folds)
-        real = svm.smo_train
-
-        def capped_at_one(gram, yk, C, **kwargs):
-            if C == 1.0:
-                kwargs["max_iter"] = 1
-            return real(gram, yk, C, **kwargs)
-
-        monkeypatch.setattr(svm, "smo_train", capped_at_one)
+        cap_fits(monkeypatch, 1.0)
         _, records = select_C(K, y, folds)
         counts = {r["C"]: r["nonconverged"] for r in records}
         clean_counts = {r["C"]: r["nonconverged"] for r in clean}
         assert clean_counts[1.0] == 0
         assert counts[1.0] == 4 * 2  # every fold, both classes
-        # the smaller C run before the capped one and are untouched by it
+        # the smaller C run before the capped ones and are untouched by them
         assert [counts[C] for C in (0.01, 0.1)] == [clean_counts[C] for C in (0.01, 0.1)] == [0, 0]
 
     def test_empty_grid(self):
