@@ -1,4 +1,4 @@
-"""Soft-margin kernel SVM over a precomputed Gram, trained with SMO.
+"""Soft-margin kernel SVM over a precomputed, exactly symmetric Gram, trained with SMO.
 
 Solves the standard dual
 
@@ -6,9 +6,10 @@ Solves the standard dual
     s.t.   0 <= a_i <= C,  y^T a = 0,
 
 by repeatedly optimizing the maximal-KKT-violating pair analytically
-(Fan, Chen & Lin, JMLR 6, 2005). The loop selects it from two arrays, u
-and l: m = -y * G (G the gradient) on the up (low) set, where y_t a_t can
-grow (shrink), and -inf (+inf) elsewhere. As C > 0, every t is in a set.
+(Fan, Chen & Lin, JMLR 6, 2005), reading column i of K in place as row
+K[i]. The loop selects it from two arrays, u and l: m = -y * G (G the
+gradient) on the up (low) set, where y_t a_t can grow (shrink), and -inf
+(+inf) elsewhere. As C > 0, every t is in a set.
 
 Multiclass is one-vs-rest with argmax over per-class decision values.
 
@@ -82,7 +83,7 @@ def smo_train(
     max_iter: int | None = None,
     alpha0=None,
 ) -> SvmModel:
-    """Maximize the dual over a precomputed Gram.
+    """Maximize the dual over a precomputed, exactly symmetric Gram (K == K.T).
 
     Converged once the maximal KKT violation drops to tol. Hitting
     max_iter returns a model flagged non-converged instead of raising;
@@ -125,13 +126,11 @@ def smo_train(
             raise ValueError("alpha0 must lie in [0, C]")
 
     diag = np.diag(K).tolist()
-    # KT[i] is column i of K as a contiguous row (K need not be symmetric)
-    KT = np.ascontiguousarray(K.T)
     yl = y.tolist()
     # The loop tracks m = -y * G, G = y * K(a * y) - 1 the gradient of the
     # minimization dual, so m = y - K(a * y) (K 0 = +-0 keeps m = y at a = 0).
     # Since y = +-1 and rounding to nearest commutes with negation, the update
-    #   m -= K[:, i] * (y_i da_i) + K[:, j] * (y_j da_j)
+    #   m -= K[i] * (y_i da_i) + K[j] * (y_j da_j)
     # gives the same bits as G += y K[:, i] (y_i da_i) + y K[:, j] (y_j da_j),
     # up to the sign of exact zeros, which no comparison sees.
     # U = (u, l) holds m on the start's up (low) set and -inf (+inf) elsewhere;
@@ -191,8 +190,8 @@ def smo_train(
                 mi - mj, tol, it,
             )
             break
-        np.multiply(KT[i], yi * dai, out=buf)
-        np.multiply(KT[j], yj * daj, out=col_j)
+        np.multiply(K[i], yi * dai, out=buf)
+        np.multiply(K[j], yj * daj, out=col_j)
         np.subtract(U, np.add(buf, col_j, out=buf), out=U)
         for k, a, a_old in ((i, ai, old_i), (j, aj, old_j)):
             if not (0.0 < a < C and 0.0 < a_old < C):

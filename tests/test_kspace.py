@@ -318,7 +318,7 @@ class TestSampleBatch:
             np.testing.assert_array_equal(batch.z, kset.stack[rows])
             np.testing.assert_array_equal(batch.t, kset.t[rows])
 
-    def test_with_replacement_semantics(self):
+    def test_long_batch_cycles_through_the_set(self):
         # a batch longer than the set cycles through it, repeating rows
         kset = make_kexamples(np.array([0, 0, 1, 1]), tiny_bank(4))
         batch = sample_batch(kset, 4, 100)
@@ -327,7 +327,7 @@ class TestSampleBatch:
         for i in range(100):
             np.testing.assert_array_equal(batch.z[i], kset.stack[(4 + i) % 10])
 
-    def test_empirical_frequencies_near_uniform(self):
+    def test_cyclic_batches_read_every_row_equally(self):
         # a fit's batches cycle through the set: over 1000 steps of 7 rows
         # every one of the 10 rows is read 700 times
         kset = make_kexamples(np.array([0, 0, 1, 1]), tiny_bank(4))

@@ -22,9 +22,11 @@ from kweave.mkl import (
     select_lambda,
 )
 
-from kweave.kspace import KExampleSet
+from kweave.data import holdout_split
+from kweave.experiment import ExperimentConfig, learn_weights, prepare_train
+from kweave.kspace import KExampleSet, balance, make_kexamples
 
-from conftest import synth_kset
+from conftest import make_blobs, synth_kset
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,42 @@ def qp_oracle(Z, t, lam, points=21, rounds=6):
     return best_mu, best_f
 
 
+def fista_certificate(Z, t, lam, rel_gap=1e-3, max_iter=100_000):
+    """Primal and dual values (P, D) of the objective, certified to P - D <= rel_gap P.
+
+    D(a) = mean(a) - ||[Z^T (a t) / m]_+||^2 / (2 lam) over the box
+    a in [0, 1]^m is the Lagrange dual of the objective, and
+    mu(a) = [Z^T (a t) / m]_+ / lam is a feasible primal point, so
+    D(a) <= F* <= P = F(mu(a)). D is maximized by FISTA (Beck & Teboulle
+    2009), restarting the momentum when the step turns against it
+    (O'Donoghue & Candes 2015); grad -D(a) = (t (Z mu(a)) - 1) / m is
+    ||Z||^2 / (lam m^2)-Lipschitz.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    m = len(t)
+    step = lam * m * m / np.linalg.norm(Z, 2) ** 2
+
+    def primal(a):
+        return np.maximum(Z.T @ (a * t) / m, 0.0) / lam
+
+    a = b = np.zeros(m)
+    theta = 1.0
+    for _ in range(max_iter):
+        a_next = np.clip(b - step * (t * (Z @ primal(b)) - 1.0) / m, 0.0, 1.0)
+        if (b - a_next) @ (a_next - a) > 0.0:
+            theta = 1.0
+        theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        b = a_next + (theta - 1.0) / theta_next * (a_next - a)
+        a, theta = a_next, theta_next
+        mu = primal(a)
+        P = objective(Z, t, lam, mu)
+        D = float(a.mean()) - 0.5 * lam * float(mu @ mu)
+        if P - D <= rel_gap * P:
+            return P, D
+    raise AssertionError(f"no certificate in {max_iter} steps: gap {P - D} at P = {P}")
+
+
 def test_oracle_reproduces_hand_solved_problem():
     # {z=(1,1), t=+1; z=(-1,-1), t=-1}, lam=0.01: symmetric optimum (a, a)
     # minimizing 0.01 a^2 + [1 - 2a]_+, i.e. a = 0.5, F = 0.0025
@@ -87,6 +125,35 @@ def test_oracle_hinge_free_case():
     F = 0.5 * lam * dense**2 + np.maximum(0, 1 - 2.0 * dense)
     assert abs(f - F.min()) < 1e-6
     assert abs(mu[0] - dense[F.argmin()]) < 1e-3
+
+
+def test_pegasos_at_the_chosen_lambda_is_certified_near_optimal():
+    # the hand-solved problem above: D <= F* = 0.0025 <= P
+    P, D = fista_certificate([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0], 0.01)
+    assert D <= 0.0025 <= P
+    # test_parity.py's tsmkl split (512 K-examples, p = 65) at 1,000 steps;
+    # over 16 seeds the certified excess F(mu) - F* was at most 1.4% of F*
+    # at this split's lambda and 1.0% here (CHANGES.md)
+    data = make_blobs(n_per_class=20, d=4, gap=1.5, seed=3)
+    config = ExperimentConfig(dataset_path="blobs.csv", method="tsmkl",
+                              kernel_recipe="uci_full_plus_per_feature", n_splits=1,
+                              base_seed=7, mkl_num_steps=1000, output_dir="unused")
+    plan = holdout_split(data, config.train_fraction, 7, config.stratified)
+    train = data.subset(plan.train_indices)
+    _, bank, _ = prepare_train(train, config.kernel_recipe, 7)
+    mu, details = learn_weights(bank, train.labels, config, 7)
+    lam = details["chosen_lambda"]
+    bal = balance(make_kexamples(train.labels, bank))
+    assert (len(bal), bank.p) == (512, 65)
+    chosen = next(r for r in details["lambda_records"] if r["lambda"] == lam)
+    final = MklModel(mu, details["final_train_hinge"], details["num_steps"])
+    # the grid fit on the lambda-train block, and the final fit on the whole set
+    for kset, pegasos in ((mkl._split_kset(bal)[0], chosen["objective"]),
+                          (bal, final.objective(lam))):
+        P, D = fista_certificate(kset.stack, kset.t, lam)
+        assert P - D <= 1e-3 * P
+        assert D <= pegasos
+        assert pegasos - D <= 0.02 * D  # so F(mu) - F* <= 0.02 F*, as D <= F*
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +247,7 @@ class TestPegasos:
         assert got.value.step == want.value.step
 
     @pytest.mark.parametrize("batch_size", [1, 7, 100])
-    def test_block_draws_match_per_step_draws_exactly(self, batch_size):
+    def test_cyclic_batches_match_the_reference_slices_exactly(self, batch_size):
         # integer z makes every violator sum exact in any order, so the masked
         # and compacted updates agree bitwise and only the batches can differ:
         # the solver's views and wrapped gathers against the reference's
@@ -222,20 +289,20 @@ class TestPegasos:
         assert np.any(got > 0)
         assert got.tobytes() == iterates[k].astype(np.float64).tobytes()
 
-    def test_long_fit_never_holds_all_draws(self):
+    def test_long_fit_never_holds_every_batch_index(self):
         rng = np.random.default_rng(12)
         Z = rng.normal(0, 1, (40, 3))
         t = np.array([1, -1] * 20)
         kset = synth_kset(Z, t)
         num_steps, batch_size = 20 * 1024, 8
-        all_draws = num_steps * batch_size * 8  # a (num_steps, B) int64 array
+        all_indices = num_steps * batch_size * 8  # every batch's row indices as int64
         tracemalloc.start()
         try:
             pegasos_train(kset, 0.1, num_steps, batch_size, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < all_draws / 4
+        assert peak < all_indices / 4
 
     def test_two_example_set_matches_oracle(self):
         Z = np.array([[1.0, 1.0], [-1.0, -1.0]])

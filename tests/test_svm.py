@@ -2,13 +2,15 @@
 one-vs-rest training, C selection, and model serialization."""
 
 import logging
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from kweave import svm
+from kweave import cli, svm
 from kweave.data import kfold_plan
+from kweave.experiment import METHODS, ExperimentConfig, run_experiment, run_lambda_sweep
 from kweave.kernels import build_kernel_bank, center_bank, combine
 from kweave.svm import (
     DEFAULT_C_GRID,
@@ -28,6 +30,7 @@ from conftest import (
     make_blobs,
     overlapping_gram,
 )
+from test_experiment import write_toy_csv
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +551,6 @@ class TestReferenceEquivalence:
             C = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
             assert_same_trajectory(partial(smo_train, K, y, C), partial(_reference_smo, K, y, C))
 
-    def test_asymmetric_raw_array(self):
-        # column reads must come from K[:, i], not K[i, :]
-        rng = np.random.default_rng(4)
-        A = rng.normal(size=(30, 30))
-        K = A @ A.T + 0.1 * A
-        y = _signed_labels(rng, 30)
-        assert_same_model(smo_train(K, y, 3.0), _reference_smo(K, y, 3.0))
-
 
 def _separated_problem(kind, seed, n=60):
     """Gram over 3-d points whose first feature is shifted by 2y."""
@@ -968,3 +963,59 @@ class TestFit:
         assert len(models) == 3 * 2 * 2 + 2
         assert ovr.models[0] is models[-2] and ovr.models[1] is models[-1]
         assert all(not m.converged and m.C == best_C for m in ovr.models)
+
+
+class TestSymmetricGram:
+    """smo_train reads row i of its Gram as column i, so every Gram the
+    program trains on must be exactly symmetric where it is made: combine
+    and gram(l) scatter each pair's one value to (i, j) and (j, i), and
+    select_C takes principal blocks of that."""
+
+    @pytest.fixture
+    def symmetric(self, monkeypatch):
+        """K == K.T, once per smo_train call from here on."""
+        real, flags = svm.smo_train, []
+
+        def recording(gram, y, C, **kwargs):
+            flags.append(bool(np.array_equal(gram, gram.T)))
+            return real(gram, y, C, **kwargs)
+
+        monkeypatch.setattr(svm, "smo_train", recording)
+        return flags
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("recipe", ["uci_full", "uci_full_plus_per_feature"])
+    def test_every_method_trains_on_symmetric_grams(self, symmetric, recipe, n_classes):
+        data = make_blobs(n_per_class=10, d=3, seed=5, n_classes=n_classes)
+        for method in METHODS:
+            config = ExperimentConfig(
+                dataset_path="blobs.csv",  # unread: the dataset is passed in
+                method=method, kernel_recipe=recipe, n_splits=1, mkl_num_steps=50,
+                lambda_grid=[1.0, 0.0625], c_grid=[1.0], output_dir="unused",
+            )
+            assert "error" not in run_experiment(config, dataset=data).per_split[0]
+        assert symmetric and all(symmetric)
+
+    def test_sweep_and_cli_train_on_symmetric_grams(self, symmetric, tmp_path):
+        config = ExperimentConfig(
+            dataset_path=write_toy_csv(tmp_path / "toy.csv"), method="tsmkl",
+            mkl_num_steps=50, lambda_grid=[1.0, 0.0625], output_dir="unused",
+        )
+        run_lambda_sweep(config)
+        sweep_calls = len(symmetric)
+        out = str(tmp_path / "model.json")
+        assert cli.main(["svm", "train", "--data", config.dataset_path, "--out", out]) == 0
+        assert 0 < sweep_calls < len(symmetric) and all(symmetric)
+
+    def test_seeded_fit_holds_no_copy_of_its_gram(self):
+        K, labels = overlapping_gram(n=300)
+        y = np.where(labels == 1, 1.0, -1.0)
+        seed = smo_train(K, y, 0.1).alpha
+        tracemalloc.start()
+        try:
+            model = smo_train(K, y, 1.0, alpha0=seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.converged and model.iterations > 0
+        assert peak < K.nbytes / 4
