@@ -22,7 +22,7 @@ import resource
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,23 +58,30 @@ def is_json_number(value) -> bool:
     return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
+def _at(section: str | None, key: str, **kwargs):
+    """A config field kept in JSON as config[section][key], or config[key] when
+    section is None; fields are read, checked and written in declaration order."""
+    return field(metadata={"json": (section, key)}, **kwargs)
+
+
 @dataclass
 class ExperimentConfig:
-    dataset_path: str
-    dataset_format: str = "csv"
-    kernel_recipe: str = "uci_full"
-    method: str = "tsmkl"
-    n_splits: int = 10
-    train_fraction: float = 0.8
-    base_seed: int = 0
-    stratified: bool = True
-    mkl_num_steps: int | None = None  # None: 10^3 below 1000 train rows, else 10^5
-    mkl_batch_size: int = 100
-    lambda_grid: list | None = None
-    c_grid: list = field(default_factory=lambda: list(svm.DEFAULT_C_GRID))
-    svm_folds: int = 4
-    drop_fraction: float = 0.0
-    output_dir: str = "out"
+    dataset_path: str = _at("dataset", "path")
+    dataset_format: str = _at("dataset", "format", default="csv")
+    kernel_recipe: str = _at("kernels", "recipe", default="uci_full")
+    method: str = _at(None, "method", default="tsmkl")
+    n_splits: int = _at("splits", "count", default=10)
+    train_fraction: float = _at("splits", "train_fraction", default=0.8)
+    base_seed: int = _at("splits", "base_seed", default=0)
+    stratified: bool = _at("splits", "stratified", default=True)
+    # None: 10^3 below 1000 train rows, else 10^5
+    mkl_num_steps: int | None = _at("mkl", "num_steps", default=None)
+    mkl_batch_size: int = _at("mkl", "batch_size", default=100)
+    lambda_grid: list | None = _at("mkl", "lambda_grid", default=None)
+    c_grid: list = _at("svm", "c_grid", default_factory=lambda: list(svm.DEFAULT_C_GRID))
+    svm_folds: int = _at("svm", "folds", default=4)
+    drop_fraction: float = _at("metrics", "drop_fraction", default=0.0)
+    output_dir: str = _at(None, "output_dir", default="out")
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -113,19 +120,21 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ValueError(f"a config must be a JSON object, got {type(obj).__name__}")
         rest = {None: dict(obj)}
-        for section, _, _ in _CONFIG_SCHEMA:
+        for f in fields(cls):
+            section = f.metadata["json"][0]
             if section is not None and section not in rest:
                 sec = rest[None].pop(section, {})
                 if not isinstance(sec, dict):
                     raise ValueError(f"config section {section!r} must be an object")
                 rest[section] = dict(sec)
         kwargs = {}
-        for section, key, name in _CONFIG_SCHEMA:
+        for f in fields(cls):
+            section, key = f.metadata["json"]
             if key in rest[section]:
-                value = kwargs[name] = rest[section].pop(key)
+                value = kwargs[f.name] = rest[section].pop(key)
                 # annotations are strings such as "int | None"; an int fills a float field,
                 # a bool only a bool field, and every int or list entry is_json_number
-                kind, hint = type(value).__name__, cls.__annotations__[name]
+                kind, hint = type(value).__name__, f.type
                 ok = kind in hint.replace("None", "NoneType").split(" | ") or (
                     kind == "int" and "float" in hint)
                 numbers = value if kind == "list" else [value] if kind == "int" else []
@@ -145,30 +154,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         flat = asdict(self)
         out: dict = {}
-        for section, key, name in _CONFIG_SCHEMA:
-            (out.setdefault(section, {}) if section else out)[key] = flat[name]
+        for f in fields(self):
+            section, key = f.metadata["json"]
+            (out.setdefault(section, {}) if section else out)[key] = flat[f.name]
         return out
-
-
-# (JSON section or None for top level, JSON key, ExperimentConfig field), in
-# the order sections are checked and written; defaults live on the dataclass.
-_CONFIG_SCHEMA = (
-    ("dataset", "path", "dataset_path"),
-    ("dataset", "format", "dataset_format"),
-    ("kernels", "recipe", "kernel_recipe"),
-    (None, "method", "method"),
-    ("splits", "count", "n_splits"),
-    ("splits", "train_fraction", "train_fraction"),
-    ("splits", "base_seed", "base_seed"),
-    ("splits", "stratified", "stratified"),
-    ("mkl", "num_steps", "mkl_num_steps"),
-    ("mkl", "batch_size", "mkl_batch_size"),
-    ("mkl", "lambda_grid", "lambda_grid"),
-    ("svm", "c_grid", "c_grid"),
-    ("svm", "folds", "svm_folds"),
-    ("metrics", "drop_fraction", "drop_fraction"),
-    (None, "output_dir", "output_dir"),
-)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -9,10 +9,10 @@ import kweave.svm as svm
 from kweave.data import Dataset, load_dataset
 from kweave.kernels import (
     CenterStats,
+    DegenerateKernelError,
     KernelBank,
     KernelError,
     KernelSpec,
-    _center,
     _scoped,
     build_kernel_bank,
     center_bank,
@@ -104,21 +104,6 @@ def bank_of(grams) -> KernelBank:
                       Z=Z, stats=stats, pairs=(ii, jj))
 
 
-def dense_centering(raw) -> np.ndarray:
-    """Reference centering of one raw Gram as a dense (n, n) array.
-
-    C = (K - (r_i + r_j) + g) / s with K symmetrized, r its row means,
-    g = mean(r) and s = mean(diag K - 2r) + g: the arithmetic center_bank
-    applies, written out without the bank.
-    """
-    K = np.asarray(raw, dtype=np.float64)
-    K = (K + K.T) / 2.0
-    r = K.mean(axis=1)
-    g = float(r.mean())
-    s = float(np.mean(np.diag(K) - 2.0 * r)) + g
-    return (K - (r[:, None] + r[None, :]) + g) / s
-
-
 def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
     """Raw A x B block of one base kernel, evaluated on its own: its scope's
     products are made for this spec alone."""
@@ -134,13 +119,20 @@ def compute_gram(spec: KernelSpec, train_features) -> np.ndarray:
 
 
 def center_standardize_fit(gram):
-    """Double-center a raw Gram and scale it to trace/n = 1 with the program's
-    own _center: C = (K - (r_i + r_j) + g) / s, with K the Gram symmetrized as
-    (K + K^T)/2. Returns C and its statistics (r, g, s)."""
+    """Reference centering of one raw Gram, written out without the program's
+    code: C = (K - (r_i + r_j) + g) / s with K symmetrized as (K + K^T)/2, r its
+    row means, g = mean(r) and s = mean(diag K - 2r) + g, so C has zero row
+    sums and trace/n = 1. Returns C and CenterStats(r, g, s); raises
+    DegenerateKernelError where s <= 1e-12 (a constant feature map)."""
     K = np.asarray(gram, dtype=np.float64)
-    C, stats = _center((K + K.T) / 2.0)
-    C /= stats.scale
-    return C, stats
+    K = (K + K.T) / 2.0
+    r = K.mean(axis=1)
+    g = float(r.mean())
+    s = float(np.mean(np.diag(K) - 2.0 * r)) + g
+    if s <= 1e-12:
+        raise DegenerateKernelError(f"centered trace/n = {s:g}")
+    C = (K - (r[:, None] + r[None, :]) + g) / s
+    return C, CenterStats(row_means=r, grand_mean=g, scale=s)
 
 
 def dual_objective(gram, model: svm.SvmModel) -> float:

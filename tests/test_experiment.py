@@ -3,8 +3,10 @@ aggregation, determinism, and report rendering."""
 
 import dataclasses
 import json
+import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,62 @@ class TestConfig:
     def test_round_trip(self, toy_csv):
         cfg = fast_config(toy_csv, method="tsmkl", drop_fraction=0.1)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    # every field at a valid value other than its default, and the JSON text
+    # to_dict gives it and the defaults: this pins the nesting and the key order
+    FULL = dict(
+        dataset_path="data/protein.svm", dataset_format="sparse_svm",
+        kernel_recipe="uci_full_plus_per_feature", method="best_kernel", n_splits=3,
+        train_fraction=0.75, base_seed=5, stratified=False, mkl_num_steps=50,
+        mkl_batch_size=20, lambda_grid=[1.0, 0.0625], c_grid=[0.1, 1.0, 10.0], svm_folds=3,
+        drop_fraction=0.1, output_dir="runs/protein",
+    )
+    FULL_JSON = (
+        '{"dataset": {"path": "data/protein.svm", "format": "sparse_svm"}, '
+        '"kernels": {"recipe": "uci_full_plus_per_feature"}, "method": "best_kernel", '
+        '"splits": {"count": 3, "train_fraction": 0.75, "base_seed": 5, "stratified": false}, '
+        '"mkl": {"num_steps": 50, "batch_size": 20, "lambda_grid": [1.0, 0.0625]}, '
+        '"svm": {"c_grid": [0.1, 1.0, 10.0], "folds": 3}, "metrics": {"drop_fraction": 0.1}, '
+        '"output_dir": "runs/protein"}'
+    )
+    DEFAULT_JSON = (
+        '{"dataset": {"path": "d.csv", "format": "csv"}, "kernels": {"recipe": "uci_full"}, '
+        '"method": "tsmkl", '
+        '"splits": {"count": 10, "train_fraction": 0.8, "base_seed": 0, "stratified": true}, '
+        '"mkl": {"num_steps": null, "batch_size": 100, "lambda_grid": null}, '
+        '"svm": {"c_grid": [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0], "folds": 4}, '
+        '"metrics": {"drop_fraction": 0.0}, "output_dir": "out"}'
+    )
+
+    def test_json_layout_is_pinned(self):
+        cfg, defaults = ExperimentConfig(**self.FULL), ExperimentConfig(dataset_path="d.csv")
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+        assert json.dumps(cfg.to_dict()) == self.FULL_JSON
+        assert ExperimentConfig.from_dict(json.loads(self.FULL_JSON)) == cfg
+        assert json.dumps(defaults.to_dict()) == self.DEFAULT_JSON
+        assert ExperimentConfig.from_dict(json.loads(self.DEFAULT_JSON)) == defaults
+
+    def test_to_dict_copies_the_grids(self):
+        cfg = ExperimentConfig(**self.FULL)
+        out = cfg.to_dict()
+        out["mkl"]["lambda_grid"].append(0.5)
+        out["svm"]["c_grid"].append(100.0)
+        assert cfg == ExperimentConfig(**self.FULL)
+
+    def test_readme_lists_every_config_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        block = readme.split("Every config key", 1)[1].split("\n\n")[1]
+        listed = re.findall(r"^- `([a-z_.]+)`: (required|`[^`]*`)", block, re.M)
+        places = [f.metadata["json"] for f in dataclasses.fields(ExperimentConfig)]
+        assert [key for key, _ in listed] == [f"{s}.{k}" if s else k for s, k in places]
+        defaults = ExperimentConfig(dataset_path="d.csv").to_dict()
+        for (key, default), (section, name) in zip(listed, places):
+            if key == "dataset.path":
+                assert default == "required"
+            else:
+                value = defaults[section][name] if section else defaults[name]
+                assert json.loads(default.strip("`")) == value, key
 
     def test_defaults_from_minimal_dict(self):
         cfg = ExperimentConfig.from_dict({"dataset": {"path": "d.csv"}})

@@ -14,7 +14,7 @@ from kweave.kernels import (
 from kweave.kspace import KExampleSet, balance, make_kexamples, plan_rows, sample_batch
 from kweave.mkl import _split_kset, hinge_loss
 
-from conftest import bank_of, centered_bank_for, compute_gram, dense_centering, make_blobs
+from conftest import bank_of, center_standardize_fit, centered_bank_for, compute_gram, make_blobs
 
 
 def tiny_bank(n: int, p: int = 2, seed: int = 0) -> KernelBank:
@@ -105,7 +105,8 @@ class TestMakeKexamples:
         kset = make_kexamples(labels, bank)
         # the store is the float32 rounding of the float64 centering
         dense = [
-            dense_centering(compute_gram(spec, X)).astype(np.float32) for spec in bank.specs
+            center_standardize_fit(compute_gram(spec, X))[0].astype(np.float32)
+            for spec in bank.specs
         ]
         assert kset.stack.dtype == np.float32
         for r, (i, j) in enumerate(pairs_of(kset, bank)):
