@@ -42,6 +42,8 @@ def _check_out(path: str, directory: bool = False) -> None:
     """Refuse an output path that cannot be written, before any work; creates nothing."""
     target = Path(path)
     if directory:  # the nearest existing path, the directory itself if it exists, must be one
+        if not path:  # Path("") is ".", but os.makedirs("") fails
+            raise InputError("cannot make directory '': the path is empty")
         nearest = next(p for p in (target, *target.parents) if p.exists())
         if not nearest.is_dir():
             raise InputError(f"cannot make directory {path!r}: "

@@ -173,7 +173,7 @@ def _mkl_steps(config: ExperimentConfig, n_train: int) -> int:
 
 def prepare_train(train: Dataset, recipe: str, seed: int = 0):
     """Fit the scaler on the train rows, build the recipe's bank and center it,
-    with its rows in stage one's planned order for the seed (kspace.plan_rows).
+    its rows the pairs kspace.plan_rows plans for stage one at the seed.
 
     Returns (scaler, centered bank, dropped kernel indices); the bank keeps
     the scaled train rows (bank.features) for the test side.

@@ -7,17 +7,13 @@ scales it to trace/n = 1 with one formula, C = (K - (r_i + r_j) + g) / s
 (r the row means, g = mean(r), s = mean(diag K - 2r) + g), writes its upper
 triangle as one column of the KernelBank's pair-major matrix Z and drops
 the Gram. Z has shape (n(n+1)/2, p): row r holds the p kernel values of
-the pair (i <= j) bank.pairs records at r, in stage one's planned order
-(kspace.plan_rows), read in slices. The bank is the one train-side record:
-float32 Z, owned by the bank and read in place by the K-space, the pairs,
-the statistics and the train rows the kernels ran on (bank.features).
-Evaluation, centering and its statistics run in float64 and only the store
-rounds: stage one's solver error dwarfs that rounding (6e-8), and its
-batch reads are bandwidth bound. That error, as measured: a relative
-duality gap of 5e-3 at lambda = 0.39 on the Sonar-shaped 793-kernel bank,
-and final objectives 2.3% (lambda = 0.0015) and 32.7% (lambda = 3.8e-4)
-above the certified optimum on small make_blobs banks. gram(l) and
-combine upcast to float64 and scatter by bank.pairs.
+pair r (i <= j) of the pairs kspace.plan_rows plans in stage one's order
+and hands center_bank. The bank is the one train-side record: float32 Z,
+read in place by the K-space, those pairs (bank.pairs), the statistics and
+the train rows the kernels ran on (bank.features). Evaluation, centering
+and its statistics run in float64 and only the store rounds: stage one's
+solver error dwarfs that rounding (6e-8), and the store takes half the
+memory (README, Layout, has both measured).
 Each feature scope's products (X @ X.T, squared distances) are computed
 once and shared by its kernels, on the train side and for the test x train
 cross blocks. numpy computes X @ X.T on one buffer as a symmetric rank-k
@@ -25,13 +21,13 @@ update, so every train-side Gram is exactly symmetric (a test pins this on
 both recipes). A polynomial Gram is the running product of dots + offset,
 degree - 1 multiplications. One raw Gram is alive at a time, so the
 train-side peak is Z, a staging block of _STAGE_BYTES (or one kernel's
-row, if larger) and a few (n, n) arrays. Dense Grams are rebuilt from Z
-only by combine and the best_kernel baseline (one kernel at a time);
-target alignment reads Z directly, in float64-upcast row blocks. The statistics (r, g, s) recorded
-on the training Gram center the float64 cross blocks consistently:
-combine_cross evaluates them on bank.features, centers and sums them one
-block at a time, for one weight vector or a stack of k, holding k sums and
-one block.
+row, if larger) and a few (n, n) arrays. Dense float64 Grams are scattered
+from Z by bank.pairs only in combine and gram(l), which the best_kernel
+baseline reads one kernel at a time; target alignment reads Z directly, in
+float64-upcast row blocks. The statistics (r, g, s) recorded on the
+training Gram center the float64 cross blocks consistently: combine_cross
+evaluates them on bank.features, centers and sums them one block at a
+time, for one weight vector or a stack of k, holding k sums and one block.
 """
 
 from __future__ import annotations
@@ -307,7 +303,7 @@ def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.nd
     return out
 
 
-def center_bank(bank: RawBank, order=slice(None)) -> tuple[KernelBank, list[int]]:
+def center_bank(bank: RawBank, pairs) -> tuple[KernelBank, list[int]]:
     """Evaluate and center/standardize each raw Gram into one pair-major store,
     dropping degenerates.
 
@@ -316,21 +312,21 @@ def center_bank(bank: RawBank, order=slice(None)) -> tuple[KernelBank, list[int]
     into a float64 row buffer and divided by s straight into a row of a
     float32 (rows, n(n+1)/2) staging block of _STAGE_BYTES (at least one
     row), which rounds it; a full block is copied into Z's columns at once,
-    not one strided column at a time. Row r of Z holds pair order[r] of
-    np.triu_indices(n), kept as bank.pairs with the raw bank's features;
-    order (kspace.plan_rows) defaults to the identity.
+    not one strided column at a time. Row r of Z holds the pair pairs[0][r]
+    <= pairs[1][r] (kspace.plan_rows's, or np.triu_indices(n)); pairs that
+    miss or repeat one raise KernelError. The bank keeps them as bank.pairs,
+    with the raw bank's features.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
     banks on near-constant columns would otherwise abort whole runs.
     """
-    n = bank.n
-    ii, jj = np.triu_indices(n)
-    order = np.arange(ii.size)[order]  # indexing checks the range
-    if not np.unique(order).size == order.size == ii.size:
-        raise KernelError(f"order must be a permutation of the {ii.size} pairs")
-    ii, jj = ii[order], jj[order]
-    flat = np.ravel_multi_index((ii, jj), (n, n))
+    n, (ii, jj) = bank.n, pairs
+    size = n * (n + 1) // 2
+    ok = np.shape(ii) == np.shape(jj) == (size,) and np.all((0 <= ii) & (ii <= jj) & (jj < n))
+    flat = np.ravel_multi_index((ii, jj), (n, n)) if ok else None
+    if not ok or np.unique(flat).size != size:  # size pairs i <= j, none twice: each once
+        raise KernelError(f"pairs must list each of the {size} pairs i <= j < {n} once")
     Z = np.empty((flat.size, bank.p), dtype=np.float32)
     rows = min(max(1, _STAGE_BYTES // (4 * flat.size)), bank.p)
     stage = np.empty((rows, flat.size), dtype=np.float32)

@@ -8,14 +8,15 @@ the pair bank.pairs records at r; the K-space adds only labels, and every
 subset is a contiguous block of rows, a view.
 
 The row order is planned before centering, whatever the method, from the
-train labels and two seeds alone (plan_rows): the validation rows, then the
-lambda-train rows (together the balanced set, permuted once), then the rows
-balancing drops. Balancing and the lambda split make the same rng calls as
-they would to subset np.triu_indices' order, so the sets are the same; they
-are the leading blocks of the store. A Pegasos batch is B consecutive rows
-of a block from a seeded phase, cycling: shuffle-once SGD (Mishchenko,
-Khaled & Richtarik, NeurIPS 2020) rather than Pegasos's i.i.d. draws, read
-as a view; only a batch that wraps past the block's end is gathered.
+train labels and two seeds alone; plan_rows hands center_bank the pairs of
+the validation rows, then the lambda-train rows (together the balanced set,
+permuted once), then the rows balancing drops. Balancing and the lambda
+split make the same rng calls as they would to subset np.triu_indices'
+order, so the sets are the same: the leading blocks of the store. A Pegasos
+batch is B consecutive rows of a block from a seeded phase, cycling:
+shuffle-once SGD (Mishchenko, Khaled & Richtarik, NeurIPS 2020) rather than
+Pegasos's i.i.d. draws, read as a view; only a batch that wraps past the
+block's end is gathered.
 """
 
 from __future__ import annotations
@@ -89,13 +90,13 @@ def pair_counts(labels) -> tuple[int, int]:
 
 
 def plan_rows(train_labels, balance_seed: int, split_seed: int):
-    """(order, m): the pair of np.triu_indices(n) for each row, as center_bank
-    takes it, and the balanced K-example count. Rows 0 .. m - 1 are the
-    balanced set in rng(split_seed).permutation(m) order, with the majority
-    pairs kept by rng(balance_seed).choice; the dropped pairs follow in order.
+    """((ii, jj), m): each row's pair i <= j as int32 indices, for center_bank,
+    and the balanced K-example count. Rows 0 .. m - 1 are the balanced set in
+    rng(split_seed).permutation(m) order, with the majority pairs kept by
+    rng(balance_seed).choice; the dropped pairs follow in triu_indices order.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
-    ii, jj = np.triu_indices(labels.shape[0])
+    ii, jj = (a.astype(np.int32) for a in np.triu_indices(labels.shape[0]))
     same = labels[ii] == labels[jj]
     n_pos, n_neg = pair_counts(labels)
     m = 2 * min(n_pos, n_neg)
@@ -105,7 +106,8 @@ def plan_rows(train_labels, balance_seed: int, split_seed: int):
         keep[maj] = False
         keep[np.random.default_rng(balance_seed).choice(maj, size=m // 2, replace=False)] = True
     balanced = np.flatnonzero(keep)[np.random.default_rng(split_seed).permutation(m)]
-    return np.concatenate([balanced, np.flatnonzero(~keep)]), m
+    order = np.concatenate([balanced, np.flatnonzero(~keep)])
+    return (ii[order], jj[order]), m
 
 
 def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
@@ -115,9 +117,8 @@ def make_kexamples(train_labels: np.ndarray, bank: KernelBank) -> KExampleSet:
     ordering of train_labels.
     """
     labels = np.asarray(train_labels, dtype=np.int64)
-    n = labels.shape[0]
-    if bank.n != n:
-        raise ValueError(f"bank Grams are {bank.n} x {bank.n}, labels have length {n}")
+    if bank.n != len(labels):
+        raise ValueError(f"bank Grams are {bank.n} x {bank.n}, labels have length {len(labels)}")
     ii, jj = bank.pairs
     t = np.where(labels[ii] == labels[jj], 1, -1).astype(np.int8)
     return KExampleSet(t=t, stack=bank.Z)

@@ -82,7 +82,8 @@ def force_nonconvergence(monkeypatch):
 
 
 def centered_bank_for(dataset: Dataset, recipe: str = "uci_full"):
-    bank, _ = center_bank(build_kernel_bank(dataset.instances, recipe))
+    bank, _ = center_bank(build_kernel_bank(dataset.instances, recipe),
+                          np.triu_indices(len(dataset.instances)))
     return bank
 
 

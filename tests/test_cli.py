@@ -362,6 +362,9 @@ EXIT_CASES = [
             # an output directory that exists as a file is refused before the data is read
             ("output-dir-is-a-file", run_config(method="tsmkl", output_dir="data.csv"),
              "cannot make directory 'data.csv': 'data.csv' is not a directory"),
+            # "" names no directory: refused before any split runs, not at the end
+            ("output-dir-empty", run_config(method="tsmkl", output_dir=""),
+             "cannot make directory '': the path is empty"),
             # a stratified split cannot divide a class of one row
             ("one-row-class", run_config("f,label\n0,a\n1,a\n2,a\n3,a\n4,b\n", method="tsmkl"),
              "split 0 (seed 0) of 'data.csv': stratified split needs >= 2 members per class"),

@@ -22,6 +22,8 @@ from kweave.kernels import (
     scope_products,
 )
 
+from kweave.kspace import plan_rows
+
 from conftest import bank_of, center_standardize_fit, compute_gram, cross_gram
 
 
@@ -181,7 +183,7 @@ class TestCentering:
         X = np.column_stack([np.arange(8.0), np.zeros(8)])  # column 1 constant
         bank = build_kernel_bank(X, "uci_full_plus_per_feature")
         with caplog.at_level("WARNING"):
-            centered, dropped = center_bank(bank)
+            centered, dropped = center_bank(bank, np.triu_indices(bank.n))
         assert dropped, "constant column must produce dropped kernels"
         assert centered.p == bank.p - len(dropped)
         kept = [i for i in range(bank.p) if i not in dropped]
@@ -195,7 +197,7 @@ class TestCentering:
         X = np.zeros((5, 1))
         bank = build_kernel_bank(X, "uci_full")
         with pytest.raises(DegenerateKernelError):
-            center_bank(bank)
+            center_bank(bank, np.triu_indices(bank.n))
 
     def test_apply_on_train_rows_reproduces_centered_gram(self):
         spec = KernelSpec("gaussian", gamma=0.25)
@@ -224,7 +226,7 @@ class TestPairMajorStore:
         # column 2 is constant, so its per-feature kernels are dropped
         self.X = np.column_stack([rng.normal(0, 1, (11, 2)), np.ones(11)])
         self.bank, self.dropped = center_bank(
-            build_kernel_bank(self.X, "uci_full_plus_per_feature")
+            build_kernel_bank(self.X, "uci_full_plus_per_feature"), np.triu_indices(11)
         )
 
     def test_store_shape_and_layout(self):
@@ -237,7 +239,7 @@ class TestPairMajorStore:
     def test_bank_keeps_the_raw_banks_features(self):
         # the train rows the kernels were evaluated on, unchanged and uncopied
         raw = build_kernel_bank(self.X, "uci_full_plus_per_feature")
-        bank, _ = center_bank(raw)
+        bank, _ = center_bank(raw, np.triu_indices(raw.n))
         assert bank.features is raw.features and bank.n == raw.n == 11
         np.testing.assert_array_equal(bank.features, self.X)
 
@@ -270,7 +272,7 @@ class TestPairMajorStore:
         monkeypatch.setattr(kernels, "scope_products", spy)
         X = np.random.default_rng(shape[0]).normal(0, 1.5, shape)
         raw = build_kernel_bank(X, recipe)
-        center_bank(raw)
+        center_bank(raw, np.triu_indices(raw.n))
         assert len(seen) == raw.p
         assert {f for f, _, _ in seen} == {s.feature_index for s in raw.specs}
         for _, dots, sq in seen:  # each scope opens with Gaussians, so sq is made
@@ -303,7 +305,8 @@ class TestStreamedCentering:
         X = np.random.default_rng(9).normal(0, 1, (n, d))
         tracemalloc.start()
         try:
-            bank, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"))
+            bank, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"),
+                                        np.triu_indices(n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -323,7 +326,7 @@ class TestStreamedCentering:
         raw = build_kernel_bank(X, "uci_full_plus_per_feature")
         tracemalloc.start()
         try:
-            bank, dropped = center_bank(raw)
+            bank, dropped = center_bank(raw, np.triu_indices(raw.n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -335,6 +338,25 @@ class TestStreamedCentering:
         assert peak < full_store + stage + 16 * n * n * 8
         assert bank.Z.flags.c_contiguous and bank.Z.flags.owndata
 
+    def test_planned_psort_shape_peaks_below_1_45_stores(self):
+        # the paper's Psort- set, 1,444 rows, holds out 20%: 668,046 pairs of
+        # 1,156 train rows and 65 kernels make a 173.9 MB Z. The plan's int32
+        # pairs and center_bank's flat offsets, one row buffer and one-row
+        # staging block ride on it with a dozen (n, n) temporaries: 1.42 Z.
+        # int64 pairs, planned as an order and gathered again, read 1.48.
+        n = 1156
+        rng = np.random.default_rng(5)
+        X, labels = rng.normal(0, 1, (n, 4)), rng.integers(0, 2, n)
+        raw = build_kernel_bank(X, "uci_full_plus_per_feature")
+        tracemalloc.start()
+        try:
+            bank, dropped = center_bank(raw, plan_rows(labels, 1, 2)[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not dropped and bank.Z.shape == (n * (n + 1) // 2, 65)
+        assert peak < 1.45 * bank.Z.nbytes
+
     @pytest.mark.parametrize("budget", [1, 5 * 4 * 66])
     def test_store_is_the_same_at_any_staging_budget(self, monkeypatch, budget):
         # staging only moves values: 11 rows make 66 pairs, so the default
@@ -343,9 +365,9 @@ class TestStreamedCentering:
         X = np.random.default_rng(4).normal(0, 1, (11, 2))
         X[:, 1] = 3.0  # its kernels are dropped, so the store is compacted too
         raw = build_kernel_bank(X, "uci_full_plus_per_feature")
-        default, dropped = center_bank(raw)
+        default, dropped = center_bank(raw, np.triu_indices(raw.n))
         monkeypatch.setattr(kernels, "_STAGE_BYTES", budget)
-        staged, staged_dropped = center_bank(raw)
+        staged, staged_dropped = center_bank(raw, np.triu_indices(raw.n))
         assert len(dropped) == 13 and staged_dropped == dropped and staged.p == 26
         assert staged.Z.tobytes() == default.Z.tobytes()
 
@@ -372,14 +394,14 @@ class TestStreamedCentering:
         with np.errstate(over="ignore"), pytest.raises(
             KernelError, match=r"poly\(degree=4.*non-finite"
         ):
-            center_bank(raw)
+            center_bank(raw, np.triu_indices(raw.n))
 
 
 class TestCombination:
     def setup_method(self):
         rng = np.random.default_rng(11)
         self.X = rng.normal(0, 1, (10, 3))
-        self.bank, _ = center_bank(build_kernel_bank(self.X, "uci_full"))
+        self.bank, _ = center_bank(build_kernel_bank(self.X, "uci_full"), np.triu_indices(10))
 
     def test_weighted_sum_exact(self):
         w = np.zeros(13)

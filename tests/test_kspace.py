@@ -27,13 +27,21 @@ def tiny_bank(n: int, p: int = 2, seed: int = 0) -> KernelBank:
     return bank_of(grams)
 
 
+def planned_order(labels, balance_seed: int, split_seed: int):
+    """plan_rows' pairs, and each one's row in np.triu_indices(n) order."""
+    pairs, _ = plan_rows(labels, balance_seed, split_seed)
+    n = len(labels)
+    natural_row = np.full((n, n), -1)
+    natural_row[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    return pairs, natural_row[pairs]
+
+
 def planned_bank(labels, p: int = 2, seed: int = 0, balance_seed: int = 1, split_seed: int = 2):
     """tiny_bank's store with its rows in plan_rows' order for these labels."""
     natural = tiny_bank(len(labels), p, seed)
-    order, _ = plan_rows(labels, balance_seed, split_seed)
-    ii, jj = natural.pairs
+    pairs, order = planned_order(labels, balance_seed, split_seed)
     return KernelBank(natural.specs, natural.features, np.ascontiguousarray(natural.Z[order]),
-                      natural.stats, (ii[order], jj[order]))
+                      natural.stats, pairs)
 
 
 def pairs_of(kset: KExampleSet, bank: KernelBank) -> np.ndarray:
@@ -100,8 +108,7 @@ class TestMakeKexamples:
     def test_z_values_are_exact_gram_entries(self):
         X = np.random.default_rng(9).normal(0, 1, (5, 2))
         labels = np.array([0, 0, 1, 1, 0])
-        order, _ = plan_rows(labels, 3, 4)
-        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), order)
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 3, 4)[0])
         kset = make_kexamples(labels, bank)
         # the store is the float32 rounding of the float64 centering
         dense = [
@@ -210,19 +217,20 @@ class TestPlannedLayout:
         rng = np.random.default_rng(21)
         X = np.column_stack([rng.normal(0, 1, (9, 2)), np.ones(9)])  # drops kernels
         labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
-        order, _ = plan_rows(labels, 5, 6)
-        natural, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"))
-        ordered, dropped_o = center_bank(
-            build_kernel_bank(X, "uci_full_plus_per_feature"), order
-        )
+        pairs, order = planned_order(labels, 5, 6)
+        ii, jj = np.triu_indices(9)
+        # the plan's pairs are int32 and np.triu_indices' pairs, permuted
+        assert pairs[0].dtype == pairs[1].dtype == np.int32
+        np.testing.assert_array_equal(np.sort(order), np.arange(ii.size))
+        np.testing.assert_array_equal(pairs[0], ii[order])
+        np.testing.assert_array_equal(pairs[1], jj[order])
+        natural, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"), (ii, jj))
+        ordered, dropped_o = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"), pairs)
         assert dropped and dropped_o == dropped
         assert ordered.Z.flags.c_contiguous and ordered.Z.flags.owndata
         assert ordered.Z.tobytes() == natural.Z[order].tobytes()
-        ii, jj = np.triu_indices(9)
-        np.testing.assert_array_equal(ordered.pairs[0], ii[order])
-        np.testing.assert_array_equal(ordered.pairs[1], jj[order])
-        np.testing.assert_array_equal(natural.pairs[0], ii)
-        np.testing.assert_array_equal(natural.pairs[1], jj)
+        assert ordered.pairs[0] is pairs[0] and ordered.pairs[1] is pairs[1]
+        assert natural.pairs[0] is ii and natural.pairs[1] is jj
         for a, b in zip(ordered.stats, natural.stats):
             np.testing.assert_array_equal(a.row_means, b.row_means)
             assert (a.grand_mean, a.scale) == (b.grand_mean, b.scale)
@@ -230,7 +238,7 @@ class TestPlannedLayout:
     def test_gram_and_combine_read_the_recorded_pairs_bitwise(self):
         X = np.random.default_rng(22).normal(0, 1, (10, 3))
         labels = np.array([0, 1] * 5)
-        natural, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        natural, _ = center_bank(build_kernel_bank(X, "uci_full"), np.triu_indices(10))
         ordered, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 1, 2)[0])
         for l in range(natural.p):
             assert ordered.gram(l).tobytes() == natural.gram(l).tobytes()
@@ -243,7 +251,7 @@ class TestPlannedLayout:
     def test_alignment_pair_weights_follow_the_rows(self):
         X = np.random.default_rng(23).normal(0, 1, (10, 3))
         labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
-        natural, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        natural, _ = center_bank(build_kernel_bank(X, "uci_full"), np.triu_indices(10))
         ordered, _ = center_bank(build_kernel_bank(X, "uci_full"), plan_rows(labels, 1, 2)[0])
         M_nat, a_nat = alignment_problem_from_bank(natural, labels)
         M_ord, a_ord = alignment_problem_from_bank(ordered, labels)
@@ -251,10 +259,21 @@ class TestPlannedLayout:
         np.testing.assert_allclose(M_ord, M_nat, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(a_ord, a_nat, rtol=1e-12, atol=1e-12)
 
-    def test_order_must_be_a_permutation(self):
+    @pytest.mark.parametrize(
+        "ii, jj",
+        [
+            ([0, 0, 0, 1, 1, 1], [0, 1, 2, 1, 2, 2]),  # (1, 2) twice, (2, 2) missing
+            ([0, 0, 0, 1, 2, 2], [0, 1, 2, 1, 1, 2]),  # (2, 1) has i > j
+            ([0, 0, 0, 1, 1, 2], [0, 1, 3, 1, 2, 2]),  # index 3 of 3 rows
+            ([0, 0, 0, 1, 1], [0, 1, 2, 1, 2]),  # one pair short
+        ],
+        ids=["duplicate", "lower-triangle", "out-of-range", "one-short"],
+    )
+    def test_pairs_must_list_each_pair_once(self, ii, jj):
         raw = build_kernel_bank(np.random.default_rng(0).normal(0, 1, (3, 2)), "uci_full")
-        with pytest.raises(KernelError, match="permutation of the 6 pairs"):
-            center_bank(raw, [0, 1, 2, 3, 4, 4])
+        center_bank(raw, np.triu_indices(3))  # the natural pairs are accepted
+        with pytest.raises(KernelError, match="each of the 6 pairs i <= j < 3 once"):
+            center_bank(raw, (np.array(ii, dtype=np.int32), np.array(jj, dtype=np.int32)))
 
 
 class TestBalance:
@@ -399,7 +418,7 @@ class TestBlockScores:
 
     def test_float32_stack_scores_at_its_dtype(self):
         X = np.random.default_rng(6).normal(0, 1, (9, 2))
-        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), np.triu_indices(9))
         kset = make_kexamples(np.array([0, 1, 1, 0, 1, 0, 0, 1, 1]), bank)
         assert kset.stack.dtype == np.float32
         mu = np.random.default_rng(7).random(bank.p)

@@ -690,7 +690,7 @@ def separable_linear_gram(seed=5, n=24):
 def averaged_gram():
     """Averaged uci_full Gram of 24 blob rows."""
     ds = make_blobs(n_per_class=12, d=3, gap=2.0, seed=4)
-    bank, _ = center_bank(build_kernel_bank(ds.instances, "uci_full"))
+    bank, _ = center_bank(build_kernel_bank(ds.instances, "uci_full"), np.triu_indices(24))
     return combine(bank, np.full(bank.p, 1.0 / bank.p)), ds.labels
 
 
@@ -840,7 +840,7 @@ class TestSelectC:
         y = np.repeat([0, 1], n // 2)
         X = rng.normal(0.0, 1.0, (n, 3))
         X[:, 0] += 6.0 * y
-        bank, _ = center_bank(build_kernel_bank(X, "uci_full"))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), np.triu_indices(n))
         K = combine(bank, np.full(bank.p, 1.0 / bank.p))
         best, records = select_C(K, y, kfold_plan(n, 4, seed=2))
         by_C = {r["C"]: r["cv_accuracy"] for r in records}
