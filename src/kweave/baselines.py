@@ -28,6 +28,7 @@ import logging
 import numpy as np
 
 from .kernels import KernelBank
+from .kspace import make_kexamples
 from .svm import DEFAULT_C_GRID, select_C
 
 logger = logging.getLogger(__name__)
@@ -41,12 +42,8 @@ _ALIGN_BLOCK_ELEMS = 1 << 17
 def alignment_problem_from_bank(bank: KernelBank, train_labels):
     """The arrays (M, a), as pair-weighted sums over the rows of bank.Z (module
     docstring). M is exactly symmetric: each of its terms is a product B^T B."""
-    labels = np.asarray(train_labels)
-    if labels.shape != (bank.n,):
-        raise ValueError("labels do not match bank dimension")
-    ii, jj = bank.pairs
-    diag = ii == jj
-    wt = np.where(labels[ii] == labels[jj], 2.0, -2.0)
+    diag = np.equal(*bank.pairs)
+    wt = 2.0 * make_kexamples(train_labels, bank).t
     wt[diag] /= 2.0
     ZtZ, a = _gram_and_moment(bank.Z, wt)
     Zd = bank.Z[diag].astype(np.float64)

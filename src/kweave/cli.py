@@ -40,10 +40,10 @@ def _load_config(path: str) -> experiment.ExperimentConfig:
 
 def _check_out(path: str, directory: bool = False) -> None:
     """Refuse an output path that cannot be written, before any work; creates nothing."""
+    if not path:  # Path("") is ".", but "" names no file and os.makedirs("") fails
+        raise InputError("cannot write to '': the path is empty")
     target = Path(path)
     if directory:  # the nearest existing path, the directory itself if it exists, must be one
-        if not path:  # Path("") is ".", but os.makedirs("") fails
-            raise InputError("cannot make directory '': the path is empty")
         nearest = next(p for p in (target, *target.parents) if p.exists())
         if not nearest.is_dir():
             raise InputError(f"cannot make directory {path!r}: "
@@ -56,7 +56,7 @@ def _check_out(path: str, directory: bool = False) -> None:
 def _load_run(args):
     """The config of `experiment run` / `report sweep`, with --out applied, and its dataset."""
     config = _load_config(args.config)
-    if args.out:
+    if args.out is not None:
         config.output_dir = args.out
     _check_out(config.output_dir, directory=True)
     return config, _load_data(config.dataset_path, config.dataset_format)
@@ -122,12 +122,9 @@ def cmd_svm_train(args) -> int:
     _, bank, _ = experiment.prepare_train(dataset, args.recipe, args.seed)
     if mu is None:
         mu = baselines.uniform_weights(bank.p)
-    if mu.size != bank.p:  # dropped kernels set p, so only the centered bank knows it
-        raise InputError(f"bad weights {args.weights!r}: expected {bank.p} weights "
-                         f"(one per kept kernel), got {mu.size}")
     try:
         gram = combine(bank, mu)
-    except KernelError as exc:  # weights whose weighted sum leaves the float range
+    except KernelError as exc:  # a count other than p, or a weighted sum past the float range
         raise InputError(f"bad weights {args.weights!r}: {exc}") from exc
     best_C, records, ovr = svm.fit(gram, dataset.labels, folds)
     payload = {
@@ -153,7 +150,7 @@ def _read_label_file(path: str) -> np.ndarray:
 def cmd_evaluate(args) -> int:
     if not 0.0 <= args.drop_fraction < 1.0:
         raise InputError(f"--drop-fraction must be in [0, 1), got {args.drop_fraction}")
-    if args.out:
+    if args.out is not None:
         _check_out(args.out)
     true = _read_label_file(args.true)
     pred = _read_label_file(args.pred)
@@ -182,7 +179,7 @@ def cmd_evaluate(args) -> int:
         retained, out["filtered_metrics"] = metrics.filter_unsure(
             conf, pred, true, args.drop_fraction, c)
         out["retained"] = retained.tolist()
-    if args.out:
+    if args.out is not None:
         _write_json(out, args.out)
     else:
         print(json.dumps(out, indent=2, sort_keys=True))

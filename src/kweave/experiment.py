@@ -9,7 +9,8 @@ cross Gram, summed one centered cross block at a time, (6) Gram combination,
 C selection on the planned folds and one-vs-rest training, (7) prediction and
 metrics, (8) per-stage wall-clock accounting and the process's peak RSS so
 far. Everything randomized is seeded from base_seed + split_index, so
-reports are reproducible byte for byte apart from timing fields.
+reports are reproducible byte for byte apart from timing fields at a fixed
+BLAS thread count (README says which fields another count can move).
 """
 
 from __future__ import annotations

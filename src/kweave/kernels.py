@@ -387,8 +387,9 @@ def _compact_columns(Z: np.ndarray, k: int) -> None:
 def check_weights(p: int, weights) -> np.ndarray:
     """The weights as a float64 (p,) vector: finite, non-negative, not all zero."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (p,):
-        raise KernelError(f"expected {p} weights, got shape {w.shape}")
+    if w.shape != (p,):  # dropped kernels set p, so only the centered bank knows it
+        given = w.size if w.ndim == 1 else f"shape {w.shape}"
+        raise KernelError(f"expected {p} weights (one per kept kernel), got {given}")
     if not np.all(np.isfinite(w)):
         raise KernelError("non-finite kernel weight")
     if np.any(w < 0):

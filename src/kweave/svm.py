@@ -14,13 +14,13 @@ gradient) on the up (low) set, where y_t a_t can grow (shrink), and -inf
 Multiclass is one-vs-rest with argmax over per-class decision values.
 
 C is chosen by k-fold cross-validation, in select_C alone. The C grid
-must be strictly ascending. select_C walks it C-major, C outside and the
-folds inside, and seeds each fold's fit after the first with that fold's
-duals at the previous C, unchanged ("alpha seeding", DeCoste & Wagstaff,
-KDD 2000). The seed stays feasible, since 0 <= a <= C_prev < C and
-y^T a = 0 still hold, and where no dual reached its bound it is already
-optimal at the larger C. A C whose CV fits include one that stopped short
-of tol is not chosen while some C has none.
+must be strictly ascending, each C finite and > 0. select_C walks it
+C-major, C outside and the folds inside, and seeds each fold's fit after
+the first with that fold's duals at the previous C, unchanged ("alpha
+seeding", DeCoste & Wagstaff, KDD 2000). The seed stays feasible, since
+0 <= a <= C_prev < C and y^T a = 0 still hold, and where no dual reached
+its bound it is already optimal at the larger C. A C whose CV fits
+include one that stopped short of tol is not chosen while some C has none.
 
 With two classes, class 1 vs rest mirrors class 0 vs rest: y1 = -y0 and Q
 is unchanged, so the optimal duals are the same. ovr_train therefore
@@ -296,7 +296,8 @@ def ovr_train(gram, labels, C: float, n_classes: int | None = None, alpha0=None)
 def select_C(gram, labels, folds, grid=DEFAULT_C_GRID):
     """Mean k-fold CV accuracy per C; returns (chosen C, per-C records).
 
-    grid must be strictly ascending. The walk is C-major: at each C in turn
+    grid must be strictly ascending, each C finite and > 0; any other grid
+    raises ValueError before a fit. The walk is C-major: at each C in turn
     every fold fits from its own previous duals (with two classes, class 1
     starts from class 0's; see ovr_train), so each fold keeps one seed
     chain. Records follow the grid; each holds the C, its mean CV accuracy,
@@ -311,8 +312,9 @@ def select_C(gram, labels, folds, grid=DEFAULT_C_GRID):
     to the smaller C.
     """
     grid = [float(c) for c in grid]
-    if not grid or not all(a < b for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"C grid must be non-empty and strictly ascending, got {grid}")
+    # 0 < each C < its successor, the last C's being inf; a NaN fails every comparison
+    if not grid or not all(0.0 < a < b for a, b in zip(grid, grid[1:] + [np.inf])):
+        raise ValueError(f"C grid must be non-empty, strictly ascending, finite and > 0: {grid}")
     K = np.asarray(gram, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1

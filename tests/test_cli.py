@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kweave.experiment as experiment
+from kweave import cli, svm
 from kweave.cli import main
 
 from test_experiment import write_toy_csv
@@ -242,6 +243,7 @@ EXIT_CASES = [
     # at seed 1 the two-row train side is a, b: the one-row fold is skipped
     ("svm-some-folds-lose-a-class", data(THREE), SVM + ["--folds", "2", "--seed", "1"], 0,
      "trained 2-class model"),
+    # the count is known only once the bank is built; combine refuses it, before any fit
     ("svm-weights-length", weights({"mu": [1.0, 2.0]}), SVM + ["--weights", "w.json"], 1,
      "bad weights 'w.json': expected 13 weights (one per kept kernel), got 2"),
     ("svm-weights-negative", weights({"mu": [-1.0] + [1.0] * 12}), SVM + ["--weights", "w.json"],
@@ -303,6 +305,18 @@ EXIT_CASES = [
     ("evaluate-confidence-nan", labels("0\n1\n1\n0\n", "0\n1\n1\n1\n", "nan\n0.5\n0.2\n0.1\n"),
      EVALUATE + ["--drop-fraction", "0.5", "--confidence", "c.txt"], 1,
      "error: confidence file 'c.txt' holds a non-finite value"),
+    # "" names no file or directory: every --out refuses it before any work; the last --out wins
+    *(
+        (f"{name}-out-empty", files, argv + ["--out", ""], 1,
+         "cannot write to '': the path is empty")
+        for name, files, argv in [
+            ("learn", data(), LEARN + ["average"]),
+            ("svm", data(), SVM),
+            ("evaluate", labels("0\n1\n", "0\n1\n"), EVALUATE),
+            ("run", run_config(), ["experiment", "run", "--config", "config.json"]),
+            ("sweep", run_config(method="tsmkl"), ["report", "sweep", "--config", "config.json"]),
+        ]
+    ),
     ("run-missing-config", {}, ["experiment", "run", "--config", "config.json"], 1, "bad config"),
     ("run-config-int", {"config.json": "5"}, ["experiment", "run", "--config", "config.json"], 1,
      "bad config 'config.json': a config must be a JSON object, got int"),
@@ -364,7 +378,7 @@ EXIT_CASES = [
              "cannot make directory 'data.csv': 'data.csv' is not a directory"),
             # "" names no directory: refused before any split runs, not at the end
             ("output-dir-empty", run_config(method="tsmkl", output_dir=""),
-             "cannot make directory '': the path is empty"),
+             "cannot write to '': the path is empty"),
             # a stratified split cannot divide a class of one row
             ("one-row-class", run_config("f,label\n0,a\n1,a\n2,a\n3,a\n4,b\n", method="tsmkl"),
              "split 0 (seed 0) of 'data.csv': stratified split needs >= 2 members per class"),
@@ -448,6 +462,21 @@ def test_weights_are_checked_before_the_bank(tmp_path, monkeypatch, capsys, case
         raise AssertionError("the bank was built")
 
     monkeypatch.setattr(experiment, "prepare_train", no_bank)
+    test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message)
+
+
+def test_weight_count_is_refused_before_any_fit(tmp_path, monkeypatch, capsys):
+    files, argv, code, message = next(c[1:] for c in EXIT_CASES if c[0] == "svm-weights-length")
+    monkeypatch.setattr(svm, "fit", lambda *args: pytest.fail("an SVM was fitted"))
+    test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message)
+
+
+@pytest.mark.parametrize("row", [f"{name}-out-empty" for name in
+                                 ("learn", "svm", "evaluate", "run", "sweep")])
+def test_empty_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, row):
+    files, argv, code, message = next(c[1:] for c in EXIT_CASES if c[0] == row)
+    for name in ("_load_data", "_read_label_file"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("an input was read"))
     test_exit_code(tmp_path, monkeypatch, capsys, files, argv, code, message)
 
 

@@ -855,6 +855,17 @@ class TestSelectC:
             with pytest.raises(ValueError, match="strictly ascending"):
                 select_C(K, y, folds, grid=grid)
 
+    @pytest.mark.parametrize("grid", [[-1.0, 1.0], [0.0, 1.0], [1.0, float("inf")],
+                                      [float("-inf"), 1.0]])
+    def test_grid_with_a_C_no_fit_takes_refused(self, monkeypatch, grid):
+        # no fold could fit such a C: each would be skipped with a warning, and another C win
+        K, y = overlapping_gram()
+        fits = []
+        monkeypatch.setattr(svm, "smo_train", lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(ValueError, match="finite and > 0"):
+            select_C(K, y, kfold_plan(40, 4, seed=3), grid=grid)
+        assert fits == []
+
     def test_ties_go_to_smaller_C(self):
         K, y = separable_linear_gram()
         best, records = select_C(K, y, kfold_plan(24, 4, seed=2), grid=[1.0, 10.0, 100.0, 1000.0])
