@@ -9,7 +9,9 @@ by repeatedly optimizing the maximal-KKT-violating pair analytically
 (Fan, Chen & Lin, JMLR 6, 2005), reading column i of K in place as row
 K[i]. The loop selects it from two arrays, u and l: m = -y * G (G the
 gradient) on the up (low) set, where y_t a_t can grow (shrink), and -inf
-(+inf) elsewhere. As C > 0, every t is in a set.
+(+inf) elsewhere. As C > 0, every t is in a set. The pair steps run
+compiled from _smo.c where a C compiler builds it, else in numpy; both
+loops give the same bits.
 
 Multiclass is one-vs-rest with argmax over per-class decision values.
 
@@ -34,8 +36,11 @@ from a = 0.
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +48,16 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _TAU = 1e-12  # curvature floor for the pair subproblem
+
+# The compiled pair loop: _smo.c, built by cc on the first smo_train call
+# into the package's __pycache__, under a name that hashes its bytes and
+# flags. No -ffast-math and no -march: both change the float operations.
+_SOURCE = Path(__file__).with_name("_smo.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CONVERGED, _STALLED, _CAPPED = range(3)  # a pair loop's status, numbered as in _smo.c
+_UNLOADED = object()
+_loop = _UNLOADED  # the compiled loop once loaded, None where only numpy runs
 
 
 @dataclass
@@ -102,6 +117,8 @@ def smo_train(
     K = np.asarray(gram, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
+    if K.shape != (n, n):
+        raise ValueError("Gram must be a square matrix")
     if y.shape != (n,):
         raise ValueError("labels do not match Gram dimension")
     if not (np.any(y > 0) and np.any(y < 0)):
@@ -125,85 +142,26 @@ def smo_train(
         if np.any(alpha < 0.0) or np.any(alpha > C):
             raise ValueError("alpha0 must lie in [0, C]")
 
-    diag = np.diag(K).tolist()
-    yl = y.tolist()
     # The loop tracks m = -y * G, G = y * K(a * y) - 1 the gradient of the
     # minimization dual, so m = y - K(a * y) (K 0 = +-0 keeps m = y at a = 0).
-    # Since y = +-1 and rounding to nearest commutes with negation, the update
-    #   m -= K[i] * (y_i da_i) + K[j] * (y_j da_j)
-    # gives the same bits as G += y K[:, i] (y_i da_i) + y K[:, j] (y_j da_j),
-    # up to the sign of exact zeros, which no comparison sees.
     # U = (u, l) holds m on the start's up (low) set and -inf (+inf) elsewhere;
     # +-inf absorbs the update, and an empty set (only a seed off y^T a = 0
-    # empties one) ends the loop at the tol test. A step that moves i or j
-    # onto or off a bound rewrites its entries from whichever row holds its m.
+    # empties one) ends the loop at the tol test.
     pos = y > 0
     below_c, above_0 = alpha < C, alpha > 0.0
     in_set = np.where(pos, [below_c, above_0], [above_0, below_c])
     U = np.where(in_set, y - K @ (alpha * y), [[-np.inf], [np.inf]])
-    u, l = U
-    buf = np.empty(n, dtype=np.float64)
-    col_j = np.empty(n, dtype=np.float64)
-
-    converged = False
-    it = 0
-    while it < max_iter:
-        i = int(u.argmax())
-        mi = u.item(i)
-        j = int(l.argmin())
-        mj = l.item(j)
-        if mi - mj <= tol:
-            converged = True
-            break
-
-        yi, yj = yl[i], yl[j]
-        old_i, old_j = alpha.item(i), alpha.item(j)
-        quad = diag[i] + diag[j] - 2.0 * K.item(i, j)
-        delta = (mi - mj) / max(quad, _TAU)
-        # box caps along the feasible direction (a_i += y_i d, a_j -= y_j d)
-        cap_i = (C - old_i) if yi > 0 else old_i
-        cap_j = old_j if yj > 0 else (C - old_j)
-        delta = min(delta, cap_i, cap_j)
-
-        s = yi * old_i + yj * old_j  # conserved by the pair update
-        if cap_j <= cap_i and delta >= cap_j:
-            # j hits its bound: land there exactly (a rounded near-bound value
-            # would keep j selectable while leaving no room to move) and
-            # recover i from the conserved sum
-            aj = 0.0 if yj > 0 else C
-            ai = yi * (s - yj * aj)
-        elif delta >= cap_i:
-            ai = C if yi > 0 else 0.0
-            aj = yj * (s - yi * ai)
-        else:
-            ai = old_i + yi * delta
-            aj = old_j - yj * delta
-        ai = min(max(ai, 0.0), C)
-        aj = min(max(aj, 0.0), C)
-        alpha[i], alpha[j] = ai, aj
-        dai, daj = ai - old_i, aj - old_j
-        if dai == 0.0 and daj == 0.0:
-            # the best pair cannot move at this precision; stop without
-            # claiming the tolerance was reached
-            logger.warning(
-                "SMO stalled at KKT gap %g (tol %g) after %d pair steps",
-                mi - mj, tol, it,
-            )
-            break
-        np.multiply(K[i], yi * dai, out=buf)
-        np.multiply(K[j], yj * daj, out=col_j)
-        np.subtract(U, np.add(buf, col_j, out=buf), out=U)
-        for k, a, a_old in ((i, ai, old_i), (j, aj, old_j)):
-            if not (0.0 < a < C and 0.0 < a_old < C):
-                # read m_k before writing: 0 -> C moves k between the rows
-                mk = u.item(k) if u.item(k) > -np.inf else l.item(k)
-                k_up, k_low = (a < C, a > 0.0) if yl[k] > 0 else (a > 0.0, a < C)
-                u[k] = mk if k_up else -np.inf
-                l[k] = mk if k_low else np.inf
-        it += 1
-    else:
+    pair_loop = _compiled_loop() or _numpy_pair_loop
+    status, it, stall_gap = pair_loop(K, y, alpha, U, C, tol, max_iter)
+    if status == _STALLED:
+        logger.warning(
+            "SMO stalled at KKT gap %g (tol %g) after %d pair steps", stall_gap, tol, it,
+        )
+    elif status == _CAPPED:
         logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
+    converged = status == _CONVERGED
 
+    u, l = U
     gap = u.max() - l.min()
     gap = float(gap) if np.isfinite(gap) else 0.0
 
@@ -239,6 +197,152 @@ def smo_train(
         iterations=it,
         kkt_gap=gap,
     )
+
+
+def _numpy_pair_loop(K, y, alpha, U, C, tol, max_iter):
+    """smo_train's pair steps in numpy: (status, pair steps, KKT gap at a stall).
+
+    Updates alpha and U = (u, l) in place. It runs where the compiled loop
+    in _smo.c, which gives the same bits, cannot be built or loaded.
+    """
+    diag = np.diag(K).tolist()
+    yl = y.tolist()
+    # Since y = +-1 and rounding to nearest commutes with negation, the update
+    #   m -= K[i] * (y_i da_i) + K[j] * (y_j da_j)
+    # gives the same bits as G += y K[:, i] (y_i da_i) + y K[:, j] (y_j da_j),
+    # up to the sign of exact zeros, which no comparison sees. A step that
+    # moves i or j onto or off a bound rewrites its entries from whichever
+    # row holds its m.
+    u, l = U
+    buf = np.empty(len(y), dtype=np.float64)
+    col_j = np.empty(len(y), dtype=np.float64)
+
+    it = 0
+    while it < max_iter:
+        i = int(u.argmax())
+        mi = u.item(i)
+        j = int(l.argmin())
+        mj = l.item(j)
+        if mi - mj <= tol:
+            return _CONVERGED, it, None
+
+        yi, yj = yl[i], yl[j]
+        old_i, old_j = alpha.item(i), alpha.item(j)
+        quad = diag[i] + diag[j] - 2.0 * K.item(i, j)
+        delta = (mi - mj) / max(quad, _TAU)
+        # box caps along the feasible direction (a_i += y_i d, a_j -= y_j d)
+        cap_i = (C - old_i) if yi > 0 else old_i
+        cap_j = old_j if yj > 0 else (C - old_j)
+        delta = min(delta, cap_i, cap_j)
+
+        s = yi * old_i + yj * old_j  # conserved by the pair update
+        if cap_j <= cap_i and delta >= cap_j:
+            # j hits its bound: land there exactly (a rounded near-bound value
+            # would keep j selectable while leaving no room to move) and
+            # recover i from the conserved sum
+            aj = 0.0 if yj > 0 else C
+            ai = yi * (s - yj * aj)
+        elif delta >= cap_i:
+            ai = C if yi > 0 else 0.0
+            aj = yj * (s - yi * ai)
+        else:
+            ai = old_i + yi * delta
+            aj = old_j - yj * delta
+        ai = min(max(ai, 0.0), C)
+        aj = min(max(aj, 0.0), C)
+        alpha[i], alpha[j] = ai, aj
+        dai, daj = ai - old_i, aj - old_j
+        if dai == 0.0 and daj == 0.0:
+            # the best pair cannot move at this precision; stop without
+            # claiming the tolerance was reached
+            return _STALLED, it, mi - mj
+        np.multiply(K[i], yi * dai, out=buf)
+        np.multiply(K[j], yj * daj, out=col_j)
+        np.subtract(U, np.add(buf, col_j, out=buf), out=U)
+        for k, a, a_old in ((i, ai, old_i), (j, aj, old_j)):
+            if not (0.0 < a < C and 0.0 < a_old < C):
+                # read m_k before writing: 0 -> C moves k between the rows
+                mk = u.item(k) if u.item(k) > -np.inf else l.item(k)
+                k_up, k_low = (a < C, a > 0.0) if yl[k] > 0 else (a > 0.0, a < C)
+                u[k] = mk if k_up else -np.inf
+                l[k] = mk if k_low else np.inf
+        it += 1
+    return _CAPPED, it, None
+
+
+def _library_path(source: bytes) -> Path:
+    """Where the library built from source with _CFLAGS is cached."""
+    tag = hashlib.sha256(b"\0".join([source, *map(str.encode, _CFLAGS)])).hexdigest()
+    return _CACHE / f"_smo-{tag[:16]}.so"
+
+
+def _build(source: bytes, lib: Path) -> None:
+    """Compile source into lib. Each process compiles into a temp file of its
+    own and renames it into place, so processes may build at once."""
+    import subprocess
+    import tempfile
+
+    _CACHE.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f"{lib.stem}-", suffix=".tmp", dir=_CACHE)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            ["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp], input=source, capture_output=True,
+        )
+        if proc.returncode != 0:
+            err = proc.stderr.decode(errors="replace").strip()
+            raise OSError(f"cc exited with status {proc.returncode}: {err}")
+        os.chmod(tmp, 0o755)  # mkstemp made it 0600, unreadable to other users
+        os.replace(tmp, lib)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
+def _load_compiled_loop():
+    """The compiled pair loop, with _numpy_pair_loop's signature.
+
+    Builds _smo.c into _CACHE when no library of its bytes and flags is
+    there. None, with the reason logged, where that fails: no C compiler,
+    a package directory that cannot be written, or a library that does not
+    load.
+    """
+    import ctypes
+
+    try:
+        source = _SOURCE.read_bytes()
+        lib = _library_path(source)
+        if not lib.exists():
+            _build(source, lib)
+        smo_loop = ctypes.CDLL(str(lib)).smo_loop
+    except OSError as exc:
+        logger.info("SMO pair loop: numpy, as the compiled loop is unavailable (%s)", exc)
+        return None
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    smo_loop.argtypes = [ptr, ptr, ptr, ptr, i64, f64, f64, i64, f64,
+                         ctypes.POINTER(i64), ctypes.POINTER(f64)]
+    smo_loop.restype = ctypes.c_int
+
+    def compiled_pair_loop(K, y, alpha, U, C, tol, max_iter):
+        # smo_loop reads K and y as C-contiguous rows; alpha and U are
+        # smo_train's own, so already contiguous
+        K, y = np.ascontiguousarray(K), np.ascontiguousarray(y)
+        steps, gap = i64(), f64()
+        status = smo_loop(
+            K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, len(y), C, tol,
+            min(max_iter, 2**63 - 1), _TAU, ctypes.byref(steps), ctypes.byref(gap),
+        )
+        return status, steps.value, gap.value
+
+    logger.info("SMO pair loop: compiled, from %s", lib)
+    return compiled_pair_loop
+
+
+def _compiled_loop():
+    """The compiled pair loop, loaded on the first call; None if unavailable."""
+    global _loop
+    if _loop is _UNLOADED:
+        _loop = _load_compiled_loop()
+    return _loop
 
 
 @dataclass

@@ -2,8 +2,13 @@
 one-vs-rest training, C selection, and model serialization."""
 
 import logging
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +324,9 @@ class TestSmoTrain:
             assert abs(mdl.alpha @ y) <= 1e-6 * 4
 
     def test_input_validation(self):
+        for K in (np.ones(3), np.ones((3, 2)), np.ones((3, 3, 3))):
+            with pytest.raises(ValueError, match="square"):
+                smo_train(K, np.array([1.0, -1.0, 1.0]), 1.0)
         K = np.eye(3)
         with pytest.raises(ValueError, match="labels"):
             smo_train(K, np.array([1.0, -1.0]), 1.0)
@@ -740,6 +748,159 @@ class TestBinaryMirror:
         ovr = ovr_train(K, labels, 10.0)
         for k, mdl in enumerate(ovr.models):
             assert_same_model(mdl, smo_train(K, np.where(labels == k, 1.0, -1.0), 10.0))
+
+
+# ---------------------------------------------------------------------------
+# both pair loops: smo_train runs its pair steps compiled from _smo.c where cc
+# builds it, else in numpy. The classes above run on the loop smo_train picks;
+# their *NumpyLoop copies run on the numpy loop where the compiled one is
+# present, so every test above covers each loop that is present.
+
+
+@pytest.fixture(autouse=True)
+def pair_loop(request, monkeypatch):
+    """A class with numpy_loop set runs with the module's loaded loop at None."""
+    if getattr(request.cls, "numpy_loop", False):
+        if svm._compiled_loop() is None:
+            pytest.skip("no compiled loop here: the class above ran on the numpy loop")
+        monkeypatch.setattr(svm, "_loop", None)
+
+
+class TestSmoTrainNumpyLoop(TestSmoTrain):
+    numpy_loop = True
+
+
+class TestReferenceEquivalenceNumpyLoop(TestReferenceEquivalence):
+    numpy_loop = True
+
+
+class TestWarmStartNumpyLoop(TestWarmStart):
+    numpy_loop = True
+
+
+class TestBinaryMirrorNumpyLoop(TestBinaryMirror):
+    numpy_loop = True
+
+
+@pytest.fixture
+def on_both_loops(monkeypatch):
+    """run(train) -> [train() on the compiled loop, train() on the numpy loop].
+
+    Skips where no compiled loop loads.
+    """
+    compiled = svm._compiled_loop()
+    if compiled is None:
+        pytest.skip("no compiled loop here")
+
+    def run(train):
+        results = []
+        for loop in (compiled, None):
+            monkeypatch.setattr(svm, "_loop", loop)
+            results.append(train())
+        return results
+
+    return run
+
+
+def _non_finite_problems():
+    """Grams holding a NaN or an inf entry, on the diagonal or off it."""
+    rng = np.random.default_rng(17)
+    for t, bad in enumerate([np.nan, np.inf, -np.inf] * 4):
+        n = int(rng.integers(3, 25))
+        K = _kernel_gram(["linear", "rbf", "poly"][t % 3], rng.normal(size=(n, 2)))
+        a, b = (t % n, t % n) if t % 2 else rng.integers(0, n, 2)
+        K[a, b] = K[b, a] = bad
+        yield K, _signed_labels(rng, n)
+
+
+class TestPairLoops:
+    """The compiled and the numpy loop, side by side, and how the compiled
+    one is built and loaded."""
+
+    def test_nan_and_inf_grams_give_the_same_bits(self, on_both_loops):
+        # _reference_smo recomputes its working sets from the gradient and so
+        # parts from both loops once a NaN enters; the loops must still agree,
+        # after the first steps and after many
+        nan_duals = 0
+        for K, y in _non_finite_problems():
+            for C, opts in [(0.1, {"max_iter": 1}), (1.0, {"max_iter": 3}), (1.0, {}),
+                            (10.0, {"tol": 0.0, "max_iter": 300})]:
+                with np.errstate(all="ignore"):
+                    got, ref = on_both_loops(partial(smo_train, K, y, C, **opts))
+                assert_same_model(got, ref)
+                assert repr(got.kkt_gap) == repr(ref.kkt_gap)
+                nan_duals += bool(np.isnan(got.alpha).any())
+        assert nan_duals > 0
+
+    def test_cap_and_stall_warnings_are_word_for_word(self, on_both_loops, caplog):
+        K, y, C = _stall_problem()
+        K0, y0, C0, _ = random_dual_problem(0)
+
+        def warnings():
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="kweave.svm"):
+                smo_train(K, y, C, tol=0.0)
+                smo_train(K0, y0, C0, max_iter=2)
+            return [(r.levelname, r.getMessage()) for r in caplog.records]
+
+        compiled, numpy_loop = on_both_loops(warnings)
+        assert compiled == numpy_loop
+        assert ["stalled" in m for _, m in compiled] == [True, False]
+        assert "iteration cap (2)" in compiled[1][1]
+
+    def test_compiler_on_path_loads_the_compiled_loop(self, monkeypatch, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        monkeypatch.setattr(svm, "_CACHE", tmp_path)
+        monkeypatch.setattr(svm, "_loop", svm._UNLOADED)
+        assert svm._compiled_loop() is not None
+        lib = svm._library_path(svm._SOURCE.read_bytes())
+        assert [p.name for p in tmp_path.iterdir()] == [lib.name]
+
+    def test_failed_build_falls_back_to_numpy_and_says_why(self, monkeypatch, tmp_path, caplog):
+        # cc refuses an unknown flag; with no cc on PATH, starting it fails
+        monkeypatch.setattr(svm, "_CFLAGS", (*svm._CFLAGS, "--no-such-flag"))
+        monkeypatch.setattr(svm, "_CACHE", tmp_path)
+        monkeypatch.setattr(svm, "_loop", svm._UNLOADED)
+        K, y, C, _ = random_dual_problem(1)
+        with caplog.at_level(logging.INFO, logger="kweave.svm"):
+            model = smo_train(K, y, C)
+        assert svm._loop is None
+        assert list(tmp_path.iterdir()) == []  # no library and no temp file
+        assert_same_model(model, _reference_smo(K, y, C))
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith("SMO pair loop: numpy, as the compiled loop is unavailable (")
+        if shutil.which("cc") is not None:
+            assert "cc exited with status 1" in message and "--no-such-flag" in message
+
+    def test_cache_name_covers_source_bytes_and_flags(self, monkeypatch):
+        names = {svm._library_path(b"int x;"), svm._library_path(b"int y;")}
+        monkeypatch.setattr(svm, "_CFLAGS", (*svm._CFLAGS, "-ffast-math"))
+        names.add(svm._library_path(b"int x;"))
+        assert len(names) == 3
+        assert all(p.parent == svm._CACHE and p.suffix == ".so" for p in names)
+
+    def test_two_processes_build_into_an_empty_cache(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        script = (
+            "import sys; from pathlib import Path; import numpy as np; from kweave import svm; "
+            "svm._CACHE = Path(sys.argv[1]); "
+            "svm.smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0); "
+            "print(svm._loop is not None)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(svm.__file__).parents[1])}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert [(p.returncode, out.strip()) for p, (out, _) in zip(procs, outs)] == [
+            (0, "True"), (0, "True")
+        ], outs
+        # one library, and no temp file left behind
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
 
 
 # ---------------------------------------------------------------------------
