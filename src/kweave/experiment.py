@@ -106,13 +106,8 @@ class ExperimentConfig:
         if self.mkl_batch_size < 1:
             raise InputError("mkl_batch_size must be >= 1")
         if self.lambda_grid is not None:
-            mkl._validate_grid(self.lambda_grid)
-        if not self.c_grid:
-            raise InputError("c_grid must be non-empty")
-        if not all(np.isfinite(c) and c > 0 for c in self.c_grid):
-            raise InputError("c_grid entries must be positive and finite")
-        if any(a >= b for a, b in zip(self.c_grid, self.c_grid[1:])):
-            raise InputError("c_grid must be strictly ascending")
+            mkl.validate_lambda_grid(self.lambda_grid)
+        svm.validate_C_grid(self.c_grid)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":

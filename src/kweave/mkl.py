@@ -137,7 +137,8 @@ def default_lambda_grid() -> list[float]:
     return [100.0 / 4.0**k for k in range(17)]
 
 
-def _validate_grid(grid) -> list[float]:
+def validate_lambda_grid(grid) -> list[float]:
+    """grid as floats; ValueError unless non-empty, finite, > 0 and strictly descending."""
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("empty lambda grid")
@@ -165,7 +166,7 @@ def train_grid(kset, grid, seed, batch_size, num_steps):
     val_hinge are None where the solver failed (logged as a warning).
     Raises MklError when every value failed.
     """
-    grid = _validate_grid(default_lambda_grid() if grid is None else grid)
+    grid = validate_lambda_grid(default_lambda_grid() if grid is None else grid)
     if len(kset) < MIN_KEXAMPLES:
         raise ValueError(f"need at least {MIN_KEXAMPLES} K-examples, got {len(kset)}")
     train_k, val_k = _split_kset(kset)

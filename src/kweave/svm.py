@@ -36,6 +36,7 @@ from a = 0.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -56,8 +57,6 @@ _SOURCE = Path(__file__).with_name("_smo.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _CONVERGED, _STALLED, _CAPPED = range(3)  # a pair loop's status, numbered as in _smo.c
-_UNLOADED = object()
-_loop = _UNLOADED  # the compiled loop once loaded, None where only numpy runs
 
 
 @dataclass
@@ -100,6 +99,7 @@ def smo_train(
 ) -> SvmModel:
     """Maximize the dual over a precomputed, exactly symmetric Gram (K == K.T).
 
+    A NaN or inf entry in the Gram raises ValueError before any pair step.
     Converged once the maximal KKT violation drops to tol. Hitting
     max_iter returns a model flagged non-converged instead of raising;
     its duals are the max_iter-th iterate of the uncapped run.
@@ -119,6 +119,8 @@ def smo_train(
     n = K.shape[0]
     if K.shape != (n, n):
         raise ValueError("Gram must be a square matrix")
+    if not np.isfinite(K).all():
+        raise ValueError("Gram must be finite")
     if y.shape != (n,):
         raise ValueError("labels do not match Gram dimension")
     if not (np.any(y > 0) and np.any(y < 0)):
@@ -151,8 +153,7 @@ def smo_train(
     below_c, above_0 = alpha < C, alpha > 0.0
     in_set = np.where(pos, [below_c, above_0], [above_0, below_c])
     U = np.where(in_set, y - K @ (alpha * y), [[-np.inf], [np.inf]])
-    pair_loop = _compiled_loop() or _numpy_pair_loop
-    status, it, stall_gap = pair_loop(K, y, alpha, U, C, tol, max_iter)
+    status, it, stall_gap = _pair_loop()(K, y, alpha, U, C, tol, max_iter)
     if status == _STALLED:
         logger.warning(
             "SMO stalled at KKT gap %g (tol %g) after %d pair steps", stall_gap, tol, it,
@@ -298,13 +299,14 @@ def _build(source: bytes, lib: Path) -> None:
         Path(tmp).unlink(missing_ok=True)
 
 
-def _load_compiled_loop():
-    """The compiled pair loop, with _numpy_pair_loop's signature.
+@functools.cache
+def _pair_loop():
+    """The pair loop smo_train runs, chosen once per process and logged with why.
 
-    Builds _smo.c into _CACHE when no library of its bytes and flags is
-    there. None, with the reason logged, where that fails: no C compiler,
-    a package directory that cannot be written, or a library that does not
-    load.
+    The compiled loop, with _numpy_pair_loop's signature: the first call
+    builds _smo.c into _CACHE when no library of its bytes and flags is
+    there. _numpy_pair_loop where that fails: no C compiler, a package
+    directory that cannot be written, or a library that does not load.
     """
     import ctypes
 
@@ -316,7 +318,7 @@ def _load_compiled_loop():
         smo_loop = ctypes.CDLL(str(lib)).smo_loop
     except OSError as exc:
         logger.info("SMO pair loop: numpy, as the compiled loop is unavailable (%s)", exc)
-        return None
+        return _numpy_pair_loop
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     smo_loop.argtypes = [ptr, ptr, ptr, ptr, i64, f64, f64, i64, f64,
                          ctypes.POINTER(i64), ctypes.POINTER(f64)]
@@ -335,14 +337,6 @@ def _load_compiled_loop():
 
     logger.info("SMO pair loop: compiled, from %s", lib)
     return compiled_pair_loop
-
-
-def _compiled_loop():
-    """The compiled pair loop, loaded on the first call; None if unavailable."""
-    global _loop
-    if _loop is _UNLOADED:
-        _loop = _load_compiled_loop()
-    return _loop
 
 
 @dataclass
@@ -397,6 +391,18 @@ def ovr_train(gram, labels, C: float, n_classes: int | None = None, alpha0=None)
     return OvrModel(models)
 
 
+def validate_C_grid(grid) -> list[float]:
+    """grid as floats; ValueError unless non-empty, finite, > 0 and strictly ascending."""
+    grid = [float(c) for c in grid]
+    if not grid:
+        raise ValueError("empty C grid")
+    if not all(np.isfinite(c) and c > 0 for c in grid):
+        raise ValueError("C grid entries must be positive and finite")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("C grid must be strictly ascending")
+    return grid
+
+
 def select_C(gram, labels, folds, grid=DEFAULT_C_GRID):
     """Mean k-fold CV accuracy per C; returns (chosen C, per-C records).
 
@@ -415,10 +421,7 @@ def select_C(gram, labels, folds, grid=DEFAULT_C_GRID):
     no unfinished fit, or among all scored C when none qualifies; ties go
     to the smaller C.
     """
-    grid = [float(c) for c in grid]
-    # 0 < each C < its successor, the last C's being inf; a NaN fails every comparison
-    if not grid or not all(0.0 < a < b for a, b in zip(grid, grid[1:] + [np.inf])):
-        raise ValueError(f"C grid must be non-empty, strictly ascending, finite and > 0: {grid}")
+    grid = validate_C_grid(grid)
     K = np.asarray(gram, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     c = int(labels.max()) + 1

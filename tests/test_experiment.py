@@ -161,12 +161,10 @@ class TestConfig:
             ExperimentConfig(svm_folds=1, **base)
         with pytest.raises(ValueError, match="batch_size"):
             ExperimentConfig(mkl_batch_size=0, **base)
-        with pytest.raises(ValueError, match="c_grid"):
+        with pytest.raises(ValueError, match="empty C grid"):
             ExperimentConfig(c_grid=[], **base)
-        with pytest.raises(ValueError, match="c_grid"):
-            ExperimentConfig(c_grid=[-1.0], **base)
-        for bad in ([float("nan")], [float("inf")], [1.0, float("nan")]):
-            with pytest.raises(ValueError, match="c_grid entries must be positive and finite"):
+        for bad in ([-1.0], [float("nan")], [float("inf")], [1.0, float("nan")]):
+            with pytest.raises(ValueError, match="C grid entries must be positive and finite"):
                 ExperimentConfig(c_grid=bad, **base)
         for bad in ([float("inf"), 1.0], [1.0, float("nan")]):
             with pytest.raises(ValueError, match="lambda grid entries must be positive and finite"):
@@ -176,7 +174,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="descending"):
             ExperimentConfig(lambda_grid=[0.1, 1.0], **base)
         for bad in ([10.0, 1.0], [1.0, 1.0], [0.1, 10.0, 1.0]):
-            with pytest.raises(ValueError, match="c_grid must be strictly ascending"):
+            with pytest.raises(ValueError, match="C grid must be strictly ascending"):
                 ExperimentConfig(c_grid=bad, **base)
         with pytest.raises(ValueError, match="recipe"):
             ExperimentConfig(kernel_recipe="everything", **base)

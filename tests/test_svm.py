@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -337,6 +338,12 @@ class TestSmoTrain:
         for C in (np.nan, np.inf):
             with pytest.raises(ValueError, match="C must be positive and finite"):
                 smo_train(K, np.array([1.0, -1.0, 1.0]), C)
+
+    def test_non_finite_gram_refused_before_any_pair_step(self, monkeypatch):
+        monkeypatch.setattr(svm, "_pair_loop", lambda: pytest.fail("a pair loop was chosen"))
+        for K, y in _non_finite_problems():
+            with pytest.raises(ValueError, match="Gram must be finite"):
+                smo_train(K, y, 1.0)
 
     @pytest.mark.parametrize(
         "opts, match",
@@ -759,11 +766,11 @@ class TestBinaryMirror:
 
 @pytest.fixture(autouse=True)
 def pair_loop(request, monkeypatch):
-    """A class with numpy_loop set runs with the module's loaded loop at None."""
+    """A class with numpy_loop set runs with svm._pair_loop() giving the numpy loop."""
     if getattr(request.cls, "numpy_loop", False):
-        if svm._compiled_loop() is None:
+        if svm._pair_loop() is svm._numpy_pair_loop:
             pytest.skip("no compiled loop here: the class above ran on the numpy loop")
-        monkeypatch.setattr(svm, "_loop", None)
+        monkeypatch.setattr(svm, "_pair_loop", lambda: svm._numpy_pair_loop)
 
 
 class TestSmoTrainNumpyLoop(TestSmoTrain):
@@ -788,18 +795,49 @@ def on_both_loops(monkeypatch):
 
     Skips where no compiled loop loads.
     """
-    compiled = svm._compiled_loop()
-    if compiled is None:
+    compiled = svm._pair_loop()
+    if compiled is svm._numpy_pair_loop:
         pytest.skip("no compiled loop here")
 
     def run(train):
         results = []
-        for loop in (compiled, None):
-            monkeypatch.setattr(svm, "_loop", loop)
+        for loop in (compiled, svm._numpy_pair_loop):
+            monkeypatch.setattr(svm, "_pair_loop", lambda loop=loop: loop)
             results.append(train())
         return results
 
     return run
+
+
+@pytest.fixture
+def choose_anew():
+    """Clears svm._pair_loop's choice before and after the test, so the test
+    chooses under its own patches and no later test runs what they built."""
+    svm._pair_loop.cache_clear()
+    yield
+    svm._pair_loop.cache_clear()
+
+
+def _cold_start(K, y, C):
+    """(alpha, U) at a = 0, as smo_train builds them for its pair loop."""
+    alpha = np.zeros(len(y))
+    in_set = np.where(y > 0, [alpha < C, alpha > 0.0], [alpha > 0.0, alpha < C])
+    return alpha, np.where(in_set, y - K @ (alpha * y), [[-np.inf], [np.inf]])
+
+
+def _fresh_processes(script, cache, count=1):
+    """[(exit code, stdout, stderr)] of count processes that run script at
+    once, each after setting svm._CACHE to cache."""
+    script = ("import sys; from pathlib import Path; import numpy as np; from kweave import svm\n"
+              "svm._CACHE = Path(sys.argv[1])\n" + textwrap.dedent(script))
+    env = {**os.environ, "PYTHONPATH": str(Path(svm.__file__).parents[1])}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", script, str(cache)], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(count)
+    ]
+    outs = [p.communicate(timeout=120) for p in procs]
+    return [(p.returncode, out, err) for p, (out, err) in zip(procs, outs)]
 
 
 def _non_finite_problems():
@@ -818,18 +856,25 @@ class TestPairLoops:
     one is built and loaded."""
 
     def test_nan_and_inf_grams_give_the_same_bits(self, on_both_loops):
+        # smo_train refuses such a Gram, but the two loops it may call must
+        # still agree on one, after the first steps and after many.
         # _reference_smo recomputes its working sets from the gradient and so
-        # parts from both loops once a NaN enters; the loops must still agree,
-        # after the first steps and after many
+        # parts from both loops once a NaN enters
         nan_duals = 0
         for K, y in _non_finite_problems():
-            for C, opts in [(0.1, {"max_iter": 1}), (1.0, {"max_iter": 3}), (1.0, {}),
-                            (10.0, {"tol": 0.0, "max_iter": 300})]:
+            # 20,000 is smo_train's default cap at these n
+            for C, tol, max_iter in [(0.1, 1e-3, 1), (1.0, 1e-3, 3), (1.0, 1e-3, 20000),
+                                     (10.0, 0.0, 300)]:
+                def steps():
+                    alpha, U = _cold_start(K, y, C)
+                    status, it, gap = svm._pair_loop()(K, y, alpha, U, C, tol, max_iter)
+                    gap = repr(gap) if status == svm._STALLED else None
+                    return status, it, gap, alpha.tobytes(), U.tobytes()
+
                 with np.errstate(all="ignore"):
-                    got, ref = on_both_loops(partial(smo_train, K, y, C, **opts))
-                assert_same_model(got, ref)
-                assert repr(got.kkt_gap) == repr(ref.kkt_gap)
-                nan_duals += bool(np.isnan(got.alpha).any())
+                    got, ref = on_both_loops(steps)
+                assert got == ref
+                nan_duals += bool(np.isnan(np.frombuffer(got[3])).any())
         assert nan_duals > 0
 
     def test_cap_and_stall_warnings_are_word_for_word(self, on_both_loops, caplog):
@@ -848,24 +893,23 @@ class TestPairLoops:
         assert ["stalled" in m for _, m in compiled] == [True, False]
         assert "iteration cap (2)" in compiled[1][1]
 
-    def test_compiler_on_path_loads_the_compiled_loop(self, monkeypatch, tmp_path):
+    def test_compiler_on_path_loads_the_compiled_loop(self, monkeypatch, tmp_path, choose_anew):
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         monkeypatch.setattr(svm, "_CACHE", tmp_path)
-        monkeypatch.setattr(svm, "_loop", svm._UNLOADED)
-        assert svm._compiled_loop() is not None
+        assert svm._pair_loop() is not svm._numpy_pair_loop
         lib = svm._library_path(svm._SOURCE.read_bytes())
         assert [p.name for p in tmp_path.iterdir()] == [lib.name]
 
-    def test_failed_build_falls_back_to_numpy_and_says_why(self, monkeypatch, tmp_path, caplog):
+    def test_failed_build_falls_back_to_numpy_and_says_why(self, monkeypatch, tmp_path, caplog,
+                                                           choose_anew):
         # cc refuses an unknown flag; with no cc on PATH, starting it fails
         monkeypatch.setattr(svm, "_CFLAGS", (*svm._CFLAGS, "--no-such-flag"))
         monkeypatch.setattr(svm, "_CACHE", tmp_path)
-        monkeypatch.setattr(svm, "_loop", svm._UNLOADED)
         K, y, C, _ = random_dual_problem(1)
         with caplog.at_level(logging.INFO, logger="kweave.svm"):
             model = smo_train(K, y, C)
-        assert svm._loop is None
+        assert svm._pair_loop() is svm._numpy_pair_loop
         assert list(tmp_path.iterdir()) == []  # no library and no temp file
         assert_same_model(model, _reference_smo(K, y, C))
         [message] = [r.getMessage() for r in caplog.records]
@@ -873,7 +917,7 @@ class TestPairLoops:
         if shutil.which("cc") is not None:
             assert "cc exited with status 1" in message and "--no-such-flag" in message
 
-    def test_cache_name_covers_source_bytes_and_flags(self, monkeypatch):
+    def test_cache_name_covers_source_bytes_and_flags(self, monkeypatch, choose_anew):
         names = {svm._library_path(b"int x;"), svm._library_path(b"int y;")}
         monkeypatch.setattr(svm, "_CFLAGS", (*svm._CFLAGS, "-ffast-math"))
         names.add(svm._library_path(b"int x;"))
@@ -883,24 +927,31 @@ class TestPairLoops:
     def test_two_processes_build_into_an_empty_cache(self, tmp_path):
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
-        script = (
-            "import sys; from pathlib import Path; import numpy as np; from kweave import svm; "
-            "svm._CACHE = Path(sys.argv[1]); "
-            "svm.smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0); "
-            "print(svm._loop is not None)"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(svm.__file__).parents[1])}
-        procs = [
-            subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-            for _ in range(2)
-        ]
-        outs = [p.communicate(timeout=120) for p in procs]
-        assert [(p.returncode, out.strip()) for p, (out, _) in zip(procs, outs)] == [
-            (0, "True"), (0, "True")
-        ], outs
+        runs = _fresh_processes("""
+            svm.smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0)
+            print(svm._pair_loop() is not svm._numpy_pair_loop)
+        """, tmp_path, count=2)
+        assert [(code, out.strip()) for code, out, _ in runs] == [(0, "True"), (0, "True")], runs
         # one library, and no temp file left behind
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+    def test_a_process_chooses_its_loop_once(self, tmp_path):
+        # with or without cc, the first fit tries one build into the empty
+        # cache and logs the loop it chose; the second fit reuses that choice
+        [(code, out, err)] = _fresh_processes("""
+            import logging
+            logging.basicConfig(level=logging.INFO, format="%(message)s")
+            builds, build = [], svm._build
+            def counting_build(source, lib):
+                builds.append(lib)
+                build(source, lib)
+            svm._build = counting_build
+            for _ in range(2):
+                svm.smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0)
+            print(len(builds))
+        """, tmp_path)
+        assert (code, out.strip()) == (0, "1"), err
+        assert [line.startswith("SMO pair loop:") for line in err.splitlines()] == [True], err
 
 
 # ---------------------------------------------------------------------------
@@ -1012,18 +1063,18 @@ class TestSelectC:
     def test_grid_not_strictly_ascending_refused(self):
         K, y = overlapping_gram()
         folds = kfold_plan(40, 4, seed=3)
-        for grid in ([10.0, 1.0], [1.0, 1.0], [0.01, 1.0, 0.1], [1.0, float("nan")]):
-            with pytest.raises(ValueError, match="strictly ascending"):
+        for grid in ([10.0, 1.0], [1.0, 1.0], [0.01, 1.0, 0.1]):
+            with pytest.raises(ValueError, match="C grid must be strictly ascending"):
                 select_C(K, y, folds, grid=grid)
 
     @pytest.mark.parametrize("grid", [[-1.0, 1.0], [0.0, 1.0], [1.0, float("inf")],
-                                      [float("-inf"), 1.0]])
+                                      [float("-inf"), 1.0], [1.0, float("nan")]])
     def test_grid_with_a_C_no_fit_takes_refused(self, monkeypatch, grid):
         # no fold could fit such a C: each would be skipped with a warning, and another C win
         K, y = overlapping_gram()
         fits = []
         monkeypatch.setattr(svm, "smo_train", lambda *args, **kwargs: fits.append(args))
-        with pytest.raises(ValueError, match="finite and > 0"):
+        with pytest.raises(ValueError, match="C grid entries must be positive and finite"):
             select_C(K, y, kfold_plan(40, 4, seed=3), grid=grid)
         assert fits == []
 
