@@ -9,9 +9,9 @@ by repeatedly optimizing the maximal-KKT-violating pair analytically
 (Fan, Chen & Lin, JMLR 6, 2005), reading column i of K in place as row
 K[i]. The loop selects it from two arrays, u and l: m = -y * G (G the
 gradient) on the up (low) set, where y_t a_t can grow (shrink), and -inf
-(+inf) elsewhere. As C > 0, every t is in a set. The pair steps run
+(+inf) elsewhere. As C > 0, every t is in a set. Each binary fit runs
 compiled from _smo.c where a C compiler builds it, else in numpy; both
-loops give the same bits.
+fits give the same bits.
 
 Multiclass is one-vs-rest with argmax over per-class decision values.
 
@@ -50,13 +50,16 @@ logger = logging.getLogger(__name__)
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _TAU = 1e-12  # curvature floor for the pair subproblem
 
-# The compiled pair loop: _smo.c, built by cc on the first smo_train call
-# into the package's __pycache__, under a name that hashes its bytes and
-# flags. No -ffast-math and no -march: both change the float operations.
+# The compiled fit: _smo.c, built by cc on the first smo_train call into the
+# package's __pycache__, under a name that hashes its bytes and flags. No
+# -ffast-math and no -march: both change the float operations.
 _SOURCE = Path(__file__).with_name("_smo.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_CONVERGED, _STALLED, _CAPPED = range(3)  # a pair loop's status, numbered as in _smo.c
+# a pair loop's status, smo_fit's code for an array that _array_fault
+# refuses, and the flag smo_fit adds when numpy must finish; as in _smo.c
+_CONVERGED, _STALLED, _CAPPED, _REFUSED = range(4)
+_NUMPY_FINISH = 8
 
 
 @dataclass
@@ -119,30 +122,76 @@ def smo_train(
     n = K.shape[0]
     if K.shape != (n, n):
         raise ValueError("Gram must be a square matrix")
-    if not np.isfinite(K).all():
-        raise ValueError("Gram must be finite")
-    if y.shape != (n,):
-        raise ValueError("labels do not match Gram dimension")
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise ValueError("both classes required to train an SVM")
-    if not (np.isfinite(C) and C > 0):
-        raise ValueError(f"C must be positive and finite, got {C}")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
     if max_iter is None:
         max_iter = max(20000, 200 * n)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if alpha0 is None:
-        alpha = np.zeros(n, dtype=np.float64)
-    else:
-        alpha = np.array(alpha0, dtype=np.float64)
-        if alpha.shape != (n,):
+    try:
+        if y.shape != (n,):
+            raise ValueError("labels do not match Gram dimension")
+        if not (np.isfinite(C) and C > 0):
+            raise ValueError(f"C must be positive and finite, got {C}")
+        if tol < 0:
+            raise ValueError("tol must be non-negative")
+        if max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        alpha = None if alpha0 is None else np.array(alpha0, dtype=np.float64)
+        if alpha is not None and alpha.shape != (n,):
             raise ValueError("alpha0 does not match Gram dimension")
+    except Exception:
+        # The fit checks the arrays, but smo_train has always checked the
+        # Gram, and given labels of length n the classes, before all of this
+        fault = _array_fault(K, y if y.shape == (n,) else None)
+        if fault:
+            raise ValueError(fault) from None
+        raise
+
+    alpha, status, it, stall_gap, gap, bias = _binary_fit()(K, y, alpha, C, tol, max_iter)
+    if status == _STALLED:
+        logger.warning(
+            "SMO stalled at KKT gap %g (tol %g) after %d pair steps", stall_gap, tol, it,
+        )
+    elif status == _CAPPED:
+        logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
+    return SvmModel(
+        alpha=alpha,
+        bias=bias,
+        signed_labels=y.astype(np.int64),
+        C=C,
+        converged=status == _CONVERGED,
+        iterations=it,
+        kkt_gap=gap,
+    )
+
+
+def _array_fault(K, y=None, alpha=None, C=None):
+    """The message of the first array check that fails, or None: a finite
+    Gram, then given y both classes, then given alpha a finite alpha inside
+    [0, C]."""
+    if not np.isfinite(K).all():
+        return "Gram must be finite"
+    if y is not None and not (np.any(y > 0) and np.any(y < 0)):
+        return "both classes required to train an SVM"
+    if alpha is not None:
         if not np.all(np.isfinite(alpha)):
-            raise ValueError("alpha0 must be finite")
+            return "alpha0 must be finite"
         if np.any(alpha < 0.0) or np.any(alpha > C):
-            raise ValueError("alpha0 must lie in [0, C]")
+            return "alpha0 must lie in [0, C]"
+    return None
+
+
+def _numpy_fit(K, y, alpha, C, tol, max_iter):
+    """smo_train's fit in numpy: (alpha, status, pair steps, KKT gap at a
+    stall, KKT gap at exit, bias).
+
+    alpha is the seed, updated in place, or None to start from a = 0. Raises
+    ValueError on the first array check that fails. It runs where the
+    compiled fit in _smo.c, which gives the same bits, cannot be built or
+    loaded.
+    """
+    fault = _array_fault(K, y, alpha, C)
+    if fault:
+        raise ValueError(fault)
+    if alpha is None:
+        alpha = np.zeros(len(y), dtype=np.float64)
 
     # The loop tracks m = -y * G, G = y * K(a * y) - 1 the gradient of the
     # minimization dual, so m = y - K(a * y) (K 0 = +-0 keeps m = y at a = 0).
@@ -153,15 +202,12 @@ def smo_train(
     below_c, above_0 = alpha < C, alpha > 0.0
     in_set = np.where(pos, [below_c, above_0], [above_0, below_c])
     U = np.where(in_set, y - K @ (alpha * y), [[-np.inf], [np.inf]])
-    status, it, stall_gap = _pair_loop()(K, y, alpha, U, C, tol, max_iter)
-    if status == _STALLED:
-        logger.warning(
-            "SMO stalled at KKT gap %g (tol %g) after %d pair steps", stall_gap, tol, it,
-        )
-    elif status == _CAPPED:
-        logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
-    converged = status == _CONVERGED
+    status, it, stall_gap = _numpy_pair_loop(K, y, alpha, U, C, tol, max_iter)
+    return (alpha, status, it, stall_gap, *_numpy_finish(y, alpha, U, C))
 
+
+def _numpy_finish(y, alpha, U, C):
+    """(KKT gap, bias) at the duals alpha, from the loop's U = (u, l)."""
     u, l = U
     gap = u.max() - l.min()
     gap = float(gap) if np.isfinite(gap) else 0.0
@@ -172,6 +218,7 @@ def smo_train(
     # v = -y * G with G = -y * m; the + 0.0 turns -0.0 into +0.0, as a
     # gradient updated by additions from G = -1 never holds -0.0, so v has
     # the bits it would have had the loop updated G itself
+    pos = y > 0
     m = np.where(u > -np.inf, u, l)
     v = -y * (-y * m + 0.0)
     free = (alpha > eps) & (alpha < C - eps)
@@ -188,23 +235,14 @@ def smo_train(
             bias = float(lo)
         else:
             bias = float((lo + hi) / 2.0)
-
-    return SvmModel(
-        alpha=alpha,
-        bias=bias,
-        signed_labels=y.astype(np.int64),
-        C=C,
-        converged=converged,
-        iterations=it,
-        kkt_gap=gap,
-    )
+    return gap, bias
 
 
 def _numpy_pair_loop(K, y, alpha, U, C, tol, max_iter):
-    """smo_train's pair steps in numpy: (status, pair steps, KKT gap at a stall).
+    """_numpy_fit's pair steps: (status, pair steps, KKT gap at a stall).
 
-    Updates alpha and U = (u, l) in place. It runs where the compiled loop
-    in _smo.c, which gives the same bits, cannot be built or loaded.
+    Updates alpha and U = (u, l) in place, as smo_loop in _smo.c does with
+    the same bits.
     """
     diag = np.diag(K).tolist()
     yl = y.tolist()
@@ -300,13 +338,13 @@ def _build(source: bytes, lib: Path) -> None:
 
 
 @functools.cache
-def _pair_loop():
-    """The pair loop smo_train runs, chosen once per process and logged with why.
+def _binary_fit():
+    """The binary fit smo_train runs, chosen once per process and logged with why.
 
-    The compiled loop, with _numpy_pair_loop's signature: the first call
-    builds _smo.c into _CACHE when no library of its bytes and flags is
-    there. _numpy_pair_loop where that fails: no C compiler, a package
-    directory that cannot be written, or a library that does not load.
+    The compiled fit, with _numpy_fit's signature: the first call builds
+    _smo.c into _CACHE when no library of its bytes and flags is there.
+    _numpy_fit where that fails: no C compiler, a package directory that
+    cannot be written, or a library that does not load.
     """
     import ctypes
 
@@ -315,28 +353,44 @@ def _pair_loop():
         lib = _library_path(source)
         if not lib.exists():
             _build(source, lib)
-        smo_loop = ctypes.CDLL(str(lib)).smo_loop
+        smo_fit = ctypes.CDLL(str(lib)).smo_fit
     except OSError as exc:
-        logger.info("SMO pair loop: numpy, as the compiled loop is unavailable (%s)", exc)
-        return _numpy_pair_loop
+        logger.info("SMO fit: numpy, as the compiled fit is unavailable (%s)", exc)
+        return _numpy_fit
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    smo_loop.argtypes = [ptr, ptr, ptr, ptr, i64, f64, f64, i64, f64,
-                         ctypes.POINTER(i64), ctypes.POINTER(f64)]
-    smo_loop.restype = ctypes.c_int
+    smo_fit.argtypes = [ptr, ptr, ptr, ptr, i64, f64, f64, i64, f64, ptr,
+                        ctypes.POINTER(i64), ctypes.POINTER(f64)]
+    smo_fit.restype = ctypes.c_int
 
-    def compiled_pair_loop(K, y, alpha, U, C, tol, max_iter):
-        # smo_loop reads K and y as C-contiguous rows; alpha and U are
-        # smo_train's own, so already contiguous
+    def compiled_fit(K, y, alpha, C, tol, max_iter):
+        n = len(y)
+        if alpha is None:
+            alpha, Ka = np.zeros(n, dtype=np.float64), None
+        else:
+            # numpy's GEMV on K as given, as _numpy_fit runs it, for its bits.
+            # smo_fit checks K and alpha only after it, so it must not warn on
+            # an entry they refuse (nor, as no compiled step does, on an overflow)
+            with np.errstate(all="ignore"):
+                Ka = K @ (alpha * y)
+        # smo_fit reads K and y as C-contiguous rows; alpha is smo_train's own
         K, y = np.ascontiguousarray(K), np.ascontiguousarray(y)
-        steps, gap = i64(), f64()
-        status = smo_loop(
-            K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, len(y), C, tol,
-            min(max_iter, 2**63 - 1), _TAU, ctypes.byref(steps), ctypes.byref(gap),
+        U = np.empty((3, n))
+        steps, out = i64(), (f64 * 3)()
+        code = smo_fit(
+            K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, n, C, tol,
+            min(max_iter, 2**63 - 1), _TAU, None if Ka is None else Ka.ctypes.data,
+            ctypes.byref(steps), out,
         )
-        return status, steps.value, gap.value
+        if code == _REFUSED:
+            raise ValueError(_array_fault(K, y, alpha, C))
+        if code & _NUMPY_FINISH:
+            gap, bias = _numpy_finish(y, alpha, U[:2], C)
+        else:
+            gap, bias = out[1:]
+        return alpha, code & ~_NUMPY_FINISH, steps.value, out[0], gap, bias
 
-    logger.info("SMO pair loop: compiled, from %s", lib)
-    return compiled_pair_loop
+    logger.info("SMO fit: compiled, from %s", lib)
+    return compiled_fit
 
 
 @dataclass

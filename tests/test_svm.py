@@ -1,6 +1,7 @@
 """SMO solver against a brute-force projected-gradient dual oracle, plus
 one-vs-rest training, C selection, and model serialization."""
 
+import ctypes
 import logging
 import os
 import shutil
@@ -197,6 +198,53 @@ class TestPgdOracle:
         np.testing.assert_allclose(f, [1.0, -1.0], atol=1e-8)
 
 
+def _fault_cases():
+    """pytest params (args, options, message) with several inputs bad at
+    once: smo_train raises the first fault in the order it has always
+    checked them."""
+    nan_K, inf_K = np.eye(3), np.eye(3)
+    nan_K[1, 1] = np.nan
+    inf_K[0, 2] = inf_K[2, 0] = np.inf
+    y, one_class = np.array([1.0, -1.0, 1.0]), np.ones(3)
+    finite, classes = "Gram must be finite", "both classes required to train an SVM"
+    cases = [
+        ("nan-not-square", (np.full((3, 2), np.nan), y[:1], 0.0), {},
+         "Gram must be a square matrix"),
+        ("nan-short-labels", (nan_K, y[:2], 1.0), {}, finite),
+        ("inf-one-class", (inf_K, one_class, 1.0), {}, finite),
+        ("nan-zero-C", (nan_K, y, 0.0), {}, finite),
+        ("inf-tol-max-iter", (inf_K, y, 1.0), {"tol": -1.0, "max_iter": 0}, finite),
+        ("inf-short-seed", (inf_K, y, 1.0), {"alpha0": np.zeros(2)}, finite),
+        ("nan-nan-seed", (nan_K, y, 1.0), {"alpha0": np.array([np.nan, 2.0, 0.0])}, finite),
+        ("nan-good-seed", (nan_K, y, 1.0), {"alpha0": np.array([0.5, 0.5, 0.0])}, finite),
+        ("nan-string-C", (nan_K, y, "1"), {}, finite),
+        ("inf-string-seed", (inf_K, y, 1.0), {"alpha0": "0.5"}, finite),
+        ("one-class-ragged-seed", (np.eye(3), one_class, 1.0), {"alpha0": [[0.0], [0.0, 1.0]]},
+         classes),
+        ("empty", (np.zeros((0, 0)), np.zeros(0), 1.0), {}, classes),
+        ("one-class-nan-C", (np.eye(3), one_class, np.nan), {}, classes),
+        ("one-class-tol", (np.eye(3), -one_class, 1.0), {"tol": -1.0}, classes),
+        ("one-class-short-seed", (np.eye(3), one_class, 1.0), {"alpha0": np.zeros(2)}, classes),
+        ("one-class-bad-seed", (np.eye(3), -one_class, 1.0),
+         {"alpha0": np.array([2.0, np.nan, 0.0])}, classes),
+        ("short-labels-zero-C", (np.eye(3), y[:2], 0.0), {"alpha0": np.zeros(2)},
+         "labels do not match Gram dimension"),
+        ("inf-C-nan-seed", (np.eye(3), y, np.inf), {"alpha0": np.array([np.nan, 0.0, 0.0])},
+         "C must be positive and finite, got inf"),
+        ("tol-max-iter", (np.eye(3), y, 1.0), {"tol": -1.0, "max_iter": 0},
+         "tol must be non-negative"),
+        ("max-iter-short-seed", (np.eye(3), y, 1.0), {"max_iter": 0, "alpha0": np.zeros(2)},
+         "max_iter must be at least 1"),
+        ("inf-seed-below-0", (np.eye(3), y, 1.0), {"alpha0": np.array([-1.0, np.inf, 0.5])},
+         "alpha0 must be finite"),
+        ("nan-seed-above-C", (np.eye(3), y, 1.0), {"alpha0": np.array([2.0, 0.5, np.nan])},
+         "alpha0 must be finite"),
+        ("seed-outside-both-ways", (np.eye(3), y, 1.0), {"alpha0": np.array([0.5, 1.5, -0.5])},
+         "alpha0 must lie in [0, C]"),
+    ]
+    return [pytest.param(args, opts, message, id=name) for name, args, opts, message in cases]
+
+
 class TestSmoTrain:
     def test_two_point_hand_case(self):
         K = np.eye(2)
@@ -340,10 +388,19 @@ class TestSmoTrain:
                 smo_train(K, np.array([1.0, -1.0, 1.0]), C)
 
     def test_non_finite_gram_refused_before_any_pair_step(self, monkeypatch):
-        monkeypatch.setattr(svm, "_pair_loop", lambda: pytest.fail("a pair loop was chosen"))
+        # the compiled fit checks the Gram before its start; the numpy fit
+        # must not reach its pair loop
+        monkeypatch.setattr(svm, "_numpy_pair_loop", lambda *args: pytest.fail("a pair step ran"))
         for K, y in _non_finite_problems():
-            with pytest.raises(ValueError, match="Gram must be finite"):
-                smo_train(K, y, 1.0)
+            for alpha0 in (None, np.where(np.arange(len(y)) < 2, 0.5, 0.0)):
+                with pytest.raises(ValueError, match="Gram must be finite"):
+                    smo_train(K, y, 1.0, alpha0=alpha0)
+
+    @pytest.mark.parametrize("args, opts, message", _fault_cases())
+    def test_several_faults_raise_the_first_in_order(self, args, opts, message):
+        with pytest.raises(ValueError) as info:
+            smo_train(*args, **opts)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "opts, match",
@@ -431,6 +488,14 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None, alpha0=None):
     else:
         _ref_logger.warning("SMO hit the iteration cap (%d) before tol %g", max_iter, tol)
 
+    # the exit KKT gap over the sets at the final duals; + 0.0 gives m the
+    # zeros of smo_train's, which start from y - K(a * y) with y = +-1 and so
+    # never hold -0.0
+    m = -y * G + 0.0
+    up = np.where(pos, alpha < C, alpha > 0)
+    low = np.where(pos, alpha > 0, alpha < C)
+    gap = (m[up].max() if up.any() else -np.inf) - (m[low].min() if low.any() else np.inf)
+
     eps = 1e-8 * C
     v = -y * G
     free = (alpha > eps) & (alpha < C - eps)
@@ -455,6 +520,7 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None, alpha0=None):
         C=C,
         converged=converged,
         iterations=it,
+        kkt_gap=float(gap) if np.isfinite(gap) else 0.0,
     )
 
 
@@ -488,6 +554,7 @@ def _stall_problem():
 def assert_same_model(got, ref):
     assert got.alpha.tobytes() == ref.alpha.tobytes()
     assert repr(got.bias) == repr(ref.bias)
+    assert repr(got.kkt_gap) == repr(ref.kkt_gap)
     assert got.iterations == ref.iterations
     assert got.converged == ref.converged
 
@@ -758,19 +825,19 @@ class TestBinaryMirror:
 
 
 # ---------------------------------------------------------------------------
-# both pair loops: smo_train runs its pair steps compiled from _smo.c where cc
-# builds it, else in numpy. The classes above run on the loop smo_train picks;
-# their *NumpyLoop copies run on the numpy loop where the compiled one is
-# present, so every test above covers each loop that is present.
+# both fits: smo_train runs each binary fit compiled from _smo.c where cc
+# builds it, else in numpy. The classes above run on the fit smo_train picks;
+# their *NumpyLoop copies run on _numpy_fit, with its numpy pair loop, where
+# the compiled fit is present, so every test above covers each fit present.
 
 
 @pytest.fixture(autouse=True)
-def pair_loop(request, monkeypatch):
-    """A class with numpy_loop set runs with svm._pair_loop() giving the numpy loop."""
+def fit_choice(request, monkeypatch):
+    """A class with numpy_loop set runs with svm._binary_fit() giving _numpy_fit."""
     if getattr(request.cls, "numpy_loop", False):
-        if svm._pair_loop() is svm._numpy_pair_loop:
-            pytest.skip("no compiled loop here: the class above ran on the numpy loop")
-        monkeypatch.setattr(svm, "_pair_loop", lambda: svm._numpy_pair_loop)
+        if svm._binary_fit() is svm._numpy_fit:
+            pytest.skip("no compiled fit here: the class above ran on the numpy fit")
+        monkeypatch.setattr(svm, "_binary_fit", lambda: svm._numpy_fit)
 
 
 class TestSmoTrainNumpyLoop(TestSmoTrain):
@@ -790,19 +857,19 @@ class TestBinaryMirrorNumpyLoop(TestBinaryMirror):
 
 
 @pytest.fixture
-def on_both_loops(monkeypatch):
-    """run(train) -> [train() on the compiled loop, train() on the numpy loop].
+def on_both_fits(monkeypatch):
+    """run(train) -> [train() on the compiled fit, train() on _numpy_fit].
 
-    Skips where no compiled loop loads.
+    Skips where no compiled fit loads.
     """
-    compiled = svm._pair_loop()
-    if compiled is svm._numpy_pair_loop:
-        pytest.skip("no compiled loop here")
+    compiled = svm._binary_fit()
+    if compiled is svm._numpy_fit:
+        pytest.skip("no compiled fit here")
 
     def run(train):
         results = []
-        for loop in (compiled, svm._numpy_pair_loop):
-            monkeypatch.setattr(svm, "_pair_loop", lambda loop=loop: loop)
+        for binary_fit in (compiled, svm._numpy_fit):
+            monkeypatch.setattr(svm, "_binary_fit", lambda binary_fit=binary_fit: binary_fit)
             results.append(train())
         return results
 
@@ -810,16 +877,50 @@ def on_both_loops(monkeypatch):
 
 
 @pytest.fixture
+def smo_library():
+    """The library built from _smo.c, with smo_loop's and smo_fit's signatures.
+
+    Skips where no compiled fit loads.
+    """
+    if svm._binary_fit() is svm._numpy_fit:
+        pytest.skip("no compiled fit here")
+    lib = ctypes.CDLL(str(svm._library_path(svm._SOURCE.read_bytes())))
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    common = [ptr, ptr, ptr, ptr, i64, f64, f64, i64, f64]
+    lib.smo_loop.argtypes = [*common, ctypes.POINTER(i64), ctypes.POINTER(f64)]
+    lib.smo_fit.argtypes = [*common, ptr, ctypes.POINTER(i64), ctypes.POINTER(f64)]
+    lib.smo_loop.restype = lib.smo_fit.restype = ctypes.c_int
+    return lib
+
+
+@pytest.fixture
+def compiled_pair_loop(smo_library):
+    """smo_loop from _smo.c, called as _numpy_pair_loop is."""
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+
+    def loop(K, y, alpha, U, C, tol, max_iter):
+        K = np.ascontiguousarray(K)
+        steps, gap = i64(), f64()
+        status = smo_library.smo_loop(
+            K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, len(y), C, tol,
+            max_iter, svm._TAU, ctypes.byref(steps), ctypes.byref(gap),
+        )
+        return status, steps.value, gap.value
+
+    return loop
+
+
+@pytest.fixture
 def choose_anew():
-    """Clears svm._pair_loop's choice before and after the test, so the test
+    """Clears svm._binary_fit's choice before and after the test, so the test
     chooses under its own patches and no later test runs what they built."""
-    svm._pair_loop.cache_clear()
+    svm._binary_fit.cache_clear()
     yield
-    svm._pair_loop.cache_clear()
+    svm._binary_fit.cache_clear()
 
 
 def _cold_start(K, y, C):
-    """(alpha, U) at a = 0, as smo_train builds them for its pair loop."""
+    """(alpha, U) at a = 0, as _numpy_fit builds them for its pair loop."""
     alpha = np.zeros(len(y))
     in_set = np.where(y > 0, [alpha < C, alpha > 0.0], [alpha > 0.0, alpha < C])
     return alpha, np.where(in_set, y - K @ (alpha * y), [[-np.inf], [np.inf]])
@@ -852,32 +953,73 @@ def _non_finite_problems():
 
 
 class TestPairLoops:
-    """The compiled and the numpy loop, side by side, and how the compiled
-    one is built and loaded."""
+    """The compiled and the numpy fit, and their pair loops, side by side, and
+    how the compiled fit is built and loaded."""
 
-    def test_nan_and_inf_grams_give_the_same_bits(self, on_both_loops):
-        # smo_train refuses such a Gram, but the two loops it may call must
-        # still agree on one, after the first steps and after many.
-        # _reference_smo recomputes its working sets from the gradient and so
-        # parts from both loops once a NaN enters
+    def test_nan_and_inf_grams_give_the_same_bits(self, compiled_pair_loop):
+        # smo_train refuses such a Gram, but the two pair loops must still
+        # agree on one, after the first steps and after many. _reference_smo
+        # recomputes its working sets from the gradient and so parts from both
+        # loops once a NaN enters
         nan_duals = 0
         for K, y in _non_finite_problems():
             # 20,000 is smo_train's default cap at these n
             for C, tol, max_iter in [(0.1, 1e-3, 1), (1.0, 1e-3, 3), (1.0, 1e-3, 20000),
                                      (10.0, 0.0, 300)]:
-                def steps():
+                def steps(loop):
                     alpha, U = _cold_start(K, y, C)
-                    status, it, gap = svm._pair_loop()(K, y, alpha, U, C, tol, max_iter)
+                    status, it, gap = loop(K, y, alpha, U, C, tol, max_iter)
                     gap = repr(gap) if status == svm._STALLED else None
                     return status, it, gap, alpha.tobytes(), U.tobytes()
 
                 with np.errstate(all="ignore"):
-                    got, ref = on_both_loops(steps)
+                    got, ref = steps(compiled_pair_loop), steps(svm._numpy_pair_loop)
                 assert got == ref
                 nan_duals += bool(np.isnan(np.frombuffer(got[3])).any())
         assert nan_duals > 0
 
-    def test_cap_and_stall_warnings_are_word_for_word(self, on_both_loops, caplog):
+    def test_compiled_fit_refuses_before_writing_anything(self, smo_library):
+        # smo_fit must refuse each array fault before its start: had a pair
+        # step run, the step count, U or alpha would have been written
+        problems = [(K, y, None) for K, y in _non_finite_problems()]
+        problems += [(K, y, np.where(np.arange(len(y)) < 2, 0.5, 0.0)) for K, y, _ in problems]
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        problems += [(np.eye(4), np.ones(4), None),
+                     (np.eye(4), y, np.array([0.5, 0.5, np.inf, 0.0])),
+                     (np.eye(4), y, np.array([0.5, 0.5, 1.5, 0.0]))]
+        for K, y, seed in problems:
+            n = len(y)
+            alpha = np.zeros(n) if seed is None else seed.copy()
+            with np.errstate(all="ignore"):
+                Ka = None if seed is None else K @ (alpha * y)
+            U = np.full((3, n), 7.0)
+            steps, out = ctypes.c_int64(-1), (ctypes.c_double * 3)(7.0, 7.0, 7.0)
+            code = smo_library.smo_fit(
+                K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, n, 1.0,
+                1e-3, 20000, svm._TAU, None if Ka is None else Ka.ctypes.data,
+                ctypes.byref(steps), out,
+            )
+            assert code == svm._REFUSED
+            assert (steps.value, list(out)) == (-1, [7.0] * 3)
+            assert (U == 7.0).all()
+            assert alpha.tobytes() == (np.zeros(n) if seed is None else seed).tobytes()
+
+    def test_gram_layout_does_not_change_the_bits(self, on_both_fits):
+        # a seeded start's K (a * y) is numpy's GEMV on the Gram as given,
+        # whose bits depend on its layout; both fits must run the same one
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(133, 5)) * np.exp(rng.normal(size=(133, 1)))
+        K, y, C = X @ X.T, _signed_labels(rng, 133), 1.0
+        seed = smo_train(K, y, C / 10).alpha
+        wide = np.zeros((2 * len(y), 2 * len(y)))
+        wide[::2, ::2] = K
+        for gram in (K, np.asfortranarray(K), K.T, wide[::2, ::2]):
+            for alpha0 in (None, seed):
+                compiled, numpy_fit = on_both_fits(partial(smo_train, gram, y, C,
+                                                           alpha0=alpha0))
+                assert_same_model(compiled, numpy_fit)
+
+    def test_cap_and_stall_warnings_are_word_for_word(self, on_both_fits, caplog):
         K, y, C = _stall_problem()
         K0, y0, C0, _ = random_dual_problem(0)
 
@@ -888,16 +1030,70 @@ class TestPairLoops:
                 smo_train(K0, y0, C0, max_iter=2)
             return [(r.levelname, r.getMessage()) for r in caplog.records]
 
-        compiled, numpy_loop = on_both_loops(warnings)
-        assert compiled == numpy_loop
+        compiled, numpy_fit = on_both_fits(warnings)
+        assert compiled == numpy_fit
         assert ["stalled" in m for _, m in compiled] == [True, False]
         assert "iteration cap (2)" in compiled[1][1]
+
+    def test_bias_over_free_duals_has_numpy_bits(self, on_both_fits):
+        # a seed taken at tol = inf makes no pair step, so the bias is the mean
+        # of v over exactly the seed's free duals, which numpy sums one by one
+        # below 8 values, in 8 accumulators up to 128 and in halves above.
+        # Rows of very different norms make the order of the sum show
+        rng = np.random.default_rng(29)
+        n, C = 300, 1.0
+        X = rng.normal(size=(n, 4)) * np.exp(3.0 * rng.normal(size=(n, 1)))
+        K, y = X @ X.T, _signed_labels(rng, n)
+        order_shows = 0
+        for count in [*range(1, 10), 16, 64, 127, 128, 129, 136, 200, 255, 256, 257, 300]:
+            seed = rng.choice([0.0, C], n)
+            seed[rng.permutation(n)[:count]] = rng.uniform(0.1, 0.9, count) * C
+            compiled, numpy_fit = on_both_fits(partial(smo_train, K, y, C, tol=np.inf,
+                                                       alpha0=seed))
+            assert_same_model(compiled, numpy_fit)
+            assert compiled.iterations == 0
+            v = -y * (-y * (y - K @ (seed * y)) + 0.0)
+            one_by_one = np.cumsum(v[(seed > 1e-8 * C) & (seed < C - 1e-8 * C)])[-1] / count
+            order_shows += repr(float(one_by_one)) != repr(compiled.bias)
+        assert order_shows > 0
+        # numpy's sum starts from 0.0: eight free duals of class +1 whose v
+        # is -0.0 (K = y y^T and duals summing to 1, as below) average to 0.0
+        y = np.repeat([1.0, -1.0], [8, 4])
+        compiled, numpy_fit = on_both_fits(partial(smo_train, np.outer(y, y), y, 1.0,
+                                                   tol=np.inf, alpha0=(y > 0) / 8.0))
+        assert_same_model(compiled, numpy_fit)
+        assert repr(compiled.bias) == "0.0"
+
+    def test_bound_only_bias_keeps_numpy_signed_zeros(self, on_both_fits, monkeypatch):
+        # K = y y^T and bound duals summing to 1 make every m exactly +0.0, so
+        # v is -0.0 on class +1 and +0.0 on class -1. With no free dual the
+        # bias is the midpoint of the largest v on the lower bound set and the
+        # smallest on the upper, and which zero numpy's max and min return
+        # where both signs tie depends on its SIMD order: the compiled fit must
+        # leave those finishes to numpy
+        finish, finishes = svm._numpy_finish, []
+        monkeypatch.setattr(svm, "_numpy_finish",
+                            lambda *args: finishes.append(args) or finish(*args))
+        rng = np.random.default_rng(31)
+        biases = []
+        for n in range(2, 60):
+            y = _signed_labels(rng, n)
+            C = float(rng.choice([1.0, 0.5, 0.25]))
+            seed = np.zeros(n)
+            seed[rng.permutation(n)[:round(1 / C)]] = C
+            compiled, numpy_fit = on_both_fits(partial(smo_train, np.outer(y, y), y, C,
+                                                       tol=np.inf, alpha0=seed))
+            assert_same_model(compiled, numpy_fit)
+            biases.append(repr(compiled.bias))
+        assert set(biases) == {"0.0", "-0.0"}
+        # _numpy_fit finishes each of its fits in numpy, the compiled fit some
+        assert len(finishes) > len(biases)
 
     def test_compiler_on_path_loads_the_compiled_loop(self, monkeypatch, tmp_path, choose_anew):
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         monkeypatch.setattr(svm, "_CACHE", tmp_path)
-        assert svm._pair_loop() is not svm._numpy_pair_loop
+        assert svm._binary_fit() is not svm._numpy_fit
         lib = svm._library_path(svm._SOURCE.read_bytes())
         assert [p.name for p in tmp_path.iterdir()] == [lib.name]
 
@@ -909,11 +1105,11 @@ class TestPairLoops:
         K, y, C, _ = random_dual_problem(1)
         with caplog.at_level(logging.INFO, logger="kweave.svm"):
             model = smo_train(K, y, C)
-        assert svm._pair_loop() is svm._numpy_pair_loop
+        assert svm._binary_fit() is svm._numpy_fit
         assert list(tmp_path.iterdir()) == []  # no library and no temp file
         assert_same_model(model, _reference_smo(K, y, C))
         [message] = [r.getMessage() for r in caplog.records]
-        assert message.startswith("SMO pair loop: numpy, as the compiled loop is unavailable (")
+        assert message.startswith("SMO fit: numpy, as the compiled fit is unavailable (")
         if shutil.which("cc") is not None:
             assert "cc exited with status 1" in message and "--no-such-flag" in message
 
@@ -929,7 +1125,7 @@ class TestPairLoops:
             pytest.skip("no cc on PATH")
         runs = _fresh_processes("""
             svm.smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0)
-            print(svm._pair_loop() is not svm._numpy_pair_loop)
+            print(svm._binary_fit() is not svm._numpy_fit)
         """, tmp_path, count=2)
         assert [(code, out.strip()) for code, out, _ in runs] == [(0, "True"), (0, "True")], runs
         # one library, and no temp file left behind
@@ -937,7 +1133,7 @@ class TestPairLoops:
 
     def test_a_process_chooses_its_loop_once(self, tmp_path):
         # with or without cc, the first fit tries one build into the empty
-        # cache and logs the loop it chose; the second fit reuses that choice
+        # cache and logs the fit it chose; the second fit reuses that choice
         [(code, out, err)] = _fresh_processes("""
             import logging
             logging.basicConfig(level=logging.INFO, format="%(message)s")
@@ -951,7 +1147,7 @@ class TestPairLoops:
             print(len(builds))
         """, tmp_path)
         assert (code, out.strip()) == (0, "1"), err
-        assert [line.startswith("SMO pair loop:") for line in err.splitlines()] == [True], err
+        assert [line.startswith("SMO fit:") for line in err.splitlines()] == [True], err
 
 
 # ---------------------------------------------------------------------------
