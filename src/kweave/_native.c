@@ -1,18 +1,22 @@
-/* kweave.svm.smo_train's binary fit, compiled: smo_fit is the whole fit,
-   smo_loop its pair steps.
+/* kweave's compiled loops, one library that kweave._native.library() builds
+   and loads. Each entry does the float operations of the numpy code it stands
+   in for in the same order, so both give the same bits. That holds when built
+   as _native._CFLAGS says: -O2 -ffp-contract=off (no fused multiply-add), with
+   neither -ffast-math nor -march.
 
-   It does the float operations of svm._numpy_fit in the same order, so both
-   fits give the same bits; svm.py explains each step. That holds when built as
-   svm._CFLAGS says: -O2 -ffp-contract=off (no fused multiply-add), with
-   neither -ffast-math nor -march. Ties and NaNs follow numpy's argmax and
-   argmin (the first index of the extreme, or the first NaN) and Python's min
-   and max (the first argument wins a tie, and a NaN wins only as the first).
-   numpy's max and min give a NaN if they meet one; the sign of a zero extreme
-   met with both signs depends on numpy's SIMD order, so smo_fit leaves such a
-   finish to numpy.
+   svm.smo_train's binary fit: smo_fit is the whole fit, smo_loop its pair
+   steps, as svm._numpy_fit does them; svm.py explains each step. Ties and
+   NaNs follow numpy's argmax and argmin (the first index of the extreme, or
+   the first NaN) and Python's min and max (the first argument wins a tie, and
+   a NaN wins only as the first). numpy's max and min give a NaN if they meet
+   one; the sign of a zero extreme met with both signs depends on numpy's SIMD
+   order, so smo_fit leaves such a finish to numpy. K is the n x n
+   C-contiguous Gram, U holds the rows u and l (smo_fit takes a third row as
+   scratch). alpha and U are updated in place.
 
-   K is the n x n C-contiguous Gram, U holds the rows u and l (smo_fit takes a
-   third row as scratch). alpha and U are updated in place. */
+   kernels.combine's weighted sum is combine_rows; kernels.center_bank's
+   elementwise centering of one Gram is center_pairs, and its copy of a
+   staging block into the store's columns stage_to_columns. */
 
 #include <math.h>
 #include <stdint.h>
@@ -246,4 +250,65 @@ int smo_fit(const double *K, const double *y, double *alpha, double *U, int64_t 
             out[2] = (lo.x + hi.x) / 2.0;
     }
     return unsure ? status | SMO_NUMPY_FINISH : status;
+}
+
+/* kernels.combine's sum over a C-contiguous float32 (rows, p) store Z: acc[r]
+   is the sum, from 0.0 and in q order, of w[q] * Z[r, keep[q]] taken in
+   double, as numpy's acc += np.multiply(w[l], Z[:, l], dtype=float64) adds it
+   for one kept kernel l after another. Four rows at a time, each with its own
+   sum, so no sum is reordered. */
+void combine_rows(const float *Z, int64_t rows, int64_t p, const int64_t *keep,
+                  const double *w, int64_t k, double *acc)
+{
+    int64_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+        const float *z0 = Z + r * p, *z1 = z0 + p, *z2 = z1 + p, *z3 = z2 + p;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int64_t q = 0; q < k; q++) {
+            int64_t l = keep[q];
+            double wq = w[q];
+            s0 += wq * (double)z0[l];
+            s1 += wq * (double)z1[l];
+            s2 += wq * (double)z2[l];
+            s3 += wq * (double)z3[l];
+        }
+        acc[r] = s0;
+        acc[r + 1] = s1;
+        acc[r + 2] = s2;
+        acc[r + 3] = s3;
+    }
+    for (; r < rows; r++) {
+        const float *z = Z + r * p;
+        double s = 0.0;
+        for (int64_t q = 0; q < k; q++)
+            s += w[q] * (double)z[keep[q]];
+        acc[r] = s;
+    }
+}
+
+/* One Gram's centered, scaled values at the pairs (ii[r], jj[r]), r < size,
+   rounded into the float32 row out: ((K[i, j] - (rm[i] + rm[j])) + gm) / s,
+   as kernels.center_bank's numpy code builds the (n, n) array
+   (K - (rm[:, None] + rm)) + gm, takes the pairs from it and divides them by
+   s into the row. K is the n x n C-contiguous Gram. */
+void center_pairs(const double *K, int64_t n, const double *rm, double gm, double s,
+                  const int32_t *ii, const int32_t *jj, int64_t size, float *out)
+{
+    for (int64_t r = 0; r < size; r++) {
+        int64_t i = ii[r], j = jj[r];
+        out[r] = (float)(((K[i * n + j] - (rm[i] + rm[j])) + gm) / s);
+    }
+}
+
+/* Z[:, col:col + k] = stage[:k].T for the C-contiguous float32 stage, k rows
+   of size values, and store Z, size rows of p: a row at a time, so each row
+   of Z takes one contiguous write of k values. */
+void stage_to_columns(const float *stage, int64_t k, int64_t size, float *Z, int64_t p,
+                      int64_t col)
+{
+    for (int64_t r = 0; r < size; r++) {
+        float *z = Z + r * p + col;
+        for (int64_t q = 0; q < k; q++)
+            z[q] = stage[q * size + r];
+    }
 }

@@ -111,7 +111,6 @@ def _load_csv(path: str) -> Dataset:
         if "label" not in header:
             raise DatasetError(f"{path}:1: no 'label' column in header")
         label_col = header.index("label")
-        feat_cols = [j for j in range(len(header)) if j != label_col]
 
         rows: list[list[float]] = []
         raw_labels: list[str] = []
@@ -122,8 +121,17 @@ def _load_csv(path: str) -> Dataset:
                 raise DatasetError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
                 )
-            raw_labels.append(rec[label_col].strip())
-            rows.append([_parse_float(rec[j], path, lineno) for j in feat_cols])
+            raw_labels.append(rec.pop(label_col).strip())
+            # one float() pass per row; a row that fails it, or holds a
+            # non-finite value (its sum is then non-finite), is parsed again
+            # cell by cell, which names the first bad cell
+            try:
+                vals = list(map(float, rec))
+            except ValueError:
+                vals = None
+            if vals is None or not math.isfinite(sum(vals)):
+                vals = [_parse_float(cell, path, lineno) for cell in rec]
+            rows.append(vals)
 
     return Dataset(np.array(rows, dtype=np.float64), *_encode_labels(raw_labels))
 

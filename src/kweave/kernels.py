@@ -28,6 +28,9 @@ float64-upcast row blocks. The statistics (r, g, s) recorded on the
 training Gram center the float64 cross blocks consistently: combine_cross
 evaluates them on bank.features, centers and sums them one block at a
 time, for one weight vector or a stack of k, holding k sums and one block.
+center_bank's elementwise centering and staging copy and combine's sum run
+compiled from _native.c where the native library loads, else in numpy, with
+the same bits; the statistics, exp and the polynomial products stay numpy's.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _native
 
 logger = logging.getLogger(__name__)
 
@@ -271,8 +276,8 @@ def build_kernel_bank(features: np.ndarray, recipe: str) -> RawBank:
 # centering / standardization
 
 
-def _center(K: np.ndarray) -> tuple[np.ndarray, CenterStats]:
-    """K - (r_i + r_j) + g, unscaled, and (r, g, s) of an exactly symmetric K."""
+def _center_stats(K: np.ndarray) -> CenterStats:
+    """(r, g, s) of an exactly symmetric K; DegenerateKernelError where s <= 1e-12."""
     rm = K.mean(axis=1)
     gm = float(rm.mean())
     s = float(np.mean(K.diagonal() - 2.0 * rm)) + gm
@@ -280,10 +285,7 @@ def _center(K: np.ndarray) -> tuple[np.ndarray, CenterStats]:
         raise DegenerateKernelError(
             f"degenerate kernel: centered trace/n = {s:g} (constant feature map)"
         )
-    C = np.add(rm[:, None], rm)
-    np.subtract(K, C, out=C)
-    C += gm
-    return C, CenterStats(row_means=rm, grand_mean=gm, scale=s)
+    return CenterStats(row_means=rm, grand_mean=gm, scale=s)
 
 
 def center_standardize_apply(raw_cross: np.ndarray, stats: CenterStats) -> np.ndarray:
@@ -308,14 +310,16 @@ def center_bank(bank: RawBank, pairs) -> tuple[KernelBank, list[int]]:
     dropping degenerates.
 
     One Gram is alive at a time, evaluated from its scope's shared products
-    (scope_products) and centered in float64. Its upper triangle is taken
-    into a float64 row buffer and divided by s straight into a row of a
-    float32 (rows, n(n+1)/2) staging block of _STAGE_BYTES (at least one
-    row), which rounds it; a full block is copied into Z's columns at once,
-    not one strided column at a time. Row r of Z holds the pair pairs[0][r]
-    <= pairs[1][r] (kspace.plan_rows's, or np.triu_indices(n)); pairs that
-    miss or repeat one raise KernelError. The bank keeps them as bank.pairs,
-    with the raw bank's features.
+    (scope_products); its statistics come from numpy's reductions. Its
+    centered values at the pairs, ((K - (r_i + r_j)) + g) / s in float64,
+    are rounded into a row of a float32 (rows, n(n+1)/2) staging block of
+    _STAGE_BYTES (at least one row); a full block is copied into Z's columns
+    at once, not one strided column at a time. Both steps run compiled
+    (center_pairs and stage_to_columns in _native.c) where the native
+    library loads, else in numpy, with the same bits. Row r of Z holds the
+    pair pairs[0][r] <= pairs[1][r] (kspace.plan_rows's, or
+    np.triu_indices(n)); pairs that miss or repeat one raise KernelError. The
+    bank keeps them as bank.pairs, with the raw bank's features.
 
     Returns the centered bank and the indices (into the input bank) of
     dropped kernels. Degenerate kernels are logged, not fatal: per-feature
@@ -330,36 +334,60 @@ def center_bank(bank: RawBank, pairs) -> tuple[KernelBank, list[int]]:
     Z = np.empty((flat.size, bank.p), dtype=np.float32)
     rows = min(max(1, _STAGE_BYTES // (4 * flat.size)), bank.p)
     stage = np.empty((rows, flat.size), dtype=np.float32)
-    tri = np.empty(flat.size, dtype=np.float64)
+    lib = _native.library()
+    if lib is None:
+        tri = np.empty(flat.size, dtype=np.float64)
+    else:
+        pi, pj = (np.ascontiguousarray(a, dtype=np.int32) for a in (ii, jj))
     specs, stats, dropped = [], [], []
     X = bank.features
     for i, (spec, *prods) in enumerate(scope_products(bank.specs, X, X)):
+        K = _from_products(spec, *prods)
         try:
-            centered, st = _center(_from_products(spec, *prods))
+            st = _center_stats(K)
         except DegenerateKernelError as exc:
             # log the message only: a kept record must not pin the traceback's Grams
             logger.warning("dropping kernel %d (%s): %s", i, spec.label(), str(exc))
             dropped.append(i)
             continue
-        # the indices are in range; "clip" skips the buffered bounds check. A
-        # take straight into the float32 stage would first copy the row's stale
-        # bits to a float64 temporary, which can warn on NaN patterns.
-        np.take(centered, flat, out=tri, mode="clip")
-        np.divide(tri, st.scale, out=stage[len(specs) % rows])  # rounds to float32
+        out = stage[len(specs) % rows]
+        if lib is None:
+            C = np.add(st.row_means[:, None], st.row_means)
+            np.subtract(K, C, out=C)
+            C += st.grand_mean
+            # the indices are in range; "clip" skips the buffered bounds check.
+            # A take straight into the float32 stage would first copy the row's
+            # stale bits to a float64 temporary, which can warn on NaN patterns.
+            np.take(C, flat, out=tri, mode="clip")
+            np.divide(tri, st.scale, out=out)  # rounds to float32
+            del C
+        else:
+            K = np.ascontiguousarray(K)
+            lib.center_pairs(K.ctypes.data, n, st.row_means.ctypes.data, st.grand_mean,
+                             st.scale, pi.ctypes.data, pj.ctypes.data, size, out.ctypes.data)
         # free this Gram, and at a scope's end its products, before the next is made
-        del centered, prods
+        del K, prods
         specs.append(spec)
         stats.append(st)
         if len(specs) % rows == 0:
-            Z[:, len(specs) - rows : len(specs)] = stage.T
+            _stage_to_columns(lib, stage, rows, Z, len(specs) - rows)
     tail = len(specs) % rows
-    Z[:, len(specs) - tail : len(specs)] = stage[:tail].T
-    del stage, tri
+    _stage_to_columns(lib, stage, tail, Z, len(specs) - tail)
+    del stage
     if not specs:
         raise DegenerateKernelError("every kernel in the bank is degenerate")
     if dropped:
         _compact_columns(Z, len(specs))
     return KernelBank(specs, bank.features, Z, stats, (ii, jj)), dropped
+
+
+def _stage_to_columns(lib, stage: np.ndarray, k: int, Z: np.ndarray, col: int) -> None:
+    """Z[:, col:col + k] = stage[:k].T, compiled where lib is loaded."""
+    if lib is None:
+        Z[:, col : col + k] = stage[:k].T
+    else:
+        lib.stage_to_columns(stage.ctypes.data, k, stage.shape[1], Z.ctypes.data, Z.shape[1],
+                             col)
 
 
 def _compact_columns(Z: np.ndarray, k: int) -> None:
@@ -405,13 +433,23 @@ def combine(bank: KernelBank, weights) -> np.ndarray:
     The sum runs over the pair-major store in l order, skipping zero
     weights, and is scattered into the symmetric array once. Each product
     is taken in float64 (dtype= on the ufunc) under any numpy promotion rules.
-    Weights whose sum leaves the float range raise KernelError.
+    A float32 store is summed compiled (combine_rows in _native.c) where the
+    native library loads, with the same bits; any other store, or no
+    library, runs the numpy loop. Weights whose sum leaves the float range
+    raise KernelError.
     """
     w = check_weights(bank.p, weights)
-    acc = np.zeros(bank.Z.shape[0], dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in np.flatnonzero(w > 0):
-            acc += np.multiply(w[l], bank.Z[:, l], dtype=np.float64)
+    keep, Z, lib = np.flatnonzero(w > 0), bank.Z, _native.library()
+    if lib is not None and Z.dtype == np.float32 and Z.flags.c_contiguous:
+        acc = np.empty(Z.shape[0], dtype=np.float64)
+        keep, wk = keep.astype(np.int64), w[keep]
+        lib.combine_rows(Z.ctypes.data, Z.shape[0], Z.shape[1], keep.ctypes.data,
+                         wk.ctypes.data, keep.size, acc.ctypes.data)
+    else:
+        acc = np.zeros(Z.shape[0], dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l in keep:
+                acc += np.multiply(w[l], Z[:, l], dtype=np.float64)
     if not np.all(np.isfinite(acc)):
         raise KernelError("the weighted sum of the Grams overflows")
     return bank._symmetric(acc)

@@ -27,6 +27,12 @@ import numpy as np
 
 from .kernels import KernelBank
 
+# rows per score GEMV. OpenBLAS splits a larger GEMV across its threads, and
+# rows then take another kernel path, so a whole-block GEMV's bits depend on
+# the BLAS thread count; blocks of 256 rows ran on one thread, with the
+# one-thread whole-block bits, at 1 and 2 OpenBLAS 0.3.31 threads (README)
+_SCORE_ROWS = 256
+
 
 @dataclass
 class KBatch:
@@ -74,10 +80,14 @@ class KExampleSet:
         return int(np.sum(self.t < 0))
 
     def scores(self, mu: np.ndarray) -> np.ndarray:
-        """mu . z for every pair in the set, as float64: one GEMV over its rows,
-        with mu cast explicitly to the stack's dtype."""
+        """mu . z for every pair in the set, as float64: GEMVs over blocks of
+        _SCORE_ROWS rows into one output at the stack's width, with mu cast
+        explicitly to the stack's dtype."""
         mu = np.asarray(mu, dtype=np.float64).astype(self.stack.dtype, copy=False)
-        return (self.stack @ mu).astype(np.float64, copy=False)
+        out = np.empty(len(self), dtype=mu.dtype)
+        for a in range(0, len(self), _SCORE_ROWS):
+            np.matmul(self.stack[a : a + _SCORE_ROWS], mu, out=out[a : a + _SCORE_ROWS])
+        return out.astype(np.float64, copy=False)
 
 
 def pair_counts(labels) -> tuple[int, int]:

@@ -10,8 +10,8 @@ by repeatedly optimizing the maximal-KKT-violating pair analytically
 K[i]. The loop selects it from two arrays, u and l: m = -y * G (G the
 gradient) on the up (low) set, where y_t a_t can grow (shrink), and -inf
 (+inf) elsewhere. As C > 0, every t is in a set. Each binary fit runs
-compiled from _smo.c where a C compiler builds it, else in numpy; both
-fits give the same bits.
+compiled (smo_fit in _native.c) where the package's native library loads,
+else in numpy; both fits give the same bits.
 
 Multiclass is one-vs-rest with argmax over per-class decision values.
 
@@ -36,28 +36,21 @@ from a = 0.
 
 from __future__ import annotations
 
-import functools
-import hashlib
+import ctypes
 import logging
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from . import _native
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _TAU = 1e-12  # curvature floor for the pair subproblem
 
-# The compiled fit: _smo.c, built by cc on the first smo_train call into the
-# package's __pycache__, under a name that hashes its bytes and flags. No
-# -ffast-math and no -march: both change the float operations.
-_SOURCE = Path(__file__).with_name("_smo.c")
-_CACHE = Path(__file__).with_name("__pycache__")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # a pair loop's status, smo_fit's code for an array that _array_fault
-# refuses, and the flag smo_fit adds when numpy must finish; as in _smo.c
+# refuses, and the flag smo_fit adds when numpy must finish; as in _native.c
 _CONVERGED, _STALLED, _CAPPED, _REFUSED = range(4)
 _NUMPY_FINISH = 8
 
@@ -184,8 +177,8 @@ def _numpy_fit(K, y, alpha, C, tol, max_iter):
 
     alpha is the seed, updated in place, or None to start from a = 0. Raises
     ValueError on the first array check that fails. It runs where the
-    compiled fit in _smo.c, which gives the same bits, cannot be built or
-    loaded.
+    compiled fit, smo_fit in _native.c, which gives the same bits, cannot
+    be built or loaded.
     """
     fault = _array_fault(K, y, alpha, C)
     if fault:
@@ -241,7 +234,7 @@ def _numpy_finish(y, alpha, U, C):
 def _numpy_pair_loop(K, y, alpha, U, C, tol, max_iter):
     """_numpy_fit's pair steps: (status, pair steps, KKT gap at a stall).
 
-    Updates alpha and U = (u, l) in place, as smo_loop in _smo.c does with
+    Updates alpha and U = (u, l) in place, as smo_loop in _native.c does with
     the same bits.
     """
     diag = np.diag(K).tolist()
@@ -309,88 +302,39 @@ def _numpy_pair_loop(K, y, alpha, U, C, tol, max_iter):
     return _CAPPED, it, None
 
 
-def _library_path(source: bytes) -> Path:
-    """Where the library built from source with _CFLAGS is cached."""
-    tag = hashlib.sha256(b"\0".join([source, *map(str.encode, _CFLAGS)])).hexdigest()
-    return _CACHE / f"_smo-{tag[:16]}.so"
-
-
-def _build(source: bytes, lib: Path) -> None:
-    """Compile source into lib. Each process compiles into a temp file of its
-    own and renames it into place, so processes may build at once."""
-    import subprocess
-    import tempfile
-
-    _CACHE.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f"{lib.stem}-", suffix=".tmp", dir=_CACHE)
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            ["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp], input=source, capture_output=True,
-        )
-        if proc.returncode != 0:
-            err = proc.stderr.decode(errors="replace").strip()
-            raise OSError(f"cc exited with status {proc.returncode}: {err}")
-        os.chmod(tmp, 0o755)  # mkstemp made it 0600, unreadable to other users
-        os.replace(tmp, lib)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
-
-
-@functools.cache
 def _binary_fit():
-    """The binary fit smo_train runs, chosen once per process and logged with why.
+    """The binary fit smo_train runs: _compiled_fit where the native library
+    loads (_native.library(), which logs the choice once), else _numpy_fit."""
+    return _numpy_fit if _native.library() is None else _compiled_fit
 
-    The compiled fit, with _numpy_fit's signature: the first call builds
-    _smo.c into _CACHE when no library of its bytes and flags is there.
-    _numpy_fit where that fails: no C compiler, a package directory that
-    cannot be written, or a library that does not load.
-    """
-    import ctypes
 
-    try:
-        source = _SOURCE.read_bytes()
-        lib = _library_path(source)
-        if not lib.exists():
-            _build(source, lib)
-        smo_fit = ctypes.CDLL(str(lib)).smo_fit
-    except OSError as exc:
-        logger.info("SMO fit: numpy, as the compiled fit is unavailable (%s)", exc)
-        return _numpy_fit
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    smo_fit.argtypes = [ptr, ptr, ptr, ptr, i64, f64, f64, i64, f64, ptr,
-                        ctypes.POINTER(i64), ctypes.POINTER(f64)]
-    smo_fit.restype = ctypes.c_int
-
-    def compiled_fit(K, y, alpha, C, tol, max_iter):
-        n = len(y)
-        if alpha is None:
-            alpha, Ka = np.zeros(n, dtype=np.float64), None
-        else:
-            # numpy's GEMV on K as given, as _numpy_fit runs it, for its bits.
-            # smo_fit checks K and alpha only after it, so it must not warn on
-            # an entry they refuse (nor, as no compiled step does, on an overflow)
-            with np.errstate(all="ignore"):
-                Ka = K @ (alpha * y)
-        # smo_fit reads K and y as C-contiguous rows; alpha is smo_train's own
-        K, y = np.ascontiguousarray(K), np.ascontiguousarray(y)
-        U = np.empty((3, n))
-        steps, out = i64(), (f64 * 3)()
-        code = smo_fit(
-            K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, n, C, tol,
-            min(max_iter, 2**63 - 1), _TAU, None if Ka is None else Ka.ctypes.data,
-            ctypes.byref(steps), out,
-        )
-        if code == _REFUSED:
-            raise ValueError(_array_fault(K, y, alpha, C))
-        if code & _NUMPY_FINISH:
-            gap, bias = _numpy_finish(y, alpha, U[:2], C)
-        else:
-            gap, bias = out[1:]
-        return alpha, code & ~_NUMPY_FINISH, steps.value, out[0], gap, bias
-
-    logger.info("SMO fit: compiled, from %s", lib)
-    return compiled_fit
+def _compiled_fit(K, y, alpha, C, tol, max_iter):
+    """_numpy_fit's fit, run by smo_fit from the native library."""
+    n = len(y)
+    if alpha is None:
+        alpha, Ka = np.zeros(n, dtype=np.float64), None
+    else:
+        # numpy's GEMV on K as given, as _numpy_fit runs it, for its bits.
+        # smo_fit checks K and alpha only after it, so it must not warn on
+        # an entry they refuse (nor, as no compiled step does, on an overflow)
+        with np.errstate(all="ignore"):
+            Ka = K @ (alpha * y)
+    # smo_fit reads K and y as C-contiguous rows; alpha is smo_train's own
+    K, y = np.ascontiguousarray(K), np.ascontiguousarray(y)
+    U = np.empty((3, n))
+    steps, out = ctypes.c_int64(), (ctypes.c_double * 3)()
+    code = _native.library().smo_fit(
+        K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, n, C, tol,
+        min(max_iter, 2**63 - 1), _TAU, None if Ka is None else Ka.ctypes.data,
+        ctypes.byref(steps), out,
+    )
+    if code == _REFUSED:
+        raise ValueError(_array_fault(K, y, alpha, C))
+    if code & _NUMPY_FINISH:
+        gap, bias = _numpy_finish(y, alpha, U[:2], C)
+    else:
+        gap, bias = out[1:]
+    return alpha, code & ~_NUMPY_FINISH, steps.value, out[0], gap, bias
 
 
 @dataclass

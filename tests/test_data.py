@@ -278,3 +278,39 @@ def make_unbalanced(n0: int, n1: int) -> Dataset:
     X = rng.normal(0, 1, (n0 + n1, 3))
     y = np.array([0] * n0 + [1] * n1)
     return Dataset(X, y, ("a", "b"))
+
+
+class TestCsvRowParsing:
+    """A row is parsed in one pass; a row with a bad or non-finite cell is
+    parsed again cell by cell, so the first fault in file order is named."""
+
+    def test_the_first_bad_cell_in_file_order_is_named(self, tmp_path):
+        rows = ["1,2,x", "3,4,y", "5,6,x", "7,inf,y", "8,9,x", "1,2,y", "3,4,x", "1,x"]
+        path = write(tmp_path, "order.csv", "a,b,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match=r":5: non-finite value 'inf'$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("nan,oops,x", r":3: non-finite value 'nan'$"),
+        ("oops,nan,x", r":3: cannot parse 'oops' as float$"),
+        ("1,-inf,x", r":3: non-finite value '-inf'$"),
+    ])
+    def test_the_first_bad_cell_in_a_row_is_named(self, tmp_path, row, message):
+        path = write(tmp_path, "cell.csv", f"a,b,label\n1,2,y\n{row}\n")
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(path)
+
+    def test_finite_values_whose_row_sum_overflows_load(self, tmp_path):
+        # each row's sum leaves the float range; each column's mean and std do not
+        path = write(tmp_path, "big.csv",
+                     "a,b,c,d,label\n6e307,6e307,6e307,0,x\n6e307,6e307,6e307,1,y\n")
+        np.testing.assert_array_equal(load_dataset(path).instances,
+                                      [[6e307, 6e307, 6e307, 0.0], [6e307, 6e307, 6e307, 1.0]])
+
+    def test_values_are_those_of_float(self, tmp_path):
+        cells = ["0.1", " 2.5 ", "-0", "1e-310", "7", "3.141592653589793238", "+4"]
+        path = write(tmp_path, "bits.csv",
+                     "label," + ",".join(f"f{j}" for j in range(7)) + "\n"
+                     + "x," + ",".join(cells) + "\ny," + ",".join(reversed(cells)) + "\n")
+        want = np.array([[float(c) for c in cells], [float(c) for c in reversed(cells)]])
+        assert load_dataset(path).instances.tobytes() == want.tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kweave.kernels as kernels
+from kweave import _native
 from kweave.kernels import (
     DegenerateKernelError,
     KernelBank,
@@ -494,3 +495,122 @@ class TestGramValidation:
             KernelBank(bank.specs, np.empty((4, 0)), bank.Z, bank.stats, bank.pairs)
         with pytest.raises(KernelError, match="inconsistent"):
             KernelBank(bank.specs, bank.features, bank.Z[:, :1], bank.stats, bank.pairs)
+
+
+# ---------------------------------------------------------------------------
+# both paths: combine and center_bank's centering and staging run compiled
+# from _native.c where the native library loads, else in numpy. Each test
+# below runs on each path present and holds it to a reference written out
+# here, bit for bit.
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def loops(request, monkeypatch):
+    """Runs the test on the native library's loops, then with none loaded."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_native, "library", lambda: None)
+    elif _native.library() is None:
+        pytest.skip("no native library here")
+    return request.param
+
+
+def reference_store(X, recipe, pairs):
+    """(Z, stats, dropped) of center_bank, written out from conftest's
+    reference centering: each kept kernel's C at the pairs, rounded to float32."""
+    ii, jj = pairs
+    cols, stats, dropped = [], [], []
+    for l, K in enumerate(shared_grams(bank_specs(X.shape[1], recipe), X)):
+        try:
+            C, st = center_standardize_fit(K)
+        except DegenerateKernelError:
+            dropped.append(l)
+            continue
+        cols.append(C[ii, jj].astype(np.float32))
+        stats.append(st)
+    return np.column_stack(cols), stats, dropped
+
+
+def reference_combine(bank, w):
+    """sum_l w_l K_l over the dense Grams, in l order, zero weights skipped."""
+    out = np.zeros((bank.n, bank.n))
+    for l in np.flatnonzero(w > 0):
+        out += w[l] * bank.gram(l)
+    return out
+
+
+def assert_same_store(bank, dropped, X, recipe, pairs):
+    Z, stats, want_dropped = reference_store(X, recipe, pairs)
+    assert dropped == want_dropped
+    assert bank.Z.dtype == np.float32 and bank.Z.flags.c_contiguous
+    assert bank.Z.tobytes() == Z.tobytes()
+    for got, want in zip(bank.stats, stats, strict=True):
+        assert got.row_means.tobytes() == want.row_means.tobytes()
+        assert (got.grand_mean, got.scale) == (want.grand_mean, want.scale)
+
+
+class TestBothPaths:
+    @pytest.mark.parametrize("order", ["planned", "triu"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_store_and_stats_for_any_pair_order_and_index_type(self, loops, order, dtype):
+        rng = np.random.default_rng(21)
+        X, labels = rng.normal(0, 1, (13, 2)), rng.integers(0, 2, 13)
+        pairs = plan_rows(labels, 1, 2)[0] if order == "planned" else np.triu_indices(13)
+        pairs = tuple(a.astype(dtype) for a in pairs)
+        bank, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"), pairs)
+        assert_same_store(bank, dropped, X, "uci_full_plus_per_feature", pairs)
+        assert bank.pairs[0] is pairs[0] and bank.pairs[1] is pairs[1]
+
+    # 11 rows make 66 pairs and the per-feature bank of 2 columns 39 kernels:
+    # a stage of 50 rows holds them all (clipped to 39), one of 39 exactly,
+    # one of 13 three times, and one of 5 seven times with a tail of 4
+    @pytest.mark.parametrize("stage_rows", [50, 39, 13, 5])
+    def test_store_at_any_stage_size(self, loops, monkeypatch, stage_rows):
+        monkeypatch.setattr(kernels, "_STAGE_BYTES", stage_rows * 4 * 66)
+        X = np.random.default_rng(22).normal(0, 1, (11, 2))
+        pairs = plan_rows(np.arange(11) % 2, 3, 4)[0]
+        bank, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"), pairs)
+        assert bank.p == 39
+        assert_same_store(bank, dropped, X, "uci_full_plus_per_feature", pairs)
+
+    @pytest.mark.parametrize("stage_rows", [1, 4, 40])
+    def test_dropped_kernels_compact_the_store(self, loops, monkeypatch, stage_rows):
+        monkeypatch.setattr(kernels, "_STAGE_BYTES", stage_rows * 4 * 66)
+        X = np.random.default_rng(23).normal(0, 1, (11, 3))
+        X[:, 1] = 2.0  # its 13 per-feature kernels are dropped
+        pairs = np.triu_indices(11)
+        bank, dropped = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"), pairs)
+        assert len(dropped) == 13 and bank.p == 52 - 13 and bank.Z.flags.owndata
+        assert_same_store(bank, dropped, X, "uci_full_plus_per_feature", pairs)
+
+    def test_non_finite_kernel_raises(self, loops):
+        X = np.random.default_rng(3).normal(0, 1e50, (6, 3))
+        raw = build_kernel_bank(X, "uci_full")
+        with np.errstate(over="ignore"), pytest.raises(
+            KernelError, match=r"poly\(degree=4.*non-finite"
+        ):
+            center_bank(raw, plan_rows(np.arange(6) % 2, 1, 2)[0])
+
+    # 10 rows make 55 pairs, 11 rows 66: neither a multiple of four
+    @pytest.mark.parametrize("n", [10, 11])
+    @pytest.mark.parametrize("zeros", [0.0, 0.1, 0.9, 1.0])
+    def test_combine_bits(self, loops, n, zeros):
+        X = np.random.default_rng(n).normal(0, 1, (n, 3))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full_plus_per_feature"),
+                              plan_rows(np.arange(n) % 2, 5, 6)[0])
+        rng = np.random.default_rng(int(10 * zeros))
+        w = rng.random(bank.p) * (rng.random(bank.p) >= zeros)
+        w[rng.integers(bank.p)] = 0.75  # at zeros = 1.0, one kept kernel
+        assert combine(bank, w).tobytes() == reference_combine(bank, w).tobytes()
+
+    def test_combine_bits_on_a_float64_store(self, loops):
+        rng = np.random.default_rng(24)
+        bank = bank_of([g @ g.T for g in rng.normal(0, 1, (5, 9, 3))])
+        assert bank.Z.dtype == np.float64
+        w = np.array([0.5, 0.0, 2.0, 1e-3, 0.0])
+        assert combine(bank, w).tobytes() == reference_combine(bank, w).tobytes()
+
+    def test_combine_overflow_raises(self, loops):
+        X = np.random.default_rng(25).normal(0, 1, (9, 2))
+        bank, _ = center_bank(build_kernel_bank(X, "uci_full"), np.triu_indices(9))
+        with pytest.raises(KernelError, match="overflows"):
+            combine(bank, np.full(bank.p, 1e308))

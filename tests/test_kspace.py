@@ -1,8 +1,14 @@
 """Pair enumeration, K-labels, the planned row order, balancing, and batches."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from kweave import kspace
 from kweave.baselines import alignment_problem_from_bank
 from kweave.kernels import (
     KernelBank,
@@ -428,6 +434,33 @@ class TestBlockScores:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(kset[3:17].scores(mu), (kset.stack[3:17] @
                                       mu.astype(np.float32)).astype(np.float64))
+
+    def test_scores_keep_the_one_thread_bits_at_two_blas_threads(self):
+        # OpenBLAS splits a large GEMV across its threads, where rows take
+        # another kernel path; scores' row blocks keep to the bits of a
+        # whole-block GEMV at one thread. Each count runs in a fresh process,
+        # as the BLAS reads it at load; the shape is sonar793's lambda-train block.
+        script = """if True:
+            import hashlib, numpy as np
+            from kweave.kspace import KExampleSet
+            rng = np.random.default_rng(20)
+            stack = rng.standard_normal((11107, 793), dtype=np.float32)
+            mu = rng.random(793)
+            whole = (stack @ mu.astype(np.float32)).astype(np.float64)
+            scores = KExampleSet(np.ones(11107, dtype=np.int8), stack).scores(mu)
+            print(hashlib.sha256(whole).hexdigest(), hashlib.sha256(scores).hexdigest())
+        """
+        src = str(Path(kspace.__file__).parents[1])
+        runs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = proc.stdout.split()
+        whole_one_thread = runs["1"][0]
+        assert runs["1"][1] == runs["2"][1] == whole_one_thread
 
 
 class TestRowsRange:

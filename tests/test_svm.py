@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kweave import cli, svm
+from kweave import _native, cli, svm
 from kweave.data import kfold_plan
 from kweave.experiment import METHODS, ExperimentConfig, run_experiment, run_lambda_sweep
 from kweave.kernels import build_kernel_bank, center_bank, combine
@@ -825,7 +825,7 @@ class TestBinaryMirror:
 
 
 # ---------------------------------------------------------------------------
-# both fits: smo_train runs each binary fit compiled from _smo.c where cc
+# both fits: smo_train runs each binary fit compiled from _native.c where cc
 # builds it, else in numpy. The classes above run on the fit smo_train picks;
 # their *NumpyLoop copies run on _numpy_fit, with its numpy pair loop, where
 # the compiled fit is present, so every test above covers each fit present.
@@ -878,24 +878,18 @@ def on_both_fits(monkeypatch):
 
 @pytest.fixture
 def smo_library():
-    """The library built from _smo.c, with smo_loop's and smo_fit's signatures.
+    """The native library, with smo_loop and smo_fit among its entries.
 
-    Skips where no compiled fit loads.
+    Skips where it does not load.
     """
-    if svm._binary_fit() is svm._numpy_fit:
+    if _native.library() is None:
         pytest.skip("no compiled fit here")
-    lib = ctypes.CDLL(str(svm._library_path(svm._SOURCE.read_bytes())))
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    common = [ptr, ptr, ptr, ptr, i64, f64, f64, i64, f64]
-    lib.smo_loop.argtypes = [*common, ctypes.POINTER(i64), ctypes.POINTER(f64)]
-    lib.smo_fit.argtypes = [*common, ptr, ctypes.POINTER(i64), ctypes.POINTER(f64)]
-    lib.smo_loop.restype = lib.smo_fit.restype = ctypes.c_int
-    return lib
+    return _native.library()
 
 
 @pytest.fixture
 def compiled_pair_loop(smo_library):
-    """smo_loop from _smo.c, called as _numpy_pair_loop is."""
+    """smo_loop from _native.c, called as _numpy_pair_loop is."""
     i64, f64 = ctypes.c_int64, ctypes.c_double
 
     def loop(K, y, alpha, U, C, tol, max_iter):
@@ -912,11 +906,11 @@ def compiled_pair_loop(smo_library):
 
 @pytest.fixture
 def choose_anew():
-    """Clears svm._binary_fit's choice before and after the test, so the test
+    """Clears _native.library's choice before and after the test, so the test
     chooses under its own patches and no later test runs what they built."""
-    svm._binary_fit.cache_clear()
+    _native.library.cache_clear()
     yield
-    svm._binary_fit.cache_clear()
+    _native.library.cache_clear()
 
 
 def _cold_start(K, y, C):
@@ -928,9 +922,10 @@ def _cold_start(K, y, C):
 
 def _fresh_processes(script, cache, count=1):
     """[(exit code, stdout, stderr)] of count processes that run script at
-    once, each after setting svm._CACHE to cache."""
-    script = ("import sys; from pathlib import Path; import numpy as np; from kweave import svm\n"
-              "svm._CACHE = Path(sys.argv[1])\n" + textwrap.dedent(script))
+    once, each after setting _native._CACHE to cache."""
+    script = ("import sys; from pathlib import Path; import numpy as np\n"
+              "from kweave import _native, kernels, svm\n"
+              "_native._CACHE = Path(sys.argv[1])\n" + textwrap.dedent(script))
     env = {**os.environ, "PYTHONPATH": str(Path(svm.__file__).parents[1])}
     procs = [
         subprocess.Popen([sys.executable, "-c", script, str(cache)], env=env,
@@ -1092,62 +1087,84 @@ class TestPairLoops:
     def test_compiler_on_path_loads_the_compiled_loop(self, monkeypatch, tmp_path, choose_anew):
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
-        monkeypatch.setattr(svm, "_CACHE", tmp_path)
-        assert svm._binary_fit() is not svm._numpy_fit
-        lib = svm._library_path(svm._SOURCE.read_bytes())
+        monkeypatch.setattr(_native, "_CACHE", tmp_path)
+        assert svm._binary_fit() is svm._compiled_fit
+        lib = _native._library_path(_native._SOURCE.read_bytes())
         assert [p.name for p in tmp_path.iterdir()] == [lib.name]
+        # one library holds every compiled loop, the kernels' too
+        assert all(getattr(_native.library(), name).argtypes for name in _native._SIGNATURES)
 
     def test_failed_build_falls_back_to_numpy_and_says_why(self, monkeypatch, tmp_path, caplog,
                                                            choose_anew):
         # cc refuses an unknown flag; with no cc on PATH, starting it fails
-        monkeypatch.setattr(svm, "_CFLAGS", (*svm._CFLAGS, "--no-such-flag"))
-        monkeypatch.setattr(svm, "_CACHE", tmp_path)
+        monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "--no-such-flag"))
+        monkeypatch.setattr(_native, "_CACHE", tmp_path)
         K, y, C, _ = random_dual_problem(1)
-        with caplog.at_level(logging.INFO, logger="kweave.svm"):
+        with caplog.at_level(logging.INFO, logger="kweave._native"):
             model = smo_train(K, y, C)
-        assert svm._binary_fit() is svm._numpy_fit
+            X = np.random.default_rng(1).normal(size=(7, 2))
+            bank, _ = center_bank(build_kernel_bank(X, "uci_full"), np.triu_indices(7))
+            combined = combine(bank, np.arange(bank.p) % 2)
+        assert svm._binary_fit() is svm._numpy_fit and _native.library() is None
         assert list(tmp_path.iterdir()) == []  # no library and no temp file
         assert_same_model(model, _reference_smo(K, y, C))
+        expected = np.zeros((7, 7))
+        for l in range(1, bank.p, 2):
+            expected += bank.gram(l)
+        assert combined.tobytes() == expected.tobytes()
         [message] = [r.getMessage() for r in caplog.records]
-        assert message.startswith("SMO fit: numpy, as the compiled fit is unavailable (")
+        assert message.startswith("native library: unavailable, the numpy code runs (")
         if shutil.which("cc") is not None:
             assert "cc exited with status 1" in message and "--no-such-flag" in message
 
     def test_cache_name_covers_source_bytes_and_flags(self, monkeypatch, choose_anew):
-        names = {svm._library_path(b"int x;"), svm._library_path(b"int y;")}
-        monkeypatch.setattr(svm, "_CFLAGS", (*svm._CFLAGS, "-ffast-math"))
-        names.add(svm._library_path(b"int x;"))
+        names = {_native._library_path(b"int x;"), _native._library_path(b"int y;")}
+        monkeypatch.setattr(_native, "_CFLAGS", (*_native._CFLAGS, "-ffast-math"))
+        names.add(_native._library_path(b"int x;"))
         assert len(names) == 3
-        assert all(p.parent == svm._CACHE and p.suffix == ".so" for p in names)
+        assert all(p.parent == _native._CACHE and p.suffix == ".so" for p in names)
 
     def test_two_processes_build_into_an_empty_cache(self, tmp_path):
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         runs = _fresh_processes("""
             svm.smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0)
-            print(svm._binary_fit() is not svm._numpy_fit)
+            print(_native.library() is not None and svm._binary_fit() is svm._compiled_fit)
         """, tmp_path, count=2)
         assert [(code, out.strip()) for code, out, _ in runs] == [(0, "True"), (0, "True")], runs
         # one library, and no temp file left behind
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+        # a later process finds it there and loads it without running cc
+        [(code, out, err)] = _fresh_processes("""
+            def no_build(source, lib):
+                raise AssertionError("cc ran")
+            _native._build = no_build
+            print(_native.library() is not None)
+        """, tmp_path)
+        assert (code, out.strip()) == (0, "True"), err
 
     def test_a_process_chooses_its_loop_once(self, tmp_path):
-        # with or without cc, the first fit tries one build into the empty
-        # cache and logs the fit it chose; the second fit reuses that choice
+        # with or without cc, the first compiled loop a process reaches (here
+        # center_bank's) tries one build into the empty cache and logs the
+        # choice; the fits and combine after it reuse that choice
         [(code, out, err)] = _fresh_processes("""
             import logging
             logging.basicConfig(level=logging.INFO, format="%(message)s")
-            builds, build = [], svm._build
+            builds, build = [], _native._build
             def counting_build(source, lib):
                 builds.append(lib)
                 build(source, lib)
-            svm._build = counting_build
+            _native._build = counting_build
+            X = np.random.default_rng(0).normal(size=(6, 2))
+            bank, _ = kernels.center_bank(kernels.build_kernel_bank(X, "uci_full"),
+                                          np.triu_indices(6))
             for _ in range(2):
+                kernels.combine(bank, np.ones(bank.p))
                 svm.smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0)
             print(len(builds))
         """, tmp_path)
         assert (code, out.strip()) == (0, "1"), err
-        assert [line.startswith("SMO fit:") for line in err.splitlines()] == [True], err
+        assert [line.startswith("native library:") for line in err.splitlines()] == [True], err
 
 
 # ---------------------------------------------------------------------------
