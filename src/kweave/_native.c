@@ -9,10 +9,10 @@
    NaNs follow numpy's argmax and argmin (the first index of the extreme, or
    the first NaN) and Python's min and max (the first argument wins a tie, and
    a NaN wins only as the first). numpy's max and min give a NaN if they meet
-   one; the sign of a zero extreme met with both signs depends on numpy's SIMD
-   order, so smo_fit leaves such a finish to numpy. K is the n x n
-   C-contiguous Gram, U holds the rows u and l (smo_fit takes a third row as
-   scratch). alpha and U are updated in place.
+   one. Both fits add 0.0 to the KKT gap and the bias, so a zero is +0.0
+   whichever zeros a max or min met. K is the n x n C-contiguous Gram, U holds
+   the rows u and l (smo_fit takes a third row as scratch). alpha and U are
+   updated in place.
 
    kernels.combine's weighted sum is combine_rows; kernels.center_bank's
    elementwise centering of one Gram is center_pairs, and its copy of a
@@ -25,8 +25,6 @@
 /* a pair loop's status, then smo_fit's refusal of its arrays (svm._array_fault
    names the fault) */
 enum { SMO_CONVERGED, SMO_STALLED, SMO_CAPPED, SMO_REFUSED };
-/* or'ed into smo_fit's status when numpy must compute the KKT gap and bias */
-#define SMO_NUMPY_FINISH 8
 
 static int64_t arg_extreme(const double *v, int64_t n, int largest)
 {
@@ -162,7 +160,7 @@ static double pairwise_sum(const double *a, int64_t n)
 /* numpy's max (largest) or min of the values added, -inf or +inf before any */
 struct extreme {
     double x;
-    int largest, pos_zero, neg_zero;
+    int largest;
 };
 
 static void extreme_add(struct extreme *e, double v)
@@ -171,14 +169,6 @@ static void extreme_add(struct extreme *e, double v)
         return;
     if (isnan(v) || (e->largest ? v > e->x : v < e->x))
         e->x = v;
-    if (v == 0.0)
-        *(signbit(v) ? &e->neg_zero : &e->pos_zero) = 1;
-}
-
-/* a zero extreme met with both signs: numpy's SIMD order picks the sign */
-static int extreme_unsure(const struct extreme *e)
-{
-    return e->x == 0.0 && e->pos_zero && e->neg_zero;
 }
 
 /* The whole binary fit: the array checks, the start U, smo_loop, the KKT gap
@@ -186,9 +176,8 @@ static int extreme_unsure(const struct extreme *e)
    (alpha = 0, whose start m = y - K 0 is y exactly). Returns SMO_REFUSED
    before touching alpha, U, *steps or out unless K is finite, y holds both
    classes and a seeded alpha is finite and inside [0, C]; else smo_loop's
-   status, or'ed with SMO_NUMPY_FINISH where numpy must compute the finish
-   from alpha and U. out receives the KKT gap at a stall, the KKT gap at exit
-   and the bias. */
+   status. out receives the KKT gap at a stall, the KKT gap at exit and the
+   bias. */
 int smo_fit(const double *K, const double *y, double *alpha, double *U, int64_t n,
             double C, double tol, int64_t max_iter, double tau, const double *Ka,
             int64_t *steps, double *out)
@@ -219,9 +208,9 @@ int smo_fit(const double *K, const double *y, double *alpha, double *U, int64_t 
         extreme_add(&bottom, l[k]);
     }
     double gap = top.x - bottom.x;
-    out[1] = isfinite(gap) ? gap : 0.0;
+    out[1] = isfinite(gap) ? gap + 0.0 : 0.0;
 
-    /* v = -y * G as svm._numpy_finish builds it; the values at free duals
+    /* v = -y * G as svm._numpy_fit builds it; the values at free duals
        are gathered into U's scratch row, in index order */
     double eps = 1e-8 * C, *free = U + 2 * n;
     int64_t n_free = 0;
@@ -236,20 +225,17 @@ int smo_fit(const double *K, const double *y, double *alpha, double *U, int64_t 
         if (y[k] > 0 ? a >= C - eps : a <= eps)
             extreme_add(&hi, v);
     }
-    int unsure = extreme_unsure(&top) || extreme_unsure(&bottom);
-    if (n_free) {
-        /* numpy's sum adds the pairwise sum to its identity 0.0 */
+    /* numpy's sum adds the pairwise sum to its identity 0.0 */
+    if (n_free)
         out[2] = (0.0 + pairwise_sum(free, n_free)) / (double)n_free;
-    } else {
-        unsure |= extreme_unsure(&lo) || extreme_unsure(&hi);
-        if (isinf(lo.x))
-            out[2] = hi.x;
-        else if (isinf(hi.x))
-            out[2] = lo.x;
-        else
-            out[2] = (lo.x + hi.x) / 2.0;
-    }
-    return unsure ? status | SMO_NUMPY_FINISH : status;
+    else if (isinf(lo.x))
+        out[2] = hi.x;
+    else if (isinf(hi.x))
+        out[2] = lo.x;
+    else
+        out[2] = (lo.x + hi.x) / 2.0;
+    out[2] += 0.0;
+    return status;
 }
 
 /* kernels.combine's sum over a C-contiguous float32 (rows, p) store Z: acc[r]

@@ -49,10 +49,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _TAU = 1e-12  # curvature floor for the pair subproblem
 
-# a pair loop's status, smo_fit's code for an array that _array_fault
-# refuses, and the flag smo_fit adds when numpy must finish; as in _native.c
+# a pair loop's status, then smo_fit's code for an array that _array_fault
+# refuses; as in _native.c
 _CONVERGED, _STALLED, _CAPPED, _REFUSED = range(4)
-_NUMPY_FINISH = 8
 
 
 @dataclass
@@ -95,16 +94,21 @@ def smo_train(
 ) -> SvmModel:
     """Maximize the dual over a precomputed, exactly symmetric Gram (K == K.T).
 
-    A NaN or inf entry in the Gram raises ValueError before any pair step.
+    The first failing check raises, in this order: a square Gram, labels
+    of length n, C finite and > 0, tol >= 0, max_iter >= 1, alpha0 a float
+    array of length n; then, before any pair step, a finite Gram, both
+    classes in y, a finite alpha0 and alpha0 inside [0, C]. Each raises
+    ValueError, but numpy's own error where C or alpha0 cannot convert.
+
     Converged once the maximal KKT violation drops to tol. Hitting
     max_iter returns a model flagged non-converged instead of raising;
-    its duals are the max_iter-th iterate of the uncapped run.
+    its duals are the max_iter-th iterate of the uncapped run. A KKT gap
+    or bias of zero is +0.0.
 
-    alpha0 starts the loop from given duals instead of a = 0. It must be
-    finite, of length n and inside [0, C]; it must also satisfy
-    y^T alpha0 = 0 (not checked: a seed off the hyperplane makes the
-    result infeasible). The duals of the same problem at a smaller C meet
-    all of this.
+    alpha0 starts the loop from given duals instead of a = 0. It must also
+    satisfy y^T alpha0 = 0 (not checked: a seed off the hyperplane makes
+    the result infeasible); the duals of the same problem at a smaller C
+    meet all of this.
 
     At tol = 0 the loop can cycle among pairs with moves at machine
     precision and run to max_iter: the stall check catches only a step
@@ -112,30 +116,22 @@ def smo_train(
     """
     K = np.asarray(gram, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = K.shape[0]
-    if K.shape != (n, n):
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("Gram must be a square matrix")
+    n = len(K)
+    if y.shape != (n,):
+        raise ValueError("labels do not match Gram dimension")
+    if not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be positive and finite, got {C}")
+    if not tol >= 0:
+        raise ValueError("tol must be non-negative")
     if max_iter is None:
         max_iter = max(20000, 200 * n)
-    try:
-        if y.shape != (n,):
-            raise ValueError("labels do not match Gram dimension")
-        if not (np.isfinite(C) and C > 0):
-            raise ValueError(f"C must be positive and finite, got {C}")
-        if tol < 0:
-            raise ValueError("tol must be non-negative")
-        if max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        alpha = None if alpha0 is None else np.array(alpha0, dtype=np.float64)
-        if alpha is not None and alpha.shape != (n,):
-            raise ValueError("alpha0 does not match Gram dimension")
-    except Exception:
-        # The fit checks the arrays, but smo_train has always checked the
-        # Gram, and given labels of length n the classes, before all of this
-        fault = _array_fault(K, y if y.shape == (n,) else None)
-        if fault:
-            raise ValueError(fault) from None
-        raise
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
+    alpha = None if alpha0 is None else np.array(alpha0, dtype=np.float64)
+    if alpha is not None and alpha.shape != (n,):
+        raise ValueError("alpha0 does not match Gram dimension")
 
     alpha, status, it, stall_gap, gap, bias = _binary_fit()(K, y, alpha, C, tol, max_iter)
     if status == _STALLED:
@@ -155,13 +151,13 @@ def smo_train(
     )
 
 
-def _array_fault(K, y=None, alpha=None, C=None):
+def _array_fault(K, y, alpha, C):
     """The message of the first array check that fails, or None: a finite
-    Gram, then given y both classes, then given alpha a finite alpha inside
-    [0, C]."""
+    Gram, then both classes in y, then given alpha (None is a = 0) a finite
+    alpha inside [0, C]."""
     if not np.isfinite(K).all():
         return "Gram must be finite"
-    if y is not None and not (np.any(y > 0) and np.any(y < 0)):
+    if not (np.any(y > 0) and np.any(y < 0)):
         return "both classes required to train an SVM"
     if alpha is not None:
         if not np.all(np.isfinite(alpha)):
@@ -196,22 +192,18 @@ def _numpy_fit(K, y, alpha, C, tol, max_iter):
     in_set = np.where(pos, [below_c, above_0], [above_0, below_c])
     U = np.where(in_set, y - K @ (alpha * y), [[-np.inf], [np.inf]])
     status, it, stall_gap = _numpy_pair_loop(K, y, alpha, U, C, tol, max_iter)
-    return (alpha, status, it, stall_gap, *_numpy_finish(y, alpha, U, C))
 
-
-def _numpy_finish(y, alpha, U, C):
-    """(KKT gap, bias) at the duals alpha, from the loop's U = (u, l)."""
+    # the exit KKT gap, and the bias: the average of y_i - f(x_i) over free
+    # support vectors, else the midpoint of the feasible interval from the
+    # bound KKT conditions. The + 0.0 on each makes a zero +0.0, whatever
+    # zeros numpy's max and min met
     u, l = U
     gap = u.max() - l.min()
-    gap = float(gap) if np.isfinite(gap) else 0.0
-
-    # bias: average of y_i - f(x_i) over free support vectors, else the
-    # midpoint of the feasible interval from the bound KKT conditions
+    gap = float(gap) + 0.0 if np.isfinite(gap) else 0.0
     eps = 1e-8 * C
     # v = -y * G with G = -y * m; the + 0.0 turns -0.0 into +0.0, as a
     # gradient updated by additions from G = -1 never holds -0.0, so v has
     # the bits it would have had the loop updated G itself
-    pos = y > 0
     m = np.where(u > -np.inf, u, l)
     v = -y * (-y * m + 0.0)
     free = (alpha > eps) & (alpha < C - eps)
@@ -228,7 +220,7 @@ def _numpy_finish(y, alpha, U, C):
             bias = float(lo)
         else:
             bias = float((lo + hi) / 2.0)
-    return gap, bias
+    return alpha, status, it, stall_gap, gap, bias + 0.0
 
 
 def _numpy_pair_loop(K, y, alpha, U, C, tol, max_iter):
@@ -330,11 +322,7 @@ def _compiled_fit(K, y, alpha, C, tol, max_iter):
     )
     if code == _REFUSED:
         raise ValueError(_array_fault(K, y, alpha, C))
-    if code & _NUMPY_FINISH:
-        gap, bias = _numpy_finish(y, alpha, U[:2], C)
-    else:
-        gap, bias = out[1:]
-    return alpha, code & ~_NUMPY_FINISH, steps.value, out[0], gap, bias
+    return alpha, code, steps.value, *out
 
 
 @dataclass

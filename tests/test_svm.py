@@ -199,50 +199,62 @@ class TestPgdOracle:
 
 
 def _fault_cases():
-    """pytest params (args, options, message) with several inputs bad at
-    once: smo_train raises the first fault in the order it has always
-    checked them."""
+    """pytest params (args, options, error) with several inputs bad at once:
+    smo_train raises the first fault in the order its checks run (shape,
+    labels, C, tol, max_iter, alpha0's conversion and shape, then the
+    arrays), as error's class and message."""
     nan_K, inf_K = np.eye(3), np.eye(3)
     nan_K[1, 1] = np.nan
     inf_K[0, 2] = inf_K[2, 0] = np.inf
     y, one_class = np.array([1.0, -1.0, 1.0]), np.ones(3)
-    finite, classes = "Gram must be finite", "both classes required to train an SVM"
+    finite = ValueError("Gram must be finite")
+    classes = ValueError("both classes required to train an SVM")
+    labels = ValueError("labels do not match Gram dimension")
+    negative_tol = ValueError("tol must be non-negative")
+    seed_length = ValueError("alpha0 does not match Gram dimension")
     cases = [
         ("nan-not-square", (np.full((3, 2), np.nan), y[:1], 0.0), {},
-         "Gram must be a square matrix"),
-        ("nan-short-labels", (nan_K, y[:2], 1.0), {}, finite),
+         ValueError("Gram must be a square matrix")),
+        ("nan-short-labels", (nan_K, y[:2], 1.0), {}, labels),
         ("inf-one-class", (inf_K, one_class, 1.0), {}, finite),
-        ("nan-zero-C", (nan_K, y, 0.0), {}, finite),
-        ("inf-tol-max-iter", (inf_K, y, 1.0), {"tol": -1.0, "max_iter": 0}, finite),
-        ("inf-short-seed", (inf_K, y, 1.0), {"alpha0": np.zeros(2)}, finite),
+        ("nan-zero-C", (nan_K, y, 0.0), {}, ValueError("C must be positive and finite, got 0.0")),
+        ("inf-tol-max-iter", (inf_K, y, 1.0), {"tol": -1.0, "max_iter": 0}, negative_tol),
+        ("inf-short-seed", (inf_K, y, 1.0), {"alpha0": np.zeros(2)}, seed_length),
         ("nan-nan-seed", (nan_K, y, 1.0), {"alpha0": np.array([np.nan, 2.0, 0.0])}, finite),
         ("nan-good-seed", (nan_K, y, 1.0), {"alpha0": np.array([0.5, 0.5, 0.0])}, finite),
-        ("nan-string-C", (nan_K, y, "1"), {}, finite),
-        ("inf-string-seed", (inf_K, y, 1.0), {"alpha0": "0.5"}, finite),
+        # np.isfinite("1"): numpy's error, as for a string C on a finite Gram
+        ("nan-string-C", (nan_K, y, "1"), {},
+         TypeError("ufunc 'isfinite' not supported for the input types, and the inputs could "
+                   "not be safely coerced to any supported types according to the casting "
+                   "rule ''safe''")),
+        # a string converts to a 0-d array
+        ("inf-string-seed", (inf_K, y, 1.0), {"alpha0": "0.5"}, seed_length),
         ("one-class-ragged-seed", (np.eye(3), one_class, 1.0), {"alpha0": [[0.0], [0.0, 1.0]]},
-         classes),
+         ValueError("setting an array element with a sequence. The requested array has an "
+                    "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + "
+                    "inhomogeneous part.")),
         ("empty", (np.zeros((0, 0)), np.zeros(0), 1.0), {}, classes),
-        ("one-class-nan-C", (np.eye(3), one_class, np.nan), {}, classes),
-        ("one-class-tol", (np.eye(3), -one_class, 1.0), {"tol": -1.0}, classes),
-        ("one-class-short-seed", (np.eye(3), one_class, 1.0), {"alpha0": np.zeros(2)}, classes),
+        ("one-class-nan-C", (np.eye(3), one_class, np.nan), {},
+         ValueError("C must be positive and finite, got nan")),
+        ("one-class-tol", (np.eye(3), -one_class, 1.0), {"tol": -1.0}, negative_tol),
+        ("one-class-short-seed", (np.eye(3), one_class, 1.0), {"alpha0": np.zeros(2)},
+         seed_length),
         ("one-class-bad-seed", (np.eye(3), -one_class, 1.0),
          {"alpha0": np.array([2.0, np.nan, 0.0])}, classes),
-        ("short-labels-zero-C", (np.eye(3), y[:2], 0.0), {"alpha0": np.zeros(2)},
-         "labels do not match Gram dimension"),
+        ("short-labels-zero-C", (np.eye(3), y[:2], 0.0), {"alpha0": np.zeros(2)}, labels),
         ("inf-C-nan-seed", (np.eye(3), y, np.inf), {"alpha0": np.array([np.nan, 0.0, 0.0])},
-         "C must be positive and finite, got inf"),
-        ("tol-max-iter", (np.eye(3), y, 1.0), {"tol": -1.0, "max_iter": 0},
-         "tol must be non-negative"),
+         ValueError("C must be positive and finite, got inf")),
+        ("tol-max-iter", (np.eye(3), y, 1.0), {"tol": -1.0, "max_iter": 0}, negative_tol),
         ("max-iter-short-seed", (np.eye(3), y, 1.0), {"max_iter": 0, "alpha0": np.zeros(2)},
-         "max_iter must be at least 1"),
+         ValueError("max_iter must be at least 1")),
         ("inf-seed-below-0", (np.eye(3), y, 1.0), {"alpha0": np.array([-1.0, np.inf, 0.5])},
-         "alpha0 must be finite"),
+         ValueError("alpha0 must be finite")),
         ("nan-seed-above-C", (np.eye(3), y, 1.0), {"alpha0": np.array([2.0, 0.5, np.nan])},
-         "alpha0 must be finite"),
+         ValueError("alpha0 must be finite")),
         ("seed-outside-both-ways", (np.eye(3), y, 1.0), {"alpha0": np.array([0.5, 1.5, -0.5])},
-         "alpha0 must lie in [0, C]"),
+         ValueError("alpha0 must lie in [0, C]")),
     ]
-    return [pytest.param(args, opts, message, id=name) for name, args, opts, message in cases]
+    return [pytest.param(args, opts, error, id=name) for name, args, opts, error in cases]
 
 
 class TestSmoTrain:
@@ -373,7 +385,7 @@ class TestSmoTrain:
             assert abs(mdl.alpha @ y) <= 1e-6 * 4
 
     def test_input_validation(self):
-        for K in (np.ones(3), np.ones((3, 2)), np.ones((3, 3, 3))):
+        for K in (1.0, np.ones(3), np.ones((3, 2)), np.ones((3, 3, 3))):
             with pytest.raises(ValueError, match="square"):
                 smo_train(K, np.array([1.0, -1.0, 1.0]), 1.0)
         K = np.eye(3)
@@ -396,11 +408,11 @@ class TestSmoTrain:
                 with pytest.raises(ValueError, match="Gram must be finite"):
                     smo_train(K, y, 1.0, alpha0=alpha0)
 
-    @pytest.mark.parametrize("args, opts, message", _fault_cases())
-    def test_several_faults_raise_the_first_in_order(self, args, opts, message):
-        with pytest.raises(ValueError) as info:
+    @pytest.mark.parametrize("args, opts, error", _fault_cases())
+    def test_several_faults_raise_the_first_in_order(self, args, opts, error):
+        with pytest.raises(type(error)) as info:
             smo_train(*args, **opts)
-        assert str(info.value) == message
+        assert type(info.value) is type(error) and str(info.value) == str(error)
 
     @pytest.mark.parametrize(
         "opts, match",
@@ -411,7 +423,9 @@ class TestSmoTrain:
             ({"alpha0": np.array([-0.1, 0.0, 0.1])}, r"\[0, C\]"),
             ({"alpha0": np.array([1.5, 0.0, 1.5])}, r"\[0, C\]"),
             ({"tol": -1e-3}, "tol"),
+            ({"tol": np.nan}, "tol"),
             ({"max_iter": 0}, "max_iter"),
+            ({"max_iter": np.nan}, "max_iter"),
         ],
     )
     def test_option_validation(self, opts, match):
@@ -515,7 +529,7 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None, alpha0=None):
 
     return SvmModel(
         alpha=alpha,
-        bias=bias,
+        bias=bias + 0.0,  # a zero bias is +0.0, as smo_train's
         signed_labels=y.astype(np.int64),
         C=C,
         converged=converged,
@@ -618,11 +632,11 @@ class TestReferenceEquivalence:
         )
 
     def test_integer_grams_with_exact_zeros(self):
-        # cancellations to exactly 0.0 in the gradient; the bias must keep
-        # the reference's sign of zero (this first case gives -0.0)
+        # cancellations to exactly 0.0 in the gradient; a zero bias is +0.0
+        # (this first case's midpoint is -0.0 before the + 0.0)
         K = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
         y = np.array([1.0, -1.0, 1.0])
-        assert repr(_reference_smo(K, y, 0.5).bias) == "-0.0"
+        assert repr(_reference_smo(K, y, 0.5).bias) == "0.0"
         assert_same_model(smo_train(K, y, 0.5), _reference_smo(K, y, 0.5))
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -1059,18 +1073,13 @@ class TestPairLoops:
         assert_same_model(compiled, numpy_fit)
         assert repr(compiled.bias) == "0.0"
 
-    def test_bound_only_bias_keeps_numpy_signed_zeros(self, on_both_fits, monkeypatch):
+    def test_zero_bias_and_gap_are_positive_zero(self, on_both_fits):
         # K = y y^T and bound duals summing to 1 make every m exactly +0.0, so
         # v is -0.0 on class +1 and +0.0 on class -1. With no free dual the
         # bias is the midpoint of the largest v on the lower bound set and the
-        # smallest on the upper, and which zero numpy's max and min return
-        # where both signs tie depends on its SIMD order: the compiled fit must
-        # leave those finishes to numpy
-        finish, finishes = svm._numpy_finish, []
-        monkeypatch.setattr(svm, "_numpy_finish",
-                            lambda *args: finishes.append(args) or finish(*args))
+        # smallest on the upper, whose sign of zero would follow the zeros a
+        # max or min meets, in numpy's SIMD order: both fits give +0.0
         rng = np.random.default_rng(31)
-        biases = []
         for n in range(2, 60):
             y = _signed_labels(rng, n)
             C = float(rng.choice([1.0, 0.5, 0.25]))
@@ -1079,10 +1088,14 @@ class TestPairLoops:
             compiled, numpy_fit = on_both_fits(partial(smo_train, np.outer(y, y), y, C,
                                                        tol=np.inf, alpha0=seed))
             assert_same_model(compiled, numpy_fit)
-            biases.append(repr(compiled.bias))
-        assert set(biases) == {"0.0", "-0.0"}
-        # _numpy_fit finishes each of its fits in numpy, the compiled fit some
-        assert len(finishes) > len(biases)
+            assert repr(compiled.bias) == "0.0"
+        # one pair step puts both duals at C, each in one set with m = 0.0:
+        # the exit gap is 0.0 - 0.0 over non-empty sets
+        compiled, numpy_fit = on_both_fits(partial(smo_train, np.eye(2), np.array([1.0, -1.0]),
+                                                   1.0))
+        assert_same_model(compiled, numpy_fit)
+        assert (compiled.converged, compiled.iterations) == (True, 1)
+        assert compiled.alpha.tolist() == [1.0, 1.0] and repr(compiled.kkt_gap) == "0.0"
 
     def test_compiler_on_path_loads_the_compiled_loop(self, monkeypatch, tmp_path, choose_anew):
         if shutil.which("cc") is None:
