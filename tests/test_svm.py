@@ -423,8 +423,8 @@ class TestSmoTrain:
             ({"alpha0": np.array([-0.1, 0.0, 0.1])}, r"\[0, C\]"),
             ({"alpha0": np.array([1.5, 0.0, 1.5])}, r"\[0, C\]"),
             ({"tol": -1e-3}, "tol"),
-            ({"tol": np.nan}, "tol"),
             ({"max_iter": 0}, "max_iter"),
+            ({"tol": np.nan}, "tol"),
             ({"max_iter": np.nan}, "max_iter"),
         ],
     )
