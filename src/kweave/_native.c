@@ -4,14 +4,14 @@
    as _native._CFLAGS says: -O2 -ffp-contract=off (no fused multiply-add), with
    neither -ffast-math nor -march.
 
-   svm.smo_train's binary fit: smo_fit is the whole fit, smo_loop its pair
-   steps, as svm._numpy_fit does them; svm.py explains each step. Ties and
-   NaNs follow numpy's argmax and argmin (the first index of the extreme, or
-   the first NaN) and Python's min and max (the first argument wins a tie, and
-   a NaN wins only as the first). numpy's max and min give a NaN if they meet
-   one. Both fits add 0.0 to the KKT gap and the bias, so a zero is +0.0
-   whichever zeros a max or min met. K is the n x n C-contiguous Gram, U holds
-   the rows u and l (smo_fit takes a third row as scratch). alpha and U are
+   svm.smo_train's binary fit is smo_fit, as svm._numpy_fit does it; svm.py
+   explains each step. Ties and NaNs follow numpy's argmax and argmin (the
+   first index of the extreme, or the first NaN) and Python's min and max (the
+   first argument wins a tie, and a NaN wins only as the first). numpy's max
+   and min give a NaN if they meet one. The bias sums the free duals' values
+   left to right, as np.add.accumulate does. Both fits add 0.0 to the KKT gap
+   and the bias, so a zero is +0.0 whichever zeros a max, min or sum met. K is
+   the n x n C-contiguous Gram, U holds the rows u and l. alpha and U are
    updated in place.
 
    kernels.combine's weighted sum is combine_rows; kernels.center_bank's
@@ -20,7 +20,6 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <string.h>
 
 /* a pair loop's status, then smo_fit's refusal of its arrays (svm._array_fault
    names the fault) */
@@ -58,9 +57,9 @@ static void rebound(double *u, double *l, const double *y, int64_t k, double a,
 /* The pair steps from the start U. Returns SMO_CONVERGED, SMO_STALLED or
    SMO_CAPPED, with the pair steps taken in *steps and, at a stall, the KKT gap
    in *gap. */
-int smo_loop(const double *K, const double *y, double *alpha, double *U, int64_t n,
-             double C, double tol, int64_t max_iter, double tau, int64_t *steps,
-             double *gap)
+static int smo_loop(const double *K, const double *y, double *alpha, double *U,
+                    int64_t n, double C, double tol, int64_t max_iter, double tau,
+                    int64_t *steps, double *gap)
 {
     double *u = U, *l = U + n;
     int status = SMO_CAPPED;
@@ -129,34 +128,6 @@ static int all_finite(const double *v, int64_t count)
     return (acc[0] + acc[1]) + (acc[2] + acc[3]) == 0.0;
 }
 
-/* numpy's pairwise sum: below 8 values one by one, up to 128 in 8
-   accumulators and then the rest one by one, above that the two halves split
-   at a multiple of 8 */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        memcpy(r, a, sizeof r);
-        int64_t i = 8;
-        for (; i < n - n % 8; i += 8)
-            for (int w = 0; w < 8; w++)
-                r[w] += a[i + w];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
-}
-
 /* numpy's max (largest) or min of the values added, -inf or +inf before any */
 struct extreme {
     double x;
@@ -174,8 +145,9 @@ static void extreme_add(struct extreme *e, double v)
 /* The whole binary fit: the array checks, the start U, smo_loop, the KKT gap
    and the bias. Ka is K (alpha * y) for a seeded fit, NULL for a cold one
    (alpha = 0, whose start m = y - K 0 is y exactly). Returns SMO_REFUSED
-   before touching alpha, U, *steps or out unless K is finite, y holds both
-   classes and a seeded alpha is finite and inside [0, C]; else smo_loop's
+   before touching alpha, U, *steps or out unless K is finite, y holds only
+   +1 and -1 and both of them, and a seeded alpha is finite and inside [0, C];
+   else smo_loop's
    status. out receives the KKT gap at a stall, the KKT gap at exit and the
    bias. */
 int smo_fit(const double *K, const double *y, double *alpha, double *U, int64_t n,
@@ -184,13 +156,14 @@ int smo_fit(const double *K, const double *y, double *alpha, double *U, int64_t 
 {
     if (!all_finite(K, n * n) || (Ka && !all_finite(alpha, n)))
         return SMO_REFUSED;
-    int has_pos = 0, has_neg = 0, in_box = 1;
+    int has_pos = 0, has_neg = 0, signs = 1, in_box = 1;
     for (int64_t k = 0; k < n; k++) {
         has_pos |= y[k] > 0;
         has_neg |= y[k] < 0;
+        signs &= fabs(y[k]) == 1.0;
         in_box &= !(alpha[k] < 0.0) && !(alpha[k] > C);
     }
-    if (!(has_pos && has_neg && in_box))
+    if (!(has_pos && has_neg && signs && in_box))
         return SMO_REFUSED;
 
     double *u = U, *l = U + n;
@@ -210,24 +183,25 @@ int smo_fit(const double *K, const double *y, double *alpha, double *U, int64_t 
     double gap = top.x - bottom.x;
     out[1] = isfinite(gap) ? gap + 0.0 : 0.0;
 
-    /* v = -y * G as svm._numpy_fit builds it; the values at free duals
-       are gathered into U's scratch row, in index order */
-    double eps = 1e-8 * C, *free = U + 2 * n;
+    /* v = -y * G as svm._numpy_fit builds it; the free duals' v are summed
+       in index order */
+    double eps = 1e-8 * C, sum = 0.0;
     int64_t n_free = 0;
     struct extreme lo = {-INFINITY, 1}, hi = {INFINITY, 0};
     for (int64_t k = 0; k < n; k++) {
         double m = u[k] > -INFINITY ? u[k] : l[k];
         double v = -y[k] * (-y[k] * m + 0.0), a = alpha[k];
-        if (a > eps && a < C - eps)
-            free[n_free++] = v;
+        if (a > eps && a < C - eps) {
+            sum += v;
+            n_free++;
+        }
         if (y[k] > 0 ? a <= eps : a >= C - eps)
             extreme_add(&lo, v);
         if (y[k] > 0 ? a >= C - eps : a <= eps)
             extreme_add(&hi, v);
     }
-    /* numpy's sum adds the pairwise sum to its identity 0.0 */
     if (n_free)
-        out[2] = (0.0 + pairwise_sum(free, n_free)) / (double)n_free;
+        out[2] = sum / (double)n_free;
     else if (isinf(lo.x))
         out[2] = hi.x;
     else if (isinf(hi.x))

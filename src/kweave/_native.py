@@ -6,8 +6,12 @@ ctypes; a process that finds the library there loads it without running cc.
 Where it cannot be built or loaded (no C compiler, a package directory that
 cannot be written, a library that does not load) it returns None, and every
 caller runs its numpy code, which gives the same bits. The choice is made
-once per process and logged with why. No -ffast-math and no -march: both
-change the float operations.
+once per process and logged with why; library is the one seam, so a test
+that patches it to return None runs all the numpy code. No -ffast-math and
+no -march: both change the float operations.
+
+The library exports only the entries the package calls, each in _SIGNATURES:
+svm's smo_fit, and kernels' combine_rows, center_pairs and stage_to_columns.
 """
 
 from __future__ import annotations
@@ -26,16 +30,15 @@ _CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-# each entry's argument types, as _native.c declares them
-_SMO_COMMON = [_PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _I64, _F64]
+# each exported entry's argument types, as _native.c declares them. ctypes'
+# default restype, C int, is smo_fit's; no caller reads the void entries' result
 _SIGNATURES = {
-    "smo_loop": [*_SMO_COMMON, ctypes.POINTER(_I64), ctypes.POINTER(_F64)],
-    "smo_fit": [*_SMO_COMMON, _PTR, ctypes.POINTER(_I64), ctypes.POINTER(_F64)],
+    "smo_fit": [_PTR, _PTR, _PTR, _PTR, _I64, _F64, _F64, _I64, _F64, _PTR,
+                ctypes.POINTER(_I64), ctypes.POINTER(_F64)],
     "combine_rows": [_PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR],
     "center_pairs": [_PTR, _I64, _PTR, _F64, _F64, _PTR, _PTR, _I64, _PTR],
     "stage_to_columns": [_PTR, _I64, _I64, _PTR, _I64, _I64],
 }
-_RESTYPES = {"smo_loop": ctypes.c_int, "smo_fit": ctypes.c_int}
 
 
 def _library_path(source: bytes) -> Path:
@@ -78,7 +81,6 @@ def library() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
         for name, argtypes in _SIGNATURES.items():
             getattr(lib, name).argtypes = argtypes
-            getattr(lib, name).restype = _RESTYPES.get(name)
     except OSError as exc:
         logger.info("native library: unavailable, the numpy code runs (%s)", exc)
         return None

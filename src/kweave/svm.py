@@ -95,8 +95,9 @@ def smo_train(
     """Maximize the dual over a precomputed, exactly symmetric Gram (K == K.T).
 
     The first failing check raises, in this order: a square Gram, labels
-    of length n, C finite and > 0, tol >= 0, max_iter >= 1, alpha0 a float
-    array of length n; then, before any pair step, a finite Gram, both
+    of length n, C finite and > 0, tol >= 0, max_iter an integer >= 1 (a
+    float, even 5.0, is refused), alpha0 a float array of length n; then,
+    before any pair step, a finite Gram, labels that are all +1 or -1, both
     classes in y, a finite alpha0 and alpha0 inside [0, C]. Each raises
     ValueError, but numpy's own error where C or alpha0 cannot convert.
 
@@ -127,13 +128,14 @@ def smo_train(
         raise ValueError("tol must be non-negative")
     if max_iter is None:
         max_iter = max(20000, 200 * n)
-    if not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ValueError("max_iter must be an integer of at least 1")
     alpha = None if alpha0 is None else np.array(alpha0, dtype=np.float64)
     if alpha is not None and alpha.shape != (n,):
         raise ValueError("alpha0 does not match Gram dimension")
 
-    alpha, status, it, stall_gap, gap, bias = _binary_fit()(K, y, alpha, C, tol, max_iter)
+    binary_fit = _numpy_fit if _native.library() is None else _compiled_fit
+    alpha, status, it, stall_gap, gap, bias = binary_fit(K, y, alpha, C, tol, max_iter)
     if status == _STALLED:
         logger.warning(
             "SMO stalled at KKT gap %g (tol %g) after %d pair steps", stall_gap, tol, it,
@@ -153,10 +155,12 @@ def smo_train(
 
 def _array_fault(K, y, alpha, C):
     """The message of the first array check that fails, or None: a finite
-    Gram, then both classes in y, then given alpha (None is a = 0) a finite
-    alpha inside [0, C]."""
+    Gram, then labels of +1 and -1 only, then both classes in y, then given
+    alpha (None is a = 0) a finite alpha inside [0, C]."""
     if not np.isfinite(K).all():
         return "Gram must be finite"
+    if not np.all(np.abs(y) == 1.0):
+        return "labels must be +1 or -1"
     if not (np.any(y > 0) and np.any(y < 0)):
         return "both classes required to train an SVM"
     if alpha is not None:
@@ -208,7 +212,8 @@ def _numpy_fit(K, y, alpha, C, tol, max_iter):
     v = -y * (-y * m + 0.0)
     free = (alpha > eps) & (alpha < C - eps)
     if free.any():
-        bias = float(v[free].mean())
+        # summed left to right, as smo_fit sums them (.mean sums pairwise)
+        bias = float(np.add.accumulate(v[free])[-1] / free.sum())
     else:
         lower = (pos & (alpha <= eps)) | (~pos & (alpha >= C - eps))
         upper = (pos & (alpha >= C - eps)) | (~pos & (alpha <= eps))
@@ -294,12 +299,6 @@ def _numpy_pair_loop(K, y, alpha, U, C, tol, max_iter):
     return _CAPPED, it, None
 
 
-def _binary_fit():
-    """The binary fit smo_train runs: _compiled_fit where the native library
-    loads (_native.library(), which logs the choice once), else _numpy_fit."""
-    return _numpy_fit if _native.library() is None else _compiled_fit
-
-
 def _compiled_fit(K, y, alpha, C, tol, max_iter):
     """_numpy_fit's fit, run by smo_fit from the native library."""
     n = len(y)
@@ -313,7 +312,7 @@ def _compiled_fit(K, y, alpha, C, tol, max_iter):
             Ka = K @ (alpha * y)
     # smo_fit reads K and y as C-contiguous rows; alpha is smo_train's own
     K, y = np.ascontiguousarray(K), np.ascontiguousarray(y)
-    U = np.empty((3, n))
+    U = np.empty((2, n))
     steps, out = ctypes.c_int64(), (ctypes.c_double * 3)()
     code = _native.library().smo_fit(
         K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, n, C, tol,

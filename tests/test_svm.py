@@ -212,6 +212,8 @@ def _fault_cases():
     labels = ValueError("labels do not match Gram dimension")
     negative_tol = ValueError("tol must be non-negative")
     seed_length = ValueError("alpha0 does not match Gram dimension")
+    max_iter = ValueError("max_iter must be an integer of at least 1")
+    signs = ValueError("labels must be +1 or -1")
     cases = [
         ("nan-not-square", (np.full((3, 2), np.nan), y[:1], 0.0), {},
          ValueError("Gram must be a square matrix")),
@@ -246,13 +248,22 @@ def _fault_cases():
          ValueError("C must be positive and finite, got inf")),
         ("tol-max-iter", (np.eye(3), y, 1.0), {"tol": -1.0, "max_iter": 0}, negative_tol),
         ("max-iter-short-seed", (np.eye(3), y, 1.0), {"max_iter": 0, "alpha0": np.zeros(2)},
-         ValueError("max_iter must be at least 1")),
+         max_iter),
         ("inf-seed-below-0", (np.eye(3), y, 1.0), {"alpha0": np.array([-1.0, np.inf, 0.5])},
          ValueError("alpha0 must be finite")),
         ("nan-seed-above-C", (np.eye(3), y, 1.0), {"alpha0": np.array([2.0, 0.5, np.nan])},
          ValueError("alpha0 must be finite")),
         ("seed-outside-both-ways", (np.eye(3), y, 1.0), {"alpha0": np.array([0.5, 1.5, -0.5])},
          ValueError("alpha0 must lie in [0, C]")),
+        # labels other than +-1: the loop assumes y^2 = 1
+        ("nan-doubled-labels", (nan_K, 2 * y, 1.0), {}, finite),
+        ("half-label-float-max-iter", (np.eye(3), np.array([1.0, -0.5, 1.0]), 1.0),
+         {"max_iter": 5.0}, max_iter),
+        ("doubled-labels-bad-seed", (np.eye(3), 2 * y, 1.0),
+         {"alpha0": np.array([2.0, np.nan, 0.0])}, signs),
+        ("half-label", (np.eye(3), np.array([1.0, -0.5, 1.0]), 1.0), {}, signs),
+        ("nan-label-one-class", (np.eye(3), np.array([np.nan, 1.0, 1.0]), 1.0), {}, signs),
+        ("zero-label", (np.eye(3), np.array([1.0, 0.0, -1.0]), 1.0), {}, signs),
     ]
     return [pytest.param(args, opts, error, id=name) for name, args, opts, error in cases]
 
@@ -426,6 +437,8 @@ class TestSmoTrain:
             ({"max_iter": 0}, "max_iter"),
             ({"tol": np.nan}, "tol"),
             ({"max_iter": np.nan}, "max_iter"),
+            ({"max_iter": 5.5}, "max_iter"),
+            ({"max_iter": 5.0}, "max_iter"),
         ],
     )
     def test_option_validation(self, opts, match):
@@ -514,7 +527,7 @@ def _reference_smo(K, y, C, tol=1e-3, max_iter=None, alpha0=None):
     v = -y * G
     free = (alpha > eps) & (alpha < C - eps)
     if free.any():
-        bias = float(v[free].mean())
+        bias = float(np.add.accumulate(v[free])[-1] / free.sum())  # left to right
     else:
         lower = (pos & (alpha <= eps)) | (~pos & (alpha >= C - eps))
         upper = (pos & (alpha >= C - eps)) | (~pos & (alpha <= eps))
@@ -847,11 +860,11 @@ class TestBinaryMirror:
 
 @pytest.fixture(autouse=True)
 def fit_choice(request, monkeypatch):
-    """A class with numpy_loop set runs with svm._binary_fit() giving _numpy_fit."""
+    """A class with numpy_loop set runs with no native library loaded."""
     if getattr(request.cls, "numpy_loop", False):
-        if svm._binary_fit() is svm._numpy_fit:
+        if _native.library() is None:
             pytest.skip("no compiled fit here: the class above ran on the numpy fit")
-        monkeypatch.setattr(svm, "_binary_fit", lambda: svm._numpy_fit)
+        monkeypatch.setattr(_native, "library", lambda: None)
 
 
 class TestSmoTrainNumpyLoop(TestSmoTrain):
@@ -876,23 +889,21 @@ def on_both_fits(monkeypatch):
 
     Skips where no compiled fit loads.
     """
-    compiled = svm._binary_fit()
-    if compiled is svm._numpy_fit:
+    if _native.library() is None:
         pytest.skip("no compiled fit here")
 
     def run(train):
-        results = []
-        for binary_fit in (compiled, svm._numpy_fit):
-            monkeypatch.setattr(svm, "_binary_fit", lambda binary_fit=binary_fit: binary_fit)
-            results.append(train())
-        return results
+        compiled = train()
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "library", lambda: None)
+            return [compiled, train()]
 
     return run
 
 
 @pytest.fixture
 def smo_library():
-    """The native library, with smo_loop and smo_fit among its entries.
+    """The native library, with smo_fit among its entries.
 
     Skips where it does not load.
     """
@@ -902,36 +913,12 @@ def smo_library():
 
 
 @pytest.fixture
-def compiled_pair_loop(smo_library):
-    """smo_loop from _native.c, called as _numpy_pair_loop is."""
-    i64, f64 = ctypes.c_int64, ctypes.c_double
-
-    def loop(K, y, alpha, U, C, tol, max_iter):
-        K = np.ascontiguousarray(K)
-        steps, gap = i64(), f64()
-        status = smo_library.smo_loop(
-            K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, len(y), C, tol,
-            max_iter, svm._TAU, ctypes.byref(steps), ctypes.byref(gap),
-        )
-        return status, steps.value, gap.value
-
-    return loop
-
-
-@pytest.fixture
 def choose_anew():
     """Clears _native.library's choice before and after the test, so the test
     chooses under its own patches and no later test runs what they built."""
     _native.library.cache_clear()
     yield
     _native.library.cache_clear()
-
-
-def _cold_start(K, y, C):
-    """(alpha, U) at a = 0, as _numpy_fit builds them for its pair loop."""
-    alpha = np.zeros(len(y))
-    in_set = np.where(y > 0, [alpha < C, alpha > 0.0], [alpha > 0.0, alpha < C])
-    return alpha, np.where(in_set, y - K @ (alpha * y), [[-np.inf], [np.inf]])
 
 
 def _fresh_processes(script, cache, count=1):
@@ -962,30 +949,8 @@ def _non_finite_problems():
 
 
 class TestPairLoops:
-    """The compiled and the numpy fit, and their pair loops, side by side, and
-    how the compiled fit is built and loaded."""
-
-    def test_nan_and_inf_grams_give_the_same_bits(self, compiled_pair_loop):
-        # smo_train refuses such a Gram, but the two pair loops must still
-        # agree on one, after the first steps and after many. _reference_smo
-        # recomputes its working sets from the gradient and so parts from both
-        # loops once a NaN enters
-        nan_duals = 0
-        for K, y in _non_finite_problems():
-            # 20,000 is smo_train's default cap at these n
-            for C, tol, max_iter in [(0.1, 1e-3, 1), (1.0, 1e-3, 3), (1.0, 1e-3, 20000),
-                                     (10.0, 0.0, 300)]:
-                def steps(loop):
-                    alpha, U = _cold_start(K, y, C)
-                    status, it, gap = loop(K, y, alpha, U, C, tol, max_iter)
-                    gap = repr(gap) if status == svm._STALLED else None
-                    return status, it, gap, alpha.tobytes(), U.tobytes()
-
-                with np.errstate(all="ignore"):
-                    got, ref = steps(compiled_pair_loop), steps(svm._numpy_pair_loop)
-                assert got == ref
-                nan_duals += bool(np.isnan(np.frombuffer(got[3])).any())
-        assert nan_duals > 0
+    """The compiled and the numpy fit side by side, and how the compiled fit
+    is built and loaded."""
 
     def test_compiled_fit_refuses_before_writing_anything(self, smo_library):
         # smo_fit must refuse each array fault before its start: had a pair
@@ -993,7 +958,8 @@ class TestPairLoops:
         problems = [(K, y, None) for K, y in _non_finite_problems()]
         problems += [(K, y, np.where(np.arange(len(y)) < 2, 0.5, 0.0)) for K, y, _ in problems]
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        problems += [(np.eye(4), np.ones(4), None),
+        problems += [(np.eye(4), np.ones(4), None), (np.eye(4), 2 * y, None),
+                     (np.eye(4), np.array([1.0, -1.0, 0.5, -1.0]), None),
                      (np.eye(4), y, np.array([0.5, 0.5, np.inf, 0.0])),
                      (np.eye(4), y, np.array([0.5, 0.5, 1.5, 0.0]))]
         for K, y, seed in problems:
@@ -1001,7 +967,7 @@ class TestPairLoops:
             alpha = np.zeros(n) if seed is None else seed.copy()
             with np.errstate(all="ignore"):
                 Ka = None if seed is None else K @ (alpha * y)
-            U = np.full((3, n), 7.0)
+            U = np.full((2, n), 7.0)
             steps, out = ctypes.c_int64(-1), (ctypes.c_double * 3)(7.0, 7.0, 7.0)
             code = smo_library.smo_fit(
                 K.ctypes.data, y.ctypes.data, alpha.ctypes.data, U.ctypes.data, n, 1.0,
@@ -1044,11 +1010,11 @@ class TestPairLoops:
         assert ["stalled" in m for _, m in compiled] == [True, False]
         assert "iteration cap (2)" in compiled[1][1]
 
-    def test_bias_over_free_duals_has_numpy_bits(self, on_both_fits):
+    def test_bias_over_free_duals_sums_left_to_right(self, on_both_fits):
         # a seed taken at tol = inf makes no pair step, so the bias is the mean
-        # of v over exactly the seed's free duals, which numpy sums one by one
-        # below 8 values, in 8 accumulators up to 128 and in halves above.
-        # Rows of very different norms make the order of the sum show
+        # of v over exactly the seed's free duals, summed in index order. Rows
+        # of very different norms make the order of the sum show: numpy's
+        # pairwise sum, which .mean runs, differs at some of these counts
         rng = np.random.default_rng(29)
         n, C = 300, 1.0
         X = rng.normal(size=(n, 4)) * np.exp(3.0 * rng.normal(size=(n, 1)))
@@ -1057,21 +1023,35 @@ class TestPairLoops:
         for count in [*range(1, 10), 16, 64, 127, 128, 129, 136, 200, 255, 256, 257, 300]:
             seed = rng.choice([0.0, C], n)
             seed[rng.permutation(n)[:count]] = rng.uniform(0.1, 0.9, count) * C
-            compiled, numpy_fit = on_both_fits(partial(smo_train, K, y, C, tol=np.inf,
-                                                       alpha0=seed))
-            assert_same_model(compiled, numpy_fit)
-            assert compiled.iterations == 0
             v = -y * (-y * (y - K @ (seed * y)) + 0.0)
-            one_by_one = np.cumsum(v[(seed > 1e-8 * C) & (seed < C - 1e-8 * C)])[-1] / count
-            order_shows += repr(float(one_by_one)) != repr(compiled.bias)
+            v_free = v[(seed > 1e-8 * C) & (seed < C - 1e-8 * C)]
+            left_to_right = float(np.add.accumulate(v_free)[-1] / count) + 0.0
+            for model in on_both_fits(partial(smo_train, K, y, C, tol=np.inf, alpha0=seed)):
+                assert model.iterations == 0
+                assert repr(model.bias) == repr(left_to_right), count
+            order_shows += repr(float(v_free.mean())) != repr(left_to_right)
         assert order_shows > 0
-        # numpy's sum starts from 0.0: eight free duals of class +1 whose v
-        # is -0.0 (K = y y^T and duals summing to 1, as below) average to 0.0
+        # eight free duals of class +1 whose v is -0.0 (K = y y^T and duals
+        # summing to 1, as below) average to +0.0
         y = np.repeat([1.0, -1.0], [8, 4])
         compiled, numpy_fit = on_both_fits(partial(smo_train, np.outer(y, y), y, 1.0,
                                                    tol=np.inf, alpha0=(y > 0) / 8.0))
         assert_same_model(compiled, numpy_fit)
         assert repr(compiled.bias) == "0.0"
+
+    def test_nan_reached_from_a_finite_gram_gives_the_same_bits(self, on_both_fits):
+        # a Gram of 1e307 everywhere is finite, but its pair steps overflow
+        # to inf and then NaN: in 20 of these 30 problems the duals end NaN
+        nan_duals = 0
+        for n in range(2, 12):
+            y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+            for C in (10.0, 100.0, 1000.0):
+                with np.errstate(all="ignore"):
+                    compiled, numpy_fit = on_both_fits(
+                        partial(smo_train, np.full((n, n), 1e307), y, C, max_iter=50))
+                assert_same_model(compiled, numpy_fit)
+                nan_duals += bool(np.isnan(compiled.alpha).any())
+        assert nan_duals == 20
 
     def test_zero_bias_and_gap_are_positive_zero(self, on_both_fits):
         # K = y y^T and bound duals summing to 1 make every m exactly +0.0, so
@@ -1101,7 +1081,7 @@ class TestPairLoops:
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         monkeypatch.setattr(_native, "_CACHE", tmp_path)
-        assert svm._binary_fit() is svm._compiled_fit
+        assert _native.library() is not None
         lib = _native._library_path(_native._SOURCE.read_bytes())
         assert [p.name for p in tmp_path.iterdir()] == [lib.name]
         # one library holds every compiled loop, the kernels' too
@@ -1118,7 +1098,7 @@ class TestPairLoops:
             X = np.random.default_rng(1).normal(size=(7, 2))
             bank, _ = center_bank(build_kernel_bank(X, "uci_full"), np.triu_indices(7))
             combined = combine(bank, np.arange(bank.p) % 2)
-        assert svm._binary_fit() is svm._numpy_fit and _native.library() is None
+        assert _native.library() is None
         assert list(tmp_path.iterdir()) == []  # no library and no temp file
         assert_same_model(model, _reference_smo(K, y, C))
         expected = np.zeros((7, 7))
@@ -1142,7 +1122,7 @@ class TestPairLoops:
             pytest.skip("no cc on PATH")
         runs = _fresh_processes("""
             svm.smo_train(np.eye(2), np.array([1.0, -1.0]), 1.0)
-            print(_native.library() is not None and svm._binary_fit() is svm._compiled_fit)
+            print(_native.library() is not None)
         """, tmp_path, count=2)
         assert [(code, out.strip()) for code, out, _ in runs] == [(0, "True"), (0, "True")], runs
         # one library, and no temp file left behind
